@@ -120,7 +120,7 @@ class ShootingProblem:
     """Batched cost/constraint evaluation for the jump NLP.
 
     Decision variables are scaled to O(1): leg force by f_leg_max, rope
-    forces by f_r_max, t_f unscaled.  Gradients are central finite
+    forces by f_r_max, t_f unscaled.  Gradients are forward finite
     differences computed in one batched rollout and cached per point.
     """
 

@@ -21,6 +21,7 @@ STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
+STATUS_FAILED = "failed"
 
 
 @dataclass
@@ -213,7 +214,11 @@ def solve_lp(problem: LpProblem, A_eq=None, b_eq=None) -> LpResult:
         return LpResult(res.x, float(res.fun), STATUS_OPTIMAL, duals, slack)
     if res.status == 3:
         return LpResult(None, -np.inf, STATUS_UNBOUNDED)
-    return LpResult(None, np.nan, STATUS_INFEASIBLE)
+    if res.status == 2:
+        return LpResult(None, np.nan, STATUS_INFEASIBLE)
+    # 1: iteration limit; 4: numerical trouble, or no verdict between
+    # infeasible and unbounded.
+    return LpResult(None, np.nan, STATUS_MAX_ITERS if res.status == 1 else STATUS_FAILED)
 
 
 def lp_complementarity_gap(result: LpResult) -> float:

@@ -3,10 +3,16 @@
 The robot resting on the wall is modelled as a rigid body with four
 unilateral contacts: two landing wheels (point contacts with friction,
 bounded normal force) and two rope attachments (forces along the rope
-axes, bounded tension).  Per-contact force polytopes are lifted to 6D
-wrenches about the CoM, Minkowski-summed into the feasible wrench
-polytope (FWP), and static feasibility and operating-force margins are
-read off its H-representation.
+axes, bounded tension).  Each contact contributes wrench columns about the
+CoM: the four friction-pyramid corners of a wheel and the full pull of a
+rope.  A contact-force weight vector lambda over these columns, with the
+weights of one wheel summing to at most 1 and every weight in [0, 1],
+spans the feasible wrench polytope (FWP) in the sense of Orsolino et al.
+(RA-L 2018).  Static feasibility and the directional margin are each one
+LP over lambda, so no cell builds the polytope itself.
+
+``build_fwp`` still forms the FWP explicitly (Minkowski sum plus Qhull) for
+its vertex and facet counts; the tests use it as an oracle for the LP.
 
 All quantities in this module live in a frame attached to the CoM (axes
 parallel to the world frame); referencing wrenches about the CoM keeps
@@ -25,19 +31,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .model import Scenario
+# directional_margin is re-exported as the hull-based reference for margin_at.
 from .polytopes import (
     DegeneracyError,
     HPolytope,
     MarginResult,
     VPolytope,
-    contains,
     convex_hull,
     directional_margin,
     v_to_h,
 )
-from .solvers import STATUS_OPTIMAL, LpProblem, solve_lp
+from .solvers import (
+    STATUS_INFEASIBLE,
+    STATUS_OPTIMAL,
+    LpProblem,
+    LpResult,
+    solve_lp,
+)
+
+
+class CellError(ValueError):
+    """No answer at this CoM position: a rope attachment coincides with its
+    anchor, or a contact-force LP ended neither optimal nor infeasible."""
 
 
 def tangent_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,26 +112,32 @@ def contact_geometry(p, scenario: Scenario) -> ContactSet:
         v = hoist - anchor
         norm = np.linalg.norm(v)
         if norm < 1e-9:
-            raise ValueError("rope attachment coincides with its anchor")
+            raise CellError("rope attachment coincides with its anchor")
         axes.append(v / norm)
     return ContactSet(wheel_l, wheel_r, hoist_l, hoist_r, axes[0], axes[1],
                       n_c, scenario.mu, scenario.f_leg_max, scenario.f_r_max)
 
 
-def wheel_force_polytope(contact_normal, mu: float, f_leg_max: float) -> VPolytope:
-    """Friction-pyramid force polytope of one wheel: apex plus 4 corners.
-
-    Columns are expressed in the contact frame (t1, t2, n) and rotated to
-    the world; the pyramid implicitly encodes the unilateral constraint.
-    """
+def _pyramid_corners(contact_normal, mu: float, f_leg_max: float) -> np.ndarray:
+    """The 4 corners (R_c @ [+-mu, +-mu, 1]) * f_leg_max of a wheel's
+    friction pyramid, as rows, with R_c = [t1, t2, n] the contact frame."""
     n = np.asarray(contact_normal, dtype=float)
     t1, t2 = tangent_frame(n)
     R_c = np.column_stack([t1, t2, n])
-    local = np.array([[0.0, mu, -mu, -mu, mu],
-                      [0.0, mu, mu, -mu, -mu],
-                      [0.0, 1.0, 1.0, 1.0, 1.0]]) * f_leg_max
+    local = np.array([[mu, -mu, -mu, mu],
+                      [mu, mu, -mu, -mu],
+                      [1.0, 1.0, 1.0, 1.0]]) * f_leg_max
+    return (R_c @ local).T
+
+
+def wheel_force_polytope(contact_normal, mu: float, f_leg_max: float) -> VPolytope:
+    """Friction-pyramid force polytope of one wheel: apex plus 4 corners.
+
+    The pyramid implicitly encodes the unilateral constraint.
+    """
+    corners = _pyramid_corners(contact_normal, mu, f_leg_max)
     # canonicalise: collapses to a normal segment when mu == 0
-    return convex_hull((R_c @ local).T)
+    return convex_hull(np.vstack([np.zeros(3), corners]))
 
 
 def rope_force_polytope(axis, f_r_max: float) -> VPolytope:
@@ -123,7 +147,8 @@ def rope_force_polytope(axis, f_r_max: float) -> VPolytope:
 
 
 def lift_to_wrench(force_vertices: np.ndarray, application_point) -> np.ndarray:
-    """Map force vertices f to 6D wrench vertices (f, p x f) about the CoM."""
+    """Map force vertices f to 6D wrench vertices (f, p x f) about the CoM;
+    p is one point, or one point per force row."""
     p = np.asarray(application_point, dtype=float)
     f = np.atleast_2d(np.asarray(force_vertices, dtype=float))
     return np.hstack([f, np.cross(np.broadcast_to(p, f.shape), f)])
@@ -172,57 +197,78 @@ def load_wrench(scenario: Scenario) -> np.ndarray:
     return -gravitational_wrench(scenario).as_array()
 
 
-def equilibrium_lp(cs: ContactSet, w, with_limits: bool) -> bool:
-    """Existence of admissible contact forces realising the wrench w.
+def _contact_lp(cs: ContactSet, w, with_limits: bool, v_hat=None) -> LpResult:
+    """LP over the contact-force weights lambda realising the wrench w.
 
-    Decision variables: 4 pyramid-corner weights per wheel (>= 0, summing
-    to at most 1 when limits are on) and one tension scale per rope.  With
-    limits off the scales are unbounded and the test reduces to membership
-    in the contact wrench cone.
+    G holds the wrench columns about the CoM: the 4 pyramid corners of each
+    wheel, then the full pull of each rope.  Constraints: G lambda = w,
+    lambda >= 0 and, with limits on, lambda <= 1 with the 4 weights of each
+    wheel summing to at most 1.  With limits off the weights are unbounded
+    and feasibility reduces to membership in the contact wrench cone.
+
+    With v_hat the LP also maximises gamma >= 0 (the last entry of the
+    solution) over a second weight vector with G lambda' - gamma v_hat = w
+    under the same limits.  The FWP is convex, so it then holds the whole
+    segment from w to w + gamma v_hat.
     """
+    corners = _pyramid_corners(cs.contact_normal, cs.mu, cs.f_leg_max)
+    forces = np.vstack([corners, corners, -cs.f_r_max * cs.axis_left,
+                        -cs.f_r_max * cs.axis_right])
+    points = np.repeat([cs.wheel_left, cs.wheel_right, cs.hoist_left, cs.hoist_right],
+                       [4, 4, 1, 1], axis=0)
+    G = lift_to_wrench(forces, points).T
+    n = G.shape[1]
+    wheel_sums = np.zeros((2, n))
+    wheel_sums[0, 0:4] = 1.0
+    wheel_sums[1, 4:8] = 1.0
+    bounds = [(0.0, 1.0 if with_limits else None)] * n
+    c = np.zeros(n)
     w = np.asarray(w, dtype=float)
-    cols = []
-    for wheel in (cs.wheel_left, cs.wheel_right):
-        corners = wheel_force_polytope(cs.contact_normal, cs.mu, cs.f_leg_max).vertices[1:]
-        cols.append(lift_to_wrench(corners, wheel).T)          # (6, 4)
-    for axis, hoist in ((cs.axis_left, cs.hoist_left), (cs.axis_right, cs.hoist_right)):
-        pull = -axis * cs.f_r_max
-        cols.append(lift_to_wrench(pull, hoist).T)             # (6, 1)
-    A_eq = np.hstack(cols)
-    hi = 1.0 if with_limits else None
-    bounds = [(0.0, hi)] * A_eq.shape[1]
+    if v_hat is not None:
+        G = block_diag(G, np.column_stack([G, -v_hat]))
+        wheel_sums = np.column_stack([block_diag(wheel_sums, wheel_sums), np.zeros(4)])
+        bounds = 2 * bounds + [(0.0, None)]
+        c = np.append(np.zeros(2 * n), -1.0)
+        w = np.concatenate([w, w])
     A_ub = b_ub = None
     if with_limits:
-        # Pyramid-corner weights of one wheel may sum to at most 1.
-        rows = np.zeros((2, A_eq.shape[1]))
-        rows[0, 0:4] = 1.0
-        rows[1, 4:8] = 1.0
-        A_ub, b_ub = rows, np.ones(2)
-    lp = LpProblem(c=np.zeros(A_eq.shape[1]),
-                   A_ub=A_ub if A_ub is not None else None,
-                   b_ub=b_ub, bounds=bounds)
-    res = solve_lp(lp, A_eq=A_eq, b_eq=w)
-    return res.status == STATUS_OPTIMAL
+        A_ub, b_ub = wheel_sums, np.ones(wheel_sums.shape[0])
+    return solve_lp(LpProblem(c=c, A_ub=A_ub, b_ub=b_ub, bounds=bounds), A_eq=G, b_eq=w)
+
+
+def equilibrium_lp(cs: ContactSet, w, with_limits: bool) -> bool:
+    """Existence of admissible contact forces realising the wrench w."""
+    return _contact_lp(cs, w, with_limits).status == STATUS_OPTIMAL
 
 
 def feasibility(p, scenario: Scenario, with_limits: bool = True) -> bool:
-    """Static feasibility of CoM position p.
+    """Static feasibility of CoM position p: can the contacts realise the
+    load wrench (within their limits when with_limits is set)?"""
+    return equilibrium_lp(contact_geometry(p, scenario), load_wrench(scenario),
+                          with_limits)
 
-    With limits on, membership of the load wrench in the FWP H-rep; with
-    limits off, a force-existence LP over the contact wrench cone.
-    """
-    cs = contact_geometry(p, scenario)
-    w = load_wrench(scenario)
-    if with_limits:
-        return contains(build_fwp(cs).h_polytope, w)
-    return equilibrium_lp(cs, w, with_limits=False)
+
+def _check_direction(v_hat) -> np.ndarray:
+    """v_hat as a float array; ValueError unless it is a finite, non-zero
+    6-vector."""
+    v = np.asarray(v_hat, dtype=float)
+    if v.shape != (6,) or not np.all(np.isfinite(v)) or not np.any(v):
+        raise ValueError(f"v_hat must be a finite non-zero 6-vector, got {v_hat!r}")
+    return v
 
 
 def margin_at(p, v_hat, scenario: Scenario) -> MarginResult:
-    """Directional feasibility margin of the load wrench at CoM position p."""
-    cs = contact_geometry(p, scenario)
-    fwp = build_fwp(cs)
-    return directional_margin(fwp.h_polytope, load_wrench(scenario), np.asarray(v_hat, float))
+    """Directional feasibility margin of the load wrench at CoM position p:
+    the largest gamma >= 0 with load + gamma * v_hat inside the FWP."""
+    v_hat = _check_direction(v_hat)
+    res = _contact_lp(contact_geometry(p, scenario), load_wrench(scenario),
+                     with_limits=True, v_hat=v_hat)
+    if res.status == STATUS_INFEASIBLE:
+        return MarginResult(0.0, "infeasible_origin")
+    if res.status != STATUS_OPTIMAL:
+        # The weights are bounded, so gamma is too: this is a solver failure.
+        raise CellError(f"margin LP ended {res.status}")
+    return MarginResult(float(res.x[-1]), "ok")
 
 
 @dataclass(frozen=True)
@@ -249,8 +295,11 @@ class HeatmapResult:
 
 
 def margin_heatmap(grid: HeatmapGrid, v_hat, scenario: Scenario) -> HeatmapResult:
-    """Directional margin over a wall grid; infeasible cells report zero."""
-    v_hat = np.asarray(v_hat, dtype=float)
+    """Directional margin over a wall grid; infeasible cells report zero.
+
+    Cells that raise CellError are listed in ``errors`` and left at zero.
+    """
+    v_hat = _check_direction(v_hat)
     ny, nz = grid.y_values.size, grid.z_values.size
     gamma = np.zeros((ny, nz))
     feasible = np.zeros((ny, nz), dtype=bool)
@@ -260,15 +309,10 @@ def margin_heatmap(grid: HeatmapGrid, v_hat, scenario: Scenario) -> HeatmapResul
             p = np.array([grid.x, y, z])
             try:
                 res = margin_at(p, v_hat, scenario)
-            except (DegeneracyError, ValueError, RuntimeError) as exc:
+            except CellError as exc:
                 errors.append((i, j, str(exc)))
                 continue
-            if res.status == "infeasible_origin":
-                gamma[i, j] = 0.0
-            elif res.status == "unbounded":
-                gamma[i, j] = np.inf
-                feasible[i, j] = True
-            else:
+            if res.status == "ok":
                 gamma[i, j] = res.gamma
                 feasible[i, j] = True
     return HeatmapResult(grid, v_hat, gamma, feasible, errors)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from wallhopper import solvers, stability
 from wallhopper.model import Scenario
 from wallhopper.polytopes import contains, directional_margin
 from wallhopper.stability import (
+    CellError,
     HeatmapGrid,
     build_fwp,
     contact_geometry,
@@ -25,6 +27,16 @@ from wallhopper.stability import (
 )
 
 LAND = Scenario(mass=15.0, f_leg_max=600.0, f_r_max=300.0)
+# A contact normal for which some pyramid corners have negative x, so the
+# apex is not the lexicographically first vertex of the wheel polytope.
+TILTED = LAND.with_(contact_normal=np.array([0.6, 0.0, 0.8]))
+PULL_OFF = np.array([-1.0, 0, 0, 0, 0, 0])
+OBLIQUE = np.array([0.3, 0.5, -0.8, 0.0, 0.0, 0.0]) / np.linalg.norm([0.3, 0.5, -0.8])
+
+
+def grid_positions(n):
+    grid = HeatmapGrid.regular(ny=n, nz=n, x=1.5)
+    return [np.array([grid.x, y, z]) for y in grid.y_values for z in grid.z_values]
 
 
 def force_existence_oracle(cs, w, with_limits=True, tol=1e-6):
@@ -237,6 +249,17 @@ class TestFeasibility:
             oracle = force_existence_oracle(cs, load_wrench(LAND), with_limits=False)
             assert ours == oracle
 
+    @pytest.mark.parametrize("with_limits", [True, False])
+    def test_tilted_normal_matches_oracle_on_grid(self, with_limits):
+        w = load_wrench(TILTED)
+        for p in grid_positions(7):
+            cs = contact_geometry(p, TILTED)
+            oracle = force_existence_oracle(cs, w, with_limits=with_limits)
+            assert feasibility(p, TILTED, with_limits=with_limits) == oracle, \
+                f"mismatch at {p}"
+            assert equilibrium_lp(cs, w, with_limits=with_limits) == oracle, \
+                f"mismatch at {p}"
+
     def test_equilibrium_lp_consistent_with_hrep(self):
         p = np.array([1.5, 2.5, -6.5])
         cs = contact_geometry(p, LAND)
@@ -249,6 +272,35 @@ class TestMargins:
                         np.array([0, 0, -1.0, 0, 0, 0]), LAND)
         assert res.status == "ok"
         assert res.gamma == pytest.approx(147.15, rel=1e-6)
+
+    @pytest.mark.parametrize("scen", [LAND.with_(mu=0.8), LAND.with_(mu=0.5),
+                                      LAND.with_(mu=0.3), TILTED],
+                             ids=["mu0.8", "mu0.5", "mu0.3", "tilted"])
+    def test_matches_hull_oracle(self, scen):
+        for p in grid_positions(4):
+            hull = build_fwp(contact_geometry(p, scen)).h_polytope
+            for v in (PULL_OFF, np.array([0, 0, -1.0, 0, 0, 0]), OBLIQUE):
+                ours = margin_at(p, v, scen)
+                ref = directional_margin(hull, load_wrench(scen), v)
+                assert ours.status == ref.status, f"verdict differs at {p}, {v}"
+                assert ours.gamma == pytest.approx(ref.gamma, abs=1e-6)
+
+    @pytest.mark.parametrize("v_hat", [np.array([-1.0, 0.0, 0.0]), np.zeros(6),
+                                       np.array([np.nan, 0, 0, 0, 0, 0])],
+                             ids=["3-vector", "zero", "nan"])
+    def test_bad_direction_rejected(self, v_hat):
+        with pytest.raises(ValueError, match="v_hat"):
+            margin_at(np.array([1.5, 2.5, -6.5]), v_hat, LAND)
+        with pytest.raises(ValueError, match="v_hat"):
+            margin_heatmap(HeatmapGrid.regular(ny=3, nz=3, x=1.5), v_hat, LAND)
+
+    def test_lp_failure_raises_cell_error(self, monkeypatch):
+        def no_verdict(*args, **kwargs):
+            return optimize.OptimizeResult(status=4, message="numerical difficulties")
+
+        monkeypatch.setattr(solvers.optimize, "linprog", no_verdict)
+        with pytest.raises(CellError, match="failed"):
+            margin_at(np.array([1.5, 2.5, -6.5]), PULL_OFF, LAND)
 
     def test_margin_decreases_with_depth(self):
         v = np.array([-1.0, 0, 0, 0, 0, 0])
@@ -323,3 +375,30 @@ class TestHeatmap:
         assert vals.size > 0
         np.testing.assert_allclose(vals, 147.15, rtol=0.01)
         np.testing.assert_allclose(hm.gamma[~hm.feasible], 0.0)
+
+    def test_near_frictionless_matches_oracle(self):
+        scen = LAND.with_(mu=1e-9)
+        grid = HeatmapGrid.regular(ny=8, nz=8, x=1.5)
+        hm = margin_heatmap(grid, PULL_OFF, scen)
+        assert hm.errors == []
+        for i, y in enumerate(grid.y_values):
+            for j, z in enumerate(grid.z_values):
+                cs = contact_geometry(np.array([grid.x, y, z]), scen)
+                assert hm.feasible[i, j] == force_existence_oracle(cs, load_wrench(scen))
+
+    def test_cell_error_recorded(self):
+        # CoM placed so that the left rope attachment sits on its anchor.
+        t1, _ = tangent_frame(LAND.contact_normal)
+        p = LAND.anchor_left + 0.5 * LAND.d_h * t1
+        grid = HeatmapGrid(np.array([p[1], 2.5]), np.array([p[2]]), x=p[0])
+        hm = margin_heatmap(grid, PULL_OFF, LAND)
+        assert [(i, j) for i, j, _ in hm.errors] == [(0, 0)]
+        assert "coincides" in hm.errors[0][2]
+
+    def test_code_error_propagates(self, monkeypatch):
+        def bug(p, v_hat, scenario):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(stability, "margin_at", bug)
+        with pytest.raises(ValueError, match="broadcast"):
+            margin_heatmap(HeatmapGrid.regular(ny=2, nz=2, x=1.5), PULL_OFF, LAND)
