@@ -3,10 +3,19 @@
 Inputs are held constant over each knot interval (zero-order hold) and the
 interval can be subdivided into n_sub equal sub-steps, so (dt, n_sub=k) is
 exactly equivalent to (dt/k, n_sub=1).
+
+step_arrays chooses between the two bindings of the model's dynamics
+kernel from the shapes of its inputs.  A batch of states (MPC predictions,
+planner gradients) runs on numpy arrays.  One 6-vector state with a 6-vector
+input and a scalar dt (planner line-search values, the simulator's 1 ms
+steps, the checked step and rollout) runs on Python floats, where numpy's
+per-call cost would dominate.  Both give the same numbers bit for bit,
+NaN for states outside the model domain included.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +28,7 @@ from .model import (
     SingularityError,
     position_arrays,
     state_derivative_arrays,
+    state_derivative_scalar,
 )
 
 METHODS = ("euler", "rk4")
@@ -58,11 +68,40 @@ def substep_arrays(x, u, h, method: str, scenario: Scenario, extra_force=None):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _substep_scalar(x, u, h, method: str, scenario: Scenario, extra_force=None):
+    """substep_arrays for one state held as a list of Python floats; the
+    same operations in the same order."""
+    k1 = state_derivative_scalar(x, u, scenario, extra_force)
+    if method == "euler":
+        return [a + h * b for a, b in zip(x, k1)]
+    half = 0.5 * h
+    k2 = state_derivative_scalar([a + half * b for a, b in zip(x, k1)], u, scenario,
+                                 extra_force)
+    k3 = state_derivative_scalar([a + half * b for a, b in zip(x, k2)], u, scenario,
+                                 extra_force)
+    k4 = state_derivative_scalar([a + h * b for a, b in zip(x, k3)], u, scenario,
+                                 extra_force)
+    sixth = h / 6.0
+    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+
+
 def step_arrays(x, u, dt, cfg: IntegratorConfig, scenario: Scenario, extra_force=None):
     """Advance one knot interval dt with cfg.n_sub equal sub-steps.
 
-    dt may carry batch dimensions matching x's leading dimensions.
+    dt may carry batch dimensions matching x's leading dimensions.  A single
+    state (x and u 6-vectors, dt a scalar, extra_force None or a 3-vector)
+    is stepped on Python floats.
     """
+    if np.ndim(x) == 1 and np.ndim(u) == 1 and np.ndim(dt) == 0 \
+            and np.ndim(extra_force) <= 1:
+        xs = np.asarray(x, dtype=float).tolist()
+        us = np.asarray(u, dtype=float).tolist()
+        ext = None if extra_force is None else np.asarray(extra_force, dtype=float).tolist()
+        h = float(dt) / cfg.n_sub
+        for _ in range(cfg.n_sub):
+            xs = _substep_scalar(xs, us, h, cfg.method, scenario, ext)
+        return np.array(xs)
     h = np.asarray(dt) / cfg.n_sub
     if np.ndim(h) > 0:
         h = h[..., None]
@@ -74,18 +113,20 @@ def step_arrays(x, u, dt, cfg: IntegratorConfig, scenario: Scenario, extra_force
 def step(q: ReducedState, u: ControlInput, cfg: IntegratorConfig,
          scenario: Scenario) -> ReducedState:
     """Checked single-state step over cfg.dt."""
-    x = q.as_array()
-    u_arr = u.as_array()
+    x = q.as_array().tolist()
+    u_arr = u.as_array().tolist()
     h = cfg.dt / cfg.n_sub
+    if not all(map(math.isfinite, x)):
+        raise IntegrationError("state is non-finite")
     for _ in range(cfg.n_sub):
-        if abs(np.sin(x[0])) < SINGULARITY_EPS:
+        if abs(math.sin(x[0])) < SINGULARITY_EPS:
             raise SingularityError(f"|sin(psi)| below {SINGULARITY_EPS:.1e} during step")
-        x = substep_arrays(x, u_arr, h, cfg.method, scenario)
-        if not np.all(np.isfinite(x)):
+        x = _substep_scalar(x, u_arr, h, cfg.method, scenario)
+        if not all(map(math.isfinite, x)):
             raise IntegrationError("state became non-finite")
         if x[1] <= 0.0 or x[2] <= 0.0:
             raise IntegrationError("state left the model domain (rope length <= 0)")
-    return ReducedState.from_array(x)
+    return ReducedState(*x)
 
 
 def rollout(q0: ReducedState, input_schedule, cfg: IntegratorConfig,

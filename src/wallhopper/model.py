@@ -23,10 +23,19 @@ Accelerations follow from Newton's equation m (p_dd - g) = f_tot via
 with A_d the Jacobian dp/dq and b_d quadratic in the rates.  Both are
 implemented in closed form below and cross-checked against finite
 differences in the tests.
+
+The state derivative has one kernel body, _accelerations, written in
++ - * / alone and bound two ways: state_derivative_arrays on numpy arrays
+for batches, and state_derivative_scalar on Python floats for one state,
+where numpy's per-call cost would dominate.  Each binding computes r and
+sin/cos(psi) and owns the domain handling; both return NaN accelerations
+when r^2 <= 0 or psi is not finite, never raise, and agree bit for bit.
+dynamics is the checked single-state entry to the same kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -184,9 +193,10 @@ ZERO_INPUT = ControlInput()
 
 
 # ---------------------------------------------------------------------------
-# Array kernels.  All accept broadcastable leading dimensions; the batched
-# variants never raise and mark bad configurations with NaN so optimiser
-# line searches can probe freely.
+# Array kernels.  All accept broadcastable leading dimensions, never raise
+# and mark bad configurations with NaN so optimiser line searches can probe
+# freely.  The dynamics kernel also has a Python-float binding for single
+# states (state_derivative_scalar).
 # ---------------------------------------------------------------------------
 
 def _chord_and_radius(l1, l2, d_a):
@@ -238,66 +248,99 @@ def bias_arrays(psi, l1, l2, psi_dot, l1_dot, l2_dot, d_a):
     return np.stack([bx, by, bz], axis=-1)
 
 
-def total_force_arrays(x, u, scenario: Scenario, extra_force=None):
-    """Newton-equation right-hand side m*g + f_leg + a_l f_rl + a_r f_rr + x_b f_p."""
-    psi, l1, l2 = x[..., 0], x[..., 1], x[..., 2]
-    p = position_arrays(psi, l1, l2, scenario.d_a)
-    a_left = p / l1[..., None]
-    p_rel = p - scenario.anchor_right
-    a_right = p_rel / l2[..., None]
-    x_b = np.stack([np.cos(psi), np.zeros_like(psi), np.sin(psi)], axis=-1)
-    f = scenario.mass * scenario.gravity + u[..., 2:5]
-    f = f + a_left * u[..., 0:1] + a_right * u[..., 1:2] + x_b * u[..., 5:6]
-    if extra_force is not None:
-        f = f + extra_force
-    return f
+def _accelerations(x, u, C, r, s, c, gravity, d_a, m, extra_force):
+    """(psi_dd, l1_dd, l2_dd): the one body of the dynamics kernel.
 
-
-def state_derivative_arrays(x, u, scenario: Scenario, extra_force=None):
-    """Time derivative of the stacked state (psi, l1, l2, rates), batched, NaN-safe.
+    x, u and extra_force hold their six (three) components along the first
+    index, as Python floats or as arrays; C, r, s = sin(psi) and
+    c = cos(psi) come from the caller, which also owns the domain handling.
+    The body uses + - * / only, so both bindings perform the same IEEE
+    operations in the same order and agree bit for bit.
 
     Exploits the cylindrical structure to invert A_d in closed form: the
     rotated (c*vx + s*vz, vy, s*vx - c*vz) components decouple psi_dd from
     a 2x2 system in (l1_dd, l2_dd).
     """
+    l1, l2, w, l1_dot, l2_dot = x[1], x[2], x[3], x[4], x[5]
+    px, py, pz = r * s, C, -r * c
+    # Newton RHS components: gravity, leg, ropes along their axes, propeller.
+    gx, gy, gz = gravity
+    fx = m * gx + u[2] + px / l1 * u[0] + px / l2 * u[1] + c * u[5]
+    fy = m * gy + u[3] + py / l1 * u[0] + (py - d_a) / l2 * u[1]
+    fz = m * gz + u[4] + pz / l1 * u[0] + pz / l2 * u[1] + s * u[5]
+    if extra_force is not None:
+        fx = fx + extra_force[0]
+        fy = fy + extra_force[1]
+        fz = fz + extra_force[2]
+    # Rate-quadratic bias b_d (p_dd with q_dd = 0).
+    C_dot = (l1 * l1_dot - l2 * l2_dot) / d_a
+    r_dot = (l1 * l1_dot - C * C_dot) / r
+    C_dd0 = (l1_dot * l1_dot - l2_dot * l2_dot) / d_a
+    r_dd0 = (l1_dot * l1_dot - C_dot * C_dot - C * C_dd0 - r_dot * r_dot) / r
+    bx = r_dd0 * s + 2.0 * r_dot * c * w - r * s * w * w
+    by = C_dd0
+    bz = -r_dd0 * c + 2.0 * r_dot * s * w + r * c * w * w
+    vx, vy, vz = fx / m - bx, fy / m - by, fz / m - bz
+    # Closed-form A_d^{-1}: radial/tangential rotation plus 2x2 solve.
+    psi_dd = (c * vx + s * vz) / r
+    w_r = s * vx - c * vz
+    r_l1 = l1 * (d_a - C) / (d_a * r)
+    r_l2 = C * l2 / (d_a * r)
+    denom = l1 * l2 / (d_a * r)
+    l1_dd = ((l2 / d_a) * w_r + r_l2 * vy) / denom
+    l2_dd = ((l1 / d_a) * w_r - r_l1 * vy) / denom
+    return psi_dd, l1_dd, l2_dd
+
+
+def _components_first(a):
+    """View of a with its last axis first (np.moveaxis costs 5x more)."""
+    return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1)))
+
+
+def state_derivative_arrays(x, u, scenario: Scenario, extra_force=None):
+    """Time derivative of the stacked state (psi, l1, l2, rates), batched.
+
+    The numpy binding of the kernel: any leading dimensions, never raises,
+    never warns.  Out of domain (r^2 <= 0) or with a non-finite psi the
+    accelerations are NaN; overflow gives inf or NaN.
+    """
     d_a = scenario.d_a
     psi, l1, l2 = x[..., 0], x[..., 1], x[..., 2]
-    psi_dot, l1_dot, l2_dot = x[..., 3], x[..., 4], x[..., 5]
-    C = (d_a * d_a + l1 * l1 - l2 * l2) / (2.0 * d_a)
-    r2 = l1 * l1 - C * C
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        C, r2 = _chord_and_radius(l1, l2, d_a)
         r = np.sqrt(np.where(r2 > 0.0, r2, np.nan))
-        s, c = np.sin(psi), np.cos(psi)
-        px, py, pz = r * s, C, -r * c
-        # Newton RHS components: gravity, leg, ropes along their axes, propeller.
-        m = scenario.mass
-        gx, gy, gz = scenario.gravity
-        fx = m * gx + u[..., 2] + px / l1 * u[..., 0] + px / l2 * u[..., 1] + c * u[..., 5]
-        fy = m * gy + u[..., 3] + py / l1 * u[..., 0] + (py - d_a) / l2 * u[..., 1]
-        fz = m * gz + u[..., 4] + pz / l1 * u[..., 0] + pz / l2 * u[..., 1] + s * u[..., 5]
-        if extra_force is not None:
-            fx = fx + extra_force[..., 0]
-            fy = fy + extra_force[..., 1]
-            fz = fz + extra_force[..., 2]
-        # Rate-quadratic bias b_d (p_dd with q_dd = 0).
-        C_dot = (l1 * l1_dot - l2 * l2_dot) / d_a
-        r_dot = (l1 * l1_dot - C * C_dot) / r
-        C_dd0 = (l1_dot * l1_dot - l2_dot * l2_dot) / d_a
-        r_dd0 = (l1_dot * l1_dot - C_dot * C_dot - C * C_dd0 - r_dot * r_dot) / r
-        w = psi_dot
-        bx = r_dd0 * s + 2.0 * r_dot * c * w - r * s * w * w
-        by = C_dd0
-        bz = -r_dd0 * c + 2.0 * r_dot * s * w + r * c * w * w
-        vx, vy, vz = fx / m - bx, fy / m - by, fz / m - bz
-        # Closed-form A_d^{-1}: radial/tangential rotation plus 2x2 solve.
-        psi_dd = (c * vx + s * vz) / r
-        w_r = s * vx - c * vz
-        r_l1 = l1 * (d_a - C) / (d_a * r)
-        r_l2 = C * l2 / (d_a * r)
-        denom = l1 * l2 / (d_a * r)
-        l1_dd = ((l2 / d_a) * w_r + r_l2 * vy) / denom
-        l2_dd = ((l1 / d_a) * w_r - r_l1 * vy) / denom
-    return np.stack([psi_dot, l1_dot, l2_dot, psi_dd, l1_dd, l2_dd], axis=-1)
+        ext = None if extra_force is None else _components_first(extra_force)
+        acc = _accelerations(_components_first(x), _components_first(u), C, r,
+                             np.sin(psi), np.cos(psi), scenario.gravity, d_a,
+                             scenario.mass, ext)
+    return np.stack([x[..., 3], x[..., 4], x[..., 5], *acc], axis=-1)
+
+
+def state_derivative_scalar(x, u, scenario: Scenario, extra_force=None) -> list:
+    """The same derivative for one state, on Python floats.
+
+    x and u are sequences of six floats (extra_force of three); returns a
+    list of six floats equal bit for bit to the matching row of
+    state_derivative_arrays, NaN row included: out of domain (r^2 <= 0) or
+    with a non-finite psi the accelerations are NaN, and it never raises
+    where the batched binding returns a value.
+    """
+    psi, l1, l2 = x[0], x[1], x[2]
+    d_a = scenario.d_a
+    C, r2 = _chord_and_radius(l1, l2, d_a)
+    if not (r2 > 0.0 and math.isfinite(psi)):
+        return [x[3], x[4], x[5], math.nan, math.nan, math.nan]
+    try:
+        acc = _accelerations(x, u, C, math.sqrt(r2), math.sin(psi), math.cos(psi),
+                             scenario.gravity.tolist(), d_a, scenario.mass,
+                             extra_force)
+    except ZeroDivisionError:
+        # A zero mass, or a divisor that underflowed: numpy gives inf/NaN.
+        ext = None if extra_force is None else np.array(extra_force, dtype=float)
+        return state_derivative_arrays(np.array(x, dtype=float),
+                                       np.array(u, dtype=float), scenario,
+                                       ext).tolist()
+    return [x[3], x[4], x[5], *acc]
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +384,20 @@ def propeller_axis(q: ReducedState) -> np.ndarray:
     return np.array([np.cos(q.psi), 0.0, np.sin(q.psi)])
 
 
-def mass_matrix_terms(q: ReducedState, scenario: Scenario,
-                      eps: float = SINGULARITY_EPS) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form A_d and b_d with singularity and reachability checks."""
+def _check_configuration(q: ReducedState, scenario: Scenario, eps: float) -> None:
     if abs(np.sin(q.psi)) < eps:
         raise SingularityError(f"|sin(psi)| = {abs(np.sin(q.psi)):.3g} below {eps:.3g}")
     check_reachable(q.l1, q.l2, scenario.d_a)
+
+
+def mass_matrix_terms(q: ReducedState, scenario: Scenario,
+                      eps: float = SINGULARITY_EPS) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form A_d and b_d with singularity and reachability checks.
+
+    Not used by the dynamics kernel; the tests check the kernel against
+    A_d q_dd + b_d = f_tot / m built from these terms.
+    """
+    _check_configuration(q, scenario, eps)
     A_d = jacobian_arrays(q.psi, q.l1, q.l2, scenario.d_a)
     b_d = bias_arrays(q.psi, q.l1, q.l2, q.psi_dot, q.l1_dot, q.l2_dot, scenario.d_a)
     return A_d, b_d
@@ -354,12 +405,18 @@ def mass_matrix_terms(q: ReducedState, scenario: Scenario,
 
 def dynamics(q: ReducedState, u: ControlInput, scenario: Scenario,
              extra_force=None) -> np.ndarray:
-    """Coordinate accelerations (psi_dd, l1_dd, l2_dd)."""
+    """Coordinate accelerations (psi_dd, l1_dd, l2_dd), checked.
+
+    Raises on a non-positive mass, near the sin(psi) singularity and for
+    unreachable rope lengths, then evaluates the shared kernel.
+    """
     if scenario.mass <= 0.0:
         raise ValueError("dynamics requires a positive mass")
-    A_d, b_d = mass_matrix_terms(q, scenario)
-    f_tot = total_force_arrays(q.as_array(), u.as_array(), scenario, extra_force)
-    return np.linalg.solve(A_d, f_tot / scenario.mass - b_d)
+    _check_configuration(q, scenario, SINGULARITY_EPS)
+    ext = None if extra_force is None else np.asarray(extra_force, dtype=float).tolist()
+    xdot = state_derivative_scalar(q.as_array().tolist(), u.as_array().tolist(),
+                                   scenario, ext)
+    return np.array(xdot[3:])
 
 
 def cartesian_velocity(q: ReducedState, scenario: Scenario) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 An episode walks a phase machine: thrust (leg impulse from rest), flight
 (feed-forward or MPC-corrected rope forces, zero-order held between
-controller ticks while the true dynamics integrates at dt_sim), and for
+controller ticks while the true dynamics integrates in steps of about
+dt_sim, sized so that they divide the thrust and each tick exactly and the
+flight ends at t_th + t_f), and for
 landing runs a contact phase in which the wall-normal motion follows the
 landing impedance and lateral residuals are absorbed by the wheels.
 
@@ -16,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body_control import critically_damped_gain
-from .integrator import IntegratorConfig, step_arrays
+from .integrator import IntegrationError, IntegratorConfig, step_arrays
 from .mpc import MpcConfig, TrackingController
 from .model import (
     SINGULARITY_EPS,
@@ -78,6 +79,13 @@ class NoiseSpec:
             raise ValueError("noise standard deviations must be >= 0")
 
 
+def critically_damped_gain(stiffness: float, reflected_mass: float) -> float:
+    """D = 2 sqrt(K m): no step-response overshoot at the landing joint."""
+    if stiffness <= 0.0 or reflected_mass <= 0.0:
+        raise ValueError("stiffness and reflected mass must be positive")
+    return 2.0 * float(np.sqrt(stiffness * reflected_mass))
+
+
 @dataclass(frozen=True)
 class LandingParams:
     stiffness: float = 60.0          # K_L (N/m)
@@ -114,34 +122,46 @@ class SimTrace:
 
 
 class _Recorder:
+    """Collects one row per simulation step; positions and velocities are
+    computed for all rows at once in build()."""
+
     def __init__(self, scenario: Scenario):
         self.scen = scenario
         self.rows = []
 
     def add(self, t, x, u, dist, phase, velocity=None):
-        p = position_arrays(x[0], x[1], x[2], self.scen.d_a)
-        if velocity is None:
-            A = jacobian_arrays(x[0], x[1], x[2], self.scen.d_a)
-            velocity = A @ x[3:]
-        self.rows.append((t, x.copy(), p, velocity, u.copy(), dist.copy(), phase))
+        """velocity, if given, replaces the Cartesian velocity computed from x."""
+        self.rows.append((t, x.copy(), u.copy(), dist.copy(), phase, velocity))
 
     def build(self, events, e_a, meta) -> SimTrace:
         times = np.array([r[0] for r in self.rows])
-        states = np.array([r[1] for r in self.rows])
-        positions = np.array([r[2] for r in self.rows])
-        velocities = np.array([r[3] for r in self.rows])
-        inputs = np.array([r[4] for r in self.rows])
-        dist = np.array([r[5] for r in self.rows])
-        phase = np.array([r[6] for r in self.rows], dtype=int)
+        states = np.array([r[1] for r in self.rows]).reshape(-1, 6)
+        inputs = np.array([r[2] for r in self.rows]).reshape(-1, 6)
+        dist = np.array([r[3] for r in self.rows]).reshape(-1, 3)
+        phase = np.array([r[4] for r in self.rows], dtype=int)
+        psi, l1, l2 = states[:, 0], states[:, 1], states[:, 2]
+        positions = position_arrays(psi, l1, l2, self.scen.d_a)
+        A = jacobian_arrays(psi, l1, l2, self.scen.d_a)
+        velocities = (A @ states[:, 3:, None])[..., 0]
+        for i, r in enumerate(self.rows):
+            if r[5] is not None:
+                velocities[i] = r[5]
         return SimTrace(times, states, positions, velocities, inputs, dist,
                         phase, events, np.asarray(e_a, dtype=float), meta)
 
 
 def _check_state(x):
     if not np.all(np.isfinite(x)):
-        raise RuntimeError("simulation state became non-finite")
+        raise IntegrationError("simulation state became non-finite")
     if abs(np.sin(x[0])) < SINGULARITY_EPS:
         raise SingularityError("simulation hit the sin(psi) singularity")
+
+
+def _substeps(interval: float, dt_sim: float) -> tuple[int, float]:
+    """Steps covering interval exactly: their count and their length, the
+    nearest to dt_sim that divides the interval."""
+    n = max(1, round(interval / dt_sim))
+    return n, interval / n
 
 
 def _simulate_flight(plan, scenario, controller, disturbance, noise, dt_sim,
@@ -154,12 +174,12 @@ def _simulate_flight(plan, scenario, controller, disturbance, noise, dt_sim,
     # Thrust phase: leg impulse only, ropes slack (as transcribed by the planner).
     u = np.zeros(6)
     u[2:5] = plan.f_leg
-    n_th = max(1, round(scenario.t_th / dt_sim))
+    n_th, h = _substeps(scenario.t_th, dt_sim)
     for _ in range(n_th):
         recorder.add(t, x, u, np.zeros(3), PHASE_THRUST)
-        x = step_arrays(x, u, dt_sim, cfg_sim, scenario)
+        x = step_arrays(x, u, h, cfg_sim, scenario)
         _check_state(x)
-        t += dt_sim
+        t += h
     events["lift_off"] = t
 
     ctl = None
@@ -174,7 +194,7 @@ def _simulate_flight(plan, scenario, controller, disturbance, noise, dt_sim,
         raise ValueError("controller must be 'open_loop' or 'mpc'")
 
     t_lift = t
-    steps_per_tick = max(1, round(dt_tick / dt_sim))
+    steps_per_tick, h = _substeps(dt_tick, dt_sim)
     for k in range(n_ticks):
         if ctl is not None:
             x_meas = x.copy()
@@ -188,9 +208,9 @@ def _simulate_flight(plan, scenario, controller, disturbance, noise, dt_sim,
         for _ in range(steps_per_tick):
             d = disturbance.force_at(t - t_lift) if disturbance else np.zeros(3)
             recorder.add(t, x, u, d, PHASE_FLIGHT)
-            x = step_arrays(x, u, dt_sim, cfg_sim, scenario, extra_force=d)
+            x = step_arrays(x, u, h, cfg_sim, scenario, extra_force=d)
             _check_state(x)
-            t += dt_sim
+            t += h
     events["horizon_end"] = t
     return x, t, events, u
 
@@ -206,7 +226,7 @@ def run_episode(plan: JumpPlan, scenario: Scenario, controller: str = "mpc",
         x, t, events, u = _simulate_flight(plan, scenario, controller,
                                            disturbance, noise, dt_sim,
                                            mpc_cfg, recorder, x, 0.0)
-    except (SingularityError, RuntimeError) as exc:
+    except (SingularityError, IntegrationError) as exc:
         trace = recorder.build({"aborted": np.nan}, np.full(3, np.nan),
                                {"error": str(exc)})
         raise EpisodeAborted(str(exc), trace) from exc
@@ -255,18 +275,19 @@ def landing_episode(plan: JumpPlan, scenario: Scenario,
     # Thrust (contact checking disarmed while still at the wall).
     u = np.zeros(6)
     u[2:5] = plan.f_leg
-    for _ in range(max(1, round(scenario.t_th / dt_sim))):
+    n_th, h = _substeps(scenario.t_th, dt_sim)
+    for _ in range(n_th):
         recorder.add(t, x, u, np.zeros(3), PHASE_THRUST)
-        x = step_arrays(x, u, dt_sim, cfg_sim, scenario)
+        x = step_arrays(x, u, h, cfg_sim, scenario)
         _check_state(x)
-        t += dt_sim
+        t += h
     events["lift_off"] = t
     t_lift = t
 
     ctl = TrackingController(plan, scenario, mpc_cfg) if controller == "mpc" else None
     dt_tick = ctl.cfg.dt if ctl is not None else plan.dt
     n_ticks = ctl.n_ticks if ctl is not None else plan.n_knots
-    steps_per_tick = max(1, round(dt_tick / dt_sim))
+    steps_per_tick, h = _substeps(dt_tick, dt_sim)
 
     armed = False
     touched = False
@@ -290,9 +311,9 @@ def landing_episode(plan: JumpPlan, scenario: Scenario,
         for _ in range(steps_per_tick):
             d = disturbance.force_at(t - t_lift) if disturbance else np.zeros(3)
             recorder.add(t, x, u, d, PHASE_FLIGHT)
-            x = step_arrays(x, u, dt_sim, cfg_sim, scenario, extra_force=d)
+            x = step_arrays(x, u, h, cfg_sim, scenario, extra_force=d)
             _check_state(x)
-            t += dt_sim
+            t += h
             gap, _ = gap_of(x)
             if not armed and gap > 0.02:
                 armed = True
@@ -398,7 +419,7 @@ def batch_robustness(plan: JumpPlan, n_runs: int, scenario: Scenario,
             trace = run_episode(plan, scenario, controller=controller,
                                 disturbance=spec, noise=run_noise,
                                 dt_sim=dt_sim, mpc_cfg=mpc_cfg)
-        except (EpisodeAborted, RuntimeError):
+        except EpisodeAborted:
             failures += 1
             continue
         per_interval[interval].append(trace.landing_error_norm)

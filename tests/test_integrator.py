@@ -10,6 +10,7 @@ from wallhopper.integrator import (
     rollout,
     rollout_arrays,
     step,
+    step_arrays,
 )
 from wallhopper.model import (
     ControlInput,
@@ -86,6 +87,31 @@ class TestStep:
             q = make_state([0.4, 2.5, -6.0])
             for _ in range(10):
                 q = step(q, crazy, cfg, SCEN)
+
+
+class TestSingleStatePath:
+    """One state is stepped on Python floats; it must match its row of a
+    batched step bit for bit."""
+
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @pytest.mark.parametrize("with_force", [False, True])
+    def test_single_row_matches_batch(self, method, with_force):
+        rng = np.random.default_rng(11)
+        n = 40
+        x = np.stack([make_state([rng.uniform(0.1, 2.0), rng.uniform(0.0, 5.0),
+                                  rng.uniform(-9.0, -3.0)],
+                                 rng.uniform(-2.0, 2.0, 3)).as_array() for _ in range(n)])
+        x[0, 1:3] = 1.0, 10.0                            # out of domain: NaN row
+        u = np.column_stack([rng.uniform(-60, 0, (n, 2)), rng.uniform(-50, 50, (n, 4))])
+        force = rng.normal(0.0, 20.0, (n, 3)) if with_force else None
+        cfg = IntegratorConfig(method=method, n_sub=3, dt=0.02)
+        batch = step_arrays(x, u, 0.02, cfg, SCEN, force)
+        for i in range(n):
+            single = step_arrays(x[i], u[i], 0.02, cfg, SCEN,
+                                 None if force is None else force[i])
+            assert single.shape == (6,)
+            np.testing.assert_array_equal(single, batch[i])
+        assert np.isnan(batch[0, 3:]).all()
 
 
 class TestRollout:

@@ -21,6 +21,7 @@ from wallhopper.model import (
     position_arrays,
     propeller_axis,
     state_derivative_arrays,
+    state_derivative_scalar,
 )
 
 SCEN = Scenario()
@@ -176,6 +177,24 @@ class TestDynamics:
             A, b = mass_matrix_terms(q1, SCEN)
             np.testing.assert_allclose(A @ qdd + b, pdd_fd, rtol=1e-4, atol=1e-4)
 
+    def test_newton_equation_with_all_forces(self):
+        # A_d q_dd + b_d must equal the total force over m, assembled here
+        # from the rope axes, the leg, the propeller axis and an extra force.
+        rng = np.random.default_rng(9)
+        for x in random_states(rng, 20):
+            q = ReducedState.from_array(x)
+            u = ControlInput(rng.uniform(-90, 0), rng.uniform(-90, 0),
+                             rng.uniform(-50, 50, 3), rng.uniform(-50, 50))
+            extra = rng.normal(0.0, 20.0, 3)
+            p = forward_kinematics(q, SCEN)
+            f = (SCEN.mass * SCEN.gravity + u.f_leg + extra
+                 + p / q.l1 * u.f_rope_left
+                 + (p - SCEN.anchor_right) / q.l2 * u.f_rope_right
+                 + propeller_axis(q) * u.f_prop)
+            qdd = dynamics(q, u, SCEN, extra_force=extra)
+            A, b = mass_matrix_terms(q, SCEN)
+            np.testing.assert_allclose(A @ qdd + b, f / SCEN.mass, rtol=1e-9, atol=1e-9)
+
     def test_positive_rope_force_rejected(self):
         with pytest.raises(ValueError):
             ControlInput(f_rope_left=1.0)
@@ -233,6 +252,56 @@ class TestBatchedKernels:
         out = state_derivative_arrays(x, np.zeros((2, 6)), SCEN)
         assert np.isnan(out[0, 3:]).all()
         assert np.isfinite(out[1]).all()
+
+
+def mixed_states(rng, n):
+    """Reachable states, then out-of-domain lengths (r^2 <= 0), NaN entries,
+    +-inf psi and huge rates mixed in."""
+    x = random_states(rng, n)
+    k = n // 8
+    x[:k, 1] = rng.uniform(0.0, 12.0, k)                 # mostly unreachable
+    x[:k, 2] = rng.uniform(0.0, 12.0, k)
+    x[k:2 * k, 3:] *= 10.0 ** rng.uniform(100, 300, (k, 1))
+    x[2 * k:3 * k, 0] = rng.choice([np.inf, -np.inf], k)
+    x[np.arange(3 * k, 4 * k), rng.integers(0, 6, k)] = np.nan
+    return x
+
+
+class TestKernelBindings:
+    """The numpy and Python-float bindings of the dynamics kernel agree bit
+    for bit, NaN rows included."""
+
+    def check_rows(self, scen, x, u, extra=None):
+        batch = state_derivative_arrays(x, u, scen, extra)
+        for i in range(x.shape[0]):
+            e = None if extra is None else extra[i].tolist()
+            single = state_derivative_scalar(x[i].tolist(), u[i].tolist(), scen, e)
+            np.testing.assert_array_equal(np.array(single), batch[i])
+
+    def test_bit_identical_on_mixed_states(self):
+        rng = np.random.default_rng(7)
+        x = mixed_states(rng, 2400)
+        assert np.sum(np.isnan(state_derivative_arrays(x, np.zeros_like(x), SCEN)[:, 3])) > 600
+        u = np.column_stack([rng.uniform(-90, 0, (2400, 2)),
+                             rng.uniform(-300, 300, (2400, 3)),
+                             rng.uniform(-50, 50, 2400)])
+        u[:100, 2] = 1e300
+        extra = rng.normal(0.0, 20.0, (2400, 3))
+        self.check_rows(SCEN, x, u)
+        self.check_rows(SCEN, x, u, extra)
+
+    def test_zero_mass_matches(self):
+        rng = np.random.default_rng(8)
+        x = random_states(rng, 20)
+        u = rng.uniform(-10.0, 0.0, (20, 6))
+        self.check_rows(SCEN.with_(mass=0.0), x, u)
+
+    def test_out_of_domain_row(self):
+        x = [0.3, 1.0, 10.0, 0.1, 0.2, 0.3]
+        out = state_derivative_scalar(x, [0.0] * 6, SCEN)
+        assert out[:3] == x[3:] and np.isnan(out[3:]).all()
+        out = state_derivative_scalar([np.inf, 6.0, 7.0, 0, 0, 0], [0.0] * 6, SCEN)
+        assert np.isnan(out[3:]).all()
 
 
 class TestScenarioValidation:

@@ -1,7 +1,7 @@
 """Jump planner: obstacle algebra, benchmark convergence and plan audits.
 
-The two optimisation-backed fixtures are module-scoped; planning takes a
-few seconds each.
+The obstacle plan is a module-scoped fixture and the benchmark plan a
+session-scoped one (conftest.py); planning takes a few seconds each.
 """
 
 import numpy as np
@@ -25,11 +25,6 @@ P_TG = np.array([0.2, 4.0, -4.0])
 
 OBSTACLE = Ellipsoid(center=np.array([-0.5, 2.5, -6.0]),
                      semi_axes=np.array([1.5, 1.5, 0.87]))
-
-
-@pytest.fixture(scope="module")
-def benchmark_plan():
-    return plan_jump(P0, P_TG, SCEN)
 
 
 @pytest.fixture(scope="module")
