@@ -60,8 +60,9 @@ def plan_energy_estimate(plan: JumpPlan, scenario: Scenario) -> EnergyReport:
     A = jacobian_arrays(x0[0], x0[1], x0[2], scenario.d_a)
     v0 = A @ x0[3:]
     kinetic = 0.5 * scenario.mass * float(v0 @ v0)
-    l1_dot = plan.states[:-1, 4]
-    l2_dot = plan.states[:-1, 5]
-    hoist = float(np.sum(np.abs(plan.rope_left * l1_dot) * plan.dt)
-                  + np.sum(np.abs(plan.rope_right * l2_dot) * plan.dt))
+    # Each knot holds its rope forces; |f l_dot| is integrated over the knot
+    # by the trapezoid over the rates at its two ends.
+    f = np.column_stack([plan.rope_left, plan.rope_right])
+    power = np.abs(f * plan.states[:-1, 4:]) + np.abs(f * plan.states[1:, 4:])
+    hoist = float(np.sum(power) * (0.5 * plan.dt))
     return EnergyReport(kinetic=kinetic, hoist=hoist)

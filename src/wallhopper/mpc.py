@@ -210,7 +210,7 @@ def mpc_step(x_hat, k: int, plan: JumpPlan, cfg: MpcConfig, scenario: Scenario,
         z = np.clip(res.x, problem.lower, problem.upper)
         diagnostics = {"status": res.status, "n_iter": res.n_iter,
                        "objective": res.objective}
-    except Exception as exc:  # pragma: no cover - defensive path
+    except RuntimeError as exc:  # the solver gave up, e.g. nnls at its iteration cap
         z = z0
         degraded = True
         diagnostics = {"status": "failed", "error": str(exc)}

@@ -1,15 +1,31 @@
 """Closed-loop episode simulation.
 
-An episode walks a phase machine: thrust (leg impulse from rest), flight
-(feed-forward or MPC-corrected rope forces, zero-order held between
-controller ticks while the true dynamics integrates in steps of about
-dt_sim, sized so that they divide the thrust and each tick exactly and the
-flight ends at t_th + t_f), and for
-landing runs a contact phase in which the wall-normal motion follows the
-landing impedance and lateral residuals are absorbed by the wheels.
+run_episode and landing_episode are thin wrappers around one phase
+machine, _episode:
 
-Disturbance forces act on the true dynamics; measurement noise corrupts
-only the state handed to the controller.
+- thrust: the planned leg impulse from rest, ropes slack;
+- flight: per controller tick, the open-loop feed-forward or the MPC
+  command (from the state with measurement noise added) is held while the
+  true dynamics, disturbance force included, integrates in steps of about
+  dt_sim, sized so that they divide the thrust and each tick exactly; the
+  flight ends at t_th + t_f;
+- hold (landing runs only): a run still short of the wheel plane at t_f
+  holds the last feed-forward plus gravity compensation, for at most
+  LandingParams.max_hold;
+- contact (landing runs only): after touch-down the wall-normal motion
+  follows the landing impedance and the wheels absorb lateral residuals.
+
+run_episode scores e_a, the target minus the CoM position, at
+t_th + t_f.  landing_episode arms the touch-down watch at lift-off and
+scores e_a at touch-down, or at the end of the hold.
+
+Events, name -> time: lift_off; horizon_end (the flight ran to t_f);
+early_touch_down (touch-down during the flight), delayed_touch_down
+(during the hold) or no_touch_down; settled (end of the contact phase);
+wall_crossing (first sample with the CoM behind the wall plane,
+n.p < 0).  A non-finite state ends the episode with EpisodeAborted, whose
+trace carries the event aborted; a wall crossing is recorded, not
+aborted.
 """
 
 from __future__ import annotations
@@ -21,9 +37,7 @@ import numpy as np
 from .integrator import IntegrationError, IntegratorConfig, step_arrays
 from .mpc import MpcConfig, TrackingController
 from .model import (
-    SINGULARITY_EPS,
     Scenario,
-    SingularityError,
     inverse_kinematics,
     jacobian_arrays,
     position_arrays,
@@ -123,7 +137,8 @@ class SimTrace:
 
 class _Recorder:
     """Collects one row per simulation step; positions and velocities are
-    computed for all rows at once in build()."""
+    computed for all rows at once in build(), which also records the first
+    sample with the CoM behind the wall plane as the wall_crossing event."""
 
     def __init__(self, scenario: Scenario):
         self.scen = scenario
@@ -146,15 +161,24 @@ class _Recorder:
         for i, r in enumerate(self.rows):
             if r[5] is not None:
                 velocities[i] = r[5]
+        behind = np.flatnonzero(positions @ self.scen.wall_normal < 0.0)
+        if behind.size:
+            events = {**events, "wall_crossing": float(times[behind[0]])}
         return SimTrace(times, states, positions, velocities, inputs, dist,
                         phase, events, np.asarray(e_a, dtype=float), meta)
+
+
+class EpisodeAborted(RuntimeError):
+    """Simulation left the model domain; carries the diagnostic trace."""
+
+    def __init__(self, message: str, trace: SimTrace):
+        super().__init__(message)
+        self.trace = trace
 
 
 def _check_state(x):
     if not np.all(np.isfinite(x)):
         raise IntegrationError("simulation state became non-finite")
-    if abs(np.sin(x[0])) < SINGULARITY_EPS:
-        raise SingularityError("simulation hit the sin(psi) singularity")
 
 
 def _substeps(interval: float, dt_sim: float) -> tuple[int, float]:
@@ -164,87 +188,135 @@ def _substeps(interval: float, dt_sim: float) -> tuple[int, float]:
     return n, interval / n
 
 
-def _simulate_flight(plan, scenario, controller, disturbance, noise, dt_sim,
-                     mpc_cfg, recorder, x, t):
-    """Thrust + flight up to t_f; returns (state, time, events)."""
-    events = {}
-    cfg_sim = IntegratorConfig(method="rk4", n_sub=1, dt=dt_sim)
-    rng = np.random.default_rng(noise.seed) if noise is not None else None
-
-    # Thrust phase: leg impulse only, ropes slack (as transcribed by the planner).
-    u = np.zeros(6)
-    u[2:5] = plan.f_leg
-    n_th, h = _substeps(scenario.t_th, dt_sim)
-    for _ in range(n_th):
-        recorder.add(t, x, u, np.zeros(3), PHASE_THRUST)
-        x = step_arrays(x, u, h, cfg_sim, scenario)
-        _check_state(x)
-        t += h
-    events["lift_off"] = t
-
-    ctl = None
+def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
+             landing=None) -> SimTrace:
+    """The phase machine of the module docstring; landing parameters arm
+    the touch-down watch and the hold and contact phases."""
     if controller == "mpc":
         ctl = TrackingController(plan, scenario, mpc_cfg)
-        dt_tick = ctl.cfg.dt
-        n_ticks = ctl.n_ticks
+        dt_tick, n_ticks = ctl.cfg.dt, ctl.n_ticks
     elif controller == "open_loop":
-        dt_tick = plan.dt
-        n_ticks = plan.n_knots
+        ctl, dt_tick, n_ticks = None, plan.dt, plan.n_knots
     else:
         raise ValueError("controller must be 'open_loop' or 'mpc'")
+    rng = np.random.default_rng(noise.seed) if noise is not None else None
+    dist = disturbance or DisturbanceSpec()
+    cfg_sim = IntegratorConfig(method="rk4", n_sub=1, dt=dt_sim)
+    n = scenario.wall_normal
+    zero = np.zeros(3)
+    meta = {"controller": controller, "dt_sim": dt_sim, "disturbance": dist.kind,
+            "noise": noise is not None}
+    recorder = _Recorder(scenario)
+    x, t, events = plan.rest_state.copy(), 0.0, {}
+    armed = False
 
-    t_lift = t
-    steps_per_tick, h = _substeps(dt_tick, dt_sim)
-    for k in range(n_ticks):
-        if ctl is not None:
-            x_meas = x.copy()
-            if rng is not None:
-                x_meas[3:] += rng.normal(0.0, noise.sigma)
-            u, _ = ctl.command(x_meas, k)
-        else:
-            u = np.zeros(6)
-            u[0] = plan.rope_left[min(k, plan.n_knots - 1)]
-            u[1] = plan.rope_right[min(k, plan.n_knots - 1)]
-        for _ in range(steps_per_tick):
-            d = disturbance.force_at(t - t_lift) if disturbance else np.zeros(3)
-            recorder.add(t, x, u, d, PHASE_FLIGHT)
+    def advance(u, n_steps, h, phase, watch=False, force=None):
+        """n_steps steps of h under the held input u; True at touch-down."""
+        nonlocal x, t, armed
+        for _ in range(n_steps):
+            d = None if force is None else force(t)
+            recorder.add(t, x, u, zero if d is None else d, phase)
             x = step_arrays(x, u, h, cfg_sim, scenario, extra_force=d)
             _check_state(x)
             t += h
-    events["horizon_end"] = t
-    return x, t, events, u
+            if watch:
+                gap = float(position_arrays(x[0], x[1], x[2], scenario.d_a) @ n
+                            - scenario.d_w)
+                armed = armed or gap > 0.02
+                if armed and gap <= 0.0:
+                    return True
+        return False
+
+    def tick_input(k):
+        if ctl is None:
+            u = np.zeros(6)
+            u[0], u[1] = plan.rope_left[k], plan.rope_right[k]
+            return u
+        x_meas = x.copy()
+        if rng is not None:
+            x_meas[3:] += rng.normal(0.0, noise.sigma)
+        return ctl.command(x_meas, k)[0]
+
+    touched = False
+    try:
+        # Thrust: leg impulse only, ropes slack (as transcribed by the
+        # planner); contact is not watched while still at the wall.
+        u = np.zeros(6)
+        u[2:5] = plan.f_leg
+        advance(u, *_substeps(scenario.t_th, dt_sim), PHASE_THRUST)
+        events["lift_off"] = t_lift = t
+        steps_per_tick, h = _substeps(dt_tick, dt_sim)
+        for k in range(n_ticks):
+            u = tick_input(k)
+            if advance(u, steps_per_tick, h, PHASE_FLIGHT, landing is not None,
+                       lambda s: dist.force_at(s - t_lift)):
+                touched = True
+                events["early_touch_down"] = t
+                break
+        else:
+            events["horizon_end"] = t
+            if landing is not None:
+                # Delayed touch-down: hold the last feed-forward plus
+                # gravity compensation.
+                pull = _static_pull(position_arrays(x[0], x[1], x[2], scenario.d_a),
+                                    scenario)
+                u = np.zeros(6)
+                u[:2] = np.clip([plan.rope_left[-1], plan.rope_right[-1]] + pull,
+                                -scenario.f_r_max, 0.0)
+                touched = advance(u, round(landing.max_hold / dt_sim), dt_sim,
+                                  PHASE_HOLD, True)
+                if touched:
+                    events["delayed_touch_down"] = t
+    except IntegrationError as exc:
+        trace = recorder.build({"aborted": np.nan}, np.full(3, np.nan),
+                               {**meta, "error": str(exc)})
+        raise EpisodeAborted(str(exc), trace) from exc
+
+    p = position_arrays(x[0], x[1], x[2], scenario.d_a)
+    e_a = plan.p_target - p
+    if landing is None:
+        recorder.add(t, x, u, zero, PHASE_FLIGHT)
+        return recorder.build(events, e_a, meta)
+    meta["touch_down"] = touched
+    if not touched:
+        events["no_touch_down"] = t
+        recorder.add(t, x, u, zero, PHASE_HOLD)
+        return recorder.build(events, e_a, meta)
+
+    # Contact phase: plastic normal stop at the plane, then the landing
+    # impedance settles the body against the wheels; lateral residuals are
+    # taken up by wheel damping (held here).
+    K = landing.stiffness
+    D = landing.damping_for(scenario.mass)
+    p_td = p - float(p @ n - scenario.d_w) * n      # snap to the contact plane
+    psi, l1, l2 = inverse_kinematics(p_td, scenario)
+    a_l = (p_td - scenario.anchor_left) / l1
+    a_r = (p_td - scenario.anchor_right) / l2
+    f_ext_n = float(n @ (scenario.mass * scenario.gravity
+                         + a_l * u[0] + a_r * u[1]))
+    s, s_dot = 0.0, 0.0                     # normal gap state after the stop
+    u_contact = u.copy()
+    u_contact[2:5] = 0.0
+    for _ in range(round(landing.settle_time / dt_sim)):
+        psi, l1, l2 = inverse_kinematics(p_td + s * n, scenario)
+        recorder.add(t, np.array([psi, l1, l2, 0.0, 0.0, 0.0]), u_contact, zero,
+                     PHASE_CONTACT, velocity=s_dot * n)
+        f_c = -K * s - D * s_dot
+        s_ddot = (f_c + f_ext_n) / scenario.mass
+        s_dot += s_ddot * dt_sim
+        s += s_dot * dt_sim
+        t += dt_sim
+    events["settled"] = t
+    meta.update(stiffness=K, damping=D, early="early_touch_down" in events)
+    return recorder.build(events, e_a, meta)
 
 
 def run_episode(plan: JumpPlan, scenario: Scenario, controller: str = "mpc",
                 disturbance: DisturbanceSpec | None = None,
                 noise: NoiseSpec | None = None, dt_sim: float = 0.001,
                 mpc_cfg: MpcConfig | None = None) -> SimTrace:
-    """Simulate thrust + flight and score the landing error at t_f."""
-    recorder = _Recorder(scenario)
-    x = plan.rest_state.copy()
-    try:
-        x, t, events, u = _simulate_flight(plan, scenario, controller,
-                                           disturbance, noise, dt_sim,
-                                           mpc_cfg, recorder, x, 0.0)
-    except (SingularityError, IntegrationError) as exc:
-        trace = recorder.build({"aborted": np.nan}, np.full(3, np.nan),
-                               {"error": str(exc)})
-        raise EpisodeAborted(str(exc), trace) from exc
-    recorder.add(t, x, u, np.zeros(3), PHASE_FLIGHT)
-    p_end = position_arrays(x[0], x[1], x[2], scenario.d_a)
-    e_a = plan.p_target - p_end
-    meta = {"controller": controller, "dt_sim": dt_sim,
-            "disturbance": disturbance.kind if disturbance else "none",
-            "noise": noise is not None}
-    return recorder.build(events, e_a, meta)
-
-
-class EpisodeAborted(RuntimeError):
-    """Simulation left the model domain; carries the diagnostic trace."""
-
-    def __init__(self, message: str, trace: SimTrace):
-        super().__init__(message)
-        self.trace = trace
+    """Simulate thrust + flight and score the landing error at t_th + t_f."""
+    return _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg)
 
 
 def landing_episode(plan: JumpPlan, scenario: Scenario,
@@ -263,128 +335,8 @@ def landing_episode(plan: JumpPlan, scenario: Scenario,
     the delayed case the last feed-forward plus gravity compensation is
     held until contact or the configured cap.
     """
-    landing = landing or LandingParams()
-    recorder = _Recorder(scenario)
-    cfg_sim = IntegratorConfig(method="rk4", n_sub=1, dt=dt_sim)
-    n = scenario.wall_normal
-    x = plan.rest_state.copy()
-    t = 0.0
-    events: dict = {}
-    rng = np.random.default_rng(noise.seed) if noise is not None else None
-
-    # Thrust (contact checking disarmed while still at the wall).
-    u = np.zeros(6)
-    u[2:5] = plan.f_leg
-    n_th, h = _substeps(scenario.t_th, dt_sim)
-    for _ in range(n_th):
-        recorder.add(t, x, u, np.zeros(3), PHASE_THRUST)
-        x = step_arrays(x, u, h, cfg_sim, scenario)
-        _check_state(x)
-        t += h
-    events["lift_off"] = t
-    t_lift = t
-
-    ctl = TrackingController(plan, scenario, mpc_cfg) if controller == "mpc" else None
-    dt_tick = ctl.cfg.dt if ctl is not None else plan.dt
-    n_ticks = ctl.n_ticks if ctl is not None else plan.n_knots
-    steps_per_tick, h = _substeps(dt_tick, dt_sim)
-
-    armed = False
-    touched = False
-
-    def gap_of(state):
-        p = position_arrays(state[0], state[1], state[2], scenario.d_a)
-        return float(p @ n - scenario.d_w), p
-
-    # Flight with touch-down watch.
-    for k in range(n_ticks):
-        if touched:
-            break
-        if ctl is not None:
-            x_meas = x.copy()
-            if rng is not None:
-                x_meas[3:] += rng.normal(0.0, noise.sigma)
-            u, _ = ctl.command(x_meas, k)
-        else:
-            u = np.zeros(6)
-            u[0], u[1] = plan.rope_left[k], plan.rope_right[k]
-        for _ in range(steps_per_tick):
-            d = disturbance.force_at(t - t_lift) if disturbance else np.zeros(3)
-            recorder.add(t, x, u, d, PHASE_FLIGHT)
-            x = step_arrays(x, u, h, cfg_sim, scenario, extra_force=d)
-            _check_state(x)
-            t += h
-            gap, _ = gap_of(x)
-            if not armed and gap > 0.02:
-                armed = True
-            if armed and gap <= 0.0:
-                touched = True
-                events["early_touch_down"] = t
-                break
-
-    # Delayed touch-down: hold feed-forward + gravity compensation.
-    if not touched:
-        events["horizon_end"] = t
-        pull = _static_pull(position_arrays(x[0], x[1], x[2], scenario.d_a),
-                            scenario)
-        u = np.zeros(6)
-        u[0] = plan.rope_left[-1] + pull[0]
-        u[1] = plan.rope_right[-1] + pull[1]
-        u[0], u[1] = max(u[0], -scenario.f_r_max), max(u[1], -scenario.f_r_max)
-        u[0], u[1] = min(u[0], 0.0), min(u[1], 0.0)
-        hold_steps = round(landing.max_hold / dt_sim)
-        for _ in range(hold_steps):
-            recorder.add(t, x, u, np.zeros(3), PHASE_HOLD)
-            x = step_arrays(x, u, dt_sim, cfg_sim, scenario)
-            _check_state(x)
-            t += dt_sim
-            gap, _ = gap_of(x)
-            if not armed and gap > 0.02:
-                armed = True
-            if armed and gap <= 0.0:
-                touched = True
-                events["delayed_touch_down"] = t
-                break
-
-    gap, p = gap_of(x)
-    e_a = plan.p_target - p
-    if not touched:
-        events["no_touch_down"] = t
-        meta = {"controller": controller, "touch_down": False}
-        recorder.add(t, x, u, np.zeros(3), PHASE_HOLD)
-        return recorder.build(events, e_a, meta)
-
-    # Contact phase: plastic normal stop at the plane, then the landing
-    # impedance settles the body against the wheels; lateral residuals are
-    # taken up by wheel damping (held here).
-    K = landing.stiffness
-    D = landing.damping_for(scenario.mass)
-    p_td = p - gap * n                      # snap to the contact plane
-    psi, l1, l2 = inverse_kinematics(p_td, scenario)
-    a_l = (p_td - scenario.anchor_left) / l1
-    a_r = (p_td - scenario.anchor_right) / l2
-    f_ext_n = float(n @ (scenario.mass * scenario.gravity
-                         + a_l * u[0] + a_r * u[1]))
-    s, s_dot = 0.0, 0.0                     # normal gap state after the stop
-    n_settle = round(landing.settle_time / dt_sim)
-    u_contact = u.copy()
-    u_contact[2:5] = 0.0
-    for _ in range(n_settle):
-        p_now = p_td + s * n
-        psi, l1, l2 = inverse_kinematics(p_now, scenario)
-        x_now = np.array([psi, l1, l2, 0.0, 0.0, 0.0])
-        recorder.add(t, x_now, u_contact, np.zeros(3), PHASE_CONTACT,
-                     velocity=s_dot * n)
-        f_c = -K * s - D * s_dot
-        s_ddot = (f_c + f_ext_n) / scenario.mass
-        s_dot += s_ddot * dt_sim
-        s += s_dot * dt_sim
-        t += dt_sim
-    events["settled"] = t
-    meta = {"controller": controller, "touch_down": True,
-            "stiffness": K, "damping": D,
-            "early": "early_touch_down" in events}
-    return recorder.build(events, e_a, meta)
+    return _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
+                    landing or LandingParams())
 
 
 def batch_robustness(plan: JumpPlan, n_runs: int, scenario: Scenario,
@@ -396,12 +348,14 @@ def batch_robustness(plan: JumpPlan, n_runs: int, scenario: Scenario,
 
     The flight is split into n_intervals equal windows; each run draws a
     disturbance amplitude in the given range and a direction in the
-    downward hemisphere, applied inside its window.  Individual failures
-    are counted, not fatal.  Fixed seeds reproduce bit-identical results.
+    downward hemisphere, applied inside its window.  Aborted runs are
+    counted as failures, not fatal; runs that cross the wall plane are
+    counted in wall_crossings and keep their landing errors in the
+    statistics.  Fixed seeds reproduce bit-identical results.
     """
     rng = np.random.default_rng(seed)
     per_interval: list[list[float]] = [[] for _ in range(n_intervals)]
-    failures = 0
+    failures = wall_crossings = 0
     for run in range(n_runs):
         interval = run % n_intervals
         amp = rng.uniform(*amplitude)
@@ -422,9 +376,10 @@ def batch_robustness(plan: JumpPlan, n_runs: int, scenario: Scenario,
         except EpisodeAborted:
             failures += 1
             continue
+        wall_crossings += "wall_crossing" in trace.events
         per_interval[interval].append(trace.landing_error_norm)
-    stats = {"n_runs": n_runs, "failures": failures, "seed": seed,
-             "intervals": []}
+    stats = {"n_runs": n_runs, "failures": failures,
+             "wall_crossings": wall_crossings, "seed": seed, "intervals": []}
     for i, errs in enumerate(per_interval):
         arr = np.array(errs)
         stats["intervals"].append({

@@ -1,5 +1,6 @@
 """Episode simulator: open-loop replay against the plan, the recorded
-trace, reproducibility and error handling of the robustness batch, and the
+trace, wall crossings, reproducibility and error handling of the
+robustness batch, the landing episode's phases and events, and the
 landing damping."""
 
 import numpy as np
@@ -8,9 +9,12 @@ import pytest
 from wallhopper import simulator
 from wallhopper.model import ReducedState, Scenario, cartesian_velocity
 from wallhopper.simulator import (
+    DisturbanceSpec,
+    EpisodeAborted,
     LandingParams,
     batch_robustness,
     critically_damped_gain,
+    landing_episode,
     run_episode,
 )
 
@@ -47,6 +51,51 @@ class TestOpenLoopReplay:
             trace.velocities[0], cartesian_velocity(ReducedState.from_array(x), SCEN))
 
 
+class TestWallCrossing:
+    def test_recorded_as_event(self, benchmark_plan):
+        # A push towards the wall takes the CoM through the wall plane; the
+        # run goes on and its first sample behind the plane is the event.
+        push = DisturbanceSpec("impulsive", [-50.0, 0.0, 0.0], t_start=0.1)
+        trace = run_episode(benchmark_plan, SCEN, controller="open_loop",
+                            disturbance=push)
+        t_cross = trace.events["wall_crossing"]
+        behind = trace.positions @ SCEN.wall_normal < 0.0
+        i = int(np.argmax(behind))
+        assert behind[i] and trace.times[i] == t_cross
+        assert trace.events["lift_off"] < t_cross < trace.events["horizon_end"]
+        assert np.all(np.isfinite(trace.states)) and np.all(np.isfinite(trace.e_a))
+
+    def test_absent_without_crossing(self, benchmark_plan):
+        trace = run_episode(benchmark_plan, SCEN, controller="open_loop")
+        assert np.all(trace.positions @ SCEN.wall_normal > 0.0)
+        assert "wall_crossing" not in trace.events
+
+    def test_robustness_batch_counts_crossings(self, benchmark_plan):
+        # Seed 105 has runs that cross psi = 0 between two samples and one
+        # that samples it within 1e-6 rad; all are landing errors.
+        stats = batch_robustness(benchmark_plan, 10, SCEN, seed=105,
+                                 controller="open_loop")
+        assert stats["failures"] == 0
+        assert stats["wall_crossings"] >= 1
+        errors = [iv["mean_error"] for iv in stats["intervals"]]
+        assert [iv["n"] for iv in stats["intervals"]] == [1] * 10
+        assert np.all(np.isfinite(errors))
+
+    def test_seed_without_abort_unchanged(self, benchmark_plan):
+        # Seed 7 has two crossing runs and no sample near psi = 0; these are
+        # its interval errors on the frozen track plan (the tolerance covers
+        # plans that differ by ~1e-6 with the number of BLAS threads).
+        stats = batch_robustness(benchmark_plan, 10, SCEN, seed=7,
+                                 controller="open_loop")
+        expected = [1.360001257537986, 1.143623088386833, 0.8504264596610528,
+                    0.8537440041216698, 0.5409647413206845, 0.545305021711369,
+                    0.4268741894699399, 0.26132331435611533, 0.1793959404193871,
+                    0.02637840144892977]
+        assert stats["failures"] == 0
+        np.testing.assert_allclose([iv["mean_error"] for iv in stats["intervals"]],
+                                   expected, rtol=1e-5)
+
+
 class TestBatchRobustness:
     def run(self, plan, n_runs=4):
         return batch_robustness(plan, n_runs, SCEN, seed=5, controller="open_loop",
@@ -80,6 +129,76 @@ class TestBatchRobustness:
         stats = self.run(benchmark_plan)
         assert stats["failures"] == 1
         assert sum(iv["n"] for iv in stats["intervals"]) == 3
+
+
+class TestLandingEpisode:
+    def land(self, plan, d_w, **kwargs):
+        return landing_episode(plan, SCEN.with_(d_w=d_w), controller="open_loop",
+                               **kwargs)
+
+    def test_no_touch_down(self, benchmark_plan):
+        # The benchmark jump stays at n.p < 0.29 m and never clears d_w = 0.4 m.
+        trace = self.land(benchmark_plan, 0.4)
+        ev = trace.events
+        assert "no_touch_down" in ev and "settled" not in ev
+        max_hold = LandingParams().max_hold
+        assert ev["no_touch_down"] == pytest.approx(ev["horizon_end"] + max_hold, abs=1e-9)
+        assert trace.meta["touch_down"] is False
+        assert trace.phase[-1] == simulator.PHASE_HOLD
+
+    def test_delayed_touch_down(self, benchmark_plan):
+        trace = self.land(benchmark_plan, 0.2)
+        ev = trace.events
+        assert ev["delayed_touch_down"] == pytest.approx(ev["horizon_end"] + 1e-3, abs=1e-12)
+        assert set(trace.phase) == {simulator.PHASE_THRUST, simulator.PHASE_FLIGHT,
+                                    simulator.PHASE_HOLD, simulator.PHASE_CONTACT}
+        assert trace.meta["touch_down"] is True and trace.meta["early"] is False
+
+    def test_early_touch_down(self, benchmark_plan):
+        trace = self.land(benchmark_plan, 0.22)
+        ev = trace.events
+        assert ev["early_touch_down"] == pytest.approx(0.975, abs=1e-3)
+        assert "horizon_end" not in ev
+        assert simulator.PHASE_HOLD not in trace.phase
+        assert trace.meta["early"] is True
+
+    @pytest.mark.parametrize("d_w, touch", [(0.2, "delayed_touch_down"),
+                                            (0.22, "early_touch_down")])
+    def test_settled_after_settle_time(self, benchmark_plan, d_w, touch):
+        landing = LandingParams(settle_time=0.5)
+        trace = self.land(benchmark_plan, d_w, landing=landing)
+        ev = trace.events
+        assert ev["settled"] == pytest.approx(ev[touch] + 0.5, abs=1e-9)
+        contact = trace.phase == simulator.PHASE_CONTACT
+        assert np.count_nonzero(contact) == 500
+        assert trace.times[contact][0] == ev[touch]
+
+    def test_meta_shares_run_episode_keys(self, benchmark_plan):
+        run = run_episode(benchmark_plan, SCEN, controller="open_loop")
+        land = self.land(benchmark_plan, 0.22)
+        assert set(run.meta) < set(land.meta)
+        assert all(land.meta[k] == v for k, v in run.meta.items())
+
+    def test_unknown_controller_rejected(self, benchmark_plan):
+        with pytest.raises(ValueError, match="controller"):
+            landing_episode(benchmark_plan, SCEN, controller="openloop")
+
+    def test_non_finite_state_aborts(self, benchmark_plan, monkeypatch):
+        real = simulator.step_arrays
+        calls = []
+
+        def nan_at_100(*args, **kwargs):
+            calls.append(None)
+            x = real(*args, **kwargs)
+            return np.full_like(x, np.nan) if len(calls) == 100 else x
+
+        monkeypatch.setattr(simulator, "step_arrays", nan_at_100)
+        with pytest.raises(EpisodeAborted) as err:
+            self.land(benchmark_plan, 0.2)
+        trace = err.value.trace
+        assert "aborted" in trace.events
+        assert trace.times.size == 100
+        assert np.all(np.isnan(trace.e_a))
 
 
 class TestLandingDamping:
