@@ -3,21 +3,11 @@ wall-climbing robot."""
 
 __version__ = "0.1.0"
 
-from .model import (
-    ControlInput,
-    Ellipsoid,
-    KinematicsError,
-    ReducedState,
-    Scenario,
-    SingularityError,
-)
+from .model import Ellipsoid, KinematicsError, Scenario
 
 __all__ = [
-    "ControlInput",
     "Ellipsoid",
     "KinematicsError",
-    "ReducedState",
     "Scenario",
-    "SingularityError",
     "__version__",
 ]

@@ -24,13 +24,24 @@ with A_d the Jacobian dp/dq and b_d quadratic in the rates.  Both are
 implemented in closed form below and cross-checked against finite
 differences in the tests.
 
+A state is the 6-vector x = (psi, l1, l2, psi_dot, l1_dot, l2_dot) and an
+input the 6-vector u = (f_rope_left, f_rope_right, f_leg (3), f_prop).  Rope
+forces act along the rope axis (anchor -> mass) and are non-positive: a
+negative magnitude pulls toward the anchor.  The propeller force acts along
+the base X axis (cos psi, 0, sin psi), normal to the plane of the ropes.
+
 The state derivative has one kernel body, _accelerations, written in
 + - * / alone and bound two ways: state_derivative_arrays on numpy arrays
 for batches, and state_derivative_scalar on Python floats for one state,
 where numpy's per-call cost would dominate.  Each binding computes r and
 sin/cos(psi) and owns the domain handling; both return NaN accelerations
 when r^2 <= 0 or psi is not finite, never raise, and agree bit for bit.
-dynamics is the checked single-state entry to the same kernel.
+
+A_d is invertible wherever the point lies off the anchor line: its
+determinant is -l1 l2 / d_a at every psi, so psi = 0 (the mass in the wall
+plane) is an ordinary configuration.  jacobian_arrays and bias_arrays give
+A_d and b_d on their own; the dynamics kernel does not call them, and the
+tests use them as its oracle.
 """
 
 from __future__ import annotations
@@ -40,20 +51,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# Configurations with |sin(psi)| below this are treated as singular.
-SINGULARITY_EPS = 1e-6
-
-# Relative slack on the triangle inequality l1^2 > C^2 before the forward
-# kinematics is declared out of domain.
-_DOMAIN_TOL = 1e-12
-
 
 class KinematicsError(ValueError):
-    """Rope lengths inconsistent with the anchor distance, or p on the anchor line."""
-
-
-class SingularityError(ValueError):
-    """Raised when |sin(psi)| falls below the singularity threshold."""
+    """A point on the anchor line, where psi is undefined."""
 
 
 @dataclass(frozen=True)
@@ -133,65 +133,6 @@ def _unit(v, name: str) -> np.ndarray:
     return v / n
 
 
-@dataclass(frozen=True)
-class ReducedState:
-    """Minimal coordinates (psi, l1, l2) and their rates."""
-
-    psi: float
-    l1: float
-    l2: float
-    psi_dot: float = 0.0
-    l1_dot: float = 0.0
-    l2_dot: float = 0.0
-
-    def __post_init__(self):
-        if self.l1 <= 0.0 or self.l2 <= 0.0:
-            raise ValueError("rope lengths must be positive")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.psi, self.l1, self.l2,
-                         self.psi_dot, self.l1_dot, self.l2_dot])
-
-    @classmethod
-    def from_array(cls, x: np.ndarray) -> "ReducedState":
-        x = np.asarray(x, dtype=float)
-        return cls(*x[:6])
-
-
-@dataclass(frozen=True)
-class ControlInput:
-    """Forces applied to the point mass.
-
-    Rope magnitudes are stored non-positive: forces act along the rope axis
-    a_hat (anchor -> mass), so a negative magnitude pulls toward the anchor.
-    """
-
-    f_rope_left: float = 0.0
-    f_rope_right: float = 0.0
-    f_leg: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    f_prop: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "f_leg", np.asarray(self.f_leg, dtype=float))
-        if self.f_rope_left > 0.0 or self.f_rope_right > 0.0:
-            raise ValueError("rope forces are unilateral: magnitudes must be <= 0")
-        if self.f_leg.shape != (3,):
-            raise ValueError("f_leg must be a 3-vector")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.f_rope_left, self.f_rope_right,
-                         self.f_leg[0], self.f_leg[1], self.f_leg[2],
-                         self.f_prop])
-
-    @classmethod
-    def from_array(cls, u: np.ndarray) -> "ControlInput":
-        u = np.asarray(u, dtype=float)
-        return cls(u[0], u[1], u[2:5].copy(), u[5])
-
-
-ZERO_INPUT = ControlInput()
-
-
 # ---------------------------------------------------------------------------
 # Array kernels.  All accept broadcastable leading dimensions, never raise
 # and mark bad configurations with NaN so optimiser line searches can probe
@@ -207,7 +148,10 @@ def _chord_and_radius(l1, l2, d_a):
 
 
 def position_arrays(psi, l1, l2, d_a):
-    """Cartesian position for broadcastable coordinate arrays (NaN out of domain)."""
+    """Cartesian position for broadcastable coordinate arrays.
+
+    Out of domain (r^2 <= 0) the x and z components are NaN.
+    """
     C, r2 = _chord_and_radius(l1, l2, d_a)
     with np.errstate(invalid="ignore"):
         r = np.sqrt(np.where(r2 > 0.0, r2, np.nan))
@@ -343,27 +287,6 @@ def state_derivative_scalar(x, u, scenario: Scenario, extra_force=None) -> list:
     return [x[3], x[4], x[5], *acc]
 
 
-# ---------------------------------------------------------------------------
-# Public single-state operations with full checking.
-# ---------------------------------------------------------------------------
-
-def check_reachable(l1: float, l2: float, d_a: float) -> None:
-    """Raise unless (l1, l2, d_a) satisfy the triangle inequality strictly."""
-    if l1 <= 0.0 or l2 <= 0.0:
-        raise KinematicsError("rope lengths must be positive")
-    C, r2 = _chord_and_radius(l1, l2, d_a)
-    if r2 <= _DOMAIN_TOL * l1 * l1:
-        raise KinematicsError(
-            f"rope lengths (l1={l1:.6g}, l2={l2:.6g}) inconsistent with anchor "
-            f"distance d_a={d_a:.6g}: point would lie on or beyond the anchor line")
-
-
-def forward_kinematics(q: ReducedState, scenario: Scenario) -> np.ndarray:
-    """Cartesian position of the mass in the left-anchor frame."""
-    check_reachable(q.l1, q.l2, scenario.d_a)
-    return position_arrays(q.psi, q.l1, q.l2, scenario.d_a)
-
-
 def inverse_kinematics(p, scenario: Scenario) -> tuple[float, float, float]:
     """Recover (psi, l1, l2) from a Cartesian position.
 
@@ -377,49 +300,3 @@ def inverse_kinematics(p, scenario: Scenario) -> tuple[float, float, float]:
         raise KinematicsError("point lies on the anchor line; psi is undefined")
     psi = float(np.arctan2(p[0], -p[2]))
     return psi, l1, l2
-
-
-def propeller_axis(q: ReducedState) -> np.ndarray:
-    """Unit axis perpendicular to the plane of the ropes (base X axis)."""
-    return np.array([np.cos(q.psi), 0.0, np.sin(q.psi)])
-
-
-def _check_configuration(q: ReducedState, scenario: Scenario, eps: float) -> None:
-    if abs(np.sin(q.psi)) < eps:
-        raise SingularityError(f"|sin(psi)| = {abs(np.sin(q.psi)):.3g} below {eps:.3g}")
-    check_reachable(q.l1, q.l2, scenario.d_a)
-
-
-def mass_matrix_terms(q: ReducedState, scenario: Scenario,
-                      eps: float = SINGULARITY_EPS) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form A_d and b_d with singularity and reachability checks.
-
-    Not used by the dynamics kernel; the tests check the kernel against
-    A_d q_dd + b_d = f_tot / m built from these terms.
-    """
-    _check_configuration(q, scenario, eps)
-    A_d = jacobian_arrays(q.psi, q.l1, q.l2, scenario.d_a)
-    b_d = bias_arrays(q.psi, q.l1, q.l2, q.psi_dot, q.l1_dot, q.l2_dot, scenario.d_a)
-    return A_d, b_d
-
-
-def dynamics(q: ReducedState, u: ControlInput, scenario: Scenario,
-             extra_force=None) -> np.ndarray:
-    """Coordinate accelerations (psi_dd, l1_dd, l2_dd), checked.
-
-    Raises on a non-positive mass, near the sin(psi) singularity and for
-    unreachable rope lengths, then evaluates the shared kernel.
-    """
-    if scenario.mass <= 0.0:
-        raise ValueError("dynamics requires a positive mass")
-    _check_configuration(q, scenario, SINGULARITY_EPS)
-    ext = None if extra_force is None else np.asarray(extra_force, dtype=float).tolist()
-    xdot = state_derivative_scalar(q.as_array().tolist(), u.as_array().tolist(),
-                                   scenario, ext)
-    return np.array(xdot[3:])
-
-
-def cartesian_velocity(q: ReducedState, scenario: Scenario) -> np.ndarray:
-    """p_dot = A_d @ q_dot_r."""
-    A_d = jacobian_arrays(q.psi, q.l1, q.l2, scenario.d_a)
-    return A_d @ np.array([q.psi_dot, q.l1_dot, q.l2_dot])

@@ -25,7 +25,6 @@ class MpcConfig:
     dt: float = 0.05               # control period (s)
     w_p: float = 1.0               # tracking weight
     w_u: float = 1e-5              # input smoothing weight
-    w_pf: float = 0.0              # terminal tracking weight
     n_sub: int = 5                 # prediction sub-steps per knot
     max_iter: int = 40
 
@@ -34,7 +33,7 @@ class MpcConfig:
             raise ValueError("horizon must have at least 2 knots")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        if min(self.w_p, self.w_u, self.w_pf) < 0.0:
+        if min(self.w_p, self.w_u) < 0.0:
             raise ValueError("weights must be non-negative")
 
     @classmethod
@@ -93,8 +92,10 @@ class TrackingController:
         _, self.p_ref = map_plan_to_reference(plan, self.cfg.dt)
         # Zero-order-hold resample of the planned rope forces.
         n_ref = self.p_ref.shape[0] - 1
-        idx = np.minimum((np.arange(n_ref) * self.cfg.dt / plan.dt).astype(int),
-                         plan.n_knots - 1)
+        # The 1e-9 guard of map_plan_to_reference: k * dt / dt may round to
+        # just below k, which would fly the previous knot's forces.
+        idx = np.floor(np.arange(n_ref) * (self.cfg.dt / plan.dt) + 1e-9).astype(int)
+        idx = np.minimum(idx, plan.n_knots - 1)
         self.ff = np.column_stack([plan.rope_left[idx], plan.rope_right[idx]])
         self.prev_solution: MpcSolution | None = None
         self.prev_delta: np.ndarray | None = None     # applied (dF_l, dF_r) last tick
@@ -138,7 +139,7 @@ def mpc_step(x_hat, k: int, plan: JumpPlan, cfg: MpcConfig, scenario: Scenario,
     # The i-1 term of the smoothing cost: deviation applied at the previous
     # control period (cold start: the unmodified feed-forward, i.e. zero).
     prev_delta = ctl.prev_delta if ctl.prev_delta is not None else np.zeros(2)
-    icfg = IntegratorConfig(method="rk4", n_sub=cfg.n_sub, dt=cfg.dt)
+    icfg = IntegratorConfig(n_sub=cfg.n_sub)
 
     f_scale = np.array([scenario.f_r_max, scenario.f_r_max,
                         max(scenario.f_p_max, 1e-9)])
@@ -166,9 +167,6 @@ def mpc_step(x_hat, k: int, plan: JumpPlan, cfg: MpcConfig, scenario: Scenario,
         ddl = np.diff(dl, axis=-1, prepend=prev_delta[0])
         ddr = np.diff(dr, axis=-1, prepend=prev_delta[1])
         c = c + cfg.w_u * (np.sum(ddl * ddl, axis=-1) + np.sum(ddr * ddr, axis=-1))
-        if cfg.w_pf > 0.0:
-            terr = pos[..., H, :] - p_ref[H]
-            c = c + cfg.w_pf * np.sum(terr * terr, axis=-1)
         return np.where(np.isfinite(c), c, 1e9)
 
     n_var = 3 * H

@@ -153,12 +153,6 @@ def contains(H: HPolytope, w, tol: float = CONTAIN_TOL) -> bool:
     return bool(np.all(H.A @ w <= H.b + tol))
 
 
-def violation(H: HPolytope, w) -> float:
-    """Largest signed row violation of w (negative means strictly inside)."""
-    w = np.asarray(w, dtype=float)
-    return float(np.max(H.A @ w - H.b))
-
-
 def directional_margin(H: HPolytope, w0, v_hat) -> MarginResult:
     """max gamma >= 0 with w0 + gamma * v_hat inside H.
 

@@ -201,7 +201,7 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
         raise ValueError("controller must be 'open_loop' or 'mpc'")
     rng = np.random.default_rng(noise.seed) if noise is not None else None
     dist = disturbance or DisturbanceSpec()
-    cfg_sim = IntegratorConfig(method="rk4", n_sub=1, dt=dt_sim)
+    cfg_sim = IntegratorConfig(n_sub=1)
     n = scenario.wall_normal
     zero = np.zeros(3)
     meta = {"controller": controller, "dt_sim": dt_sim, "disturbance": dist.kind,

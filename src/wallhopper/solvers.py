@@ -3,9 +3,9 @@ stability margins.
 
 Problem sizes here are tiny (at most a few hundred variables), so the NLP
 path favours robustness: SLSQP for inequality-constrained problems,
-L-BFGS-B when only bounds are present, both fed with caller-supplied or
-forward-difference gradients.  KKT multipliers are recovered a posteriori
-by a non-negative least-squares fit on the active set so that the reported
+L-BFGS-B when only bounds are present, both fed with the caller's gradient
+and constraint Jacobian.  KKT multipliers are recovered a posteriori by a
+non-negative least-squares fit on the active set so that the reported
 stationarity residual can be recomputed independently.
 """
 
@@ -28,7 +28,7 @@ STATUS_FAILED = "failed"
 class NlpProblem:
     objective: Callable[[np.ndarray], float]
     x0: np.ndarray
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    gradient: Callable[[np.ndarray], np.ndarray]
     constraints: Callable[[np.ndarray], np.ndarray] | None = None   # g(x) <= 0
     constraints_jac: Callable[[np.ndarray], np.ndarray] | None = None
     lower: np.ndarray | None = None
@@ -47,6 +47,8 @@ class NlpProblem:
                       else np.broadcast_to(np.asarray(self.upper, float), (n,)).copy())
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
+        if self.constraints is not None and self.constraints_jac is None:
+            raise ValueError("constraints need constraints_jac")
 
 
 @dataclass
@@ -61,26 +63,14 @@ class NlpResult:
     message: str = ""
 
 
-def _fd_gradient(fun, x, f0=None, eps_scale=1e-7):
-    f0 = fun(x) if f0 is None else f0
-    g = np.empty_like(x)
-    for i in range(x.size):
-        h = eps_scale * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xp[i] += h
-        g[i] = (fun(xp) - f0) / h
-    return g
-
-
 def active_set_multipliers(problem: NlpProblem, x: np.ndarray,
                            tol_act: float = 1e-6) -> dict:
     """Non-negative least-squares fit of the KKT multipliers at x."""
-    grad = problem.gradient(x) if problem.gradient else _fd_gradient(problem.objective, x)
+    grad = problem.gradient(x)
     cols, keys = [], []
     if problem.constraints is not None:
         g = np.atleast_1d(problem.constraints(x))
-        jac = (problem.constraints_jac(x) if problem.constraints_jac
-               else _fd_jacobian(problem.constraints, x))
+        jac = problem.constraints_jac(x)
         for i in np.nonzero(g >= -tol_act)[0]:
             cols.append(jac[i])
             keys.append(("ineq", int(i)))
@@ -109,8 +99,7 @@ def kkt_residual(problem: NlpProblem, x: np.ndarray, multipliers: dict) -> float
     """Infinity norm of the Lagrangian gradient implied by the multipliers."""
     grad = multipliers["gradient"].copy()
     if multipliers["ineq"]:
-        jac = (problem.constraints_jac(x) if problem.constraints_jac
-               else _fd_jacobian(problem.constraints, x))
+        jac = problem.constraints_jac(x)
         for i, lam in multipliers["ineq"].items():
             grad += lam * jac[i]
     for i, lam in multipliers["lower"].items():
@@ -118,17 +107,6 @@ def kkt_residual(problem: NlpProblem, x: np.ndarray, multipliers: dict) -> float
     for i, lam in multipliers["upper"].items():
         grad[i] += lam
     return float(np.max(np.abs(grad)))
-
-
-def _fd_jacobian(fun, x, eps_scale=1e-7):
-    f0 = np.atleast_1d(fun(x))
-    J = np.empty((f0.size, x.size))
-    for i in range(x.size):
-        h = eps_scale * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xp[i] += h
-        J[:, i] = (np.atleast_1d(fun(xp)) - f0) / h
-    return J
 
 
 def solve_nlp(problem: NlpProblem) -> NlpResult:
@@ -146,9 +124,8 @@ def solve_nlp(problem: NlpProblem) -> NlpResult:
                      "gtol": problem.tol_stat})
     else:
         # scipy's ineq convention is fun(x) >= 0; ours is g(x) <= 0.
-        cons = {"type": "ineq", "fun": lambda x: -np.atleast_1d(problem.constraints(x))}
-        if problem.constraints_jac is not None:
-            cons["jac"] = lambda x: -np.atleast_2d(problem.constraints_jac(x))
+        cons = {"type": "ineq", "fun": lambda x: -np.atleast_1d(problem.constraints(x)),
+                "jac": lambda x: -np.atleast_2d(problem.constraints_jac(x))}
         res = optimize.minimize(
             problem.objective, problem.x0, jac=jac, method="SLSQP", bounds=bounds,
             constraints=[cons],

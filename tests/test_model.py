@@ -6,25 +6,47 @@ import pytest
 
 from wallhopper.integrator import IntegratorConfig, rollout_arrays
 from wallhopper.model import (
-    ControlInput,
     KinematicsError,
-    ReducedState,
     Scenario,
-    SingularityError,
-    ZERO_INPUT,
-    cartesian_velocity,
-    dynamics,
-    forward_kinematics,
+    bias_arrays,
     inverse_kinematics,
     jacobian_arrays,
-    mass_matrix_terms,
     position_arrays,
-    propeller_axis,
     state_derivative_arrays,
     state_derivative_scalar,
 )
 
 SCEN = Scenario()
+
+
+def position(x):
+    return position_arrays(x[0], x[1], x[2], SCEN.d_a)
+
+
+def propeller_axis(psi):
+    """Direction of the propeller force u[5]: the base X axis, normal to
+    the plane of the ropes."""
+    return np.array([np.cos(psi), 0.0, np.sin(psi)])
+
+
+def accelerations(x, u, extra_force=None):
+    """(psi_dd, l1_dd, l2_dd) from the batched kernel binding."""
+    return state_derivative_arrays(x, u, SCEN, extra_force)[3:]
+
+
+def oracle_terms(x):
+    """A_d and b_d at the state x = (psi, l1, l2, rates)."""
+    return jacobian_arrays(x[0], x[1], x[2], SCEN.d_a), bias_arrays(*x, SCEN.d_a)
+
+
+def total_force(x, u, extra):
+    """Gravity, leg, ropes along their axes, propeller and an extra force,
+    assembled from the geometry alone."""
+    p = position(x)
+    return (SCEN.mass * SCEN.gravity + u[2:5] + extra
+            + p / x[1] * u[0]
+            + (p - SCEN.anchor_right) / x[2] * u[1]
+            + propeller_axis(x[0]) * u[5])
 
 
 def random_states(rng, n, with_rates=True):
@@ -44,18 +66,15 @@ def random_states(rng, n, with_rates=True):
 
 class TestForwardKinematics:
     def test_symmetric_ropes_midpoint(self):
-        q = ReducedState(psi=0.7, l1=6.0, l2=6.0)
-        p = forward_kinematics(q, SCEN)
+        p = position_arrays(0.7, 6.0, 6.0, SCEN.d_a)
         assert p[1] == pytest.approx(2.5, abs=0.0)
 
     def test_zero_psi_in_wall_plane(self):
-        q = ReducedState(psi=0.0, l1=6.0, l2=7.0)
-        p = forward_kinematics(q, SCEN)
+        p = position_arrays(0.0, 6.0, 7.0, SCEN.d_a)
         assert p[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_distances_match_rope_lengths(self):
-        q = ReducedState(psi=0.3, l1=6.0, l2=7.0)
-        p = forward_kinematics(q, SCEN)
+        p = position_arrays(0.3, 6.0, 7.0, SCEN.d_a)
         assert np.linalg.norm(p - SCEN.anchor_left) == pytest.approx(6.0, abs=1e-12)
         assert np.linalg.norm(p - SCEN.anchor_right) == pytest.approx(7.0, abs=1e-12)
 
@@ -67,16 +86,18 @@ class TestForwardKinematics:
         np.testing.assert_allclose(np.linalg.norm(p - SCEN.anchor_right, axis=1),
                                    states[:, 2], atol=1e-9)
 
-    def test_inconsistent_lengths_raise(self):
-        with pytest.raises(KinematicsError):
-            forward_kinematics(ReducedState(psi=0.3, l1=1.0, l2=10.0), SCEN)
+    def test_inconsistent_lengths_give_nan(self):
+        # No point lies 1 m from one anchor and 10 m from the other; only
+        # the coordinate along the anchor line is still defined.
+        p = position_arrays(0.3, 1.0, 10.0, SCEN.d_a)
+        assert np.isnan(p[[0, 2]]).all()
 
 
 class TestInverseKinematics:
     def test_round_trip_start_point(self):
         p = np.array([0.2, 2.5, -6.0])
         psi, l1, l2 = inverse_kinematics(p, SCEN)
-        p_back = forward_kinematics(ReducedState(psi, l1, l2), SCEN)
+        p_back = position_arrays(psi, l1, l2, SCEN.d_a)
         assert np.linalg.norm(p_back - p) < 1e-9
 
     def test_zero_x_gives_zero_psi(self):
@@ -93,26 +114,24 @@ class TestInverseKinematics:
             p = np.array([rng.uniform(0.01, 4.0), rng.uniform(-1.0, 6.0),
                           rng.uniform(-12.0, -0.5)])
             psi, l1, l2 = inverse_kinematics(p, SCEN)
-            p_back = forward_kinematics(ReducedState(psi, l1, l2), SCEN)
+            p_back = position_arrays(psi, l1, l2, SCEN.d_a)
             assert np.linalg.norm(p_back - p) < 1e-9
 
 
 class TestPropellerAxis:
     def test_plumb_configuration(self):
-        np.testing.assert_allclose(propeller_axis(ReducedState(0.0, 6, 6)),
-                                   [1.0, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(propeller_axis(0.0), [1.0, 0.0, 0.0], atol=1e-15)
 
     def test_quarter_turn(self):
-        np.testing.assert_allclose(propeller_axis(ReducedState(np.pi / 2, 6, 6)),
-                                   [0.0, 0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(propeller_axis(np.pi / 2), [0.0, 0.0, 1.0],
+                                   atol=1e-12)
 
     def test_orthogonal_to_ropes_plane(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             x = random_states(rng, 1, with_rates=False)[0]
-            q = ReducedState.from_array(x)
-            axis = propeller_axis(q)
-            p = forward_kinematics(q, SCEN)
+            axis = propeller_axis(x[0])
+            p = position(x)
             assert abs(axis @ (p - SCEN.anchor_left)) < 1e-9
             assert abs(axis @ np.array([0.0, 1.0, 0.0])) < 1e-15
             assert np.linalg.norm(axis) == pytest.approx(1.0)
@@ -141,29 +160,35 @@ class TestMassMatrixTerms:
             np.testing.assert_allclose(A[i], J, rtol=1e-5, atol=1e-7)
 
     def test_bias_zero_at_zero_rates(self):
-        q = ReducedState(0.4, 6.0, 7.0)
-        _, b = mass_matrix_terms(q, SCEN)
+        b = bias_arrays(0.4, 6.0, 7.0, 0.0, 0.0, 0.0, SCEN.d_a)
         np.testing.assert_allclose(b, 0.0, atol=1e-14)
 
-    def test_singularity_raises(self):
-        with pytest.raises(SingularityError):
-            mass_matrix_terms(ReducedState(1e-12, 6.0, 7.0), SCEN)
-
-    def test_just_above_threshold_ok(self):
-        A, _ = mass_matrix_terms(ReducedState(2e-6, 6.0, 7.0), SCEN)
-        assert np.all(np.isfinite(A))
+    def test_zero_psi_is_ordinary(self):
+        # psi = 0 puts the mass in the wall plane; A_d stays invertible
+        # there, with det A_d = -l1 l2 / d_a, and the kernel is regular.
+        rng = np.random.default_rng(13)
+        l1, l2 = 6.0, 7.0
+        x = np.array([0.0, l1, l2, *rng.uniform(-1.0, 1.0, 3)])
+        u = np.array([*rng.uniform(-90, 0, 2), *rng.uniform(-50, 50, 4)])
+        extra = rng.normal(0.0, 20.0, 3)
+        A, b = oracle_terms(x)
+        assert np.linalg.det(A) == pytest.approx(-l1 * l2 / SCEN.d_a, rel=1e-12)
+        qdd = accelerations(x, u, extra)
+        assert np.all(np.isfinite(qdd))
+        np.testing.assert_allclose(A @ qdd + b, total_force(x, u, extra) / SCEN.mass,
+                                   rtol=1e-9, atol=1e-9)
 
 
 class TestDynamics:
     def test_free_fall_reproduces_gravity(self):
-        q = ReducedState(0.5, 6.0, 7.0)
-        qdd = dynamics(q, ZERO_INPUT, SCEN)
-        A, b = mass_matrix_terms(q, SCEN)
+        x = np.array([0.5, 6.0, 7.0, 0.0, 0.0, 0.0])
+        qdd = accelerations(x, np.zeros(6))
+        A, b = oracle_terms(x)
         np.testing.assert_allclose(A @ qdd + b, SCEN.gravity, rtol=1e-8, atol=1e-12)
 
     def test_acceleration_matches_time_finite_difference(self):
         rng = np.random.default_rng(4)
-        cfg = IntegratorConfig(method="rk4", n_sub=1, dt=1e-5)
+        cfg = IntegratorConfig(n_sub=1)
         for _ in range(10):
             x0 = random_states(rng, 1)[0]
             u = np.array([rng.uniform(-40, 0), rng.uniform(-40, 0),
@@ -172,9 +197,8 @@ class TestDynamics:
             traj = rollout_arrays(x0, np.tile(u, (2, 1)), 1e-5, cfg, SCEN)
             p = position_arrays(traj[:, 0], traj[:, 1], traj[:, 2], SCEN.d_a)
             pdd_fd = (p[2] - 2 * p[1] + p[0]) / 1e-10
-            q1 = ReducedState.from_array(traj[1])
-            qdd = dynamics(q1, ControlInput.from_array(u), SCEN)
-            A, b = mass_matrix_terms(q1, SCEN)
+            qdd = accelerations(traj[1], u)
+            A, b = oracle_terms(traj[1])
             np.testing.assert_allclose(A @ qdd + b, pdd_fd, rtol=1e-4, atol=1e-4)
 
     def test_newton_equation_with_all_forces(self):
@@ -182,26 +206,13 @@ class TestDynamics:
         # from the rope axes, the leg, the propeller axis and an extra force.
         rng = np.random.default_rng(9)
         for x in random_states(rng, 20):
-            q = ReducedState.from_array(x)
-            u = ControlInput(rng.uniform(-90, 0), rng.uniform(-90, 0),
-                             rng.uniform(-50, 50, 3), rng.uniform(-50, 50))
+            u = np.array([rng.uniform(-90, 0), rng.uniform(-90, 0),
+                          *rng.uniform(-50, 50, 3), rng.uniform(-50, 50)])
             extra = rng.normal(0.0, 20.0, 3)
-            p = forward_kinematics(q, SCEN)
-            f = (SCEN.mass * SCEN.gravity + u.f_leg + extra
-                 + p / q.l1 * u.f_rope_left
-                 + (p - SCEN.anchor_right) / q.l2 * u.f_rope_right
-                 + propeller_axis(q) * u.f_prop)
-            qdd = dynamics(q, u, SCEN, extra_force=extra)
-            A, b = mass_matrix_terms(q, SCEN)
-            np.testing.assert_allclose(A @ qdd + b, f / SCEN.mass, rtol=1e-9, atol=1e-9)
-
-    def test_positive_rope_force_rejected(self):
-        with pytest.raises(ValueError):
-            ControlInput(f_rope_left=1.0)
-
-    def test_singularity_propagates(self):
-        with pytest.raises(SingularityError):
-            dynamics(ReducedState(0.0, 6.0, 7.0), ZERO_INPUT, SCEN)
+            qdd = accelerations(x, u, extra)
+            A, b = oracle_terms(x)
+            np.testing.assert_allclose(A @ qdd + b, total_force(x, u, extra) / SCEN.mass,
+                                       rtol=1e-9, atol=1e-9)
 
     def test_ballistic_closed_form(self):
         # Zero rope/leg/propeller force must reproduce p0 + v0 t + g t^2 / 2.
@@ -212,7 +223,7 @@ class TestDynamics:
         qdot = np.linalg.solve(A, v0)
         x0 = np.array([psi, l1, l2, *qdot])
         n_steps = 10000
-        cfg = IntegratorConfig(method="rk4", n_sub=1, dt=1e-4)
+        cfg = IntegratorConfig(n_sub=1)
         traj = rollout_arrays(x0, np.zeros((n_steps, 6)), 1e-4, cfg, SCEN)
         xf = traj[-1]
         p_end = position_arrays(xf[0], xf[1], xf[2], SCEN.d_a)
@@ -223,8 +234,7 @@ class TestDynamics:
     def test_cartesian_velocity_consistent(self):
         rng = np.random.default_rng(5)
         x = random_states(rng, 1)[0]
-        q = ReducedState.from_array(x)
-        v = cartesian_velocity(q, SCEN)
+        v = jacobian_arrays(x[0], x[1], x[2], SCEN.d_a) @ x[3:]
         h = 1e-7
         x2 = x.copy()
         x2[:3] += h * x[3:]
@@ -317,7 +327,3 @@ class TestScenarioValidation:
             Scenario(mass=-5.0)
         with pytest.raises(ValueError):
             Scenario(t_th=-0.1)
-
-    def test_state_invariants(self):
-        with pytest.raises(ValueError):
-            ReducedState(0.3, -1.0, 5.0)

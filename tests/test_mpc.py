@@ -1,5 +1,6 @@
-"""Flight MPC: the warm start and horizon rules, the degraded path when the
-solver fails, and closed-loop tracking of the benchmark jump."""
+"""Flight MPC: the feed-forward resample, the warm start and horizon rules,
+the degraded path when the solver fails, and closed-loop tracking of the
+benchmark jump."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from wallhopper.mpc import (
     shrink_horizon,
     warm_start_from,
 )
+from wallhopper.planner import JumpPlan
 from wallhopper.simulator import run_episode
 
 SCEN = Scenario()
@@ -26,6 +28,21 @@ def solution(rows):
 
 
 ROWS = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
+
+
+def test_feed_forward_follows_the_plan_knots():
+    # At this t_f, k * dt / dt rounds to just below k for k = 7, 14 and 28;
+    # with the controller on the plan clock each tick must still fly its
+    # own knot's rope forces.
+    n = 30
+    plan = JumpPlan(f_leg=np.zeros(3), rope_left=-1.0 - np.arange(n),
+                    rope_right=-100.0 - np.arange(n), t_f=0.31472586702134514,
+                    states=np.zeros((n + 1, 6)), positions=np.zeros((n + 1, 3)),
+                    p0=np.zeros(3), p_target=np.zeros(3), rest_state=np.zeros(6))
+    ctl = TrackingController(plan, SCEN)
+    assert ctl.n_ticks == n
+    np.testing.assert_array_equal(ctl.ff, np.column_stack([plan.rope_left,
+                                                           plan.rope_right]))
 
 
 class TestWarmStart:

@@ -86,7 +86,7 @@ class TestPlanJump:
 
     def test_reintegration_with_finer_step(self, benchmark_plan):
         plan = benchmark_plan
-        cfg_fine = IntegratorConfig(method="rk4", n_sub=50, dt=plan.dt)
+        cfg_fine = IntegratorConfig(n_sub=50)
         states = rollout_arrays(plan.states[0], plan.input_schedule(), plan.dt,
                                 cfg_fine, SCEN)
         p_end = position_arrays(states[-1, 0], states[-1, 1], states[-1, 2], SCEN.d_a)

@@ -111,6 +111,9 @@ class TestNlp:
             x_ref = active_set_enumeration(Q, c, G, h)
             assert res.status == STATUS_OPTIMAL
             np.testing.assert_allclose(res.x, x_ref, atol=1e-5)
+        with pytest.raises(ValueError, match="constraints_jac"):
+            NlpProblem(objective=f, gradient=g, x0=np.zeros(n),
+                       constraints=lambda x: G @ x - h)
 
     def test_kkt_residual_recomputable(self):
         rng = np.random.default_rng(12)
@@ -121,12 +124,6 @@ class TestNlp:
         recomputed = kkt_residual(p, res.x, res.multipliers)
         assert recomputed == pytest.approx(res.kkt_residual, abs=1e-10)
         assert recomputed < 1e-5
-
-    def test_finite_difference_fallback(self):
-        p = NlpProblem(objective=lambda x: float((x[0] - 1.0) ** 2 + x[1] ** 2),
-                       x0=np.array([4.0, 4.0]))
-        res = solve_nlp(p)
-        np.testing.assert_allclose(res.x, [1.0, 0.0], atol=1e-5)
 
 
 def vertex_enumeration(c, A, b, lo, hi):
