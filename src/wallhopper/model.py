@@ -112,6 +112,10 @@ class Scenario:
                 raise ValueError(f"{name} must be positive")
         if self.f_p_max < 0.0:
             raise ValueError("f_p_max must be non-negative")
+        # The ellipsoid is axis-aligned with x normal to the wall, and the
+        # planner bounds p_x instead of n.p when it is set.
+        if self.obstacle is not None and np.any(self.wall_normal != (1.0, 0.0, 0.0)):
+            raise ValueError("an obstacle needs wall_normal +x")
 
     @property
     def anchor_left(self) -> np.ndarray:

@@ -5,6 +5,11 @@ feed-forward by per-knot deviations and adds a bilateral propeller force,
 minimising tracking error against the planned Cartesian reference over a
 (shrinking) horizon under the rope unilateral/actuation bounds.  Only the
 first optimised input is applied; the remainder seeds the next solve.
+
+``TrackingController`` holds that state across ticks: the reference and
+feed-forward resampled to its clock, and the previous tick's solution,
+which gives both the shifted warm start and the deviation applied last
+period (the first term of the input smoothing cost).
 """
 
 from __future__ import annotations
@@ -53,7 +58,6 @@ class MpcSolution:
     delta_right: np.ndarray        # (H,)
     f_prop: np.ndarray             # (H,)
     predicted_positions: np.ndarray  # (H+1, 3)
-    horizon: int
     degraded: bool = False
     diagnostics: dict = field(default_factory=dict)
 
@@ -69,7 +73,7 @@ def warm_start_from(prev: MpcSolution | None, horizon: int) -> np.ndarray:
     """Shift-by-one initial guess, last knot repeated; (H, 3) columns
     (delta_left, delta_right, f_prop).  Cold start returns zeros."""
     guess = np.zeros((horizon, 3))
-    if prev is None or prev.horizon == 0:
+    if prev is None:
         return guess
     stacked = np.column_stack([prev.delta_left, prev.delta_right, prev.f_prop])
     shifted = np.vstack([stacked[1:], stacked[-1:]])
@@ -98,7 +102,6 @@ class TrackingController:
         idx = np.minimum(idx, plan.n_knots - 1)
         self.ff = np.column_stack([plan.rope_left[idx], plan.rope_right[idx]])
         self.prev_solution: MpcSolution | None = None
-        self.prev_delta: np.ndarray | None = None     # applied (dF_l, dF_r) last tick
 
     @property
     def n_ticks(self) -> int:
@@ -106,118 +109,110 @@ class TrackingController:
 
     def command(self, x_hat: np.ndarray, k: int) -> tuple[np.ndarray, MpcSolution]:
         """Solve at tick k and return (input to apply as a (6,) array, solution)."""
-        sol = mpc_step(x_hat, k, self.plan, self.cfg, self.scen,
-                       warm_start=warm_start_from(
-                           self.prev_solution, shrink_horizon(
-                               k, self.cfg.n_horizon, self.n_ticks)),
-                       controller=self)
+        sol = self._solve(np.asarray(x_hat, dtype=float), k)
         self.prev_solution = sol
         u = np.zeros(6)
         u[0] = self.ff[k, 0] + sol.delta_left[0]
         u[1] = self.ff[k, 1] + sol.delta_right[0]
         u[5] = sol.f_prop[0]
-        self.prev_delta = np.array([sol.delta_left[0], sol.delta_right[0]])
         return u, sol
 
+    def _solve(self, x_hat: np.ndarray, k: int) -> MpcSolution:
+        """One receding-horizon solve from the estimated state at tick k,
+        warm-started from the previous tick's solution.
 
-def mpc_step(x_hat, k: int, plan: JumpPlan, cfg: MpcConfig, scenario: Scenario,
-             warm_start: np.ndarray | None = None,
-             controller: TrackingController | None = None) -> MpcSolution:
-    """One receding-horizon solve from the estimated state at tick k.
+        Returns the full horizon; callers apply knot 0 only.  On solver
+        failure the clipped warm start is returned with the degraded flag
+        set.
+        """
+        cfg, scenario = self.cfg, self.scen
+        H = shrink_horizon(k, cfg.n_horizon, self.n_ticks)
+        if H < 1:
+            raise ValueError("reference exhausted; no horizon left")
+        ff = self.ff[k:k + H]                              # (H, 2)
+        p_ref = self.p_ref[k:k + H + 1]                    # (H+1, 3)
+        # The i-1 term of the smoothing cost: deviation applied at the
+        # previous control period (cold start: the unmodified feed-forward).
+        prev = self.prev_solution
+        prev_dl, prev_dr = ((0.0, 0.0) if prev is None
+                            else (prev.delta_left[0], prev.delta_right[0]))
+        icfg = IntegratorConfig(n_sub=cfg.n_sub)
 
-    Returns the full horizon; callers apply knot 0 only.  On solver
-    failure the last feasible warm start is returned with the degraded
-    flag set.
-    """
-    ctl = controller or TrackingController(plan, scenario, cfg)
-    x_hat = np.asarray(x_hat, dtype=float)
-    H = shrink_horizon(k, cfg.n_horizon, ctl.n_ticks)
-    if H < 1:
-        raise ValueError("reference exhausted; no horizon left")
-    ff = ctl.ff[k:k + H]                               # (H, 2)
-    p_ref = ctl.p_ref[k:k + H + 1]                     # (H+1, 3)
-    # The i-1 term of the smoothing cost: deviation applied at the previous
-    # control period (cold start: the unmodified feed-forward, i.e. zero).
-    prev_delta = ctl.prev_delta if ctl.prev_delta is not None else np.zeros(2)
-    icfg = IntegratorConfig(n_sub=cfg.n_sub)
+        f_scale = np.array([scenario.f_r_max, scenario.f_r_max,
+                            max(scenario.f_p_max, 1e-9)])
 
-    f_scale = np.array([scenario.f_r_max, scenario.f_r_max,
-                        max(scenario.f_p_max, 1e-9)])
+        def unpack(Z):
+            v = Z.reshape(Z.shape[:-1] + (H, 3)) * f_scale
+            return v[..., 0], v[..., 1], v[..., 2]
 
-    def unpack(Z):
-        v = Z.reshape(Z.shape[:-1] + (H, 3)) * f_scale
-        return v[..., 0], v[..., 1], v[..., 2]
+        def predict(Z):
+            dl, dr, fp = unpack(Z)
+            u = np.zeros(Z.shape[:-1] + (H, 6))
+            u[..., :, 0] = ff[:, 0] + dl
+            u[..., :, 1] = ff[:, 1] + dr
+            u[..., :, 5] = fp
+            x0 = np.broadcast_to(x_hat, Z.shape[:-1] + (6,))
+            states = rollout_arrays(x0, u, cfg.dt, icfg, scenario)
+            return position_arrays(states[..., 0], states[..., 1], states[..., 2],
+                                   scenario.d_a)
 
-    def predict(Z):
-        dl, dr, fp = unpack(Z)
-        u = np.zeros(Z.shape[:-1] + (H, 6))
-        u[..., :, 0] = ff[:, 0] + dl
-        u[..., :, 1] = ff[:, 1] + dr
-        u[..., :, 5] = fp
-        x0 = np.broadcast_to(x_hat, Z.shape[:-1] + (6,))
-        states = rollout_arrays(x0, u, cfg.dt, icfg, scenario)
-        return position_arrays(states[..., 0], states[..., 1], states[..., 2],
-                               scenario.d_a)
+        def cost_fn(Z):
+            dl, dr, _ = unpack(Z)
+            pos = predict(Z)
+            err = pos[..., :H, :] - p_ref[:H]
+            c = cfg.w_p * np.sum(err * err, axis=(-2, -1))
+            ddl = np.diff(dl, axis=-1, prepend=prev_dl)
+            ddr = np.diff(dr, axis=-1, prepend=prev_dr)
+            c = c + cfg.w_u * (np.sum(ddl * ddl, axis=-1) + np.sum(ddr * ddr, axis=-1))
+            return np.where(np.isfinite(c), c, 1e9)
 
-    def cost_fn(Z):
-        dl, dr, _ = unpack(Z)
-        pos = predict(Z)
-        err = pos[..., :H, :] - p_ref[:H]
-        c = cfg.w_p * np.sum(err * err, axis=(-2, -1))
-        ddl = np.diff(dl, axis=-1, prepend=prev_delta[0])
-        ddr = np.diff(dr, axis=-1, prepend=prev_delta[1])
-        c = c + cfg.w_u * (np.sum(ddl * ddl, axis=-1) + np.sum(ddr * ddr, axis=-1))
-        return np.where(np.isfinite(c), c, 1e9)
+        n_var = 3 * H
+        cache: dict = {}
 
-    n_var = 3 * H
-    cache: dict = {}
+        def value_and_grad(Z):
+            key = Z.tobytes()
+            if key not in cache:
+                cache.clear()
+                h = 1e-6 * np.maximum(1.0, np.abs(Z))
+                batch = np.vstack([Z[None, :], Z + np.diag(h)])
+                c = cost_fn(batch)
+                cache[key] = (float(c[0]), (c[1:] - c[0]) / h)
+            return cache[key]
 
-    def value_and_grad(Z):
-        key = Z.tobytes()
-        if key not in cache:
-            cache.clear()
-            h = 1e-6 * np.maximum(1.0, np.abs(Z))
-            batch = np.vstack([Z[None, :], Z + np.diag(h)])
-            c = cost_fn(batch)
-            cache[key] = (float(c[0]), (c[1:] - c[0]) / h)
-        return cache[key]
+        # Rope bounds map to boxes on the deviations; propeller is bilateral.
+        lo = np.empty((H, 3))
+        hi = np.empty((H, 3))
+        lo[:, 0] = (-scenario.f_r_max - ff[:, 0]) / f_scale[0]
+        hi[:, 0] = (0.0 - ff[:, 0]) / f_scale[0]
+        lo[:, 1] = (-scenario.f_r_max - ff[:, 1]) / f_scale[1]
+        hi[:, 1] = (0.0 - ff[:, 1]) / f_scale[1]
+        if scenario.f_p_max > 0.0:
+            lo[:, 2], hi[:, 2] = -1.0, 1.0
+        else:
+            lo[:, 2], hi[:, 2] = 0.0, 0.0
 
-    # Rope bounds map to boxes on the deviations; propeller is bilateral.
-    lo = np.empty((H, 3))
-    hi = np.empty((H, 3))
-    lo[:, 0] = (-scenario.f_r_max - ff[:, 0]) / f_scale[0]
-    hi[:, 0] = (0.0 - ff[:, 0]) / f_scale[0]
-    lo[:, 1] = (-scenario.f_r_max - ff[:, 1]) / f_scale[1]
-    hi[:, 1] = (0.0 - ff[:, 1]) / f_scale[1]
-    if scenario.f_p_max > 0.0:
-        lo[:, 2], hi[:, 2] = -1.0, 1.0
-    else:
-        lo[:, 2], hi[:, 2] = 0.0, 0.0
+        z0 = (warm_start_from(prev, H) / f_scale).reshape(n_var)
+        z0 = np.clip(z0, lo.reshape(n_var), hi.reshape(n_var))
 
-    z0 = (warm_start if warm_start is not None else np.zeros((H, 3)))
-    z0 = (z0 / f_scale).reshape(n_var)
-    z0 = np.clip(z0, lo.reshape(n_var), hi.reshape(n_var))
-
-    problem = NlpProblem(objective=lambda Z: value_and_grad(Z)[0],
-                         gradient=lambda Z: value_and_grad(Z)[1],
-                         x0=z0, lower=lo.reshape(n_var), upper=hi.reshape(n_var),
-                         tol_stat=1e-5, tol_obj=1e-10, max_iter=cfg.max_iter)
-    degraded = False
-    try:
-        res = solve_nlp(problem)
-        z = np.clip(res.x, problem.lower, problem.upper)
-        diagnostics = {"status": res.status, "n_iter": res.n_iter,
-                       "objective": res.objective}
-    except RuntimeError as exc:  # the solver gave up, e.g. nnls at its iteration cap
-        z = z0
-        degraded = True
-        diagnostics = {"status": "failed", "error": str(exc)}
-    dl, dr, fp = unpack(z)
-    if not (np.all(np.isfinite(dl)) and np.all(np.isfinite(dr))
-            and np.all(np.isfinite(fp))):
-        dl, dr, fp = unpack(np.clip(z0, problem.lower, problem.upper))
-        degraded = True
-    pos = predict(z)
-    return MpcSolution(delta_left=dl, delta_right=dr, f_prop=fp,
-                       predicted_positions=pos, horizon=H,
-                       degraded=degraded, diagnostics=diagnostics)
+        problem = NlpProblem(objective=lambda Z: value_and_grad(Z)[0],
+                             gradient=lambda Z: value_and_grad(Z)[1],
+                             x0=z0, lower=lo.reshape(n_var), upper=hi.reshape(n_var),
+                             tol_stat=1e-5, tol_obj=1e-10, max_iter=cfg.max_iter)
+        degraded = False
+        try:
+            res = solve_nlp(problem)
+            z = np.clip(res.x, problem.lower, problem.upper)
+            diagnostics = {"status": res.status, "n_iter": res.n_iter,
+                           "objective": res.objective}
+        except RuntimeError as exc:  # the solver gave up, e.g. nnls at its iteration cap
+            z = z0
+            degraded = True
+            diagnostics = {"status": "failed", "error": str(exc)}
+        dl, dr, fp = unpack(z)
+        if not (np.all(np.isfinite(dl)) and np.all(np.isfinite(dr))
+                and np.all(np.isfinite(fp))):
+            dl, dr, fp = unpack(np.clip(z0, problem.lower, problem.upper))
+            degraded = True
+        return MpcSolution(delta_left=dl, delta_right=dr, f_prop=fp,
+                           predicted_positions=predict(z),
+                           degraded=degraded, diagnostics=diagnostics)

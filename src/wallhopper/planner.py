@@ -21,13 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrator import IntegratorConfig, rollout_arrays, step_arrays
-from .model import (
-    Ellipsoid,
-    Scenario,
-    inverse_kinematics,
-    jacobian_arrays,
-    position_arrays,
-)
+from .model import Ellipsoid, Scenario, inverse_kinematics, position_arrays
 from .solvers import NlpProblem, solve_nlp
 from .stability import tangent_frame
 

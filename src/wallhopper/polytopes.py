@@ -9,17 +9,12 @@ single-axis contacts are legitimately lower-dimensional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .solvers import (
-    STATUS_OPTIMAL,
-    STATUS_UNBOUNDED,
-    LpProblem,
-    solve_lp,
-)
+from .solvers import STATUS_OPTIMAL, STATUS_UNBOUNDED, solve_lp
 
 CONTAIN_TOL = 1e-8
 
@@ -60,10 +55,6 @@ class HPolytope:
             raise ValueError("A and b row counts differ")
 
     @property
-    def dim(self) -> int:
-        return self.A.shape[1]
-
-    @property
     def n_rows(self) -> int:
         return self.b.size
 
@@ -72,7 +63,6 @@ class HPolytope:
 class MarginResult:
     gamma: float
     status: str                     # "ok" | "infeasible_origin" | "unbounded"
-    binding_row: int | None = None
 
 
 def _lexsorted(points: np.ndarray) -> np.ndarray:
@@ -118,14 +108,6 @@ def convex_hull(points) -> VPolytope:
     return VPolytope(_lexsorted(points[hull.vertices]), degenerate=True)
 
 
-def minkowski_sum(P: VPolytope, Q: VPolytope) -> VPolytope:
-    """Hull of all pairwise vertex sums."""
-    if P.dim != Q.dim:
-        raise ValueError("dimension mismatch in Minkowski sum")
-    sums = (P.vertices[:, None, :] + Q.vertices[None, :, :]).reshape(-1, P.dim)
-    return convex_hull(sums)
-
-
 def _dedup_rows(A: np.ndarray, b: np.ndarray, decimals: int = 9):
     stacked = np.column_stack([A, b])
     _, idx = np.unique(np.round(stacked, decimals), axis=0, return_index=True)
@@ -165,20 +147,14 @@ def directional_margin(H: HPolytope, w0, v_hat) -> MarginResult:
         return MarginResult(0.0, "infeasible_origin")
     av = H.A @ v_hat
     slack = H.b - H.A @ w0
-    lp = LpProblem(c=np.array([-1.0]), A_ub=av[:, None], b_ub=slack,
-                   bounds=[(0.0, None)])
-    res = solve_lp(lp)
+    res = solve_lp(np.array([-1.0]), A_ub=av[:, None], b_ub=slack, bounds=[(0.0, None)])
     if res.status == STATUS_UNBOUNDED:
         return MarginResult(np.inf, "unbounded")
     if res.status != STATUS_OPTIMAL:
         # w0 passed the containment check, so the LP is feasible at gamma=0;
         # any other failure is a numerical corner worth surfacing.
         raise RuntimeError(f"margin LP unexpectedly {res.status}")
-    gamma = float(res.x[0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(av > 1e-14, slack / av, np.inf)
-    binding = int(np.argmin(ratios)) if np.isfinite(ratios).any() else None
-    return MarginResult(gamma, "ok", binding)
+    return MarginResult(float(res.x[0]), "ok")
 
 
 def membership_distance(P: VPolytope, w) -> float:
@@ -198,14 +174,8 @@ def membership_distance(P: VPolytope, w) -> float:
                      [-V, -np.ones((d, 1))]])
     b_ub = np.concatenate([w, -w])
     A_eq = np.concatenate([np.ones(n), [0.0]])[None, :]
-    lp = LpProblem(c=c, A_ub=A_ub, b_ub=b_ub,
-                   bounds=[(0.0, None)] * n + [(0.0, None)])
-    res = solve_lp(lp, A_eq=A_eq, b_eq=np.array([1.0]))
+    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.array([1.0]),
+                   bounds=[(0.0, None)] * (n + 1))
     if res.status != STATUS_OPTIMAL:
         raise RuntimeError(f"membership LP {res.status}")
     return float(res.value)
-
-
-def membership_lp(P: VPolytope, w, tol: float = CONTAIN_TOL) -> bool:
-    """V-representation membership test, independent of any H-representation."""
-    return membership_distance(P, w) <= tol

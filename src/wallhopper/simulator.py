@@ -49,9 +49,6 @@ PHASE_FLIGHT = 1
 PHASE_HOLD = 2          # past t_f, waiting for delayed touch-down
 PHASE_CONTACT = 3
 
-PHASE_NAMES = {PHASE_THRUST: "thrust", PHASE_FLIGHT: "flight",
-               PHASE_HOLD: "hold", PHASE_CONTACT: "contact"}
-
 
 @dataclass(frozen=True)
 class DisturbanceSpec:
@@ -121,7 +118,7 @@ class SimTrace:
     velocities: np.ndarray           # (M, 3) Cartesian
     inputs: np.ndarray               # (M, 6) applied input (ZOH)
     disturbance: np.ndarray          # (M, 3)
-    phase: np.ndarray                # (M,) ints, see PHASE_NAMES
+    phase: np.ndarray                # (M,) ints, see PHASE_*
     events: dict                     # name -> time
     e_a: np.ndarray                  # target minus final position
     meta: dict = field(default_factory=dict)
@@ -129,10 +126,6 @@ class SimTrace:
     @property
     def landing_error_norm(self) -> float:
         return float(np.linalg.norm(self.e_a))
-
-    def wall_gap(self, scenario: Scenario) -> np.ndarray:
-        """Wheel-plane gap n.p - d_w per sample."""
-        return self.positions @ scenario.wall_normal - scenario.d_w
 
 
 class _Recorder:

@@ -7,6 +7,11 @@ L-BFGS-B when only bounds are present, both fed with the caller's gradient
 and constraint Jacobian.  KKT multipliers are recovered a posteriori by a
 non-negative least-squares fit on the active set so that the reported
 stationarity residual can be recomputed independently.
+
+The LP path is one thin call to HiGHS through ``scipy.optimize.linprog``:
+``solve_lp`` takes linprog's own arguments, leaves variables free unless
+bounds are given, and maps linprog's ending to one of the status strings
+below (optimal, unbounded, infeasible, max_iters, failed).
 """
 
 from __future__ import annotations
@@ -149,46 +154,25 @@ def solve_nlp(problem: NlpProblem) -> NlpResult:
 
 
 @dataclass
-class LpProblem:
-    c: np.ndarray
-    A_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
-    bounds: list | None = None    # per-variable (lo, hi); None entries mean free
-
-    def __post_init__(self):
-        self.c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        n = self.c.size
-        if self.A_ub is None:
-            self.A_ub = np.zeros((0, n))
-            self.b_ub = np.zeros(0)
-        else:
-            self.A_ub = np.atleast_2d(np.asarray(self.A_ub, dtype=float))
-            self.b_ub = np.atleast_1d(np.asarray(self.b_ub, dtype=float))
-        if self.A_ub.shape != (self.b_ub.size, n):
-            raise ValueError("A_ub/b_ub dimensions inconsistent with c")
-        if self.bounds is None:
-            self.bounds = [(None, None)] * n
-
-
-@dataclass
 class LpResult:
     x: np.ndarray | None
     value: float
     status: str
-    ineq_duals: np.ndarray | None = None
-    slacks: np.ndarray | None = None
 
 
-def solve_lp(problem: LpProblem, A_eq=None, b_eq=None) -> LpResult:
-    """Minimise c.x subject to A_ub x <= b_ub (and optional equalities)."""
-    res = optimize.linprog(problem.c, A_ub=problem.A_ub if problem.A_ub.size else None,
-                           b_ub=problem.b_ub if problem.b_ub.size else None,
-                           A_eq=A_eq, b_eq=b_eq, bounds=problem.bounds,
-                           method="highs")
+def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LpResult:
+    """Minimise c.x subject to A_ub x <= b_ub and A_eq x = b_eq.
+
+    The arguments are linprog's own; bounds default to free variables
+    (not linprog's x >= 0).
+    """
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    if bounds is None:
+        bounds = [(None, None)] * c.size
+    res = optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                           bounds=bounds, method="highs")
     if res.status == 0:
-        duals = res.ineqlin.marginals if problem.A_ub.size else np.zeros(0)
-        slack = res.slack if problem.A_ub.size else np.zeros(0)
-        return LpResult(res.x, float(res.fun), STATUS_OPTIMAL, duals, slack)
+        return LpResult(res.x, float(res.fun), STATUS_OPTIMAL)
     if res.status == 3:
         return LpResult(None, -np.inf, STATUS_UNBOUNDED)
     if res.status == 2:
@@ -196,12 +180,3 @@ def solve_lp(problem: LpProblem, A_eq=None, b_eq=None) -> LpResult:
     # 1: iteration limit; 4: numerical trouble, or no verdict between
     # infeasible and unbounded.
     return LpResult(None, np.nan, STATUS_MAX_ITERS if res.status == 1 else STATUS_FAILED)
-
-
-def lp_complementarity_gap(result: LpResult) -> float:
-    """max_i |dual_i * slack_i| for the inequality rows of an optimal LP."""
-    if result.status != STATUS_OPTIMAL or result.ineq_duals is None:
-        raise ValueError("complementarity gap requires an optimal result")
-    if result.ineq_duals.size == 0:
-        return 0.0
-    return float(np.max(np.abs(result.ineq_duals * result.slacks)))

@@ -8,8 +8,10 @@ CoM: the four friction-pyramid corners of a wheel and the full pull of a
 rope.  A contact-force weight vector lambda over these columns, with the
 weights of one wheel summing to at most 1 and every weight in [0, 1],
 spans the feasible wrench polytope (FWP) in the sense of Orsolino et al.
-(RA-L 2018).  Static feasibility and the directional margin are each one
-LP over lambda, so no cell builds the polytope itself.
+(RA-L 2018).  ``margin_at`` answers both questions of a cell with one LP
+over lambda, so no cell builds the polytope itself: the LP is infeasible
+exactly when the contacts cannot balance the load (the cell is statically
+infeasible), and otherwise its optimum is the directional margin.
 
 ``build_fwp`` still forms the FWP explicitly (Minkowski sum plus Qhull) for
 its vertex and facet counts; the tests use it as an oracle for the LP.
@@ -18,10 +20,10 @@ All quantities in this module live in a frame attached to the CoM (axes
 parallel to the world frame); referencing wrenches about the CoM keeps
 the 6D polytopes full-dimensional.
 
-Sign conventions: gravitational_wrench returns the wrench gravity applies
-to the body, (m g, 0).  Membership and margin queries are posed on the
-load wrench -w_G that the contacts must realise for static balance; with
-the literal gravity wrench the test would be vacuously infeasible at
+Sign conventions: gravity applies the wrench w_G = (m g, 0) to the body.
+``load_wrench`` returns -w_G, the wrench the contacts must realise for
+static balance, and every membership and margin query is posed on it;
+with the literal gravity wrench the test would be vacuously infeasible at
 every position (contacts between wall anchors can never reproduce a net
 downward pull with zero moment).
 """
@@ -44,18 +46,12 @@ from .polytopes import (
     directional_margin,
     v_to_h,
 )
-from .solvers import (
-    STATUS_INFEASIBLE,
-    STATUS_OPTIMAL,
-    LpProblem,
-    LpResult,
-    solve_lp,
-)
+from .solvers import STATUS_INFEASIBLE, STATUS_OPTIMAL, solve_lp
 
 
 class CellError(ValueError):
     """No answer at this CoM position: a rope attachment coincides with its
-    anchor, or a contact-force LP ended neither optimal nor infeasible."""
+    anchor, or the margin LP ended neither optimal nor infeasible."""
 
 
 def tangent_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -68,15 +64,6 @@ def tangent_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t1 = seed - (seed @ n) * n
     t1 /= np.linalg.norm(t1)
     return t1, np.cross(n, t1)
-
-
-@dataclass(frozen=True)
-class Wrench:
-    force: np.ndarray
-    moment: np.ndarray
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.force, self.moment])
 
 
 @dataclass(frozen=True)
@@ -159,7 +146,6 @@ class FwpResult:
     h_polytope: HPolytope
     v_polytope: VPolytope
     raw_vertex_count: int
-    contact_wrenches: tuple
 
 
 def contact_wrench_polytopes(cs: ContactSet) -> tuple[VPolytope, ...]:
@@ -184,68 +170,13 @@ def build_fwp(cs: ContactSet) -> FwpResult:
     hull = convex_hull(combo)
     if hull.degenerate:
         raise DegeneracyError("contact geometry produced a flat wrench polytope")
-    return FwpResult(v_to_h(hull), hull, raw_count, parts)
-
-
-def gravitational_wrench(scenario: Scenario) -> Wrench:
-    """Wrench of gravity about the CoM: pure force m*g, zero moment."""
-    return Wrench(scenario.mass * scenario.gravity, np.zeros(3))
+    return FwpResult(v_to_h(hull), hull, raw_count)
 
 
 def load_wrench(scenario: Scenario) -> np.ndarray:
-    """Wrench the contacts must realise for static balance: -w_G."""
-    return -gravitational_wrench(scenario).as_array()
-
-
-def _contact_lp(cs: ContactSet, w, with_limits: bool, v_hat=None) -> LpResult:
-    """LP over the contact-force weights lambda realising the wrench w.
-
-    G holds the wrench columns about the CoM: the 4 pyramid corners of each
-    wheel, then the full pull of each rope.  Constraints: G lambda = w,
-    lambda >= 0 and, with limits on, lambda <= 1 with the 4 weights of each
-    wheel summing to at most 1.  With limits off the weights are unbounded
-    and feasibility reduces to membership in the contact wrench cone.
-
-    With v_hat the LP also maximises gamma >= 0 (the last entry of the
-    solution) over a second weight vector with G lambda' - gamma v_hat = w
-    under the same limits.  The FWP is convex, so it then holds the whole
-    segment from w to w + gamma v_hat.
-    """
-    corners = _pyramid_corners(cs.contact_normal, cs.mu, cs.f_leg_max)
-    forces = np.vstack([corners, corners, -cs.f_r_max * cs.axis_left,
-                        -cs.f_r_max * cs.axis_right])
-    points = np.repeat([cs.wheel_left, cs.wheel_right, cs.hoist_left, cs.hoist_right],
-                       [4, 4, 1, 1], axis=0)
-    G = lift_to_wrench(forces, points).T
-    n = G.shape[1]
-    wheel_sums = np.zeros((2, n))
-    wheel_sums[0, 0:4] = 1.0
-    wheel_sums[1, 4:8] = 1.0
-    bounds = [(0.0, 1.0 if with_limits else None)] * n
-    c = np.zeros(n)
-    w = np.asarray(w, dtype=float)
-    if v_hat is not None:
-        G = block_diag(G, np.column_stack([G, -v_hat]))
-        wheel_sums = np.column_stack([block_diag(wheel_sums, wheel_sums), np.zeros(4)])
-        bounds = 2 * bounds + [(0.0, None)]
-        c = np.append(np.zeros(2 * n), -1.0)
-        w = np.concatenate([w, w])
-    A_ub = b_ub = None
-    if with_limits:
-        A_ub, b_ub = wheel_sums, np.ones(wheel_sums.shape[0])
-    return solve_lp(LpProblem(c=c, A_ub=A_ub, b_ub=b_ub, bounds=bounds), A_eq=G, b_eq=w)
-
-
-def equilibrium_lp(cs: ContactSet, w, with_limits: bool) -> bool:
-    """Existence of admissible contact forces realising the wrench w."""
-    return _contact_lp(cs, w, with_limits).status == STATUS_OPTIMAL
-
-
-def feasibility(p, scenario: Scenario, with_limits: bool = True) -> bool:
-    """Static feasibility of CoM position p: can the contacts realise the
-    load wrench (within their limits when with_limits is set)?"""
-    return equilibrium_lp(contact_geometry(p, scenario), load_wrench(scenario),
-                          with_limits)
+    """Wrench the contacts must realise for static balance: minus gravity's
+    wrench about the CoM, -(m g, 0)."""
+    return -np.concatenate([scenario.mass * scenario.gravity, np.zeros(3)])
 
 
 def _check_direction(v_hat) -> np.ndarray:
@@ -258,11 +189,36 @@ def _check_direction(v_hat) -> np.ndarray:
 
 
 def margin_at(p, v_hat, scenario: Scenario) -> MarginResult:
-    """Directional feasibility margin of the load wrench at CoM position p:
-    the largest gamma >= 0 with load + gamma * v_hat inside the FWP."""
+    """Directional feasibility margin of the load wrench w at CoM position p:
+    the largest gamma >= 0 with w + gamma * v_hat inside the FWP.
+
+    G holds the wrench columns about the CoM: the 4 pyramid corners of each
+    wheel, then the full pull of each rope.  The LP has two weight vectors
+    under the same limits (every weight in [0, 1], the 4 weights of each
+    wheel summing to at most 1): lambda with G lambda = w, and lambda' with
+    G lambda' - gamma v_hat = w, maximising gamma >= 0 (the last variable).
+    The FWP is convex, so it holds the whole segment from w to
+    w + gamma v_hat.  The LP is infeasible exactly when no admissible
+    lambda balances w; the cell then reports "infeasible_origin".
+    """
     v_hat = _check_direction(v_hat)
-    res = _contact_lp(contact_geometry(p, scenario), load_wrench(scenario),
-                     with_limits=True, v_hat=v_hat)
+    cs = contact_geometry(p, scenario)
+    corners = _pyramid_corners(cs.contact_normal, cs.mu, cs.f_leg_max)
+    forces = np.vstack([corners, corners, -cs.f_r_max * cs.axis_left,
+                        -cs.f_r_max * cs.axis_right])
+    points = np.repeat([cs.wheel_left, cs.wheel_right, cs.hoist_left, cs.hoist_right],
+                       [4, 4, 1, 1], axis=0)
+    G = lift_to_wrench(forces, points).T
+    n = G.shape[1]
+    wheel_sums = np.zeros((4, 2 * n + 1))
+    for row, first in enumerate((0, 4, n, n + 4)):
+        wheel_sums[row, first:first + 4] = 1.0
+    w = load_wrench(scenario)
+    res = solve_lp(np.append(np.zeros(2 * n), -1.0),
+                   A_ub=wheel_sums, b_ub=np.ones(4),
+                   A_eq=block_diag(G, np.column_stack([G, -v_hat])),
+                   b_eq=np.concatenate([w, w]),
+                   bounds=[(0.0, 1.0)] * (2 * n) + [(0.0, None)])
     if res.status == STATUS_INFEASIBLE:
         return MarginResult(0.0, "infeasible_origin")
     if res.status != STATUS_OPTIMAL:

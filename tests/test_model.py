@@ -6,6 +6,7 @@ import pytest
 
 from wallhopper.integrator import IntegratorConfig, rollout_arrays
 from wallhopper.model import (
+    Ellipsoid,
     KinematicsError,
     Scenario,
     bias_arrays,
@@ -327,3 +328,16 @@ class TestScenarioValidation:
             Scenario(mass=-5.0)
         with pytest.raises(ValueError):
             Scenario(t_th=-0.1)
+
+    def test_obstacle_needs_x_wall_normal(self):
+        # The ellipsoid is axis-aligned with x normal to the wall; under any
+        # other wall normal the planner would bound p_x instead of n.p.
+        bump = Ellipsoid(center=np.array([50.0, 2.5, -6.0]), semi_axes=np.ones(3))
+        tilted = np.array([0.98, 0.0, 0.2])
+        with pytest.raises(ValueError, match="obstacle"):
+            Scenario(wall_normal=tilted, obstacle=bump)
+        with pytest.raises(ValueError, match="obstacle"):
+            Scenario(wall_normal=tilted).with_(obstacle=bump)
+        Scenario(wall_normal=tilted)
+        Scenario(obstacle=bump)
+        Scenario(wall_normal=np.array([2.0, 0.0, 0.0]), obstacle=bump)

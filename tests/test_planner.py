@@ -10,7 +10,6 @@ import pytest
 from wallhopper.integrator import IntegratorConfig, rollout_arrays
 from wallhopper.model import Ellipsoid, Scenario, position_arrays
 from wallhopper.planner import (
-    JumpPlan,
     PlannerWeights,
     PlanningError,
     audit_plan,

@@ -8,10 +8,8 @@ import pytest
 from wallhopper.solvers import (
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
-    LpProblem,
     NlpProblem,
     kkt_residual,
-    lp_complementarity_gap,
     solve_lp,
     solve_nlp,
 )
@@ -156,18 +154,15 @@ def vertex_enumeration(c, A, b, lo, hi):
 class TestLp:
     def test_simple_maximum(self):
         # max gamma s.t. gamma <= 1, posed as min -gamma.
-        p = LpProblem(c=[-1.0], A_ub=[[1.0]], b_ub=[1.0])
-        res = solve_lp(p)
+        res = solve_lp([-1.0], A_ub=[[1.0]], b_ub=[1.0])
         assert res.status == STATUS_OPTIMAL
         assert res.x[0] == pytest.approx(1.0)
 
     def test_unbounded_detected(self):
-        p = LpProblem(c=[-1.0])
-        assert solve_lp(p).status == STATUS_UNBOUNDED
+        assert solve_lp([-1.0]).status == STATUS_UNBOUNDED
 
     def test_infeasible_detected(self):
-        p = LpProblem(c=[1.0], A_ub=[[1.0], [-1.0]], b_ub=[-2.0, -2.0])
-        assert solve_lp(p).status == "infeasible"
+        assert solve_lp([1.0], A_ub=[[1.0], [-1.0]], b_ub=[-2.0, -2.0]).status == "infeasible"
 
     def test_random_lp_matches_vertex_enumeration(self):
         rng = np.random.default_rng(13)
@@ -177,19 +172,8 @@ class TestLp:
             A = rng.normal(size=(m, n))
             b = rng.uniform(0.2, 1.0, size=m)
             lo, hi = -np.ones(n), np.ones(n)
-            p = LpProblem(c=c, A_ub=A, b_ub=b, bounds=list(zip(lo, hi)))
-            res = solve_lp(p)
+            res = solve_lp(c, A_ub=A, b_ub=b, bounds=list(zip(lo, hi)))
             assert res.status == STATUS_OPTIMAL
             _, val_ref = vertex_enumeration(c, A, b, lo, hi)
             assert res.value == pytest.approx(val_ref, abs=1e-7)
             assert np.all(A @ res.x <= b + 1e-8)
-
-    def test_complementary_slackness(self):
-        rng = np.random.default_rng(14)
-        c = rng.normal(size=5)
-        A = rng.normal(size=(8, 5))
-        b = rng.uniform(0.2, 1.0, size=8)
-        p = LpProblem(c=c, A_ub=A, b_ub=b, bounds=[(-1.0, 1.0)] * 5)
-        res = solve_lp(p)
-        assert res.status == STATUS_OPTIMAL
-        assert lp_complementarity_gap(res) < 1e-8

@@ -14,9 +14,6 @@ from wallhopper.stability import (
     HeatmapGrid,
     build_fwp,
     contact_geometry,
-    equilibrium_lp,
-    feasibility,
-    gravitational_wrench,
     lift_to_wrench,
     load_wrench,
     margin_at,
@@ -39,7 +36,12 @@ def grid_positions(n):
     return [np.array([grid.x, y, z]) for y in grid.y_values for z in grid.z_values]
 
 
-def force_existence_oracle(cs, w, with_limits=True, tol=1e-6):
+def feasible(p, scen):
+    """Static feasibility verdict: the margin LP has a solution."""
+    return margin_at(p, PULL_OFF, scen).status == "ok"
+
+
+def force_existence_oracle(cs, w, tol=1e-6):
     """Brute-force oracle: solve for raw contact forces reproducing w.
 
     Variables are the two 3D wheel forces and the two rope tension
@@ -62,11 +64,10 @@ def force_existence_oracle(cs, w, with_limits=True, tol=1e-6):
         row[base:base + 3] = -n
         rows.append(row)
         rhs.append(0.0)
-        if with_limits:
-            row = np.zeros(n_vars)              # actuation: n.f <= f_leg_max
-            row[base:base + 3] = n
-            rows.append(row)
-            rhs.append(cs.f_leg_max)
+        row = np.zeros(n_vars)                  # actuation: n.f <= f_leg_max
+        row[base:base + 3] = n
+        rows.append(row)
+        rhs.append(cs.f_leg_max)
     A_ub, b_ub = np.array(rows), np.array(rhs)
     # Wrench balance: wheel wrenches plus rope wrenches equal w.
     A_eq = np.zeros((6, n_vars))
@@ -80,8 +81,7 @@ def force_existence_oracle(cs, w, with_limits=True, tol=1e-6):
                                          (cs.axis_right, cs.hoist_right))):
         A_eq[:3, 6 + col] = -axis
         A_eq[3:, 6 + col] = np.cross(hoist, -axis)
-    s_hi = cs.f_r_max if with_limits else None
-    bounds = [(None, None)] * 6 + [(0.0, s_hi)] * 2
+    bounds = [(None, None)] * 6 + [(0.0, cs.f_r_max)] * 2
     res = optimize.linprog(np.zeros(n_vars), A_ub=A_ub, b_ub=b_ub + tol,
                            A_eq=A_eq, b_eq=w, bounds=bounds, method="highs")
     return res.status == 0
@@ -211,59 +211,40 @@ class TestBuildFwp:
 
 
 class TestGravitationalWrench:
+    """The load wrench is minus gravity's wrench about the CoM."""
+
     def test_paper_mass_value(self):
-        w = gravitational_wrench(LAND)
-        np.testing.assert_allclose(w.force, [0.0, 0.0, -147.15])
-        np.testing.assert_allclose(w.moment, 0.0)
+        np.testing.assert_allclose(load_wrench(LAND), [0.0, 0.0, 147.15, 0.0, 0.0, 0.0])
 
     def test_zero_mass(self):
-        w = gravitational_wrench(Scenario(mass=0.0))
-        np.testing.assert_allclose(w.as_array(), 0.0)
+        np.testing.assert_allclose(load_wrench(Scenario(mass=0.0)), 0.0)
 
     def test_moment_zero_in_com_frame(self):
-        np.testing.assert_allclose(gravitational_wrench(Scenario()).moment, 0.0)
+        np.testing.assert_allclose(load_wrench(Scenario())[3:], 0.0)
 
 
 class TestFeasibility:
     def test_between_anchors_feasible(self):
-        assert feasibility(np.array([1.5, 2.5, -6.5]), LAND)
+        assert feasible(np.array([1.5, 2.5, -6.5]), LAND)
 
     def test_far_outside_span_infeasible(self):
-        assert not feasibility(np.array([1.5, 9.0, -6.5]), LAND)
-        assert not feasibility(np.array([1.5, -4.0, -6.5]), LAND)
+        assert not feasible(np.array([1.5, 9.0, -6.5]), LAND)
+        assert not feasible(np.array([1.5, -4.0, -6.5]), LAND)
 
     def test_verdict_matches_oracle_on_grid(self):
         for y in np.linspace(0.5, 4.5, 5):
             for z in np.linspace(-9.0, -3.0, 5):
                 p = np.array([1.5, y, z])
                 cs = contact_geometry(p, LAND)
-                ours = feasibility(p, LAND)
+                ours = feasible(p, LAND)
                 oracle = force_existence_oracle(cs, load_wrench(LAND))
                 assert ours == oracle, f"mismatch at {p}"
 
-    def test_limits_off_matches_cone_oracle(self):
-        for y in (0.5, 2.5, 4.5):
-            p = np.array([1.5, y, -6.0])
-            cs = contact_geometry(p, LAND)
-            ours = feasibility(p, LAND, with_limits=False)
-            oracle = force_existence_oracle(cs, load_wrench(LAND), with_limits=False)
-            assert ours == oracle
-
-    @pytest.mark.parametrize("with_limits", [True, False])
-    def test_tilted_normal_matches_oracle_on_grid(self, with_limits):
+    def test_tilted_normal_matches_oracle_on_grid(self):
         w = load_wrench(TILTED)
         for p in grid_positions(7):
-            cs = contact_geometry(p, TILTED)
-            oracle = force_existence_oracle(cs, w, with_limits=with_limits)
-            assert feasibility(p, TILTED, with_limits=with_limits) == oracle, \
-                f"mismatch at {p}"
-            assert equilibrium_lp(cs, w, with_limits=with_limits) == oracle, \
-                f"mismatch at {p}"
-
-    def test_equilibrium_lp_consistent_with_hrep(self):
-        p = np.array([1.5, 2.5, -6.5])
-        cs = contact_geometry(p, LAND)
-        assert equilibrium_lp(cs, load_wrench(LAND), with_limits=True)
+            oracle = force_existence_oracle(contact_geometry(p, TILTED), w)
+            assert feasible(p, TILTED) == oracle, f"mismatch at {p}"
 
 
 class TestMargins:
@@ -353,7 +334,7 @@ class TestMargins:
             cells = set()
             for y in np.linspace(0.0, 5.0, 6):
                 for z in np.linspace(-10.0, -2.0, 6):
-                    if feasibility(np.array([1.5, y, z]), scen):
+                    if feasible(np.array([1.5, y, z]), scen):
                         cells.add((y, z))
             feas_sets.append(cells)
         assert feas_sets[0] <= feas_sets[1] <= feas_sets[2]
