@@ -7,12 +7,23 @@ and rollout_arrays a whole input schedule; every caller steps the model
 through these two.
 
 step_arrays chooses between the two bindings of the model's dynamics
-kernel from the shapes of its inputs.  A batch of states (MPC predictions,
-planner gradients) runs on numpy arrays.  One 6-vector state with a 6-vector
-input and a scalar dt (planner line-search values, the simulator's 1 ms
-steps) runs on Python floats, where numpy's per-call cost would dominate.
-Both give the same numbers bit for bit, NaN for states outside the model
-domain included; neither raises on them.
+kernel from the shapes and types of its inputs.  A batch of states (MPC
+predictions, planner Jacobians) runs on numpy arrays.  One real 6-vector
+state with a real 6-vector input and a float dt (planner values, the
+simulator's 1 ms steps) runs on Python floats, where numpy's per-call cost
+would dominate.  Both give the same numbers bit for bit, NaN for states
+outside the model domain included; neither raises on them.  Complex inputs
+always take the array binding, whatever their shape: the float path is
+real-only.
+
+step_jacobians differentiates one step by complex step (Squire & Trapp,
+SIAM Rev. 1998): the kernel is analytic, so the imaginary part of
+f(x + i h e), divided by h, is df/dx e to round-off, with no difference of
+nearby values to cancel.  It perturbs the 13 inputs of a step (x, u, dt)
+at once and runs every row of a batch, and every direction, through one
+batched step_arrays call.  rollout_arrays lets the dtype of its inputs
+flow through, so a complex decision vector can be stepped through a whole
+schedule as well.
 """
 
 from __future__ import annotations
@@ -66,13 +77,14 @@ def step_arrays(x, u, dt, cfg: IntegratorConfig, scenario: Scenario, extra_force
     """Advance one knot interval dt with cfg.n_sub equal sub-steps.
 
     dt may carry batch dimensions matching x's leading dimensions.  A single
-    state (x and u 6-vectors, dt a scalar, extra_force None or a 3-vector)
-    is stepped on Python floats.
+    real state (x and u real 6-vectors, dt a float, extra_force None or a
+    3-vector) is stepped on Python floats; complex inputs stay arrays.
     """
-    if np.ndim(x) == 1 and np.ndim(u) == 1 and np.ndim(dt) == 0 \
-            and np.ndim(extra_force) <= 1:
-        xs = np.asarray(x, dtype=float).tolist()
-        us = np.asarray(u, dtype=float).tolist()
+    xs, us = np.asarray(x), np.asarray(u)
+    if xs.ndim == 1 and us.ndim == 1 and isinstance(dt, float) \
+            and np.ndim(extra_force) <= 1 and "c" not in (xs.dtype.kind, us.dtype.kind):
+        xs = xs.astype(float, copy=False).tolist()
+        us = us.astype(float, copy=False).tolist()
         ext = None if extra_force is None else np.asarray(extra_force, dtype=float).tolist()
         h = float(dt) / cfg.n_sub
         for _ in range(cfg.n_sub):
@@ -90,13 +102,38 @@ def rollout_arrays(x0, u_schedule, dt, cfg: IntegratorConfig, scenario: Scenario
     """Propagate a per-knot input schedule from x0, one step_arrays per knot.
 
     x0: (..., 6); u_schedule: (..., N, 6); dt: scalar or (...,).
-    Returns knot states of shape (..., N+1, 6); bad configurations yield NaN.
+    Returns knot states of shape (..., N+1, 6), real or complex as the
+    inputs are; bad configurations yield NaN.
     """
     n_knots = u_schedule.shape[-2]
-    x = np.asarray(x0, dtype=float)
-    out = np.empty(x.shape[:-1] + (n_knots + 1, 6))
+    x = np.asarray(x0)
+    out = np.empty(x.shape[:-1] + (n_knots + 1, 6),
+                   dtype=np.result_type(x, u_schedule, np.asarray(dt), float))
     out[..., 0, :] = x
     for k in range(n_knots):
         x = step_arrays(x, u_schedule[..., k, :], dt, cfg, scenario)
         out[..., k + 1, :] = x
     return out
+
+
+# Complex-step size: small enough that the O(h^2) error in the real part and
+# the derivative vanish below round-off, large enough that h * derivative
+# stays far above the subnormal range.
+COMPLEX_STEP = 1e-30
+
+
+def step_jacobians(x, u, dt, cfg: IntegratorConfig, scenario: Scenario):
+    """Jacobian of step_arrays with respect to (x, u, dt), exact to round-off.
+
+    x: (..., 6); u: (..., 6); dt: scalar or (...,), all real.  Returns
+    d x_next / d(x, u, dt) of shape (..., 6, 13): columns 0-5 are the state,
+    6-11 the input and 12 the interval.  All rows and all 13 directions go
+    through one complex-perturbed batched step.  States outside the model
+    domain give NaN columns.
+    """
+    e = 1j * COMPLEX_STEP * np.eye(13)
+    x_c = np.asarray(x, dtype=float)[..., None, :] + e[:, 0:6]
+    u_c = np.asarray(u, dtype=float)[..., None, :] + e[:, 6:12]
+    dt_c = np.asarray(dt, dtype=float)[..., None] + e[:, 12]
+    x_next = step_arrays(x_c, u_c, dt_c, cfg, scenario)
+    return np.swapaxes(x_next.imag, -1, -2) / COMPLEX_STEP

@@ -37,11 +37,19 @@ where numpy's per-call cost would dominate.  Each binding computes r and
 sin/cos(psi) and owns the domain handling; both return NaN accelerations
 when r^2 <= 0 or psi is not finite, never raise, and agree bit for bit.
 
+The kernel is analytic in x and u: + - * / in the body, sqrt, sin and cos
+in the array binding.  So state_derivative_arrays also takes complex
+arrays, and a complex step x + i h e gives the derivative along e in its
+imaginary part, exact to round-off (integrator.step_jacobians builds the
+planner's Jacobians on this).  numpy orders complex numbers by their real
+part first, so the domain test r^2 > 0 reads the real part of such a step.
+
 A_d is invertible wherever the point lies off the anchor line: its
 determinant is -l1 l2 / d_a at every psi, so psi = 0 (the mass in the wall
 plane) is an ordinary configuration.  jacobian_arrays and bias_arrays give
 A_d and b_d on their own; the dynamics kernel does not call them, and the
-tests use them as its oracle.
+tests use them as its oracle.  The planner maps its state sensitivities to
+positions with jacobian_arrays.
 """
 
 from __future__ import annotations

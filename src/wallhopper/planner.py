@@ -12,16 +12,25 @@ pyramid on the leg impulse, wall (or ellipsoid-obstacle) clearance at
 every knot and a terminal ball |p(t_f) - p_tg| <= slack.  The cost adds a
 quadratic terminal-accuracy term, a smoothing penalty on successive rope
 force increments and the (smoothed) hoist work.
+
+The gradient and the constraint Jacobian are exact: one batched complex
+step (integrator.step_jacobians) gives the Jacobian of every step of the
+rollout, the thrust step and the N knots, at the knot states the value
+evaluation already holds.  Chained forward they give each knot state's
+sensitivity to z, A_d(q) maps those to positions, and each cost term and
+constraint row is differentiated by hand from there.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrator import IntegratorConfig, rollout_arrays, step_arrays
-from .model import Ellipsoid, Scenario, inverse_kinematics, position_arrays
+from .integrator import IntegratorConfig, rollout_arrays, step_arrays, step_jacobians
+from .model import (Ellipsoid, Scenario, inverse_kinematics, jacobian_arrays,
+                    position_arrays)
 from .solvers import NlpProblem, solve_nlp
 from .stability import tangent_frame
 
@@ -84,6 +93,15 @@ class JumpPlan:
         return u
 
 
+def _shadow(p_y, p_z, obstacle: Ellipsoid):
+    """(x - o_x)^2 on the bump's surface at (p_y, p_z), and its partial
+    derivatives in p_y and p_z; positive inside the bump's shadow."""
+    o, R = obstacle.center, obstacle.semi_axes
+    k_y, k_z = R[0] ** 2 / R[1] ** 2, R[0] ** 2 / R[2] ** 2
+    dy, dz = np.asarray(p_y) - o[1], np.asarray(p_z) - o[2]
+    return R[0] ** 2 - k_y * dy ** 2 - k_z * dz ** 2, -2.0 * k_y * dy, -2.0 * k_z * dz
+
+
 def obstacle_min_x(p_y, p_z, obstacle: Ellipsoid, clearance: float,
                    wall_offset: float):
     """Lower bound on p_x clearing an ellipsoidal bump (vectorised).
@@ -92,12 +110,9 @@ def obstacle_min_x(p_y, p_z, obstacle: Ellipsoid, clearance: float,
     shadow the bound is the bump surface plus the clearance, elsewhere the
     flat-wall offset applies.
     """
-    o, R = obstacle.center, obstacle.semi_axes
-    q = (R[0] ** 2
-         - (R[0] ** 2 / R[1] ** 2) * (np.asarray(p_y) - o[1]) ** 2
-         - (R[0] ** 2 / R[2] ** 2) * (np.asarray(p_z) - o[2]) ** 2)
+    q = _shadow(p_y, p_z, obstacle)[0]
     with np.errstate(invalid="ignore"):
-        x_hat = o[0] + np.sqrt(np.where(q > 0.0, q, 0.0)) + clearance
+        x_hat = obstacle.center[0] + np.sqrt(np.where(q > 0.0, q, 0.0)) + clearance
     return np.where(q > 0.0, x_hat, wall_offset)
 
 
@@ -111,11 +126,14 @@ def _static_pull(p0: np.ndarray, scenario: Scenario) -> np.ndarray:
 
 
 class ShootingProblem:
-    """Batched cost/constraint evaluation for the jump NLP.
+    """Cost, constraints and their exact Jacobians for the jump NLP.
 
     Decision variables are scaled to O(1): leg force by f_leg_max, rope
-    forces by f_r_max, t_f unscaled.  Gradients are forward finite
-    differences computed in one batched rollout and cached per point.
+    forces by f_r_max, t_f unscaled.  A value evaluation rolls out the knot
+    states and caches them per point; the Jacobians at that point chain
+    their per-step Jacobians (see the module docstring) and cost no second
+    rollout.  counters holds the number of value and Jacobian evaluations
+    and the seconds spent in each.
     """
 
     def __init__(self, p0, p_tg, scenario: Scenario, weights: PlannerWeights,
@@ -140,33 +158,46 @@ class ShootingProblem:
         self.cost_scale = 1.0 / max(1.0,
                                     weights.w_s * scenario.f_r_max ** 2 / 10.0,
                                     weights.w_hw * scenario.f_r_max)
-        t1, t2 = tangent_frame(scenario.contact_normal)
-        self.tangents = (t1, t2)
+        # Friction pyramid and actuation cap on the leg force, linear in it:
+        # leg_rows @ f_leg + leg_offsets <= 0.
+        n_c, mu = scenario.contact_normal, scenario.mu
+        t1, t2 = tangent_frame(n_c)
+        self.leg_rows = np.stack([-n_c, n_c, t1 - mu * n_c, -t1 - mu * n_c,
+                                  t2 - mu * n_c, -t2 - mu * n_c])
+        self.leg_offsets = np.array([0.0, -scenario.f_leg_max, 0.0, 0.0, 0.0, 0.0])
+        self.counters = {"value_evals": 0, "gradient_evals": 0,
+                         "value_s": 0.0, "gradient_s": 0.0}
         self._cache: dict = {}
 
     # -- transcription ------------------------------------------------------
 
     def rollout(self, Z):
-        """Z: (..., n_var) scaled decision vectors -> knot states (..., N+1, 6)."""
-        Z = np.asarray(Z, dtype=float)
-        z = Z * self.scale
+        """Z: (..., n_var) scaled decision vectors -> knot states (..., N+1, 6).
+
+        Real or complex, as Z is.
+        """
+        z = np.asarray(Z) * self.scale
         f_leg = z[..., 0:3]
         t_f = z[..., -1]
-        u_thrust = np.zeros(z.shape[:-1] + (6,))
+        u_thrust = np.zeros(z.shape[:-1] + (6,), dtype=z.dtype)
         u_thrust[..., 2:5] = f_leg
         x0 = np.broadcast_to(self.x_rest, z.shape[:-1] + (6,))
         x_lift = step_arrays(x0, u_thrust, self.scen.t_th, self.cfg, self.scen)
-        u_flight = np.zeros(z.shape[:-1] + (self.N, 6))
+        u_flight = np.zeros(z.shape[:-1] + (self.N, 6), dtype=z.dtype)
         u_flight[..., :, 0] = z[..., 3:3 + self.N]
         u_flight[..., :, 1] = z[..., 3 + self.N:3 + 2 * self.N]
         dt = t_f / self.N
         return rollout_arrays(x_lift, u_flight, dt, self.cfg, self.scen)
 
-    def cost_and_constraints(self, Z):
-        """Returns (cost (...,), g (..., m)) with g <= 0 feasible."""
-        Z = np.asarray(Z, dtype=float)
-        z = Z * self.scale
-        states = self.rollout(Z)
+    def cost_and_constraints(self, Z, states=None):
+        """Returns (cost (...,), g (..., m)) with g <= 0 feasible.
+
+        states are Z's knot states if the caller has them.  Real or complex
+        as Z is; NaN where the rollout leaves the model domain.
+        """
+        z = np.asarray(Z) * self.scale
+        if states is None:
+            states = self.rollout(Z)
         pos = position_arrays(states[..., 0], states[..., 1], states[..., 2],
                               self.scen.d_a)
         frl = z[..., 3:3 + self.N]
@@ -201,43 +232,100 @@ class ShootingProblem:
             bound = obstacle_min_x(pos[..., 1], pos[..., 2], self.scen.obstacle,
                                    self.w.clearance, self.scen.wall_offset)
             g_parts.append(bound - pos[..., 0])
-        # Friction pyramid and actuation cap on the leg impulse.
-        f_leg = z[..., 0:3]
-        n_c = self.scen.contact_normal
-        fn = np.einsum("...i,i->...", f_leg, n_c)
-        rows = [-fn, fn - self.scen.f_leg_max]
-        for t in self.tangents:
-            ft = np.einsum("...i,i->...", f_leg, t)
-            rows.append(ft - self.scen.mu * fn)
-            rows.append(-ft - self.scen.mu * fn)
-        g_parts.append(np.stack(rows, axis=-1))
-        g = np.concatenate(g_parts, axis=-1)
+        g_parts.append(z[..., 0:3] @ self.leg_rows.T + self.leg_offsets)
+        return cost * self.cost_scale, np.concatenate(g_parts, axis=-1)
 
-        bad = ~(np.isfinite(cost) & np.isfinite(g).all(axis=-1))
-        if np.any(bad):
-            cost = np.where(bad, 1e9, np.nan_to_num(cost, nan=1e9))
-            g = np.where(bad[..., None], 1e3, np.nan_to_num(g, nan=1e3))
-        return cost * self.cost_scale, g
+    def _exact_jacobians(self, Z, states):
+        """Exact (gradient (n_var,), constraint Jacobian (m, n_var)) at one
+        real point Z with knot states states, in the scaled variables."""
+        N, n, sc = self.N, self.n_var, self.scen
+        z = Z * self.scale
+        frl, frr = z[3:3 + N], z[3 + N:3 + 2 * N]
+        dt = z[-1] / N
+        # Step Jacobians of the thrust step and the N knot steps, one call.
+        u = np.zeros((N + 1, 6))
+        u[0, 2:5] = z[0:3]
+        u[1:, 0], u[1:, 1] = frl, frr
+        J = step_jacobians(np.vstack([self.x_rest, states[:-1]]), u,
+                           np.concatenate([[sc.t_th], np.full(N, dt)]), self.cfg, sc)
+        # S[k] = dx_k/dz: x_0 depends on f_leg alone; each knot step adds its
+        # rope forces and, through dt = t_f/N, the flight time.
+        S = np.zeros((N + 1, 6, n))
+        S[0, :, 0:3] = J[0, :, 8:11]
+        for k in range(N):
+            Jk = J[k + 1]
+            S[k + 1] = Jk[:, :6] @ S[k]
+            S[k + 1, :, 3 + k] += Jk[:, 6]
+            S[k + 1, :, 3 + N + k] += Jk[:, 7]
+            S[k + 1, :, -1] += Jk[:, 12] / N
+        # P[k] = dp_k/dz = A_d(q_k) dq_k/dz.
+        q = states[:, 0], states[:, 1], states[:, 2]
+        P = jacobian_arrays(*q, sc.d_a) @ S[:, :3]
+        pos = position_arrays(*q, sc.d_a)
+
+        d_term = 2.0 * (pos[-1] - self.p_tg) @ P[-1]
+        grad = self.w.w_term * d_term
+        d2 = HOIST_SMOOTHING_DELTA ** 2
+        for f, col, first in ((frl, 4, 3), (frr, 5, 3 + N)):
+            ramp = np.diff(f)
+            grad[first:first + N] += 2.0 * self.w.w_s * (
+                np.concatenate([[0.0], ramp]) - np.concatenate([ramp, [0.0]]))
+            rate = states[:-1, col]
+            a = f * rate
+            s = np.sqrt(a * a + d2)
+            da = a / s * dt                    # d(s dt)/da
+            grad += self.w.w_hw * (da @ (f[:, None] * S[:-1, col]))
+            grad[first:first + N] += self.w.w_hw * da * rate
+            grad[-1] += self.w.w_hw * np.sum(s) / N
+
+        if sc.obstacle is None:
+            clearance = -(sc.wall_normal @ P)
+        else:
+            # The bound o_x + sqrt(q) + clearance holds inside the shadow
+            # (q > 0) and is the constant wall offset outside it.
+            q_sh, dq_y, dq_z = _shadow(pos[:, 1], pos[:, 2], sc.obstacle)
+            inside = q_sh > 0.0
+            half = np.where(inside, 0.5 / np.sqrt(np.where(inside, q_sh, 1.0)), 0.0)
+            clearance = ((half * dq_y)[:, None] * P[:, 1]
+                         + (half * dq_z)[:, None] * P[:, 2] - P[:, 0])
+        leg = np.zeros((6, n))
+        leg[:, 0:3] = self.leg_rows
+        jac = np.vstack([d_term, clearance, leg])
+        return grad * self.scale * self.cost_scale, jac * self.scale
 
     # -- cached value/jacobian interface for the NLP solver -----------------
 
     def _values(self, Z):
         key = Z.tobytes()
-        if key not in self._cache:
+        entry = self._cache.get(key)
+        if entry is None:
+            t0 = time.perf_counter()
             if len(self._cache) > 8:
                 self._cache.clear()
-            cost, g = self.cost_and_constraints(Z)
-            self._cache[key] = {"cost": float(cost), "g": g}
-        return self._cache[key]
+            states = self.rollout(Z)
+            cost, g = self.cost_and_constraints(Z, states)
+            bad = not (np.isfinite(cost) and np.isfinite(g).all())
+            if bad:
+                # Outside the model domain: a large cost and violated rows
+                # send the line search back; the Jacobians there are zero.
+                cost, g = 1e9 * self.cost_scale, np.full(g.shape, 1e3)
+            entry = self._cache[key] = {"cost": float(cost), "g": g,
+                                        "states": None if bad else states}
+            self.counters["value_evals"] += 1
+            self.counters["value_s"] += time.perf_counter() - t0
+        return entry
 
     def _jacobians(self, Z):
         entry = self._values(Z)
         if "jac" not in entry:
-            h = 1e-6 * np.maximum(1.0, np.abs(Z))
-            cost, g = self.cost_and_constraints(Z + np.diag(h))
-            inv = 1.0 / h
-            entry["jac"] = ((cost - entry["cost"]) * inv,
-                            (g - entry["g"]) * inv[:, None])
+            t0 = time.perf_counter()
+            if entry["states"] is None:
+                entry["jac"] = (np.zeros(self.n_var),
+                                np.zeros((entry["g"].size, self.n_var)))
+            else:
+                entry["jac"] = self._exact_jacobians(Z, entry["states"])
+            self.counters["gradient_evals"] += 1
+            self.counters["gradient_s"] += time.perf_counter() - t0
         return entry["jac"]
 
     def objective(self, Z):
@@ -250,7 +338,7 @@ class ShootingProblem:
         return self._values(np.asarray(Z))["g"]
 
     def constraints_jac(self, Z):
-        return self._jacobians(np.asarray(Z))[1].T
+        return self._jacobians(np.asarray(Z))[1]
 
     def bounds(self):
         lo = np.concatenate([np.full(3, -(1.0 + self.scen.mu)),
@@ -304,7 +392,9 @@ def plan_jump(p0, p_tg, scenario: Scenario,
                      x0=prob.initial_guess(), lower=lo, upper=hi,
                      tol_feas=1e-7, tol_stat=1e-2, tol_obj=1e-6,
                      max_iter=max_iter)
+    t0 = time.perf_counter()
     res = solve_nlp(nlp)
+    nlp_s = time.perf_counter() - t0
     z = res.x * prob.scale
     # Snap tiny box violations left by the solver.
     z[3:3 + 2 * prob.N] = np.clip(z[3:3 + 2 * prob.N], -scenario.f_r_max, 0.0)
@@ -320,7 +410,8 @@ def plan_jump(p0, p_tg, scenario: Scenario,
                     solve_info={"status": res.status, "n_iter": res.n_iter,
                                 "kkt_residual": res.kkt_residual,
                                 "constraint_violation": res.constraint_violation,
-                                "objective": res.objective})
+                                "objective": res.objective,
+                                **prob.counters, "nlp_s": nlp_s})
     audit = audit_plan(plan, scenario, weights)
     plan.solve_info["audit"] = audit
     # Acceptance rests on the independent audit, not on the solver's verdict:

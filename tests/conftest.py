@@ -1,10 +1,15 @@
 """Fixtures shared by several test modules."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from wallhopper.model import Scenario
-from wallhopper.planner import plan_jump
+from wallhopper.planner import JumpPlan, plan_jump
+
+TRACK_PLAN = Path(__file__).resolve().parent.parent / "perfbench" / "track_plan.json"
 
 
 @pytest.fixture(scope="session")
@@ -12,3 +17,14 @@ def benchmark_plan():
     """The benchmark jump (0.2, 2.5, -6) -> (0.2, 4, -4) with the default
     scenario, weights and integrator, planned once per session."""
     return plan_jump(np.array([0.2, 2.5, -6.0]), np.array([0.2, 4.0, -4.0]), Scenario())
+
+
+@pytest.fixture(scope="session")
+def frozen_track_plan():
+    """The benchmark jump as stored in perfbench/track_plan.json (read only):
+    numbers checked against it do not move when the planner does."""
+    d = json.loads(TRACK_PLAN.read_text())
+    arrays = {k: np.array(d[k], dtype=float) for k in
+              ("f_leg", "rope_left", "rope_right", "states", "positions", "p0",
+               "p_target", "rest_state")}
+    return JumpPlan(t_f=float(d["t_f"]), **arrays)

@@ -4,7 +4,12 @@ reference."""
 import numpy as np
 import pytest
 
-from wallhopper.integrator import IntegratorConfig, rollout_arrays, step_arrays
+from wallhopper.integrator import (
+    IntegratorConfig,
+    rollout_arrays,
+    step_arrays,
+    step_jacobians,
+)
 from wallhopper.model import (
     Scenario,
     inverse_kinematics,
@@ -79,6 +84,76 @@ class TestSingleStatePath:
             assert single.shape == (6,)
             np.testing.assert_array_equal(single, batch[i])
         assert np.isnan(batch[0, 3:]).all()
+
+
+def random_rows(rng, n):
+    """n in-domain states with random rates and inputs of both signs."""
+    x = np.stack([make_state([rng.uniform(0.1, 2.0), rng.uniform(0.0, 5.0),
+                              rng.uniform(-9.0, -3.0)], rng.uniform(-2.0, 2.0, 3))
+                  for _ in range(n)])
+    u = np.column_stack([rng.uniform(-60, 0, (n, 2)), rng.uniform(-50, 50, (n, 4))])
+    return x, u, rng.uniform(0.02, 0.1, n)
+
+
+class TestStepJacobians:
+    """The complex-step Jacobian against differences of the real step."""
+
+    def test_columns_match_central_differences(self):
+        rng = np.random.default_rng(21)
+        x, u, dt = random_rows(rng, 8)
+        cfg = IntegratorConfig(n_sub=3)
+        J = step_jacobians(x, u, dt, cfg, SCEN)
+        assert J.shape == (8, 6, 13)
+        base = np.column_stack([x, u, dt])
+        for j in range(13):
+            h = 1e-6 * max(1.0, np.max(np.abs(base[:, j])))
+            hi, lo = base.copy(), base.copy()
+            hi[:, j] += h
+            lo[:, j] -= h
+            diff = (step_arrays(hi[:, :6], hi[:, 6:12], hi[:, 12], cfg, SCEN)
+                    - step_arrays(lo[:, :6], lo[:, 6:12], lo[:, 12], cfg, SCEN)) / (2 * h)
+            np.testing.assert_allclose(J[:, :, j], diff, rtol=1e-7,
+                                       atol=1e-7 * np.max(np.abs(diff)))
+
+    def test_real_part_is_the_real_step(self):
+        rng = np.random.default_rng(22)
+        x, u, dt = random_rows(rng, 8)
+        cfg = IntegratorConfig(n_sub=3)
+        x_c = x + 1e-30j * rng.normal(size=x.shape)
+        u_c = u + 1e-30j * rng.normal(size=u.shape)
+        stepped = step_arrays(x_c, u_c, dt + 1e-30j, cfg, SCEN)
+        np.testing.assert_allclose(stepped.real, step_arrays(x, u, dt, cfg, SCEN),
+                                   rtol=1e-14, atol=1e-14)
+
+    def test_single_complex_state_stays_complex(self):
+        # One 6-vector state would take the float path if it were real; a
+        # complex one must keep its imaginary part, as in a batch.
+        rng = np.random.default_rng(23)
+        x, u, dt = random_rows(rng, 3)
+        x_c = x + 1e-30j * rng.normal(size=x.shape)
+        cfg = IntegratorConfig(n_sub=2)
+        batch = step_arrays(x_c, u, 0.05, cfg, SCEN)
+        for i in range(3):
+            np.testing.assert_array_equal(step_arrays(x_c[i], u[i], 0.05, cfg, SCEN),
+                                          batch[i])
+        assert np.all(batch.imag != 0.0)
+
+    def test_complex_rollout_keeps_its_dtype(self):
+        inputs = np.tile(FORCED_U, (10, 1)).astype(complex)
+        inputs[3, 0] += 1e-30j
+        cfg = IntegratorConfig(n_sub=2)
+        states = rollout_arrays(X0, inputs, 0.05, cfg, SCEN)
+        assert states.dtype == complex
+        np.testing.assert_array_equal(states[:4].imag, 0.0)
+        assert np.all(states[5:, 3:].imag != 0.0)
+        np.testing.assert_allclose(states.real,
+                                   rollout_arrays(X0, inputs.real, 0.05, cfg, SCEN),
+                                   rtol=1e-14, atol=1e-14)
+
+    def test_out_of_domain_row_is_nan(self):
+        x = np.array([[0.1, 1.0, 10.0, 0.0, 0.0, 0.0]])      # l1 + d_a < l2
+        J = step_jacobians(x, np.zeros((1, 6)), 0.05, IntegratorConfig(), SCEN)
+        assert np.isnan(J[0, 3:]).all()
 
 
 class TestRollout:

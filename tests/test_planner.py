@@ -1,8 +1,11 @@
-"""Jump planner: obstacle algebra, benchmark convergence and plan audits.
+"""Jump planner: obstacle algebra, exact NLP Jacobians, benchmark
+convergence, solver counters and plan audits.
 
 The obstacle plan is a module-scoped fixture and the benchmark plan a
-session-scoped one (conftest.py); planning takes a few seconds each.
+session-scoped one (conftest.py); planning takes a second or two each.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from wallhopper.model import Ellipsoid, Scenario, position_arrays
 from wallhopper.planner import (
     PlannerWeights,
     PlanningError,
+    ShootingProblem,
     audit_plan,
     map_plan_to_reference,
     obstacle_min_x,
@@ -66,7 +70,94 @@ class TestObstacleMinX:
         assert out.shape == ys.shape
 
 
+def problem_for(plan, scen):
+    return ShootingProblem(plan.p0, plan.p_target, scen, PlannerWeights(),
+                           IntegratorConfig())
+
+
+def points_near(plan, prob, seed, n=3):
+    """n random points inside the bounds around the plan's decision vector."""
+    rng = np.random.default_rng(seed)
+    z = np.concatenate([plan.f_leg, plan.rope_left, plan.rope_right, [plan.t_f]])
+    lo, hi = prob.bounds()
+    step = np.concatenate([np.full(3, 0.01), np.full(2 * prob.N, 0.01), [0.01]])
+    return [np.clip(z / prob.scale + rng.uniform(-1.0, 1.0, z.size) * step, lo, hi)
+            for _ in range(n)]
+
+
+class TestExactJacobians:
+    """gradient and constraints_jac against two independent oracles: central
+    differences and a complex step through the whole cost_and_constraints."""
+
+    @pytest.fixture(params=["flat", "obstacle"])
+    def case(self, request, benchmark_plan, obstacle_plan):
+        if request.param == "flat":
+            prob = problem_for(benchmark_plan, SCEN)
+            return prob, points_near(benchmark_plan, prob, seed=31)
+        prob = problem_for(obstacle_plan, SCEN.with_(obstacle=OBSTACLE))
+        points = points_near(obstacle_plan, prob, seed=32)
+        # The points must exercise the bump's surface, not only the wall.
+        pos = position_arrays(*prob.rollout(points[0])[:, :3].T, SCEN.d_a)
+        assert np.any(obstacle_min_x(pos[:, 1], pos[:, 2], OBSTACLE, 1.0,
+                                     SCEN.wall_offset) > SCEN.wall_offset)
+        return prob, points
+
+    def test_match_central_differences(self, case):
+        prob, points = case
+        h = 1e-6
+        eye = np.eye(prob.n_var)
+        for Z in points:
+            grad, jac = prob.gradient(Z), prob.constraints_jac(Z)
+            c_hi, g_hi = prob.cost_and_constraints(Z + h * eye)
+            c_lo, g_lo = prob.cost_and_constraints(Z - h * eye)
+            d_cost, d_g = (c_hi - c_lo) / (2 * h), ((g_hi - g_lo) / (2 * h)).T
+            np.testing.assert_allclose(grad, d_cost, rtol=1e-6,
+                                       atol=1e-6 * np.max(np.abs(d_cost)))
+            np.testing.assert_allclose(jac, d_g, rtol=1e-6,
+                                       atol=1e-6 * np.max(np.abs(d_g)))
+
+    def test_match_complex_step_through_cost_and_constraints(self, case):
+        prob, points = case
+        h = 1e-30
+        for Z in points:
+            grad, jac = prob.gradient(Z), prob.constraints_jac(Z)
+            cost, g = prob.cost_and_constraints(Z + 1j * h * np.eye(prob.n_var))
+            d_cost, d_g = cost.imag / h, g.imag.T / h
+            np.testing.assert_allclose(grad, d_cost, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(d_cost)))
+            np.testing.assert_allclose(jac, d_g, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(d_g)))
+            # The real part of the complex evaluation is the real one, up to
+            # the rounding of complex division summed over the rollout.
+            cost_r, g_r = prob.cost_and_constraints(Z)
+            np.testing.assert_allclose(cost.real, cost_r, rtol=1e-12)
+            np.testing.assert_allclose(g.real, np.broadcast_to(g_r, g.shape),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_zero_outside_the_model_domain(self, benchmark_plan):
+        # Full rope pull over a long flight hauls the mass through the anchor
+        # line: the rollout leaves the model domain, the value is a
+        # placeholder and its derivatives are zero.
+        prob = problem_for(benchmark_plan, SCEN)
+        Z = np.concatenate([[1.0, 0.0, 0.8], np.full(2 * prob.N, -1.0), [10.0]])
+        assert not np.all(np.isfinite(prob.rollout(Z)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert prob.objective(Z) == pytest.approx(1e9 * prob.cost_scale)
+            assert np.all(prob.constraints(Z) == 1e3)
+            grad, jac = prob.gradient(Z), prob.constraints_jac(Z)
+        np.testing.assert_array_equal(grad, np.zeros(prob.n_var))
+        np.testing.assert_array_equal(jac, np.zeros((prob.constraints(Z).size,
+                                                     prob.n_var)))
+
+
 class TestPlanJump:
+    def test_solver_counters(self, benchmark_plan):
+        info = benchmark_plan.solve_info
+        assert info["value_evals"] > 0 and info["gradient_evals"] > 0
+        assert info["gradient_evals"] >= info["n_iter"]
+        assert 0.0 < info["value_s"] + info["gradient_s"] <= info["nlp_s"]
+
     def test_benchmark_terminal_error(self, benchmark_plan):
         assert benchmark_plan.terminal_error <= 0.05
 

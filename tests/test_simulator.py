@@ -86,11 +86,11 @@ class TestWallCrossing:
         assert [iv["n"] for iv in stats["intervals"]] == [1] * 10
         assert np.all(np.isfinite(errors))
 
-    def test_seed_without_abort_unchanged(self, benchmark_plan):
+    def test_seed_without_abort_unchanged(self, frozen_track_plan):
         # Seed 7 has two crossing runs and no sample near psi = 0; these are
         # its interval errors on the frozen track plan (the tolerance covers
         # plans that differ by ~1e-6 with the number of BLAS threads).
-        stats = batch_robustness(benchmark_plan, 10, SCEN, seed=7,
+        stats = batch_robustness(frozen_track_plan, 10, SCEN, seed=7,
                                  controller="open_loop")
         expected = [1.360001257537986, 1.143623088386833, 0.8504264596610528,
                     0.8537440041216698, 0.5409647413206845, 0.545305021711369,
