@@ -2,9 +2,18 @@
 
 At each control tick the optimiser adjusts the planned rope-force
 feed-forward by per-knot deviations and adds a bilateral propeller force,
-minimising tracking error against the planned Cartesian reference over a
-(shrinking) horizon under the rope unilateral/actuation bounds.  Only the
-first optimised input is applied; the remainder seeds the next solve.
+minimising tracking error against the planned Cartesian reference at knots
+0..H-1 of a (shrinking) horizon plus an input smoothing cost, under the
+rope unilateral/actuation bounds.  Only the first optimised input is
+applied; the remainder seeds the next solve.
+
+The cost is a sum of squares under box bounds, so a tick is one real-time
+iteration (Diehl, Bock & Schloeder, SIAM J. Control Optim. 2005): roll out
+the clipped, shifted warm start; differentiate every knot step at once by
+complex step (integrator.step_jacobians) and chain the step Jacobians into
+the position Jacobian; take one bounded Gauss-Newton step through
+solve_nlp; roll out once more at the accepted point for the predicted
+positions.  MpcConfig.max_iter allows more steps per tick.
 
 ``TrackingController`` holds that state across ticks: the reference and
 feed-forward resampled to its clock, and the previous tick's solution,
@@ -14,12 +23,13 @@ period (the first term of the input smoothing cost).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrator import IntegratorConfig, rollout_arrays
-from .model import Scenario, position_arrays
+from .integrator import IntegratorConfig, rollout_arrays, step_jacobians
+from .model import Scenario, jacobian_arrays, position_arrays
 from .planner import JumpPlan, map_plan_to_reference
 from .solvers import NlpProblem, solve_nlp
 
@@ -31,7 +41,7 @@ class MpcConfig:
     w_p: float = 1.0               # tracking weight
     w_u: float = 1e-5              # input smoothing weight
     n_sub: int = 5                 # prediction sub-steps per knot
-    max_iter: int = 40
+    max_iter: int = 1              # Gauss-Newton steps per tick
 
     def __post_init__(self):
         if self.n_horizon < 2:
@@ -109,7 +119,9 @@ class TrackingController:
 
     def command(self, x_hat: np.ndarray, k: int) -> tuple[np.ndarray, MpcSolution]:
         """Solve at tick k and return (input to apply as a (6,) array, solution)."""
+        t0 = time.perf_counter()
         sol = self._solve(np.asarray(x_hat, dtype=float), k)
+        sol.diagnostics["tick_s"] = time.perf_counter() - t0
         self.prev_solution = sol
         u = np.zeros(6)
         u[0] = self.ff[k, 0] + sol.delta_left[0]
@@ -118,7 +130,7 @@ class TrackingController:
         return u, sol
 
     def _solve(self, x_hat: np.ndarray, k: int) -> MpcSolution:
-        """One receding-horizon solve from the estimated state at tick k,
+        """One real-time iteration from the estimated state at tick k,
         warm-started from the previous tick's solution.
 
         Returns the full horizon; callers apply knot 0 only.  On solver
@@ -130,89 +142,75 @@ class TrackingController:
         if H < 1:
             raise ValueError("reference exhausted; no horizon left")
         ff = self.ff[k:k + H]                              # (H, 2)
-        p_ref = self.p_ref[k:k + H + 1]                    # (H+1, 3)
+        p_ref = self.p_ref[k:k + H]                        # knots 0..H-1
         # The i-1 term of the smoothing cost: deviation applied at the
         # previous control period (cold start: the unmodified feed-forward).
         prev = self.prev_solution
         prev_dl, prev_dr = ((0.0, 0.0) if prev is None
                             else (prev.delta_left[0], prev.delta_right[0]))
         icfg = IntegratorConfig(n_sub=cfg.n_sub)
-
         f_scale = np.array([scenario.f_r_max, scenario.f_r_max,
                             max(scenario.f_p_max, 1e-9)])
+        w_p, w_u = np.sqrt(cfg.w_p), np.sqrt(cfg.w_u)
+        # Smoothing residuals, linear in z: first differences of each rope
+        # deviation, the first one taken against the previous period's.
+        diff = np.eye(H) - np.eye(H, k=-1)
+        smooth = w_u * np.vstack([np.kron(diff, [[f_scale[0], 0.0, 0.0]]),
+                                  np.kron(diff, [[0.0, f_scale[1], 0.0]])])
+        offset = np.zeros(2 * H)
+        offset[0], offset[H] = w_u * prev_dl, w_u * prev_dr
+        last = [None, None]                                # latest (z, knot states)
 
-        def unpack(Z):
-            v = Z.reshape(Z.shape[:-1] + (H, 3)) * f_scale
-            return v[..., 0], v[..., 1], v[..., 2]
+        def inputs(z):
+            v = z.reshape(H, 3) * f_scale
+            u = np.zeros((H, 6), dtype=v.dtype)
+            u[:, :2] = ff + v[:, :2]
+            u[:, 5] = v[:, 2]
+            return u
 
-        def predict(Z):
-            dl, dr, fp = unpack(Z)
-            u = np.zeros(Z.shape[:-1] + (H, 6))
-            u[..., :, 0] = ff[:, 0] + dl
-            u[..., :, 1] = ff[:, 1] + dr
-            u[..., :, 5] = fp
-            x0 = np.broadcast_to(x_hat, Z.shape[:-1] + (6,))
-            states = rollout_arrays(x0, u, cfg.dt, icfg, scenario)
-            return position_arrays(states[..., 0], states[..., 1], states[..., 2],
-                                   scenario.d_a)
+        def states_at(z):
+            if last[0] is None or not np.array_equal(last[0], z):
+                last[:] = z.copy(), rollout_arrays(x_hat, inputs(z), cfg.dt, icfg, scenario)
+            return last[1]
 
-        def cost_fn(Z):
-            dl, dr, _ = unpack(Z)
-            pos = predict(Z)
-            err = pos[..., :H, :] - p_ref[:H]
-            c = cfg.w_p * np.sum(err * err, axis=(-2, -1))
-            ddl = np.diff(dl, axis=-1, prepend=prev_dl)
-            ddr = np.diff(dr, axis=-1, prepend=prev_dr)
-            c = c + cfg.w_u * (np.sum(ddl * ddl, axis=-1) + np.sum(ddr * ddr, axis=-1))
-            return np.where(np.isfinite(c), c, 1e9)
+        def residuals(z):
+            s = states_at(z)[:H]
+            pos = position_arrays(s[:, 0], s[:, 1], s[:, 2], scenario.d_a)
+            return np.concatenate([w_p * (pos - p_ref).ravel(), smooth @ z - offset])
 
-        n_var = 3 * H
-        cache: dict = {}
-
-        def value_and_grad(Z):
-            key = Z.tobytes()
-            if key not in cache:
-                cache.clear()
-                h = 1e-6 * np.maximum(1.0, np.abs(Z))
-                batch = np.vstack([Z[None, :], Z + np.diag(h)])
-                c = cost_fn(batch)
-                cache[key] = (float(c[0]), (c[1:] - c[0]) / h)
-            return cache[key]
+        def residuals_jac(z):
+            # S[j] = dx_j/dz: S_0 = 0 (x_0 is measured) and each knot step
+            # adds its own inputs; knot H has no weight, so its step is skipped.
+            s = states_at(z)
+            J = step_jacobians(s[:H - 1], inputs(z)[:H - 1], cfg.dt, icfg, scenario)
+            S = np.zeros((H, 6, 3 * H))
+            for j in range(H - 1):
+                S[j + 1] = J[j, :, :6] @ S[j]
+                S[j + 1, :, 3 * j:3 * j + 3] += J[j][:, [6, 7, 11]] * f_scale
+            P = jacobian_arrays(s[:H, 0], s[:H, 1], s[:H, 2], scenario.d_a) @ S[:, :3]
+            return np.vstack([w_p * P.reshape(3 * H, 3 * H), smooth])
 
         # Rope bounds map to boxes on the deviations; propeller is bilateral.
-        lo = np.empty((H, 3))
-        hi = np.empty((H, 3))
-        lo[:, 0] = (-scenario.f_r_max - ff[:, 0]) / f_scale[0]
-        hi[:, 0] = (0.0 - ff[:, 0]) / f_scale[0]
-        lo[:, 1] = (-scenario.f_r_max - ff[:, 1]) / f_scale[1]
-        hi[:, 1] = (0.0 - ff[:, 1]) / f_scale[1]
-        if scenario.f_p_max > 0.0:
-            lo[:, 2], hi[:, 2] = -1.0, 1.0
-        else:
-            lo[:, 2], hi[:, 2] = 0.0, 0.0
+        p_max = float(scenario.f_p_max > 0.0)
+        lo = np.column_stack([(-scenario.f_r_max - ff) / f_scale[:2], np.full(H, -p_max)])
+        hi = np.column_stack([-ff / f_scale[:2], np.full(H, p_max)])
+        z0 = np.clip((warm_start_from(prev, H) / f_scale).ravel(), lo.ravel(), hi.ravel())
 
-        z0 = (warm_start_from(prev, H) / f_scale).reshape(n_var)
-        z0 = np.clip(z0, lo.reshape(n_var), hi.reshape(n_var))
-
-        problem = NlpProblem(objective=lambda Z: value_and_grad(Z)[0],
-                             gradient=lambda Z: value_and_grad(Z)[1],
-                             x0=z0, lower=lo.reshape(n_var), upper=hi.reshape(n_var),
-                             tol_stat=1e-5, tol_obj=1e-10, max_iter=cfg.max_iter)
+        problem = NlpProblem(x0=z0, residuals=residuals, residuals_jac=residuals_jac,
+                             lower=lo.ravel(), upper=hi.ravel(), tol_stat=1e-5,
+                             max_iter=cfg.max_iter)
         degraded = False
         try:
             res = solve_nlp(problem)
-            z = np.clip(res.x, problem.lower, problem.upper)
+            z = res.x
             diagnostics = {"status": res.status, "n_iter": res.n_iter,
                            "objective": res.objective}
-        except RuntimeError as exc:  # the solver gave up, e.g. nnls at its iteration cap
-            z = z0
-            degraded = True
-            diagnostics = {"status": "failed", "error": str(exc)}
-        dl, dr, fp = unpack(z)
-        if not (np.all(np.isfinite(dl)) and np.all(np.isfinite(dr))
-                and np.all(np.isfinite(fp))):
-            dl, dr, fp = unpack(np.clip(z0, problem.lower, problem.upper))
-            degraded = True
-        return MpcSolution(delta_left=dl, delta_right=dr, f_prop=fp,
-                           predicted_positions=predict(z),
+        except RuntimeError as exc:  # non-finite residuals, or nnls at its iteration cap
+            z, degraded = z0, True
+            diagnostics = {"status": "failed", "n_iter": 0, "error": str(exc)}
+        v = z.reshape(H, 3) * f_scale
+        s = states_at(z)
+        return MpcSolution(delta_left=v[:, 0], delta_right=v[:, 1], f_prop=v[:, 2],
+                           predicted_positions=position_arrays(s[:, 0], s[:, 1], s[:, 2],
+                                                               scenario.d_a),
                            degraded=degraded, diagnostics=diagnostics)

@@ -25,7 +25,8 @@ early_touch_down (touch-down during the flight), delayed_touch_down
 wall_crossing (first sample with the CoM behind the wall plane,
 n.p < 0).  A non-finite state ends the episode with EpisodeAborted, whose
 trace carries the event aborted; a wall crossing is recorded, not
-aborted.
+aborted.  The meta of an MPC episode holds one entry per tick in the
+arrays tick_s, n_iter, status and degraded (MpcSolution.diagnostics).
 """
 
 from __future__ import annotations
@@ -129,13 +130,16 @@ class SimTrace:
 
 
 class _Recorder:
-    """Collects one row per simulation step; positions and velocities are
-    computed for all rows at once in build(), which also records the first
-    sample with the CoM behind the wall plane as the wall_crossing event."""
+    """Collects one row per simulation step, and one MpcSolution per tick
+    when the MPC flies; positions and velocities are computed for all rows
+    at once in build(), which also records the first sample with the CoM
+    behind the wall plane as the wall_crossing event and the ticks as the
+    meta arrays tick_s, n_iter, status and degraded."""
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, ticks: list | None = None):
         self.scen = scenario
         self.rows = []
+        self.ticks = ticks
 
     def add(self, t, x, u, dist, phase, velocity=None):
         """velocity, if given, replaces the Cartesian velocity computed from x."""
@@ -157,6 +161,13 @@ class _Recorder:
         behind = np.flatnonzero(positions @ self.scen.wall_normal < 0.0)
         if behind.size:
             events = {**events, "wall_crossing": float(times[behind[0]])}
+        if self.ticks is not None:
+            diag = [sol.diagnostics for sol in self.ticks]
+            meta = {**meta,
+                    "tick_s": np.array([d["tick_s"] for d in diag], dtype=float),
+                    "n_iter": np.array([d["n_iter"] for d in diag], dtype=int),
+                    "status": np.array([d["status"] for d in diag], dtype=str),
+                    "degraded": np.array([sol.degraded for sol in self.ticks], dtype=bool)}
         return SimTrace(times, states, positions, velocities, inputs, dist,
                         phase, events, np.asarray(e_a, dtype=float), meta)
 
@@ -199,7 +210,7 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
     zero = np.zeros(3)
     meta = {"controller": controller, "dt_sim": dt_sim, "disturbance": dist.kind,
             "noise": noise is not None}
-    recorder = _Recorder(scenario)
+    recorder = _Recorder(scenario, None if ctl is None else [])
     x, t, events = plan.rest_state.copy(), 0.0, {}
     armed = False
 
@@ -228,7 +239,9 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
         x_meas = x.copy()
         if rng is not None:
             x_meas[3:] += rng.normal(0.0, noise.sigma)
-        return ctl.command(x_meas, k)[0]
+        u, sol = ctl.command(x_meas, k)
+        recorder.ticks.append(sol)
+        return u
 
     touched = False
     try:

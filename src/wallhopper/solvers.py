@@ -1,12 +1,16 @@
 """Small dense NLP and LP solving used by the planner, the MPC and the
 stability margins.
 
-Problem sizes here are tiny (at most a few hundred variables), so the NLP
-path favours robustness: SLSQP for inequality-constrained problems,
-L-BFGS-B when only bounds are present, both fed with the caller's gradient
-and constraint Jacobian.  KKT multipliers are recovered a posteriori by a
-non-negative least-squares fit on the active set so that the reported
-stationarity residual can be recomputed independently.
+Problem sizes here are tiny (at most a few hundred variables).  An NLP is
+either a smooth objective under bounds and inequality constraints, solved
+by SLSQP with the caller's gradient and constraint Jacobian, or a sum of
+squares 0.5 |r(x)|^2 under bounds only, solved by bounded Gauss-Newton:
+each step minimises the linearised residual |r + J dx|^2 in the box by
+bounded-variable least squares (BVLS, ``scipy.optimize.lsq_linear``), so
+one step solves a linear problem exactly and the caller's residual
+Jacobian is the only derivative needed.  KKT multipliers are recovered a
+posteriori by a non-negative least-squares fit on the active set so that
+the reported stationarity residual can be recomputed independently.
 
 The LP path is one thin call to HiGHS through ``scipy.optimize.linprog``:
 ``solve_lp`` takes linprog's own arguments, leaves variables free unless
@@ -31,9 +35,15 @@ STATUS_FAILED = "failed"
 
 @dataclass
 class NlpProblem:
-    objective: Callable[[np.ndarray], float]
+    """Minimise objective(x), or 0.5 |residuals(x)|^2 when residuals are
+    given, subject to lower <= x <= upper and, for an objective only,
+    constraints(x) <= 0.  Each function comes with its derivative."""
+
     x0: np.ndarray
-    gradient: Callable[[np.ndarray], np.ndarray]
+    objective: Callable[[np.ndarray], float] | None = None
+    gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    residuals: Callable[[np.ndarray], np.ndarray] | None = None      # r(x), (m,)
+    residuals_jac: Callable[[np.ndarray], np.ndarray] | None = None  # (m, n)
     constraints: Callable[[np.ndarray], np.ndarray] | None = None   # g(x) <= 0
     constraints_jac: Callable[[np.ndarray], np.ndarray] | None = None
     lower: np.ndarray | None = None
@@ -54,6 +64,14 @@ class NlpProblem:
             raise ValueError("lower bound exceeds upper bound")
         if self.constraints is not None and self.constraints_jac is None:
             raise ValueError("constraints need constraints_jac")
+        if self.residuals is None:
+            if self.objective is None or self.gradient is None:
+                raise ValueError("give residuals, or an objective with its gradient")
+        elif self.residuals_jac is None:
+            raise ValueError("residuals need residuals_jac")
+        elif not (self.objective is None and self.gradient is None
+                  and self.constraints is None):
+            raise ValueError("residuals take bounds only: no objective or constraints")
 
 
 @dataclass
@@ -68,10 +86,10 @@ class NlpResult:
     message: str = ""
 
 
-def active_set_multipliers(problem: NlpProblem, x: np.ndarray,
+def active_set_multipliers(problem: NlpProblem, x: np.ndarray, grad: np.ndarray,
                            tol_act: float = 1e-6) -> dict:
-    """Non-negative least-squares fit of the KKT multipliers at x."""
-    grad = problem.gradient(x)
+    """Non-negative least-squares fit of the KKT multipliers at x, where the
+    objective's gradient is grad."""
     cols, keys = [], []
     if problem.constraints is not None:
         g = np.atleast_1d(problem.constraints(x))
@@ -117,29 +135,27 @@ def kkt_residual(problem: NlpProblem, x: np.ndarray, multipliers: dict) -> float
 def solve_nlp(problem: NlpProblem) -> NlpResult:
     """Bound/inequality-constrained smooth minimisation.
 
-    Dispatches to L-BFGS-B when only bounds are present, SLSQP otherwise.
+    Residual problems take bounded Gauss-Newton steps; every other problem
+    goes to SLSQP.
     """
+    if problem.residuals is not None:
+        return _gauss_newton(problem)
     bounds = list(zip(np.where(np.isfinite(problem.lower), problem.lower, None),
                       np.where(np.isfinite(problem.upper), problem.upper, None)))
-    jac = problem.gradient
-    if problem.constraints is None:
-        res = optimize.minimize(
-            problem.objective, problem.x0, jac=jac, method="L-BFGS-B", bounds=bounds,
-            options={"maxiter": problem.max_iter, "ftol": problem.tol_obj,
-                     "gtol": problem.tol_stat})
-    else:
+    cons = []
+    if problem.constraints is not None:
         # scipy's ineq convention is fun(x) >= 0; ours is g(x) <= 0.
-        cons = {"type": "ineq", "fun": lambda x: -np.atleast_1d(problem.constraints(x)),
-                "jac": lambda x: -np.atleast_2d(problem.constraints_jac(x))}
-        res = optimize.minimize(
-            problem.objective, problem.x0, jac=jac, method="SLSQP", bounds=bounds,
-            constraints=[cons],
-            options={"maxiter": problem.max_iter, "ftol": problem.tol_obj})
+        cons = [{"type": "ineq", "fun": lambda x: -np.atleast_1d(problem.constraints(x)),
+                 "jac": lambda x: -np.atleast_2d(problem.constraints_jac(x))}]
+    res = optimize.minimize(
+        problem.objective, problem.x0, jac=problem.gradient, method="SLSQP",
+        bounds=bounds, constraints=cons,
+        options={"maxiter": problem.max_iter, "ftol": problem.tol_obj})
     x = np.clip(res.x, problem.lower, problem.upper)
     violation = 0.0
     if problem.constraints is not None:
         violation = float(max(0.0, np.max(np.atleast_1d(problem.constraints(x)))))
-    mult = active_set_multipliers(problem, x)
+    mult = active_set_multipliers(problem, x, problem.gradient(x))
     resid = kkt_residual(problem, x, mult)
     if violation > problem.tol_feas:
         status = STATUS_INFEASIBLE if res.status == 4 or res.success else STATUS_MAX_ITERS
@@ -151,6 +167,49 @@ def solve_nlp(problem: NlpProblem) -> NlpResult:
                      status=status, n_iter=int(getattr(res, "nit", -1)),
                      constraint_violation=violation, multipliers=mult,
                      message=str(res.message))
+
+
+def _finite(values, what: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        # BVLS does not return on NaN input (LAPACK DLASCL error), so stop here.
+        raise RuntimeError(f"non-finite {what}")
+    return values
+
+
+def _gauss_newton(problem: NlpProblem) -> NlpResult:
+    """At most max_iter bounded Gauss-Newton steps from the clipped x0.
+
+    Each step evaluates the residual Jacobian once, stops if the point is
+    stationary to tol_stat, and otherwise moves to the BVLS minimiser of
+    the linearised residual in the box.  The last residuals call is at the
+    returned point.  After max_iter steps the Jacobian at that point has not
+    been evaluated, so kkt_residual is NaN and the multipliers are empty.
+    Raises RuntimeError on non-finite residuals or Jacobian.
+    """
+    lo, hi = problem.lower, problem.upper
+    free = lo < hi                      # lsq_linear rejects equal bounds
+    x = np.clip(problem.x0, lo, hi)
+    r = _finite(problem.residuals(x), "residuals")
+    status, mult, resid = STATUS_MAX_ITERS, {}, np.nan
+    for n_iter in range(problem.max_iter):
+        J = _finite(problem.residuals_jac(x), "residual Jacobian")
+        mult = active_set_multipliers(problem, x, J.T @ r)
+        resid = kkt_residual(problem, x, mult)
+        if resid <= problem.tol_stat:
+            status = STATUS_OPTIMAL
+            break
+        box = ((lo - x)[free], (hi - x)[free])
+        step = np.zeros_like(x)
+        step[free] = optimize.lsq_linear(J[:, free], -r, bounds=box, method="bvls").x
+        x = np.clip(x + step, lo, hi)
+        r = _finite(problem.residuals(x), "residuals")
+        mult, resid = {}, np.nan
+    else:
+        n_iter = problem.max_iter
+    return NlpResult(x=x, objective=0.5 * float(r @ r), kkt_residual=resid,
+                     status=status, n_iter=n_iter, constraint_violation=0.0,
+                     multipliers=mult)
 
 
 @dataclass

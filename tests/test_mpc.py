@@ -1,11 +1,15 @@
 """Flight MPC: the feed-forward resample, the warm start and horizon rules,
-the degraded path when the solver fails, and closed-loop tracking of the
-benchmark jump."""
+the degraded path when the solver fails, the real-time iteration against
+its oracles, and closed-loop tracking of the benchmark jump."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from scipy import optimize
 
-from wallhopper import mpc
+from wallhopper import mpc, solvers
+from wallhopper.integrator import COMPLEX_STEP
 from wallhopper.model import Scenario
 from wallhopper.mpc import (
     MpcSolution,
@@ -14,7 +18,7 @@ from wallhopper.mpc import (
     warm_start_from,
 )
 from wallhopper.planner import JumpPlan
-from wallhopper.simulator import run_episode
+from wallhopper.simulator import DisturbanceSpec, run_episode
 
 SCEN = Scenario()
 
@@ -109,3 +113,100 @@ def test_undisturbed_mpc_no_worse_than_open_loop(benchmark_plan):
     open_loop = run_episode(benchmark_plan, SCEN, controller="open_loop")
     closed = run_episode(benchmark_plan, SCEN, controller="mpc")
     assert closed.landing_error_norm <= open_loop.landing_error_norm + 1e-6
+
+
+def perturbed_tick(plan, monkeypatch, max_iter=1, rates=(0.05, 0.1, 0.0), k=3):
+    """Tick k from the plan's knot state with its rates perturbed; returns
+    (the NlpProblem the tick posed, the solution)."""
+    posed = []
+
+    def capture(problem):
+        posed.append(problem)
+        return solvers.solve_nlp(problem)
+
+    monkeypatch.setattr(mpc, "solve_nlp", capture)
+    ctl = TrackingController(plan, SCEN, mpc.MpcConfig.from_plan(plan, max_iter=max_iter))
+    sol = ctl.command(plan.states[k] + np.concatenate([np.zeros(3), rates]), k)[1]
+    return posed[0], sol
+
+
+class TestRealTimeIteration:
+    def test_position_jacobian_matches_differences(self, frozen_track_plan, monkeypatch):
+        problem, _ = perturbed_tick(frozen_track_plan, monkeypatch)
+        z = problem.x0 + 0.01 * np.random.default_rng(3).normal(size=problem.x0.size)
+        J = problem.residuals_jac(z)
+        n_pos = 3 * (z.size // 3)                    # position rows come first
+        r, h = problem.residuals, 1e-6
+        central = np.column_stack([(r(z + h * e) - r(z - h * e)) / (2.0 * h)
+                                   for e in np.eye(z.size)])
+        np.testing.assert_allclose(J[:n_pos], central[:n_pos], rtol=0, atol=1e-6)
+        h = COMPLEX_STEP
+        complex_step = np.column_stack([r(z + 1j * h * e).imag / h for e in np.eye(z.size)])
+        np.testing.assert_allclose(J, complex_step, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rates", [(0.05, 0.1, 0.0), (0.3, 1.0, -1.0)])
+    def test_converged_steps_match_least_squares(self, frozen_track_plan, monkeypatch,
+                                                 rates):
+        problem, _ = perturbed_tick(frozen_track_plan, monkeypatch, rates=rates)
+        res = solvers.solve_nlp(dataclasses.replace(problem, max_iter=50, tol_stat=1e-12))
+        ref = optimize.least_squares(problem.residuals, problem.x0, jac=problem.residuals_jac,
+                                     bounds=(problem.lower, problem.upper), method="trf",
+                                     xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        assert res.status == solvers.STATUS_OPTIMAL
+        assert res.objective == pytest.approx(ref.cost, rel=0, abs=1e-8)
+
+    def test_one_step_per_jacobian_and_no_batched_rollout(self, frozen_track_plan,
+                                                          monkeypatch):
+        calls = {"jacobians": 0, "rollouts": 0}
+        step_jacobians, rollout_arrays = mpc.step_jacobians, mpc.rollout_arrays
+
+        def counted_jacobians(*args):
+            calls["jacobians"] += 1
+            return step_jacobians(*args)
+
+        def single_rollout(x0, *args):
+            assert np.ndim(x0) == 1, "batched rollout in an MPC tick"
+            calls["rollouts"] += 1
+            return rollout_arrays(x0, *args)
+
+        monkeypatch.setattr(mpc, "step_jacobians", counted_jacobians)
+        monkeypatch.setattr(mpc, "rollout_arrays", single_rollout)
+        _, sol = perturbed_tick(frozen_track_plan, monkeypatch)
+        assert (sol.diagnostics["n_iter"], calls) == (1, {"jacobians": 1, "rollouts": 2})
+        calls.update(jacobians=0, rollouts=0)
+        _, sol = perturbed_tick(frozen_track_plan, monkeypatch, max_iter=4)
+        d = sol.diagnostics
+        assert calls["jacobians"] == d["n_iter"] + (d["status"] == solvers.STATUS_OPTIMAL)
+        assert calls["rollouts"] == d["n_iter"] + 1
+
+    def test_out_of_domain_tick_degrades_before_bvls(self, frozen_track_plan, monkeypatch):
+        # Both ropes reeling in at 30 m/s carry the warm start through the
+        # anchor line (r^2 <= 0) within the horizon.
+        lsq_linear = optimize.lsq_linear
+
+        def finite_only(A, b, *args, **kwargs):
+            assert np.all(np.isfinite(A)) and np.all(np.isfinite(b)), "NaN reached BVLS"
+            return lsq_linear(A, b, *args, **kwargs)
+
+        monkeypatch.setattr(solvers.optimize, "lsq_linear", finite_only)
+        _, sol = perturbed_tick(frozen_track_plan, monkeypatch, rates=(0.0, -30.0, -30.0))
+        assert sol.degraded
+        assert sol.diagnostics["status"] == "failed"
+        assert "non-finite" in sol.diagnostics["error"]
+        assert not np.all(np.isfinite(sol.predicted_positions))
+
+    def test_step_never_raises_the_cost(self, frozen_track_plan, monkeypatch):
+        costs = []
+
+        def checked(problem):
+            r0 = problem.residuals(np.clip(problem.x0, problem.lower, problem.upper))
+            res = solvers.solve_nlp(problem)
+            costs.append((res.objective, 0.5 * r0 @ r0))
+            return res
+
+        monkeypatch.setattr(mpc, "solve_nlp", checked)
+        run_episode(frozen_track_plan, SCEN, controller="mpc",
+                    disturbance=DisturbanceSpec("constant", [0.0, 0.0, -20.0]))
+        stepped, warm = np.array(costs).T
+        assert stepped.size == TrackingController(frozen_track_plan, SCEN).n_ticks
+        assert np.all(stepped <= warm)

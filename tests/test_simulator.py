@@ -1,12 +1,12 @@
 """Episode simulator: open-loop replay against the plan, the recorded
 trace, wall crossings, reproducibility and error handling of the
-robustness batch, the landing episode's phases and events, and the
-landing damping."""
+robustness batch, the landing episode's phases and events, the MPC ticks
+recorded in the trace, and the landing damping."""
 
 import numpy as np
 import pytest
 
-from wallhopper import simulator
+from wallhopper import mpc, simulator, solvers
 from wallhopper.model import Scenario, jacobian_arrays
 from wallhopper.simulator import (
     DisturbanceSpec,
@@ -204,6 +204,33 @@ class TestLandingEpisode:
         assert "aborted" in trace.events
         assert trace.times.size == 100
         assert np.all(np.isnan(trace.e_a))
+
+
+class TestTickMeta:
+    KEYS = ("tick_s", "n_iter", "status", "degraded")
+
+    def test_one_entry_per_tick(self, frozen_track_plan):
+        meta = run_episode(frozen_track_plan, SCEN, controller="mpc").meta
+        n_ticks = mpc.TrackingController(frozen_track_plan, SCEN).n_ticks
+        assert all(meta[key].shape == (n_ticks,) for key in self.KEYS)
+        assert np.all(meta["tick_s"] > 0.0)
+        assert not np.any(meta["degraded"])
+        assert "tick_s" not in run_episode(frozen_track_plan, SCEN,
+                                           controller="open_loop").meta
+
+    def test_degraded_tick_recorded(self, frozen_track_plan, monkeypatch):
+        calls = []
+
+        def third_fails(problem):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("injected")
+            return solvers.solve_nlp(problem)
+
+        monkeypatch.setattr(mpc, "solve_nlp", third_fails)
+        meta = run_episode(frozen_track_plan, SCEN, controller="mpc").meta
+        np.testing.assert_array_equal(np.flatnonzero(meta["degraded"]), [2])
+        assert (meta["status"][2], meta["n_iter"][2]) == ("failed", 0)
 
 
 class TestLandingDamping:

@@ -1,4 +1,5 @@
-"""NLP and LP solver checks against enumeration-based brute-force oracles."""
+"""NLP and LP solver checks against enumeration-based brute-force oracles:
+SLSQP for objectives, bounded Gauss-Newton for residuals, HiGHS for LPs."""
 
 import itertools
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from wallhopper.solvers import (
+    STATUS_MAX_ITERS,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     NlpProblem,
@@ -122,6 +124,76 @@ class TestNlp:
         recomputed = kkt_residual(p, res.x, res.multipliers)
         assert recomputed == pytest.approx(res.kkt_residual, abs=1e-10)
         assert recomputed < 1e-5
+
+
+def rosenbrock(x):
+    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+
+def rosenbrock_jac(x):
+    return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+
+class TestGaussNewton:
+    def test_linear_residuals_one_step_matches_projected_gradient(self):
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            A = rng.normal(size=(9, 6))
+            b = rng.normal(size=9)
+            lo, hi = -0.3 * np.ones(6), 0.3 * np.ones(6)
+            p = NlpProblem(residuals=lambda x, A=A, b=b: A @ x - b,
+                           residuals_jac=lambda x, A=A: A,
+                           x0=np.zeros(6), lower=lo, upper=hi, max_iter=1)
+            res = solve_nlp(p)
+            assert res.n_iter == 1
+            x_pg = projected_gradient_box(A.T @ A, -A.T @ b, lo, hi)
+            np.testing.assert_allclose(res.x, x_pg, rtol=0, atol=1e-8)
+            assert res.objective == pytest.approx(0.5 * np.sum((A @ res.x - b) ** 2),
+                                                  rel=1e-14)
+
+    def test_bounded_rosenbrock_converges(self):
+        # With x0 <= 0.5 the minimiser is on the bound, on the valley floor.
+        p = NlpProblem(residuals=rosenbrock, residuals_jac=rosenbrock_jac,
+                       x0=np.array([-1.2, 1.0]), upper=np.array([0.5, np.inf]),
+                       max_iter=20)
+        res = solve_nlp(p)
+        assert res.status == STATUS_OPTIMAL
+        assert res.n_iter < 20
+        np.testing.assert_allclose(res.x, [0.5, 0.25], rtol=0, atol=1e-10)
+        assert res.multipliers["upper"][0] > 0.0
+        assert kkt_residual(p, res.x, res.multipliers) == res.kkt_residual
+
+    def test_step_cap_leaves_stationarity_unmeasured(self):
+        p = NlpProblem(residuals=rosenbrock, residuals_jac=rosenbrock_jac,
+                       x0=np.array([-1.2, 1.0]), max_iter=1)
+        res = solve_nlp(p)
+        assert (res.status, res.n_iter) == (STATUS_MAX_ITERS, 1)
+        assert np.isnan(res.kkt_residual)
+        assert res.objective == pytest.approx(0.5 * np.sum(rosenbrock(res.x) ** 2))
+
+    def test_fixed_variable_stays(self):
+        p = NlpProblem(residuals=rosenbrock, residuals_jac=rosenbrock_jac,
+                       x0=np.array([-1.2, 1.0]), lower=np.array([-1.2, -np.inf]),
+                       upper=np.array([-1.2, np.inf]), max_iter=5)
+        res = solve_nlp(p)
+        assert res.status == STATUS_OPTIMAL
+        np.testing.assert_allclose(res.x, [-1.2, 1.44], rtol=0, atol=1e-12)
+
+    def test_non_finite_residuals_raise(self):
+        p = NlpProblem(residuals=lambda x: np.sqrt(x - 1.0),
+                       residuals_jac=lambda x: np.diag(0.5 / np.sqrt(x - 1.0)),
+                       x0=np.zeros(2))
+        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="non-finite"):
+            solve_nlp(p)
+
+    def test_malformed_problems_rejected(self):
+        with pytest.raises(ValueError, match="residuals_jac"):
+            NlpProblem(residuals=rosenbrock, x0=np.zeros(2))
+        with pytest.raises(ValueError, match="bounds only"):
+            NlpProblem(residuals=rosenbrock, residuals_jac=rosenbrock_jac, x0=np.zeros(2),
+                       constraints=lambda x: x, constraints_jac=lambda x: np.eye(2))
+        with pytest.raises(ValueError, match="gradient"):
+            NlpProblem(objective=lambda x: float(x @ x), x0=np.zeros(2))
 
 
 def vertex_enumeration(c, A, b, lo, hi):
