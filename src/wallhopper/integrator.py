@@ -7,14 +7,14 @@ and rollout_arrays a whole input schedule; every caller steps the model
 through these two.
 
 step_arrays chooses between the two bindings of the model's dynamics
-kernel from the shapes and types of its inputs.  A batch of states (MPC
-predictions, planner Jacobians) runs on numpy arrays.  One real 6-vector
-state with a real 6-vector input and a float dt (planner values, the
-simulator's 1 ms steps) runs on Python floats, where numpy's per-call cost
-would dominate.  Both give the same numbers bit for bit, NaN for states
-outside the model domain included; neither raises on them.  Complex inputs
-always take the array binding, whatever their shape: the float path is
-real-only.
+kernel from the shapes and types of its inputs.  A batch of states runs
+on numpy arrays.  One real 6-vector state with a real 6-vector input and a
+float dt (planner values, MPC predictions, the simulator's 1 ms steps)
+runs in one Python-float loop over all n_sub sub-steps, stage states in
+locals and the scenario's constants bound once per call: the IEEE
+operations of substep_arrays in the same order, so both agree bit for bit,
+NaN rows included, and neither raises on them.  Complex inputs always take
+the array binding, whatever their shape: the float path is real-only.
 
 step_jacobians differentiates one step by complex step (Squire & Trapp,
 SIAM Rev. 1998): the kernel is analytic, so the imaginary part of
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Scenario, state_derivative_arrays, state_derivative_scalar
+from .model import Scenario, _float_accelerations, state_derivative_arrays
 
 
 class IntegrationError(RuntimeError):
@@ -57,20 +57,31 @@ def substep_arrays(x, u, h, scenario: Scenario, extra_force=None):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _substep_scalar(x, u, h, scenario: Scenario, extra_force=None):
-    """substep_arrays for one state held as a list of Python floats; the
-    same operations in the same order."""
-    k1 = state_derivative_scalar(x, u, scenario, extra_force)
-    half = 0.5 * h
-    k2 = state_derivative_scalar([a + half * b for a, b in zip(x, k1)], u, scenario,
-                                 extra_force)
-    k3 = state_derivative_scalar([a + half * b for a, b in zip(x, k2)], u, scenario,
-                                 extra_force)
-    k4 = state_derivative_scalar([a + h * b for a, b in zip(x, k3)], u, scenario,
-                                 extra_force)
-    sixth = h / 6.0
-    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+def _step_floats(x, u, h, n_sub, scenario: Scenario, ext):
+    """n_sub RK4 sub-steps of length h for one state held as Python floats,
+    as substep_arrays computes them."""
+    d_a, m, g = scenario.d_a, scenario.mass, scenario.gravity.tolist()
+
+    def f(s):
+        return _float_accelerations(s, u, ext, scenario, d_a, m, g)
+
+    half, sixth = 0.5 * h, h / 6.0
+    for _ in range(n_sub):
+        q0, q1, q2, w0, w1, w2 = x
+        a0, a1, a2 = f(x)
+        y3, y4, y5 = w0 + half * a0, w1 + half * a1, w2 + half * a2
+        b0, b1, b2 = f((q0 + half * w0, q1 + half * w1, q2 + half * w2, y3, y4, y5))
+        z3, z4, z5 = w0 + half * b0, w1 + half * b1, w2 + half * b2
+        c0, c1, c2 = f((q0 + half * y3, q1 + half * y4, q2 + half * y5, z3, z4, z5))
+        v3, v4, v5 = w0 + h * c0, w1 + h * c1, w2 + h * c2
+        d0, d1, d2 = f((q0 + h * z3, q1 + h * z4, q2 + h * z5, v3, v4, v5))
+        x = (q0 + sixth * (w0 + 2.0 * y3 + 2.0 * z3 + v3),
+             q1 + sixth * (w1 + 2.0 * y4 + 2.0 * z4 + v4),
+             q2 + sixth * (w2 + 2.0 * y5 + 2.0 * z5 + v5),
+             w0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+             w1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+             w2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2))
+    return x
 
 
 def step_arrays(x, u, dt, cfg: IntegratorConfig, scenario: Scenario, extra_force=None):
@@ -81,15 +92,13 @@ def step_arrays(x, u, dt, cfg: IntegratorConfig, scenario: Scenario, extra_force
     3-vector) is stepped on Python floats; complex inputs stay arrays.
     """
     xs, us = np.asarray(x), np.asarray(u)
+    ext = extra_force if extra_force is None else np.asarray(extra_force)
     if xs.ndim == 1 and us.ndim == 1 and isinstance(dt, float) \
-            and np.ndim(extra_force) <= 1 and "c" not in (xs.dtype.kind, us.dtype.kind):
-        xs = xs.astype(float, copy=False).tolist()
-        us = us.astype(float, copy=False).tolist()
-        ext = None if extra_force is None else np.asarray(extra_force, dtype=float).tolist()
-        h = float(dt) / cfg.n_sub
-        for _ in range(cfg.n_sub):
-            xs = _substep_scalar(xs, us, h, scenario, ext)
-        return np.array(xs)
+            and (ext is None or ext.ndim <= 1) and "c" not in (xs.dtype.kind, us.dtype.kind):
+        return np.array(_step_floats(
+            xs.astype(float, copy=False).tolist(), us.astype(float, copy=False).tolist(),
+            float(dt) / cfg.n_sub, cfg.n_sub, scenario,
+            None if ext is None else ext.astype(float, copy=False).tolist()))
     h = np.asarray(dt) / cfg.n_sub
     if np.ndim(h) > 0:
         h = h[..., None]

@@ -35,7 +35,9 @@ The state derivative has one kernel body, _accelerations, written in
 for batches, and state_derivative_scalar on Python floats for one state,
 where numpy's per-call cost would dominate.  Each binding computes r and
 sin/cos(psi) and owns the domain handling; both return NaN accelerations
-when r^2 <= 0 or psi is not finite, never raise, and agree bit for bit.
+when r^2 <= 0 or psi is not finite, never raise, and agree bit for bit:
+same IEEE operations, same order.  integrator.step_arrays binds the float
+binding's constants (d_a, mass, gravity) once per call.
 
 The kernel is analytic in x and u: + - * / in the body, sqrt, sin and cos
 in the array binding.  So state_derivative_arrays also takes complex
@@ -272,31 +274,30 @@ def state_derivative_arrays(x, u, scenario: Scenario, extra_force=None):
     return np.stack([x[..., 3], x[..., 4], x[..., 5], *acc], axis=-1)
 
 
-def state_derivative_scalar(x, u, scenario: Scenario, extra_force=None) -> list:
-    """The same derivative for one state, on Python floats.
-
-    x and u are sequences of six floats (extra_force of three); returns a
-    list of six floats equal bit for bit to the matching row of
-    state_derivative_arrays, NaN row included: out of domain (r^2 <= 0) or
-    with a non-finite psi the accelerations are NaN, and it never raises
-    where the batched binding returns a value.
-    """
-    psi, l1, l2 = x[0], x[1], x[2]
-    d_a = scenario.d_a
-    C, r2 = _chord_and_radius(l1, l2, d_a)
+def _float_accelerations(x, u, extra_force, scenario, d_a, m, gravity):
+    """state_derivative_scalar's accelerations; the caller binds d_a, m, gravity."""
+    psi = x[0]
+    C, r2 = _chord_and_radius(x[1], x[2], d_a)
     if not (r2 > 0.0 and math.isfinite(psi)):
-        return [x[3], x[4], x[5], math.nan, math.nan, math.nan]
+        return math.nan, math.nan, math.nan
     try:
-        acc = _accelerations(x, u, C, math.sqrt(r2), math.sin(psi), math.cos(psi),
-                             scenario.gravity.tolist(), d_a, scenario.mass,
-                             extra_force)
+        return _accelerations(x, u, C, math.sqrt(r2), math.sin(psi), math.cos(psi),
+                              gravity, d_a, m, extra_force)
     except ZeroDivisionError:
         # A zero mass, or a divisor that underflowed: numpy gives inf/NaN.
+        x, u = np.array(x, dtype=float), np.array(u, dtype=float)
         ext = None if extra_force is None else np.array(extra_force, dtype=float)
-        return state_derivative_arrays(np.array(x, dtype=float),
-                                       np.array(u, dtype=float), scenario,
-                                       ext).tolist()
-    return [x[3], x[4], x[5], *acc]
+        return state_derivative_arrays(x, u, scenario, ext)[3:].tolist()
+
+
+def state_derivative_scalar(x, u, scenario: Scenario, extra_force=None) -> list:
+    """The same derivative for one state, on Python floats: x and u are
+    sequences of six floats (extra_force of three); returns a list of six
+    floats equal bit for bit to the matching row of state_derivative_arrays,
+    NaN row included, and never raises where the batched binding returns."""
+    return [x[3], x[4], x[5],
+            *_float_accelerations(x, u, extra_force, scenario, scenario.d_a,
+                                  scenario.mass, scenario.gravity.tolist())]
 
 
 def inverse_kinematics(p, scenario: Scenario) -> tuple[float, float, float]:

@@ -27,10 +27,13 @@ n.p < 0).  A non-finite state ends the episode with EpisodeAborted, whose
 trace carries the event aborted; a wall crossing is recorded, not
 aborted.  The meta of an MPC episode holds one entry per tick in the
 arrays tick_s, n_iter, status and degraded (MpcSolution.diagnostics).
+The recorder keeps references, not copies, to each step's state and to
+the input and disturbance held over a tick: nothing may mutate them later.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,8 +145,9 @@ class _Recorder:
         self.ticks = ticks
 
     def add(self, t, x, u, dist, phase, velocity=None):
-        """velocity, if given, replaces the Cartesian velocity computed from x."""
-        self.rows.append((t, x.copy(), u.copy(), dist.copy(), phase, velocity))
+        """velocity, if given, replaces the Cartesian velocity computed from x.
+        Keeps references: nothing may mutate x, u or dist afterwards."""
+        self.rows.append((t, x, u, dist, phase, velocity))
 
     def build(self, events, e_a, meta) -> SimTrace:
         times = np.array([r[0] for r in self.rows])
@@ -178,11 +182,6 @@ class EpisodeAborted(RuntimeError):
     def __init__(self, message: str, trace: SimTrace):
         super().__init__(message)
         self.trace = trace
-
-
-def _check_state(x):
-    if not np.all(np.isfinite(x)):
-        raise IntegrationError("simulation state became non-finite")
 
 
 def _substeps(interval: float, dt_sim: float) -> tuple[int, float]:
@@ -221,7 +220,8 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
             d = None if force is None else force(t)
             recorder.add(t, x, u, zero if d is None else d, phase)
             x = step_arrays(x, u, h, cfg_sim, scenario, extra_force=d)
-            _check_state(x)
+            if not all(map(math.isfinite, x.tolist())):
+                raise IntegrationError("simulation state became non-finite")
             t += h
             if watch:
                 gap = float(position_arrays(x[0], x[1], x[2], scenario.d_a) @ n

@@ -30,10 +30,10 @@ downward pull with zero moment).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .model import Scenario
 # directional_margin is re-exported as the hull-based reference for margin_at.
@@ -80,6 +80,7 @@ class ContactSet:
     mu: float
     f_leg_max: float
     f_r_max: float
+    tangents: tuple                # (t1, t2) = tangent_frame(contact_normal)
 
 
 def contact_geometry(p, scenario: Scenario) -> ContactSet:
@@ -102,14 +103,12 @@ def contact_geometry(p, scenario: Scenario) -> ContactSet:
             raise CellError("rope attachment coincides with its anchor")
         axes.append(v / norm)
     return ContactSet(wheel_l, wheel_r, hoist_l, hoist_r, axes[0], axes[1],
-                      n_c, scenario.mu, scenario.f_leg_max, scenario.f_r_max)
+                      n_c, scenario.mu, scenario.f_leg_max, scenario.f_r_max, (t1, t2))
 
 
-def _pyramid_corners(contact_normal, mu: float, f_leg_max: float) -> np.ndarray:
+def _pyramid_corners(t1, t2, n, mu: float, f_leg_max: float) -> np.ndarray:
     """The 4 corners (R_c @ [+-mu, +-mu, 1]) * f_leg_max of a wheel's
     friction pyramid, as rows, with R_c = [t1, t2, n] the contact frame."""
-    n = np.asarray(contact_normal, dtype=float)
-    t1, t2 = tangent_frame(n)
     R_c = np.column_stack([t1, t2, n])
     local = np.array([[mu, -mu, -mu, mu],
                       [mu, mu, -mu, -mu],
@@ -122,7 +121,8 @@ def wheel_force_polytope(contact_normal, mu: float, f_leg_max: float) -> VPolyto
 
     The pyramid implicitly encodes the unilateral constraint.
     """
-    corners = _pyramid_corners(contact_normal, mu, f_leg_max)
+    n = np.asarray(contact_normal, dtype=float)
+    corners = _pyramid_corners(*tangent_frame(n), n, mu, f_leg_max)
     # canonicalise: collapses to a normal segment when mu == 0
     return convex_hull(np.vstack([np.zeros(3), corners]))
 
@@ -203,7 +203,7 @@ def margin_at(p, v_hat, scenario: Scenario) -> MarginResult:
     """
     v_hat = _check_direction(v_hat)
     cs = contact_geometry(p, scenario)
-    corners = _pyramid_corners(cs.contact_normal, cs.mu, cs.f_leg_max)
+    corners = _pyramid_corners(*cs.tangents, cs.contact_normal, cs.mu, cs.f_leg_max)
     forces = np.vstack([corners, corners, -cs.f_r_max * cs.axis_left,
                         -cs.f_r_max * cs.axis_right])
     points = np.repeat([cs.wheel_left, cs.wheel_right, cs.hoist_left, cs.hoist_right],
@@ -213,10 +213,12 @@ def margin_at(p, v_hat, scenario: Scenario) -> MarginResult:
     wheel_sums = np.zeros((4, 2 * n + 1))
     for row, first in enumerate((0, 4, n, n + 4)):
         wheel_sums[row, first:first + 4] = 1.0
+    A_eq = np.zeros((12, 2 * n + 1))
+    A_eq[:6, :n] = A_eq[6:, n:2 * n] = G
+    A_eq[6:, -1] = -v_hat
     w = load_wrench(scenario)
     res = solve_lp(np.append(np.zeros(2 * n), -1.0),
-                   A_ub=wheel_sums, b_ub=np.ones(4),
-                   A_eq=block_diag(G, np.column_stack([G, -v_hat])),
+                   A_ub=wheel_sums, b_ub=np.ones(4), A_eq=A_eq,
                    b_eq=np.concatenate([w, w]),
                    bounds=[(0.0, 1.0)] * (2 * n) + [(0.0, None)])
     if res.status == STATUS_INFEASIBLE:
@@ -248,6 +250,8 @@ class HeatmapResult:
     gamma: np.ndarray              # (ny, nz); 0 where statically infeasible
     feasible: np.ndarray           # (ny, nz) bool
     errors: list
+    cell_s: np.ndarray             # (ny, nz) seconds of each cell (perf_counter)
+    endings: dict                  # cells per ending: ok, infeasible_origin, CellError
 
 
 def margin_heatmap(grid: HeatmapGrid, v_hat, scenario: Scenario) -> HeatmapResult:
@@ -259,16 +263,22 @@ def margin_heatmap(grid: HeatmapGrid, v_hat, scenario: Scenario) -> HeatmapResul
     ny, nz = grid.y_values.size, grid.z_values.size
     gamma = np.zeros((ny, nz))
     feasible = np.zeros((ny, nz), dtype=bool)
+    cell_s = np.zeros((ny, nz))
+    endings = dict.fromkeys(("ok", "infeasible_origin", "CellError"), 0)
     errors = []
     for i, y in enumerate(grid.y_values):
         for j, z in enumerate(grid.z_values):
             p = np.array([grid.x, y, z])
+            t0 = time.perf_counter()
             try:
                 res = margin_at(p, v_hat, scenario)
+                status = res.status
             except CellError as exc:
                 errors.append((i, j, str(exc)))
-                continue
-            if res.status == "ok":
+                status = "CellError"
+            cell_s[i, j] = time.perf_counter() - t0
+            endings[status] += 1
+            if status == "ok":
                 gamma[i, j] = res.gamma
                 feasible[i, j] = True
-    return HeatmapResult(grid, v_hat, gamma, feasible, errors)
+    return HeatmapResult(grid, v_hat, gamma, feasible, errors, cell_s, endings)

@@ -4,6 +4,7 @@ reference."""
 import numpy as np
 import pytest
 
+from wallhopper import integrator, model, simulator
 from wallhopper.integrator import (
     IntegratorConfig,
     rollout_arrays,
@@ -62,6 +63,27 @@ class TestStep:
         assert err < 0.05
 
 
+def random_states_and_inputs(rng, n):
+    """n states, in domain except row 0 (a NaN row), and n inputs."""
+    x = np.stack([make_state([rng.uniform(0.1, 2.0), rng.uniform(0.0, 5.0),
+                              rng.uniform(-9.0, -3.0)],
+                             rng.uniform(-2.0, 2.0, 3)) for _ in range(n)])
+    x[0, 1:3] = 1.0, 10.0                            # out of domain: NaN row
+    u = np.column_stack([rng.uniform(-60, 0, (n, 2)), rng.uniform(-50, 50, (n, 4))])
+    return x, u
+
+
+def assert_rows_match_batch(x, u, dt, cfg, scen=SCEN, force=None):
+    """Each state stepped alone equals its row of the batched step, bit for
+    bit; returns the batched step."""
+    batch = step_arrays(x, u, dt, cfg, scen, force)
+    for i in range(x.shape[0]):
+        single = step_arrays(x[i], u[i], dt, cfg, scen, None if force is None else force[i])
+        assert single.shape == (6,) and single.dtype == float
+        np.testing.assert_array_equal(single, batch[i])
+    return batch
+
+
 class TestSingleStatePath:
     """One state is stepped on Python floats; it must match its row of a
     batched step bit for bit."""
@@ -69,21 +91,84 @@ class TestSingleStatePath:
     @pytest.mark.parametrize("with_force", [False, True])
     def test_single_row_matches_batch(self, with_force):
         rng = np.random.default_rng(11)
-        n = 40
-        x = np.stack([make_state([rng.uniform(0.1, 2.0), rng.uniform(0.0, 5.0),
-                                  rng.uniform(-9.0, -3.0)],
-                                 rng.uniform(-2.0, 2.0, 3)) for _ in range(n)])
-        x[0, 1:3] = 1.0, 10.0                            # out of domain: NaN row
-        u = np.column_stack([rng.uniform(-60, 0, (n, 2)), rng.uniform(-50, 50, (n, 4))])
-        force = rng.normal(0.0, 20.0, (n, 3)) if with_force else None
-        cfg = IntegratorConfig(n_sub=3)
-        batch = step_arrays(x, u, 0.02, cfg, SCEN, force)
-        for i in range(n):
-            single = step_arrays(x[i], u[i], 0.02, cfg, SCEN,
-                                 None if force is None else force[i])
-            assert single.shape == (6,)
-            np.testing.assert_array_equal(single, batch[i])
+        x, u = random_states_and_inputs(rng, 40)
+        force = rng.normal(0.0, 20.0, (40, 3)) if with_force else None
+        batch = assert_rows_match_batch(x, u, 0.02, IntegratorConfig(n_sub=3), force=force)
         assert np.isnan(batch[0, 3:]).all()
+
+    @pytest.mark.parametrize("n_sub", [1, 5])
+    def test_fused_loop_matches_batch(self, n_sub):
+        rng = np.random.default_rng(12)
+        x, u = random_states_and_inputs(rng, 20)
+        assert_rows_match_batch(x, u, 0.05, IntegratorConfig(n_sub=n_sub),
+                                force=rng.normal(0.0, 20.0, (20, 3)))
+
+    def test_leaving_the_domain_mid_step(self):
+        # Both ropes shorten at 5 m/s from l1 + l2 = 5.2 m > d_a: the state
+        # leaves the domain (l1 + l2 < d_a) during the step, and the NaN of
+        # that stage propagates to the end of the step.
+        x = np.array([[0.3, 2.6, 2.6, 0.0, -5.0, -5.0]])
+        cfg = IntegratorConfig(n_sub=5)
+        assert np.isfinite(step_arrays(x[0], np.zeros(6), 0.01, cfg, SCEN)).all()
+        stepped = assert_rows_match_batch(x, np.zeros((1, 6)), 0.05, cfg)
+        assert np.isnan(stepped[0, 3:]).all()
+
+    def test_zero_mass_falls_back_to_arrays(self, monkeypatch):
+        # The float kernel divides by the mass; on ZeroDivisionError it
+        # takes the numpy binding, which gives inf/NaN instead.
+        calls = []
+        arrays = model.state_derivative_arrays
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return arrays(*args, **kwargs)
+
+        monkeypatch.setattr(model, "state_derivative_arrays", spy)
+        rng = np.random.default_rng(13)
+        x, u = random_states_and_inputs(rng, 5)
+        batch = assert_rows_match_batch(x, u, 0.05, IntegratorConfig(n_sub=2),
+                                        SCEN.with_(mass=0.0))
+        assert calls and not np.isfinite(batch[1:, 3:]).any()
+
+    def test_integer_state_is_stepped_as_floats(self):
+        x = np.array([0, 3, 4, 1, 0, -1])
+        u = np.array([-20.0, -10.0, 0.0, 0.0, 0.0, 3.0])
+        cfg = IntegratorConfig(n_sub=3)
+        stepped = step_arrays(x, u, 0.05, cfg, SCEN)
+        assert stepped.dtype == float
+        np.testing.assert_array_equal(stepped, step_arrays(x.astype(float), u, 0.05, cfg,
+                                                           SCEN))
+        np.testing.assert_array_equal(stepped, step_arrays(x[None], u[None], 0.05, cfg,
+                                                           SCEN)[0])
+
+
+class TestSingleStateStaysOffNumpy:
+    """Every single real state, in every caller's form, is stepped without
+    the array binding of the kernel."""
+
+    @pytest.fixture(autouse=True)
+    def no_array_binding(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a single state took the array binding")
+
+        monkeypatch.setattr(integrator, "state_derivative_arrays", fail)
+
+    @pytest.mark.parametrize("dt", [0.02, np.float64(0.02)], ids=["float", "float64"])
+    @pytest.mark.parametrize("n_sub", [1, 5])
+    @pytest.mark.parametrize("force", [None, np.array([3.0, -2.0, 5.0])],
+                             ids=["no_force", "force"])
+    def test_step(self, dt, n_sub, force):
+        x = step_arrays(X0, FORCED_U, dt, IntegratorConfig(n_sub=n_sub), SCEN, force)
+        assert x.shape == (6,) and np.isfinite(x).all()
+
+    def test_single_state_rollout(self):
+        states = rollout_arrays(X0, np.tile(FORCED_U, (10, 1)), 0.05, IntegratorConfig(),
+                                SCEN)
+        assert states.shape == (11, 6) and np.isfinite(states).all()
+
+    def test_open_loop_episode(self, frozen_track_plan):
+        trace = simulator.run_episode(frozen_track_plan, SCEN, controller="open_loop")
+        assert np.isfinite(trace.e_a).all()
 
 
 def random_rows(rng, n):

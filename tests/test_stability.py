@@ -376,6 +376,20 @@ class TestHeatmap:
         assert [(i, j) for i, j, _ in hm.errors] == [(0, 0)]
         assert "coincides" in hm.errors[0][2]
 
+    def test_cell_telemetry(self):
+        # One cell on the rope anchor (CellError), the rest ok or infeasible.
+        t1, _ = tangent_frame(LAND.contact_normal)
+        p = LAND.anchor_left + 0.5 * LAND.d_h * t1
+        grid = HeatmapGrid(np.array([p[1], 2.5, 4.0]), np.array([p[2], -2.0, -6.5]),
+                           x=p[0])
+        hm = margin_heatmap(grid, PULL_OFF, LAND)
+        assert hm.cell_s.shape == hm.gamma.shape == (3, 3)
+        assert np.all(hm.cell_s > 0.0)
+        assert sum(hm.endings.values()) == hm.gamma.size
+        assert hm.endings["ok"] == hm.feasible.sum() > 0
+        assert hm.endings["CellError"] == len(hm.errors) == 1
+        assert hm.endings["infeasible_origin"] == hm.gamma.size - hm.feasible.sum() - 1 > 0
+
     def test_code_error_propagates(self, monkeypatch):
         def bug(p, v_hat, scenario):
             raise ValueError("operands could not be broadcast together")
