@@ -1,6 +1,8 @@
 """Receding-horizon flight controller.
 
-At each control tick the optimiser adjusts the planned rope-force
+A control tick is one knot interval of the plan: tick k starts at knot k,
+flies knot k's planned rope forces plus the optimised deviations, and
+lasts plan.dt.  At each tick the optimiser adjusts the planned rope-force
 feed-forward by per-knot deviations and adds a bilateral propeller force,
 minimising tracking error against the planned Cartesian reference at knots
 0..H-1 of a (shrinking) horizon plus an input smoothing cost, under the
@@ -15,8 +17,8 @@ the position Jacobian; take one bounded Gauss-Newton step through
 solve_nlp; roll out once more at the accepted point for the predicted
 positions.  MpcConfig.max_iter allows more steps per tick.
 
-``TrackingController`` holds that state across ticks: the reference and
-feed-forward resampled to its clock, and the previous tick's solution,
+``TrackingController`` holds that state across ticks: the plan's knot
+positions and input schedule, and the previous tick's solution,
 which gives both the shifted warm start and the deviation applied last
 period (the first term of the input smoothing cost).
 """
@@ -30,36 +32,25 @@ import numpy as np
 
 from .integrator import IntegratorConfig, rollout_arrays, step_jacobians
 from .model import Scenario, jacobian_arrays, position_arrays
-from .planner import JumpPlan, map_plan_to_reference
+from .planner import JumpPlan
 from .solvers import NlpProblem, solve_nlp
+
+W_SMOOTH = 1e-5                    # input smoothing weight (tracking weight 1)
 
 
 @dataclass(frozen=True)
 class MpcConfig:
     n_horizon: int = 12            # knots in the receding horizon
-    dt: float = 0.05               # control period (s)
-    w_p: float = 1.0               # tracking weight
-    w_u: float = 1e-5              # input smoothing weight
-    n_sub: int = 5                 # prediction sub-steps per knot
     max_iter: int = 1              # Gauss-Newton steps per tick
 
     def __post_init__(self):
         if self.n_horizon < 2:
             raise ValueError("horizon must have at least 2 knots")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if min(self.w_p, self.w_u) < 0.0:
-            raise ValueError("weights must be non-negative")
 
     @classmethod
-    def from_plan(cls, plan: JumpPlan, horizon_fraction: float = 0.4,
-                  **overrides) -> "MpcConfig":
-        """Defaults tied to the plan: dt equals the plan knot interval and
-        the horizon spans the given fraction of the knots."""
-        kwargs = {"n_horizon": max(2, round(horizon_fraction * plan.n_knots)),
-                  "dt": plan.dt}
-        kwargs.update(overrides)
-        return cls(**kwargs)
+    def from_plan(cls, plan: JumpPlan, **overrides) -> "MpcConfig":
+        """A horizon over 40 % of the plan's knots, unless overridden."""
+        return cls(**{"n_horizon": max(2, round(0.4 * plan.n_knots)), **overrides})
 
 
 @dataclass
@@ -73,9 +64,7 @@ class MpcSolution:
 
 
 def shrink_horizon(k: int, n_horizon: int, ref_len: int) -> int:
-    """Effective horizon when the reference has ref_len knot intervals."""
-    if k > ref_len:
-        raise ValueError("tick index beyond the reference")
+    """Effective horizon at tick k when the reference has ref_len knot intervals."""
     return min(n_horizon, ref_len - k)
 
 
@@ -95,22 +84,17 @@ def warm_start_from(prev: MpcSolution | None, horizon: int) -> np.ndarray:
 
 
 class TrackingController:
-    """Holds the reference trajectory and feed-forward resampled to the
-    controller clock, plus the warm-start state across ticks."""
+    """Tracks the plan one knot per tick: the knot positions are the
+    reference, the input schedule the feed-forward; keeps the warm-start
+    state across ticks."""
 
     def __init__(self, plan: JumpPlan, scenario: Scenario,
                  cfg: MpcConfig | None = None):
         self.plan = plan
         self.scen = scenario
         self.cfg = cfg or MpcConfig.from_plan(plan)
-        _, self.p_ref = map_plan_to_reference(plan, self.cfg.dt)
-        # Zero-order-hold resample of the planned rope forces.
-        n_ref = self.p_ref.shape[0] - 1
-        # The 1e-9 guard of map_plan_to_reference: k * dt / dt may round to
-        # just below k, which would fly the previous knot's forces.
-        idx = np.floor(np.arange(n_ref) * (self.cfg.dt / plan.dt) + 1e-9).astype(int)
-        idx = np.minimum(idx, plan.n_knots - 1)
-        self.ff = np.column_stack([plan.rope_left[idx], plan.rope_right[idx]])
+        self.p_ref = plan.positions                        # (N+1, 3)
+        self.ff = plan.input_schedule()                    # (N, 6), ropes only
         self.prev_solution: MpcSolution | None = None
 
     @property
@@ -119,13 +103,15 @@ class TrackingController:
 
     def command(self, x_hat: np.ndarray, k: int) -> tuple[np.ndarray, MpcSolution]:
         """Solve at tick k and return (input to apply as a (6,) array, solution)."""
+        if not 0 <= k < self.n_ticks:
+            raise ValueError(f"tick {k} outside [0, {self.n_ticks})")
         t0 = time.perf_counter()
         sol = self._solve(np.asarray(x_hat, dtype=float), k)
         sol.diagnostics["tick_s"] = time.perf_counter() - t0
         self.prev_solution = sol
-        u = np.zeros(6)
-        u[0] = self.ff[k, 0] + sol.delta_left[0]
-        u[1] = self.ff[k, 1] + sol.delta_right[0]
+        u = self.ff[k].copy()
+        u[0] += sol.delta_left[0]
+        u[1] += sol.delta_right[0]
         u[5] = sol.f_prop[0]
         return u, sol
 
@@ -137,28 +123,26 @@ class TrackingController:
         failure the clipped warm start is returned with the degraded flag
         set.
         """
-        cfg, scenario = self.cfg, self.scen
+        cfg, scenario, dt = self.cfg, self.scen, self.plan.dt
         H = shrink_horizon(k, cfg.n_horizon, self.n_ticks)
-        if H < 1:
-            raise ValueError("reference exhausted; no horizon left")
-        ff = self.ff[k:k + H]                              # (H, 2)
+        ff = self.ff[k:k + H, :2]                          # (H, 2)
         p_ref = self.p_ref[k:k + H]                        # knots 0..H-1
         # The i-1 term of the smoothing cost: deviation applied at the
         # previous control period (cold start: the unmodified feed-forward).
         prev = self.prev_solution
         prev_dl, prev_dr = ((0.0, 0.0) if prev is None
                             else (prev.delta_left[0], prev.delta_right[0]))
-        icfg = IntegratorConfig(n_sub=cfg.n_sub)
+        icfg = IntegratorConfig()
         f_scale = np.array([scenario.f_r_max, scenario.f_r_max,
                             max(scenario.f_p_max, 1e-9)])
-        w_p, w_u = np.sqrt(cfg.w_p), np.sqrt(cfg.w_u)
+        sw = np.sqrt(W_SMOOTH)                             # residuals carry the root
         # Smoothing residuals, linear in z: first differences of each rope
         # deviation, the first one taken against the previous period's.
         diff = np.eye(H) - np.eye(H, k=-1)
-        smooth = w_u * np.vstack([np.kron(diff, [[f_scale[0], 0.0, 0.0]]),
-                                  np.kron(diff, [[0.0, f_scale[1], 0.0]])])
+        smooth = sw * np.vstack([np.kron(diff, [[f_scale[0], 0.0, 0.0]]),
+                                 np.kron(diff, [[0.0, f_scale[1], 0.0]])])
         offset = np.zeros(2 * H)
-        offset[0], offset[H] = w_u * prev_dl, w_u * prev_dr
+        offset[0], offset[H] = sw * prev_dl, sw * prev_dr
         last = [None, None]                                # latest (z, knot states)
 
         def inputs(z):
@@ -170,25 +154,25 @@ class TrackingController:
 
         def states_at(z):
             if last[0] is None or not np.array_equal(last[0], z):
-                last[:] = z.copy(), rollout_arrays(x_hat, inputs(z), cfg.dt, icfg, scenario)
+                last[:] = z.copy(), rollout_arrays(x_hat, inputs(z), dt, icfg, scenario)
             return last[1]
 
         def residuals(z):
             s = states_at(z)[:H]
             pos = position_arrays(s[:, 0], s[:, 1], s[:, 2], scenario.d_a)
-            return np.concatenate([w_p * (pos - p_ref).ravel(), smooth @ z - offset])
+            return np.concatenate([(pos - p_ref).ravel(), smooth @ z - offset])
 
         def residuals_jac(z):
             # S[j] = dx_j/dz: S_0 = 0 (x_0 is measured) and each knot step
             # adds its own inputs; knot H has no weight, so its step is skipped.
             s = states_at(z)
-            J = step_jacobians(s[:H - 1], inputs(z)[:H - 1], cfg.dt, icfg, scenario)
+            J = step_jacobians(s[:H - 1], inputs(z)[:H - 1], dt, icfg, scenario)
             S = np.zeros((H, 6, 3 * H))
             for j in range(H - 1):
                 S[j + 1] = J[j, :, :6] @ S[j]
                 S[j + 1, :, 3 * j:3 * j + 3] += J[j][:, [6, 7, 11]] * f_scale
             P = jacobian_arrays(s[:H, 0], s[:H, 1], s[:H, 2], scenario.d_a) @ S[:, :3]
-            return np.vstack([w_p * P.reshape(3 * H, 3 * H), smooth])
+            return np.vstack([P.reshape(3 * H, 3 * H), smooth])
 
         # Rope bounds map to boxes on the deviations; propeller is bilateral.
         p_max = float(scenario.f_p_max > 0.0)

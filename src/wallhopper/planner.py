@@ -455,18 +455,3 @@ def audit_plan(plan: JumpPlan, scenario: Scenario,
     viol["max_violation"] = max(viol.values())
     return viol
 
-
-def map_plan_to_reference(plan: JumpPlan, dt_mpc: float):
-    """Resample knot positions onto the controller clock by linear interpolation.
-
-    Returns (times, positions); exact at the plan knots.
-    """
-    if dt_mpc <= 0.0:
-        raise ValueError("dt_mpc must be positive")
-    knot_t = np.arange(plan.n_knots + 1) * plan.dt
-    n_ref = int(np.floor(plan.t_f / dt_mpc + 1e-9))
-    times = np.arange(n_ref + 1) * dt_mpc
-    ref = np.empty((times.size, 3))
-    for j in range(3):
-        ref[:, j] = np.interp(times, knot_t, plan.positions[:, j])
-    return times, ref

@@ -4,11 +4,11 @@ run_episode and landing_episode are thin wrappers around one phase
 machine, _episode:
 
 - thrust: the planned leg impulse from rest, ropes slack;
-- flight: per controller tick, the open-loop feed-forward or the MPC
-  command (from the state with measurement noise added) is held while the
-  true dynamics, disturbance force included, integrates in steps of about
-  dt_sim, sized so that they divide the thrust and each tick exactly; the
-  flight ends at t_th + t_f;
+- flight: one controller tick per plan knot, each lasting plan.dt; the
+  knot's planned input (open loop) or the MPC command (from the state with
+  measurement noise added) is held while the true dynamics, disturbance
+  force included, integrates in steps of about dt_sim, sized so that they
+  divide the thrust and each tick exactly; the flight ends at t_th + t_f;
 - hold (landing runs only): a run still short of the wheel plane at t_f
   holds the last feed-forward plus gravity compensation, for at most
   LandingParams.max_hold;
@@ -197,11 +197,11 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
     the touch-down watch and the hold and contact phases."""
     if controller == "mpc":
         ctl = TrackingController(plan, scenario, mpc_cfg)
-        dt_tick, n_ticks = ctl.cfg.dt, ctl.n_ticks
     elif controller == "open_loop":
-        ctl, dt_tick, n_ticks = None, plan.dt, plan.n_knots
+        ctl = None
     else:
         raise ValueError("controller must be 'open_loop' or 'mpc'")
+    schedule = plan.input_schedule()
     rng = np.random.default_rng(noise.seed) if noise is not None else None
     dist = disturbance or DisturbanceSpec()
     cfg_sim = IntegratorConfig(n_sub=1)
@@ -233,9 +233,7 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
 
     def tick_input(k):
         if ctl is None:
-            u = np.zeros(6)
-            u[0], u[1] = plan.rope_left[k], plan.rope_right[k]
-            return u
+            return schedule[k]
         x_meas = x.copy()
         if rng is not None:
             x_meas[3:] += rng.normal(0.0, noise.sigma)
@@ -251,8 +249,8 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
         u[2:5] = plan.f_leg
         advance(u, *_substeps(scenario.t_th, dt_sim), PHASE_THRUST)
         events["lift_off"] = t_lift = t
-        steps_per_tick, h = _substeps(dt_tick, dt_sim)
-        for k in range(n_ticks):
+        steps_per_tick, h = _substeps(plan.dt, dt_sim)
+        for k in range(plan.n_knots):
             u = tick_input(k)
             if advance(u, steps_per_tick, h, PHASE_FLIGHT, landing is not None,
                        lambda s: dist.force_at(s - t_lift)):
@@ -352,14 +350,18 @@ def batch_robustness(plan: JumpPlan, n_runs: int, scenario: Scenario,
                      mpc_cfg: MpcConfig | None = None) -> dict:
     """Random impulsive disturbances over the flight, per-interval statistics.
 
-    The flight is split into n_intervals equal windows; each run draws a
-    disturbance amplitude in the given range and a direction in the
-    downward hemisphere, applied inside its window.  Aborted runs are
+    The flight is split into n_intervals (>= 1) equal windows; each run
+    draws a disturbance amplitude in the given range and a direction in the
+    downward hemisphere, applied inside its window for DisturbanceSpec's
+    default duration.  Aborted runs are
     counted as failures, not fatal; runs that cross the wall plane are
     counted in wall_crossings and keep their landing errors in the
     statistics.  Fixed seeds reproduce bit-identical results.
     """
+    if n_intervals < 1:
+        raise ValueError("n_intervals must be >= 1")
     rng = np.random.default_rng(seed)
+    window = plan.t_f / n_intervals
     per_interval: list[list[float]] = [[] for _ in range(n_intervals)]
     failures = wall_crossings = 0
     for run in range(n_runs):
@@ -369,8 +371,8 @@ def batch_robustness(plan: JumpPlan, n_runs: int, scenario: Scenario,
         vec[2] = -abs(vec[2])            # downward hemisphere
         nv = np.linalg.norm(vec)
         vec = vec / nv * amp if nv > 0 else np.array([0.0, 0.0, -amp])
-        window = plan.t_f / n_intervals
-        t_start = interval * window + rng.uniform(0.0, max(window - 0.2, 0.0))
+        t_start = interval * window + rng.uniform(
+            0.0, max(window - DisturbanceSpec.duration, 0.0))
         spec = DisturbanceSpec("impulsive", vec, t_start=t_start)
         run_noise = None
         if noise is not None:

@@ -1,9 +1,11 @@
 """The benchmark in perfbench/ hooks into the package by name.  Check that
-every name it patches or calls still exists, so removing one fails here
-and not only in the benchmark's own smoke tests."""
+every name it patches or calls still exists, and that every keyword it
+passes is still a parameter of the callee, so removing one fails here and
+not only in the benchmark's own smoke tests."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -25,44 +27,83 @@ def test_tracer_patches_and_restores_every_hook(monkeypatch):
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr}"
 
 
-def benchmark_names():
-    """(module, dotted path) for every wallhopper name perfbench/*.py uses:
+def wallhopper_uses():
+    """(names, calls) over perfbench/*.py.  names: (module, dotted path) for
     each name imported with ``from wallhopper... import`` and each attribute
-    chain on an imported wallhopper module, e.g. stability.HeatmapGrid.regular."""
+    chain on an imported wallhopper module, e.g. stability.HeatmapGrid.regular.
+    calls: (module, dotted path, keyword) for each keyword argument passed
+    to such a name, e.g. mpc.MpcConfig.from_plan(n_horizon=...)."""
     import wallhopper
 
     submodules = {m.name for m in pkgutil.iter_modules(wallhopper.__path__)}
-    names = set()
+    names, calls = set(), set()
     for path in sorted(PERFBENCH.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        modules = {}                      # local name -> wallhopper module
+        local = {}                        # local name -> (wallhopper module, path prefix)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module and (
                     node.module.split(".")[0] == "wallhopper"):
                 for alias in node.names:
                     if node.module == "wallhopper" and alias.name in submodules:
-                        modules[alias.asname or alias.name] = f"wallhopper.{alias.name}"
+                        local[alias.asname or alias.name] = (f"wallhopper.{alias.name}", [])
                     else:
+                        local[alias.asname or alias.name] = (node.module, [alias.name])
                         names.add((node.module, alias.name))
-        for node in ast.walk(tree):
+
+        def resolve(node):
             chain = []
             while isinstance(node, ast.Attribute):
                 chain.insert(0, node.attr)
                 node = node.value
-            if chain and isinstance(node, ast.Name) and node.id in modules:
-                names.add((modules[node.id], ".".join(chain)))
-    return sorted(names)
+            if isinstance(node, ast.Name) and node.id in local:
+                module, prefix = local[node.id]
+                if prefix + chain:
+                    return module, ".".join(prefix + chain)
+            return None
+
+        for node in ast.walk(tree):
+            if (target := resolve(node)) and isinstance(node, ast.Attribute):
+                names.add(target)
+            if isinstance(node, ast.Call) and (target := resolve(node.func)):
+                calls.update((*target, kw.arg) for kw in node.keywords if kw.arg)
+    return sorted(names), sorted(calls)
+
+
+def lookup(module, dotted):
+    obj = importlib.import_module(module)
+    for attr in dotted.split("."):
+        obj = getattr(obj, attr)
+    return obj
 
 
 def test_workload_entry_points_exist():
-    names = benchmark_names()
+    names, _ = wallhopper_uses()
     assert names
     missing = []
     for module, dotted in names:
-        obj = importlib.import_module(module)
         try:
-            for attr in dotted.split("."):
-                obj = getattr(obj, attr)
+            lookup(module, dotted)
         except AttributeError:
             missing.append(f"{module}.{dotted}")
     assert not missing, f"names perfbench/ uses are gone: {missing}"
+
+
+def accepted_keywords(fn):
+    """Parameter names fn accepts by keyword.  A classmethod taking
+    **overrides (MpcConfig.from_plan) passes them on to its class, so they
+    must be parameters of the class."""
+    params = inspect.signature(fn).parameters.values()
+    names = {p.name for p in params if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
+    if any(p.kind is p.VAR_KEYWORD for p in params):
+        owner = getattr(fn, "__self__", None)
+        assert inspect.isclass(owner), f"{fn.__qualname__} takes **kwargs"
+        names |= accepted_keywords(owner)
+    return names
+
+
+def test_workload_keywords_accepted():
+    _, calls = wallhopper_uses()
+    assert ("wallhopper.mpc", "MpcConfig.from_plan", "max_iter") in calls
+    unknown = [f"{module}.{dotted}({kw}=)" for module, dotted, kw in calls
+               if kw not in accepted_keywords(lookup(module, dotted))]
+    assert not unknown, f"keywords perfbench/ passes are gone: {unknown}"

@@ -1,6 +1,7 @@
-"""Flight MPC: the feed-forward resample, the warm start and horizon rules,
-the degraded path when the solver fails, the real-time iteration against
-its oracles, and closed-loop tracking of the benchmark jump."""
+"""Flight MPC: one tick per plan knot (the knot's feed-forward and the
+tick range), the warm start and horizon rules, the degraded path when the
+solver fails, the real-time iteration against its oracles, and closed-loop
+tracking of the benchmark jump."""
 
 import dataclasses
 
@@ -32,19 +33,29 @@ def solution(rows):
 ROWS = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
 
 
+# 30 knots at a t_f where k * dt / dt rounds to just below k for k = 7, 14
+# and 28: a controller on its own clock once flew the previous knot's forces.
+N_KNOTS = 30
+KNOT_PLAN = JumpPlan(f_leg=np.zeros(3), rope_left=-1.0 - np.arange(N_KNOTS),
+                     rope_right=-100.0 - np.arange(N_KNOTS), t_f=0.31472586702134514,
+                     states=np.zeros((N_KNOTS + 1, 6)),
+                     positions=np.zeros((N_KNOTS + 1, 3)), p0=np.zeros(3),
+                     p_target=np.zeros(3), rest_state=np.zeros(6))
+
+
 def test_feed_forward_follows_the_plan_knots():
-    # At this t_f, k * dt / dt rounds to just below k for k = 7, 14 and 28;
-    # with the controller on the plan clock each tick must still fly its
-    # own knot's rope forces.
-    n = 30
-    plan = JumpPlan(f_leg=np.zeros(3), rope_left=-1.0 - np.arange(n),
-                    rope_right=-100.0 - np.arange(n), t_f=0.31472586702134514,
-                    states=np.zeros((n + 1, 6)), positions=np.zeros((n + 1, 3)),
-                    p0=np.zeros(3), p_target=np.zeros(3), rest_state=np.zeros(6))
-    ctl = TrackingController(plan, SCEN)
-    assert ctl.n_ticks == n
-    np.testing.assert_array_equal(ctl.ff, np.column_stack([plan.rope_left,
-                                                           plan.rope_right]))
+    ctl = TrackingController(KNOT_PLAN, SCEN)
+    assert ctl.n_ticks == N_KNOTS
+    np.testing.assert_array_equal(ctl.ff, KNOT_PLAN.input_schedule())
+    assert ctl.p_ref is KNOT_PLAN.positions
+
+
+@pytest.mark.parametrize("k", [-1, N_KNOTS, N_KNOTS + 1])
+def test_tick_outside_the_plan_rejected(k):
+    ctl = TrackingController(KNOT_PLAN, SCEN)
+    with pytest.raises(ValueError, match=rf"tick {k} outside \[0, {N_KNOTS}\)"):
+        ctl.command(np.zeros(6), k)
+    assert ctl.prev_solution is None
 
 
 class TestWarmStart:
@@ -67,10 +78,6 @@ class TestShrinkHorizon:
     @pytest.mark.parametrize("k, expected", [(0, 12), (8, 12), (9, 11), (19, 1), (20, 0)])
     def test_min_rule(self, k, expected):
         assert shrink_horizon(k, 12, 20) == expected
-
-    def test_beyond_reference_rejected(self):
-        with pytest.raises(ValueError):
-            shrink_horizon(21, 12, 20)
 
 
 class TestSolverFailure:

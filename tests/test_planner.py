@@ -17,7 +17,6 @@ from wallhopper.planner import (
     PlanningError,
     ShootingProblem,
     audit_plan,
-    map_plan_to_reference,
     obstacle_min_x,
     plan_jump,
 )
@@ -197,33 +196,6 @@ class TestPlanJump:
         weights = PlannerWeights(w_hw=100.0)
         plan_pen = plan_jump(P0, P_TG, SCEN, weights)
         assert hoist_term(plan_pen) <= hoist_term(benchmark_plan) + 1e-6
-
-
-class TestMapToReference:
-    def test_identity_at_plan_rate(self, benchmark_plan):
-        times, ref = map_plan_to_reference(benchmark_plan, benchmark_plan.dt)
-        assert ref.shape[0] == benchmark_plan.n_knots + 1
-        np.testing.assert_allclose(ref, benchmark_plan.positions, atol=1e-12)
-
-    def test_subsample_recovers_knots(self, benchmark_plan):
-        plan = benchmark_plan
-        _, ref = map_plan_to_reference(plan, plan.dt / 2.0)
-        np.testing.assert_allclose(ref[::2], plan.positions, atol=1e-12)
-
-    def test_interpolants_on_segments(self, benchmark_plan):
-        plan = benchmark_plan
-        _, ref = map_plan_to_reference(plan, plan.dt / 4.0)
-        # Every interpolated sample must be a convex combination of adjacent knots.
-        for m in range(ref.shape[0]):
-            t = m * plan.dt / 4.0
-            i = min(int(t / plan.dt), plan.n_knots - 1)
-            a, b = plan.positions[i], plan.positions[i + 1]
-            lam = (t - i * plan.dt) / plan.dt
-            np.testing.assert_allclose(ref[m], (1 - lam) * a + lam * b, atol=1e-9)
-
-    def test_bad_rate_rejected(self, benchmark_plan):
-        with pytest.raises(ValueError):
-            map_plan_to_reference(benchmark_plan, 0.0)
 
 
 class TestWeights:

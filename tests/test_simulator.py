@@ -1,7 +1,8 @@
 """Episode simulator: open-loop replay against the plan, the recorded
 trace, wall crossings, reproducibility and error handling of the
 robustness batch, the landing episode's phases and events, the MPC ticks
-recorded in the trace, and the landing damping."""
+(one per plan knot) recorded in the trace, measurement noise, and the
+landing damping."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from wallhopper.simulator import (
     DisturbanceSpec,
     EpisodeAborted,
     LandingParams,
+    NoiseSpec,
     batch_robustness,
     critically_damped_gain,
     landing_episode,
@@ -120,6 +122,12 @@ class TestBatchRobustness:
         monkeypatch.setattr(simulator, "step_arrays", broken)
         with pytest.raises(error, match="injected"):
             self.run(benchmark_plan)
+
+    @pytest.mark.parametrize("n_intervals", [0, -1])
+    def test_no_interval_rejected(self, benchmark_plan, n_intervals):
+        with pytest.raises(ValueError, match="n_intervals"):
+            batch_robustness(benchmark_plan, 4, SCEN, controller="open_loop",
+                             n_intervals=n_intervals)
 
     def test_non_finite_state_counted(self, benchmark_plan, monkeypatch):
         real = simulator.step_arrays
@@ -231,6 +239,29 @@ class TestTickMeta:
         meta = run_episode(frozen_track_plan, SCEN, controller="mpc").meta
         np.testing.assert_array_equal(np.flatnonzero(meta["degraded"]), [2])
         assert (meta["status"][2], meta["n_iter"][2]) == ("failed", 0)
+
+
+class TestMeasurementNoise:
+    """MPC episodes on the frozen plan with noise on the measured rates."""
+
+    @pytest.fixture(scope="class")
+    def clean(self, frozen_track_plan):
+        return run_episode(frozen_track_plan, SCEN, controller="mpc")
+
+    def test_zero_sigma_is_noise_free(self, frozen_track_plan, clean):
+        trace = run_episode(frozen_track_plan, SCEN, controller="mpc",
+                            noise=NoiseSpec(sigma=[0.0, 0.0, 0.0]))
+        assert trace.meta["noise"]
+        np.testing.assert_array_equal(trace.states, clean.states)
+
+    def test_seeded_noise_reproduces_and_moves_the_landing(self, frozen_track_plan,
+                                                           clean):
+        a, b = (run_episode(frozen_track_plan, SCEN, controller="mpc",
+                            noise=NoiseSpec(seed=3)) for _ in range(2))
+        np.testing.assert_array_equal(a.states, b.states)
+        np.testing.assert_array_equal(a.inputs, b.inputs)
+        assert clean.landing_error_norm == pytest.approx(0.195e-3, abs=0.001e-3)
+        assert a.landing_error_norm == pytest.approx(22.9e-3, abs=0.1e-3)
 
 
 class TestLandingDamping:
