@@ -52,6 +52,12 @@ plane) is an ordinary configuration.  jacobian_arrays and bias_arrays give
 A_d and b_d on their own; the dynamics kernel does not call them, and the
 tests use them as its oracle.  The planner maps its state sensitivities to
 positions with jacobian_arrays.
+
+Wall and rope geometry: the wall through the anchors has the one unit
+normal wall_normal, which is also the contact normal of the leg and the
+wheels; tangent_frame gives its tangents for their friction pyramids.
+rope_axes gives the rope axes at a position, and static_rope_pull the rope
+forces holding the mass still there, for the planner and the simulator.
 """
 
 from __future__ import annotations
@@ -95,7 +101,6 @@ class Scenario:
     gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -9.81]))
     wall_normal: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
     wall_offset: float = 0.05          # wall kept at n.p >= wall_offset (m)
-    contact_normal: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
     mu: float = 0.8                    # friction coefficient at the wheels/foot
     f_leg_max: float = 300.0           # max normal leg force (N)
     f_r_max: float = 90.0              # max rope tension magnitude (N)
@@ -110,7 +115,6 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "gravity", np.asarray(self.gravity, dtype=float))
         object.__setattr__(self, "wall_normal", _unit(self.wall_normal, "wall_normal"))
-        object.__setattr__(self, "contact_normal", _unit(self.contact_normal, "contact_normal"))
         if self.d_a <= 0.0:
             raise ValueError("anchor distance d_a must be positive")
         if self.mass < 0.0:
@@ -313,3 +317,29 @@ def inverse_kinematics(p, scenario: Scenario) -> tuple[float, float, float]:
         raise KinematicsError("point lies on the anchor line; psi is undefined")
     psi = float(np.arctan2(p[0], -p[2]))
     return psi, l1, l2
+
+
+def tangent_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic tangent pair (t1, t2): Gram-Schmidt of world Y against
+    the normal (world X fallback when nearly parallel), t2 = n x t1."""
+    n = np.asarray(normal, dtype=float)
+    seed = np.array([0.0, 1.0, 0.0])
+    if abs(seed @ n) > 0.99:
+        seed = np.array([1.0, 0.0, 0.0])
+    t1 = seed - (seed @ n) * n
+    t1 /= np.linalg.norm(t1)
+    return t1, np.cross(n, t1)
+
+
+def rope_axes(p, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Unit axes (anchor -> mass) of the left and right ropes at position p."""
+    a_l, a_r = p - scenario.anchor_left, p - scenario.anchor_right
+    return a_l / np.linalg.norm(a_l), a_r / np.linalg.norm(a_r)
+
+
+def static_rope_pull(p, scenario: Scenario) -> np.ndarray:
+    """Rope forces (left, right) balancing gravity at p: the least-squares
+    solution of A f = -m g, A's columns the rope axes, clipped to bounds."""
+    A = np.column_stack(rope_axes(p, scenario))
+    f, *_ = np.linalg.lstsq(A, -scenario.mass * scenario.gravity, rcond=None)
+    return np.clip(f, -scenario.f_r_max, 0.0)

@@ -46,6 +46,8 @@ class MpcConfig:
     def __post_init__(self):
         if self.n_horizon < 2:
             raise ValueError("horizon must have at least 2 knots")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
 
     @classmethod
     def from_plan(cls, plan: JumpPlan, **overrides) -> "MpcConfig":

@@ -17,8 +17,12 @@ The gradient and the constraint Jacobian are exact: one batched complex
 step (integrator.step_jacobians) gives the Jacobian of every step of the
 rollout, the thrust step and the N knots, at the knot states the value
 evaluation already holds.  Chained forward they give each knot state's
-sensitivity to z, A_d(q) maps those to positions, and each cost term and
-constraint row is differentiated by hand from there.
+sensitivity to z, A_d(q) maps those to positions, and each cost term,
+the terminal row and the leg rows are differentiated by hand from there.
+Every clearance row, flat wall or bump, reads one formula, wall_gap; the
+NLP, _check_target and audit_plan all call it.  Its derivative in the knot
+position comes from a complex step through wall_gap itself (Squire &
+Trapp, SIAM Rev. 1998), chained with the knot position Jacobians.
 """
 
 from __future__ import annotations
@@ -28,11 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrator import IntegratorConfig, rollout_arrays, step_arrays, step_jacobians
+from .integrator import (COMPLEX_STEP, IntegratorConfig, rollout_arrays, step_arrays,
+                         step_jacobians)
 from .model import (Ellipsoid, Scenario, inverse_kinematics, jacobian_arrays,
-                    position_arrays)
+                    position_arrays, static_rope_pull, tangent_frame)
 from .solvers import NlpProblem, solve_nlp
-from .stability import tangent_frame
 
 HOIST_SMOOTHING_DELTA = 1e-4
 T_F_BOUNDS = (0.2, 10.0)
@@ -93,36 +97,33 @@ class JumpPlan:
         return u
 
 
-def _shadow(p_y, p_z, obstacle: Ellipsoid):
-    """(x - o_x)^2 on the bump's surface at (p_y, p_z), and its partial
-    derivatives in p_y and p_z; positive inside the bump's shadow."""
-    o, R = obstacle.center, obstacle.semi_axes
-    k_y, k_z = R[0] ** 2 / R[1] ** 2, R[0] ** 2 / R[2] ** 2
-    dy, dz = np.asarray(p_y) - o[1], np.asarray(p_z) - o[2]
-    return R[0] ** 2 - k_y * dy ** 2 - k_z * dz ** 2, -2.0 * k_y * dy, -2.0 * k_z * dz
-
-
 def obstacle_min_x(p_y, p_z, obstacle: Ellipsoid, clearance: float,
                    wall_offset: float):
     """Lower bound on p_x clearing an ellipsoidal bump (vectorised).
 
-    Solves the ellipsoid equation for x at (p_y, p_z): inside the bump's
-    shadow the bound is the bump surface plus the clearance, elsewhere the
-    flat-wall offset applies.
+    Solves the ellipsoid equation for x at (p_y, p_z): q = (x - o_x)^2 on
+    the bump's surface is positive inside its shadow, where the bound is
+    the bump surface plus the clearance if that lies beyond the flat-wall
+    offset; elsewhere the offset applies.  Real or complex, as p_y and p_z
+    are.
     """
-    q = _shadow(p_y, p_z, obstacle)[0]
+    o, R = obstacle.center, obstacle.semi_axes
+    k_y, k_z = R[0] ** 2 / R[1] ** 2, R[0] ** 2 / R[2] ** 2
+    dy, dz = np.asarray(p_y) - o[1], np.asarray(p_z) - o[2]
+    q = R[0] ** 2 - k_y * dy ** 2 - k_z * dz ** 2
     with np.errstate(invalid="ignore"):
-        x_hat = obstacle.center[0] + np.sqrt(np.where(q > 0.0, q, 0.0)) + clearance
-    return np.where(q > 0.0, x_hat, wall_offset)
+        x_hat = o[0] + np.sqrt(np.where(q > 0.0, q, 0.0)) + clearance
+    return np.where((q > 0.0) & (x_hat > wall_offset), x_hat, wall_offset)
 
 
-def _static_pull(p0: np.ndarray, scenario: Scenario) -> np.ndarray:
-    """Least-squares rope pull balancing gravity at p0, clipped to bounds."""
-    a_l = (p0 - scenario.anchor_left) / np.linalg.norm(p0 - scenario.anchor_left)
-    a_r = (p0 - scenario.anchor_right) / np.linalg.norm(p0 - scenario.anchor_right)
-    A = np.column_stack([a_l, a_r])
-    f, *_ = np.linalg.lstsq(A, -scenario.mass * scenario.gravity, rcond=None)
-    return np.clip(f, -scenario.f_r_max, 0.0)
+def wall_gap(pos, scenario: Scenario, clearance: float):
+    """Wall clearance of positions pos (..., 3), >= 0 where clear: n.p minus
+    wall_offset on the flat wall, p_x minus obstacle_min_x with a bump.
+    Real or complex, as pos is."""
+    if scenario.obstacle is None:
+        return np.einsum("...i,i->...", pos, scenario.wall_normal) - scenario.wall_offset
+    return pos[..., 0] - obstacle_min_x(pos[..., 1], pos[..., 2], scenario.obstacle,
+                                        clearance, scenario.wall_offset)
 
 
 class ShootingProblem:
@@ -160,7 +161,7 @@ class ShootingProblem:
                                     weights.w_hw * scenario.f_r_max)
         # Friction pyramid and actuation cap on the leg force, linear in it:
         # leg_rows @ f_leg + leg_offsets <= 0.
-        n_c, mu = scenario.contact_normal, scenario.mu
+        n_c, mu = scenario.wall_normal, scenario.mu
         t1, t2 = tangent_frame(n_c)
         self.leg_rows = np.stack([-n_c, n_c, t1 - mu * n_c, -t1 - mu * n_c,
                                   t2 - mu * n_c, -t2 - mu * n_c])
@@ -222,18 +223,11 @@ class ShootingProblem:
                  + np.sum(np.sqrt((frr * l2_dot) ** 2 + d2), axis=-1)) * dt
         cost = cost + self.w.w_hw * hoist
 
-        g_parts = [term_sq[..., None] - ball_sq]
-        # Wall / obstacle clearance at every knot (including the lift-off knot).
-        if self.scen.obstacle is None:
-            n = self.scen.wall_normal
-            depth = np.einsum("...i,i->...", pos, n)
-            g_parts.append(self.scen.wall_offset - depth)
-        else:
-            bound = obstacle_min_x(pos[..., 1], pos[..., 2], self.scen.obstacle,
-                                   self.w.clearance, self.scen.wall_offset)
-            g_parts.append(bound - pos[..., 0])
-        g_parts.append(z[..., 0:3] @ self.leg_rows.T + self.leg_offsets)
-        return cost * self.cost_scale, np.concatenate(g_parts, axis=-1)
+        # Terminal ball, clearance at every knot (lift-off knot included), leg.
+        g = np.concatenate([term_sq[..., None] - ball_sq,
+                            -wall_gap(pos, self.scen, self.w.clearance),
+                            z[..., 0:3] @ self.leg_rows.T + self.leg_offsets], axis=-1)
+        return cost * self.cost_scale, g
 
     def _exact_jacobians(self, Z, states):
         """Exact (gradient (n_var,), constraint Jacobian (m, n_var)) at one
@@ -278,16 +272,10 @@ class ShootingProblem:
             grad[first:first + N] += self.w.w_hw * da * rate
             grad[-1] += self.w.w_hw * np.sum(s) / N
 
-        if sc.obstacle is None:
-            clearance = -(sc.wall_normal @ P)
-        else:
-            # The bound o_x + sqrt(q) + clearance holds inside the shadow
-            # (q > 0) and is the constant wall offset outside it.
-            q_sh, dq_y, dq_z = _shadow(pos[:, 1], pos[:, 2], sc.obstacle)
-            inside = q_sh > 0.0
-            half = np.where(inside, 0.5 / np.sqrt(np.where(inside, q_sh, 1.0)), 0.0)
-            clearance = ((half * dq_y)[:, None] * P[:, 1]
-                         + (half * dq_z)[:, None] * P[:, 2] - P[:, 0])
+        # d wall_gap/dp at every knot by complex step, chained through P.
+        e = 1j * COMPLEX_STEP * np.eye(3)
+        d_gap = wall_gap(pos[:, None, :] + e, sc, self.w.clearance).imag / COMPLEX_STEP
+        clearance = -np.einsum("ki,kin->kn", d_gap, P)
         leg = np.zeros((6, n))
         leg[:, 0:3] = self.leg_rows
         jac = np.vstack([d_term, clearance, leg])
@@ -350,9 +338,9 @@ class ShootingProblem:
         return lo, hi
 
     def initial_guess(self, t_f0: float = 2.0) -> np.ndarray:
-        pull = _static_pull(self.p0, self.scen)
+        pull = static_rope_pull(self.p0, self.scen)
         z0 = np.concatenate([
-            0.3 * self.scen.f_leg_max * self.scen.contact_normal,
+            0.3 * self.scen.f_leg_max * self.scen.wall_normal,
             np.full(self.N, pull[0]),
             np.full(self.N, pull[1]),
             [t_f0],
@@ -362,15 +350,12 @@ class ShootingProblem:
 
 def _check_target(p0, p_tg, scenario: Scenario, weights: PlannerWeights):
     for name, p in (("start", p0), ("target", p_tg)):
-        if p @ scenario.wall_normal < scenario.wall_offset - 1e-12:
-            raise PlanningError(f"{name} position {p} lies behind the wall")
-        if scenario.obstacle is not None:
-            bound = float(obstacle_min_x(p[1], p[2], scenario.obstacle,
-                                         weights.clearance, scenario.wall_offset))
-            if p[0] < bound - 1e-12:
-                raise PlanningError(
-                    f"{name} position {p} is inside the obstacle clearance "
-                    f"(needs x >= {bound:.3f})")
+        if p.shape != (3,) or not np.all(np.isfinite(p)):
+            raise ValueError(f"{name} position must be a finite 3-vector, got {p}")
+        gap = float(wall_gap(p, scenario, weights.clearance))
+        if gap < -1e-12:
+            raise PlanningError(f"{name} position {p} is {-gap:.3f} m inside the "
+                                "wall clearance")
 
 
 def plan_jump(p0, p_tg, scenario: Scenario,
@@ -435,21 +420,15 @@ def audit_plan(plan: JumpPlan, scenario: Scenario,
         np.max(plan.rope_right, initial=-np.inf),
         np.max(-plan.rope_left - scenario.f_r_max, initial=-np.inf),
         np.max(-plan.rope_right - scenario.f_r_max, initial=-np.inf), 0.0))
-    n_c = scenario.contact_normal
+    n_c = scenario.wall_normal
     t1, t2 = tangent_frame(n_c)
     fn = float(plan.f_leg @ n_c)
     viol["leg_pyramid"] = float(max(
         -fn, fn - scenario.f_leg_max,
         abs(plan.f_leg @ t1) - scenario.mu * fn,
         abs(plan.f_leg @ t2) - scenario.mu * fn, 0.0))
-    pos = plan.positions
-    if scenario.obstacle is None:
-        depth = pos @ scenario.wall_normal
-        viol["wall"] = float(max(np.max(scenario.wall_offset - depth), 0.0))
-    else:
-        bound = obstacle_min_x(pos[:, 1], pos[:, 2], scenario.obstacle,
-                               weights.clearance, scenario.wall_offset)
-        viol["wall"] = float(max(np.max(bound - pos[:, 0]), 0.0))
+    gap = wall_gap(plan.positions, scenario, weights.clearance)
+    viol["wall"] = float(max(np.max(-gap), 0.0))
     viol["terminal"] = float(max(plan.terminal_error - weights.slack, 0.0))
     viol["t_f"] = float(max(T_F_BOUNDS[0] - plan.t_f, plan.t_f - T_F_BOUNDS[1], 0.0))
     viol["max_violation"] = max(viol.values())

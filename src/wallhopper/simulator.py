@@ -40,13 +40,9 @@ import numpy as np
 
 from .integrator import IntegrationError, IntegratorConfig, step_arrays
 from .mpc import MpcConfig, TrackingController
-from .model import (
-    Scenario,
-    inverse_kinematics,
-    jacobian_arrays,
-    position_arrays,
-)
-from .planner import JumpPlan, _static_pull
+from .model import (Scenario, inverse_kinematics, jacobian_arrays, position_arrays,
+                    rope_axes, static_rope_pull)
+from .planner import JumpPlan
 
 PHASE_THRUST = 0
 PHASE_FLIGHT = 1
@@ -103,15 +99,15 @@ def critically_damped_gain(stiffness: float, reflected_mass: float) -> float:
 
 @dataclass(frozen=True)
 class LandingParams:
-    stiffness: float = 60.0          # K_L (N/m)
-    damping: float | None = None     # D_L; None -> critically damped
+    stiffness: float = 60.0          # K_L (N/m), critically damped for the mass
     settle_time: float = 3.0         # contact phase duration to record (s)
     max_hold: float = 2.0            # cap on the delayed touch-down wait (s)
 
-    def damping_for(self, mass: float) -> float:
-        if self.damping is not None:
-            return self.damping
-        return critically_damped_gain(self.stiffness, mass)
+    def __post_init__(self):
+        if not self.stiffness > 0.0:
+            raise ValueError("landing stiffness must be positive")
+        if not (self.settle_time >= 0.0 and self.max_hold >= 0.0):
+            raise ValueError("settle_time and max_hold must be non-negative")
 
 
 @dataclass
@@ -184,6 +180,11 @@ class EpisodeAborted(RuntimeError):
         self.trace = trace
 
 
+def _check_dt_sim(dt_sim: float) -> None:
+    if not (math.isfinite(dt_sim) and dt_sim > 0.0):
+        raise ValueError(f"dt_sim must be finite and positive, got {dt_sim!r}")
+
+
 def _substeps(interval: float, dt_sim: float) -> tuple[int, float]:
     """Steps covering interval exactly: their count and their length, the
     nearest to dt_sim that divides the interval."""
@@ -195,6 +196,7 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
              landing=None) -> SimTrace:
     """The phase machine of the module docstring; landing parameters arm
     the touch-down watch and the hold and contact phases."""
+    _check_dt_sim(dt_sim)
     if controller == "mpc":
         ctl = TrackingController(plan, scenario, mpc_cfg)
     elif controller == "open_loop":
@@ -262,8 +264,8 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
             if landing is not None:
                 # Delayed touch-down: hold the last feed-forward plus
                 # gravity compensation.
-                pull = _static_pull(position_arrays(x[0], x[1], x[2], scenario.d_a),
-                                    scenario)
+                pull = static_rope_pull(
+                    position_arrays(x[0], x[1], x[2], scenario.d_a), scenario)
                 u = np.zeros(6)
                 u[:2] = np.clip([plan.rope_left[-1], plan.rope_right[-1]] + pull,
                                 -scenario.f_r_max, 0.0)
@@ -291,11 +293,9 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
     # impedance settles the body against the wheels; lateral residuals are
     # taken up by wheel damping (held here).
     K = landing.stiffness
-    D = landing.damping_for(scenario.mass)
+    D = critically_damped_gain(K, scenario.mass)
     p_td = p - float(p @ n - scenario.d_w) * n      # snap to the contact plane
-    psi, l1, l2 = inverse_kinematics(p_td, scenario)
-    a_l = (p_td - scenario.anchor_left) / l1
-    a_r = (p_td - scenario.anchor_right) / l2
+    a_l, a_r = rope_axes(p_td, scenario)
     f_ext_n = float(n @ (scenario.mass * scenario.gravity
                          + a_l * u[0] + a_r * u[1]))
     s, s_dot = 0.0, 0.0                     # normal gap state after the stop
@@ -334,10 +334,10 @@ def landing_episode(plan: JumpPlan, scenario: Scenario,
     Touch-down is armed once the robot has cleared the wheel plane; at the
     crossing the normal approach is absorbed by the landing mechanism
     (modelled as a plastic stop) and the body then settles on the
-    critically-damped (or configured) spring-damper while lateral motion
-    is held by the wheels.  Early and delayed touch-downs are flagged; in
-    the delayed case the last feed-forward plus gravity compensation is
-    held until contact or the configured cap.
+    critically damped spring-damper while lateral motion is held by the
+    wheels.  Early and delayed touch-downs are flagged; in the delayed case
+    the last feed-forward plus gravity compensation is held until contact
+    or the configured cap.
     """
     return _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
                     landing or LandingParams())
@@ -360,6 +360,7 @@ def batch_robustness(plan: JumpPlan, n_runs: int, scenario: Scenario,
     """
     if n_intervals < 1:
         raise ValueError("n_intervals must be >= 1")
+    _check_dt_sim(dt_sim)
     rng = np.random.default_rng(seed)
     window = plan.t_f / n_intervals
     per_interval: list[list[float]] = [[] for _ in range(n_intervals)]

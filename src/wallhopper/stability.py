@@ -16,6 +16,10 @@ infeasible), and otherwise its optimum is the directional margin.
 ``build_fwp`` still forms the FWP explicitly (Minkowski sum plus Qhull) for
 its vertex and facet counts; the tests use it as an oracle for the LP.
 
+The wheels touch the wall, so their contact normal is the scenario's
+wall_normal, the one wall model that the planner and the simulator use
+too; model.tangent_frame gives the tangents of their friction pyramids.
+
 All quantities in this module live in a frame attached to the CoM (axes
 parallel to the world frame); referencing wrenches about the CoM keeps
 the 6D polytopes full-dimensional.
@@ -35,35 +39,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Scenario
+from .model import Scenario, tangent_frame
 # directional_margin is re-exported as the hull-based reference for margin_at.
-from .polytopes import (
-    DegeneracyError,
-    HPolytope,
-    MarginResult,
-    VPolytope,
-    convex_hull,
-    directional_margin,
-    v_to_h,
-)
+from .polytopes import (DegeneracyError, HPolytope, MarginResult, VPolytope,
+                        convex_hull, directional_margin, v_to_h)
 from .solvers import STATUS_INFEASIBLE, STATUS_OPTIMAL, solve_lp
 
 
 class CellError(ValueError):
     """No answer at this CoM position: a rope attachment coincides with its
     anchor, or the margin LP ended neither optimal nor infeasible."""
-
-
-def tangent_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic tangent pair (t1, t2): Gram-Schmidt of world Y against
-    the normal (world X fallback when nearly parallel), t2 = n x t1."""
-    n = np.asarray(normal, dtype=float)
-    seed = np.array([0.0, 1.0, 0.0])
-    if abs(seed @ n) > 0.99:
-        seed = np.array([1.0, 0.0, 0.0])
-    t1 = seed - (seed @ n) * n
-    t1 /= np.linalg.norm(t1)
-    return t1, np.cross(n, t1)
 
 
 @dataclass(frozen=True)
@@ -76,7 +61,7 @@ class ContactSet:
     hoist_right: np.ndarray
     axis_left: np.ndarray          # unit, anchor -> attachment
     axis_right: np.ndarray
-    contact_normal: np.ndarray
+    contact_normal: np.ndarray     # the scenario's wall_normal
     mu: float
     f_leg_max: float
     f_r_max: float
@@ -86,7 +71,7 @@ class ContactSet:
 def contact_geometry(p, scenario: Scenario) -> ContactSet:
     """Wheel and rope-attachment placement for a CoM at p (anchor frame)."""
     p = np.asarray(p, dtype=float)
-    n_c = scenario.contact_normal
+    n_c = scenario.wall_normal
     t1, t2 = tangent_frame(n_c)
     half_b = 0.5 * scenario.d_b * t1
     z_off = scenario.wheel_z_offset * t2

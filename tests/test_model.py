@@ -1,5 +1,6 @@
 """Kinematics and dynamics of the reduced two-rope model, checked against
-direct-norm, finite-difference and closed-form ballistic oracles."""
+direct-norm, finite-difference and closed-form ballistic oracles, and the
+rope geometry against hand-built rope axes."""
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from wallhopper.model import (
     inverse_kinematics,
     jacobian_arrays,
     position_arrays,
+    rope_axes,
     state_derivative_arrays,
     state_derivative_scalar,
+    static_rope_pull,
 )
 
 SCEN = Scenario()
@@ -313,6 +316,38 @@ class TestKernelBindings:
         assert out[:3] == x[3:] and np.isnan(out[3:]).all()
         out = state_derivative_scalar([np.inf, 6.0, 7.0, 0, 0, 0], [0.0] * 6, SCEN)
         assert np.isnan(out[3:]).all()
+
+
+class TestRopeGeometry:
+    @staticmethod
+    def axes_by_hand(y, z, d_a):
+        """Rope axes (anchor -> mass) of a CoM at (0, y, z), in the anchor plane."""
+        a_l = np.array([0.0, y, z]) / np.hypot(y, z)
+        a_r = np.array([0.0, y - d_a, z]) / np.hypot(y - d_a, z)
+        return a_l, a_r
+
+    @pytest.mark.parametrize("y, z", [(2.5, -6.0), (1.0, -3.0), (4.2, -0.8)])
+    def test_pull_balances_gravity_in_the_anchor_plane(self, y, z):
+        scen = SCEN.with_(f_r_max=1e6)          # no clipping
+        a_l, a_r = self.axes_by_hand(y, z, scen.d_a)
+        for got, want in zip(rope_axes([0.0, y, z], scen), (a_l, a_r)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        f = static_rope_pull(np.array([0.0, y, z]), scen)
+        np.testing.assert_allclose(np.column_stack([a_l, a_r]) @ f,
+                                   -scen.mass * scen.gravity, rtol=0, atol=1e-9)
+        assert np.all(f <= 0.0)
+
+    def test_pull_clipped_to_the_rope_limit(self):
+        f = static_rope_pull(np.array([0.0, 2.5, -6.0]), SCEN.with_(f_r_max=1.0))
+        np.testing.assert_array_equal(f, [-1.0, -1.0])
+
+    def test_pull_off_the_plane_is_least_squares(self):
+        p = np.array([0.5, 1.5, -4.0])
+        A = np.column_stack(rope_axes(p, SCEN))
+        f = static_rope_pull(p, SCEN)
+        assert np.all((-SCEN.f_r_max < f) & (f < 0.0))
+        np.testing.assert_allclose(A.T @ (A @ f + SCEN.mass * SCEN.gravity), 0.0,
+                                   atol=1e-12)
 
 
 class TestScenarioValidation:

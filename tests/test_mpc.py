@@ -1,7 +1,7 @@
 """Flight MPC: one tick per plan knot (the knot's feed-forward and the
-tick range), the warm start and horizon rules, the degraded path when the
-solver fails, the real-time iteration against its oracles, and closed-loop
-tracking of the benchmark jump."""
+tick range), the config checks, the warm start and horizon rules, the
+degraded path when the solver fails, the real-time iteration against its
+oracles, and closed-loop tracking of the benchmark jump."""
 
 import dataclasses
 
@@ -56,6 +56,15 @@ def test_tick_outside_the_plan_rejected(k):
     with pytest.raises(ValueError, match=rf"tick {k} outside \[0, {N_KNOTS}\)"):
         ctl.command(np.zeros(6), k)
     assert ctl.prev_solution is None
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_config_rejects_no_iteration(max_iter):
+    # max_iter = 0 once applied the unoptimised warm start, flagged as not degraded.
+    with pytest.raises(ValueError, match="max_iter"):
+        mpc.MpcConfig(max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter"):
+        mpc.MpcConfig.from_plan(KNOT_PLAN, max_iter=max_iter)
 
 
 class TestWarmStart:

@@ -27,6 +27,10 @@ P_TG = np.array([0.2, 4.0, -4.0])
 
 OBSTACLE = Ellipsoid(center=np.array([-0.5, 2.5, -6.0]),
                      semi_axes=np.array([1.5, 1.5, 0.87]))
+# Sunk into the wall: its surface plus the clearance lies behind the flat
+# wall offset near the rim of its shadow.
+RECESSED = Ellipsoid(center=np.array([-2.0, 2.5, -6.0]),
+                     semi_axes=np.array([1.5, 1.5, 0.87]))
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +65,13 @@ class TestObstacleMinX:
             assert val == pytest.approx(1.0, abs=1e-9)
             count += 1
         assert count > 50
+
+    def test_never_below_the_wall_offset(self):
+        ys = 2.5 + np.linspace(-1.49, 1.49, 31)
+        out = obstacle_min_x(ys, np.full_like(ys, -6.0), RECESSED, 1.0, 0.05)
+        assert np.all(out >= 0.05)
+        assert out[15] == pytest.approx(-2.0 + 1.5 + 1.0)
+        assert out[0] == out[-1] == 0.05
 
     def test_vectorised(self):
         ys = np.linspace(0.0, 5.0, 11)
@@ -172,6 +183,17 @@ class TestPlanJump:
         scen = SCEN.with_(obstacle=OBSTACLE)
         with pytest.raises(PlanningError):
             plan_jump([0.2, 2.5, -6.0], [0.5, 4.5, -6.0], scen)
+
+    def test_start_behind_the_wall_in_a_recessed_shadow_rejected(self):
+        scen = SCEN.with_(obstacle=RECESSED)
+        with pytest.raises(PlanningError, match="start"):
+            plan_jump([0.0, 3.95, -6.0], [0.5, 4.5, -6.0], scen)
+
+    @pytest.mark.parametrize("p0", [[np.nan, 2.5, -6.0], [0.2, np.inf, -6.0],
+                                    [0.2, 2.5]])
+    def test_malformed_start_rejected(self, p0):
+        with pytest.raises(ValueError, match="finite 3-vector"):
+            plan_jump(p0, P_TG, SCEN)
 
     def test_reintegration_with_finer_step(self, benchmark_plan):
         plan = benchmark_plan

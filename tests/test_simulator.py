@@ -1,8 +1,8 @@
 """Episode simulator: open-loop replay against the plan, the recorded
 trace, wall crossings, reproducibility and error handling of the
 robustness batch, the landing episode's phases and events, the MPC ticks
-(one per plan knot) recorded in the trace, measurement noise, and the
-landing damping."""
+(one per plan knot) recorded in the trace, measurement noise, the
+landing damping and the checks on dt_sim and LandingParams."""
 
 import numpy as np
 import pytest
@@ -270,10 +270,50 @@ class TestLandingDamping:
         D = critically_damped_gain(K, m)
         # m s^2 + D s + K has a double root.
         assert D * D == pytest.approx(4.0 * K * m, rel=1e-15)
-        assert LandingParams(stiffness=K).damping_for(m) == D
-        assert LandingParams(damping=3.0).damping_for(m) == 3.0
+
+    def test_contact_phase_is_critically_damped(self, benchmark_plan):
+        K = 80.0
+        trace = landing_episode(benchmark_plan, SCEN.with_(d_w=0.22),
+                                LandingParams(stiffness=K, settle_time=0.1),
+                                controller="open_loop")
+        assert trace.meta["stiffness"] == K
+        assert trace.meta["damping"] == critically_damped_gain(K, SCEN.mass)
 
     @pytest.mark.parametrize("K, m", [(0.0, 5.0), (60.0, 0.0), (-1.0, 5.0), (60.0, -2.0)])
     def test_non_positive_rejected(self, K, m):
         with pytest.raises(ValueError):
             critically_damped_gain(K, m)
+
+
+class TestInputValidation:
+    BAD_DT = [0.0, -1e-3, np.nan, np.inf]
+
+    @pytest.mark.parametrize("dt_sim", BAD_DT)
+    def test_episode_rejects_bad_dt_sim(self, frozen_track_plan, dt_sim):
+        # dt_sim = -1e-3 once ran one 33 ms step per tick: 32 rows, not 1,041.
+        with pytest.raises(ValueError, match="dt_sim"):
+            run_episode(frozen_track_plan, SCEN, controller="open_loop", dt_sim=dt_sim)
+        with pytest.raises(ValueError, match="dt_sim"):
+            landing_episode(frozen_track_plan, SCEN, controller="open_loop",
+                            dt_sim=dt_sim)
+
+    @pytest.mark.parametrize("dt_sim", BAD_DT)
+    @pytest.mark.parametrize("n_runs", [0, 2])
+    def test_batch_rejects_bad_dt_sim(self, frozen_track_plan, dt_sim, n_runs):
+        with pytest.raises(ValueError, match="dt_sim"):
+            batch_robustness(frozen_track_plan, n_runs, SCEN, controller="open_loop",
+                             dt_sim=dt_sim)
+
+    def test_good_dt_sim_row_count(self, frozen_track_plan):
+        trace = run_episode(frozen_track_plan, SCEN, controller="open_loop")
+        assert trace.times.size == 1041
+
+    @pytest.mark.parametrize("kwargs", [{"stiffness": 0.0}, {"stiffness": -60.0},
+                                        {"stiffness": np.nan}, {"settle_time": -0.1},
+                                        {"max_hold": -1.0}])
+    def test_landing_params_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            LandingParams(**kwargs)
+
+    def test_landing_params_zero_durations_allowed(self):
+        LandingParams(settle_time=0.0, max_hold=0.0)

@@ -24,9 +24,9 @@ from wallhopper.stability import (
 )
 
 LAND = Scenario(mass=15.0, f_leg_max=600.0, f_r_max=300.0)
-# A contact normal for which some pyramid corners have negative x, so the
-# apex is not the lexicographically first vertex of the wheel polytope.
-TILTED = LAND.with_(contact_normal=np.array([0.6, 0.0, 0.8]))
+# A wall (and so contact) normal for which some pyramid corners have negative
+# x, so the apex is not the lexicographically first vertex of the wheel polytope.
+TILTED = LAND.with_(wall_normal=np.array([0.6, 0.0, 0.8]))
 PULL_OFF = np.array([-1.0, 0, 0, 0, 0, 0])
 OBLIQUE = np.array([0.3, 0.5, -0.8, 0.0, 0.0, 0.0]) / np.linalg.norm([0.3, 0.5, -0.8])
 
@@ -369,7 +369,7 @@ class TestHeatmap:
 
     def test_cell_error_recorded(self):
         # CoM placed so that the left rope attachment sits on its anchor.
-        t1, _ = tangent_frame(LAND.contact_normal)
+        t1, _ = tangent_frame(LAND.wall_normal)
         p = LAND.anchor_left + 0.5 * LAND.d_h * t1
         grid = HeatmapGrid(np.array([p[1], 2.5]), np.array([p[2]]), x=p[0])
         hm = margin_heatmap(grid, PULL_OFF, LAND)
@@ -378,7 +378,7 @@ class TestHeatmap:
 
     def test_cell_telemetry(self):
         # One cell on the rope anchor (CellError), the rest ok or infeasible.
-        t1, _ = tangent_frame(LAND.contact_normal)
+        t1, _ = tangent_frame(LAND.wall_normal)
         p = LAND.anchor_left + 0.5 * LAND.d_h * t1
         grid = HeatmapGrid(np.array([p[1], 2.5, 4.0]), np.array([p[2], -2.0, -6.5]),
                            x=p[0])
