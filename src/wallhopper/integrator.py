@@ -21,9 +21,10 @@ SIAM Rev. 1998): the kernel is analytic, so the imaginary part of
 f(x + i h e), divided by h, is df/dx e to round-off, with no difference of
 nearby values to cancel.  It perturbs the 13 inputs of a step (x, u, dt)
 at once and runs every row of a batch, and every direction, through one
-batched step_arrays call.  rollout_arrays lets the dtype of its inputs
-flow through, so a complex decision vector can be stepped through a whole
-schedule as well.
+batched step_arrays call; rollout_tangents chains them forward into the
+state sensitivities of the planner and the MPC.  rollout_arrays lets the
+dtype of its inputs flow through, so a complex decision vector can be
+stepped through a whole schedule as well.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Scenario, _float_accelerations, state_derivative_arrays
-
-
-class IntegrationError(RuntimeError):
-    """Non-finite state encountered while stepping."""
 
 
 @dataclass(frozen=True)
@@ -146,3 +143,16 @@ def step_jacobians(x, u, dt, cfg: IntegratorConfig, scenario: Scenario):
     dt_c = np.asarray(dt, dtype=float)[..., None] + e[:, 12]
     x_next = step_arrays(x_c, u_c, dt_c, cfg, scenario)
     return np.swapaxes(x_next.imag, -1, -2) / COMPLEX_STEP
+
+
+def rollout_tangents(states, u, dt, w, cfg: IntegratorConfig, scenario: Scenario):
+    """Sensitivities S_k = dx_k/dz, (K+1, 6, n), along K steps from states
+    (K, 6) under u (K, 6) and dt (scalar or (K,)), given the input tangents
+    w = d(u_k, dt_k)/dz, (K, 7, n): S_0 = 0, S_{k+1} = J_x S_k + J_(u,dt) w_k
+    with the step Jacobians of one step_jacobians call.  K may be 0."""
+    J = step_jacobians(states, u, dt, cfg, scenario)
+    B = J[:, :, 6:] @ w
+    S = np.zeros((len(J) + 1, 6, w.shape[-1]))
+    for k in range(len(J)):
+        S[k + 1] = J[k, :, :6] @ S[k] + B[k]
+    return S

@@ -42,16 +42,19 @@ binding's constants (d_a, mass, gravity) once per call.
 The kernel is analytic in x and u: + - * / in the body, sqrt, sin and cos
 in the array binding.  So state_derivative_arrays also takes complex
 arrays, and a complex step x + i h e gives the derivative along e in its
-imaginary part, exact to round-off (integrator.step_jacobians builds the
-planner's Jacobians on this).  numpy orders complex numbers by their real
+imaginary part, exact to round-off (integrator.step_jacobians and
+rollout_tangents build the planner's and the MPC's state sensitivities on
+this).  numpy orders complex numbers by their real
 part first, so the domain test r^2 > 0 reads the real part of such a step.
 
 A_d is invertible wherever the point lies off the anchor line: its
 determinant is -l1 l2 / d_a at every psi, so psi = 0 (the mass in the wall
 plane) is an ordinary configuration.  jacobian_arrays and bias_arrays give
 A_d and b_d on their own; the dynamics kernel does not call them, and the
-tests use them as its oracle.  The planner maps its state sensitivities to
-positions with jacobian_arrays.
+tests use them as its oracle.  The MPC maps its state sensitivities to
+positions with jacobian_arrays, and the simulator and energy map rates to
+Cartesian velocities with it; the planner gets its position derivatives
+by complex step through position_arrays instead.
 
 Wall and rope geometry: the wall through the anchors has the one unit
 normal wall_normal, which is also the contact normal of the leg and the

@@ -11,9 +11,10 @@ applied; the remainder seeds the next solve.
 
 The cost is a sum of squares under box bounds, so a tick is one real-time
 iteration (Diehl, Bock & Schloeder, SIAM J. Control Optim. 2005): roll out
-the clipped, shifted warm start; differentiate every knot step at once by
-complex step (integrator.step_jacobians) and chain the step Jacobians into
-the position Jacobian; take one bounded Gauss-Newton step through
+the clipped, shifted warm start; get every knot state's sensitivity to the
+deviations from integrator.rollout_tangents (one batched complex step over
+the knot steps, chained forward) and map it to positions with the model's
+Jacobian A_d (jacobian_arrays); take one bounded Gauss-Newton step through
 solve_nlp; roll out once more at the accepted point for the predicted
 positions.  MpcConfig.max_iter allows more steps per tick.
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrator import IntegratorConfig, rollout_arrays, step_jacobians
+from .integrator import IntegratorConfig, rollout_arrays, rollout_tangents
 from .model import Scenario, jacobian_arrays, position_arrays
 from .planner import JumpPlan
 from .solvers import NlpProblem, solve_nlp
@@ -164,15 +165,16 @@ class TrackingController:
             pos = position_arrays(s[:, 0], s[:, 1], s[:, 2], scenario.d_a)
             return np.concatenate([(pos - p_ref).ravel(), smooth @ z - offset])
 
+        # Input tangents: step j's ropes and propeller are z[3j:3j+3] * f_scale.
+        w = np.zeros((H - 1, 7, 3 * H))
+        for j in range(H - 1):
+            w[j, [0, 1, 5], 3 * j:3 * j + 3] = np.diag(f_scale)
+
         def residuals_jac(z):
-            # S[j] = dx_j/dz: S_0 = 0 (x_0 is measured) and each knot step
-            # adds its own inputs; knot H has no weight, so its step is skipped.
+            # S[j] = dx_j/dz (x_0 is measured); knot H has no weight, so its
+            # step is left out.
             s = states_at(z)
-            J = step_jacobians(s[:H - 1], inputs(z)[:H - 1], dt, icfg, scenario)
-            S = np.zeros((H, 6, 3 * H))
-            for j in range(H - 1):
-                S[j + 1] = J[j, :, :6] @ S[j]
-                S[j + 1, :, 3 * j:3 * j + 3] += J[j][:, [6, 7, 11]] * f_scale
+            S = rollout_tangents(s[:H - 1], inputs(z)[:H - 1], dt, w, icfg, scenario)
             P = jacobian_arrays(s[:H, 0], s[:H, 1], s[:H, 2], scenario.d_a) @ S[:, :3]
             return np.vstack([P.reshape(3 * H, 3 * H), smooth])
 

@@ -13,16 +13,18 @@ every knot and a terminal ball |p(t_f) - p_tg| <= slack.  The cost adds a
 quadratic terminal-accuracy term, a smoothing penalty on successive rope
 force increments and the (smoothed) hoist work.
 
-The gradient and the constraint Jacobian are exact: one batched complex
-step (integrator.step_jacobians) gives the Jacobian of every step of the
-rollout, the thrust step and the N knots, at the knot states the value
-evaluation already holds.  Chained forward they give each knot state's
-sensitivity to z, A_d(q) maps those to positions, and each cost term,
-the terminal row and the leg rows are differentiated by hand from there.
+The gradient and the constraint Jacobian are exact and are read off the
+value code: no term is differentiated by hand.  integrator.rollout_tangents
+gives each knot state's sensitivity S to z from one batched complex step
+over the thrust step and the N knot steps, at the knot states the value
+evaluation already holds.  Then one batched call of cost_and_constraints
+at Z + i h e_j, with the knot states moved to states + i h S e_j, carries
+every cost term and every row along each variable; the imaginary parts
+divided by h are the gradient and the Jacobian, exact to round-off
+(Squire & Trapp, SIAM Rev. 1998; Martins, Sturdza & Alonso, ACM TOMS
+2003).  So a change to the cost or a constraint needs no derivative edit.
 Every clearance row, flat wall or bump, reads one formula, wall_gap; the
-NLP, _check_target and audit_plan all call it.  Its derivative in the knot
-position comes from a complex step through wall_gap itself (Squire &
-Trapp, SIAM Rev. 1998), chained with the knot position Jacobians.
+NLP, _check_target and audit_plan all call it.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrator import (COMPLEX_STEP, IntegratorConfig, rollout_arrays, step_arrays,
-                         step_jacobians)
-from .model import (Ellipsoid, Scenario, inverse_kinematics, jacobian_arrays,
-                    position_arrays, static_rope_pull, tangent_frame)
+from .integrator import (COMPLEX_STEP, IntegratorConfig, rollout_arrays,
+                         rollout_tangents, step_arrays)
+from .model import (Ellipsoid, Scenario, inverse_kinematics, position_arrays,
+                    static_rope_pull, tangent_frame)
 from .solvers import NlpProblem, solve_nlp
 
 HOIST_SMOOTHING_DELTA = 1e-4
@@ -131,10 +133,11 @@ class ShootingProblem:
 
     Decision variables are scaled to O(1): leg force by f_leg_max, rope
     forces by f_r_max, t_f unscaled.  A value evaluation rolls out the knot
-    states and caches them per point; the Jacobians at that point chain
-    their per-step Jacobians (see the module docstring) and cost no second
-    rollout.  counters holds the number of value and Jacobian evaluations
-    and the seconds spent in each.
+    states and caches them per point; the Jacobians at that point take the
+    knot states' tangents and one complex evaluation of cost_and_constraints
+    (see the module docstring), and cost no second real rollout.  counters
+    holds the number of value and Jacobian evaluations and the seconds
+    spent in each.
     """
 
     def __init__(self, p0, p_tg, scenario: Scenario, weights: PlannerWeights,
@@ -172,29 +175,36 @@ class ShootingProblem:
 
     # -- transcription ------------------------------------------------------
 
+    def step_inputs(self, Z):
+        """Z: (..., n_var) -> inputs (..., N+1, 6) of the thrust step and the
+        N knot steps, and the knot interval t_f/N (...,).
+
+        Real or complex, as Z is.
+        """
+        z = np.asarray(Z) * self.scale
+        u = np.zeros(z.shape[:-1] + (self.N + 1, 6), dtype=z.dtype)
+        u[..., 0, 2:5] = z[..., 0:3]
+        u[..., 1:, 0] = z[..., 3:3 + self.N]
+        u[..., 1:, 1] = z[..., 3 + self.N:3 + 2 * self.N]
+        return u, z[..., -1] / self.N
+
     def rollout(self, Z):
         """Z: (..., n_var) scaled decision vectors -> knot states (..., N+1, 6).
 
         Real or complex, as Z is.
         """
-        z = np.asarray(Z) * self.scale
-        f_leg = z[..., 0:3]
-        t_f = z[..., -1]
-        u_thrust = np.zeros(z.shape[:-1] + (6,), dtype=z.dtype)
-        u_thrust[..., 2:5] = f_leg
-        x0 = np.broadcast_to(self.x_rest, z.shape[:-1] + (6,))
-        x_lift = step_arrays(x0, u_thrust, self.scen.t_th, self.cfg, self.scen)
-        u_flight = np.zeros(z.shape[:-1] + (self.N, 6), dtype=z.dtype)
-        u_flight[..., :, 0] = z[..., 3:3 + self.N]
-        u_flight[..., :, 1] = z[..., 3 + self.N:3 + 2 * self.N]
-        dt = t_f / self.N
-        return rollout_arrays(x_lift, u_flight, dt, self.cfg, self.scen)
+        u, dt = self.step_inputs(Z)
+        x0 = np.broadcast_to(self.x_rest, u.shape[:-2] + (6,))
+        x_lift = step_arrays(x0, u[..., 0, :], self.scen.t_th, self.cfg, self.scen)
+        return rollout_arrays(x_lift, u[..., 1:, :], dt, self.cfg, self.scen)
 
     def cost_and_constraints(self, Z, states=None):
         """Returns (cost (...,), g (..., m)) with g <= 0 feasible.
 
         states are Z's knot states if the caller has them.  Real or complex
-        as Z is; NaN where the rollout leaves the model domain.
+        as Z and states are, and analytic in both, so a complex step through
+        it gives its derivatives; NaN where the rollout leaves the model
+        domain.
         """
         z = np.asarray(Z) * self.scale
         if states is None:
@@ -232,54 +242,22 @@ class ShootingProblem:
     def _exact_jacobians(self, Z, states):
         """Exact (gradient (n_var,), constraint Jacobian (m, n_var)) at one
         real point Z with knot states states, in the scaled variables."""
-        N, n, sc = self.N, self.n_var, self.scen
-        z = Z * self.scale
-        frl, frr = z[3:3 + N], z[3 + N:3 + 2 * N]
-        dt = z[-1] / N
-        # Step Jacobians of the thrust step and the N knot steps, one call.
-        u = np.zeros((N + 1, 6))
-        u[0, 2:5] = z[0:3]
-        u[1:, 0], u[1:, 1] = frl, frr
-        J = step_jacobians(np.vstack([self.x_rest, states[:-1]]), u,
-                           np.concatenate([[sc.t_th], np.full(N, dt)]), self.cfg, sc)
-        # S[k] = dx_k/dz: x_0 depends on f_leg alone; each knot step adds its
-        # rope forces and, through dt = t_f/N, the flight time.
-        S = np.zeros((N + 1, 6, n))
-        S[0, :, 0:3] = J[0, :, 8:11]
-        for k in range(N):
-            Jk = J[k + 1]
-            S[k + 1] = Jk[:, :6] @ S[k]
-            S[k + 1, :, 3 + k] += Jk[:, 6]
-            S[k + 1, :, 3 + N + k] += Jk[:, 7]
-            S[k + 1, :, -1] += Jk[:, 12] / N
-        # P[k] = dp_k/dz = A_d(q_k) dq_k/dz.
-        q = states[:, 0], states[:, 1], states[:, 2]
-        P = jacobian_arrays(*q, sc.d_a) @ S[:, :3]
-        pos = position_arrays(*q, sc.d_a)
-
-        d_term = 2.0 * (pos[-1] - self.p_tg) @ P[-1]
-        grad = self.w.w_term * d_term
-        d2 = HOIST_SMOOTHING_DELTA ** 2
-        for f, col, first in ((frl, 4, 3), (frr, 5, 3 + N)):
-            ramp = np.diff(f)
-            grad[first:first + N] += 2.0 * self.w.w_s * (
-                np.concatenate([[0.0], ramp]) - np.concatenate([ramp, [0.0]]))
-            rate = states[:-1, col]
-            a = f * rate
-            s = np.sqrt(a * a + d2)
-            da = a / s * dt                    # d(s dt)/da
-            grad += self.w.w_hw * (da @ (f[:, None] * S[:-1, col]))
-            grad[first:first + N] += self.w.w_hw * da * rate
-            grad[-1] += self.w.w_hw * np.sum(s) / N
-
-        # d wall_gap/dp at every knot by complex step, chained through P.
-        e = 1j * COMPLEX_STEP * np.eye(3)
-        d_gap = wall_gap(pos[:, None, :] + e, sc, self.w.clearance).imag / COMPLEX_STEP
-        clearance = -np.einsum("ki,kin->kn", d_gap, P)
-        leg = np.zeros((6, n))
-        leg[:, 0:3] = self.leg_rows
-        jac = np.vstack([d_term, clearance, leg])
-        return grad * self.scale * self.cost_scale, jac * self.scale
+        N, h = self.N, COMPLEX_STEP
+        dZ = 1j * h * np.eye(self.n_var)              # one row per variable
+        # Tangents of the step inputs, d(u_k, dt_k)/dz, by complex step
+        # through step_inputs; the thrust lasts t_th whatever z is.
+        u, dt = self.step_inputs(Z)
+        u_c, dt_c = self.step_inputs(Z + dZ)
+        w = np.zeros((N + 1, 7, self.n_var))
+        w[:, :6] = np.moveaxis(u_c.imag, 0, -1) / h
+        w[1:, 6] = dt_c.imag / h
+        S = rollout_tangents(np.vstack([self.x_rest, states[:-1]]), u,
+                             np.concatenate([[self.scen.t_th], np.full(N, dt)]),
+                             w, self.cfg, self.scen)[1:]
+        # Every cost term and row along every variable at once, the knot
+        # states moved along their tangents.
+        cost, g = self.cost_and_constraints(Z + dZ, states + 1j * h * np.moveaxis(S, -1, 0))
+        return cost.imag / h, g.imag.T / h
 
     # -- cached value/jacobian interface for the NLP solver -----------------
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrator import IntegrationError, IntegratorConfig, step_arrays
+from .integrator import IntegratorConfig, step_arrays
 from .mpc import MpcConfig, TrackingController
 from .model import (Scenario, inverse_kinematics, jacobian_arrays, position_arrays,
                     rope_axes, static_rope_pull)
@@ -48,6 +48,10 @@ PHASE_THRUST = 0
 PHASE_FLIGHT = 1
 PHASE_HOLD = 2          # past t_f, waiting for delayed touch-down
 PHASE_CONTACT = 3
+
+
+class IntegrationError(RuntimeError):
+    """Non-finite state encountered while stepping."""
 
 
 @dataclass(frozen=True)
@@ -61,9 +65,9 @@ class DisturbanceSpec:
         object.__setattr__(self, "vector", np.asarray(self.vector, dtype=float))
         if self.kind not in ("none", "constant", "impulsive"):
             raise ValueError("kind must be none, constant or impulsive")
-        if not np.all(np.isfinite(self.vector)):
-            raise ValueError("disturbance vector must be finite")
-        if self.duration < 0.0 or self.t_start < 0.0:
+        if self.vector.shape != (3,) or not np.all(np.isfinite(self.vector)):
+            raise ValueError(f"disturbance vector must be a finite 3-vector: {self.vector}")
+        if not (self.duration >= 0.0 and self.t_start >= 0.0):
             raise ValueError("disturbance window must be non-negative")
 
     def force_at(self, t_flight: float) -> np.ndarray:
@@ -86,8 +90,8 @@ class NoiseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
-        if np.any(self.sigma < 0.0):
-            raise ValueError("noise standard deviations must be >= 0")
+        if self.sigma.shape != (3,) or not np.all(self.sigma >= 0.0):
+            raise ValueError(f"noise sigma must be three deviations >= 0: {self.sigma}")
 
 
 def critically_damped_gain(stiffness: float, reflected_mass: float) -> float:

@@ -8,6 +8,7 @@ from wallhopper import integrator, model, simulator
 from wallhopper.integrator import (
     IntegratorConfig,
     rollout_arrays,
+    rollout_tangents,
     step_arrays,
     step_jacobians,
 )
@@ -239,6 +240,46 @@ class TestStepJacobians:
         x = np.array([[0.1, 1.0, 10.0, 0.0, 0.0, 0.0]])      # l1 + d_a < l2
         J = step_jacobians(x, np.zeros((1, 6)), 0.05, IntegratorConfig(), SCEN)
         assert np.isnan(J[0, 3:]).all()
+
+
+class TestRolloutTangents:
+    """The chained step Jacobians against a complex step through a loop of
+    step_arrays over the whole schedule, its inputs and intervals moved
+    along their tangents w."""
+
+    @staticmethod
+    def oracle(u, dts, w, cfg):
+        h = 1e-30
+        e = 1j * h * np.eye(w.shape[-1])          # one row per direction
+        x = np.tile(X0, (w.shape[-1], 1)).astype(complex)
+        out = [x]
+        for k in range(len(u)):
+            x = step_arrays(x, u[k] + e @ w[k, :6].T, dts[k] + e @ w[k, 6], cfg, SCEN)
+            out.append(x)
+        return np.swapaxes(np.stack(out).imag, 1, 2) / h
+
+    @pytest.mark.parametrize("per_step", [True, False])
+    def test_match_complex_step_through_the_schedule(self, per_step):
+        rng = np.random.default_rng(41)
+        K, n, cfg = 9, 5, IntegratorConfig(n_sub=3)
+        u = FORCED_U + rng.normal(scale=5.0, size=(K, 6))
+        dts = rng.uniform(0.03, 0.08, K) if per_step else np.full(K, 0.05)
+        w = rng.normal(size=(K, 7, n))
+        states = [X0]
+        for k in range(K):
+            states.append(step_arrays(states[-1], u[k], dts[k], cfg, SCEN))
+        S = rollout_tangents(np.array(states[:-1]), u, dts if per_step else 0.05, w,
+                             cfg, SCEN)
+        assert S.shape == (K + 1, 6, n)
+        np.testing.assert_array_equal(S[0], 0.0)
+        ref = self.oracle(u, dts, w, cfg)
+        np.testing.assert_allclose(S, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("dt", [0.05, np.zeros(0)])
+    def test_no_steps(self, dt):
+        S = rollout_tangents(np.zeros((0, 6)), np.zeros((0, 6)), dt, np.zeros((0, 7, 4)),
+                             IntegratorConfig(), SCEN)
+        np.testing.assert_array_equal(S, np.zeros((1, 6, 4)))
 
 
 class TestRollout:

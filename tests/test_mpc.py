@@ -174,18 +174,18 @@ class TestRealTimeIteration:
     def test_one_step_per_jacobian_and_no_batched_rollout(self, frozen_track_plan,
                                                           monkeypatch):
         calls = {"jacobians": 0, "rollouts": 0}
-        step_jacobians, rollout_arrays = mpc.step_jacobians, mpc.rollout_arrays
+        rollout_tangents, rollout_arrays = mpc.rollout_tangents, mpc.rollout_arrays
 
         def counted_jacobians(*args):
             calls["jacobians"] += 1
-            return step_jacobians(*args)
+            return rollout_tangents(*args)
 
         def single_rollout(x0, *args):
             assert np.ndim(x0) == 1, "batched rollout in an MPC tick"
             calls["rollouts"] += 1
             return rollout_arrays(x0, *args)
 
-        monkeypatch.setattr(mpc, "step_jacobians", counted_jacobians)
+        monkeypatch.setattr(mpc, "rollout_tangents", counted_jacobians)
         monkeypatch.setattr(mpc, "rollout_arrays", single_rollout)
         _, sol = perturbed_tick(frozen_track_plan, monkeypatch)
         assert (sol.diagnostics["n_iter"], calls) == (1, {"jacobians": 1, "rollouts": 2})

@@ -317,3 +317,24 @@ class TestInputValidation:
 
     def test_landing_params_zero_durations_allowed(self):
         LandingParams(settle_time=0.0, max_hold=0.0)
+
+    # On the frozen plan a NaN sigma degraded 29 of 30 MPC ticks, a NaN
+    # t_start switched the disturbance off for good and a 2-vector raised
+    # IndexError inside the dynamics kernel.
+    @pytest.mark.parametrize("sigma", [[np.nan, 0.2, 0.2], [0.01, -0.2, 0.2],
+                                       [0.01, 0.2], [[0.01, 0.2, 0.2]], 0.1])
+    def test_noise_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            NoiseSpec(sigma=sigma)
+
+    @pytest.mark.parametrize("kwargs", [{"t_start": np.nan}, {"duration": np.nan},
+                                        {"t_start": -0.1}, {"duration": -0.1}])
+    def test_disturbance_window_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="window"):
+            DisturbanceSpec("impulsive", [0.0, 0.0, -20.0], **kwargs)
+
+    @pytest.mark.parametrize("vector", [[0.0, -20.0], [0.0, 0.0, 0.0, -20.0],
+                                        [0.0, np.nan, -20.0], [[0.0, 0.0, -20.0]]])
+    def test_disturbance_vector_rejected(self, vector):
+        with pytest.raises(ValueError, match="vector"):
+            DisturbanceSpec("constant", vector)
