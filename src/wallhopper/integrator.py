@@ -21,15 +21,19 @@ SIAM Rev. 1998): the kernel is analytic, so the imaginary part of
 f(x + i h e), divided by h, is df/dx e to round-off, with no difference of
 nearby values to cancel.  It perturbs the 13 inputs of a step (x, u, dt)
 at once and runs every row of a batch, and every direction, through one
-batched step_arrays call; rollout_tangents chains them forward into the
-state sensitivities of the planner and the MPC.  rollout_arrays lets the
-dtype of its inputs flow through, so a complex decision vector can be
-stepped through a whole schedule as well.
+batched step_arrays call.  rollout_jacobian chains them forward into the
+knot states' tangents and reads the Jacobian of any analytic function of
+the decision vector and its knot states off one complex evaluation of that
+function, the knot states moved along their tangents; the planner's
+gradient and constraint Jacobian and the MPC's residual Jacobian are all
+formed there.  rollout_arrays lets the dtype of its inputs flow through, so
+a complex decision vector can be stepped through a whole schedule as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -41,8 +45,8 @@ class IntegratorConfig:
     n_sub: int = 5              # RK4 sub-steps per knot interval
 
     def __post_init__(self):
-        if self.n_sub < 1:
-            raise ValueError("n_sub must be >= 1")
+        if not (isinstance(self.n_sub, Integral) and self.n_sub >= 1):
+            raise ValueError(f"n_sub must be an integer >= 1, got {self.n_sub!r}")
 
 
 def substep_arrays(x, u, h, scenario: Scenario, extra_force=None):
@@ -145,14 +149,28 @@ def step_jacobians(x, u, dt, cfg: IntegratorConfig, scenario: Scenario):
     return np.swapaxes(x_next.imag, -1, -2) / COMPLEX_STEP
 
 
-def rollout_tangents(states, u, dt, w, cfg: IntegratorConfig, scenario: Scenario):
-    """Sensitivities S_k = dx_k/dz, (K+1, 6, n), along K steps from states
-    (K, 6) under u (K, 6) and dt (scalar or (K,)), given the input tangents
-    w = d(u_k, dt_k)/dz, (K, 7, n): S_0 = 0, S_{k+1} = J_x S_k + J_(u,dt) w_k
-    with the step Jacobians of one step_jacobians call.  K may be 0."""
-    J = step_jacobians(states, u, dt, cfg, scenario)
+def rollout_jacobian(value, z, states, step_inputs, cfg: IntegratorConfig,
+                     scenario: Scenario):
+    """Jacobian (m, n) of value(z, states) at one real point z (n,), where
+    states (K+1, 6) are z's rollout, exact to round-off.
+
+    step_inputs(Z) -> (u (..., K, 6), dt (..., K)) gives the inputs and
+    lengths of the K steps from states[0], which does not move with z.
+    value(Z, states) -> (..., m) must be analytic in both, real or complex.
+    The input tangents come from one complex step through step_inputs, the
+    knot tangents S_k = dx_k/dz from one step_jacobians call chained forward,
+    S_0 = 0, S_{k+1} = J_x S_k + J_(u,dt) d(u_k, dt_k)/dz, and the result
+    from one value call at z + i h e_j with the states moved along S e_j.
+    K may be 0.
+    """
+    h = COMPLEX_STEP
+    dz = 1j * h * np.eye(z.size)                     # one row per direction
+    u, dt = step_inputs(z)
+    u_c, dt_c = step_inputs(z + dz)
+    w = np.moveaxis(np.concatenate([u_c.imag, dt_c.imag[..., None]], axis=-1), 0, -1) / h
+    J = step_jacobians(states[:-1], u, dt, cfg, scenario)
     B = J[:, :, 6:] @ w
-    S = np.zeros((len(J) + 1, 6, w.shape[-1]))
+    S = np.zeros((len(J) + 1, 6, z.size))
     for k in range(len(J)):
         S[k + 1] = J[k, :, :6] @ S[k] + B[k]
-    return S
+    return value(z + dz, states + 1j * h * np.moveaxis(S, -1, 0)).imag.T / h

@@ -43,18 +43,18 @@ The kernel is analytic in x and u: + - * / in the body, sqrt, sin and cos
 in the array binding.  So state_derivative_arrays also takes complex
 arrays, and a complex step x + i h e gives the derivative along e in its
 imaginary part, exact to round-off (integrator.step_jacobians and
-rollout_tangents build the planner's and the MPC's state sensitivities on
-this).  numpy orders complex numbers by their real
-part first, so the domain test r^2 > 0 reads the real part of such a step.
+rollout_jacobian build every derivative of the planner and the MPC on
+this).  numpy orders complex numbers by their real part first, so the
+domain test r^2 > 0 reads the real part of such a step.
 
 A_d is invertible wherever the point lies off the anchor line: its
 determinant is -l1 l2 / d_a at every psi, so psi = 0 (the mass in the wall
 plane) is an ordinary configuration.  jacobian_arrays and bias_arrays give
 A_d and b_d on their own; the dynamics kernel does not call them, and the
-tests use them as its oracle.  The MPC maps its state sensitivities to
-positions with jacobian_arrays, and the simulator and energy map rates to
-Cartesian velocities with it; the planner gets its position derivatives
-by complex step through position_arrays instead.
+tests use them as its oracle.  The simulator and energy map rates to
+Cartesian velocities with jacobian_arrays; the planner and the MPC get
+their position derivatives by complex step through position_arrays
+instead.
 
 Wall and rope geometry: the wall through the anchors has the one unit
 normal wall_normal, which is also the contact normal of the leg and the
@@ -118,16 +118,22 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "gravity", np.asarray(self.gravity, dtype=float))
         object.__setattr__(self, "wall_normal", _unit(self.wall_normal, "wall_normal"))
-        if self.d_a <= 0.0:
+        if self.gravity.shape != (3,) or not np.all(np.isfinite(self.gravity)):
+            raise ValueError(f"gravity must be a finite 3-vector: {self.gravity}")
+        for name in ("d_a", "mass", "wall_offset", "mu", "f_leg_max", "f_r_max",
+                     "f_p_max", "t_th", "d_b", "d_w", "d_h", "wheel_z_offset"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not (self.d_a > 0.0):
             raise ValueError("anchor distance d_a must be positive")
-        if self.mass < 0.0:
+        if not (self.mass >= 0.0):
             raise ValueError("mass must be non-negative")
-        if self.mu <= 0.0:
+        if not (self.mu > 0.0):
             raise ValueError("friction coefficient mu must be positive")
         for name in ("f_leg_max", "f_r_max", "t_th"):
-            if getattr(self, name) <= 0.0:
+            if not (getattr(self, name) > 0.0):
                 raise ValueError(f"{name} must be positive")
-        if self.f_p_max < 0.0:
+        if not (self.f_p_max >= 0.0):
             raise ValueError("f_p_max must be non-negative")
         # The ellipsoid is axis-aligned with x normal to the wall, and the
         # planner bounds p_x instead of n.p when it is set.

@@ -11,12 +11,13 @@ applied; the remainder seeds the next solve.
 
 The cost is a sum of squares under box bounds, so a tick is one real-time
 iteration (Diehl, Bock & Schloeder, SIAM J. Control Optim. 2005): roll out
-the clipped, shifted warm start; get every knot state's sensitivity to the
-deviations from integrator.rollout_tangents (one batched complex step over
-the knot steps, chained forward) and map it to positions with the model's
-Jacobian A_d (jacobian_arrays); take one bounded Gauss-Newton step through
+the clipped, shifted warm start; take the residual Jacobian from
+integrator.rollout_jacobian, which reads it off one complex evaluation of
+the residuals themselves; take one bounded Gauss-Newton step through
 solve_nlp; roll out once more at the accepted point for the predicted
-positions.  MpcConfig.max_iter allows more steps per tick.
+positions.  MpcConfig.max_iter allows more steps per tick.  The residuals
+are written once, as a function of the deviations and the knot states, so
+a change to them needs no derivative edit.
 
 ``TrackingController`` holds that state across ticks: the plan's knot
 positions and input schedule, and the previous tick's solution,
@@ -28,11 +29,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .integrator import IntegratorConfig, rollout_arrays, rollout_tangents
-from .model import Scenario, jacobian_arrays, position_arrays
+from .integrator import IntegratorConfig, rollout_arrays, rollout_jacobian
+from .model import Scenario, position_arrays
 from .planner import JumpPlan
 from .solvers import NlpProblem, solve_nlp
 
@@ -45,10 +47,11 @@ class MpcConfig:
     max_iter: int = 1              # Gauss-Newton steps per tick
 
     def __post_init__(self):
-        if self.n_horizon < 2:
-            raise ValueError("horizon must have at least 2 knots")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not (isinstance(self.n_horizon, Integral) and self.n_horizon >= 2):
+            raise ValueError(f"horizon must be an integer of at least 2 knots, "
+                             f"got {self.n_horizon!r}")
+        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
     @classmethod
     def from_plan(cls, plan: JumpPlan, **overrides) -> "MpcConfig":
@@ -133,50 +136,45 @@ class TrackingController:
         # The i-1 term of the smoothing cost: deviation applied at the
         # previous control period (cold start: the unmodified feed-forward).
         prev = self.prev_solution
-        prev_dl, prev_dr = ((0.0, 0.0) if prev is None
-                            else (prev.delta_left[0], prev.delta_right[0]))
+        prev_dev = [[0.0, 0.0] if prev is None
+                    else [prev.delta_left[0], prev.delta_right[0]]]
         icfg = IntegratorConfig()
         f_scale = np.array([scenario.f_r_max, scenario.f_r_max,
                             max(scenario.f_p_max, 1e-9)])
         sw = np.sqrt(W_SMOOTH)                             # residuals carry the root
-        # Smoothing residuals, linear in z: first differences of each rope
-        # deviation, the first one taken against the previous period's.
-        diff = np.eye(H) - np.eye(H, k=-1)
-        smooth = sw * np.vstack([np.kron(diff, [[f_scale[0], 0.0, 0.0]]),
-                                 np.kron(diff, [[0.0, f_scale[1], 0.0]])])
-        offset = np.zeros(2 * H)
-        offset[0], offset[H] = sw * prev_dl, sw * prev_dr
         last = [None, None]                                # latest (z, knot states)
 
-        def inputs(z):
-            v = z.reshape(H, 3) * f_scale
-            u = np.zeros((H, 6), dtype=v.dtype)
-            u[:, :2] = ff + v[:, :2]
-            u[:, 5] = v[:, 2]
-            return u
+        def step_inputs(z):
+            v = z.reshape(z.shape[:-1] + (H, 3)) * f_scale
+            u = np.zeros(v.shape[:-1] + (6,), dtype=v.dtype)
+            u[..., :2] = ff + v[..., :2]
+            u[..., 5] = v[..., 2]
+            return u, np.full(u.shape[:-1], dt)
 
         def states_at(z):
             if last[0] is None or not np.array_equal(last[0], z):
-                last[:] = z.copy(), rollout_arrays(x_hat, inputs(z), dt, icfg, scenario)
+                last[:] = z.copy(), rollout_arrays(x_hat, step_inputs(z)[0], dt, icfg,
+                                                   scenario)
             return last[1]
 
-        def residuals(z):
-            s = states_at(z)[:H]
-            pos = position_arrays(s[:, 0], s[:, 1], s[:, 2], scenario.d_a)
-            return np.concatenate([(pos - p_ref).ravel(), smooth @ z - offset])
+        def residuals_at(z, states):
+            # Tracking at knots 0..H-1, then the first differences of each
+            # rope deviation, the first one taken against the previous
+            # period's, all left ropes before all right ropes.
+            batch, s = z.shape[:-1], states[..., :H, :]
+            pos = position_arrays(s[..., 0], s[..., 1], s[..., 2], scenario.d_a)
+            ropes = z.reshape(batch + (H, 3))[..., :2] * f_scale[:2]
+            smooth = sw * np.diff(ropes, axis=-2,
+                                  prepend=np.broadcast_to(prev_dev, batch + (1, 2)))
+            return np.concatenate([(pos - p_ref).reshape(batch + (3 * H,)),
+                                   np.swapaxes(smooth, -1, -2).reshape(batch + (2 * H,))],
+                                  axis=-1)
 
-        # Input tangents: step j's ropes and propeller are z[3j:3j+3] * f_scale.
-        w = np.zeros((H - 1, 7, 3 * H))
-        for j in range(H - 1):
-            w[j, [0, 1, 5], 3 * j:3 * j + 3] = np.diag(f_scale)
+        def residuals(z):
+            return residuals_at(z, states_at(z))
 
         def residuals_jac(z):
-            # S[j] = dx_j/dz (x_0 is measured); knot H has no weight, so its
-            # step is left out.
-            s = states_at(z)
-            S = rollout_tangents(s[:H - 1], inputs(z)[:H - 1], dt, w, icfg, scenario)
-            P = jacobian_arrays(s[:H, 0], s[:H, 1], s[:H, 2], scenario.d_a) @ S[:, :3]
-            return np.vstack([P.reshape(3 * H, 3 * H), smooth])
+            return rollout_jacobian(residuals_at, z, states_at(z), step_inputs, icfg, scenario)
 
         # Rope bounds map to boxes on the deviations; propeller is bilateral.
         p_max = float(scenario.f_p_max > 0.0)

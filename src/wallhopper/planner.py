@@ -14,28 +14,28 @@ quadratic terminal-accuracy term, a smoothing penalty on successive rope
 force increments and the (smoothed) hoist work.
 
 The gradient and the constraint Jacobian are exact and are read off the
-value code: no term is differentiated by hand.  integrator.rollout_tangents
-gives each knot state's sensitivity S to z from one batched complex step
-over the thrust step and the N knot steps, at the knot states the value
-evaluation already holds.  Then one batched call of cost_and_constraints
-at Z + i h e_j, with the knot states moved to states + i h S e_j, carries
-every cost term and every row along each variable; the imaginary parts
-divided by h are the gradient and the Jacobian, exact to round-off
-(Squire & Trapp, SIAM Rev. 1998; Martins, Sturdza & Alonso, ACM TOMS
-2003).  So a change to the cost or a constraint needs no derivative edit.
+value code: no term is differentiated by hand.  integrator.rollout_jacobian
+takes the knot states the value evaluation already holds and the step
+inputs of step_inputs (the thrust step, then the N knot steps), and
+evaluates cost_and_constraints once, batched, at Z + i h e_j with the knot
+states moved along their tangents; the imaginary parts divided by h are
+the gradient and the Jacobian, exact to round-off (Squire & Trapp, SIAM
+Rev. 1998; Martins, Sturdza & Alonso, ACM TOMS 2003).  So a change to the
+cost or a constraint needs no derivative edit.
 Every clearance row, flat wall or bump, reads one formula, wall_gap; the
 NLP, _check_target and audit_plan all call it.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .integrator import (COMPLEX_STEP, IntegratorConfig, rollout_arrays,
-                         rollout_tangents, step_arrays)
+from .integrator import IntegratorConfig, rollout_arrays, rollout_jacobian, step_arrays
 from .model import (Ellipsoid, Scenario, inverse_kinematics, position_arrays,
                     static_rope_pull, tangent_frame)
 from .solvers import NlpProblem, solve_nlp
@@ -58,12 +58,15 @@ class PlannerWeights:
     n_knots: int = 30
 
     def __post_init__(self):
-        if min(self.w_hw, self.w_s, self.w_term) < 0.0:
-            raise ValueError("weights must be non-negative")
-        if self.n_knots < 10:
-            raise ValueError("need at least 10 knots")
-        if self.slack <= 0.0:
-            raise ValueError("slack must be positive")
+        for name in ("w_hw", "w_s", "w_term"):
+            if not (0.0 <= getattr(self, name) < math.inf):
+                raise ValueError(f"weight {name} must be finite and non-negative")
+        if not (isinstance(self.n_knots, Integral) and self.n_knots >= 10):
+            raise ValueError(f"need an integer of at least 10 knots, got {self.n_knots!r}")
+        if not (0.0 < self.slack < math.inf):
+            raise ValueError("slack must be finite and positive")
+        if not math.isfinite(self.clearance):
+            raise ValueError("clearance must be finite")
 
 
 @dataclass
@@ -133,9 +136,9 @@ class ShootingProblem:
 
     Decision variables are scaled to O(1): leg force by f_leg_max, rope
     forces by f_r_max, t_f unscaled.  A value evaluation rolls out the knot
-    states and caches them per point; the Jacobians at that point take the
-    knot states' tangents and one complex evaluation of cost_and_constraints
-    (see the module docstring), and cost no second real rollout.  counters
+    states and caches them per point; the Jacobians at that point are one
+    rollout_jacobian call (see the module docstring), and cost no second
+    real rollout.  counters
     holds the number of value and Jacobian evaluations and the seconds
     spent in each.
     """
@@ -176,8 +179,8 @@ class ShootingProblem:
     # -- transcription ------------------------------------------------------
 
     def step_inputs(self, Z):
-        """Z: (..., n_var) -> inputs (..., N+1, 6) of the thrust step and the
-        N knot steps, and the knot interval t_f/N (...,).
+        """Z: (..., n_var) -> inputs (..., N+1, 6) and lengths (..., N+1) of
+        the thrust step and the N knot steps: t_th, then t_f/N.
 
         Real or complex, as Z is.
         """
@@ -186,7 +189,10 @@ class ShootingProblem:
         u[..., 0, 2:5] = z[..., 0:3]
         u[..., 1:, 0] = z[..., 3:3 + self.N]
         u[..., 1:, 1] = z[..., 3 + self.N:3 + 2 * self.N]
-        return u, z[..., -1] / self.N
+        dt = np.empty(u.shape[:-1], dtype=z.dtype)
+        dt[..., 0] = self.scen.t_th
+        dt[..., 1:] = z[..., -1:] / self.N
+        return u, dt
 
     def rollout(self, Z):
         """Z: (..., n_var) scaled decision vectors -> knot states (..., N+1, 6).
@@ -196,7 +202,9 @@ class ShootingProblem:
         u, dt = self.step_inputs(Z)
         x0 = np.broadcast_to(self.x_rest, u.shape[:-2] + (6,))
         x_lift = step_arrays(x0, u[..., 0, :], self.scen.t_th, self.cfg, self.scen)
-        return rollout_arrays(x_lift, u[..., 1:, :], dt, self.cfg, self.scen)
+        # [()] makes a 1-D Z's knot interval a scalar, which step_arrays
+        # steps on Python floats.
+        return rollout_arrays(x_lift, u[..., 1:, :], dt[..., 1][()], self.cfg, self.scen)
 
     def cost_and_constraints(self, Z, states=None):
         """Returns (cost (...,), g (..., m)) with g <= 0 feasible.
@@ -239,25 +247,11 @@ class ShootingProblem:
                             z[..., 0:3] @ self.leg_rows.T + self.leg_offsets], axis=-1)
         return cost * self.cost_scale, g
 
-    def _exact_jacobians(self, Z, states):
-        """Exact (gradient (n_var,), constraint Jacobian (m, n_var)) at one
-        real point Z with knot states states, in the scaled variables."""
-        N, h = self.N, COMPLEX_STEP
-        dZ = 1j * h * np.eye(self.n_var)              # one row per variable
-        # Tangents of the step inputs, d(u_k, dt_k)/dz, by complex step
-        # through step_inputs; the thrust lasts t_th whatever z is.
-        u, dt = self.step_inputs(Z)
-        u_c, dt_c = self.step_inputs(Z + dZ)
-        w = np.zeros((N + 1, 7, self.n_var))
-        w[:, :6] = np.moveaxis(u_c.imag, 0, -1) / h
-        w[1:, 6] = dt_c.imag / h
-        S = rollout_tangents(np.vstack([self.x_rest, states[:-1]]), u,
-                             np.concatenate([[self.scen.t_th], np.full(N, dt)]),
-                             w, self.cfg, self.scen)[1:]
-        # Every cost term and row along every variable at once, the knot
-        # states moved along their tangents.
-        cost, g = self.cost_and_constraints(Z + dZ, states + 1j * h * np.moveaxis(S, -1, 0))
-        return cost.imag / h, g.imag.T / h
+    def _stacked(self, Z, states):
+        """(cost, g) stacked as (..., 1 + m), given the rest state and the
+        knot states (..., N+2, 6)."""
+        cost, g = self.cost_and_constraints(Z, states[..., 1:, :])
+        return np.concatenate([cost[..., None], g], axis=-1)
 
     # -- cached value/jacobian interface for the NLP solver -----------------
 
@@ -286,10 +280,12 @@ class ShootingProblem:
         if "jac" not in entry:
             t0 = time.perf_counter()
             if entry["states"] is None:
-                entry["jac"] = (np.zeros(self.n_var),
-                                np.zeros((entry["g"].size, self.n_var)))
+                entry["jac"] = np.zeros((1 + entry["g"].size, self.n_var))
             else:
-                entry["jac"] = self._exact_jacobians(Z, entry["states"])
+                # Row 0 is the gradient, the rest the constraint Jacobian.
+                entry["jac"] = rollout_jacobian(
+                    self._stacked, Z, np.vstack([self.x_rest, entry["states"]]),
+                    self.step_inputs, self.cfg, self.scen)
             self.counters["gradient_evals"] += 1
             self.counters["gradient_s"] += time.perf_counter() - t0
         return entry["jac"]
@@ -304,7 +300,7 @@ class ShootingProblem:
         return self._values(np.asarray(Z))["g"]
 
     def constraints_jac(self, Z):
-        return self._jacobians(np.asarray(Z))[1]
+        return self._jacobians(np.asarray(Z))[1:]
 
     def bounds(self):
         lo = np.concatenate([np.full(3, -(1.0 + self.scen.mu)),

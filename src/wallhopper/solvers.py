@@ -8,9 +8,10 @@ squares 0.5 |r(x)|^2 under bounds only, solved by bounded Gauss-Newton:
 each step minimises the linearised residual |r + J dx|^2 in the box by
 bounded-variable least squares (BVLS, ``scipy.optimize.lsq_linear``), so
 one step solves a linear problem exactly and the caller's residual
-Jacobian is the only derivative needed.  KKT multipliers are recovered a
-posteriori by a non-negative least-squares fit on the active set so that
-the reported stationarity residual can be recomputed independently.
+Jacobian is the only derivative needed.  Stationarity is measured a
+posteriori: active_set_multipliers fits non-negative multipliers to the
+active constraints and bounds by least squares, and the reported KKT
+residual is the largest entry of the Lagrangian gradient they leave.
 
 The LP path is one thin call to HiGHS through ``scipy.optimize.linprog``:
 ``solve_lp`` takes linprog's own arguments, leaves variables free unless
@@ -20,7 +21,7 @@ below (optimal, unbounded, infeasible, max_iters, failed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -82,54 +83,26 @@ class NlpResult:
     status: str
     n_iter: int
     constraint_violation: float
-    multipliers: dict = field(default_factory=dict)
     message: str = ""
 
 
 def active_set_multipliers(problem: NlpProblem, x: np.ndarray, grad: np.ndarray,
-                           tol_act: float = 1e-6) -> dict:
-    """Non-negative least-squares fit of the KKT multipliers at x, where the
-    objective's gradient is grad."""
-    cols, keys = [], []
+                           tol_act: float = 1e-6) -> float:
+    """KKT residual at x, where the objective's gradient is grad: the
+    infinity norm of grad + A lam, with A's columns the outward normals of
+    the active constraints and bounds and lam >= 0 their non-negative
+    least-squares fit to -grad.  perfbench/tracing.py times the fit under
+    this name."""
+    scale = np.maximum(1.0, np.abs(x))
+    eye = np.eye(x.size)
+    cols = [-eye[:, x - problem.lower <= tol_act * scale],
+            eye[:, problem.upper - x <= tol_act * scale]]
     if problem.constraints is not None:
         g = np.atleast_1d(problem.constraints(x))
-        jac = problem.constraints_jac(x)
-        for i in np.nonzero(g >= -tol_act)[0]:
-            cols.append(jac[i])
-            keys.append(("ineq", int(i)))
-    scale = np.maximum(1.0, np.abs(x))
-    for i in range(x.size):
-        if x[i] - problem.lower[i] <= tol_act * scale[i]:
-            e = np.zeros(x.size)
-            e[i] = -1.0
-            cols.append(e)
-            keys.append(("lower", i))
-        if problem.upper[i] - x[i] <= tol_act * scale[i]:
-            e = np.zeros(x.size)
-            e[i] = 1.0
-            cols.append(e)
-            keys.append(("upper", i))
-    mult = {"ineq": {}, "lower": {}, "upper": {}, "gradient": grad}
-    if cols:
-        A = np.stack(cols, axis=1)
-        lam, _ = optimize.nnls(A, -grad)
-        for (kind, i), v in zip(keys, lam):
-            mult[kind][i] = float(v)
-    return mult
-
-
-def kkt_residual(problem: NlpProblem, x: np.ndarray, multipliers: dict) -> float:
-    """Infinity norm of the Lagrangian gradient implied by the multipliers."""
-    grad = multipliers["gradient"].copy()
-    if multipliers["ineq"]:
-        jac = problem.constraints_jac(x)
-        for i, lam in multipliers["ineq"].items():
-            grad += lam * jac[i]
-    for i, lam in multipliers["lower"].items():
-        grad[i] -= lam
-    for i, lam in multipliers["upper"].items():
-        grad[i] += lam
-    return float(np.max(np.abs(grad)))
+        cols.append(np.atleast_2d(problem.constraints_jac(x))[g >= -tol_act].T)
+    A = np.hstack(cols)
+    lam = optimize.nnls(A, -grad)[0] if A.shape[1] else np.zeros(0)
+    return float(np.max(np.abs(grad + A @ lam)))
 
 
 def solve_nlp(problem: NlpProblem) -> NlpResult:
@@ -147,16 +120,17 @@ def solve_nlp(problem: NlpProblem) -> NlpResult:
         # scipy's ineq convention is fun(x) >= 0; ours is g(x) <= 0.
         cons = [{"type": "ineq", "fun": lambda x: -np.atleast_1d(problem.constraints(x)),
                  "jac": lambda x: -np.atleast_2d(problem.constraints_jac(x))}]
+    # SLSQP reads a strided gradient as if it were contiguous.
     res = optimize.minimize(
-        problem.objective, problem.x0, jac=problem.gradient, method="SLSQP",
+        problem.objective, problem.x0, method="SLSQP",
+        jac=lambda x: np.ascontiguousarray(problem.gradient(x), dtype=float),
         bounds=bounds, constraints=cons,
         options={"maxiter": problem.max_iter, "ftol": problem.tol_obj})
     x = np.clip(res.x, problem.lower, problem.upper)
     violation = 0.0
     if problem.constraints is not None:
         violation = float(max(0.0, np.max(np.atleast_1d(problem.constraints(x)))))
-    mult = active_set_multipliers(problem, x, problem.gradient(x))
-    resid = kkt_residual(problem, x, mult)
+    resid = active_set_multipliers(problem, x, problem.gradient(x))
     if violation > problem.tol_feas:
         status = STATUS_INFEASIBLE if res.status == 4 or res.success else STATUS_MAX_ITERS
     elif res.success or resid <= problem.tol_stat:
@@ -165,8 +139,7 @@ def solve_nlp(problem: NlpProblem) -> NlpResult:
         status = STATUS_MAX_ITERS
     return NlpResult(x=x, objective=float(problem.objective(x)), kkt_residual=resid,
                      status=status, n_iter=int(getattr(res, "nit", -1)),
-                     constraint_violation=violation, multipliers=mult,
-                     message=str(res.message))
+                     constraint_violation=violation, message=str(res.message))
 
 
 def _finite(values, what: str) -> np.ndarray:
@@ -184,18 +157,17 @@ def _gauss_newton(problem: NlpProblem) -> NlpResult:
     stationary to tol_stat, and otherwise moves to the BVLS minimiser of
     the linearised residual in the box.  The last residuals call is at the
     returned point.  After max_iter steps the Jacobian at that point has not
-    been evaluated, so kkt_residual is NaN and the multipliers are empty.
+    been evaluated, so kkt_residual is NaN.
     Raises RuntimeError on non-finite residuals or Jacobian.
     """
     lo, hi = problem.lower, problem.upper
     free = lo < hi                      # lsq_linear rejects equal bounds
     x = np.clip(problem.x0, lo, hi)
     r = _finite(problem.residuals(x), "residuals")
-    status, mult, resid = STATUS_MAX_ITERS, {}, np.nan
+    status, resid = STATUS_MAX_ITERS, np.nan
     for n_iter in range(problem.max_iter):
         J = _finite(problem.residuals_jac(x), "residual Jacobian")
-        mult = active_set_multipliers(problem, x, J.T @ r)
-        resid = kkt_residual(problem, x, mult)
+        resid = active_set_multipliers(problem, x, J.T @ r)
         if resid <= problem.tol_stat:
             status = STATUS_OPTIMAL
             break
@@ -204,12 +176,11 @@ def _gauss_newton(problem: NlpProblem) -> NlpResult:
         step[free] = optimize.lsq_linear(J[:, free], -r, bounds=box, method="bvls").x
         x = np.clip(x + step, lo, hi)
         r = _finite(problem.residuals(x), "residuals")
-        mult, resid = {}, np.nan
+        resid = np.nan
     else:
         n_iter = problem.max_iter
     return NlpResult(x=x, objective=0.5 * float(r @ r), kkt_residual=resid,
-                     status=status, n_iter=n_iter, constraint_violation=0.0,
-                     multipliers=mult)
+                     status=status, n_iter=n_iter, constraint_violation=0.0)
 
 
 @dataclass

@@ -8,7 +8,7 @@ from wallhopper import integrator, model, simulator
 from wallhopper.integrator import (
     IntegratorConfig,
     rollout_arrays,
-    rollout_tangents,
+    rollout_jacobian,
     step_arrays,
     step_jacobians,
 )
@@ -243,43 +243,63 @@ class TestStepJacobians:
 
 
 class TestRolloutTangents:
-    """The chained step Jacobians against a complex step through a loop of
-    step_arrays over the whole schedule, its inputs and intervals moved
-    along their tangents w."""
+    """The knot tangents of rollout_jacobian against a complex step through
+    a loop of step_arrays over the whole schedule, under a linear map from
+    the decision vector to the step inputs and lengths."""
 
     @staticmethod
-    def oracle(u, dts, w, cfg):
+    def linear_inputs(K, n, per_step, seed=41):
+        rng = np.random.default_rng(seed)
+        u0 = FORCED_U + rng.normal(scale=5.0, size=(K, 6))
+        W_u = rng.normal(size=(n, K, 6))
+        dt0 = rng.uniform(0.03, 0.08, K)
+        W_dt = 1e-3 * rng.normal(size=(n, K))
+
+        def step_inputs(Z):
+            u = u0 + np.tensordot(Z, W_u, axes=1)
+            if per_step:
+                return u, dt0 + Z @ W_dt
+            return u, np.full(u.shape[:-1], 0.05)    # real, fixed lengths
+        return step_inputs
+
+    @staticmethod
+    def oracle(step_inputs, z, cfg):
         h = 1e-30
-        e = 1j * h * np.eye(w.shape[-1])          # one row per direction
-        x = np.tile(X0, (w.shape[-1], 1)).astype(complex)
+        u, dt = step_inputs(z + 1j * h * np.eye(z.size))    # one row per direction
+        x = np.tile(X0, (z.size, 1)).astype(complex)
         out = [x]
-        for k in range(len(u)):
-            x = step_arrays(x, u[k] + e @ w[k, :6].T, dts[k] + e @ w[k, 6], cfg, SCEN)
+        for k in range(u.shape[1]):
+            x = step_arrays(x, u[:, k], dt[:, k], cfg, SCEN)
             out.append(x)
-        return np.swapaxes(np.stack(out).imag, 1, 2) / h
+        return np.stack(out, axis=1).imag.reshape(z.size, -1).T / h
+
+    @staticmethod
+    def value(Z, states):
+        """Z itself, then every knot state."""
+        return np.concatenate([Z, states.reshape(Z.shape[:-1] + (-1,))], axis=-1)
 
     @pytest.mark.parametrize("per_step", [True, False])
     def test_match_complex_step_through_the_schedule(self, per_step):
-        rng = np.random.default_rng(41)
         K, n, cfg = 9, 5, IntegratorConfig(n_sub=3)
-        u = FORCED_U + rng.normal(scale=5.0, size=(K, 6))
-        dts = rng.uniform(0.03, 0.08, K) if per_step else np.full(K, 0.05)
-        w = rng.normal(size=(K, 7, n))
+        step_inputs = self.linear_inputs(K, n, per_step)
+        z = np.random.default_rng(42).normal(size=n)
+        u, dt = step_inputs(z)
         states = [X0]
         for k in range(K):
-            states.append(step_arrays(states[-1], u[k], dts[k], cfg, SCEN))
-        S = rollout_tangents(np.array(states[:-1]), u, dts if per_step else 0.05, w,
-                             cfg, SCEN)
-        assert S.shape == (K + 1, 6, n)
-        np.testing.assert_array_equal(S[0], 0.0)
-        ref = self.oracle(u, dts, w, cfg)
-        np.testing.assert_allclose(S, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+            states.append(step_arrays(states[-1], u[k], dt[k], cfg, SCEN))
+        J = rollout_jacobian(self.value, z, np.array(states), step_inputs, cfg, SCEN)
+        assert J.shape == (n + 6 * (K + 1), n)
+        np.testing.assert_array_equal(J[:n], np.eye(n))
+        np.testing.assert_array_equal(J[n:n + 6], 0.0)         # the start state
+        ref = self.oracle(step_inputs, z, cfg)
+        np.testing.assert_allclose(J[n:], ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
-    @pytest.mark.parametrize("dt", [0.05, np.zeros(0)])
-    def test_no_steps(self, dt):
-        S = rollout_tangents(np.zeros((0, 6)), np.zeros((0, 6)), dt, np.zeros((0, 7, 4)),
+    @pytest.mark.parametrize("per_step", [True, False])
+    def test_no_steps(self, per_step):
+        n = 4
+        J = rollout_jacobian(self.value, np.ones(n), X0[None], self.linear_inputs(0, n, per_step),
                              IntegratorConfig(), SCEN)
-        np.testing.assert_array_equal(S, np.zeros((1, 6, 4)))
+        np.testing.assert_array_equal(J, np.vstack([np.eye(n), np.zeros((6, n))]))
 
 
 class TestRollout:
@@ -321,3 +341,9 @@ class TestProperties:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             IntegratorConfig(n_sub=0)
+
+    @pytest.mark.parametrize("n_sub", [5.0, 2.5, np.nan, "5"])
+    def test_non_integer_n_sub_rejected(self, n_sub):
+        with pytest.raises(ValueError, match="n_sub must be an integer"):
+            IntegratorConfig(n_sub=n_sub)
+        IntegratorConfig(n_sub=np.int64(5))

@@ -364,6 +364,15 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             Scenario(t_th=-0.1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("d_a", np.nan), ("mass", np.nan), ("wall_offset", np.nan), ("mu", np.nan),
+        ("f_leg_max", np.nan), ("f_r_max", np.inf), ("f_p_max", np.nan), ("t_th", np.nan),
+        ("d_b", np.nan), ("d_w", np.nan), ("d_h", np.inf), ("wheel_z_offset", np.nan),
+        ("gravity", [0.0, np.nan, -9.81]), ("gravity", [0.0, -9.81])])
+    def test_non_finite_or_misshapen_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            Scenario(**{name: value})
+
     def test_obstacle_needs_x_wall_normal(self):
         # The ellipsoid is axis-aligned with x normal to the wall; under any
         # other wall normal the planner would bound p_x instead of n.p.

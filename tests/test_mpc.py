@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from wallhopper import mpc, solvers
+from wallhopper import mpc, planner, solvers
 from wallhopper.integrator import COMPLEX_STEP
 from wallhopper.model import Scenario
 from wallhopper.mpc import (
@@ -58,13 +58,19 @@ def test_tick_outside_the_plan_rejected(k):
     assert ctl.prev_solution is None
 
 
-@pytest.mark.parametrize("max_iter", [0, -1])
+@pytest.mark.parametrize("max_iter", [0, -1, 1.0])
 def test_config_rejects_no_iteration(max_iter):
     # max_iter = 0 once applied the unoptimised warm start, flagged as not degraded.
     with pytest.raises(ValueError, match="max_iter"):
         mpc.MpcConfig(max_iter=max_iter)
     with pytest.raises(ValueError, match="max_iter"):
         mpc.MpcConfig.from_plan(KNOT_PLAN, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("n_horizon", [12.0, 2.5, np.nan])
+def test_config_rejects_non_integer_horizon(n_horizon):
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        mpc.MpcConfig(n_horizon=n_horizon)
 
 
 class TestWarmStart:
@@ -160,6 +166,22 @@ class TestRealTimeIteration:
         complex_step = np.column_stack([r(z + 1j * h * e).imag / h for e in np.eye(z.size)])
         np.testing.assert_allclose(J, complex_step, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("horizon", [2, 1])
+    def test_short_horizon_jacobian_matches_complex_step(self, frozen_track_plan,
+                                                         monkeypatch, horizon):
+        # The last two ticks: at H = 1 the only tracked knot is the measured
+        # state and only the smoothing rows move.
+        k = TrackingController(frozen_track_plan, SCEN).n_ticks - horizon
+        problem, _ = perturbed_tick(frozen_track_plan, monkeypatch, k=k)
+        z = problem.x0 + 0.01 * np.random.default_rng(4).normal(size=problem.x0.size)
+        J = problem.residuals_jac(z)
+        assert J.shape == (5 * horizon, 3 * horizon)
+        h = COMPLEX_STEP
+        complex_step = np.column_stack([problem.residuals(z + 1j * h * e).imag / h
+                                        for e in np.eye(z.size)])
+        assert np.any(complex_step[3 * horizon:])
+        np.testing.assert_allclose(J, complex_step, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("rates", [(0.05, 0.1, 0.0), (0.3, 1.0, -1.0)])
     def test_converged_steps_match_least_squares(self, frozen_track_plan, monkeypatch,
                                                  rates):
@@ -174,18 +196,18 @@ class TestRealTimeIteration:
     def test_one_step_per_jacobian_and_no_batched_rollout(self, frozen_track_plan,
                                                           monkeypatch):
         calls = {"jacobians": 0, "rollouts": 0}
-        rollout_tangents, rollout_arrays = mpc.rollout_tangents, mpc.rollout_arrays
+        rollout_jacobian, rollout_arrays = mpc.rollout_jacobian, mpc.rollout_arrays
 
         def counted_jacobians(*args):
             calls["jacobians"] += 1
-            return rollout_tangents(*args)
+            return rollout_jacobian(*args)
 
         def single_rollout(x0, *args):
             assert np.ndim(x0) == 1, "batched rollout in an MPC tick"
             calls["rollouts"] += 1
             return rollout_arrays(x0, *args)
 
-        monkeypatch.setattr(mpc, "rollout_tangents", counted_jacobians)
+        monkeypatch.setattr(mpc, "rollout_jacobian", counted_jacobians)
         monkeypatch.setattr(mpc, "rollout_arrays", single_rollout)
         _, sol = perturbed_tick(frozen_track_plan, monkeypatch)
         assert (sol.diagnostics["n_iter"], calls) == (1, {"jacobians": 1, "rollouts": 2})
@@ -226,3 +248,11 @@ class TestRealTimeIteration:
         stepped, warm = np.array(costs).T
         assert stepped.size == TrackingController(frozen_track_plan, SCEN).n_ticks
         assert np.all(stepped <= warm)
+
+
+@pytest.mark.parametrize("module", [planner, mpc])
+def test_no_derivative_of_their_own(module):
+    # The planner's and the MPC's derivatives come from
+    # integrator.rollout_jacobian alone.
+    for name in ("COMPLEX_STEP", "step_jacobians", "jacobian_arrays"):
+        assert not hasattr(module, name), name
