@@ -87,8 +87,11 @@ class Ellipsoid:
         object.__setattr__(self, "semi_axes", np.asarray(self.semi_axes, dtype=float))
         if self.center.shape != (3,) or self.semi_axes.shape != (3,):
             raise ValueError("Ellipsoid center and semi_axes must be 3-vectors")
-        if np.any(self.semi_axes <= 0.0):
-            raise ValueError("Ellipsoid semi-axes must be strictly positive")
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError(f"Ellipsoid center must be finite: {self.center}")
+        if not np.all((self.semi_axes > 0.0) & (self.semi_axes < np.inf)):
+            raise ValueError(f"Ellipsoid semi-axes must be finite and positive: "
+                             f"{self.semi_axes}")
 
 
 @dataclass(frozen=True)

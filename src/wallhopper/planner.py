@@ -355,9 +355,6 @@ def plan_jump(p0, p_tg, scenario: Scenario,
     res = solve_nlp(nlp)
     nlp_s = time.perf_counter() - t0
     z = res.x * prob.scale
-    # Snap tiny box violations left by the solver.
-    z[3:3 + 2 * prob.N] = np.clip(z[3:3 + 2 * prob.N], -scenario.f_r_max, 0.0)
-    z[-1] = np.clip(z[-1], *T_F_BOUNDS)
     Z = z / prob.scale
     states = prob.rollout(Z)
     positions = position_arrays(states[:, 0], states[:, 1], states[:, 2],

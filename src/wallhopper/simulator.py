@@ -11,9 +11,11 @@ machine, _episode:
   divide the thrust and each tick exactly; the flight ends at t_th + t_f;
 - hold (landing runs only): a run still short of the wheel plane at t_f
   holds the last feed-forward plus gravity compensation, for at most
-  LandingParams.max_hold;
+  MAX_HOLD;
 - contact (landing runs only): after touch-down the wall-normal motion
-  follows the landing impedance and the wheels absorb lateral residuals.
+  follows the landing impedance (LANDING_STIFFNESS, critically damped) for
+  SETTLE_TIME and the wheels absorb lateral residuals; each row records
+  the rates q_dot = A_d(q)^-1 n s_dot of that normal motion.
 
 run_episode scores e_a, the target minus the CoM position, at
 t_th + t_f.  landing_episode arms the touch-down watch at lift-off and
@@ -23,9 +25,10 @@ Events, name -> time: lift_off; horizon_end (the flight ran to t_f);
 early_touch_down (touch-down during the flight), delayed_touch_down
 (during the hold) or no_touch_down; settled (end of the contact phase);
 wall_crossing (first sample with the CoM behind the wall plane,
-n.p < 0).  A non-finite state ends the episode with EpisodeAborted, whose
-trace carries the event aborted; a wall crossing is recorded, not
-aborted.  The meta of an MPC episode holds one entry per tick in the
+n.p < 0).  A non-finite state raises EpisodeAborted at the failing step;
+its trace ends on the state that step started from and carries the event
+aborted.  A wall crossing is recorded, not aborted.  Every row's Cartesian velocity is
+A_d q_dot.  The meta of an MPC episode holds one entry per tick in the
 arrays tick_s, n_iter, status and degraded (MpcSolution.diagnostics).
 The recorder keeps references, not copies, to each step's state and to
 the input and disturbance held over a tick: nothing may mutate them later.
@@ -49,9 +52,10 @@ PHASE_FLIGHT = 1
 PHASE_HOLD = 2          # past t_f, waiting for delayed touch-down
 PHASE_CONTACT = 3
 
-
-class IntegrationError(RuntimeError):
-    """Non-finite state encountered while stepping."""
+LANDING_STIFFNESS = 60.0    # K_L (N/m), critically damped for the mass
+SETTLE_TIME = 3.0           # contact phase recorded after touch-down (s)
+MAX_HOLD = 2.0              # cap on the delayed touch-down wait (s)
+AMPLITUDE = (25.0, 50.0)    # range of batch_robustness impulses (N)
 
 
 @dataclass(frozen=True)
@@ -101,19 +105,6 @@ def critically_damped_gain(stiffness: float, reflected_mass: float) -> float:
     return 2.0 * float(np.sqrt(stiffness * reflected_mass))
 
 
-@dataclass(frozen=True)
-class LandingParams:
-    stiffness: float = 60.0          # K_L (N/m), critically damped for the mass
-    settle_time: float = 3.0         # contact phase duration to record (s)
-    max_hold: float = 2.0            # cap on the delayed touch-down wait (s)
-
-    def __post_init__(self):
-        if not self.stiffness > 0.0:
-            raise ValueError("landing stiffness must be positive")
-        if not (self.settle_time >= 0.0 and self.max_hold >= 0.0):
-            raise ValueError("settle_time and max_hold must be non-negative")
-
-
 @dataclass
 class SimTrace:
     times: np.ndarray                # (M,)
@@ -144,10 +135,9 @@ class _Recorder:
         self.rows = []
         self.ticks = ticks
 
-    def add(self, t, x, u, dist, phase, velocity=None):
-        """velocity, if given, replaces the Cartesian velocity computed from x.
-        Keeps references: nothing may mutate x, u or dist afterwards."""
-        self.rows.append((t, x, u, dist, phase, velocity))
+    def add(self, t, x, u, dist, phase):
+        """Keeps references: nothing may mutate x, u or dist afterwards."""
+        self.rows.append((t, x, u, dist, phase))
 
     def build(self, events, e_a, meta) -> SimTrace:
         times = np.array([r[0] for r in self.rows])
@@ -159,9 +149,6 @@ class _Recorder:
         positions = position_arrays(psi, l1, l2, self.scen.d_a)
         A = jacobian_arrays(psi, l1, l2, self.scen.d_a)
         velocities = (A @ states[:, 3:, None])[..., 0]
-        for i, r in enumerate(self.rows):
-            if r[5] is not None:
-                velocities[i] = r[5]
         behind = np.flatnonzero(positions @ self.scen.wall_normal < 0.0)
         if behind.size:
             events = {**events, "wall_crossing": float(times[behind[0]])}
@@ -197,9 +184,9 @@ def _substeps(interval: float, dt_sim: float) -> tuple[int, float]:
 
 
 def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
-             landing=None) -> SimTrace:
-    """The phase machine of the module docstring; landing parameters arm
-    the touch-down watch and the hold and contact phases."""
+             landing=False) -> SimTrace:
+    """The phase machine of the module docstring; landing arms the
+    touch-down watch and the hold and contact phases."""
     _check_dt_sim(dt_sim)
     if controller == "mpc":
         ctl = TrackingController(plan, scenario, mpc_cfg)
@@ -227,7 +214,9 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
             recorder.add(t, x, u, zero if d is None else d, phase)
             x = step_arrays(x, u, h, cfg_sim, scenario, extra_force=d)
             if not all(map(math.isfinite, x.tolist())):
-                raise IntegrationError("simulation state became non-finite")
+                msg = "simulation state became non-finite"
+                raise EpisodeAborted(msg, recorder.build(
+                    {"aborted": np.nan}, np.full(3, np.nan), {**meta, "error": msg}))
             t += h
             if watch:
                 gap = float(position_arrays(x[0], x[1], x[2], scenario.d_a) @ n
@@ -247,44 +236,38 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
         recorder.ticks.append(sol)
         return u
 
+    # Thrust: leg impulse only, ropes slack (as transcribed by the planner);
+    # contact is not watched while still at the wall.
     touched = False
-    try:
-        # Thrust: leg impulse only, ropes slack (as transcribed by the
-        # planner); contact is not watched while still at the wall.
-        u = np.zeros(6)
-        u[2:5] = plan.f_leg
-        advance(u, *_substeps(scenario.t_th, dt_sim), PHASE_THRUST)
-        events["lift_off"] = t_lift = t
-        steps_per_tick, h = _substeps(plan.dt, dt_sim)
-        for k in range(plan.n_knots):
-            u = tick_input(k)
-            if advance(u, steps_per_tick, h, PHASE_FLIGHT, landing is not None,
-                       lambda s: dist.force_at(s - t_lift)):
-                touched = True
-                events["early_touch_down"] = t
-                break
-        else:
-            events["horizon_end"] = t
-            if landing is not None:
-                # Delayed touch-down: hold the last feed-forward plus
-                # gravity compensation.
-                pull = static_rope_pull(
-                    position_arrays(x[0], x[1], x[2], scenario.d_a), scenario)
-                u = np.zeros(6)
-                u[:2] = np.clip([plan.rope_left[-1], plan.rope_right[-1]] + pull,
-                                -scenario.f_r_max, 0.0)
-                touched = advance(u, round(landing.max_hold / dt_sim), dt_sim,
-                                  PHASE_HOLD, True)
-                if touched:
-                    events["delayed_touch_down"] = t
-    except IntegrationError as exc:
-        trace = recorder.build({"aborted": np.nan}, np.full(3, np.nan),
-                               {**meta, "error": str(exc)})
-        raise EpisodeAborted(str(exc), trace) from exc
+    u = np.zeros(6)
+    u[2:5] = plan.f_leg
+    advance(u, *_substeps(scenario.t_th, dt_sim), PHASE_THRUST)
+    events["lift_off"] = t_lift = t
+    steps_per_tick, h = _substeps(plan.dt, dt_sim)
+    for k in range(plan.n_knots):
+        u = tick_input(k)
+        if advance(u, steps_per_tick, h, PHASE_FLIGHT, landing,
+                   lambda s: dist.force_at(s - t_lift)):
+            touched = True
+            events["early_touch_down"] = t
+            break
+    else:
+        events["horizon_end"] = t
+        if landing:
+            # Delayed touch-down: hold the last feed-forward plus gravity
+            # compensation.
+            pull = static_rope_pull(
+                position_arrays(x[0], x[1], x[2], scenario.d_a), scenario)
+            u = np.zeros(6)
+            u[:2] = np.clip([plan.rope_left[-1], plan.rope_right[-1]] + pull,
+                            -scenario.f_r_max, 0.0)
+            touched = advance(u, round(MAX_HOLD / dt_sim), dt_sim, PHASE_HOLD, True)
+            if touched:
+                events["delayed_touch_down"] = t
 
     p = position_arrays(x[0], x[1], x[2], scenario.d_a)
     e_a = plan.p_target - p
-    if landing is None:
+    if not landing:
         recorder.add(t, x, u, zero, PHASE_FLIGHT)
         return recorder.build(events, e_a, meta)
     meta["touch_down"] = touched
@@ -296,7 +279,7 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
     # Contact phase: plastic normal stop at the plane, then the landing
     # impedance settles the body against the wheels; lateral residuals are
     # taken up by wheel damping (held here).
-    K = landing.stiffness
+    K = LANDING_STIFFNESS
     D = critically_damped_gain(K, scenario.mass)
     p_td = p - float(p @ n - scenario.d_w) * n      # snap to the contact plane
     a_l, a_r = rope_axes(p_td, scenario)
@@ -305,15 +288,20 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
     s, s_dot = 0.0, 0.0                     # normal gap state after the stop
     u_contact = u.copy()
     u_contact[2:5] = 0.0
-    for _ in range(round(landing.settle_time / dt_sim)):
-        psi, l1, l2 = inverse_kinematics(p_td + s * n, scenario)
-        recorder.add(t, np.array([psi, l1, l2, 0.0, 0.0, 0.0]), u_contact, zero,
-                     PHASE_CONTACT, velocity=s_dot * n)
+    rows = []
+    for _ in range(round(SETTLE_TIME / dt_sim)):
+        rows.append((t, *inverse_kinematics(p_td + s * n, scenario), s_dot))
         f_c = -K * s - D * s_dot
         s_ddot = (f_c + f_ext_n) / scenario.mass
         s_dot += s_ddot * dt_sim
         s += s_dot * dt_sim
         t += dt_sim
+    # The rates of the normal motion, q_dot = A_d(q)^-1 n s_dot, for all rows.
+    times, psi, l1, l2, s_dots = np.array(rows).reshape(-1, 5).T
+    q_dot = np.linalg.solve(jacobian_arrays(psi, l1, l2, scenario.d_a),
+                            s_dots[:, None, None] * n[:, None])[..., 0]
+    for t_row, x_row in zip(times.tolist(), np.column_stack([psi, l1, l2, q_dot])):
+        recorder.add(t_row, x_row, u_contact, zero, PHASE_CONTACT)
     events["settled"] = t
     meta.update(stiffness=K, damping=D, early="early_touch_down" in events)
     return recorder.build(events, e_a, meta)
@@ -327,9 +315,7 @@ def run_episode(plan: JumpPlan, scenario: Scenario, controller: str = "mpc",
     return _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg)
 
 
-def landing_episode(plan: JumpPlan, scenario: Scenario,
-                    landing: LandingParams | None = None,
-                    controller: str = "mpc",
+def landing_episode(plan: JumpPlan, scenario: Scenario, controller: str = "mpc",
                     disturbance: DisturbanceSpec | None = None,
                     noise: NoiseSpec | None = None, dt_sim: float = 0.001,
                     mpc_cfg: MpcConfig | None = None) -> SimTrace:
@@ -337,30 +323,29 @@ def landing_episode(plan: JumpPlan, scenario: Scenario,
 
     Touch-down is armed once the robot has cleared the wheel plane; at the
     crossing the normal approach is absorbed by the landing mechanism
-    (modelled as a plastic stop) and the body then settles on the
-    critically damped spring-damper while lateral motion is held by the
-    wheels.  Early and delayed touch-downs are flagged; in the delayed case
-    the last feed-forward plus gravity compensation is held until contact
-    or the configured cap.
+    (modelled as a plastic stop) and the body then settles for SETTLE_TIME
+    on the spring-damper of stiffness LANDING_STIFFNESS, critically damped,
+    while lateral motion is held by the wheels.  Early and delayed
+    touch-downs are flagged; in the delayed case the last feed-forward plus
+    gravity compensation is held until contact or for MAX_HOLD.
     """
     return _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
-                    landing or LandingParams())
+                    landing=True)
 
 
 def batch_robustness(plan: JumpPlan, n_runs: int, scenario: Scenario,
-                     seed: int = 0, amplitude: tuple = (25.0, 50.0),
-                     noise: NoiseSpec | None = None, controller: str = "mpc",
-                     n_intervals: int = 10, dt_sim: float = 0.001,
-                     mpc_cfg: MpcConfig | None = None) -> dict:
+                     seed: int = 0, noise: NoiseSpec | None = None,
+                     controller: str = "mpc", n_intervals: int = 10,
+                     dt_sim: float = 0.001, mpc_cfg: MpcConfig | None = None) -> dict:
     """Random impulsive disturbances over the flight, per-interval statistics.
 
     The flight is split into n_intervals (>= 1) equal windows; each run
-    draws a disturbance amplitude in the given range and a direction in the
+    draws a disturbance amplitude in AMPLITUDE and a direction in the
     downward hemisphere, applied inside its window for DisturbanceSpec's
-    default duration.  Aborted runs are
-    counted as failures, not fatal; runs that cross the wall plane are
-    counted in wall_crossings and keep their landing errors in the
-    statistics.  Fixed seeds reproduce bit-identical results.
+    default duration.  Aborted runs are counted as failures, not fatal;
+    runs that cross the wall plane are counted in wall_crossings and keep
+    their landing errors in the statistics.  Fixed seeds reproduce
+    bit-identical results.
     """
     if n_intervals < 1:
         raise ValueError("n_intervals must be >= 1")
@@ -371,7 +356,7 @@ def batch_robustness(plan: JumpPlan, n_runs: int, scenario: Scenario,
     failures = wall_crossings = 0
     for run in range(n_runs):
         interval = run % n_intervals
-        amp = rng.uniform(*amplitude)
+        amp = rng.uniform(*AMPLITUDE)
         vec = rng.normal(size=3)
         vec[2] = -abs(vec[2])            # downward hemisphere
         nv = np.linalg.norm(vec)

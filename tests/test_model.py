@@ -373,6 +373,18 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=name):
             Scenario(**{name: value})
 
+    # A NaN bump once passed and then vanished: wall_gap at (0.5, 2.5, -6)
+    # under semi-axes (1, nan, 1) centred at (nan, 2.5, -6) gave the flat
+    # wall's 0.45 m.
+    @pytest.mark.parametrize("center, semi_axes", [
+        ([np.nan, 2.5, -6.0], [1.0, np.nan, 1.0]), ([np.nan, 2.5, -6.0], [1.0, 1.0, 1.0]),
+        ([np.inf, 2.5, -6.0], [1.0, 1.0, 1.0]), ([0.0, 2.5, -6.0], [1.0, np.nan, 1.0]),
+        ([0.0, 2.5, -6.0], [1.0, np.inf, 1.0]), ([0.0, 2.5, -6.0], [1.0, 0.0, 1.0]),
+        ([0.0, 2.5, -6.0], [1.0, -1.0, 1.0]), ([0.0, 2.5], [1.0, 1.0, 1.0])])
+    def test_bad_ellipsoid_rejected(self, center, semi_axes):
+        with pytest.raises(ValueError, match="Ellipsoid"):
+            Ellipsoid(center=np.array(center), semi_axes=np.array(semi_axes))
+
     def test_obstacle_needs_x_wall_normal(self):
         # The ellipsoid is axis-aligned with x normal to the wall; under any
         # other wall normal the planner would bound p_x instead of n.p.

@@ -1,8 +1,8 @@
 """Episode simulator: open-loop replay against the plan, the recorded
 trace, wall crossings, reproducibility and error handling of the
 robustness batch, the landing episode's phases and events, the MPC ticks
-(one per plan knot) recorded in the trace, measurement noise, the
-landing damping and the checks on dt_sim and LandingParams."""
+(one per plan knot) recorded in the trace, aborts at a non-finite state,
+measurement noise, the landing damping and the input checks."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from wallhopper.model import Scenario, jacobian_arrays
 from wallhopper.simulator import (
     DisturbanceSpec,
     EpisodeAborted,
-    LandingParams,
     NoiseSpec,
     batch_robustness,
     critically_damped_gain,
@@ -28,6 +27,18 @@ def cartesian_velocity(x):
     return jacobian_arrays(x[0], x[1], x[2], SCEN.d_a) @ x[3:]
 
 
+def nan_on_call(monkeypatch, n):
+    """Make simulator.step_arrays return a NaN state on its n-th call."""
+    real, calls = simulator.step_arrays, []
+
+    def stepped(*args, **kwargs):
+        calls.append(None)
+        x = real(*args, **kwargs)
+        return np.full_like(x, np.nan) if len(calls) == n else x
+
+    monkeypatch.setattr(simulator, "step_arrays", stepped)
+
+
 class TestOpenLoopReplay:
     @pytest.mark.parametrize("dt_sim", [1e-3, 5e-4])
     def test_ends_on_the_plan(self, benchmark_plan, dt_sim):
@@ -41,21 +52,17 @@ class TestOpenLoopReplay:
         assert trace.landing_error_norm == pytest.approx(plan.terminal_error, abs=1e-8)
 
     def test_trace_velocities(self, benchmark_plan):
-        trace = run_episode(benchmark_plan, SCEN, controller="open_loop", dt_sim=0.005)
-        for i in range(0, trace.times.size, 7):
-            v = cartesian_velocity(trace.states[i])
-            np.testing.assert_allclose(trace.velocities[i], v, rtol=1e-12, atol=1e-12)
-
-    def test_explicit_velocity_overrides(self):
-        rec = simulator._Recorder(SCEN)
-        x = np.array([0.3, 6.0, 7.0, 0.1, 0.2, 0.3])
-        rec.add(0.0, x, np.zeros(6), np.zeros(3), simulator.PHASE_FLIGHT)
-        rec.add(0.1, x, np.zeros(6), np.zeros(3), simulator.PHASE_CONTACT,
-                velocity=np.array([1.0, 2.0, 3.0]))
-        trace = rec.build({}, np.zeros(3), {})
-        np.testing.assert_array_equal(trace.velocities[1], [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(
-            trace.velocities[0], cartesian_velocity(x))
+        # Flight rows of a run, and the contact rows of a landing, whose
+        # states carry the rates of the normal settling motion.
+        run = run_episode(benchmark_plan, SCEN, controller="open_loop", dt_sim=0.005)
+        land = landing_episode(benchmark_plan, SCEN.with_(d_w=0.22),
+                               controller="open_loop", dt_sim=0.005)
+        contact = np.flatnonzero(land.phase == simulator.PHASE_CONTACT)
+        assert contact.size and np.any(land.states[contact, 3:] != 0.0)
+        for trace, rows in ((run, range(0, run.times.size, 7)), (land, contact[::7])):
+            for i in rows:
+                v = cartesian_velocity(trace.states[i])
+                np.testing.assert_allclose(trace.velocities[i], v, rtol=1e-12, atol=1e-12)
 
 
 class TestWallCrossing:
@@ -130,15 +137,7 @@ class TestBatchRobustness:
                              n_intervals=n_intervals)
 
     def test_non_finite_state_counted(self, benchmark_plan, monkeypatch):
-        real = simulator.step_arrays
-        calls = []
-
-        def nan_once(*args, **kwargs):
-            calls.append(None)
-            x = real(*args, **kwargs)
-            return np.full_like(x, np.nan) if len(calls) == 100 else x
-
-        monkeypatch.setattr(simulator, "step_arrays", nan_once)
+        nan_on_call(monkeypatch, 100)
         stats = self.run(benchmark_plan)
         assert stats["failures"] == 1
         assert sum(iv["n"] for iv in stats["intervals"]) == 3
@@ -154,8 +153,8 @@ class TestLandingEpisode:
         trace = self.land(benchmark_plan, 0.4)
         ev = trace.events
         assert "no_touch_down" in ev and "settled" not in ev
-        max_hold = LandingParams().max_hold
-        assert ev["no_touch_down"] == pytest.approx(ev["horizon_end"] + max_hold, abs=1e-9)
+        assert ev["no_touch_down"] == pytest.approx(ev["horizon_end"] + simulator.MAX_HOLD,
+                                                    abs=1e-9)
         assert trace.meta["touch_down"] is False
         assert trace.phase[-1] == simulator.PHASE_HOLD
 
@@ -178,13 +177,24 @@ class TestLandingEpisode:
     @pytest.mark.parametrize("d_w, touch", [(0.2, "delayed_touch_down"),
                                             (0.22, "early_touch_down")])
     def test_settled_after_settle_time(self, benchmark_plan, d_w, touch):
-        landing = LandingParams(settle_time=0.5)
-        trace = self.land(benchmark_plan, d_w, landing=landing)
+        trace = self.land(benchmark_plan, d_w)
         ev = trace.events
-        assert ev["settled"] == pytest.approx(ev[touch] + 0.5, abs=1e-9)
+        assert ev["settled"] == pytest.approx(ev[touch] + simulator.SETTLE_TIME, abs=1e-9)
         contact = trace.phase == simulator.PHASE_CONTACT
-        assert np.count_nonzero(contact) == 500
+        assert np.count_nonzero(contact) == 3000
         assert trace.times[contact][0] == ev[touch]
+
+    def test_contact_velocity_is_the_normal_rate(self, benchmark_plan):
+        # The contact phase steps the normal gap s by semi-implicit Euler,
+        # s += s_dot dt: each row's velocity is the position difference to
+        # the row before over dt, along the wall normal.
+        trace = self.land(benchmark_plan, 0.22)
+        contact = np.flatnonzero(trace.phase == simulator.PHASE_CONTACT)
+        v = trace.velocities[contact[1:]]
+        dp = np.diff(trace.positions[contact], axis=0) / 1e-3
+        np.testing.assert_allclose(v, dp, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(v[:, 1:], 0.0, rtol=0.0, atol=1e-15)
+        assert np.max(np.abs(v[:, 0])) > 1e-3
 
     def test_meta_shares_run_episode_keys(self, benchmark_plan):
         run = run_episode(benchmark_plan, SCEN, controller="open_loop")
@@ -197,15 +207,7 @@ class TestLandingEpisode:
             landing_episode(benchmark_plan, SCEN, controller="openloop")
 
     def test_non_finite_state_aborts(self, benchmark_plan, monkeypatch):
-        real = simulator.step_arrays
-        calls = []
-
-        def nan_at_100(*args, **kwargs):
-            calls.append(None)
-            x = real(*args, **kwargs)
-            return np.full_like(x, np.nan) if len(calls) == 100 else x
-
-        monkeypatch.setattr(simulator, "step_arrays", nan_at_100)
+        nan_on_call(monkeypatch, 100)
         with pytest.raises(EpisodeAborted) as err:
             self.land(benchmark_plan, 0.2)
         trace = err.value.trace
@@ -225,6 +227,22 @@ class TestTickMeta:
         assert not np.any(meta["degraded"])
         assert "tick_s" not in run_episode(frozen_track_plan, SCEN,
                                            controller="open_loop").meta
+
+    def test_abort_keeps_the_ticks_flown(self, frozen_track_plan, monkeypatch):
+        # Call 100 is the 50th flight step: the rows before it and the
+        # ticks that started them stay in the trace.
+        nan_on_call(monkeypatch, 100)
+        with pytest.raises(EpisodeAborted, match="non-finite") as err:
+            run_episode(frozen_track_plan, SCEN, controller="mpc")
+        trace = err.value.trace
+        assert trace.times.size == 100 and "aborted" in trace.events
+        assert np.all(np.isnan(trace.e_a))
+        n_thrust = round(SCEN.t_th / 1e-3)
+        steps_per_tick = round(frozen_track_plan.dt / 1e-3)
+        n_ticks = -(-(100 - n_thrust) // steps_per_tick)
+        assert np.count_nonzero(trace.phase == simulator.PHASE_FLIGHT) == 100 - n_thrust
+        assert all(trace.meta[key].shape == (n_ticks,) for key in self.KEYS)
+        assert np.all(trace.meta["tick_s"] > 0.0)
 
     def test_degraded_tick_recorded(self, frozen_track_plan, monkeypatch):
         calls = []
@@ -272,12 +290,11 @@ class TestLandingDamping:
         assert D * D == pytest.approx(4.0 * K * m, rel=1e-15)
 
     def test_contact_phase_is_critically_damped(self, benchmark_plan):
-        K = 80.0
         trace = landing_episode(benchmark_plan, SCEN.with_(d_w=0.22),
-                                LandingParams(stiffness=K, settle_time=0.1),
                                 controller="open_loop")
-        assert trace.meta["stiffness"] == K
-        assert trace.meta["damping"] == critically_damped_gain(K, SCEN.mass)
+        assert trace.meta["stiffness"] == simulator.LANDING_STIFFNESS
+        assert trace.meta["damping"] == critically_damped_gain(
+            simulator.LANDING_STIFFNESS, SCEN.mass)
 
     @pytest.mark.parametrize("K, m", [(0.0, 5.0), (60.0, 0.0), (-1.0, 5.0), (60.0, -2.0)])
     def test_non_positive_rejected(self, K, m):
@@ -307,16 +324,6 @@ class TestInputValidation:
     def test_good_dt_sim_row_count(self, frozen_track_plan):
         trace = run_episode(frozen_track_plan, SCEN, controller="open_loop")
         assert trace.times.size == 1041
-
-    @pytest.mark.parametrize("kwargs", [{"stiffness": 0.0}, {"stiffness": -60.0},
-                                        {"stiffness": np.nan}, {"settle_time": -0.1},
-                                        {"max_hold": -1.0}])
-    def test_landing_params_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            LandingParams(**kwargs)
-
-    def test_landing_params_zero_durations_allowed(self):
-        LandingParams(settle_time=0.0, max_hold=0.0)
 
     # On the frozen plan a NaN sigma degraded 29 of 30 MPC ticks, a NaN
     # t_start switched the disturbance off for good and a 2-vector raised
