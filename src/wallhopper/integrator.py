@@ -3,8 +3,10 @@
 Inputs are held constant over each knot interval (zero-order hold) and the
 interval is subdivided into n_sub equal sub-steps, so (dt, n_sub=k) is
 exactly equivalent to (dt/k, n_sub=1).  step_arrays advances one interval
-and rollout_arrays a whole input schedule; every caller steps the model
-through these two.
+and rollout_arrays a step schedule (u, dt) from one start state, with one
+length for every step or one per step; every caller steps the model
+through these two.  The planner's schedule is the thrust step and the
+knot steps from rest, the MPC's the horizon's knot steps.
 
 step_arrays chooses between the two bindings of the model's dynamics
 kernel from the shapes and types of its inputs.  A batch of states runs
@@ -109,19 +111,24 @@ def step_arrays(x, u, dt, cfg: IntegratorConfig, scenario: Scenario, extra_force
 
 
 def rollout_arrays(x0, u_schedule, dt, cfg: IntegratorConfig, scenario: Scenario):
-    """Propagate a per-knot input schedule from x0, one step_arrays per knot.
+    """Propagate a step schedule from x0, one step_arrays per step.
 
-    x0: (..., 6); u_schedule: (..., N, 6); dt: scalar or (...,).
-    Returns knot states of shape (..., N+1, 6), real or complex as the
+    x0: (..., 6), broadcast against u_schedule: (..., K, 6); dt: one length
+    for every step, scalar or (...,), or one length per step, (..., K).
+    Returns the states (..., K+1, 6), x0 first, real or complex as the
     inputs are; bad configurations yield NaN.
     """
-    n_knots = u_schedule.shape[-2]
-    x = np.asarray(x0)
-    out = np.empty(x.shape[:-1] + (n_knots + 1, 6),
-                   dtype=np.result_type(x, u_schedule, np.asarray(dt), float))
+    u, dt = np.asarray(u_schedule), np.asarray(dt)
+    n_steps = u.shape[-2]
+    if dt.ndim < u.ndim - 1:                 # one length for every step
+        dt = np.broadcast_to(dt[..., None], dt.shape + (n_steps,))
+    x = np.broadcast_to(x0, np.broadcast_shapes(np.shape(x0), u.shape[:-2] + (6,)))
+    out = np.empty(x.shape[:-1] + (n_steps + 1, 6), dtype=np.result_type(x, u, dt, float))
     out[..., 0, :] = x
-    for k in range(n_knots):
-        x = step_arrays(x, u_schedule[..., k, :], dt, cfg, scenario)
+    for k in range(n_steps):
+        # [()] makes one state's length a scalar, which step_arrays steps
+        # on Python floats; dt[..., k] alone is a 0-d array.
+        x = step_arrays(x, u[..., k, :], dt[..., k][()], cfg, scenario)
         out[..., k + 1, :] = x
     return out
 

@@ -17,7 +17,11 @@ the residuals themselves; take one bounded Gauss-Newton step through
 solve_nlp; roll out once more at the accepted point for the predicted
 positions.  MpcConfig.max_iter allows more steps per tick.  The residuals
 are written once, as a function of the deviations and the knot states, so
-a change to them needs no derivative edit.
+a change to them needs no derivative edit.  The input formula is written
+once too: a tick's step schedule, feed-forward plus deviations over H
+steps of plan.dt, is what rollout_arrays steps from the estimated state,
+what rollout_jacobian differentiates, and, at its first step, the input
+command applies.
 
 ``TrackingController`` holds that state across ticks: the plan's knot
 positions and input schedule, and the previous tick's solution,
@@ -77,16 +81,10 @@ def shrink_horizon(k: int, n_horizon: int, ref_len: int) -> int:
 def warm_start_from(prev: MpcSolution | None, horizon: int) -> np.ndarray:
     """Shift-by-one initial guess, last knot repeated; (H, 3) columns
     (delta_left, delta_right, f_prop).  Cold start returns zeros."""
-    guess = np.zeros((horizon, 3))
     if prev is None:
-        return guess
+        return np.zeros((horizon, 3))
     stacked = np.column_stack([prev.delta_left, prev.delta_right, prev.f_prop])
-    shifted = np.vstack([stacked[1:], stacked[-1:]])
-    n = min(horizon, shifted.shape[0])
-    guess[:n] = shifted[:n]
-    if n < horizon:
-        guess[n:] = shifted[-1]
-    return guess
+    return stacked[np.minimum(np.arange(1, horizon + 1), len(stacked) - 1)]
 
 
 class TrackingController:
@@ -112,20 +110,16 @@ class TrackingController:
         if not 0 <= k < self.n_ticks:
             raise ValueError(f"tick {k} outside [0, {self.n_ticks})")
         t0 = time.perf_counter()
-        sol = self._solve(np.asarray(x_hat, dtype=float), k)
+        u, sol = self._solve(np.asarray(x_hat, dtype=float), k)
         sol.diagnostics["tick_s"] = time.perf_counter() - t0
         self.prev_solution = sol
-        u = self.ff[k].copy()
-        u[0] += sol.delta_left[0]
-        u[1] += sol.delta_right[0]
-        u[5] = sol.f_prop[0]
         return u, sol
 
-    def _solve(self, x_hat: np.ndarray, k: int) -> MpcSolution:
+    def _solve(self, x_hat: np.ndarray, k: int) -> tuple[np.ndarray, MpcSolution]:
         """One real-time iteration from the estimated state at tick k,
         warm-started from the previous tick's solution.
 
-        Returns the full horizon; callers apply knot 0 only.  On solver
+        Returns the first step's input and the full horizon.  On solver
         failure the clipped warm start is returned with the degraded flag
         set.
         """
@@ -153,8 +147,7 @@ class TrackingController:
 
         def states_at(z):
             if last[0] is None or not np.array_equal(last[0], z):
-                last[:] = z.copy(), rollout_arrays(x_hat, step_inputs(z)[0], dt, icfg,
-                                                   scenario)
+                last[:] = z.copy(), rollout_arrays(x_hat, *step_inputs(z), icfg, scenario)
             return last[1]
 
         def residuals_at(z, states):
@@ -196,7 +189,8 @@ class TrackingController:
             diagnostics = {"status": "failed", "n_iter": 0, "error": str(exc)}
         v = z.reshape(H, 3) * f_scale
         s = states_at(z)
-        return MpcSolution(delta_left=v[:, 0], delta_right=v[:, 1], f_prop=v[:, 2],
-                           predicted_positions=position_arrays(s[:, 0], s[:, 1], s[:, 2],
-                                                               scenario.d_a),
-                           degraded=degraded, diagnostics=diagnostics)
+        sol = MpcSolution(delta_left=v[:, 0], delta_right=v[:, 1], f_prop=v[:, 2],
+                          predicted_positions=position_arrays(s[:, 0], s[:, 1], s[:, 2],
+                                                              scenario.d_a),
+                          degraded=degraded, diagnostics=diagnostics)
+        return step_inputs(z)[0][0], sol

@@ -7,17 +7,19 @@ constant within each knot.  The decision vector is
 
     z = (f_leg in R^3, F_left in R^N, F_right in R^N, t_f),
 
+scaled to O(1) and laid out by ShootingProblem._join and _split alone,
 optimised subject to rope unilaterality/actuation bounds, a friction
 pyramid on the leg impulse, wall (or ellipsoid-obstacle) clearance at
 every knot and a terminal ball |p(t_f) - p_tg| <= slack.  The cost adds a
 quadratic terminal-accuracy term, a smoothing penalty on successive rope
 force increments and the (smoothed) hoist work.
 
-The gradient and the constraint Jacobian are exact and are read off the
-value code: no term is differentiated by hand.  integrator.rollout_jacobian
-takes the knot states the value evaluation already holds and the step
-inputs of step_inputs (the thrust step, then the N knot steps), and
-evaluates cost_and_constraints once, batched, at Z + i h e_j with the knot
+The step schedule of step_inputs, the thrust step and then the N knot
+steps, is rolled out from rest by one rollout_arrays call.  The gradient
+and the constraint Jacobian are exact and are read off the value code: no
+term is differentiated by hand.  integrator.rollout_jacobian takes the
+states the value evaluation already holds and the same schedule, and
+evaluates cost_and_constraints once, batched, at Z + i h e_j with the
 states moved along their tangents; the imaginary parts divided by h are
 the gradient and the Jacobian, exact to round-off (Squire & Trapp, SIAM
 Rev. 1998; Martins, Sturdza & Alonso, ACM TOMS 2003).  So a change to the
@@ -35,7 +37,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .integrator import IntegratorConfig, rollout_arrays, rollout_jacobian, step_arrays
+from .integrator import IntegratorConfig, rollout_arrays, rollout_jacobian
 from .model import (Ellipsoid, Scenario, inverse_kinematics, position_arrays,
                     static_rope_pull, tangent_frame)
 from .solvers import NlpProblem, solve_nlp
@@ -134,13 +136,13 @@ def wall_gap(pos, scenario: Scenario, clearance: float):
 class ShootingProblem:
     """Cost, constraints and their exact Jacobians for the jump NLP.
 
-    Decision variables are scaled to O(1): leg force by f_leg_max, rope
-    forces by f_r_max, t_f unscaled.  A value evaluation rolls out the knot
-    states and caches them per point; the Jacobians at that point are one
-    rollout_jacobian call (see the module docstring), and cost no second
-    real rollout.  counters
-    holds the number of value and Jacobian evaluations and the seconds
-    spent in each.
+    Decision vectors Z are scaled to O(1): leg force by f_leg_max, rope
+    forces by f_r_max, t_f unscaled; _split and _join hold that layout.  A
+    value evaluation rolls out the states from rest and keeps them with the
+    values for the last point only; the Jacobians at that point are one
+    rollout_jacobian call (see the module docstring) and cost no second
+    real rollout.  counters holds the number of value and Jacobian
+    evaluations and the seconds spent in each.
     """
 
     def __init__(self, p0, p_tg, scenario: Scenario, weights: PlannerWeights,
@@ -153,12 +155,8 @@ class ShootingProblem:
         self.N = weights.n_knots
         psi, l1, l2 = inverse_kinematics(self.p0, scenario)
         self.x_rest = np.array([psi, l1, l2, 0.0, 0.0, 0.0])
-        self.n_var = 3 + 2 * self.N + 1
-        self.scale = np.concatenate([
-            np.full(3, scenario.f_leg_max),
-            np.full(2 * self.N, scenario.f_r_max),
-            [1.0],
-        ])
+        self.scale = self._join(scenario.f_leg_max, scenario.f_r_max, scenario.f_r_max, 1.0)
+        self.n_var = self.scale.size
         # Bring the cost to O(1-10) so the solver's absolute objective
         # tolerance is meaningful: the smoothing term is O(N * f^2) and the
         # hoist term O(f_r_max * rope travel).
@@ -174,9 +172,22 @@ class ShootingProblem:
         self.leg_offsets = np.array([0.0, -scenario.f_leg_max, 0.0, 0.0, 0.0, 0.0])
         self.counters = {"value_evals": 0, "gradient_evals": 0,
                          "value_s": 0.0, "gradient_s": 0.0}
-        self._cache: dict = {}
+        self._last: tuple | None = None          # (Z, its values and Jacobians)
 
     # -- transcription ------------------------------------------------------
+
+    def _join(self, f_leg, F_left, F_right, t_f):
+        """One vector in the layout (f_leg, F_left, F_right, t_f); a scalar
+        fills its whole block."""
+        return np.concatenate([np.broadcast_to(f_leg, 3), np.broadcast_to(F_left, self.N),
+                               np.broadcast_to(F_right, self.N), [t_f]])
+
+    def _split(self, Z):
+        """Scaled decision vectors Z (..., n_var) -> f_leg (..., 3), F_left,
+        F_right (..., N) in newtons and t_f (...,) in seconds; real or
+        complex, as Z is."""
+        z = np.asarray(Z) * self.scale
+        return z[..., :3], z[..., 3:3 + self.N], z[..., 3 + self.N:-1], z[..., -1]
 
     def step_inputs(self, Z):
         """Z: (..., n_var) -> inputs (..., N+1, 6) and lengths (..., N+1) of
@@ -184,44 +195,38 @@ class ShootingProblem:
 
         Real or complex, as Z is.
         """
-        z = np.asarray(Z) * self.scale
-        u = np.zeros(z.shape[:-1] + (self.N + 1, 6), dtype=z.dtype)
-        u[..., 0, 2:5] = z[..., 0:3]
-        u[..., 1:, 0] = z[..., 3:3 + self.N]
-        u[..., 1:, 1] = z[..., 3 + self.N:3 + 2 * self.N]
-        dt = np.empty(u.shape[:-1], dtype=z.dtype)
+        f_leg, F_left, F_right, t_f = self._split(Z)
+        u = np.zeros(t_f.shape + (self.N + 1, 6), dtype=t_f.dtype)
+        u[..., 0, 2:5] = f_leg
+        u[..., 1:, 0] = F_left
+        u[..., 1:, 1] = F_right
+        dt = np.empty(u.shape[:-1], dtype=t_f.dtype)
         dt[..., 0] = self.scen.t_th
-        dt[..., 1:] = z[..., -1:] / self.N
+        dt[..., 1:] = t_f[..., None] / self.N
         return u, dt
 
     def rollout(self, Z):
-        """Z: (..., n_var) scaled decision vectors -> knot states (..., N+1, 6).
+        """Z: (..., n_var) scaled decision vectors -> states (..., N+2, 6):
+        the rest state, then the N+1 knot states from lift-off.
 
         Real or complex, as Z is.
         """
-        u, dt = self.step_inputs(Z)
-        x0 = np.broadcast_to(self.x_rest, u.shape[:-2] + (6,))
-        x_lift = step_arrays(x0, u[..., 0, :], self.scen.t_th, self.cfg, self.scen)
-        # [()] makes a 1-D Z's knot interval a scalar, which step_arrays
-        # steps on Python floats.
-        return rollout_arrays(x_lift, u[..., 1:, :], dt[..., 1][()], self.cfg, self.scen)
+        return rollout_arrays(self.x_rest, *self.step_inputs(Z), self.cfg, self.scen)
 
     def cost_and_constraints(self, Z, states=None):
         """Returns (cost (...,), g (..., m)) with g <= 0 feasible.
 
-        states are Z's knot states if the caller has them.  Real or complex
-        as Z and states are, and analytic in both, so a complex step through
-        it gives its derivatives; NaN where the rollout leaves the model
+        states are Z's rollout if the caller has it.  Real or complex as Z
+        and states are, and analytic in both, so a complex step through it
+        gives its derivatives; NaN where the rollout leaves the model
         domain.
         """
-        z = np.asarray(Z) * self.scale
+        f_leg, frl, frr, t_f = self._split(Z)
         if states is None:
             states = self.rollout(Z)
-        pos = position_arrays(states[..., 0], states[..., 1], states[..., 2],
+        knots = states[..., 1:, :]                       # lift-off onwards
+        pos = position_arrays(knots[..., 0], knots[..., 1], knots[..., 2],
                               self.scen.d_a)
-        frl = z[..., 3:3 + self.N]
-        frr = z[..., 3 + self.N:3 + 2 * self.N]
-        t_f = z[..., -1]
         dt = t_f / self.N
 
         err = pos[..., -1, :] - self.p_tg
@@ -234,8 +239,8 @@ class ShootingProblem:
             np.sum(np.diff(frl, axis=-1) ** 2, axis=-1)
             + np.sum(np.diff(frr, axis=-1) ** 2, axis=-1))
         # Smoothed |f * l_dot| summed over knots; rates at knot starts.
-        l1_dot = states[..., :-1, 4]
-        l2_dot = states[..., :-1, 5]
+        l1_dot = knots[..., :-1, 4]
+        l2_dot = knots[..., :-1, 5]
         d2 = HOIST_SMOOTHING_DELTA ** 2
         hoist = (np.sum(np.sqrt((frl * l1_dot) ** 2 + d2), axis=-1)
                  + np.sum(np.sqrt((frr * l2_dot) ** 2 + d2), axis=-1)) * dt
@@ -244,24 +249,14 @@ class ShootingProblem:
         # Terminal ball, clearance at every knot (lift-off knot included), leg.
         g = np.concatenate([term_sq[..., None] - ball_sq,
                             -wall_gap(pos, self.scen, self.w.clearance),
-                            z[..., 0:3] @ self.leg_rows.T + self.leg_offsets], axis=-1)
+                            f_leg @ self.leg_rows.T + self.leg_offsets], axis=-1)
         return cost * self.cost_scale, g
 
-    def _stacked(self, Z, states):
-        """(cost, g) stacked as (..., 1 + m), given the rest state and the
-        knot states (..., N+2, 6)."""
-        cost, g = self.cost_and_constraints(Z, states[..., 1:, :])
-        return np.concatenate([cost[..., None], g], axis=-1)
-
-    # -- cached value/jacobian interface for the NLP solver -----------------
+    # -- value/Jacobian interface for the NLP solver, memoised at one point --
 
     def _values(self, Z):
-        key = Z.tobytes()
-        entry = self._cache.get(key)
-        if entry is None:
+        if self._last is None or not np.array_equal(self._last[0], Z):
             t0 = time.perf_counter()
-            if len(self._cache) > 8:
-                self._cache.clear()
             states = self.rollout(Z)
             cost, g = self.cost_and_constraints(Z, states)
             bad = not (np.isfinite(cost) and np.isfinite(g).all())
@@ -269,11 +264,11 @@ class ShootingProblem:
                 # Outside the model domain: a large cost and violated rows
                 # send the line search back; the Jacobians there are zero.
                 cost, g = 1e9 * self.cost_scale, np.full(g.shape, 1e3)
-            entry = self._cache[key] = {"cost": float(cost), "g": g,
-                                        "states": None if bad else states}
+            self._last = Z.copy(), {"cost": float(cost), "g": g,
+                                    "states": None if bad else states}
             self.counters["value_evals"] += 1
             self.counters["value_s"] += time.perf_counter() - t0
-        return entry
+        return self._last[1]
 
     def _jacobians(self, Z):
         entry = self._values(Z)
@@ -284,8 +279,8 @@ class ShootingProblem:
             else:
                 # Row 0 is the gradient, the rest the constraint Jacobian.
                 entry["jac"] = rollout_jacobian(
-                    self._stacked, Z, np.vstack([self.x_rest, entry["states"]]),
-                    self.step_inputs, self.cfg, self.scen)
+                    lambda Z, s: np.column_stack(self.cost_and_constraints(Z, s)), Z,
+                    entry["states"], self.step_inputs, self.cfg, self.scen)
             self.counters["gradient_evals"] += 1
             self.counters["gradient_s"] += time.perf_counter() - t0
         return entry["jac"]
@@ -303,23 +298,14 @@ class ShootingProblem:
         return self._jacobians(np.asarray(Z))[1:]
 
     def bounds(self):
-        lo = np.concatenate([np.full(3, -(1.0 + self.scen.mu)),
-                             np.full(2 * self.N, -1.0),
-                             [T_F_BOUNDS[0]]])
-        hi = np.concatenate([np.full(3, (1.0 + self.scen.mu)),
-                             np.zeros(2 * self.N),
-                             [T_F_BOUNDS[1]]])
-        return lo, hi
+        mu = self.scen.mu
+        return (self._join(-(1.0 + mu), -1.0, -1.0, T_F_BOUNDS[0]),
+                self._join(1.0 + mu, 0.0, 0.0, T_F_BOUNDS[1]))
 
     def initial_guess(self, t_f0: float = 2.0) -> np.ndarray:
         pull = static_rope_pull(self.p0, self.scen)
-        z0 = np.concatenate([
-            0.3 * self.scen.f_leg_max * self.scen.wall_normal,
-            np.full(self.N, pull[0]),
-            np.full(self.N, pull[1]),
-            [t_f0],
-        ])
-        return z0 / self.scale
+        return self._join(0.3 * self.scen.f_leg_max * self.scen.wall_normal,
+                          pull[0], pull[1], t_f0) / self.scale
 
 
 def _check_target(p0, p_tg, scenario: Scenario, weights: PlannerWeights):
@@ -354,15 +340,13 @@ def plan_jump(p0, p_tg, scenario: Scenario,
     t0 = time.perf_counter()
     res = solve_nlp(nlp)
     nlp_s = time.perf_counter() - t0
-    z = res.x * prob.scale
-    Z = z / prob.scale
-    states = prob.rollout(Z)
+    f_leg, rope_left, rope_right, t_f = prob._split(res.x)
+    states = prob.rollout(res.x)[1:]
     positions = position_arrays(states[:, 0], states[:, 1], states[:, 2],
                                 scenario.d_a)
-    plan = JumpPlan(f_leg=z[0:3], rope_left=z[3:3 + prob.N],
-                    rope_right=z[3 + prob.N:3 + 2 * prob.N], t_f=float(z[-1]),
-                    states=states, positions=positions, p0=p0, p_target=p_tg,
-                    rest_state=prob.x_rest,
+    plan = JumpPlan(f_leg=f_leg, rope_left=rope_left, rope_right=rope_right,
+                    t_f=float(t_f), states=states, positions=positions, p0=p0,
+                    p_target=p_tg, rest_state=prob.x_rest,
                     solve_info={"status": res.status, "n_iter": res.n_iter,
                                 "kkt_residual": res.kkt_residual,
                                 "constraint_violation": res.constraint_violation,

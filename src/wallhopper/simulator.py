@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -96,12 +97,14 @@ class NoiseSpec:
         object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
         if self.sigma.shape != (3,) or not np.all(self.sigma >= 0.0):
             raise ValueError(f"noise sigma must be three deviations >= 0: {self.sigma}")
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ValueError(f"noise seed must be an integer >= 0, got {self.seed!r}")
 
 
 def critically_damped_gain(stiffness: float, reflected_mass: float) -> float:
     """D = 2 sqrt(K m): no step-response overshoot at the landing joint."""
-    if stiffness <= 0.0 or reflected_mass <= 0.0:
-        raise ValueError("stiffness and reflected mass must be positive")
+    if not (0.0 < stiffness < math.inf and 0.0 < reflected_mass < math.inf):
+        raise ValueError("stiffness and reflected mass must be finite and positive")
     return 2.0 * float(np.sqrt(stiffness * reflected_mass))
 
 
@@ -347,8 +350,10 @@ def batch_robustness(plan: JumpPlan, n_runs: int, scenario: Scenario,
     their landing errors in the statistics.  Fixed seeds reproduce
     bit-identical results.
     """
-    if n_intervals < 1:
-        raise ValueError("n_intervals must be >= 1")
+    if not (isinstance(n_runs, Integral) and n_runs >= 0):
+        raise ValueError(f"n_runs must be an integer >= 0, got {n_runs!r}")
+    if not (isinstance(n_intervals, Integral) and n_intervals >= 1):
+        raise ValueError(f"n_intervals must be an integer >= 1, got {n_intervals!r}")
     _check_dt_sim(dt_sim)
     rng = np.random.default_rng(seed)
     window = plan.t_f / n_intervals

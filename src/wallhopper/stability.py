@@ -69,8 +69,11 @@ class ContactSet:
 
 
 def contact_geometry(p, scenario: Scenario) -> ContactSet:
-    """Wheel and rope-attachment placement for a CoM at p (anchor frame)."""
+    """Wheel and rope-attachment placement for a CoM at p (anchor frame);
+    ValueError unless p is a finite 3-vector."""
     p = np.asarray(p, dtype=float)
+    if p.shape != (3,) or not np.all(np.isfinite(p)):
+        raise ValueError(f"CoM position must be a finite 3-vector, got {p!r}")
     n_c = scenario.wall_normal
     t1, t2 = tangent_frame(n_c)
     half_b = 0.5 * scenario.d_b * t1

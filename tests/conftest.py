@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wallhopper import integrator
 from wallhopper.model import Scenario
 from wallhopper.planner import JumpPlan, plan_jump
 
@@ -28,3 +29,19 @@ def frozen_track_plan():
               ("f_leg", "rope_left", "rope_right", "states", "positions", "p0",
                "p_target", "rest_state")}
     return JumpPlan(t_f=float(d["t_f"]), **arrays)
+
+
+@pytest.fixture
+def substep_calls(monkeypatch):
+    """The shapes of the states passed to integrator.substep_arrays, the
+    array binding of a step, in call order: a single real state stepped on
+    Python floats adds none."""
+    calls = []
+    substep = integrator.substep_arrays
+
+    def counted(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return substep(x, *args, **kwargs)
+
+    monkeypatch.setattr(integrator, "substep_arrays", counted)
+    return calls

@@ -321,6 +321,46 @@ class TestRollout:
             np.testing.assert_allclose(batch[i], states, rtol=1e-12)
 
 
+class TestPerStepLengths:
+    """A length per step: the planner's and the MPC's step schedules."""
+
+    K = 6
+
+    def schedule(self, seed=43):
+        rng = np.random.default_rng(seed)
+        x, u, _ = random_rows(rng, 3)
+        inputs = u[:, None, :] + rng.normal(scale=5.0, size=(3, self.K, 6))
+        return x, inputs, rng.uniform(0.02, 0.08, (3, self.K))
+
+    def test_single_state_steps_on_floats(self, substep_calls):
+        x, inputs, dt = self.schedule()
+        states = rollout_arrays(x[0], inputs[0], dt[0], IntegratorConfig(), SCEN)
+        assert states.shape == (self.K + 1, 6) and np.isfinite(states).all()
+        assert substep_calls == []
+
+    def test_match_step_by_step(self):
+        x, inputs, dt = self.schedule()
+        cfg = IntegratorConfig(n_sub=3)
+        batch = rollout_arrays(x, inputs, dt, cfg, SCEN)
+        ref = [x]
+        for k in range(self.K):
+            ref.append(step_arrays(ref[-1], inputs[:, k], dt[:, k], cfg, SCEN))
+        np.testing.assert_array_equal(batch, np.stack(ref, axis=1))
+        for i in range(3):
+            ref = [x[i]]
+            for k in range(self.K):
+                ref.append(step_arrays(ref[-1], inputs[i, k], float(dt[i, k]), cfg, SCEN))
+            np.testing.assert_array_equal(rollout_arrays(x[i], inputs[i], dt[i], cfg, SCEN),
+                                          ref)
+
+    def test_one_start_state_broadcasts_over_a_batch(self):
+        x, inputs, dt = self.schedule()
+        cfg = IntegratorConfig(n_sub=2)
+        np.testing.assert_array_equal(
+            rollout_arrays(x[0], inputs, dt, cfg, SCEN),
+            rollout_arrays(np.stack([x[0]] * 3), inputs, dt, cfg, SCEN))
+
+
 class TestProperties:
     def test_convergence_orders(self):
         ref = final_position(REFERENCE)

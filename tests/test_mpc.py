@@ -217,6 +217,31 @@ class TestRealTimeIteration:
         assert calls["jacobians"] == d["n_iter"] + (d["status"] == solvers.STATUS_OPTIMAL)
         assert calls["rollouts"] == d["n_iter"] + 1
 
+    def test_predictions_step_on_floats(self, frozen_track_plan, monkeypatch,
+                                        substep_calls):
+        added = []
+        rollout_arrays = mpc.rollout_arrays
+
+        def watched(*args):
+            before = len(substep_calls)
+            states = rollout_arrays(*args)
+            added.append(len(substep_calls) - before)
+            return states
+
+        monkeypatch.setattr(mpc, "rollout_arrays", watched)
+        perturbed_tick(frozen_track_plan, monkeypatch)
+        assert added == [0, 0]
+        assert substep_calls            # the Jacobian's complex steps are arrays
+
+    def test_command_applies_the_first_step_input(self, frozen_track_plan):
+        ctl = TrackingController(frozen_track_plan, SCEN)
+        for k in (0, 5):
+            u, sol = ctl.command(frozen_track_plan.states[k], k)
+            expected = ctl.ff[k].copy()
+            expected[:2] += [sol.delta_left[0], sol.delta_right[0]]
+            expected[5] = sol.f_prop[0]
+            np.testing.assert_array_equal(u, expected)
+
     def test_out_of_domain_tick_degrades_before_bvls(self, frozen_track_plan, monkeypatch):
         # Both ropes reeling in at 30 m/s carry the warm start through the
         # anchor line (r^2 <= 0) within the horizon.

@@ -95,6 +95,35 @@ def points_near(plan, prob, seed, n=3):
             for _ in range(n)]
 
 
+class TestShootingProblem:
+    @pytest.fixture
+    def prob(self):
+        return ShootingProblem(P0, P_TG, SCEN, PlannerWeights(), IntegratorConfig())
+
+    def test_rollout_of_one_point_steps_on_floats(self, prob, substep_calls):
+        states = prob.rollout(prob.initial_guess())
+        assert states.shape == (prob.N + 2, 6) and np.isfinite(states).all()
+        np.testing.assert_array_equal(states[0], prob.x_rest)
+        assert substep_calls == []
+
+    def test_one_evaluation_per_point(self, prob):
+        Z = prob.initial_guess()
+        prob.objective(Z)
+        prob.constraints(Z)
+        prob.gradient(Z)
+        prob.constraints_jac(Z)
+        assert (prob.counters["value_evals"], prob.counters["gradient_evals"]) == (1, 1)
+        other = Z.copy()
+        other[-1] += 0.1
+        prob.objective(other)
+        prob.gradient(Z)
+        assert (prob.counters["value_evals"], prob.counters["gradient_evals"]) == (3, 2)
+        # The solver may move its iterate in place: the memo holds a copy.
+        Z[-1] += 0.1
+        assert prob.objective(Z) == prob.objective(other)
+        assert prob.counters["value_evals"] == 4
+
+
 class TestExactJacobians:
     """gradient and constraints_jac against two independent oracles: central
     differences and a complex step through the whole cost_and_constraints."""

@@ -301,6 +301,13 @@ class TestLandingDamping:
         with pytest.raises(ValueError):
             critically_damped_gain(K, m)
 
+    # critically_damped_gain(nan, 5.0) once returned NaN.
+    @pytest.mark.parametrize("K, m", [(np.nan, 5.0), (60.0, np.nan), (np.inf, 5.0),
+                                      (60.0, np.inf)])
+    def test_non_finite_rejected(self, K, m):
+        with pytest.raises(ValueError, match="finite and positive"):
+            critically_damped_gain(K, m)
+
 
 class TestInputValidation:
     BAD_DT = [0.0, -1e-3, np.nan, np.inf]
@@ -320,6 +327,22 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="dt_sim"):
             batch_robustness(frozen_track_plan, n_runs, SCEN, controller="open_loop",
                              dt_sim=dt_sim)
+
+    # n_runs = -3 once returned statistics of -3 runs; a float count raised
+    # TypeError from range.
+    @pytest.mark.parametrize("kwargs", [{"n_runs": -3}, {"n_runs": 2.0}, {"n_runs": np.nan},
+                                        {"n_intervals": 4.0}, {"n_intervals": 2.5}])
+    def test_batch_rejects_bad_counts(self, frozen_track_plan, kwargs):
+        args = {"n_runs": 2, **kwargs}
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            batch_robustness(frozen_track_plan, scenario=SCEN, controller="open_loop",
+                             **args)
+
+    # A negative or fractional seed once failed only when an episode started.
+    @pytest.mark.parametrize("seed", [-1, 2.5, np.nan, "3"])
+    def test_noise_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            NoiseSpec(seed=seed)
 
     def test_good_dt_sim_row_count(self, frozen_track_plan):
         trace = run_episode(frozen_track_plan, SCEN, controller="open_loop")

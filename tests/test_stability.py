@@ -181,6 +181,15 @@ class TestContactGeometry:
             np.testing.assert_allclose(
                 anchor + axis * length, attach_world, atol=1e-9)
 
+    # A NaN or inf CoM once reached the margin LP and failed inside linprog,
+    # the inf one after a RuntimeWarning.
+    @pytest.mark.parametrize("p", [[np.nan, 2.5, -6.5], [1.5, np.inf, -6.5], [1.5, 2.5]])
+    def test_malformed_com_rejected(self, p):
+        with pytest.raises(ValueError, match="finite 3-vector"):
+            contact_geometry(p, LAND)
+        with pytest.raises(ValueError, match="finite 3-vector"):
+            margin_at(p, PULL_OFF, LAND)
+
 
 class TestBuildFwp:
     def test_raw_vertex_combinations(self):
