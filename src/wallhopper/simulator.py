@@ -32,10 +32,20 @@ A_d q_dot.  The meta of an MPC episode holds one entry per tick in the
 arrays tick_s, n_iter, status and degraded (MpcSolution.diagnostics).
 The recorder keeps references, not copies, to each step's state and to
 the input and disturbance held over a tick: nothing may mutate them later.
+
+An episode without measurement noise can also start at a control tick of
+another flight, a _TickStart, instead of at rest: it copies that flight's
+rows and MPC solutions before the tick, its state and time at the tick, and
+hands the last solution to its controller as the warm start.  Up to a tick
+at which neither flight has felt a disturbance, the two are the same flight
+step for step, so the episode is bit-identical to one flown from rest.
+batch_robustness flies the undisturbed prefix that its runs share once
+this way.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -44,8 +54,8 @@ import numpy as np
 
 from .integrator import IntegratorConfig, step_arrays
 from .mpc import MpcConfig, TrackingController
-from .model import (Scenario, inverse_kinematics, jacobian_arrays, position_arrays,
-                    rope_axes, static_rope_pull)
+from .model import (Scenario, _chord_and_radius, inverse_kinematics, jacobian_arrays,
+                    position_arrays, rope_axes, static_rope_pull)
 from .planner import JumpPlan
 
 PHASE_THRUST = 0
@@ -133,9 +143,9 @@ class _Recorder:
     behind the wall plane as the wall_crossing event and the ticks as the
     meta arrays tick_s, n_iter, status and degraded."""
 
-    def __init__(self, scenario: Scenario, ticks: list | None = None):
+    def __init__(self, scenario: Scenario, rows: list, ticks: list | None):
         self.scen = scenario
-        self.rows = []
+        self.rows = rows
         self.ticks = ticks
 
     def add(self, t, x, u, dist, phase):
@@ -166,6 +176,23 @@ class _Recorder:
                         phase, events, np.asarray(e_a, dtype=float), meta)
 
 
+@dataclass(frozen=True)
+class _TickStart:
+    """A flight without noise at the start of control tick k: its state,
+    time and touch-down arming, its lift-off time, and the recorder's lists
+    of rows and MPC solutions (None for open loop), of which the first
+    n_rows and k entries lie before the tick.  The flight only appends to
+    those lists, so an episode starts here by copying their heads."""
+    k: int
+    t: float
+    x: np.ndarray
+    armed: bool
+    t_lift: float
+    n_rows: int
+    rows: list
+    solutions: list | None
+
+
 class EpisodeAborted(RuntimeError):
     """Simulation left the model domain; carries the diagnostic trace."""
 
@@ -187,9 +214,12 @@ def _substeps(interval: float, dt_sim: float) -> tuple[int, float]:
 
 
 def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
-             landing=False) -> SimTrace:
+             landing=False, start=None, marks=None) -> SimTrace:
     """The phase machine of the module docstring; landing arms the
-    touch-down watch and the hold and contact phases."""
+    touch-down watch and the hold and contact phases.  Without noise, the
+    episode may start at tick start.k of another flight (a _TickStart), and
+    marks, a list, collects a _TickStart at each flight tick this one
+    reaches."""
     _check_dt_sim(dt_sim)
     if controller == "mpc":
         ctl = TrackingController(plan, scenario, mpc_cfg)
@@ -202,12 +232,19 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
     dist = disturbance or DisturbanceSpec()
     cfg_sim = IntegratorConfig(n_sub=1)
     n = scenario.wall_normal
+    n_x, n_y, n_z = n.tolist()
     zero = np.zeros(3)
     meta = {"controller": controller, "dt_sim": dt_sim, "disturbance": dist.kind,
             "noise": noise is not None}
-    recorder = _Recorder(scenario, None if ctl is None else [])
-    x, t, events = plan.rest_state.copy(), 0.0, {}
-    armed = False
+    if start is None:
+        recorder = _Recorder(scenario, [], None if ctl is None else [])
+        x, t, events, armed = plan.rest_state.copy(), 0.0, {}, False
+    else:
+        recorder = _Recorder(scenario, start.rows[:start.n_rows],
+                             None if ctl is None else start.solutions[:start.k])
+        x, t, events, armed = start.x, start.t, {"lift_off": start.t_lift}, start.armed
+        if ctl is not None and start.k:
+            ctl.prev_solution = recorder.ticks[-1]
 
     def advance(u, n_steps, h, phase, watch=False, force=None):
         """n_steps steps of h under the held input u; True at touch-down."""
@@ -216,14 +253,18 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
             d = None if force is None else force(t)
             recorder.add(t, x, u, zero if d is None else d, phase)
             x = step_arrays(x, u, h, cfg_sim, scenario, extra_force=d)
-            if not all(map(math.isfinite, x.tolist())):
+            xs = x.tolist()
+            if not all(map(math.isfinite, xs)):
                 msg = "simulation state became non-finite"
                 raise EpisodeAborted(msg, recorder.build(
                     {"aborted": np.nan}, np.full(3, np.nan), {**meta, "error": msg}))
             t += h
             if watch:
-                gap = float(position_arrays(x[0], x[1], x[2], scenario.d_a) @ n
-                            - scenario.d_w)
+                # n.p - d_w on floats, p as position_arrays gives it.
+                C, r2 = _chord_and_radius(xs[1], xs[2], scenario.d_a)
+                r = math.sqrt(r2) if r2 > 0.0 else math.nan
+                gap = (r * math.sin(xs[0]) * n_x + C * n_y
+                       - r * math.cos(xs[0]) * n_z - scenario.d_w)
                 armed = armed or gap > 0.02
                 if armed and gap <= 0.0:
                     return True
@@ -239,15 +280,20 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
         recorder.ticks.append(sol)
         return u
 
-    # Thrust: leg impulse only, ropes slack (as transcribed by the planner);
-    # contact is not watched while still at the wall.
     touched = False
-    u = np.zeros(6)
-    u[2:5] = plan.f_leg
-    advance(u, *_substeps(scenario.t_th, dt_sim), PHASE_THRUST)
-    events["lift_off"] = t_lift = t
+    if start is None:
+        # Thrust: leg impulse only, ropes slack (as transcribed by the
+        # planner); contact is not watched while still at the wall.
+        u = np.zeros(6)
+        u[2:5] = plan.f_leg
+        advance(u, *_substeps(scenario.t_th, dt_sim), PHASE_THRUST)
+        events["lift_off"] = t
+    t_lift = events["lift_off"]
     steps_per_tick, h = _substeps(plan.dt, dt_sim)
-    for k in range(plan.n_knots):
+    for k in range(0 if start is None else start.k, plan.n_knots):
+        if marks is not None:
+            marks.append(_TickStart(k, t, x, armed, t_lift, len(recorder.rows),
+                                    recorder.rows, recorder.ticks))
         u = tick_input(k)
         if advance(u, steps_per_tick, h, PHASE_FLIGHT, landing,
                    lambda s: dist.force_at(s - t_lift)):
@@ -336,6 +382,64 @@ def landing_episode(plan: JumpPlan, scenario: Scenario, controller: str = "mpc",
                     landing=True)
 
 
+def _robustness_runs(plan, n_runs, scenario, seed, noise, controller, n_intervals,
+                     dt_sim, mpc_cfg):
+    """batch_robustness's runs in run order, as (interval, trace, aborted,
+    steps, ticks): an aborted run's trace is its EpisodeAborted's; steps and
+    ticks count the simulator steps and MPC ticks flown for this run alone."""
+    rng = np.random.default_rng(seed)
+    window = plan.t_f / n_intervals
+    runs = []
+    for run in range(n_runs):
+        interval = run % n_intervals
+        amp = rng.uniform(*AMPLITUDE)
+        vec = rng.normal(size=3)
+        vec[2] = -abs(vec[2])            # downward hemisphere
+        nv = np.linalg.norm(vec)
+        vec = vec / nv * amp if nv > 0 else np.array([0.0, 0.0, -amp])
+        t_start = interval * window + rng.uniform(
+            0.0, max(window - DisturbanceSpec.duration, 0.0))
+        run_noise = None
+        if noise is not None:
+            run_noise = NoiseSpec(noise.sigma, seed=int(rng.integers(2 ** 31)))
+        runs.append((interval, DisturbanceSpec("impulsive", vec, t_start=t_start),
+                     run_noise))
+
+    def fly(spec, run_noise, start=None, marks=None):
+        try:
+            trace = _episode(plan, scenario, controller, spec, run_noise, dt_sim,
+                             mpc_cfg, start=start, marks=marks)
+            aborted = False
+        except EpisodeAborted as exc:
+            trace, aborted = exc.trace, True
+        # One row per step, and a finished run's last row on top; the rows
+        # and ticks before the start are the shared flight's.
+        rows0, k0 = (0, 0) if start is None else (start.n_rows, start.k)
+        steps = trace.times.size - (not aborted) - rows0
+        ticks = trace.meta["tick_s"].size - k0 if controller == "mpc" else 0
+        return trace, aborted, steps, ticks
+
+    if noise is not None or not runs:
+        for interval, spec, run_noise in runs:
+            yield (interval, *fly(spec, run_noise))
+        return
+    # Without noise every run flies the undisturbed flight until its window
+    # opens.  The run whose window opens last flies it from rest and marks
+    # every tick; each other run starts at the last tick whose flight time
+    # is at or before its t_start, so every step it copies felt no force
+    # (from rest if the shared flight aborted before its first tick).
+    shared = max(range(n_runs), key=lambda r: runs[r][1].t_start)
+    marks = []
+    shared_flown = fly(runs[shared][1], None, marks=marks)
+    opens = [m.t - m.t_lift for m in marks]
+    for run, (interval, spec, _) in enumerate(runs):
+        if run == shared:
+            yield (interval, *shared_flown)
+            continue
+        i = bisect.bisect_right(opens, spec.t_start) - 1
+        yield (interval, *fly(spec, None, start=marks[i] if i >= 0 else None))
+
+
 def batch_robustness(plan: JumpPlan, n_runs: int, scenario: Scenario,
                      seed: int = 0, noise: NoiseSpec | None = None,
                      controller: str = "mpc", n_intervals: int = 10,
@@ -349,40 +453,34 @@ def batch_robustness(plan: JumpPlan, n_runs: int, scenario: Scenario,
     runs that cross the wall plane are counted in wall_crossings and keep
     their landing errors in the statistics.  Fixed seeds reproduce
     bit-identical results.
+
+    With noise None the runs share the undisturbed flight up to their
+    windows, and it is flown once: the run whose window opens last flies
+    from rest, and every other run starts from that flight at its last
+    control tick at or before the opening of the run's window (see
+    _TickStart).  Each run stays bit-identical to its own run_episode.
+    With noise every run flies from rest, since the runs' noise differs
+    from the first tick.  steps and ticks count the simulator steps and
+    MPC ticks the batch flew.
     """
     if not (isinstance(n_runs, Integral) and n_runs >= 0):
         raise ValueError(f"n_runs must be an integer >= 0, got {n_runs!r}")
     if not (isinstance(n_intervals, Integral) and n_intervals >= 1):
         raise ValueError(f"n_intervals must be an integer >= 1, got {n_intervals!r}")
     _check_dt_sim(dt_sim)
-    rng = np.random.default_rng(seed)
-    window = plan.t_f / n_intervals
     per_interval: list[list[float]] = [[] for _ in range(n_intervals)]
-    failures = wall_crossings = 0
-    for run in range(n_runs):
-        interval = run % n_intervals
-        amp = rng.uniform(*AMPLITUDE)
-        vec = rng.normal(size=3)
-        vec[2] = -abs(vec[2])            # downward hemisphere
-        nv = np.linalg.norm(vec)
-        vec = vec / nv * amp if nv > 0 else np.array([0.0, 0.0, -amp])
-        t_start = interval * window + rng.uniform(
-            0.0, max(window - DisturbanceSpec.duration, 0.0))
-        spec = DisturbanceSpec("impulsive", vec, t_start=t_start)
-        run_noise = None
-        if noise is not None:
-            run_noise = NoiseSpec(noise.sigma, seed=int(rng.integers(2 ** 31)))
-        try:
-            trace = run_episode(plan, scenario, controller=controller,
-                                disturbance=spec, noise=run_noise,
-                                dt_sim=dt_sim, mpc_cfg=mpc_cfg)
-        except EpisodeAborted:
+    failures = wall_crossings = steps = ticks = 0
+    for interval, trace, aborted, run_steps, run_ticks in _robustness_runs(
+            plan, n_runs, scenario, seed, noise, controller, n_intervals, dt_sim, mpc_cfg):
+        steps += run_steps
+        ticks += run_ticks
+        if aborted:
             failures += 1
             continue
         wall_crossings += "wall_crossing" in trace.events
         per_interval[interval].append(trace.landing_error_norm)
-    stats = {"n_runs": n_runs, "failures": failures,
-             "wall_crossings": wall_crossings, "seed": seed, "intervals": []}
+    stats = {"n_runs": n_runs, "failures": failures, "wall_crossings": wall_crossings,
+             "seed": seed, "steps": steps, "ticks": ticks, "intervals": []}
     for i, errs in enumerate(per_interval):
         arr = np.array(errs)
         stats["intervals"].append({

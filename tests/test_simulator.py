@@ -1,8 +1,11 @@
 """Episode simulator: open-loop replay against the plan, the recorded
 trace, wall crossings, reproducibility and error handling of the
-robustness batch, the landing episode's phases and events, the MPC ticks
-(one per plan knot) recorded in the trace, aborts at a non-finite state,
+robustness batch, its shared undisturbed flight against one run_episode
+per run, the landing episode's phases and events, the MPC ticks (one per
+plan knot) recorded in the trace, aborts at a non-finite state,
 measurement noise, the landing damping and the input checks."""
+
+import json
 
 import numpy as np
 import pytest
@@ -37,6 +40,74 @@ def nan_on_call(monkeypatch, n):
         return np.full_like(x, np.nan) if len(calls) == n else x
 
     monkeypatch.setattr(simulator, "step_arrays", stepped)
+
+
+def nan_where(monkeypatch, hit):
+    """Make simulator.step_arrays return a NaN state on every step for
+    which hit(u, extra_force) holds, whichever call it is."""
+    real = simulator.step_arrays
+
+    def stepped(x, u, dt, cfg, scenario, extra_force=None):
+        x = real(x, u, dt, cfg, scenario, extra_force=extra_force)
+        return np.full_like(x, np.nan) if hit(u, extra_force) else x
+
+    monkeypatch.setattr(simulator, "step_arrays", stepped)
+
+
+def serial_draws(plan, n_runs, seed, n_intervals=10, noise=None):
+    """The robustness batch's draws, in its rng order: per run its interval,
+    DisturbanceSpec and NoiseSpec (None without noise)."""
+    rng = np.random.default_rng(seed)
+    window = plan.t_f / n_intervals
+    draws = []
+    for run in range(n_runs):
+        interval = run % n_intervals
+        amp = rng.uniform(*simulator.AMPLITUDE)
+        vec = rng.normal(size=3)
+        vec[2] = -abs(vec[2])
+        nv = np.linalg.norm(vec)
+        vec = vec / nv * amp if nv > 0 else np.array([0.0, 0.0, -amp])
+        t_start = interval * window + rng.uniform(
+            0.0, max(window - DisturbanceSpec.duration, 0.0))
+        run_noise = None
+        if noise is not None:
+            run_noise = NoiseSpec(noise.sigma, seed=int(rng.integers(2 ** 31)))
+        draws.append((interval, DisturbanceSpec("impulsive", vec, t_start=t_start),
+                      run_noise))
+    return draws
+
+
+def serial_batch(plan, n_runs, seed, controller="open_loop", n_intervals=10,
+                 noise=None, mpc_cfg=None, scenario=SCEN):
+    """The robustness batch flown one run_episode per run from rest: per run
+    (interval, trace, aborted), the trace of an aborted run its
+    EpisodeAborted's."""
+    runs = []
+    for interval, spec, run_noise in serial_draws(plan, n_runs, seed, n_intervals, noise):
+        try:
+            trace, aborted = run_episode(plan, scenario, controller=controller,
+                                         disturbance=spec, noise=run_noise,
+                                         mpc_cfg=mpc_cfg), False
+        except EpisodeAborted as exc:
+            trace, aborted = exc.trace, True
+        runs.append((interval, trace, aborted))
+    return runs
+
+
+def serial_stats(runs, n_intervals, seed):
+    """batch_robustness's statistics of serial_batch's runs, without the
+    step and tick counts."""
+    per_interval = [[] for _ in range(n_intervals)]
+    for interval, trace, aborted in runs:
+        if not aborted:
+            per_interval[interval].append(trace.landing_error_norm)
+    return {"n_runs": len(runs), "failures": sum(a for _, _, a in runs),
+            "wall_crossings": sum("wall_crossing" in t.events for _, t, a in runs if not a),
+            "seed": seed,
+            "intervals": [{"interval": i, "n": len(e),
+                           "mean_error": float(np.mean(e)) if e else np.nan,
+                           "std_error": float(np.std(e)) if e else np.nan}
+                          for i, e in enumerate(per_interval)]}
 
 
 class TestOpenLoopReplay:
@@ -136,11 +207,136 @@ class TestBatchRobustness:
             batch_robustness(benchmark_plan, 4, SCEN, controller="open_loop",
                              n_intervals=n_intervals)
 
-    def test_non_finite_state_counted(self, benchmark_plan, monkeypatch):
-        nan_on_call(monkeypatch, 100)
-        stats = self.run(benchmark_plan)
+    def abort_run(self, plan, monkeypatch, run):
+        """The batch with run `run` aborted in its window: the NaN is keyed to
+        the run's own disturbance force, not to a call count."""
+        draws = serial_draws(plan, 4, seed=5, n_intervals=4)
+        assert [i for i, _, _ in draws] == [0, 1, 2, 3]
+        vector = draws[run][1].vector
+        nan_where(monkeypatch, lambda u, f: f is not None and np.array_equal(f, vector))
+        stats = self.run(plan)
         assert stats["failures"] == 1
-        assert sum(iv["n"] for iv in stats["intervals"]) == 3
+        assert [iv["n"] for iv in stats["intervals"]] == [int(r != run) for r in range(4)]
+        assert np.all(np.isfinite([iv["mean_error"] for iv in stats["intervals"]
+                                   if iv["n"]]))
+        return draws
+
+    def test_non_finite_state_counted(self, benchmark_plan, monkeypatch):
+        self.abort_run(benchmark_plan, monkeypatch, 1)
+
+    def test_shared_flight_abort_counted(self, benchmark_plan, monkeypatch):
+        # Run 3's window opens last, so run 3 flies the shared flight from
+        # which the others start: they are scored all the same.
+        draws = self.abort_run(benchmark_plan, monkeypatch, 3)
+        assert max(range(4), key=lambda r: draws[r][1].t_start) == 3
+
+    def test_abort_before_lift_off(self, benchmark_plan, monkeypatch):
+        # The shared flight aborts in the thrust, before its first tick: no
+        # run can start from it, so each flies from rest and aborts at its
+        # own first step.
+        nan_where(monkeypatch, lambda u, f: np.any(u[2:5] != 0.0))
+        stats = self.run(benchmark_plan)
+        assert stats["failures"] == 4 and stats["steps"] == 4
+        assert all(iv["n"] == 0 for iv in stats["intervals"])
+
+
+class TestSharedPrefix:
+    """batch_robustness flies the undisturbed flight its runs share once;
+    each run must still equal its own run_episode from rest, bit for bit."""
+
+    META = ("controller", "dt_sim", "disturbance", "noise", "n_iter", "status",
+            "degraded", "error")
+
+    @pytest.fixture
+    def compare(self, monkeypatch):
+        """Asserts per-run and batch equality; returns the batch's stats."""
+        def compare(plan, n_runs, seed, controller="open_loop", n_intervals=10,
+                    noise=None, mpc_cfg=None, scenario=SCEN):
+            shared, runs = [], simulator._robustness_runs
+
+            def kept(*args):
+                for run in runs(*args):
+                    shared.append(run)
+                    yield run
+
+            monkeypatch.setattr(simulator, "_robustness_runs", kept)
+            stats = batch_robustness(plan, n_runs, scenario, seed=seed, noise=noise,
+                                     controller=controller, n_intervals=n_intervals,
+                                     mpc_cfg=mpc_cfg)
+            serial = serial_batch(plan, n_runs, seed, controller, n_intervals, noise,
+                                  mpc_cfg, scenario)
+            self.check(shared, serial, stats, n_intervals, seed)
+            return stats
+        return compare
+
+    def check(self, shared, serial, stats, n_intervals, seed):
+        for (i, a, a_abort, _, _), (j, b, b_abort) in zip(shared, serial, strict=True):
+            assert (i, a_abort) == (j, b_abort)
+            for name in ("times", "states", "positions", "velocities", "inputs",
+                         "disturbance", "phase", "e_a"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name),
+                                              err_msg=name)
+            assert a.events == b.events
+            assert set(a.meta) == set(b.meta)
+            for key in set(self.META) & set(a.meta):
+                np.testing.assert_array_equal(a.meta[key], b.meta[key], err_msg=key)
+        stats = dict(stats)
+        counts = {"steps": stats.pop("steps"), "ticks": stats.pop("ticks")}
+        expected = serial_stats(serial, n_intervals, seed)
+        assert json.dumps(stats, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert counts == {"steps": sum(s for _, _, _, s, _ in shared),
+                          "ticks": sum(k for _, _, _, _, k in shared)}
+
+    # Seed 105 has runs that cross the wall plane.
+    @pytest.mark.parametrize("seed", [1, 7, 105])
+    def test_open_loop(self, frozen_track_plan, compare, seed):
+        stats = compare(frozen_track_plan, 10, seed)
+        assert stats["ticks"] == 0 and stats["steps"] < 10 * 1040
+        assert stats["wall_crossings"] >= (seed == 105)
+
+    def test_long_windows(self, frozen_track_plan, compare):
+        # Windows of t_f / 4 outlast the impulse, so each start gets a
+        # random offset inside its window.
+        compare(frozen_track_plan, 8, 5, n_intervals=4)
+
+    def test_mpc(self, frozen_track_plan, compare):
+        # The seed-7 counts: 6,650 steps and 200 ticks, against 10 x 1,040
+        # steps and 10 x 30 ticks flown from rest.
+        stats = compare(frozen_track_plan, 10, 7, controller="mpc",
+                             mpc_cfg=mpc.MpcConfig(n_horizon=2))
+        assert (stats["steps"], stats["ticks"]) == (6650, 200)
+
+    def test_mpc_warm_start(self, frozen_track_plan, compare):
+        # On the plan's own model the undisturbed ticks command no deviation,
+        # so a lost warm start would not show.  A 10 % heavier robot makes
+        # every tick deviate: a run starting at tick k needs tick k-1's
+        # solution for its warm start and its smoothing term.
+        trace = run_episode(frozen_track_plan, SCEN.with_(mass=5.5), controller="mpc",
+                            mpc_cfg=mpc.MpcConfig(n_horizon=2))
+        assert np.all(trace.inputs[100:1000:33, 5] != 0.0)
+        compare(frozen_track_plan, 4, 7, controller="mpc",
+                mpc_cfg=mpc.MpcConfig(n_horizon=2), scenario=SCEN.with_(mass=5.5))
+
+    def test_open_loop_counts(self, frozen_track_plan):
+        stats = batch_robustness(frozen_track_plan, 10, SCEN, seed=7,
+                                 controller="open_loop")
+        assert (stats["steps"], stats["ticks"]) == (6650, 0)
+
+    def test_noise_flies_every_run_from_rest(self, frozen_track_plan, compare):
+        stats = compare(frozen_track_plan, 3, 7, controller="mpc", noise=NoiseSpec(),
+                        mpc_cfg=mpc.MpcConfig(n_horizon=2))
+        assert (stats["steps"], stats["ticks"]) == (3 * 1040, 3 * 30)
+
+    def test_shared_flight_aborts_undisturbed(self, frozen_track_plan, compare,
+                                              monkeypatch):
+        # A fault at the tick-20 input without force: the shared flight
+        # aborts there before its own window opens; the runs still match
+        # their serial runs, which meet the same fault.
+        u20 = frozen_track_plan.input_schedule()[20]
+        nan_where(monkeypatch, lambda u, f: np.array_equal(u, u20)
+                  and f is not None and not np.any(f))
+        stats = compare(frozen_track_plan, 10, 7)
+        assert 0 < stats["failures"] < 10
 
 
 class TestLandingEpisode:
