@@ -21,15 +21,20 @@ the array binding, whatever their shape: the float path is real-only.
 step_jacobians differentiates one step by complex step (Squire & Trapp,
 SIAM Rev. 1998): the kernel is analytic, so the imaginary part of
 f(x + i h e), divided by h, is df/dx e to round-off, with no difference of
-nearby values to cancel.  It perturbs the 13 inputs of a step (x, u, dt)
-at once and runs every row of a batch, and every direction, through one
-batched step_arrays call.  rollout_jacobian chains them forward into the
-knot states' tangents and reads the Jacobian of any analytic function of
-the decision vector and its knot states off one complex evaluation of that
-function, the knot states moved along their tangents; the planner's
-gradient and constraint Jacobian and the MPC's residual Jacobian are all
-formed there.  rollout_arrays lets the dtype of its inputs flow through, so
-a complex decision vector can be stepped through a whole schedule as well.
+nearby values to cancel.  It perturbs the 6 state entries of a step and
+the m of its 7 inputs (u, dt) that the caller names, and runs every row
+of a batch, and every direction, through one batched step_arrays call.
+rollout_jacobian chains them forward into the knot states' tangents.  It
+reads from the input tangents which inputs each step moves (the planner's
+thrust step moves the leg force, its knot steps the two rope forces and
+the length; the MPC's steps the rope forces and the propeller), so both
+step 6 + 3 directions per step instead of 13.  It reads the Jacobian of
+any analytic function of the decision vector and its knot states off one
+complex evaluation of that function, the knot states moved along their
+tangents; the planner's gradient and constraint Jacobian and the MPC's
+residual Jacobian are all formed there.  rollout_arrays lets the dtype of
+its inputs flow through, so a complex decision vector can be stepped
+through a whole schedule as well.
 """
 
 from __future__ import annotations
@@ -139,19 +144,28 @@ def rollout_arrays(x0, u_schedule, dt, cfg: IntegratorConfig, scenario: Scenario
 COMPLEX_STEP = 1e-30
 
 
-def step_jacobians(x, u, dt, cfg: IntegratorConfig, scenario: Scenario):
-    """Jacobian of step_arrays with respect to (x, u, dt), exact to round-off.
+def step_jacobians(x, u, dt, cols, cfg: IntegratorConfig, scenario: Scenario):
+    """Jacobian of step_arrays with respect to x and m chosen inputs, exact
+    to round-off.
 
-    x: (..., 6); u: (..., 6); dt: scalar or (...,), all real.  Returns
-    d x_next / d(x, u, dt) of shape (..., 6, 13): columns 0-5 are the state,
-    6-11 the input and 12 the interval.  All rows and all 13 directions go
-    through one complex-perturbed batched step.  States outside the model
+    x: (..., 6); u: (..., 6); dt: scalar or (...,), all real; cols:
+    (..., m) distinct integers naming each row's inputs, 0-5 for u's
+    entries and 6 for dt.  Returns d x_next / d(x, inputs) of shape
+    (..., 6, 6 + m): columns 0-5 are the state, column 6 + j the input
+    cols[..., j].  All rows and their 6 + m directions go through one
+    complex-perturbed batched step; dt is complex even where no row moves
+    it, since a real length would divide by n_sub in real arithmetic and
+    round differently from the complex division.  States outside the model
     domain give NaN columns.
     """
-    e = 1j * COMPLEX_STEP * np.eye(13)
-    x_c = np.asarray(x, dtype=float)[..., None, :] + e[:, 0:6]
-    u_c = np.asarray(u, dtype=float)[..., None, :] + e[:, 6:12]
-    dt_c = np.asarray(dt, dtype=float)[..., None] + e[:, 12]
+    cols = np.asarray(cols)
+    e = np.zeros(cols.shape[:-1] + (6 + cols.shape[-1], 13))
+    e[..., :6, :6] = np.eye(6)
+    e[..., 6:, 6:] = cols[..., None] == np.arange(7)
+    e = 1j * COMPLEX_STEP * e
+    x_c = np.asarray(x, dtype=float)[..., None, :] + e[..., 0:6]
+    u_c = np.asarray(u, dtype=float)[..., None, :] + e[..., 6:12]
+    dt_c = np.asarray(dt, dtype=float)[..., None] + e[..., 12]
     x_next = step_arrays(x_c, u_c, dt_c, cfg, scenario)
     return np.swapaxes(x_next.imag, -1, -2) / COMPLEX_STEP
 
@@ -164,19 +178,30 @@ def rollout_jacobian(value, z, states, step_inputs, cfg: IntegratorConfig,
     step_inputs(Z) -> (u (..., K, 6), dt (..., K)) gives the inputs and
     lengths of the K steps from states[0], which does not move with z.
     value(Z, states) -> (..., m) must be analytic in both, real or complex.
-    The input tangents come from one complex step through step_inputs, the
-    knot tangents S_k = dx_k/dz from one step_jacobians call chained forward,
-    S_0 = 0, S_{k+1} = J_x S_k + J_(u,dt) d(u_k, dt_k)/dz, and the result
-    from one value call at z + i h e_j with the states moved along S e_j.
-    K may be 0.
+    The input tangents w_k = d(u_k, dt_k)/dz come from one complex step
+    through step_inputs, the knot tangents S_k = dx_k/dz from one
+    step_jacobians call chained forward, S_0 = 0,
+    S_{k+1} = J_x S_k + J_(u,dt) w_k, and the result from one value call at
+    z + i h e_j with the states moved along S e_j.  step_jacobians
+    differentiates each step by the inputs its w_k moves, padded to the
+    most any step moves; the other columns of J_(u,dt) are zero, so
+    J_(u,dt) w_k sums the same non-zero terms as with all 7.  K may be 0.
     """
     h = COMPLEX_STEP
     dz = 1j * h * np.eye(z.size)                     # one row per direction
     u, dt = step_inputs(z)
     u_c, dt_c = step_inputs(z + dz)
     w = np.moveaxis(np.concatenate([u_c.imag, dt_c.imag[..., None]], axis=-1), 0, -1) / h
-    J = step_jacobians(states[:-1], u, dt, cfg, scenario)
-    B = J[:, :, 6:] @ w
+    moves = np.any(w != 0.0, axis=-1)                # (K, 7)
+    m = moves.sum(axis=-1).max(initial=0)
+    cols = np.argsort(~moves, axis=-1, kind="stable")[:, :m]   # moving inputs first
+    J = step_jacobians(states[:-1], u, dt, cols, cfg, scenario)
+    # Scatter the m input columns into their slots of a (K, 7, 6) array,
+    # transposed, so that the product runs in the layout of the full
+    # Jacobian's J[:, :, 6:].
+    J_u = np.zeros((len(J), 7, 6))
+    np.put_along_axis(J_u, cols[:, :, None], np.swapaxes(J[:, :, 6:], -1, -2), axis=-2)
+    B = np.swapaxes(J_u, -1, -2) @ w
     S = np.zeros((len(J) + 1, 6, z.size))
     for k in range(len(J)):
         S[k + 1] = J[k, :, :6] @ S[k] + B[k]

@@ -267,8 +267,11 @@ def _accelerations(x, u, C, r, s, c, gravity, d_a, m, extra_force):
 
 
 def _components_first(a):
-    """View of a with its last axis first (np.moveaxis costs 5x more)."""
-    return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1)))
+    """A contiguous copy of a with its last axis first, so that each
+    component the kernel body reads is one contiguous array: numpy's
+    complex ufuncs run about 1.5x slower on the strided columns of a
+    (..., 6) array."""
+    return np.ascontiguousarray(a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1))))
 
 
 def state_derivative_arrays(x, u, scenario: Scenario, extra_force=None):
@@ -279,15 +282,19 @@ def state_derivative_arrays(x, u, scenario: Scenario, extra_force=None):
     accelerations are NaN; overflow gives inf or NaN.
     """
     d_a = scenario.d_a
-    psi, l1, l2 = x[..., 0], x[..., 1], x[..., 2]
+    xs = _components_first(x)
+    psi, l1, l2 = xs[0], xs[1], xs[2]
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         C, r2 = _chord_and_radius(l1, l2, d_a)
         r = np.sqrt(np.where(r2 > 0.0, r2, np.nan))
         ext = None if extra_force is None else _components_first(extra_force)
-        acc = _accelerations(_components_first(x), _components_first(u), C, r,
-                             np.sin(psi), np.cos(psi), scenario.gravity, d_a,
-                             scenario.mass, ext)
-    return np.stack([x[..., 3], x[..., 4], x[..., 5], *acc], axis=-1)
+        acc = _accelerations(xs, _components_first(u), C, r, np.sin(psi), np.cos(psi),
+                             scenario.gravity, d_a, scenario.mass, ext)
+    out = np.empty(np.shape(acc[0]) + (6,), dtype=np.result_type(xs, *acc))
+    out[..., :3] = x[..., 3:]
+    for i, a in enumerate(acc):
+        out[..., 3 + i] = a
+    return out
 
 
 def _float_accelerations(x, u, extra_force, scenario, d_a, m, gravity):

@@ -22,6 +22,7 @@ below (optimal, unbounded, infeasible, max_iters, failed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -55,6 +56,11 @@ class NlpProblem:
     max_iter: int = 300
 
     def __post_init__(self):
+        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        for name in ("tol_stat", "tol_feas", "tol_obj"):
+            if not (getattr(self, name) >= 0.0):
+                raise ValueError(f"{name} must be a number >= 0, got {getattr(self, name)!r}")
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         n = self.x0.size
         self.lower = (np.full(n, -np.inf) if self.lower is None

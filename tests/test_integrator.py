@@ -4,8 +4,9 @@ reference."""
 import numpy as np
 import pytest
 
-from wallhopper import integrator, model, simulator
+from wallhopper import integrator, model, mpc, planner, simulator
 from wallhopper.integrator import (
+    COMPLEX_STEP,
     IntegratorConfig,
     rollout_arrays,
     rollout_jacobian,
@@ -181,6 +182,10 @@ def random_rows(rng, n):
     return x, u, rng.uniform(0.02, 0.1, n)
 
 
+# Every input of a step, u's six entries and dt: all 13 directions.
+ALL_INPUTS = np.arange(7)
+
+
 class TestStepJacobians:
     """The complex-step Jacobian against differences of the real step."""
 
@@ -188,7 +193,7 @@ class TestStepJacobians:
         rng = np.random.default_rng(21)
         x, u, dt = random_rows(rng, 8)
         cfg = IntegratorConfig(n_sub=3)
-        J = step_jacobians(x, u, dt, cfg, SCEN)
+        J = step_jacobians(x, u, dt, ALL_INPUTS, cfg, SCEN)
         assert J.shape == (8, 6, 13)
         base = np.column_stack([x, u, dt])
         for j in range(13):
@@ -200,6 +205,22 @@ class TestStepJacobians:
                     - step_arrays(lo[:, :6], lo[:, 6:12], lo[:, 12], cfg, SCEN)) / (2 * h)
             np.testing.assert_allclose(J[:, :, j], diff, rtol=1e-7,
                                        atol=1e-7 * np.max(np.abs(diff)))
+
+    def test_chosen_inputs_equal_their_full_columns(self):
+        # Each row differentiates by its own three inputs, in its own order;
+        # row 0 is out of domain.
+        rng = np.random.default_rng(24)
+        x, u, dt = random_rows(rng, 8)
+        x[0, 1:3] = 1.0, 10.0
+        cfg = IntegratorConfig(n_sub=3)
+        cols = np.stack([rng.permutation(7)[:3] for _ in range(8)])
+        J = step_jacobians(x, u, dt, cols, cfg, SCEN)
+        assert J.shape == (8, 6, 9)
+        full = step_jacobians(x, u, dt, ALL_INPUTS, cfg, SCEN)
+        np.testing.assert_array_equal(J[:, :, :6], full[:, :, :6])
+        np.testing.assert_array_equal(J[:, :, 6:],
+                                      np.take_along_axis(full[:, :, 6:], cols[:, None], -1))
+        assert np.isnan(J[0, 3:]).all() and np.isfinite(J[1:]).all()
 
     def test_real_part_is_the_real_step(self):
         rng = np.random.default_rng(22)
@@ -238,7 +259,7 @@ class TestStepJacobians:
 
     def test_out_of_domain_row_is_nan(self):
         x = np.array([[0.1, 1.0, 10.0, 0.0, 0.0, 0.0]])      # l1 + d_a < l2
-        J = step_jacobians(x, np.zeros((1, 6)), 0.05, IntegratorConfig(), SCEN)
+        J = step_jacobians(x, np.zeros((1, 6)), 0.05, ALL_INPUTS, IntegratorConfig(), SCEN)
         assert np.isnan(J[0, 3:]).all()
 
 
@@ -248,12 +269,16 @@ class TestRolloutTangents:
     the decision vector to the step inputs and lengths."""
 
     @staticmethod
-    def linear_inputs(K, n, per_step, seed=41):
+    def linear_inputs(K, n, per_step, seed=41, moves=None):
+        """moves (K, 7), if given, says which of u's entries and dt each
+        step's inputs depend on."""
         rng = np.random.default_rng(seed)
         u0 = FORCED_U + rng.normal(scale=5.0, size=(K, 6))
         W_u = rng.normal(size=(n, K, 6))
         dt0 = rng.uniform(0.03, 0.08, K)
         W_dt = 1e-3 * rng.normal(size=(n, K))
+        if moves is not None:
+            W_u, W_dt = W_u * moves[:, :6], W_dt * moves[:, 6]
 
         def step_inputs(Z):
             u = u0 + np.tensordot(Z, W_u, axes=1)
@@ -300,6 +325,87 @@ class TestRolloutTangents:
         J = rollout_jacobian(self.value, np.ones(n), X0[None], self.linear_inputs(0, n, per_step),
                              IntegratorConfig(), SCEN)
         np.testing.assert_array_equal(J, np.vstack([np.eye(n), np.zeros((6, n))]))
+
+
+def full_direction_jacobian(value, z, states, step_inputs, cfg):
+    """rollout_jacobian's chain built by hand from the full 13-direction
+    step Jacobian: B = J_(u,dt) w over all 7 inputs of every step."""
+    h = COMPLEX_STEP
+    dz = 1j * h * np.eye(z.size)
+    u, dt = step_inputs(z)
+    u_c, dt_c = step_inputs(z + dz)
+    w = np.moveaxis(np.concatenate([u_c.imag, dt_c.imag[..., None]], axis=-1), 0, -1) / h
+    J = step_jacobians(states[:-1], u, dt, ALL_INPUTS, cfg, SCEN)
+    B = J[:, :, 6:] @ w
+    S = np.zeros((len(J) + 1, 6, z.size))
+    for k in range(len(J)):
+        S[k + 1] = J[k, :, :6] @ S[k] + B[k]
+    return value(z + dz, states + 1j * h * np.moveaxis(S, -1, 0)).imag.T / h
+
+
+class TestTrimmedDirections:
+    """rollout_jacobian differentiates each step only by the inputs the
+    schedule moves; its result equals, bit for bit, the chain over all 13
+    directions of every step.  TestRolloutTangents.test_no_steps pins the
+    exact result for K = 0."""
+
+    def test_planner_schedule(self, frozen_track_plan):
+        # Thrust step: the leg force moves, dt = t_th does not; knot steps:
+        # the two rope forces and t_f / N.
+        plan = frozen_track_plan
+        prob = planner.ShootingProblem(plan.p0, plan.p_target, SCEN, planner.PlannerWeights(),
+                                       IntegratorConfig())
+        z = np.concatenate([plan.f_leg, plan.rope_left, plan.rope_right, [plan.t_f]])
+        z = z / prob.scale
+
+        def value(Z, s):
+            return np.column_stack(prob.cost_and_constraints(Z, s))
+
+        states = prob.rollout(z)
+        J = rollout_jacobian(value, z, states, prob.step_inputs, prob.cfg, SCEN)
+        np.testing.assert_array_equal(
+            J, full_direction_jacobian(value, z, states, prob.step_inputs, prob.cfg))
+        np.testing.assert_array_equal(J[0], prob.gradient(z))
+
+    def test_mpc_schedule(self, frozen_track_plan, monkeypatch):
+        # Rope forces and propeller move; every length is the fixed period.
+        calls = []
+        jacobian = mpc.rollout_jacobian
+
+        def recorded(*args):
+            calls.append(args)
+            return jacobian(*args)
+
+        monkeypatch.setattr(mpc, "rollout_jacobian", recorded)
+        plan = frozen_track_plan
+        ctl = mpc.TrackingController(plan, SCEN, mpc.MpcConfig.from_plan(plan, max_iter=3))
+        ctl.command(plan.states[3] + np.array([0, 0, 0, 0.05, 0.1, 0.0]), 3)
+        assert calls
+        for value, z, states, step_inputs, cfg, scen in calls:
+            assert np.all(step_inputs(z + 1j)[1].imag == 0.0)
+            np.testing.assert_array_equal(
+                jacobian(value, z, states, step_inputs, cfg, scen),
+                full_direction_jacobian(value, z, states, step_inputs, cfg))
+
+    @pytest.mark.parametrize("per_step", [True, False])
+    def test_steps_that_move_fewer_inputs(self, per_step):
+        # Most steps move u0, u1 and, with per_step, dt; step 1 moves u5
+        # alone, step 3 all its inputs and step 4 none: every other step is
+        # padded.  Without per_step every length is 0.05, where the real
+        # quotient 0.05 / n_sub rounds differently from the complex one.
+        K, n, cfg = 7, 5, IntegratorConfig(n_sub=5)
+        moves = np.zeros((K, 7), dtype=bool)
+        moves[:, [0, 1, 6]] = True
+        moves[1], moves[3], moves[4] = np.arange(7) == 5, True, False
+        step_inputs = TestRolloutTangents.linear_inputs(K, n, per_step, moves=moves)
+        z = np.random.default_rng(44).normal(size=n)
+        states = rollout_arrays(X0, *step_inputs(z), cfg, SCEN)
+        value = TestRolloutTangents.value
+        J = rollout_jacobian(value, z, states, step_inputs, cfg, SCEN)
+        np.testing.assert_array_equal(J, full_direction_jacobian(value, z, states, step_inputs,
+                                                                 cfg))
+        np.testing.assert_allclose(J[n:], TestRolloutTangents.oracle(step_inputs, z, cfg),
+                                   rtol=1e-12, atol=1e-12 * np.max(np.abs(J[n:])))
 
 
 class TestRollout:

@@ -304,6 +304,33 @@ class TestKernelBindings:
         self.check_rows(SCEN, x, u)
         self.check_rows(SCEN, x, u, extra)
 
+    def test_bit_identical_on_awkward_layouts(self):
+        # The array binding copies each input component-major; every layout
+        # must still give the float binding's rows, NaN rows included.
+        rng = np.random.default_rng(9)
+        x = mixed_states(rng, 240)
+        u_row = np.array([-40.0, -30.0, 5.0, -3.0, 2.0, 7.0])
+        force = np.array([3.0, -2.0, 5.0])
+        wide = np.zeros((240, 9))
+        wide[:, 2:8] = x
+        layouts = {"fortran": np.asfortranarray(x), "columns_of_wider": wide[:, 2:8],
+                   "swapped_batch": x.reshape(12, 20, 6).swapaxes(0, 1)}
+        for name, xs in layouts.items():
+            assert not xs.flags.c_contiguous, name
+            rows = xs.reshape(-1, 6)
+            u = np.broadcast_to(u_row, xs.shape)
+            assert not u.flags.writeable
+            for extra in (None, force, np.broadcast_to(force, xs.shape[:-1] + (3,))):
+                batch = state_derivative_arrays(xs, u, SCEN, extra)
+                assert batch.shape == xs.shape and batch.flags.c_contiguous
+                batch = batch.reshape(-1, 6)
+                e = None if extra is None else force.tolist()
+                for i in range(len(rows)):
+                    np.testing.assert_array_equal(
+                        state_derivative_scalar(rows[i].tolist(), u_row.tolist(), SCEN, e),
+                        batch[i], err_msg=name)
+        assert np.isnan(batch[:, 3]).sum() > 30
+
     def test_zero_mass_matches(self):
         rng = np.random.default_rng(8)
         x = random_states(rng, 20)

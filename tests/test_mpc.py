@@ -10,7 +10,7 @@ import pytest
 from scipy import optimize
 
 from wallhopper import mpc, planner, solvers
-from wallhopper.integrator import COMPLEX_STEP
+from wallhopper.integrator import COMPLEX_STEP, IntegratorConfig
 from wallhopper.model import Scenario
 from wallhopper.mpc import (
     MpcSolution,
@@ -232,6 +232,15 @@ class TestRealTimeIteration:
         perturbed_tick(frozen_track_plan, monkeypatch)
         assert added == [0, 0]
         assert substep_calls            # the Jacobian's complex steps are arrays
+
+    def test_jacobian_steps_nine_directions(self, frozen_track_plan, monkeypatch,
+                                            substep_calls):
+        # Each step of the horizon moves the two rope forces and the
+        # propeller, not its length: 6 + 3 complex directions per step, not 13.
+        _, sol = perturbed_tick(frozen_track_plan, monkeypatch, max_iter=4)
+        H, d = len(sol.predicted_positions) - 1, sol.diagnostics
+        n_jacobians = d["n_iter"] + (d["status"] == solvers.STATUS_OPTIMAL)
+        assert substep_calls == [(H, 9, 6)] * (n_jacobians * IntegratorConfig().n_sub)
 
     def test_command_applies_the_first_step_input(self, frozen_track_plan):
         ctl = TrackingController(frozen_track_plan, SCEN)

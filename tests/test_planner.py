@@ -106,6 +106,12 @@ class TestShootingProblem:
         np.testing.assert_array_equal(states[0], prob.x_rest)
         assert substep_calls == []
 
+    def test_gradient_steps_nine_directions(self, prob, substep_calls):
+        # The thrust step moves the leg force, each knot step the two rope
+        # forces and its length: 6 + 3 complex directions per step, not 13.
+        prob.gradient(prob.initial_guess())
+        assert substep_calls == [(prob.N + 1, 9, 6)] * prob.cfg.n_sub
+
     def test_one_evaluation_per_point(self, prob):
         Z = prob.initial_guess()
         prob.objective(Z)
@@ -223,6 +229,12 @@ class TestPlanJump:
     def test_malformed_start_rejected(self, p0):
         with pytest.raises(ValueError, match="finite 3-vector"):
             plan_jump(p0, P_TG, SCEN)
+
+    @pytest.mark.parametrize("max_iter", [-3, 0, 2.5])
+    def test_bad_iteration_cap_rejected(self, max_iter):
+        # Rejected before SLSQP runs, not reported as a plan that did not converge.
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            plan_jump(P0, P_TG, SCEN, max_iter=max_iter)
 
     def test_reintegration_with_finer_step(self, benchmark_plan):
         plan = benchmark_plan

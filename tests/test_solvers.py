@@ -221,6 +221,24 @@ class TestGaussNewton:
         with pytest.raises(ValueError, match="gradient"):
             NlpProblem(objective=lambda x: float(x @ x), x0=np.zeros(2))
 
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, 2.0, np.nan, "5"])
+    def test_bad_iteration_cap_rejected(self, max_iter):
+        # -3 once ran SLSQP into a misleading non-convergence; 2.5 was cut to 2.
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            NlpProblem(objective=lambda x: float(x @ x), gradient=lambda x: 2 * x,
+                       x0=np.zeros(2), max_iter=max_iter)
+        NlpProblem(objective=lambda x: float(x @ x), gradient=lambda x: 2 * x,
+                   x0=np.zeros(2), max_iter=np.int64(1))
+
+    @pytest.mark.parametrize("name", ["tol_stat", "tol_feas", "tol_obj"])
+    @pytest.mark.parametrize("value", [np.nan, -1e-8, -np.inf])
+    def test_bad_tolerance_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a number >= 0"):
+            NlpProblem(residuals=rosenbrock, residuals_jac=rosenbrock_jac, x0=np.zeros(2),
+                       **{name: value})
+        NlpProblem(residuals=rosenbrock, residuals_jac=rosenbrock_jac, x0=np.zeros(2),
+                   **{name: 0.0})
+
 
 def vertex_enumeration(c, A, b, lo, hi):
     """Brute-force LP oracle: enumerate basic feasible points of
