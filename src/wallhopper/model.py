@@ -36,16 +36,20 @@ for batches, and state_derivative_scalar on Python floats for one state,
 where numpy's per-call cost would dominate.  Each binding computes r and
 sin/cos(psi) and owns the domain handling; both return NaN accelerations
 when r^2 <= 0 or psi is not finite, never raise, and agree bit for bit:
-same IEEE operations, same order.  integrator.step_arrays binds the float
-binding's constants (d_a, mass, gravity) once per call.
+same IEEE operations, same order.  The integrator's one float loop binds
+the float binding's constants (d_a, mass, gravity) once per call, for one
+step or a whole schedule.
 
 The kernel is analytic in x and u: + - * / in the body, sqrt, sin and cos
 in the array binding.  So state_derivative_arrays also takes complex
 arrays, and a complex step x + i h e gives the derivative along e in its
-imaginary part, exact to round-off (integrator.step_jacobians and
-rollout_jacobian build every derivative of the planner and the MPC on
-this).  numpy orders complex numbers by their real part first, so the
-domain test r^2 > 0 reads the real part of such a step.
+imaginary part, exact to round-off.  integrator.rollout_jacobian builds
+every derivative of the planner and the MPC on this: it runs every RK4
+sub-step of a rollout, in every direction it needs, through the array
+binding at once, 4 calls per Jacobian (one per RK4 stage), with the
+length dt complex as well, since the complex dt / n_sub may round one ulp
+away from the real one.  numpy orders complex numbers by their real part
+first, so the domain test r^2 > 0 reads the real part of such a step.
 
 A_d is invertible wherever the point lies off the anchor line: its
 determinant is -l1 l2 / d_a at every psi, so psi = 0 (the mass in the wall

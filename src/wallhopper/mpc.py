@@ -15,13 +15,18 @@ the clipped, shifted warm start; take the residual Jacobian from
 integrator.rollout_jacobian, which reads it off one complex evaluation of
 the residuals themselves; take one bounded Gauss-Newton step through
 solve_nlp; roll out once more at the accepted point for the predicted
-positions.  MpcConfig.max_iter allows more steps per tick.  The residuals
-are written once, as a function of the deviations and the knot states, so
-a change to them needs no derivative edit.  The input formula is written
-once too: a tick's step schedule, feed-forward plus deviations over H
-steps of plan.dt, is what rollout_arrays steps from the estimated state,
-what rollout_jacobian differentiates, and, at its first step, the input
-command applies.
+positions.  MpcConfig.max_iter allows more steps per tick.  A rollout is
+one rollout_arrays call on Python floats at sub-step resolution
+(integrator.substep_schedule), kept for the last point; the residuals and
+predictions read its knot_rows, and rollout_jacobian, the one call that
+differentiates it, starts from its sub-step states and complex-steps all
+of them at once in 4 kernel calls, with dt complex too (see the
+integrator).  The residuals are written once, as a function of the
+deviations and the knot states, so a change to them needs no derivative
+edit.  The input formula is written once too: a tick's step schedule,
+feed-forward plus deviations over H steps of plan.dt, is what
+rollout_arrays steps from the estimated state, what rollout_jacobian
+differentiates, and, at its first step, the input command applies.
 
 ``TrackingController`` holds that state across ticks: the plan's knot
 positions and input schedule, and the previous tick's solution,
@@ -37,7 +42,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .integrator import IntegratorConfig, rollout_arrays, rollout_jacobian
+from .integrator import (IntegratorConfig, knot_rows, rollout_arrays, rollout_jacobian,
+                         substep_schedule)
 from .model import Scenario, position_arrays
 from .planner import JumpPlan
 from .solvers import NlpProblem, solve_nlp
@@ -136,7 +142,7 @@ class TrackingController:
         f_scale = np.array([scenario.f_r_max, scenario.f_r_max,
                             max(scenario.f_p_max, 1e-9)])
         sw = np.sqrt(W_SMOOTH)                             # residuals carry the root
-        last = [None, None]                                # latest (z, knot states)
+        last = [None, None]                                # latest (z, sub-step states)
 
         def step_inputs(z):
             v = z.reshape(z.shape[:-1] + (H, 3)) * f_scale
@@ -147,7 +153,8 @@ class TrackingController:
 
         def states_at(z):
             if last[0] is None or not np.array_equal(last[0], z):
-                last[:] = z.copy(), rollout_arrays(x_hat, *step_inputs(z), icfg, scenario)
+                last[:] = z.copy(), rollout_arrays(
+                    x_hat, *substep_schedule(*step_inputs(z), icfg), scenario)
             return last[1]
 
         def residuals_at(z, states):
@@ -164,7 +171,7 @@ class TrackingController:
                                   axis=-1)
 
         def residuals(z):
-            return residuals_at(z, states_at(z))
+            return residuals_at(z, knot_rows(states_at(z), icfg))
 
         def residuals_jac(z):
             return rollout_jacobian(residuals_at, z, states_at(z), step_inputs, icfg, scenario)
@@ -188,7 +195,7 @@ class TrackingController:
             z, degraded = z0, True
             diagnostics = {"status": "failed", "n_iter": 0, "error": str(exc)}
         v = z.reshape(H, 3) * f_scale
-        s = states_at(z)
+        s = knot_rows(states_at(z), icfg)
         sol = MpcSolution(delta_left=v[:, 0], delta_right=v[:, 1], f_prop=v[:, 2],
                           predicted_positions=position_arrays(s[:, 0], s[:, 1], s[:, 2],
                                                               scenario.d_a),

@@ -15,15 +15,19 @@ quadratic terminal-accuracy term, a smoothing penalty on successive rope
 force increments and the (smoothed) hoist work.
 
 The step schedule of step_inputs, the thrust step and then the N knot
-steps, is rolled out from rest by one rollout_arrays call.  The gradient
-and the constraint Jacobian are exact and are read off the value code: no
-term is differentiated by hand.  integrator.rollout_jacobian takes the
-states the value evaluation already holds and the same schedule, and
-evaluates cost_and_constraints once, batched, at Z + i h e_j with the
-states moved along their tangents; the imaginary parts divided by h are
-the gradient and the Jacobian, exact to round-off (Squire & Trapp, SIAM
-Rev. 1998; Martins, Sturdza & Alonso, ACM TOMS 2003).  So a change to the
-cost or a constraint needs no derivative edit.
+steps, is rolled out from rest by one rollout_arrays call at sub-step
+resolution (integrator.substep_schedule), on Python floats for one point;
+the knot states are its knot_rows.  The gradient and the constraint
+Jacobian are exact and are read off the value code: no term is
+differentiated by hand.  integrator.rollout_jacobian, the one call that
+differentiates a rollout, takes the sub-step states the value evaluation
+already holds and the same schedule, complex-steps every sub-step at once
+(4 kernel calls, dt complex too: see the integrator), and evaluates
+cost_and_constraints once, batched, at Z + i h e_j with the knot states
+moved along their tangents; the imaginary parts divided by h are the
+gradient and the Jacobian, exact to round-off (Squire & Trapp, SIAM Rev.
+1998; Martins, Sturdza & Alonso, ACM TOMS 2003).  So a change to the cost
+or a constraint needs no derivative edit.
 Every clearance row, flat wall or bump, reads one formula, wall_gap; the
 NLP, _check_target and audit_plan all call it.
 """
@@ -37,7 +41,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .integrator import IntegratorConfig, rollout_arrays, rollout_jacobian
+from .integrator import (IntegratorConfig, knot_rows, rollout_arrays, rollout_jacobian,
+                         substep_schedule)
 from .model import (Ellipsoid, Scenario, inverse_kinematics, position_arrays,
                     static_rope_pull, tangent_frame)
 from .solvers import NlpProblem, solve_nlp
@@ -138,11 +143,12 @@ class ShootingProblem:
 
     Decision vectors Z are scaled to O(1): leg force by f_leg_max, rope
     forces by f_r_max, t_f unscaled; _split and _join hold that layout.  A
-    value evaluation rolls out the states from rest and keeps them with the
-    values for the last point only; the Jacobians at that point are one
-    rollout_jacobian call (see the module docstring) and cost no second
-    real rollout.  counters holds the number of value and Jacobian
-    evaluations and the seconds spent in each.
+    value evaluation rolls out the sub-step states from rest and keeps them
+    with the values for the last point only; the Jacobians at that point
+    are one rollout_jacobian call (see the module docstring) and cost no
+    second real rollout.  counters holds the number of value and Jacobian
+    evaluations, the seconds spent in each, and the sub-step states the
+    value rollouts stepped (rollout_rows).
     """
 
     def __init__(self, p0, p_tg, scenario: Scenario, weights: PlannerWeights,
@@ -171,7 +177,7 @@ class ShootingProblem:
                                   t2 - mu * n_c, -t2 - mu * n_c])
         self.leg_offsets = np.array([0.0, -scenario.f_leg_max, 0.0, 0.0, 0.0, 0.0])
         self.counters = {"value_evals": 0, "gradient_evals": 0,
-                         "value_s": 0.0, "gradient_s": 0.0}
+                         "value_s": 0.0, "gradient_s": 0.0, "rollout_rows": 0}
         self._last: tuple | None = None          # (Z, its values and Jacobians)
 
     # -- transcription ------------------------------------------------------
@@ -205,21 +211,31 @@ class ShootingProblem:
         dt[..., 1:] = t_f[..., None] / self.N
         return u, dt
 
+    def substep_rollout(self, Z):
+        """Z: (..., n_var) scaled decision vectors -> states
+        (..., (N+1) n_sub + 1, 6): the rest state, then the state after
+        every RK4 sub-step of the thrust and the N knot steps.
+
+        Real or complex, as Z is.
+        """
+        return rollout_arrays(self.x_rest, *substep_schedule(*self.step_inputs(Z), self.cfg),
+                              self.scen)
+
     def rollout(self, Z):
         """Z: (..., n_var) scaled decision vectors -> states (..., N+2, 6):
         the rest state, then the N+1 knot states from lift-off.
 
         Real or complex, as Z is.
         """
-        return rollout_arrays(self.x_rest, *self.step_inputs(Z), self.cfg, self.scen)
+        return knot_rows(self.substep_rollout(Z), self.cfg)
 
     def cost_and_constraints(self, Z, states=None):
         """Returns (cost (...,), g (..., m)) with g <= 0 feasible.
 
-        states are Z's rollout if the caller has it.  Real or complex as Z
-        and states are, and analytic in both, so a complex step through it
-        gives its derivatives; NaN where the rollout leaves the model
-        domain.
+        states are Z's knot states, rollout(Z), if the caller has them.
+        Real or complex as Z and states are, and analytic in both, so a
+        complex step through it gives its derivatives; NaN where the
+        rollout leaves the model domain.
         """
         f_leg, frl, frr, t_f = self._split(Z)
         if states is None:
@@ -257,8 +273,8 @@ class ShootingProblem:
     def _values(self, Z):
         if self._last is None or not np.array_equal(self._last[0], Z):
             t0 = time.perf_counter()
-            states = self.rollout(Z)
-            cost, g = self.cost_and_constraints(Z, states)
+            states = self.substep_rollout(Z)
+            cost, g = self.cost_and_constraints(Z, knot_rows(states, self.cfg))
             bad = not (np.isfinite(cost) and np.isfinite(g).all())
             if bad:
                 # Outside the model domain: a large cost and violated rows
@@ -267,6 +283,7 @@ class ShootingProblem:
             self._last = Z.copy(), {"cost": float(cost), "g": g,
                                     "states": None if bad else states}
             self.counters["value_evals"] += 1
+            self.counters["rollout_rows"] += len(states) - 1
             self.counters["value_s"] += time.perf_counter() - t0
         return self._last[1]
 
@@ -351,7 +368,7 @@ def plan_jump(p0, p_tg, scenario: Scenario,
                                 "kkt_residual": res.kkt_residual,
                                 "constraint_violation": res.constraint_violation,
                                 "objective": res.objective,
-                                **prob.counters, "nlp_s": nlp_s})
+                                **prob.counters, "nlp_s": nlp_s, "kkt_s": res.kkt_s})
     audit = audit_plan(plan, scenario, weights)
     plan.solve_info["audit"] = audit
     # Acceptance rests on the independent audit, not on the solver's verdict:

@@ -21,6 +21,7 @@ below (optimal, unbounded, infeasible, max_iters, failed).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Callable
@@ -89,6 +90,7 @@ class NlpResult:
     status: str
     n_iter: int
     constraint_violation: float
+    kkt_s: float                   # seconds in active_set_multipliers
     message: str = ""
 
 
@@ -136,7 +138,10 @@ def solve_nlp(problem: NlpProblem) -> NlpResult:
     violation = 0.0
     if problem.constraints is not None:
         violation = float(max(0.0, np.max(np.atleast_1d(problem.constraints(x)))))
-    resid = active_set_multipliers(problem, x, problem.gradient(x))
+    grad = problem.gradient(x)
+    t0 = time.perf_counter()
+    resid = active_set_multipliers(problem, x, grad)
+    kkt_s = time.perf_counter() - t0
     if violation > problem.tol_feas:
         status = STATUS_INFEASIBLE if res.status == 4 or res.success else STATUS_MAX_ITERS
     elif res.success or resid <= problem.tol_stat:
@@ -145,7 +150,7 @@ def solve_nlp(problem: NlpProblem) -> NlpResult:
         status = STATUS_MAX_ITERS
     return NlpResult(x=x, objective=float(problem.objective(x)), kkt_residual=resid,
                      status=status, n_iter=int(getattr(res, "nit", -1)),
-                     constraint_violation=violation, message=str(res.message))
+                     constraint_violation=violation, kkt_s=kkt_s, message=str(res.message))
 
 
 def _finite(values, what: str) -> np.ndarray:
@@ -170,10 +175,13 @@ def _gauss_newton(problem: NlpProblem) -> NlpResult:
     free = lo < hi                      # lsq_linear rejects equal bounds
     x = np.clip(problem.x0, lo, hi)
     r = _finite(problem.residuals(x), "residuals")
-    status, resid = STATUS_MAX_ITERS, np.nan
+    status, resid, kkt_s = STATUS_MAX_ITERS, np.nan, 0.0
     for n_iter in range(problem.max_iter):
         J = _finite(problem.residuals_jac(x), "residual Jacobian")
-        resid = active_set_multipliers(problem, x, J.T @ r)
+        grad = J.T @ r
+        t0 = time.perf_counter()
+        resid = active_set_multipliers(problem, x, grad)
+        kkt_s += time.perf_counter() - t0
         if resid <= problem.tol_stat:
             status = STATUS_OPTIMAL
             break
@@ -186,7 +194,7 @@ def _gauss_newton(problem: NlpProblem) -> NlpResult:
     else:
         n_iter = problem.max_iter
     return NlpResult(x=x, objective=0.5 * float(r @ r), kkt_residual=resid,
-                     status=status, n_iter=n_iter, constraint_violation=0.0)
+                     status=status, n_iter=n_iter, constraint_violation=0.0, kkt_s=kkt_s)
 
 
 @dataclass

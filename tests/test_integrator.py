@@ -8,10 +8,12 @@ from wallhopper import integrator, model, mpc, planner, simulator
 from wallhopper.integrator import (
     COMPLEX_STEP,
     IntegratorConfig,
+    knot_rows,
     rollout_arrays,
     rollout_jacobian,
     step_arrays,
     step_jacobians,
+    substep_schedule,
 )
 from wallhopper.model import (
     Scenario,
@@ -186,6 +188,19 @@ def random_rows(rng, n):
 ALL_INPUTS = np.arange(7)
 
 
+def substep_starts(x, u, dt, cfg):
+    """The states (..., n_sub, 6) each row's step (x, u, dt) starts its
+    sub-steps from, as step_jacobians takes them."""
+    u = np.asarray(u)[..., None, :]
+    return rollout_arrays(x, *substep_schedule(u, dt, cfg), SCEN)[..., :-1, :]
+
+
+def substep_rollout(x0, u, dt, cfg):
+    """A schedule's states at sub-step resolution, as rollout_jacobian takes
+    them."""
+    return rollout_arrays(x0, *substep_schedule(u, dt, cfg), SCEN)
+
+
 class TestStepJacobians:
     """The complex-step Jacobian against differences of the real step."""
 
@@ -193,7 +208,7 @@ class TestStepJacobians:
         rng = np.random.default_rng(21)
         x, u, dt = random_rows(rng, 8)
         cfg = IntegratorConfig(n_sub=3)
-        J = step_jacobians(x, u, dt, ALL_INPUTS, cfg, SCEN)
+        J = step_jacobians(substep_starts(x, u, dt, cfg), u, dt, ALL_INPUTS, cfg, SCEN)
         assert J.shape == (8, 6, 13)
         base = np.column_stack([x, u, dt])
         for j in range(13):
@@ -214,9 +229,10 @@ class TestStepJacobians:
         x[0, 1:3] = 1.0, 10.0
         cfg = IntegratorConfig(n_sub=3)
         cols = np.stack([rng.permutation(7)[:3] for _ in range(8)])
-        J = step_jacobians(x, u, dt, cols, cfg, SCEN)
+        starts = substep_starts(x, u, dt, cfg)
+        J = step_jacobians(starts, u, dt, cols, cfg, SCEN)
         assert J.shape == (8, 6, 9)
-        full = step_jacobians(x, u, dt, ALL_INPUTS, cfg, SCEN)
+        full = step_jacobians(starts, u, dt, ALL_INPUTS, cfg, SCEN)
         np.testing.assert_array_equal(J[:, :, :6], full[:, :, :6])
         np.testing.assert_array_equal(J[:, :, 6:],
                                       np.take_along_axis(full[:, :, 6:], cols[:, None], -1))
@@ -259,8 +275,15 @@ class TestStepJacobians:
 
     def test_out_of_domain_row_is_nan(self):
         x = np.array([[0.1, 1.0, 10.0, 0.0, 0.0, 0.0]])      # l1 + d_a < l2
-        J = step_jacobians(x, np.zeros((1, 6)), 0.05, ALL_INPUTS, IntegratorConfig(), SCEN)
+        u, cfg = np.zeros((1, 6)), IntegratorConfig()
+        J = step_jacobians(substep_starts(x, u, 0.05, cfg), u, 0.05, ALL_INPUTS, cfg, SCEN)
         assert np.isnan(J[0, 3:]).all()
+
+    def test_knot_states_rejected(self):
+        rng = np.random.default_rng(25)
+        x, u, dt = random_rows(rng, 4)
+        with pytest.raises(ValueError, match="sub-step states"):
+            step_jacobians(x, u, dt, ALL_INPUTS, IntegratorConfig(n_sub=5), SCEN)
 
 
 class TestRolloutTangents:
@@ -308,11 +331,8 @@ class TestRolloutTangents:
         K, n, cfg = 9, 5, IntegratorConfig(n_sub=3)
         step_inputs = self.linear_inputs(K, n, per_step)
         z = np.random.default_rng(42).normal(size=n)
-        u, dt = step_inputs(z)
-        states = [X0]
-        for k in range(K):
-            states.append(step_arrays(states[-1], u[k], dt[k], cfg, SCEN))
-        J = rollout_jacobian(self.value, z, np.array(states), step_inputs, cfg, SCEN)
+        states = substep_rollout(X0, *step_inputs(z), cfg)
+        J = rollout_jacobian(self.value, z, states, step_inputs, cfg, SCEN)
         assert J.shape == (n + 6 * (K + 1), n)
         np.testing.assert_array_equal(J[:n], np.eye(n))
         np.testing.assert_array_equal(J[n:n + 6], 0.0)         # the start state
@@ -329,18 +349,20 @@ class TestRolloutTangents:
 
 def full_direction_jacobian(value, z, states, step_inputs, cfg):
     """rollout_jacobian's chain built by hand from the full 13-direction
-    step Jacobian: B = J_(u,dt) w over all 7 inputs of every step."""
+    step Jacobian: B = J_(u,dt) w over all 7 inputs of every step.  states
+    are the schedule's sub-step states."""
     h = COMPLEX_STEP
     dz = 1j * h * np.eye(z.size)
     u, dt = step_inputs(z)
     u_c, dt_c = step_inputs(z + dz)
     w = np.moveaxis(np.concatenate([u_c.imag, dt_c.imag[..., None]], axis=-1), 0, -1) / h
-    J = step_jacobians(states[:-1], u, dt, ALL_INPUTS, cfg, SCEN)
+    J = step_jacobians(states[:-1].reshape(len(u), cfg.n_sub, 6), u, dt, ALL_INPUTS, cfg,
+                       SCEN)
     B = J[:, :, 6:] @ w
     S = np.zeros((len(J) + 1, 6, z.size))
     for k in range(len(J)):
         S[k + 1] = J[k, :, :6] @ S[k] + B[k]
-    return value(z + dz, states + 1j * h * np.moveaxis(S, -1, 0)).imag.T / h
+    return value(z + dz, knot_rows(states, cfg) + 1j * h * np.moveaxis(S, -1, 0)).imag.T / h
 
 
 class TestTrimmedDirections:
@@ -361,7 +383,7 @@ class TestTrimmedDirections:
         def value(Z, s):
             return np.column_stack(prob.cost_and_constraints(Z, s))
 
-        states = prob.rollout(z)
+        states = prob.substep_rollout(z)
         J = rollout_jacobian(value, z, states, prob.step_inputs, prob.cfg, SCEN)
         np.testing.assert_array_equal(
             J, full_direction_jacobian(value, z, states, prob.step_inputs, prob.cfg))
@@ -399,7 +421,7 @@ class TestTrimmedDirections:
         moves[1], moves[3], moves[4] = np.arange(7) == 5, True, False
         step_inputs = TestRolloutTangents.linear_inputs(K, n, per_step, moves=moves)
         z = np.random.default_rng(44).normal(size=n)
-        states = rollout_arrays(X0, *step_inputs(z), cfg, SCEN)
+        states = substep_rollout(X0, *step_inputs(z), cfg)
         value = TestRolloutTangents.value
         J = rollout_jacobian(value, z, states, step_inputs, cfg, SCEN)
         np.testing.assert_array_equal(J, full_direction_jacobian(value, z, states, step_inputs,
@@ -465,6 +487,71 @@ class TestPerStepLengths:
         np.testing.assert_array_equal(
             rollout_arrays(x[0], inputs, dt, cfg, SCEN),
             rollout_arrays(np.stack([x[0]] * 3), inputs, dt, cfg, SCEN))
+
+
+class TestWholeScheduleOnFloats:
+    """One real state runs its whole schedule in one Python-float loop; each
+    state equals stepping the step before it with step_arrays, on floats
+    and as a batch of one row, bit for bit."""
+
+    @staticmethod
+    def step_by_step(x0, u, dt, cfg):
+        floats, rows = [x0], [x0[None]]
+        for k in range(len(u)):
+            floats.append(step_arrays(floats[-1], u[k], float(dt[k]), cfg, SCEN))
+            rows.append(step_arrays(rows[-1], u[k][None], dt[k][None], cfg, SCEN))
+        return np.array(floats), np.concatenate(rows)
+
+    @pytest.mark.parametrize("K, nan_step", [(0, None), (1, None), (12, None), (12, 5)])
+    def test_equals_step_by_step(self, K, nan_step, substep_calls):
+        rng = np.random.default_rng(45)
+        x, u, _ = random_rows(rng, 1)
+        inputs = u + rng.normal(scale=5.0, size=(K, 6))
+        dt = rng.uniform(0.02, 0.08, K)
+        if nan_step is not None:
+            inputs[nan_step, 1] = np.nan
+        cfg = IntegratorConfig(n_sub=3)
+        states = rollout_arrays(x[0], inputs, dt, cfg, SCEN)
+        assert substep_calls == []
+        assert states.shape == (K + 1, 6)
+        floats, rows = self.step_by_step(x[0], inputs, dt, cfg)
+        np.testing.assert_array_equal(states, floats)
+        np.testing.assert_array_equal(states, rows)
+        if nan_step is not None:
+            assert np.isfinite(states[:nan_step + 1]).all()
+            assert np.isnan(states[nan_step + 1:, 3:]).all()
+
+
+class TestSubstepSchedule:
+    """A schedule rolled out at sub-step resolution passes through the knot
+    states of the knot-resolution rollout, bit for bit."""
+
+    @staticmethod
+    def assert_knots_match(x0, u, dt, cfg):
+        sub = rollout_arrays(x0, *substep_schedule(u, dt, cfg), SCEN)
+        assert sub.shape[-2] == u.shape[-2] * cfg.n_sub + 1
+        np.testing.assert_array_equal(knot_rows(sub, cfg),
+                                      rollout_arrays(x0, u, dt, cfg, SCEN))
+
+    def test_frozen_track_plan(self, frozen_track_plan):
+        # The flight from lift-off, one fixed length for every knot step, as
+        # the benchmark re-rolls it, and a batch of two (the array binding).
+        plan, cfg = frozen_track_plan, IntegratorConfig()
+        u = plan.input_schedule()
+        self.assert_knots_match(plan.states[0], u, plan.dt, cfg)
+        self.assert_knots_match(plan.states[:2], np.stack([u, u + 1.0]), plan.dt, cfg)
+
+    def test_planner_schedule(self, frozen_track_plan):
+        # The thrust step from rest, then the knot steps of length t_f / N.
+        plan = frozen_track_plan
+        prob = planner.ShootingProblem(plan.p0, plan.p_target, SCEN, planner.PlannerWeights(),
+                                       IntegratorConfig())
+        z = np.concatenate([plan.f_leg, plan.rope_left, plan.rope_right, [plan.t_f]])
+        z = z / prob.scale
+        u, dt = prob.step_inputs(z)
+        self.assert_knots_match(prob.x_rest, u, dt, prob.cfg)
+        np.testing.assert_array_equal(prob.rollout(z),
+                                      rollout_arrays(prob.x_rest, u, dt, prob.cfg, SCEN))
 
 
 class TestProperties:

@@ -236,11 +236,12 @@ class TestRealTimeIteration:
     def test_jacobian_steps_nine_directions(self, frozen_track_plan, monkeypatch,
                                             substep_calls):
         # Each step of the horizon moves the two rope forces and the
-        # propeller, not its length: 6 + 3 complex directions per step, not 13.
+        # propeller, not its length: 6 + 3 complex directions per step, not 13,
+        # and all their sub-steps go through one array call per Jacobian.
         _, sol = perturbed_tick(frozen_track_plan, monkeypatch, max_iter=4)
         H, d = len(sol.predicted_positions) - 1, sol.diagnostics
         n_jacobians = d["n_iter"] + (d["status"] == solvers.STATUS_OPTIMAL)
-        assert substep_calls == [(H, 9, 6)] * (n_jacobians * IntegratorConfig().n_sub)
+        assert substep_calls == [(H, IntegratorConfig().n_sub, 9, 6)] * n_jacobians
 
     def test_command_applies_the_first_step_input(self, frozen_track_plan):
         ctl = TrackingController(frozen_track_plan, SCEN)

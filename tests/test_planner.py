@@ -109,8 +109,9 @@ class TestShootingProblem:
     def test_gradient_steps_nine_directions(self, prob, substep_calls):
         # The thrust step moves the leg force, each knot step the two rope
         # forces and its length: 6 + 3 complex directions per step, not 13.
+        # All their sub-steps go through one array call.
         prob.gradient(prob.initial_guess())
-        assert substep_calls == [(prob.N + 1, 9, 6)] * prob.cfg.n_sub
+        assert substep_calls == [(prob.N + 1, prob.cfg.n_sub, 9, 6)]
 
     def test_one_evaluation_per_point(self, prob):
         Z = prob.initial_guess()
@@ -202,6 +203,12 @@ class TestPlanJump:
         assert info["value_evals"] > 0 and info["gradient_evals"] > 0
         assert info["gradient_evals"] >= info["n_iter"]
         assert 0.0 < info["value_s"] + info["gradient_s"] <= info["nlp_s"]
+
+    def test_kkt_fit_and_rollout_counters(self, benchmark_plan):
+        info = benchmark_plan.solve_info
+        assert 0.0 < info["kkt_s"] <= info["nlp_s"]
+        steps = (benchmark_plan.n_knots + 1) * IntegratorConfig().n_sub
+        assert info["rollout_rows"] == info["value_evals"] * steps
 
     def test_benchmark_terminal_error(self, benchmark_plan):
         assert benchmark_plan.terminal_error <= 0.05
