@@ -3,10 +3,10 @@
 Inputs are held constant over each knot interval (zero-order hold) and the
 interval is subdivided into n_sub equal sub-steps, so (dt, n_sub=k) is
 exactly equivalent to (dt/k, n_sub=1).  step_arrays advances one interval
-and rollout_arrays a step schedule (u, dt) from one start state, with one
-length for every step or one per step; every caller steps the model
-through these two.  The planner's schedule is the thrust step and the
-knot steps from rest, the MPC's the horizon's knot steps.
+and rollout_arrays a step schedule (u, dt) from one start state, dt a
+scalar or one length per step; every caller steps the model through these
+two.  A jump's schedule is planner.jump_schedule, the thrust step and the
+knot steps from rest; the MPC's horizon is a window of its knot steps.
 
 substep_schedule writes a schedule at sub-step resolution, each step's
 input repeated n_sub times at dt / n_sub, to be stepped with n_sub = 1;
@@ -28,9 +28,9 @@ included, and neither raises on them.  Complex inputs always take the
 array binding, whatever their shape: the float path is real-only.
 
 step_jacobians differentiates steps by complex step (Squire & Trapp,
-SIAM Rev. 1998): the kernel is analytic, so the imaginary part of
-f(x + i h e), divided by h, is df/dx e to round-off, with no difference of
-nearby values to cancel.  It takes the sub-step states each step starts
+SIAM Rev. 1998; Martins, Sturdza & Alonso, ACM TOMS 2003): the kernel is
+analytic, so the imaginary part of f(x + i h e), divided by h, is df/dx e
+to round-off, with no difference of nearby values to cancel.  It takes the sub-step states each step starts
 from, perturbs the 6 state entries of every sub-step and the m of the
 step's 7 inputs (u, dt) that the caller names, and runs all of them, every
 sub-step of every step in every direction, through one substep_arrays
@@ -139,28 +139,19 @@ def step_arrays(x, u, dt, cfg: IntegratorConfig, scenario: Scenario, extra_force
     return x
 
 
-def _per_step(dt, u):
-    """dt as one length per step of the schedule u (..., K, 6)."""
-    dt = np.asarray(dt)
-    if dt.ndim < u.ndim - 1:                 # one length for every step
-        dt = np.broadcast_to(dt[..., None], dt.shape + (u.shape[-2],))
-    return dt
-
-
 def rollout_arrays(x0, u_schedule, dt, cfg: IntegratorConfig, scenario: Scenario):
     """Propagate a step schedule from x0, each step as step_arrays takes it.
 
-    x0: (..., 6), broadcast against u_schedule: (..., K, 6); dt: one length
-    for every step, scalar or (...,), or one length per step, (..., K).
+    x0: (..., 6), broadcast against u_schedule: (..., K, 6); dt: a scalar
+    or one length per step, broadcast against the steps u_schedule.shape[:-1].
     Returns the states (..., K+1, 6), x0 first, real or complex as the
     inputs are; bad configurations yield NaN.  One real state runs the
     whole schedule in one Python-float loop.
     """
     u = np.asarray(u_schedule)
-    dt = _per_step(dt, u)
+    dt = np.broadcast_to(dt, u.shape[:-1])
     xs = np.asarray(x0)
-    if xs.ndim == 1 and u.ndim == 2 and dt.ndim == 1 \
-            and not any(np.iscomplexobj(a) for a in (xs, u, dt)):
+    if xs.ndim == 1 and u.ndim == 2 and not any(np.iscomplexobj(a) for a in (xs, u, dt)):
         return np.array(_rollout_floats(
             xs.astype(float, copy=False).tolist(), u.astype(float, copy=False).tolist(),
             (dt / cfg.n_sub).tolist(), cfg.n_sub, scenario, None))
@@ -186,10 +177,8 @@ def substep_schedule(u_schedule, dt, cfg: IntegratorConfig):
     and the rows between are the sub-step states step_jacobians takes.
     """
     u = np.asarray(u_schedule)
-    h = _per_step(dt, u) / cfg.n_sub
-    steps = np.broadcast_shapes(u.shape[:-1], h.shape)   # a length per step and row
-    return (np.repeat(np.broadcast_to(u, steps + (6,)), cfg.n_sub, axis=-2),
-            np.repeat(np.broadcast_to(h, steps), cfg.n_sub, axis=-1), _SUBSTEP)
+    h = np.broadcast_to(dt, u.shape[:-1]) / cfg.n_sub
+    return np.repeat(u, cfg.n_sub, axis=-2), np.repeat(h, cfg.n_sub, axis=-1), _SUBSTEP
 
 
 def knot_rows(states, cfg: IntegratorConfig):

@@ -42,14 +42,9 @@ step or a whole schedule.
 
 The kernel is analytic in x and u: + - * / in the body, sqrt, sin and cos
 in the array binding.  So state_derivative_arrays also takes complex
-arrays, and a complex step x + i h e gives the derivative along e in its
-imaginary part, exact to round-off.  integrator.rollout_jacobian builds
-every derivative of the planner and the MPC on this: it runs every RK4
-sub-step of a rollout, in every direction it needs, through the array
-binding at once, 4 calls per Jacobian (one per RK4 stage), with the
-length dt complex as well, since the complex dt / n_sub may round one ulp
-away from the real one.  numpy orders complex numbers by their real part
-first, so the domain test r^2 > 0 reads the real part of such a step.
+arrays, on which the integrator's complex-step derivatives are built (see
+its docstring).  numpy orders complex numbers by their real part first,
+so the domain test r^2 > 0 reads the real part of such a step.
 
 A_d is invertible wherever the point lies off the anchor line: its
 determinant is -l1 l2 / d_a at every psi, so psi = 0 (the mass in the wall

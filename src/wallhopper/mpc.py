@@ -1,35 +1,36 @@
 """Receding-horizon flight controller.
 
-A control tick is one knot interval of the plan: tick k starts at knot k,
-flies knot k's planned rope forces plus the optimised deviations, and
-lasts plan.dt.  At each tick the optimiser adjusts the planned rope-force
-feed-forward by per-knot deviations and adds a bilateral propeller force,
-minimising tracking error against the planned Cartesian reference at knots
-0..H-1 of a (shrinking) horizon plus an input smoothing cost, under the
-rope unilateral/actuation bounds.  Only the first optimised input is
-applied; the remainder seeds the next solve.
+A control tick is one knot step of the plan's schedule from rest
+(JumpPlan.schedule, step 0 the thrust): tick k starts at knot k, flies
+step k + 1's rope forces plus the optimised deviations, and lasts step
+k + 1's length.  At each tick the optimiser adjusts the feed-forward of
+steps k + 1 .. k + H by per-step deviations and adds a bilateral
+propeller force, minimising tracking error against the planned Cartesian
+reference at knots k .. k + H - 1 plus an input smoothing cost, under the
+rope unilateral/actuation bounds.  The horizon shrinks at the plan's end
+by slicing the schedule.  Only the first optimised input is applied; the
+remainder seeds the next solve.
 
 The cost is a sum of squares under box bounds, so a tick is one real-time
 iteration (Diehl, Bock & Schloeder, SIAM J. Control Optim. 2005): roll out
 the clipped, shifted warm start; take the residual Jacobian from
 integrator.rollout_jacobian, which reads it off one complex evaluation of
-the residuals themselves; take one bounded Gauss-Newton step through
-solve_nlp; roll out once more at the accepted point for the predicted
-positions.  MpcConfig.max_iter allows more steps per tick.  A rollout is
-one rollout_arrays call on Python floats at sub-step resolution
-(integrator.substep_schedule), kept for the last point; the residuals and
-predictions read its knot_rows, and rollout_jacobian, the one call that
-differentiates it, starts from its sub-step states and complex-steps all
-of them at once in 4 kernel calls, with dt complex too (see the
-integrator).  The residuals are written once, as a function of the
-deviations and the knot states, so a change to them needs no derivative
-edit.  The input formula is written once too: a tick's step schedule,
-feed-forward plus deviations over H steps of plan.dt, is what
-rollout_arrays steps from the estimated state, what rollout_jacobian
-differentiates, and, at its first step, the input command applies.
+the residuals themselves (see the integrator); take one bounded
+Gauss-Newton step through solve_nlp; roll out once more at the accepted
+point for the predicted positions.  MpcConfig.max_iter allows more steps
+per tick.  A rollout is one rollout_arrays call on Python floats at
+sub-step resolution (integrator.substep_schedule), kept for the last
+point; the residuals and predictions read its knot_rows, and
+rollout_jacobian starts from its sub-step states.  The residuals are
+written once, as a function of the deviations and the knot states, so a
+change to them needs no derivative edit.  The input formula is written
+once too: a tick's step schedule, the window's feed-forward plus
+deviations for the window's lengths, is what rollout_arrays steps from
+the estimated state, what rollout_jacobian differentiates, and, at its
+first step, the input command applies.
 
 ``TrackingController`` holds that state across ticks: the plan's knot
-positions and input schedule, and the previous tick's solution,
+positions and schedule, and the previous tick's solution,
 which gives both the shifted warm start and the deviation applied last
 period (the first term of the input smoothing cost).
 """
@@ -79,11 +80,6 @@ class MpcSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def shrink_horizon(k: int, n_horizon: int, ref_len: int) -> int:
-    """Effective horizon at tick k when the reference has ref_len knot intervals."""
-    return min(n_horizon, ref_len - k)
-
-
 def warm_start_from(prev: MpcSolution | None, horizon: int) -> np.ndarray:
     """Shift-by-one initial guess, last knot repeated; (H, 3) columns
     (delta_left, delta_right, f_prop).  Cold start returns zeros."""
@@ -95,21 +91,20 @@ def warm_start_from(prev: MpcSolution | None, horizon: int) -> np.ndarray:
 
 class TrackingController:
     """Tracks the plan one knot per tick: the knot positions are the
-    reference, the input schedule the feed-forward; keeps the warm-start
-    state across ticks."""
+    reference, the plan's schedule gives the feed-forward and the step
+    lengths; keeps the warm-start state across ticks."""
 
     def __init__(self, plan: JumpPlan, scenario: Scenario,
                  cfg: MpcConfig | None = None):
-        self.plan = plan
         self.scen = scenario
         self.cfg = cfg or MpcConfig.from_plan(plan)
         self.p_ref = plan.positions                        # (N+1, 3)
-        self.ff = plan.input_schedule()                    # (N, 6), ropes only
+        self.schedule = plan.schedule(scenario.t_th)       # (N+1, 6), (N+1,)
         self.prev_solution: MpcSolution | None = None
 
     @property
     def n_ticks(self) -> int:
-        return self.ff.shape[0]
+        return len(self.schedule[1]) - 1
 
     def command(self, x_hat: np.ndarray, k: int) -> tuple[np.ndarray, MpcSolution]:
         """Solve at tick k and return (input to apply as a (6,) array, solution)."""
@@ -129,9 +124,10 @@ class TrackingController:
         failure the clipped warm start is returned with the degraded flag
         set.
         """
-        cfg, scenario, dt = self.cfg, self.scen, self.plan.dt
-        H = shrink_horizon(k, cfg.n_horizon, self.n_ticks)
-        ff = self.ff[k:k + H, :2]                          # (H, 2)
+        cfg, scenario = self.cfg, self.scen
+        window = slice(k + 1, k + 1 + cfg.n_horizon)      # cut at the plan's end
+        ff, dt = self.schedule[0][window, :2], self.schedule[1][window]
+        H = len(dt)
         p_ref = self.p_ref[k:k + H]                        # knots 0..H-1
         # The i-1 term of the smoothing cost: deviation applied at the
         # previous control period (cold start: the unmodified feed-forward).
@@ -149,7 +145,7 @@ class TrackingController:
             u = np.zeros(v.shape[:-1] + (6,), dtype=v.dtype)
             u[..., :2] = ff + v[..., :2]
             u[..., 5] = v[..., 2]
-            return u, np.full(u.shape[:-1], dt)
+            return u, np.broadcast_to(dt, u.shape[:-1])
 
         def states_at(z):
             if last[0] is None or not np.array_equal(last[0], z):

@@ -14,20 +14,20 @@ every knot and a terminal ball |p(t_f) - p_tg| <= slack.  The cost adds a
 quadratic terminal-accuracy term, a smoothing penalty on successive rope
 force increments and the (smoothed) hoist work.
 
-The step schedule of step_inputs, the thrust step and then the N knot
-steps, is rolled out from rest by one rollout_arrays call at sub-step
-resolution (integrator.substep_schedule), on Python floats for one point;
-the knot states are its knot_rows.  The gradient and the constraint
-Jacobian are exact and are read off the value code: no term is
+jump_schedule alone writes a jump's step schedule from rest: step 0 holds
+the leg force for t_th, step k + 1 knot k's rope forces for t_f / N.
+step_inputs is that schedule at a decision vector and JumpPlan.schedule at
+a plan; the simulator flies it, and the MPC's control tick k is its step
+k + 1.  The problem rolls it out from rest by one rollout_arrays call at
+sub-step resolution (integrator.substep_schedule), on Python floats for
+one point; the knot states are its knot_rows.  The gradient and the
+constraint Jacobian are exact and are read off the value code: no term is
 differentiated by hand.  integrator.rollout_jacobian, the one call that
 differentiates a rollout, takes the sub-step states the value evaluation
-already holds and the same schedule, complex-steps every sub-step at once
-(4 kernel calls, dt complex too: see the integrator), and evaluates
-cost_and_constraints once, batched, at Z + i h e_j with the knot states
-moved along their tangents; the imaginary parts divided by h are the
-gradient and the Jacobian, exact to round-off (Squire & Trapp, SIAM Rev.
-1998; Martins, Sturdza & Alonso, ACM TOMS 2003).  So a change to the cost
-or a constraint needs no derivative edit.
+already holds and the same schedule, and evaluates cost_and_constraints
+once, batched, at a complex step of Z with the knot states moved along
+their tangents (see the integrator).  So a change to the cost or a
+constraint needs no derivative edit.
 Every clearance row, flat wall or bump, reads one formula, wall_gap; the
 NLP, _check_target and audit_plan all call it.
 """
@@ -101,12 +101,35 @@ class JumpPlan:
     def terminal_error(self) -> float:
         return float(np.linalg.norm(self.positions[-1] - self.p_target))
 
+    def schedule(self, t_th: float):
+        """The plan's step schedule from rest, (u (N+1, 6), dt (N+1,)): see
+        jump_schedule."""
+        return jump_schedule(self.f_leg, self.rope_left, self.rope_right, self.t_f, t_th)
+
     def input_schedule(self) -> np.ndarray:
-        """Flight inputs as an (N, 6) array (ropes only)."""
-        u = np.zeros((self.n_knots, 6))
-        u[:, 0] = self.rope_left
-        u[:, 1] = self.rope_right
-        return u
+        """The knot steps' inputs, rows 1: of schedule (N, 6), which t_th
+        does not enter; perfbench.workload.load_track_plan reads them."""
+        return self.schedule(0.0)[0][1:]
+
+
+def jump_schedule(f_leg, rope_left, rope_right, t_f, t_th):
+    """The step schedule of a jump from rest: inputs (..., N+1, 6) and
+    lengths (..., N+1).  Step 0 is the thrust, the leg force f_leg (..., 3)
+    held for t_th with the ropes slack; step k + 1 holds the rope forces
+    rope_left[..., k] and rope_right[..., k] (..., N) for t_f / N, t_f (...,).
+
+    Real or complex, batched or not, as the arguments are.
+    """
+    t_f = np.asarray(t_f)
+    n = np.shape(rope_left)[-1]
+    u = np.zeros(t_f.shape + (n + 1, 6), dtype=np.result_type(f_leg, rope_left, rope_right, t_f))
+    u[..., 0, 2:5] = f_leg
+    u[..., 1:, 0] = rope_left
+    u[..., 1:, 1] = rope_right
+    dt = np.empty(u.shape[:-1], dtype=t_f.dtype)
+    dt[..., 0] = t_th
+    dt[..., 1:] = t_f[..., None] / n
+    return u, dt
 
 
 def obstacle_min_x(p_y, p_z, obstacle: Ellipsoid, clearance: float,
@@ -196,20 +219,9 @@ class ShootingProblem:
         return z[..., :3], z[..., 3:3 + self.N], z[..., 3 + self.N:-1], z[..., -1]
 
     def step_inputs(self, Z):
-        """Z: (..., n_var) -> inputs (..., N+1, 6) and lengths (..., N+1) of
-        the thrust step and the N knot steps: t_th, then t_f/N.
-
-        Real or complex, as Z is.
-        """
-        f_leg, F_left, F_right, t_f = self._split(Z)
-        u = np.zeros(t_f.shape + (self.N + 1, 6), dtype=t_f.dtype)
-        u[..., 0, 2:5] = f_leg
-        u[..., 1:, 0] = F_left
-        u[..., 1:, 1] = F_right
-        dt = np.empty(u.shape[:-1], dtype=t_f.dtype)
-        dt[..., 0] = self.scen.t_th
-        dt[..., 1:] = t_f[..., None] / self.N
-        return u, dt
+        """Z: (..., n_var) -> the jump_schedule of Z's jump, inputs
+        (..., N+1, 6) and lengths (..., N+1); real or complex, as Z is."""
+        return jump_schedule(*self._split(Z), self.scen.t_th)
 
     def substep_rollout(self, Z):
         """Z: (..., n_var) scaled decision vectors -> states

@@ -1,17 +1,18 @@
 """Closed-loop episode simulation.
 
 run_episode and landing_episode are thin wrappers around one phase
-machine, _episode:
+machine, _episode, which walks the plan's step schedule from rest
+(JumpPlan.schedule):
 
-- thrust: the planned leg impulse from rest, ropes slack;
-- flight: one controller tick per plan knot, each lasting plan.dt; the
-  knot's planned input (open loop) or the MPC command (from the state with
-  measurement noise added) is held while the true dynamics, disturbance
-  force included, integrates in steps of about dt_sim, sized so that they
-  divide the thrust and each tick exactly; the flight ends at t_th + t_f;
+- thrust: step 0, the planned leg force with the ropes slack;
+- flight: controller tick k holds step k + 1 for its length: its planned
+  input (open loop) or the MPC command (from the state with measurement
+  noise added), while the true dynamics, disturbance force included,
+  integrates in steps of about dt_sim, sized so that they divide each
+  step exactly; the flight ends at t_th + t_f;
 - hold (landing runs only): a run still short of the wheel plane at t_f
-  holds the last feed-forward plus gravity compensation, for at most
-  MAX_HOLD;
+  holds the last step's rope forces plus gravity compensation, for at
+  most MAX_HOLD;
 - contact (landing runs only): after touch-down the wall-normal motion
   follows the landing impedance (LANDING_STIFFNESS, critically damped) for
   SETTLE_TIME and the wheels absorb lateral residuals; each row records
@@ -227,7 +228,8 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
         ctl = None
     else:
         raise ValueError("controller must be 'open_loop' or 'mpc'")
-    schedule = plan.input_schedule()
+    u_plan, dt_plan = plan.schedule(scenario.t_th)
+    dt_plan = dt_plan.tolist()                      # the clock stays a Python float
     rng = np.random.default_rng(noise.seed) if noise is not None else None
     dist = disturbance or DisturbanceSpec()
     cfg_sim = IntegratorConfig(n_sub=1)
@@ -272,7 +274,7 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
 
     def tick_input(k):
         if ctl is None:
-            return schedule[k]
+            return u_plan[k + 1]
         x_meas = x.copy()
         if rng is not None:
             x_meas[3:] += rng.normal(0.0, noise.sigma)
@@ -282,20 +284,17 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
 
     touched = False
     if start is None:
-        # Thrust: leg impulse only, ropes slack (as transcribed by the
-        # planner); contact is not watched while still at the wall.
-        u = np.zeros(6)
-        u[2:5] = plan.f_leg
-        advance(u, *_substeps(scenario.t_th, dt_sim), PHASE_THRUST)
+        # Thrust: step 0, the leg force with the ropes slack; contact is
+        # not watched while still at the wall.
+        advance(u_plan[0], *_substeps(dt_plan[0], dt_sim), PHASE_THRUST)
         events["lift_off"] = t
     t_lift = events["lift_off"]
-    steps_per_tick, h = _substeps(plan.dt, dt_sim)
-    for k in range(0 if start is None else start.k, plan.n_knots):
+    for k in range(0 if start is None else start.k, len(dt_plan) - 1):
         if marks is not None:
             marks.append(_TickStart(k, t, x, armed, t_lift, len(recorder.rows),
                                     recorder.rows, recorder.ticks))
         u = tick_input(k)
-        if advance(u, steps_per_tick, h, PHASE_FLIGHT, landing,
+        if advance(u, *_substeps(dt_plan[k + 1], dt_sim), PHASE_FLIGHT, landing,
                    lambda s: dist.force_at(s - t_lift)):
             touched = True
             events["early_touch_down"] = t
@@ -303,13 +302,12 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
     else:
         events["horizon_end"] = t
         if landing:
-            # Delayed touch-down: hold the last feed-forward plus gravity
+            # Delayed touch-down: hold the last step's ropes plus gravity
             # compensation.
             pull = static_rope_pull(
                 position_arrays(x[0], x[1], x[2], scenario.d_a), scenario)
             u = np.zeros(6)
-            u[:2] = np.clip([plan.rope_left[-1], plan.rope_right[-1]] + pull,
-                            -scenario.f_r_max, 0.0)
+            u[:2] = np.clip(u_plan[-1, :2] + pull, -scenario.f_r_max, 0.0)
             touched = advance(u, round(MAX_HOLD / dt_sim), dt_sim, PHASE_HOLD, True)
             if touched:
                 events["delayed_touch_down"] = t
@@ -375,8 +373,8 @@ def landing_episode(plan: JumpPlan, scenario: Scenario, controller: str = "mpc",
     (modelled as a plastic stop) and the body then settles for SETTLE_TIME
     on the spring-damper of stiffness LANDING_STIFFNESS, critically damped,
     while lateral motion is held by the wheels.  Early and delayed
-    touch-downs are flagged; in the delayed case the last feed-forward plus
-    gravity compensation is held until contact or for MAX_HOLD.
+    touch-downs are flagged; in the delayed case the last step's rope forces
+    plus gravity compensation are held until contact or for MAX_HOLD.
     """
     return _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
                     landing=True)

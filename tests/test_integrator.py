@@ -192,7 +192,8 @@ def substep_starts(x, u, dt, cfg):
     """The states (..., n_sub, 6) each row's step (x, u, dt) starts its
     sub-steps from, as step_jacobians takes them."""
     u = np.asarray(u)[..., None, :]
-    return rollout_arrays(x, *substep_schedule(u, dt, cfg), SCEN)[..., :-1, :]
+    return rollout_arrays(x, *substep_schedule(u, np.asarray(dt)[..., None], cfg),
+                          SCEN)[..., :-1, :]
 
 
 def substep_rollout(x0, u, dt, cfg):
@@ -465,6 +466,22 @@ class TestPerStepLengths:
         states = rollout_arrays(x[0], inputs[0], dt[0], IntegratorConfig(), SCEN)
         assert states.shape == (self.K + 1, 6) and np.isfinite(states).all()
         assert substep_calls == []
+
+    @pytest.mark.parametrize("B", [1, K])
+    def test_one_length_per_step_for_every_row(self, B):
+        # dt (K,) with a batch of B schedules (B, K, 6): every row steps
+        # step k for dt[k], at knot and at sub-step resolution.
+        rng = np.random.default_rng(46)
+        x, u, _ = random_rows(rng, B)
+        inputs = u[:, None, :] + rng.normal(scale=5.0, size=(B, self.K, 6))
+        dt = rng.uniform(0.02, 0.08, self.K)
+        cfg = IntegratorConfig(n_sub=3)
+        batch = rollout_arrays(x, inputs, dt, cfg, SCEN)
+        sub = knot_rows(rollout_arrays(x, *substep_schedule(inputs, dt, cfg), SCEN), cfg)
+        for i in range(B):
+            ref = rollout_arrays(x[i], inputs[i], dt, cfg, SCEN)
+            np.testing.assert_array_equal(batch[i], ref)
+            np.testing.assert_array_equal(sub[i], ref)
 
     def test_match_step_by_step(self):
         x, inputs, dt = self.schedule()

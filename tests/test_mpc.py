@@ -1,7 +1,8 @@
-"""Flight MPC: one tick per plan knot (the knot's feed-forward and the
-tick range), the config checks, the warm start and horizon rules, the
-degraded path when the solver fails, the real-time iteration against its
-oracles, and closed-loop tracking of the benchmark jump."""
+"""Flight MPC: one tick per plan knot (the knot's feed-forward, the
+horizon's window of the plan's schedule and the tick range), the config
+checks, the warm start rule, the degraded path when the solver fails, the
+real-time iteration against its oracles, and closed-loop tracking of the
+benchmark jump."""
 
 import dataclasses
 
@@ -15,7 +16,6 @@ from wallhopper.model import Scenario
 from wallhopper.mpc import (
     MpcSolution,
     TrackingController,
-    shrink_horizon,
     warm_start_from,
 )
 from wallhopper.planner import JumpPlan
@@ -46,8 +46,29 @@ KNOT_PLAN = JumpPlan(f_leg=np.zeros(3), rope_left=-1.0 - np.arange(N_KNOTS),
 def test_feed_forward_follows_the_plan_knots():
     ctl = TrackingController(KNOT_PLAN, SCEN)
     assert ctl.n_ticks == N_KNOTS
-    np.testing.assert_array_equal(ctl.ff, KNOT_PLAN.input_schedule())
+    for got, expected in zip(ctl.schedule, KNOT_PLAN.schedule(SCEN.t_th)):
+        np.testing.assert_array_equal(got, expected)
     assert ctl.p_ref is KNOT_PLAN.positions
+
+
+@pytest.mark.parametrize("k", [0, 5, 28, 29])
+def test_horizon_steps_a_window_of_the_schedule(k, frozen_track_plan, monkeypatch):
+    # Tick k's first rollout, at the cold start's zero deviations, steps
+    # the schedule's rows k+1 .. k+H for their lengths, the horizon cut at
+    # the plan's 30 knots.
+    stepped = []
+    substep_schedule = mpc.substep_schedule
+
+    def recorded(u, dt, cfg):
+        stepped.append((u, dt))
+        return substep_schedule(u, dt, cfg)
+
+    monkeypatch.setattr(mpc, "substep_schedule", recorded)
+    plan = frozen_track_plan
+    TrackingController(plan, SCEN, mpc.MpcConfig(n_horizon=4)).command(plan.states[k], k)
+    window = slice(k + 1, min(k + 5, plan.n_knots + 1))
+    for got, expected in zip(stepped[0], plan.schedule(SCEN.t_th)):
+        np.testing.assert_array_equal(got, expected[window])
 
 
 @pytest.mark.parametrize("k", [-1, N_KNOTS, N_KNOTS + 1])
@@ -89,12 +110,6 @@ class TestWarmStart:
                                       [ROWS[1], ROWS[2], ROWS[2], ROWS[2], ROWS[2]])
 
 
-class TestShrinkHorizon:
-    @pytest.mark.parametrize("k, expected", [(0, 12), (8, 12), (9, 11), (19, 1), (20, 0)])
-    def test_min_rule(self, k, expected):
-        assert shrink_horizon(k, 12, 20) == expected
-
-
 class TestSolverFailure:
     def step(self, plan, warm_start):
         """Tick 0 with the warm start given as the previous solution's rows
@@ -117,8 +132,9 @@ class TestSolverFailure:
         assert sol.diagnostics["status"] == "failed"
         assert "iteration limit" in sol.diagnostics["error"]
         # Clipped to the upper bounds: rope force 0 and full propeller thrust.
-        np.testing.assert_allclose(sol.delta_left, -ctl.ff[:H, 0], rtol=1e-12)
-        np.testing.assert_allclose(sol.delta_right, -ctl.ff[:H, 1], rtol=1e-12)
+        ff = ctl.schedule[0][1:H + 1]                    # tick 0: steps 1 .. H
+        np.testing.assert_allclose(sol.delta_left, -ff[:, 0], rtol=1e-12)
+        np.testing.assert_allclose(sol.delta_right, -ff[:, 1], rtol=1e-12)
         np.testing.assert_array_equal(sol.f_prop, np.full(H, SCEN.f_p_max))
         assert np.all(np.isfinite(sol.predicted_positions))
 
@@ -247,7 +263,7 @@ class TestRealTimeIteration:
         ctl = TrackingController(frozen_track_plan, SCEN)
         for k in (0, 5):
             u, sol = ctl.command(frozen_track_plan.states[k], k)
-            expected = ctl.ff[k].copy()
+            expected = ctl.schedule[0][k + 1].copy()
             expected[:2] += [sol.delta_left[0], sol.delta_right[0]]
             expected[5] = sol.f_prop[0]
             np.testing.assert_array_equal(u, expected)

@@ -131,6 +131,23 @@ class TestShootingProblem:
         assert prob.counters["value_evals"] == 4
 
 
+def test_plan_schedule_is_the_problem_schedule(frozen_track_plan):
+    # One builder: the plan's schedule from rest is step_inputs at the
+    # plan's decision vector, bit for bit, and its knot rows are
+    # input_schedule.
+    plan = frozen_track_plan
+    prob = problem_for(plan, SCEN)
+    z = prob._join(plan.f_leg, plan.rope_left, plan.rope_right, plan.t_f) / prob.scale
+    schedule = plan.schedule(SCEN.t_th)
+    for got, expected in zip(schedule, prob.step_inputs(z)):
+        assert (got.shape, got.dtype, got.tobytes()) == \
+            (expected.shape, expected.dtype, expected.tobytes())
+    u, dt = schedule
+    np.testing.assert_array_equal(u[0], np.concatenate([[0.0, 0.0], plan.f_leg, [0.0]]))
+    np.testing.assert_array_equal(dt, [SCEN.t_th] + [plan.dt] * plan.n_knots)
+    np.testing.assert_array_equal(plan.input_schedule(), u[1:])
+
+
 class TestExactJacobians:
     """gradient and constraints_jac against two independent oracles: central
     differences and a complex step through the whole cost_and_constraints."""
@@ -246,8 +263,7 @@ class TestPlanJump:
     def test_reintegration_with_finer_step(self, benchmark_plan):
         plan = benchmark_plan
         cfg_fine = IntegratorConfig(n_sub=50)
-        states = rollout_arrays(plan.states[0], plan.input_schedule(), plan.dt,
-                                cfg_fine, SCEN)
+        states = rollout_arrays(plan.rest_state, *plan.schedule(SCEN.t_th), cfg_fine, SCEN)
         p_end = position_arrays(states[-1, 0], states[-1, 1], states[-1, 2], SCEN.d_a)
         assert np.linalg.norm(p_end - plan.positions[-1]) < 0.06
 

@@ -122,6 +122,20 @@ class TestOpenLoopReplay:
         assert np.linalg.norm(trace.positions[-1] - plan.positions[-1]) < 1e-8
         assert trace.landing_error_norm == pytest.approx(plan.terminal_error, abs=1e-8)
 
+    def test_inputs_walk_the_schedule(self, frozen_track_plan):
+        # Step 0 of the plan's schedule over the thrust, then step k + 1
+        # over tick k; the last row repeats the last step's input.
+        plan = frozen_track_plan
+        u, dt = plan.schedule(SCEN.t_th)
+        trace = run_episode(plan, SCEN, controller="open_loop")
+        thrust = trace.phase == simulator.PHASE_THRUST
+        assert thrust.sum() == round(dt[0] / 1e-3)
+        np.testing.assert_array_equal(trace.inputs[thrust],
+                                      np.broadcast_to(u[0], (thrust.sum(), 6)))
+        flight = trace.inputs[~thrust]
+        np.testing.assert_array_equal(flight[:-1], np.repeat(u[1:], round(dt[1] / 1e-3), axis=0))
+        np.testing.assert_array_equal(flight[-1], u[-1])
+
     def test_trace_velocities(self, benchmark_plan):
         # Flight rows of a run, and the contact rows of a landing, whose
         # states carry the rates of the normal settling motion.
@@ -332,7 +346,7 @@ class TestSharedPrefix:
         # A fault at the tick-20 input without force: the shared flight
         # aborts there before its own window opens; the runs still match
         # their serial runs, which meet the same fault.
-        u20 = frozen_track_plan.input_schedule()[20]
+        u20 = frozen_track_plan.schedule(SCEN.t_th)[0][21]
         nan_where(monkeypatch, lambda u, f: np.array_equal(u, u20)
                   and f is not None and not np.any(f))
         stats = compare(frozen_track_plan, 10, 7)
