@@ -25,14 +25,18 @@ implemented in closed form below and cross-checked against finite
 differences in the tests.
 
 A state is the 6-vector x = (psi, l1, l2, psi_dot, l1_dot, l2_dot) and an
-input the 6-vector u = (f_rope_left, f_rope_right, f_leg (3), f_prop).  Rope
+input the 6-vector u = (f_rope_left, f_rope_right, f_ext (3), f_prop).  Rope
 forces act along the rope axis (anchor -> mass) and are non-positive: a
 negative magnitude pulls toward the anchor.  The propeller force acts along
 the base X axis (cos psi, 0, sin psi), normal to the plane of the ropes.
+f_ext is the one external force at the CoM: the leg force on the thrust
+step, the disturbance in flight.  The kernel adds it last, so a step under
+a disturbance and the same step without one round alike up to that last
+addition.
 
 The state derivative has one kernel body, _accelerations, written in
 + - * / alone and bound two ways: state_derivative_arrays on numpy arrays
-for batches, and state_derivative_scalar on Python floats for one state,
+for batches, and _float_accelerations on Python floats for one state,
 where numpy's per-call cost would dominate.  Each binding computes r and
 sin/cos(psi) and owns the domain handling; both return NaN accelerations
 when r^2 <= 0 or psi is not finite, never raise, and agree bit for bit:
@@ -166,7 +170,7 @@ def _unit(v, name: str) -> np.ndarray:
 # Array kernels.  All accept broadcastable leading dimensions, never raise
 # and mark bad configurations with NaN so optimiser line searches can probe
 # freely.  The dynamics kernel also has a Python-float binding for single
-# states (state_derivative_scalar).
+# states (_float_accelerations).
 # ---------------------------------------------------------------------------
 
 def _chord_and_radius(l1, l2, d_a):
@@ -221,12 +225,12 @@ def bias_arrays(psi, l1, l2, psi_dot, l1_dot, l2_dot, d_a):
     return np.stack([bx, by, bz], axis=-1)
 
 
-def _accelerations(x, u, C, r, s, c, gravity, d_a, m, extra_force):
+def _accelerations(x, u, C, r, s, c, gravity, d_a, m):
     """(psi_dd, l1_dd, l2_dd): the one body of the dynamics kernel.
 
-    x, u and extra_force hold their six (three) components along the first
-    index, as Python floats or as arrays; C, r, s = sin(psi) and
-    c = cos(psi) come from the caller, which also owns the domain handling.
+    x and u hold their six components along the first index, as Python
+    floats or as arrays; C, r, s = sin(psi) and c = cos(psi) come from the
+    caller, which also owns the domain handling.
     The body uses + - * / only, so both bindings perform the same IEEE
     operations in the same order and agree bit for bit.
 
@@ -236,15 +240,12 @@ def _accelerations(x, u, C, r, s, c, gravity, d_a, m, extra_force):
     """
     l1, l2, w, l1_dot, l2_dot = x[1], x[2], x[3], x[4], x[5]
     px, py, pz = r * s, C, -r * c
-    # Newton RHS components: gravity, leg, ropes along their axes, propeller.
+    # Newton RHS components: gravity, ropes along their axes, propeller,
+    # and last the external force (see the module docstring).
     gx, gy, gz = gravity
-    fx = m * gx + u[2] + px / l1 * u[0] + px / l2 * u[1] + c * u[5]
-    fy = m * gy + u[3] + py / l1 * u[0] + (py - d_a) / l2 * u[1]
-    fz = m * gz + u[4] + pz / l1 * u[0] + pz / l2 * u[1] + s * u[5]
-    if extra_force is not None:
-        fx = fx + extra_force[0]
-        fy = fy + extra_force[1]
-        fz = fz + extra_force[2]
+    fx = m * gx + px / l1 * u[0] + px / l2 * u[1] + c * u[5] + u[2]
+    fy = m * gy + py / l1 * u[0] + (py - d_a) / l2 * u[1] + u[3]
+    fz = m * gz + pz / l1 * u[0] + pz / l2 * u[1] + s * u[5] + u[4]
     # Rate-quadratic bias b_d (p_dd with q_dd = 0).
     C_dot = (l1 * l1_dot - l2 * l2_dot) / d_a
     r_dot = (l1 * l1_dot - C * C_dot) / r
@@ -273,7 +274,7 @@ def _components_first(a):
     return np.ascontiguousarray(a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1))))
 
 
-def state_derivative_arrays(x, u, scenario: Scenario, extra_force=None):
+def state_derivative_arrays(x, u, scenario: Scenario):
     """Time derivative of the stacked state (psi, l1, l2, rates), batched.
 
     The numpy binding of the kernel: any leading dimensions, never raises,
@@ -286,9 +287,8 @@ def state_derivative_arrays(x, u, scenario: Scenario, extra_force=None):
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         C, r2 = _chord_and_radius(l1, l2, d_a)
         r = np.sqrt(np.where(r2 > 0.0, r2, np.nan))
-        ext = None if extra_force is None else _components_first(extra_force)
         acc = _accelerations(xs, _components_first(u), C, r, np.sin(psi), np.cos(psi),
-                             scenario.gravity, d_a, scenario.mass, ext)
+                             scenario.gravity, d_a, scenario.mass)
     out = np.empty(np.shape(acc[0]) + (6,), dtype=np.result_type(xs, *acc))
     out[..., :3] = x[..., 3:]
     for i, a in enumerate(acc):
@@ -296,30 +296,21 @@ def state_derivative_arrays(x, u, scenario: Scenario, extra_force=None):
     return out
 
 
-def _float_accelerations(x, u, extra_force, scenario, d_a, m, gravity):
-    """state_derivative_scalar's accelerations; the caller binds d_a, m, gravity."""
+def _float_accelerations(x, u, scenario, d_a, m, gravity):
+    """Accelerations of one state, x and u six floats each, the caller
+    binding d_a, m and gravity (a list): bit for bit state_derivative_arrays'
+    row, NaN row included, and never raising where that binding returns."""
     psi = x[0]
     C, r2 = _chord_and_radius(x[1], x[2], d_a)
     if not (r2 > 0.0 and math.isfinite(psi)):
         return math.nan, math.nan, math.nan
     try:
         return _accelerations(x, u, C, math.sqrt(r2), math.sin(psi), math.cos(psi),
-                              gravity, d_a, m, extra_force)
+                              gravity, d_a, m)
     except ZeroDivisionError:
         # A zero mass, or a divisor that underflowed: numpy gives inf/NaN.
         x, u = np.array(x, dtype=float), np.array(u, dtype=float)
-        ext = None if extra_force is None else np.array(extra_force, dtype=float)
-        return state_derivative_arrays(x, u, scenario, ext)[3:].tolist()
-
-
-def state_derivative_scalar(x, u, scenario: Scenario, extra_force=None) -> list:
-    """The same derivative for one state, on Python floats: x and u are
-    sequences of six floats (extra_force of three); returns a list of six
-    floats equal bit for bit to the matching row of state_derivative_arrays,
-    NaN row included, and never raises where the batched binding returns."""
-    return [x[3], x[4], x[5],
-            *_float_accelerations(x, u, extra_force, scenario, scenario.d_a,
-                                  scenario.mass, scenario.gravity.tolist())]
+        return state_derivative_arrays(x, u, scenario)[3:].tolist()
 
 
 def inverse_kinematics(p, scenario: Scenario) -> tuple[float, float, float]:

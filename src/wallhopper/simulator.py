@@ -18,6 +18,10 @@ machine, _episode, which walks the plan's step schedule from rest
   SETTLE_TIME and the wheels absorb lateral residuals; each row records
   the rates q_dot = A_d(q)^-1 n s_dot of that normal motion.
 
+The disturbance, timed from lift-off, acts in the flight and the hold as
+the external force u[2:5] of the stepped input; the trace records the
+controller's input and the force apart.
+
 run_episode scores e_a, the target minus the CoM position, at
 t_th + t_f.  landing_episode arms the touch-down watch at lift-off and
 scores e_a at touch-down, or at the end of the hold.
@@ -86,14 +90,12 @@ class DisturbanceSpec:
         if not (self.duration >= 0.0 and self.t_start >= 0.0):
             raise ValueError("disturbance window must be non-negative")
 
-    def force_at(self, t_flight: float) -> np.ndarray:
-        """Force at time t_flight measured from lift-off."""
-        if self.kind == "constant":
+    def force_at(self, t_flight: float) -> np.ndarray | None:
+        """Force at time t_flight measured from lift-off; None when none acts."""
+        if self.kind == "constant" or (self.kind == "impulsive" and
+                                       self.t_start <= t_flight < self.t_start + self.duration):
             return self.vector
-        if self.kind == "impulsive" and \
-                self.t_start <= t_flight < self.t_start + self.duration:
-            return self.vector
-        return np.zeros(3)
+        return None
 
 
 @dataclass(frozen=True)
@@ -248,13 +250,15 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
         if ctl is not None and start.k:
             ctl.prev_solution = recorder.ticks[-1]
 
-    def advance(u, n_steps, h, phase, watch=False, force=None):
-        """n_steps steps of h under the held input u; True at touch-down."""
+    def advance(u, n_steps, h, phase, watch=False, disturbed=True):
+        """n_steps steps of h under the held input u, its u[2:5] replaced by
+        the disturbance where disturbed and one acts; True at touch-down."""
         nonlocal x, t, armed
         for _ in range(n_steps):
-            d = None if force is None else force(t)
+            d = dist.force_at(t - t_lift) if disturbed else None
             recorder.add(t, x, u, zero if d is None else d, phase)
-            x = step_arrays(x, u, h, cfg_sim, scenario, extra_force=d)
+            x = step_arrays(x, u if d is None else np.concatenate((u[:2], d, u[5:])),
+                            h, cfg_sim, scenario)
             xs = x.tolist()
             if not all(map(math.isfinite, xs)):
                 msg = "simulation state became non-finite"
@@ -286,7 +290,7 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
     if start is None:
         # Thrust: step 0, the leg force with the ropes slack; contact is
         # not watched while still at the wall.
-        advance(u_plan[0], *_substeps(dt_plan[0], dt_sim), PHASE_THRUST)
+        advance(u_plan[0], *_substeps(dt_plan[0], dt_sim), PHASE_THRUST, disturbed=False)
         events["lift_off"] = t
     t_lift = events["lift_off"]
     for k in range(0 if start is None else start.k, len(dt_plan) - 1):
@@ -294,8 +298,7 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
             marks.append(_TickStart(k, t, x, armed, t_lift, len(recorder.rows),
                                     recorder.rows, recorder.ticks))
         u = tick_input(k)
-        if advance(u, *_substeps(dt_plan[k + 1], dt_sim), PHASE_FLIGHT, landing,
-                   lambda s: dist.force_at(s - t_lift)):
+        if advance(u, *_substeps(dt_plan[k + 1], dt_sim), PHASE_FLIGHT, landing):
             touched = True
             events["early_touch_down"] = t
             break

@@ -52,6 +52,9 @@ def integrate_forced(n_knots, n_sub):
 
 REFERENCE = integrate_forced(16000, 1)
 
+# A constant downward force, as the benchmark's disturbed MPC episode has it.
+DOWN_20 = simulator.DisturbanceSpec("constant", [0.0, 0.0, -20.0])
+
 
 class TestStep:
     def test_free_fall_matches_closed_form(self):
@@ -77,12 +80,19 @@ def random_states_and_inputs(rng, n):
     return x, u
 
 
-def assert_rows_match_batch(x, u, dt, cfg, scen=SCEN, force=None):
+def add_force(u, force):
+    """u with force added to its external force u[..., 2:5]."""
+    u = np.array(u, dtype=float)
+    u[..., 2:5] += force
+    return u
+
+
+def assert_rows_match_batch(x, u, dt, cfg, scen=SCEN):
     """Each state stepped alone equals its row of the batched step, bit for
     bit; returns the batched step."""
-    batch = step_arrays(x, u, dt, cfg, scen, force)
+    batch = step_arrays(x, u, dt, cfg, scen)
     for i in range(x.shape[0]):
-        single = step_arrays(x[i], u[i], dt, cfg, scen, None if force is None else force[i])
+        single = step_arrays(x[i], u[i], dt, cfg, scen)
         assert single.shape == (6,) and single.dtype == float
         np.testing.assert_array_equal(single, batch[i])
     return batch
@@ -96,16 +106,17 @@ class TestSingleStatePath:
     def test_single_row_matches_batch(self, with_force):
         rng = np.random.default_rng(11)
         x, u = random_states_and_inputs(rng, 40)
-        force = rng.normal(0.0, 20.0, (40, 3)) if with_force else None
-        batch = assert_rows_match_batch(x, u, 0.02, IntegratorConfig(n_sub=3), force=force)
+        if with_force:
+            u = add_force(u, rng.normal(0.0, 20.0, (40, 3)))
+        batch = assert_rows_match_batch(x, u, 0.02, IntegratorConfig(n_sub=3))
         assert np.isnan(batch[0, 3:]).all()
 
     @pytest.mark.parametrize("n_sub", [1, 5])
     def test_fused_loop_matches_batch(self, n_sub):
         rng = np.random.default_rng(12)
         x, u = random_states_and_inputs(rng, 20)
-        assert_rows_match_batch(x, u, 0.05, IntegratorConfig(n_sub=n_sub),
-                                force=rng.normal(0.0, 20.0, (20, 3)))
+        assert_rows_match_batch(x, add_force(u, rng.normal(0.0, 20.0, (20, 3))), 0.05,
+                                IntegratorConfig(n_sub=n_sub))
 
     def test_leaving_the_domain_mid_step(self):
         # Both ropes shorten at 5 m/s from l1 + l2 = 5.2 m > d_a: the state
@@ -157,12 +168,16 @@ class TestSingleStateStaysOffNumpy:
 
         monkeypatch.setattr(integrator, "state_derivative_arrays", fail)
 
-    @pytest.mark.parametrize("dt", [0.02, np.float64(0.02)], ids=["float", "float64"])
+    # Any real scalar length: an int or a 0-d array once took the array
+    # binding and made plan_jump about 4x slower.
+    @pytest.mark.parametrize("dt", [0.02, np.float64(0.02), 1, np.array(0.02)],
+                             ids=["float", "float64", "int", "0d_array"])
     @pytest.mark.parametrize("n_sub", [1, 5])
     @pytest.mark.parametrize("force", [None, np.array([3.0, -2.0, 5.0])],
                              ids=["no_force", "force"])
     def test_step(self, dt, n_sub, force):
-        x = step_arrays(X0, FORCED_U, dt, IntegratorConfig(n_sub=n_sub), SCEN, force)
+        u = FORCED_U if force is None else add_force(FORCED_U, force)
+        x = step_arrays(X0, u, dt, IntegratorConfig(n_sub=n_sub), SCEN)
         assert x.shape == (6,) and np.isfinite(x).all()
 
     def test_single_state_rollout(self):
@@ -171,8 +186,31 @@ class TestSingleStateStaysOffNumpy:
         assert states.shape == (11, 6) and np.isfinite(states).all()
 
     def test_open_loop_episode(self, frozen_track_plan):
-        trace = simulator.run_episode(frozen_track_plan, SCEN, controller="open_loop")
-        assert np.isfinite(trace.e_a).all()
+        # The disturbance rides in the input's u[2:5] on the steps it acts.
+        for disturbance in (None, DOWN_20,
+                            simulator.DisturbanceSpec("impulsive", [30.0, 0.0, -20.0],
+                                                      t_start=0.3)):
+            trace = simulator.run_episode(frozen_track_plan, SCEN, controller="open_loop",
+                                          disturbance=disturbance)
+            assert np.isfinite(trace.e_a).all()
+            assert np.any(trace.disturbance != 0.0) == (disturbance is not None)
+
+    def test_mpc_episode(self, frozen_track_plan, monkeypatch):
+        # The MPC's Jacobians step complex batches on the array binding by
+        # design; the plant's steps and the predictions, all real single
+        # states, stay off it.
+        arrays, calls = model.state_derivative_arrays, []
+
+        def complex_only(x, u, scenario):
+            assert np.iscomplexobj(x), "a single state took the array binding"
+            calls.append(None)
+            return arrays(x, u, scenario)
+
+        monkeypatch.setattr(integrator, "state_derivative_arrays", complex_only)
+        trace = simulator.run_episode(frozen_track_plan, SCEN, controller="mpc",
+                                      disturbance=DOWN_20,
+                                      mpc_cfg=mpc.MpcConfig(n_horizon=2))
+        assert np.isfinite(trace.e_a).all() and calls
 
 
 def random_rows(rng, n):

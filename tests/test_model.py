@@ -10,13 +10,13 @@ from wallhopper.model import (
     Ellipsoid,
     KinematicsError,
     Scenario,
+    _float_accelerations,
     bias_arrays,
     inverse_kinematics,
     jacobian_arrays,
     position_arrays,
     rope_axes,
     state_derivative_arrays,
-    state_derivative_scalar,
     static_rope_pull,
 )
 
@@ -33,9 +33,16 @@ def propeller_axis(psi):
     return np.array([np.cos(psi), 0.0, np.sin(psi)])
 
 
-def accelerations(x, u, extra_force=None):
+def accelerations(x, u):
     """(psi_dd, l1_dd, l2_dd) from the batched kernel binding."""
-    return state_derivative_arrays(x, u, SCEN, extra_force)[3:]
+    return state_derivative_arrays(x, u, SCEN)[3:]
+
+
+def add_force(u, force):
+    """u with force added to its external force u[..., 2:5]."""
+    u = np.array(u, dtype=float)
+    u[..., 2:5] += force
+    return u
 
 
 def oracle_terms(x):
@@ -43,11 +50,11 @@ def oracle_terms(x):
     return jacobian_arrays(x[0], x[1], x[2], SCEN.d_a), bias_arrays(*x, SCEN.d_a)
 
 
-def total_force(x, u, extra):
-    """Gravity, leg, ropes along their axes, propeller and an extra force,
-    assembled from the geometry alone."""
+def total_force(x, u):
+    """Gravity, the external force u[2:5], ropes along their axes and the
+    propeller, assembled from the geometry alone."""
     p = position(x)
-    return (SCEN.mass * SCEN.gravity + u[2:5] + extra
+    return (SCEN.mass * SCEN.gravity + u[2:5]
             + p / x[1] * u[0]
             + (p - SCEN.anchor_right) / x[2] * u[1]
             + propeller_axis(x[0]) * u[5])
@@ -174,12 +181,12 @@ class TestMassMatrixTerms:
         l1, l2 = 6.0, 7.0
         x = np.array([0.0, l1, l2, *rng.uniform(-1.0, 1.0, 3)])
         u = np.array([*rng.uniform(-90, 0, 2), *rng.uniform(-50, 50, 4)])
-        extra = rng.normal(0.0, 20.0, 3)
+        u = add_force(u, rng.normal(0.0, 20.0, 3))
         A, b = oracle_terms(x)
         assert np.linalg.det(A) == pytest.approx(-l1 * l2 / SCEN.d_a, rel=1e-12)
-        qdd = accelerations(x, u, extra)
+        qdd = accelerations(x, u)
         assert np.all(np.isfinite(qdd))
-        np.testing.assert_allclose(A @ qdd + b, total_force(x, u, extra) / SCEN.mass,
+        np.testing.assert_allclose(A @ qdd + b, total_force(x, u) / SCEN.mass,
                                    rtol=1e-9, atol=1e-9)
 
 
@@ -207,15 +214,15 @@ class TestDynamics:
 
     def test_newton_equation_with_all_forces(self):
         # A_d q_dd + b_d must equal the total force over m, assembled here
-        # from the rope axes, the leg, the propeller axis and an extra force.
+        # from the rope axes, the external force and the propeller axis.
         rng = np.random.default_rng(9)
         for x in random_states(rng, 20):
             u = np.array([rng.uniform(-90, 0), rng.uniform(-90, 0),
                           *rng.uniform(-50, 50, 3), rng.uniform(-50, 50)])
-            extra = rng.normal(0.0, 20.0, 3)
-            qdd = accelerations(x, u, extra)
+            u = add_force(u, rng.normal(0.0, 20.0, 3))
+            qdd = accelerations(x, u)
             A, b = oracle_terms(x)
-            np.testing.assert_allclose(A @ qdd + b, total_force(x, u, extra) / SCEN.mass,
+            np.testing.assert_allclose(A @ qdd + b, total_force(x, u) / SCEN.mass,
                                        rtol=1e-9, atol=1e-9)
 
     def test_ballistic_closed_form(self):
@@ -281,16 +288,21 @@ def mixed_states(rng, n):
     return x
 
 
+def float_accelerations(x, u, scen=SCEN):
+    """The Python-float binding's accelerations of one state, with the
+    scenario's constants bound as the integrator binds them."""
+    return _float_accelerations(x, u, scen, scen.d_a, scen.mass, scen.gravity.tolist())
+
+
 class TestKernelBindings:
     """The numpy and Python-float bindings of the dynamics kernel agree bit
     for bit, NaN rows included."""
 
-    def check_rows(self, scen, x, u, extra=None):
-        batch = state_derivative_arrays(x, u, scen, extra)
+    def check_rows(self, scen, x, u):
+        batch = state_derivative_arrays(x, u, scen)
         for i in range(x.shape[0]):
-            e = None if extra is None else extra[i].tolist()
-            single = state_derivative_scalar(x[i].tolist(), u[i].tolist(), scen, e)
-            np.testing.assert_array_equal(np.array(single), batch[i])
+            single = float_accelerations(x[i].tolist(), u[i].tolist(), scen)
+            np.testing.assert_array_equal(np.array(single), batch[i, 3:])
 
     def test_bit_identical_on_mixed_states(self):
         rng = np.random.default_rng(7)
@@ -300,9 +312,9 @@ class TestKernelBindings:
                              rng.uniform(-300, 300, (2400, 3)),
                              rng.uniform(-50, 50, 2400)])
         u[:100, 2] = 1e300
-        extra = rng.normal(0.0, 20.0, (2400, 3))
+        force = rng.normal(0.0, 20.0, (2400, 3))
         self.check_rows(SCEN, x, u)
-        self.check_rows(SCEN, x, u, extra)
+        self.check_rows(SCEN, x, add_force(u, force))
 
     def test_bit_identical_on_awkward_layouts(self):
         # The array binding copies each input component-major; every layout
@@ -318,17 +330,17 @@ class TestKernelBindings:
         for name, xs in layouts.items():
             assert not xs.flags.c_contiguous, name
             rows = xs.reshape(-1, 6)
-            u = np.broadcast_to(u_row, xs.shape)
-            assert not u.flags.writeable
-            for extra in (None, force, np.broadcast_to(force, xs.shape[:-1] + (3,))):
-                batch = state_derivative_arrays(xs, u, SCEN, extra)
+            for row in (u_row, add_force(u_row, force)):
+                u = np.broadcast_to(row, xs.shape)
+                assert not u.flags.writeable
+                batch = state_derivative_arrays(xs, u, SCEN)
                 assert batch.shape == xs.shape and batch.flags.c_contiguous
                 batch = batch.reshape(-1, 6)
-                e = None if extra is None else force.tolist()
+                np.testing.assert_array_equal(batch[:, :3], rows[:, 3:], err_msg=name)
                 for i in range(len(rows)):
                     np.testing.assert_array_equal(
-                        state_derivative_scalar(rows[i].tolist(), u_row.tolist(), SCEN, e),
-                        batch[i], err_msg=name)
+                        float_accelerations(rows[i].tolist(), row.tolist()),
+                        batch[i, 3:], err_msg=name)
         assert np.isnan(batch[:, 3]).sum() > 30
 
     def test_zero_mass_matches(self):
@@ -339,10 +351,9 @@ class TestKernelBindings:
 
     def test_out_of_domain_row(self):
         x = [0.3, 1.0, 10.0, 0.1, 0.2, 0.3]
-        out = state_derivative_scalar(x, [0.0] * 6, SCEN)
-        assert out[:3] == x[3:] and np.isnan(out[3:]).all()
-        out = state_derivative_scalar([np.inf, 6.0, 7.0, 0, 0, 0], [0.0] * 6, SCEN)
-        assert np.isnan(out[3:]).all()
+        assert np.isnan(float_accelerations(x, [0.0] * 6)).all()
+        assert np.isnan(float_accelerations([np.inf, 6.0, 7.0, 0, 0, 0], [0.0] * 6)).all()
+        self.check_rows(SCEN, np.array([x, [np.inf, 6.0, 7.0, 0, 0, 0]]), np.zeros((2, 6)))
 
 
 class TestRopeGeometry:

@@ -44,12 +44,14 @@ def nan_on_call(monkeypatch, n):
 
 def nan_where(monkeypatch, hit):
     """Make simulator.step_arrays return a NaN state on every step for
-    which hit(u, extra_force) holds, whichever call it is."""
+    which hit(u) holds, whichever call it is.  u is the stepped input: its
+    external force u[2:5] is the plan's leg force on the thrust step, the
+    disturbance on a flight step that feels one, and zero otherwise."""
     real = simulator.step_arrays
 
-    def stepped(x, u, dt, cfg, scenario, extra_force=None):
-        x = real(x, u, dt, cfg, scenario, extra_force=extra_force)
-        return np.full_like(x, np.nan) if hit(u, extra_force) else x
+    def stepped(x, u, dt, cfg, scenario):
+        x = real(x, u, dt, cfg, scenario)
+        return np.full_like(x, np.nan) if hit(u) else x
 
     monkeypatch.setattr(simulator, "step_arrays", stepped)
 
@@ -227,7 +229,7 @@ class TestBatchRobustness:
         draws = serial_draws(plan, 4, seed=5, n_intervals=4)
         assert [i for i, _, _ in draws] == [0, 1, 2, 3]
         vector = draws[run][1].vector
-        nan_where(monkeypatch, lambda u, f: f is not None and np.array_equal(f, vector))
+        nan_where(monkeypatch, lambda u: np.array_equal(u[2:5], vector))
         stats = self.run(plan)
         assert stats["failures"] == 1
         assert [iv["n"] for iv in stats["intervals"]] == [int(r != run) for r in range(4)]
@@ -248,7 +250,7 @@ class TestBatchRobustness:
         # The shared flight aborts in the thrust, before its first tick: no
         # run can start from it, so each flies from rest and aborts at its
         # own first step.
-        nan_where(monkeypatch, lambda u, f: np.any(u[2:5] != 0.0))
+        nan_where(monkeypatch, lambda u: np.array_equal(u[2:5], benchmark_plan.f_leg))
         stats = self.run(benchmark_plan)
         assert stats["failures"] == 4 and stats["steps"] == 4
         assert all(iv["n"] == 0 for iv in stats["intervals"])
@@ -343,12 +345,12 @@ class TestSharedPrefix:
 
     def test_shared_flight_aborts_undisturbed(self, frozen_track_plan, compare,
                                               monkeypatch):
-        # A fault at the tick-20 input without force: the shared flight
-        # aborts there before its own window opens; the runs still match
-        # their serial runs, which meet the same fault.
+        # A fault at the tick-20 input without force (its u[2:5] is zero):
+        # the shared flight aborts there before its own window opens; the
+        # runs still match their serial runs, which meet the same fault.
         u20 = frozen_track_plan.schedule(SCEN.t_th)[0][21]
-        nan_where(monkeypatch, lambda u, f: np.array_equal(u, u20)
-                  and f is not None and not np.any(f))
+        assert not np.any(u20[2:5])
+        nan_where(monkeypatch, lambda u: np.array_equal(u, u20))
         stats = compare(frozen_track_plan, 10, 7)
         assert 0 < stats["failures"] < 10
 
@@ -415,6 +417,29 @@ class TestLandingEpisode:
     def test_unknown_controller_rejected(self, benchmark_plan):
         with pytest.raises(ValueError, match="controller"):
             landing_episode(benchmark_plan, SCEN, controller="openloop")
+
+    def test_disturbance_acts_in_the_hold(self, frozen_track_plan):
+        # A constant force still acts after t_f: the landing is the one under
+        # an impulsive window over the flight [0, t_f) until horizon_end, and
+        # differs after it.  Under the window the hold ends in a delayed
+        # touch-down at d_w 0.3; the force held on pulls the CoM down past
+        # the wheel plane instead.
+        plan, vector = frozen_track_plan, np.array([0.0, 0.0, -20.0])
+        const = self.land(plan, 0.3, disturbance=DisturbanceSpec("constant", vector))
+        window = self.land(plan, 0.3, disturbance=DisturbanceSpec(
+            "impulsive", vector, t_start=0.0, duration=plan.t_f))
+        t_end = const.events["horizon_end"]
+        assert window.events["horizon_end"] == t_end
+        for name in ("times", "states", "inputs", "disturbance", "phase"):
+            np.testing.assert_array_equal(getattr(const, name)[const.times < t_end],
+                                          getattr(window, name)[window.times < t_end],
+                                          err_msg=name)
+        hold = const.phase == simulator.PHASE_HOLD
+        np.testing.assert_array_equal(const.disturbance[hold][:-1],
+                                      np.broadcast_to(vector, (hold.sum() - 1, 3)))
+        assert not np.any(window.disturbance[window.phase == simulator.PHASE_HOLD])
+        assert "no_touch_down" in const.events and "delayed_touch_down" in window.events
+        assert not np.array_equal(const.e_a, window.e_a)
 
     def test_non_finite_state_aborts(self, benchmark_plan, monkeypatch):
         nan_on_call(monkeypatch, 100)
@@ -517,6 +542,24 @@ class TestLandingDamping:
     def test_non_finite_rejected(self, K, m):
         with pytest.raises(ValueError, match="finite and positive"):
             critically_damped_gain(K, m)
+
+
+class TestDisturbanceSpec:
+    def test_force_at(self):
+        # The force acts over [t_start, t_start + duration) from lift-off,
+        # always when constant, and never for kind none: None when none acts.
+        vector = np.array([1.0, -2.0, 3.0])
+        pulse = DisturbanceSpec("impulsive", vector, t_start=0.25, duration=0.5)
+        for t in (0.25, 0.5, np.nextafter(0.75, 0.0)):
+            assert pulse.force_at(t) is pulse.vector
+        for t in (0.0, np.nextafter(0.25, 0.0), 0.75, 2.0):
+            assert pulse.force_at(t) is None
+        constant = DisturbanceSpec("constant", vector)
+        for t in (0.0, 0.25, 10.0):
+            assert constant.force_at(t) is constant.vector
+        for spec in (DisturbanceSpec(), DisturbanceSpec("none", vector, t_start=0.25)):
+            for t in (0.0, 0.25, 0.5):
+                assert spec.force_at(t) is None
 
 
 class TestInputValidation:
