@@ -349,16 +349,15 @@ def _check_target(p0, p_tg, scenario: Scenario, weights: PlannerWeights):
 
 def plan_jump(p0, p_tg, scenario: Scenario,
               weights: PlannerWeights | None = None,
-              cfg: IntegratorConfig | None = None,
               max_iter: int = 150) -> JumpPlan:
-    """Optimise a jump from rest at p0 to the target ball around p_tg."""
+    """Optimise a jump from rest at p0 to the target ball around p_tg,
+    integrated with IntegratorConfig() as the tracking MPC predicts it."""
     weights = weights or PlannerWeights()
-    cfg = cfg or IntegratorConfig()
     p0 = np.asarray(p0, dtype=float)
     p_tg = np.asarray(p_tg, dtype=float)
     _check_target(p0, p_tg, scenario, weights)
 
-    prob = ShootingProblem(p0, p_tg, scenario, weights, cfg)
+    prob = ShootingProblem(p0, p_tg, scenario, weights, IntegratorConfig())
     lo, hi = prob.bounds()
     nlp = NlpProblem(objective=prob.objective, gradient=prob.gradient,
                      constraints=prob.constraints,

@@ -18,9 +18,12 @@ machine, _episode, which walks the plan's step schedule from rest
   SETTLE_TIME and the wheels absorb lateral residuals; each row records
   the rates q_dot = A_d(q)^-1 n s_dot of that normal motion.
 
-The disturbance, timed from lift-off, acts in the flight and the hold as
-the external force u[2:5] of the stepped input; the trace records the
-controller's input and the force apart.
+The disturbance F, timed from lift-off, acts in the flight and the hold
+as the external force u[2:5] of the stepped input, and in the contact
+phase as n.F on the normal motion.  Each row is a tuple
+(t, x, u, force, phase): the state at t, the controller's input held from
+it, the force acting at t (None where none does) and the phase; the
+trace's inputs and disturbance keep the input and the force apart.
 
 run_episode scores e_a, the target minus the CoM position, at
 t_th + t_f.  landing_episode arms the touch-down watch at lift-off and
@@ -35,17 +38,17 @@ its trace ends on the state that step started from and carries the event
 aborted.  A wall crossing is recorded, not aborted.  Every row's Cartesian velocity is
 A_d q_dot.  The meta of an MPC episode holds one entry per tick in the
 arrays tick_s, n_iter, status and degraded (MpcSolution.diagnostics).
-The recorder keeps references, not copies, to each step's state and to
-the input and disturbance held over a tick: nothing may mutate them later.
+Rows keep references, not copies, to each step's state and to the input
+and disturbance held over a tick: nothing may mutate them later.
 
 An episode without measurement noise can also start at a control tick of
 another flight, a _TickStart, instead of at rest: it copies that flight's
-rows and MPC solutions before the tick, its state and time at the tick, and
-hands the last solution to its controller as the warm start.  Up to a tick
-at which neither flight has felt a disturbance, the two are the same flight
-step for step, so the episode is bit-identical to one flown from rest.
-batch_robustness flies the undisturbed prefix that its runs share once
-this way.
+rows and MPC solutions before the tick, resumes from the time and state of
+the tick's first row, and hands the last solution to its controller as the
+warm start.  Up to a tick at which neither flight has felt a disturbance,
+the two are the same flight step for step, so the episode is bit-identical
+to one flown from rest.  batch_robustness flies the undisturbed prefix
+that its runs share once this way.
 """
 
 from __future__ import annotations
@@ -139,61 +142,50 @@ class SimTrace:
         return float(np.linalg.norm(self.e_a))
 
 
-class _Recorder:
-    """Collects one row per simulation step, and one MpcSolution per tick
-    when the MPC flies; positions and velocities are computed for all rows
-    at once in build(), which also records the first sample with the CoM
-    behind the wall plane as the wall_crossing event and the ticks as the
-    meta arrays tick_s, n_iter, status and degraded."""
-
-    def __init__(self, scenario: Scenario, rows: list, ticks: list | None):
-        self.scen = scenario
-        self.rows = rows
-        self.ticks = ticks
-
-    def add(self, t, x, u, dist, phase):
-        """Keeps references: nothing may mutate x, u or dist afterwards."""
-        self.rows.append((t, x, u, dist, phase))
-
-    def build(self, events, e_a, meta) -> SimTrace:
-        times = np.array([r[0] for r in self.rows])
-        states = np.array([r[1] for r in self.rows]).reshape(-1, 6)
-        inputs = np.array([r[2] for r in self.rows]).reshape(-1, 6)
-        dist = np.array([r[3] for r in self.rows]).reshape(-1, 3)
-        phase = np.array([r[4] for r in self.rows], dtype=int)
-        psi, l1, l2 = states[:, 0], states[:, 1], states[:, 2]
-        positions = position_arrays(psi, l1, l2, self.scen.d_a)
-        A = jacobian_arrays(psi, l1, l2, self.scen.d_a)
-        velocities = (A @ states[:, 3:, None])[..., 0]
-        behind = np.flatnonzero(positions @ self.scen.wall_normal < 0.0)
-        if behind.size:
-            events = {**events, "wall_crossing": float(times[behind[0]])}
-        if self.ticks is not None:
-            diag = [sol.diagnostics for sol in self.ticks]
-            meta = {**meta,
-                    "tick_s": np.array([d["tick_s"] for d in diag], dtype=float),
-                    "n_iter": np.array([d["n_iter"] for d in diag], dtype=int),
-                    "status": np.array([d["status"] for d in diag], dtype=str),
-                    "degraded": np.array([sol.degraded for sol in self.ticks], dtype=bool)}
-        return SimTrace(times, states, positions, velocities, inputs, dist,
-                        phase, events, np.asarray(e_a, dtype=float), meta)
+def _trace(scenario, rows, ticks, events, e_a, meta) -> SimTrace:
+    """The trace of an episode's rows, one per simulation step, and of its
+    MPC solutions (ticks, None for open loop): positions and velocities for
+    all rows at once, the first sample with the CoM behind the wall plane
+    as the wall_crossing event, and the ticks as the meta arrays tick_s,
+    n_iter, status and degraded."""
+    times = np.array([r[0] for r in rows])
+    states = np.array([r[1] for r in rows]).reshape(-1, 6)
+    inputs = np.array([r[2] for r in rows]).reshape(-1, 6)
+    zero = np.zeros(3)
+    dist = np.array([zero if r[3] is None else r[3] for r in rows]).reshape(-1, 3)
+    phase = np.array([r[4] for r in rows], dtype=int)
+    psi, l1, l2 = states[:, 0], states[:, 1], states[:, 2]
+    positions = position_arrays(psi, l1, l2, scenario.d_a)
+    A = jacobian_arrays(psi, l1, l2, scenario.d_a)
+    velocities = (A @ states[:, 3:, None])[..., 0]
+    behind = np.flatnonzero(positions @ scenario.wall_normal < 0.0)
+    if behind.size:
+        events = {**events, "wall_crossing": float(times[behind[0]])}
+    if ticks is not None:
+        diag = [sol.diagnostics for sol in ticks]
+        meta = {**meta,
+                "tick_s": np.array([d["tick_s"] for d in diag], dtype=float),
+                "n_iter": np.array([d["n_iter"] for d in diag], dtype=int),
+                "status": np.array([d["status"] for d in diag], dtype=str),
+                "degraded": np.array([sol.degraded for sol in ticks], dtype=bool)}
+    return SimTrace(times, states, positions, velocities, inputs, dist,
+                    phase, events, np.asarray(e_a, dtype=float), meta)
 
 
 @dataclass(frozen=True)
 class _TickStart:
-    """A flight without noise at the start of control tick k: its state,
-    time and touch-down arming, its lift-off time, and the recorder's lists
-    of rows and MPC solutions (None for open loop), of which the first
-    n_rows and k entries lie before the tick.  The flight only appends to
-    those lists, so an episode starts here by copying their heads."""
+    """A run_episode flight without noise (no touch-down watch) at the
+    start of control tick k: its lists of rows and MPC solutions (None for
+    open loop), of which the first n_rows and k entries lie before the
+    tick, and its lift-off time.  Row n_rows is the tick's first, recorded
+    before its first step, so its (t, x) is the resume point.  The flight
+    only appends to those lists, so an episode starts here by copying their
+    heads."""
     k: int
-    t: float
-    x: np.ndarray
-    armed: bool
-    t_lift: float
     n_rows: int
     rows: list
     solutions: list | None
+    t_lift: float
 
 
 class EpisodeAborted(RuntimeError):
@@ -237,18 +229,19 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
     cfg_sim = IntegratorConfig(n_sub=1)
     n = scenario.wall_normal
     n_x, n_y, n_z = n.tolist()
-    zero = np.zeros(3)
     meta = {"controller": controller, "dt_sim": dt_sim, "disturbance": dist.kind,
             "noise": noise is not None}
+    armed = False
     if start is None:
-        recorder = _Recorder(scenario, [], None if ctl is None else [])
-        x, t, events, armed = plan.rest_state.copy(), 0.0, {}, False
+        rows, ticks = [], (None if ctl is None else [])
+        x, t, events = plan.rest_state.copy(), 0.0, {}
     else:
-        recorder = _Recorder(scenario, start.rows[:start.n_rows],
-                             None if ctl is None else start.solutions[:start.k])
-        x, t, events, armed = start.x, start.t, {"lift_off": start.t_lift}, start.armed
+        rows = start.rows[:start.n_rows]
+        ticks = None if ctl is None else start.solutions[:start.k]
+        t, x = start.rows[start.n_rows][:2]
+        events = {"lift_off": start.t_lift}
         if ctl is not None and start.k:
-            ctl.prev_solution = recorder.ticks[-1]
+            ctl.prev_solution = ticks[-1]
 
     def advance(u, n_steps, h, phase, watch=False, disturbed=True):
         """n_steps steps of h under the held input u, its u[2:5] replaced by
@@ -256,14 +249,14 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
         nonlocal x, t, armed
         for _ in range(n_steps):
             d = dist.force_at(t - t_lift) if disturbed else None
-            recorder.add(t, x, u, zero if d is None else d, phase)
+            rows.append((t, x, u, d, phase))
             x = step_arrays(x, u if d is None else np.concatenate((u[:2], d, u[5:])),
                             h, cfg_sim, scenario)
             xs = x.tolist()
             if not all(map(math.isfinite, xs)):
                 msg = "simulation state became non-finite"
-                raise EpisodeAborted(msg, recorder.build(
-                    {"aborted": np.nan}, np.full(3, np.nan), {**meta, "error": msg}))
+                raise EpisodeAborted(msg, _trace(scenario, rows, ticks, {"aborted": np.nan},
+                                                 np.full(3, np.nan), {**meta, "error": msg}))
             t += h
             if watch:
                 # n.p - d_w on floats, p as position_arrays gives it.
@@ -283,7 +276,7 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
         if rng is not None:
             x_meas[3:] += rng.normal(0.0, noise.sigma)
         u, sol = ctl.command(x_meas, k)
-        recorder.ticks.append(sol)
+        ticks.append(sol)
         return u
 
     touched = False
@@ -295,8 +288,7 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
     t_lift = events["lift_off"]
     for k in range(0 if start is None else start.k, len(dt_plan) - 1):
         if marks is not None:
-            marks.append(_TickStart(k, t, x, armed, t_lift, len(recorder.rows),
-                                    recorder.rows, recorder.ticks))
+            marks.append(_TickStart(k, len(rows), rows, ticks, t_lift))
         u = tick_input(k)
         if advance(u, *_substeps(dt_plan[k + 1], dt_sim), PHASE_FLIGHT, landing):
             touched = True
@@ -312,23 +304,20 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
             u = np.zeros(6)
             u[:2] = np.clip(u_plan[-1, :2] + pull, -scenario.f_r_max, 0.0)
             touched = advance(u, round(MAX_HOLD / dt_sim), dt_sim, PHASE_HOLD, True)
-            if touched:
-                events["delayed_touch_down"] = t
+            events["delayed_touch_down" if touched else "no_touch_down"] = t
 
     p = position_arrays(x[0], x[1], x[2], scenario.d_a)
     e_a = plan.p_target - p
-    if not landing:
-        recorder.add(t, x, u, zero, PHASE_FLIGHT)
-        return recorder.build(events, e_a, meta)
-    meta["touch_down"] = touched
+    if landing:
+        meta["touch_down"] = touched
     if not touched:
-        events["no_touch_down"] = t
-        recorder.add(t, x, u, zero, PHASE_HOLD)
-        return recorder.build(events, e_a, meta)
+        rows.append((t, x, u, dist.force_at(t - t_lift), PHASE_HOLD if landing else PHASE_FLIGHT))
+        return _trace(scenario, rows, ticks, events, e_a, meta)
 
     # Contact phase: plastic normal stop at the plane, then the landing
-    # impedance settles the body against the wheels; lateral residuals are
-    # taken up by wheel damping (held here).
+    # impedance settles the body against the wheels under the ropes, gravity
+    # and the disturbance's normal part n.F; lateral residuals are taken up
+    # by wheel damping (held here).
     K = LANDING_STIFFNESS
     D = critically_damped_gain(K, scenario.mass)
     p_td = p - float(p @ n - scenario.d_w) * n      # snap to the contact plane
@@ -336,25 +325,25 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
     f_ext_n = float(n @ (scenario.mass * scenario.gravity
                          + a_l * u[0] + a_r * u[1]))
     s, s_dot = 0.0, 0.0                     # normal gap state after the stop
-    u_contact = u.copy()
-    u_contact[2:5] = 0.0
-    rows = []
+    contact, forces = [], []
     for _ in range(round(SETTLE_TIME / dt_sim)):
-        rows.append((t, *inverse_kinematics(p_td + s * n, scenario), s_dot))
+        contact.append((t, *inverse_kinematics(p_td + s * n, scenario), s_dot))
+        d = dist.force_at(t - t_lift)
+        forces.append(d)
         f_c = -K * s - D * s_dot
-        s_ddot = (f_c + f_ext_n) / scenario.mass
+        s_ddot = (f_c + (f_ext_n if d is None else f_ext_n + float(n @ d))) / scenario.mass
         s_dot += s_ddot * dt_sim
         s += s_dot * dt_sim
         t += dt_sim
     # The rates of the normal motion, q_dot = A_d(q)^-1 n s_dot, for all rows.
-    times, psi, l1, l2, s_dots = np.array(rows).reshape(-1, 5).T
+    times, psi, l1, l2, s_dots = np.array(contact).reshape(-1, 5).T
     q_dot = np.linalg.solve(jacobian_arrays(psi, l1, l2, scenario.d_a),
                             s_dots[:, None, None] * n[:, None])[..., 0]
-    for t_row, x_row in zip(times.tolist(), np.column_stack([psi, l1, l2, q_dot])):
-        recorder.add(t_row, x_row, u_contact, zero, PHASE_CONTACT)
+    for t_row, x_row, d in zip(times.tolist(), np.column_stack([psi, l1, l2, q_dot]), forces):
+        rows.append((t_row, x_row, u, d, PHASE_CONTACT))
     events["settled"] = t
     meta.update(stiffness=K, damping=D, early="early_touch_down" in events)
-    return recorder.build(events, e_a, meta)
+    return _trace(scenario, rows, ticks, events, e_a, meta)
 
 
 def run_episode(plan: JumpPlan, scenario: Scenario, controller: str = "mpc",
@@ -432,7 +421,7 @@ def _robustness_runs(plan, n_runs, scenario, seed, noise, controller, n_interval
     shared = max(range(n_runs), key=lambda r: runs[r][1].t_start)
     marks = []
     shared_flown = fly(runs[shared][1], None, marks=marks)
-    opens = [m.t - m.t_lift for m in marks]
+    opens = [m.rows[m.n_rows][0] - m.t_lift for m in marks]
     for run, (interval, spec, _) in enumerate(runs):
         if run == shared:
             yield (interval, *shared_flown)

@@ -435,11 +435,39 @@ class TestLandingEpisode:
                                           getattr(window, name)[window.times < t_end],
                                           err_msg=name)
         hold = const.phase == simulator.PHASE_HOLD
-        np.testing.assert_array_equal(const.disturbance[hold][:-1],
-                                      np.broadcast_to(vector, (hold.sum() - 1, 3)))
+        np.testing.assert_array_equal(const.disturbance[hold],
+                                      np.broadcast_to(vector, (hold.sum(), 3)))
         assert not np.any(window.disturbance[window.phase == simulator.PHASE_HOLD])
         assert "no_touch_down" in const.events and "delayed_touch_down" in window.events
         assert not np.array_equal(const.e_a, window.e_a)
+
+    def test_disturbance_acts_in_contact(self, frozen_track_plan):
+        # A constant force still acts after touch-down: its normal part n.F
+        # moves the landing impedance's gap by the critically damped step
+        # response to n.F / K, and the wheels hold the lateral part.  Under
+        # a window that closes at touch-down the landing is the same up to
+        # it and feels no force after it.
+        plan, vector = frozen_track_plan, np.array([-10.0, 0.0, 0.0])
+        const = self.land(plan, 0.22, disturbance=DisturbanceSpec("constant", vector))
+        t_td = const.events["delayed_touch_down"]
+        window = self.land(plan, 0.22, disturbance=DisturbanceSpec(
+            "impulsive", vector, t_start=0.0, duration=t_td - const.events["lift_off"]))
+        assert window.events == const.events
+        np.testing.assert_array_equal(window.phase, const.phase)
+        contact = const.phase == simulator.PHASE_CONTACT
+        for name in ("times", "states", "inputs", "disturbance"):
+            np.testing.assert_array_equal(getattr(const, name)[~contact],
+                                          getattr(window, name)[~contact], err_msg=name)
+        np.testing.assert_array_equal(const.disturbance[contact],
+                                      np.broadcast_to(vector, (contact.sum(), 3)))
+        assert not np.any(window.disturbance[contact])
+        n, K = SCEN.wall_normal, simulator.LANDING_STIFFNESS
+        dp = const.positions[contact] - window.positions[contact]
+        gap = dp @ n
+        np.testing.assert_allclose(dp, gap[:, None] * n, rtol=0.0, atol=1e-12)
+        tau = np.sqrt(K / SCEN.mass) * (const.times[contact] - t_td)
+        step = float(n @ vector) / K * (1.0 - np.exp(-tau) * (1.0 + tau))
+        np.testing.assert_allclose(gap, step, rtol=0.0, atol=3e-4)
 
     def test_non_finite_state_aborts(self, benchmark_plan, monkeypatch):
         nan_on_call(monkeypatch, 100)
@@ -560,6 +588,21 @@ class TestDisturbanceSpec:
         for spec in (DisturbanceSpec(), DisturbanceSpec("none", vector, t_start=0.25)):
             for t in (0.0, 0.25, 0.5):
                 assert spec.force_at(t) is None
+
+    def test_rows_record_the_force_at_their_time(self, frozen_track_plan):
+        # Every row after the thrust, the last one included, records
+        # force_at of its time from lift-off, although no step follows the
+        # last row.
+        vector = np.array([3.0, -4.0, -20.0])
+        for spec in (DisturbanceSpec("constant", vector),
+                     DisturbanceSpec("impulsive", vector, t_start=0.5, duration=1.0)):
+            trace = run_episode(frozen_track_plan, SCEN, controller="open_loop",
+                                disturbance=spec)
+            felt = [phase != simulator.PHASE_THRUST and spec.force_at(t) is not None
+                    for t, phase in zip(trace.times - trace.events["lift_off"], trace.phase)]
+            assert felt[-1]
+            np.testing.assert_array_equal(trace.disturbance,
+                                          np.where(np.array(felt)[:, None], vector, 0.0))
 
 
 class TestInputValidation:
