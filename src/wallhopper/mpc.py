@@ -16,8 +16,11 @@ iteration (Diehl, Bock & Schloeder, SIAM J. Control Optim. 2005): roll out
 the clipped, shifted warm start; take the residual Jacobian from
 integrator.rollout_jacobian, which reads it off one complex evaluation of
 the residuals themselves (see the integrator); take one bounded
-Gauss-Newton step through solve_nlp; roll out once more at the accepted
-point for the predicted positions.  MpcConfig.max_iter allows more steps
+Gauss-Newton step through solve_nlp (one QR factorisation and, when a
+rope bound is active, one nnls call: solvers.box_step); roll out once
+more at the accepted point for the predicted positions.  A non-finite or
+rank-deficient Jacobian degrades the tick, and a tick's diagnostics keep
+the seconds of its steps as step_s.  MpcConfig.max_iter allows more steps
 per tick.  A rollout is one rollout_arrays call on Python floats at
 sub-step resolution (integrator.substep_schedule), kept for the last
 point; the residuals and predictions read its knot_rows, and
@@ -186,10 +189,10 @@ class TrackingController:
             res = solve_nlp(problem)
             z = res.x
             diagnostics = {"status": res.status, "n_iter": res.n_iter,
-                           "objective": res.objective}
-        except RuntimeError as exc:  # non-finite residuals, or nnls at its iteration cap
+                           "objective": res.objective, "step_s": res.step_s}
+        except RuntimeError as exc:  # non-finite or rank-deficient, or nnls at its cap
             z, degraded = z0, True
-            diagnostics = {"status": "failed", "n_iter": 0, "error": str(exc)}
+            diagnostics = {"status": "failed", "n_iter": 0, "step_s": 0.0, "error": str(exc)}
         v = z.reshape(H, 3) * f_scale
         s = knot_rows(states_at(z), icfg)
         sol = MpcSolution(delta_left=v[:, 0], delta_right=v[:, 1], f_prop=v[:, 2],

@@ -37,7 +37,7 @@ n.p < 0).  A non-finite state raises EpisodeAborted at the failing step;
 its trace ends on the state that step started from and carries the event
 aborted.  A wall crossing is recorded, not aborted.  Every row's Cartesian velocity is
 A_d q_dot.  The meta of an MPC episode holds one entry per tick in the
-arrays tick_s, n_iter, status and degraded (MpcSolution.diagnostics).
+arrays tick_s, step_s, n_iter, status and degraded (MpcSolution.diagnostics).
 Rows keep references, not copies, to each step's state and to the input
 and disturbance held over a tick: nothing may mutate them later.
 
@@ -147,7 +147,7 @@ def _trace(scenario, rows, ticks, events, e_a, meta) -> SimTrace:
     MPC solutions (ticks, None for open loop): positions and velocities for
     all rows at once, the first sample with the CoM behind the wall plane
     as the wall_crossing event, and the ticks as the meta arrays tick_s,
-    n_iter, status and degraded."""
+    step_s, n_iter, status and degraded."""
     times = np.array([r[0] for r in rows])
     states = np.array([r[1] for r in rows]).reshape(-1, 6)
     inputs = np.array([r[2] for r in rows]).reshape(-1, 6)
@@ -165,6 +165,7 @@ def _trace(scenario, rows, ticks, events, e_a, meta) -> SimTrace:
         diag = [sol.diagnostics for sol in ticks]
         meta = {**meta,
                 "tick_s": np.array([d["tick_s"] for d in diag], dtype=float),
+                "step_s": np.array([d["step_s"] for d in diag], dtype=float),
                 "n_iter": np.array([d["n_iter"] for d in diag], dtype=int),
                 "status": np.array([d["status"] for d in diag], dtype=str),
                 "degraded": np.array([sol.degraded for sol in ticks], dtype=bool)}

@@ -5,9 +5,9 @@ Problem sizes here are tiny (at most a few hundred variables).  An NLP is
 either a smooth objective under bounds and inequality constraints, solved
 by SLSQP with the caller's gradient and constraint Jacobian, or a sum of
 squares 0.5 |r(x)|^2 under bounds only, solved by bounded Gauss-Newton:
-each step minimises the linearised residual |r + J dx|^2 in the box by
-bounded-variable least squares (BVLS, ``scipy.optimize.lsq_linear``), so
-one step solves a linear problem exactly and the caller's residual
+each step minimises the linearised residual |r + J dx|^2 in the box
+exactly, by one QR factorisation and, when a bound is active, one
+``scipy.optimize.nnls`` call (box_step), so the caller's residual
 Jacobian is the only derivative needed.  Stationarity is measured a
 posteriori: active_set_multipliers fits non-negative multipliers to the
 active constraints and bounds by least squares, and the reported KKT
@@ -34,6 +34,10 @@ STATUS_MAX_ITERS = "max_iters"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_FAILED = "failed"
+
+# box_step's least reciprocal condition of its columns scaled to unit
+# norm: below it the step would keep fewer than half its digits.
+RCOND_MIN = np.sqrt(np.finfo(float).eps)
 
 
 @dataclass
@@ -91,6 +95,7 @@ class NlpResult:
     n_iter: int
     constraint_violation: float
     kkt_s: float                   # seconds in active_set_multipliers
+    step_s: float                  # seconds in box_step
     message: str = ""
 
 
@@ -150,51 +155,107 @@ def solve_nlp(problem: NlpProblem) -> NlpResult:
         status = STATUS_MAX_ITERS
     return NlpResult(x=x, objective=float(problem.objective(x)), kkt_residual=resid,
                      status=status, n_iter=int(getattr(res, "nit", -1)),
-                     constraint_violation=violation, kkt_s=kkt_s, message=str(res.message))
+                     constraint_violation=violation, kkt_s=kkt_s, step_s=0.0,
+                     message=str(res.message))
 
 
 def _finite(values, what: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
-        # BVLS does not return on NaN input (LAPACK DLASCL error), so stop here.
+        # Stop before a NaN reaches the QR or nnls of the box step, whose
+        # answer on it would mean nothing.
         raise RuntimeError(f"non-finite {what}")
     return values
+
+
+def box_step(J: np.ndarray, r: np.ndarray, lower: np.ndarray,
+             upper: np.ndarray) -> np.ndarray:
+    """The minimiser d of |r + J d| subject to lower <= d <= upper, for a
+    box that holds d = 0 (bounds may be infinite or equal).
+
+    A column that is fixed (lower == upper) or exactly zero gets a step of
+    0.  The other columns are QR-factorised, J = Q R; if the unconstrained
+    minimiser d0 = -R^-1 Q'r lies in the box it is the step.  Otherwise,
+    with the finite bounds written G d >= h, the step is d0 + R^-1 y for
+    the y of least norm with G R^-1 y >= h - G d0, found by one nnls call
+    (least distance programming; Lawson & Hanson, Solving Least Squares
+    Problems, 1974, ch. 23).
+    Raises RuntimeError if those columns are linearly dependent, or so
+    nearly that their reciprocal condition is at most RCOND_MIN.
+    """
+    d = np.zeros(J.shape[1])
+    cols = (lower < upper) & np.any(J != 0.0, axis=0)
+    if not cols.any():
+        return d
+    Q, R = np.linalg.qr(J[:, cols])
+    # The 1-norm condition of R with unit columns (R's column norms are
+    # J's), exactly, from R^-1.  A wide R, or a zero on its diagonal, has
+    # dependent columns.
+    rcond = 0.0
+    if R.shape[0] == R.shape[1] and np.all(np.diag(R) != 0.0):
+        norms = np.linalg.norm(R, axis=0)
+        R_inv = np.linalg.inv(R)
+        rcond = 1.0 / (np.abs(R / norms).sum(axis=0).max()
+                       * np.abs(norms[:, None] * R_inv).sum(axis=0).max())
+    if not rcond > RCOND_MIN:
+        raise RuntimeError(f"rank-deficient residual Jacobian: its moving columns are "
+                           f"linearly dependent (reciprocal condition {rcond:.1e})")
+    d0 = -R_inv @ (Q.T @ r)
+    lo, hi = lower[cols], upper[cols]
+    if np.all((lo <= d0) & (d0 <= hi)):
+        d[cols] = d0
+        return d
+    # G's rows are e_i for the finite lower and -e_i for the finite upper
+    # bounds.  With E = G R^-1 and f = h - G d0, nnls fits w >= 0 to
+    # [E'; f'] w = (0, 1), and y = E'w / (1 - f'w).
+    at_lo, at_hi = np.isfinite(lo), np.isfinite(hi)
+    E = np.vstack([R_inv[at_lo], -R_inv[at_hi]])
+    f = np.concatenate([(lo - d0)[at_lo], (d0 - hi)[at_hi]])
+    rhs = np.zeros(R.shape[0] + 1)
+    rhs[-1] = 1.0
+    w = optimize.nnls(np.vstack([E.T, f]), rhs)[0]
+    gap = 1.0 - f @ w
+    if not gap > 0.0:                   # the box holds d = 0, so it is never empty
+        raise RuntimeError("box step: bounds found inconsistent")
+    d[cols] = np.clip(d0 + R_inv @ (E.T @ w) / gap, lo, hi)
+    return d
 
 
 def _gauss_newton(problem: NlpProblem) -> NlpResult:
     """At most max_iter bounded Gauss-Newton steps from the clipped x0.
 
     Each step evaluates the residual Jacobian once, stops if the point is
-    stationary to tol_stat, and otherwise moves to the BVLS minimiser of
-    the linearised residual in the box.  The last residuals call is at the
-    returned point.  After max_iter steps the Jacobian at that point has not
-    been evaluated, so kkt_residual is NaN.
-    Raises RuntimeError on non-finite residuals or Jacobian.
+    stationary to tol_stat, and otherwise moves to the minimiser of the
+    linearised residual in the box (box_step, undamped).  The last
+    residuals call is at the returned point.  After max_iter steps the
+    Jacobian at that point has not been evaluated, so kkt_residual is NaN.
+    Raises RuntimeError on non-finite residuals or Jacobian, and on a
+    rank-deficient Jacobian.
     """
     lo, hi = problem.lower, problem.upper
-    free = lo < hi                      # lsq_linear rejects equal bounds
     x = np.clip(problem.x0, lo, hi)
     r = _finite(problem.residuals(x), "residuals")
-    status, resid, kkt_s = STATUS_MAX_ITERS, np.nan, 0.0
+    status, resid, kkt_s, step_s = STATUS_MAX_ITERS, np.nan, 0.0, 0.0
     for n_iter in range(problem.max_iter):
         J = _finite(problem.residuals_jac(x), "residual Jacobian")
         grad = J.T @ r
         t0 = time.perf_counter()
         resid = active_set_multipliers(problem, x, grad)
-        kkt_s += time.perf_counter() - t0
+        t1 = time.perf_counter()
+        kkt_s += t1 - t0
         if resid <= problem.tol_stat:
             status = STATUS_OPTIMAL
             break
-        box = ((lo - x)[free], (hi - x)[free])
-        step = np.zeros_like(x)
-        step[free] = optimize.lsq_linear(J[:, free], -r, bounds=box, method="bvls").x
+        step = box_step(J, r, lo - x, hi - x)
+        step_s += time.perf_counter() - t1
         x = np.clip(x + step, lo, hi)
         r = _finite(problem.residuals(x), "residuals")
         resid = np.nan
     else:
         n_iter = problem.max_iter
     return NlpResult(x=x, objective=0.5 * float(r @ r), kkt_residual=resid,
-                     status=status, n_iter=n_iter, constraint_violation=0.0, kkt_s=kkt_s)
+                     status=status, n_iter=n_iter, constraint_violation=0.0,
+                     kkt_s=kkt_s, step_s=step_s)
 
 
 @dataclass

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from wallhopper import integrator
 from wallhopper.model import Scenario
@@ -45,3 +46,16 @@ def substep_calls(monkeypatch):
 
     monkeypatch.setattr(integrator, "substep_arrays", counted)
     return calls
+
+
+@pytest.fixture
+def bvls_step():
+    """scipy's BVLS as the oracle for solvers.box_step: the minimiser d of
+    |r + J d| over lower <= d <= upper, fixed variables left at 0."""
+    def step(J, r, lower, upper):
+        free = lower < upper             # lsq_linear rejects equal bounds
+        d = np.zeros(J.shape[1])
+        d[free] = optimize.lsq_linear(J[:, free], -r, bounds=(lower[free], upper[free]),
+                                      method="bvls").x
+        return d
+    return step

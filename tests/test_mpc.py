@@ -1,8 +1,8 @@
 """Flight MPC: one tick per plan knot (the knot's feed-forward, the
 horizon's window of the plan's schedule and the tick range), the config
 checks, the warm start rule, the degraded path when the solver fails, the
-real-time iteration against its oracles, and closed-loop tracking of the
-benchmark jump."""
+real-time iteration against its oracles, its box steps against scipy's
+BVLS, and closed-loop tracking of the benchmark jump."""
 
 import dataclasses
 
@@ -22,6 +22,7 @@ from wallhopper.planner import JumpPlan
 from wallhopper.simulator import DisturbanceSpec, run_episode
 
 SCEN = Scenario()
+DISTURBED = DisturbanceSpec("constant", [0.0, 0.0, -20.0])
 
 
 def solution(rows):
@@ -268,21 +269,42 @@ class TestRealTimeIteration:
             expected[5] = sol.f_prop[0]
             np.testing.assert_array_equal(u, expected)
 
-    def test_out_of_domain_tick_degrades_before_bvls(self, frozen_track_plan, monkeypatch):
+    def test_out_of_domain_tick_degrades_before_the_box_step(self, frozen_track_plan,
+                                                              monkeypatch):
         # Both ropes reeling in at 30 m/s carry the warm start through the
         # anchor line (r^2 <= 0) within the horizon.
-        lsq_linear = optimize.lsq_linear
+        qr, nnls = np.linalg.qr, solvers.optimize.nnls
 
-        def finite_only(A, b, *args, **kwargs):
-            assert np.all(np.isfinite(A)) and np.all(np.isfinite(b)), "NaN reached BVLS"
-            return lsq_linear(A, b, *args, **kwargs)
+        def finite_only(solve):
+            def checked(A, *args, **kwargs):
+                arrays = (A,) + tuple(a for a in args if isinstance(a, np.ndarray))
+                assert all(np.all(np.isfinite(a)) for a in arrays), "NaN reached the step"
+                return solve(A, *args, **kwargs)
+            return checked
 
-        monkeypatch.setattr(solvers.optimize, "lsq_linear", finite_only)
+        monkeypatch.setattr(np.linalg, "qr", finite_only(qr))
+        monkeypatch.setattr(solvers.optimize, "nnls", finite_only(nnls))
         _, sol = perturbed_tick(frozen_track_plan, monkeypatch, rates=(0.0, -30.0, -30.0))
         assert sol.degraded
         assert sol.diagnostics["status"] == "failed"
         assert "non-finite" in sol.diagnostics["error"]
         assert not np.all(np.isfinite(sol.predicted_positions))
+
+    def test_rank_deficient_tick_degrades(self, frozen_track_plan, monkeypatch):
+        # The first step's left rope column copied onto its right rope's:
+        # the step cannot tell the two apart.
+        rollout_jacobian = mpc.rollout_jacobian
+
+        def dependent(*args):
+            J = rollout_jacobian(*args)
+            J[:, 1] = J[:, 0]
+            return J
+
+        monkeypatch.setattr(mpc, "rollout_jacobian", dependent)
+        _, sol = perturbed_tick(frozen_track_plan, monkeypatch)
+        assert sol.degraded
+        assert (sol.diagnostics["status"], sol.diagnostics["step_s"]) == ("failed", 0.0)
+        assert "rank-deficient" in sol.diagnostics["error"]
 
     def test_step_never_raises_the_cost(self, frozen_track_plan, monkeypatch):
         costs = []
@@ -294,11 +316,67 @@ class TestRealTimeIteration:
             return res
 
         monkeypatch.setattr(mpc, "solve_nlp", checked)
-        run_episode(frozen_track_plan, SCEN, controller="mpc",
-                    disturbance=DisturbanceSpec("constant", [0.0, 0.0, -20.0]))
+        run_episode(frozen_track_plan, SCEN, controller="mpc", disturbance=DISTURBED)
         stepped, warm = np.array(costs).T
         assert stepped.size == TrackingController(frozen_track_plan, SCEN).n_ticks
         assert np.all(stepped <= warm)
+
+
+def record_box_steps(monkeypatch):
+    """Wrap solvers.box_step and nnls: one (J, r, lower, upper, step, nnls
+    calls made inside the step) per step, and the count of every nnls call
+    and of those made by active_set_multipliers."""
+    steps, count = [], {"nnls": 0, "kkt": 0}
+    nnls, box_step, fit = (solvers.optimize.nnls, solvers.box_step,
+                           solvers.active_set_multipliers)
+
+    def counted_nnls(*args, **kwargs):
+        count["nnls"] += 1
+        return nnls(*args, **kwargs)
+
+    def recorded_step(J, r, lower, upper):
+        before = count["nnls"]
+        d = box_step(J, r, lower, upper)
+        steps.append((J, r, lower, upper, d, count["nnls"] - before))
+        return d
+
+    def counted_fit(*args, **kwargs):
+        before = count["nnls"]
+        resid = fit(*args, **kwargs)
+        count["kkt"] += count["nnls"] - before
+        return resid
+
+    def no_bvls(*args, **kwargs):
+        raise AssertionError("lsq_linear called")
+
+    monkeypatch.setattr(solvers.optimize, "nnls", counted_nnls)
+    monkeypatch.setattr(solvers.optimize, "lsq_linear", no_bvls)
+    monkeypatch.setattr(solvers, "box_step", recorded_step)
+    monkeypatch.setattr(solvers, "active_set_multipliers", counted_fit)
+    return steps, count
+
+
+def test_saturated_episode_makes_one_nnls_call_per_step(frozen_track_plan, monkeypatch):
+    # Under -20 N rope bounds are active on several ticks; each step costs
+    # one QR and at most one nnls call, and scipy's BVLS is never called.
+    steps, count = record_box_steps(monkeypatch)
+    meta = run_episode(frozen_track_plan, SCEN, controller="mpc", disturbance=DISTURBED).meta
+    calls = np.array([s[-1] for s in steps])
+    assert calls.size == meta["n_iter"].sum() > 0
+    assert set(calls) == {0, 1}
+    assert count["nnls"] == count["kkt"] + calls.sum()
+    assert not np.any(meta["degraded"])
+
+
+@pytest.mark.parametrize("disturbance", [None, DISTURBED], ids=["undisturbed", "-20N"])
+def test_episode_steps_match_bvls(frozen_track_plan, monkeypatch, bvls_step, disturbance):
+    steps, _ = record_box_steps(monkeypatch)
+    meta = run_episode(frozen_track_plan, SCEN, controller="mpc",
+                       disturbance=disturbance).meta
+    assert len(steps) == meta["n_iter"].sum()
+    monkeypatch.undo()                   # BVLS back, for the oracle
+    for J, r, lower, upper, d, _ in steps:
+        np.testing.assert_allclose(d, bvls_step(J, r, lower, upper), rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("module", [planner, mpc])

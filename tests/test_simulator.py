@@ -2,8 +2,9 @@
 trace, wall crossings, reproducibility and error handling of the
 robustness batch, its shared undisturbed flight against one run_episode
 per run, the landing episode's phases and events, the MPC ticks (one per
-plan knot) recorded in the trace, aborts at a non-finite state,
-measurement noise, the landing damping and the input checks."""
+plan knot, with the seconds of their steps) recorded in the trace, aborts
+at a non-finite state, measurement noise, the landing damping and the
+input checks."""
 
 import json
 
@@ -480,7 +481,7 @@ class TestLandingEpisode:
 
 
 class TestTickMeta:
-    KEYS = ("tick_s", "n_iter", "status", "degraded")
+    KEYS = ("tick_s", "step_s", "n_iter", "status", "degraded")
 
     def test_one_entry_per_tick(self, frozen_track_plan):
         meta = run_episode(frozen_track_plan, SCEN, controller="mpc").meta
@@ -520,6 +521,18 @@ class TestTickMeta:
         meta = run_episode(frozen_track_plan, SCEN, controller="mpc").meta
         np.testing.assert_array_equal(np.flatnonzero(meta["degraded"]), [2])
         assert (meta["status"][2], meta["n_iter"][2]) == ("failed", 0)
+        assert meta["step_s"][2] == 0.0
+
+    def test_step_seconds_lie_within_the_tick(self, frozen_track_plan):
+        # Under -20 N the MPC steps on most ticks, with rope bounds active
+        # on some; a tick that makes no step spends no time in one.
+        meta = run_episode(frozen_track_plan, SCEN, controller="mpc",
+                           disturbance=DisturbanceSpec("constant", [0.0, 0.0, -20.0])).meta
+        stepped = meta["n_iter"] > 0
+        assert 0 < np.count_nonzero(stepped) < stepped.size
+        assert np.all(meta["step_s"][~stepped] == 0.0)
+        assert np.all(meta["step_s"][stepped] > 0.0)
+        assert np.all(meta["step_s"] < meta["tick_s"])
 
 
 class TestMeasurementNoise:

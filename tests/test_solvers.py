@@ -1,16 +1,19 @@
 """NLP and LP solver checks against enumeration-based brute-force oracles:
-SLSQP for objectives, bounded Gauss-Newton for residuals, HiGHS for LPs."""
+SLSQP for objectives, bounded Gauss-Newton and its box step for residuals
+(scipy's BVLS as a second oracle), HiGHS for LPs."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from wallhopper import solvers
 from wallhopper.solvers import (
     STATUS_MAX_ITERS,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     NlpProblem,
+    box_step,
     solve_lp,
     solve_nlp,
 )
@@ -197,6 +200,18 @@ class TestGaussNewton:
         assert np.isnan(res.kkt_residual)
         assert res.objective == pytest.approx(0.5 * np.sum(rosenbrock(res.x) ** 2))
 
+    def test_step_seconds(self):
+        p = NlpProblem(residuals=rosenbrock, residuals_jac=rosenbrock_jac,
+                       x0=np.array([-1.2, 1.0]), max_iter=20)
+        res = solve_nlp(p)
+        assert res.n_iter > 0 and res.step_s > 0.0
+        at_optimum = solve_nlp(NlpProblem(residuals=rosenbrock, residuals_jac=rosenbrock_jac,
+                                          x0=np.ones(2)))
+        assert (at_optimum.n_iter, at_optimum.step_s) == (0, 0.0)
+        slsqp = solve_nlp(NlpProblem(objective=lambda x: float(x @ x),
+                                     gradient=lambda x: 2.0 * x, x0=np.ones(2)))
+        assert slsqp.step_s == 0.0
+
     def test_fixed_variable_stays(self):
         p = NlpProblem(residuals=rosenbrock, residuals_jac=rosenbrock_jac,
                        x0=np.array([-1.2, 1.0]), lower=np.array([-1.2, -np.inf]),
@@ -238,6 +253,90 @@ class TestGaussNewton:
                        **{name: value})
         NlpProblem(residuals=rosenbrock, residuals_jac=rosenbrock_jac, x0=np.zeros(2),
                    **{name: 0.0})
+
+
+def box_problem(rng, m=10, n=9):
+    """A linearised residual r + J d over a box around d = 0 with exactly
+    zero columns (1, 4), a fixed variable (6), infinite bounds (one-sided
+    on 0 and 2, none on 3) and residuals large enough to press the step
+    against bounds on both sides."""
+    J = rng.normal(size=(m, n))
+    J[:, [1, 4]] = 0.0
+    r = 5.0 * rng.normal(size=m)
+    lower = -rng.uniform(0.05, 0.5, size=n)
+    upper = rng.uniform(0.05, 0.5, size=n)
+    lower[[0, 3]] = -np.inf
+    upper[[2, 3]] = np.inf
+    lower[6] = upper[6] = 0.0
+    return J, r, lower, upper
+
+
+class TestBoxStep:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_oracles(self, seed, bvls_step):
+        J, r, lower, upper = box_problem(np.random.default_rng(100 + seed))
+        d = box_step(J, r, lower, upper)
+        assert d[1] == d[4] == d[6] == 0.0
+        assert np.all((lower <= d) & (d <= upper))
+        # Bounds hold the step back on both sides.
+        assert np.any(np.isclose(d, lower, rtol=0, atol=1e-12))
+        assert np.any(np.isclose(d, upper, rtol=0, atol=1e-12))
+        np.testing.assert_allclose(d, projected_gradient_box(J.T @ J, J.T @ r, lower, upper),
+                                   rtol=0, atol=1e-8)
+        # The moving columns alone as a QP with the finite bounds as rows.
+        cols = np.flatnonzero((lower < upper) & np.any(J != 0.0, axis=0))
+        eye = np.eye(cols.size)
+        lo, hi = lower[cols], upper[cols]
+        G = np.vstack([-eye[np.isfinite(lo)], eye[np.isfinite(hi)]])
+        h = np.concatenate([-lo[np.isfinite(lo)], hi[np.isfinite(hi)]])
+        A = J[:, cols]
+        np.testing.assert_allclose(d[cols], active_set_enumeration(A.T @ A, A.T @ r, G, h),
+                                   rtol=0, atol=1e-8)
+        np.testing.assert_allclose(d, bvls_step(J, r, lower, upper), rtol=0, atol=1e-10)
+
+    def test_interior_minimiser_needs_no_nnls(self, monkeypatch, bvls_step):
+        J, r, lower, upper = box_problem(np.random.default_rng(7))
+        r *= 1e-3
+        monkeypatch.setattr(solvers.optimize, "nnls", None)
+        d = box_step(J, r, lower, upper)
+        assert np.all((lower < d) & (d < upper) | (lower == upper) | ~np.any(J, axis=0))
+        np.testing.assert_allclose(d, bvls_step(J, r, lower, upper), rtol=0, atol=1e-12)
+
+    def test_nothing_moves(self):
+        J = np.zeros((3, 2))
+        J[:, 0] = 1.0
+        d = box_step(J, np.ones(3), np.zeros(2), np.array([0.0, 1.0]))
+        np.testing.assert_array_equal(d, [0.0, 0.0])
+
+    @pytest.mark.parametrize("combine", [lambda a, b: 2.0 * a, lambda a, b: a - 3.0 * b])
+    def test_dependent_columns_raise(self, combine):
+        J, r, lower, upper = box_problem(np.random.default_rng(3))
+        J[:, 5] = combine(J[:, 0], J[:, 7])
+        with pytest.raises(RuntimeError, match="rank-deficient"):
+            box_step(J, r, lower, upper)
+        # Through solve_nlp, from a linear residual with that Jacobian.
+        p = NlpProblem(residuals=lambda x: r + J @ x, residuals_jac=lambda x: J,
+                       x0=np.zeros(J.shape[1]), lower=lower, upper=upper)
+        with pytest.raises(RuntimeError, match="rank-deficient"):
+            solve_nlp(p)
+
+    def test_exactly_singular_factor_raises(self):
+        # A repeated unit column leaves an exact zero on R's diagonal.
+        J = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(RuntimeError, match="rank-deficient"):
+            box_step(J, np.ones(3), -np.ones(3), np.ones(3))
+
+    def test_more_moving_columns_than_rows_raise(self):
+        J, r, lower, upper = box_problem(np.random.default_rng(5), m=5)
+        with pytest.raises(RuntimeError, match="rank-deficient"):
+            box_step(J, r, lower, upper)
+
+    def test_badly_scaled_columns_are_not_dependent(self):
+        J, r, lower, upper = box_problem(np.random.default_rng(4))
+        scale = 10.0 ** np.arange(-4, 5)
+        d = box_step(J * scale, r, lower / scale, upper / scale)
+        np.testing.assert_allclose(d * scale, box_step(J, r, lower, upper),
+                                   rtol=0, atol=1e-10)
 
 
 def vertex_enumeration(c, A, b, lo, hi):
