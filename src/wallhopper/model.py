@@ -328,6 +328,14 @@ def inverse_kinematics(p, scenario: Scenario) -> tuple[float, float, float]:
     return psi, l1, l2
 
 
+def cross(a, b) -> np.ndarray:
+    """a x b over the last axis, rows broadcast: np.cross's products and
+    differences written out by components, without its per-call cost."""
+    a0, a1, a2 = np.asarray(a, dtype=float).T
+    b0, b1, b2 = np.asarray(b, dtype=float).T
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]).T
+
+
 def tangent_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic tangent pair (t1, t2): Gram-Schmidt of world Y against
     the normal (world X fallback when nearly parallel), t2 = n x t1."""
@@ -337,7 +345,7 @@ def tangent_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         seed = np.array([1.0, 0.0, 0.0])
     t1 = seed - (seed @ n) * n
     t1 /= np.linalg.norm(t1)
-    return t1, np.cross(n, t1)
+    return t1, cross(n, t1)
 
 
 def rope_axes(p, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:

@@ -63,6 +63,7 @@ class HPolytope:
 class MarginResult:
     gamma: float
     status: str                     # "ok" | "infeasible_origin" | "unbounded"
+    lp_s: float = 0.0               # seconds in solve_lp (margin_at only)
 
 
 def _lexsorted(points: np.ndarray) -> np.ndarray:

@@ -13,10 +13,13 @@ posteriori: active_set_multipliers fits non-negative multipliers to the
 active constraints and bounds by least squares, and the reported KKT
 residual is the largest entry of the Lagrangian gradient they leave.
 
-The LP path is one thin call to HiGHS through ``scipy.optimize.linprog``:
-``solve_lp`` takes linprog's own arguments, leaves variables free unless
-bounds are given, and maps linprog's ending to one of the status strings
-below (optimal, unbounded, infeasible, max_iters, failed).
+The LP path is one thin call to HiGHS through ``scipy.optimize.milp`` with
+no integer variables: ``solve_lp`` takes linprog's arguments, leaves
+variables free unless bounds are given, and maps HiGHS's ending to one of
+the status strings below (optimal, unbounded, infeasible, max_iters,
+failed).  milp runs the same HiGHS wrapper and status mapping as
+``linprog(method="highs")`` but checks one HiGHS option instead of five,
+and those checks cost more than HiGHS itself on the margin LPs.
 """
 
 from __future__ import annotations
@@ -268,14 +271,29 @@ class LpResult:
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LpResult:
     """Minimise c.x subject to A_ub x <= b_ub and A_eq x = b_eq.
 
-    The arguments are linprog's own; bounds default to free variables
-    (not linprog's x >= 0).
+    The arguments are linprog's own: bounds are (lower, upper) pairs with
+    None for no bound, and default to free variables (not linprog's
+    x >= 0).  HiGHS gets the rows in linprog's order, inequalities first,
+    so it returns linprog's answer to the last bit; only linprog's re-check
+    of an optimal point against the rows, at 3e-4, is not repeated.
     """
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    if bounds is None:
-        bounds = [(None, None)] * c.size
-    res = optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                           bounds=bounds, method="highs")
+    lower, upper = -np.inf, np.inf
+    if bounds is not None:
+        lower, upper = np.array(bounds, dtype=float).T       # None -> nan
+        lower = np.where(np.isnan(lower), -np.inf, lower)
+        upper = np.where(np.isnan(upper), np.inf, upper)
+    blocks = []                                      # (rows, lower, upper)
+    if A_ub is not None:
+        b_ub = np.atleast_1d(np.asarray(b_ub, dtype=float))
+        blocks.append((A_ub, np.full(b_ub.size, -np.inf), b_ub))
+    if A_eq is not None:
+        blocks.append((A_eq, b_eq, b_eq))
+    constraints = None
+    if blocks:
+        A, row_lower, row_upper = (np.concatenate(part) for part in zip(*blocks))
+        constraints = optimize.LinearConstraint(A, row_lower, row_upper)
+    res = optimize.milp(c, bounds=optimize.Bounds(lower, upper), constraints=constraints)
     if res.status == 0:
         return LpResult(res.x, float(res.fun), STATUS_OPTIMAL)
     if res.status == 3:

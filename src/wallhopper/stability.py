@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Scenario, tangent_frame
+from .model import Scenario, cross, tangent_frame
 # directional_margin is re-exported as the hull-based reference for margin_at.
 from .polytopes import (DegeneracyError, HPolytope, MarginResult, VPolytope,
                         convex_hull, directional_margin, v_to_h)
@@ -124,9 +124,8 @@ def rope_force_polytope(axis, f_r_max: float) -> VPolytope:
 def lift_to_wrench(force_vertices: np.ndarray, application_point) -> np.ndarray:
     """Map force vertices f to 6D wrench vertices (f, p x f) about the CoM;
     p is one point, or one point per force row."""
-    p = np.asarray(application_point, dtype=float)
     f = np.atleast_2d(np.asarray(force_vertices, dtype=float))
-    return np.hstack([f, np.cross(np.broadcast_to(p, f.shape), f)])
+    return np.hstack([f, cross(application_point, f)])
 
 
 @dataclass(frozen=True)
@@ -188,33 +187,38 @@ def margin_at(p, v_hat, scenario: Scenario) -> MarginResult:
     The FWP is convex, so it holds the whole segment from w to
     w + gamma v_hat.  The LP is infeasible exactly when no admissible
     lambda balances w; the cell then reports "infeasible_origin".
+
+    G comes from one lift_to_wrench call and is written in place, twice,
+    into the zeroed LP matrix below its 4 wheel-sum rows, so a cell makes
+    no np.cross, np.repeat or vstack call.  lp_s is the seconds spent in
+    solve_lp.
     """
     v_hat = _check_direction(v_hat)
     cs = contact_geometry(p, scenario)
     corners = _pyramid_corners(*cs.tangents, cs.contact_normal, cs.mu, cs.f_leg_max)
-    forces = np.vstack([corners, corners, -cs.f_r_max * cs.axis_left,
-                        -cs.f_r_max * cs.axis_right])
-    points = np.repeat([cs.wheel_left, cs.wheel_right, cs.hoist_left, cs.hoist_right],
-                       [4, 4, 1, 1], axis=0)
+    forces = np.concatenate([corners, corners,
+                             -cs.f_r_max * np.array([cs.axis_left, cs.axis_right])])
+    points = np.array([cs.wheel_left] * 4 + [cs.wheel_right] * 4
+                      + [cs.hoist_left, cs.hoist_right])
     G = lift_to_wrench(forces, points).T
     n = G.shape[1]
-    wheel_sums = np.zeros((4, 2 * n + 1))
+    A = np.zeros((16, 2 * n + 1))          # 4 wheel sums, then 12 equalities
     for row, first in enumerate((0, 4, n, n + 4)):
-        wheel_sums[row, first:first + 4] = 1.0
-    A_eq = np.zeros((12, 2 * n + 1))
-    A_eq[:6, :n] = A_eq[6:, n:2 * n] = G
-    A_eq[6:, -1] = -v_hat
+        A[row, first:first + 4] = 1.0
+    A[4:10, :n] = A[10:, n:2 * n] = G
+    A[10:, -1] = -v_hat
     w = load_wrench(scenario)
-    res = solve_lp(np.append(np.zeros(2 * n), -1.0),
-                   A_ub=wheel_sums, b_ub=np.ones(4), A_eq=A_eq,
-                   b_eq=np.concatenate([w, w]),
+    t0 = time.perf_counter()
+    res = solve_lp(np.append(np.zeros(2 * n), -1.0), A_ub=A[:4], b_ub=np.ones(4),
+                   A_eq=A[4:], b_eq=np.concatenate([w, w]),
                    bounds=[(0.0, 1.0)] * (2 * n) + [(0.0, None)])
+    lp_s = time.perf_counter() - t0
     if res.status == STATUS_INFEASIBLE:
-        return MarginResult(0.0, "infeasible_origin")
+        return MarginResult(0.0, "infeasible_origin", lp_s)
     if res.status != STATUS_OPTIMAL:
         # The weights are bounded, so gamma is too: this is a solver failure.
         raise CellError(f"margin LP ended {res.status}")
-    return MarginResult(float(res.x[-1]), "ok")
+    return MarginResult(float(res.x[-1]), "ok", lp_s)
 
 
 @dataclass(frozen=True)
@@ -239,6 +243,7 @@ class HeatmapResult:
     feasible: np.ndarray           # (ny, nz) bool
     errors: list
     cell_s: np.ndarray             # (ny, nz) seconds of each cell (perf_counter)
+    lp_s: np.ndarray               # (ny, nz) seconds of its LP; 0 on a CellError
     endings: dict                  # cells per ending: ok, infeasible_origin, CellError
 
 
@@ -252,6 +257,7 @@ def margin_heatmap(grid: HeatmapGrid, v_hat, scenario: Scenario) -> HeatmapResul
     gamma = np.zeros((ny, nz))
     feasible = np.zeros((ny, nz), dtype=bool)
     cell_s = np.zeros((ny, nz))
+    lp_s = np.zeros((ny, nz))
     endings = dict.fromkeys(("ok", "infeasible_origin", "CellError"), 0)
     errors = []
     for i, y in enumerate(grid.y_values):
@@ -260,7 +266,7 @@ def margin_heatmap(grid: HeatmapGrid, v_hat, scenario: Scenario) -> HeatmapResul
             t0 = time.perf_counter()
             try:
                 res = margin_at(p, v_hat, scenario)
-                status = res.status
+                status, lp_s[i, j] = res.status, res.lp_s
             except CellError as exc:
                 errors.append((i, j, str(exc)))
                 status = "CellError"
@@ -269,4 +275,5 @@ def margin_heatmap(grid: HeatmapGrid, v_hat, scenario: Scenario) -> HeatmapResul
             if status == "ok":
                 gamma[i, j] = res.gamma
                 feasible[i, j] = True
-    return HeatmapResult(grid, v_hat, gamma, feasible, errors, cell_s, endings)
+    return HeatmapResult(grid, v_hat, gamma, feasible, errors, cell_s, lp_s,
+                         endings)

@@ -1,14 +1,18 @@
 """NLP and LP solver checks against enumeration-based brute-force oracles:
 SLSQP for objectives, bounded Gauss-Newton and its box step for residuals
-(scipy's BVLS as a second oracle), HiGHS for LPs."""
+(scipy's BVLS as a second oracle), HiGHS for LPs (linprog as the oracle of
+the milp call)."""
 
 import itertools
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from wallhopper import solvers
 from wallhopper.solvers import (
+    STATUS_FAILED,
+    STATUS_INFEASIBLE,
     STATUS_MAX_ITERS,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
@@ -392,3 +396,46 @@ class TestLp:
             _, val_ref = vertex_enumeration(c, A, b, lo, hi)
             assert res.value == pytest.approx(val_ref, abs=1e-7)
             assert np.all(A @ res.x <= b + 1e-8)
+
+    def test_matches_linprog(self):
+        # Equalities and inequalities together, free, one-sided and boxed
+        # variables: the milp call hands HiGHS what linprog(method="highs")
+        # hands it, so both give the same answer to the last bit.
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            n = 6
+            c = rng.normal(size=n)
+            A_ub, b_ub = rng.normal(size=(5, n)), rng.uniform(0.2, 1.0, size=5)
+            A_eq, b_eq = rng.normal(size=(2, n)), rng.normal(size=2)
+            bounds = [(None, None), (0.0, None), (None, 1.0)] + [(-2.0, 2.0)] * 3
+            ours = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+            ref = optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                                   bounds=bounds, method="highs")
+            assert ref.status == 0 and ours.status == STATUS_OPTIMAL
+            assert np.array_equal(ours.x, ref.x)
+            assert ours.value == ref.fun
+
+    @pytest.mark.parametrize("ending, status", [
+        (0, STATUS_OPTIMAL), (1, STATUS_MAX_ITERS), (2, STATUS_INFEASIBLE),
+        (3, STATUS_UNBOUNDED), (4, STATUS_FAILED)])
+    def test_highs_endings(self, monkeypatch, ending, status):
+        def stub(c, **kwargs):
+            solved = ending == 0
+            return optimize.OptimizeResult(status=ending, message="stub",
+                                           x=np.ones(1) if solved else None,
+                                           fun=-1.0 if solved else None)
+
+        monkeypatch.setattr(solvers.optimize, "milp", stub)
+        res = solve_lp([-1.0], A_ub=[[1.0]], b_ub=[1.0])
+        assert res.status == status
+        assert (res.x is not None) == (status == STATUS_OPTIMAL)
+
+    def test_never_calls_linprog(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_lp called optimize.linprog")
+
+        monkeypatch.setattr(solvers.optimize, "linprog", forbidden)
+        assert solve_lp([-1.0], A_ub=[[1.0]], b_ub=[1.0]).status == STATUS_OPTIMAL
+        assert solve_lp([-1.0]).status == STATUS_UNBOUNDED
+        assert solve_lp([1.0, 1.0], A_eq=[[1.0, -1.0]], b_eq=[1.0],
+                        bounds=[(0.0, None)] * 2).value == pytest.approx(1.0)

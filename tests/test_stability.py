@@ -87,6 +87,31 @@ def force_existence_oracle(cs, w, tol=1e-6):
     return res.status == 0
 
 
+def linprog_margin(p, v_hat, scen):
+    """margin_at's LP posed straight to linprog(method="highs"), with G built
+    by np.cross, np.repeat and vstack: (HiGHS ending, gamma or None)."""
+    cs = contact_geometry(p, scen)
+    corners = stability._pyramid_corners(*cs.tangents, cs.contact_normal, cs.mu,
+                                         cs.f_leg_max)
+    forces = np.vstack([corners, corners, -cs.f_r_max * cs.axis_left,
+                        -cs.f_r_max * cs.axis_right])
+    points = np.repeat([cs.wheel_left, cs.wheel_right, cs.hoist_left, cs.hoist_right],
+                       [4, 4, 1, 1], axis=0)
+    G = np.hstack([forces, np.cross(points, forces)]).T
+    n = G.shape[1]
+    wheel_sums = np.zeros((4, 2 * n + 1))
+    for row, first in enumerate((0, 4, n, n + 4)):
+        wheel_sums[row, first:first + 4] = 1.0
+    A_eq = np.zeros((12, 2 * n + 1))
+    A_eq[:6, :n] = A_eq[6:, n:2 * n] = G
+    A_eq[6:, -1] = -v_hat
+    w = load_wrench(scen)
+    res = optimize.linprog(np.append(np.zeros(2 * n), -1.0), A_ub=wheel_sums,
+                           b_ub=np.ones(4), A_eq=A_eq, b_eq=np.concatenate([w, w]),
+                           bounds=[(0.0, 1.0)] * (2 * n) + [(0.0, None)], method="highs")
+    return res.status, (res.x[-1] if res.status == 0 else None)
+
+
 class TestWheelForcePolytope:
     def test_vertical_wall_pyramid(self):
         P = wheel_force_polytope(np.array([1.0, 0.0, 0.0]), 0.8, 600.0)
@@ -149,12 +174,14 @@ class TestLiftToWrench:
         np.testing.assert_allclose(W[0, 3:], 0.0, atol=1e-12)
 
     def test_matches_cross_product(self):
+        # One point, or one point per row: the same products and
+        # differences as np.cross, so the same bits.
         rng = np.random.default_rng(43)
-        p = rng.normal(size=3)
-        F = rng.normal(size=(7, 3))
-        W = lift_to_wrench(F, p)
-        for i in range(7):
-            np.testing.assert_allclose(W[i, 3:], np.cross(p, F[i]), atol=1e-12)
+        P, F = rng.normal(size=(2, 7, 3)) * 10.0 ** rng.integers(-3, 4, size=(2, 7, 3))
+        for p in (P[0], P):
+            W = lift_to_wrench(F, p)
+            assert np.array_equal(W[:, :3], F)
+            assert np.array_equal(W[:, 3:], np.cross(p, F))
 
 
 class TestContactGeometry:
@@ -274,6 +301,7 @@ class TestMargins:
                 ref = directional_margin(hull, load_wrench(scen), v)
                 assert ours.status == ref.status, f"verdict differs at {p}, {v}"
                 assert ours.gamma == pytest.approx(ref.gamma, abs=1e-6)
+                assert ours.lp_s > 0.0 and ref.lp_s == 0.0
 
     @pytest.mark.parametrize("v_hat", [np.array([-1.0, 0.0, 0.0]), np.zeros(6),
                                        np.array([np.nan, 0, 0, 0, 0, 0])],
@@ -288,7 +316,7 @@ class TestMargins:
         def no_verdict(*args, **kwargs):
             return optimize.OptimizeResult(status=4, message="numerical difficulties")
 
-        monkeypatch.setattr(solvers.optimize, "linprog", no_verdict)
+        monkeypatch.setattr(solvers.optimize, "milp", no_verdict)
         with pytest.raises(CellError, match="failed"):
             margin_at(np.array([1.5, 2.5, -6.5]), PULL_OFF, LAND)
 
@@ -398,6 +426,29 @@ class TestHeatmap:
         assert hm.endings["ok"] == hm.feasible.sum() > 0
         assert hm.endings["CellError"] == len(hm.errors) == 1
         assert hm.endings["infeasible_origin"] == hm.gamma.size - hm.feasible.sum() - 1 > 0
+        # LP seconds lie within their cell's; the CellError cell made no LP.
+        assert hm.lp_s.shape == hm.cell_s.shape
+        lp_cell = np.ones(hm.gamma.shape, dtype=bool)
+        lp_cell[0, 0] = False
+        assert hm.lp_s[0, 0] == 0.0
+        assert np.all(hm.lp_s[lp_cell] > 0.0)
+        assert np.all(hm.lp_s[lp_cell] <= hm.cell_s[lp_cell])
+
+    @pytest.mark.parametrize("scen", [LAND.with_(mu=0.8), LAND.with_(mu=0.5),
+                                      LAND.with_(mu=0.3), TILTED],
+                             ids=["mu0.8", "mu0.5", "mu0.3", "tilted"])
+    def test_matches_linprog_path(self, scen):
+        # Every cell against its LP posed straight to linprog.
+        grid = HeatmapGrid.regular(ny=6, nz=6, x=1.5)
+        hm = margin_heatmap(grid, PULL_OFF, scen)
+        assert hm.errors == []
+        assert 0 < hm.feasible.sum() < hm.gamma.size
+        for i, y in enumerate(grid.y_values):
+            for j, z in enumerate(grid.z_values):
+                ending, gamma = linprog_margin(np.array([grid.x, y, z]), PULL_OFF, scen)
+                assert ending in (0, 2)
+                assert hm.feasible[i, j] == (ending == 0)
+                assert hm.gamma[i, j] == pytest.approx(gamma or 0.0, abs=1e-9)
 
     def test_code_error_propagates(self, monkeypatch):
         def bug(p, v_hat, scenario):

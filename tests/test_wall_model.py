@@ -38,6 +38,14 @@ def test_stability_reexports_the_model_tangent_frame():
     assert stability.tangent_frame is model.tangent_frame
 
 
+def test_tangent_frame_cross_is_np_cross():
+    rng = np.random.default_rng(5)
+    for n in [TILTED_NORMAL, np.array([0.0, 1.0, 0.0]), *rng.normal(size=(20, 3))]:
+        n = n / np.linalg.norm(n)
+        t1, t2 = model.tangent_frame(n)
+        assert np.array_equal(t2, np.cross(n, t1))
+
+
 def test_tilted_wall_normal_is_the_contact_normal_everywhere():
     scen = Scenario(wall_normal=TILTED_NORMAL * 2.0)      # normalised on construction
     n = TILTED_NORMAL
