@@ -16,13 +16,29 @@ forward kinematics is
 
     p(q) = (r sin(psi), C, -r cos(psi)).
 
-Accelerations follow from Newton's equation m (p_dd - g) = f_tot via
+Accelerations follow from Newton's equation m (p_dd - g) = f_tot with
 
     p_dd = A_d(q) @ q_dd + b_d(q, q_dot),
 
-with A_d the Jacobian dp/dq and b_d quadratic in the rates.  Both are
-implemented in closed form below and cross-checked against finite
-differences in the tests.
+A_d the Jacobian dp/dq and b_d quadratic in the rates.  The kernel reads
+Newton's equation in the rope frame: the tangential direction
+t = (cos psi, 0, sin psi), the radial direction e_r = (sin psi, 0, -cos psi)
+and the anchor line y.  Along t it gives
+
+    psi_dd = (t.(g + f_tot/m) - 2 r_dot psi_dot) / r.
+
+Along e_r and y it gives w_r = r_dd - r_dd0 and v_y = C_dd - C_dd0, the
+parts of r_dd and C_dd that the rope accelerations cause (r_dd0 and C_dd0
+are their values at l1_dd = l2_dd = 0).  Differentiating l1^2 = r^2 + C^2
+and l2^2 = r^2 + (d_a - C)^2 twice turns these into
+
+    l1 l1_dd = r w_r + C v_y,    l2 l2_dd = r w_r - (d_a - C) v_y,
+
+so the 2x2 block of A_d inverts with two divisions.  A rope pulls along
+p - anchor, which lies in the plane of e_r and y, so the rope forces never
+enter psi_dd.  The propeller pushes along t, so it never enters w_r or
+v_y.  jacobian_arrays and bias_arrays give A_d and b_d in closed form on
+their own, and the tests check the kernel against them.
 
 A state is the 6-vector x = (psi, l1, l2, psi_dot, l1_dot, l2_dot) and an
 input the 6-vector u = (f_rope_left, f_rope_right, f_ext (3), f_prop).  Rope
@@ -52,9 +68,8 @@ so the domain test r^2 > 0 reads the real part of such a step.
 
 A_d is invertible wherever the point lies off the anchor line: its
 determinant is -l1 l2 / d_a at every psi, so psi = 0 (the mass in the wall
-plane) is an ordinary configuration.  jacobian_arrays and bias_arrays give
-A_d and b_d on their own; the dynamics kernel does not call them, and the
-tests use them as its oracle.  The simulator and energy map rates to
+plane) is an ordinary configuration.  The dynamics kernel does not call
+jacobian_arrays or bias_arrays.  The simulator and energy map rates to
 Cartesian velocities with jacobian_arrays; the planner and the MPC get
 their position derivatives by complex step through position_arrays
 instead.
@@ -75,7 +90,8 @@ import numpy as np
 
 
 class KinematicsError(ValueError):
-    """A point on the anchor line, where psi is undefined."""
+    """A point on the anchor line: psi is undefined there, and at an
+    anchor a rope axis is too."""
 
 
 @dataclass(frozen=True)
@@ -234,36 +250,30 @@ def _accelerations(x, u, C, r, s, c, gravity, d_a, m):
     The body uses + - * / only, so both bindings perform the same IEEE
     operations in the same order and agree bit for bit.
 
-    Exploits the cylindrical structure to invert A_d in closed form: the
-    rotated (c*vx + s*vz, vy, s*vx - c*vz) components decouple psi_dd from
-    a 2x2 system in (l1_dd, l2_dd).
+    Newton's equation in the rope frame (see the module docstring): along
+    t = (c, 0, s) it gives psi_dd, with no rope force in it; along
+    e_r = (s, 0, -c) and y it gives w_r = r_dd - r_dd0 and v_y = C_dd -
+    C_dd0, with no propeller force in them; and l1 l1_dd = r w_r + C v_y,
+    l2 l2_dd = r w_r - (d_a - C) v_y give the rope accelerations.  The
+    rate terms of l1^2 = r^2 + C^2 differentiated twice cancel against
+    r_dd0 and C_dd0: r r_dd0 + r_dot^2 + C C_dd0 + C_dot^2 = l1_dot^2.
     """
     l1, l2, w, l1_dot, l2_dot = x[1], x[2], x[3], x[4], x[5]
-    px, py, pz = r * s, C, -r * c
-    # Newton RHS components: gravity, ropes along their axes, propeller,
-    # and last the external force (see the module docstring).
     gx, gy, gz = gravity
-    fx = m * gx + px / l1 * u[0] + px / l2 * u[1] + c * u[5] + u[2]
-    fy = m * gy + py / l1 * u[0] + (py - d_a) / l2 * u[1] + u[3]
-    fz = m * gz + pz / l1 * u[0] + pz / l2 * u[1] + s * u[5] + u[4]
-    # Rate-quadratic bias b_d (p_dd with q_dd = 0).
-    C_dot = (l1 * l1_dot - l2 * l2_dot) / d_a
-    r_dot = (l1 * l1_dot - C * C_dot) / r
-    C_dd0 = (l1_dot * l1_dot - l2_dot * l2_dot) / d_a
-    r_dd0 = (l1_dot * l1_dot - C_dot * C_dot - C * C_dd0 - r_dot * r_dot) / r
-    bx = r_dd0 * s + 2.0 * r_dot * c * w - r * s * w * w
-    by = C_dd0
-    bz = -r_dd0 * c + 2.0 * r_dot * s * w + r * c * w * w
-    vx, vy, vz = fx / m - bx, fy / m - by, fz / m - bz
-    # Closed-form A_d^{-1}: radial/tangential rotation plus 2x2 solve.
-    psi_dd = (c * vx + s * vz) / r
-    w_r = s * vx - c * vz
-    r_l1 = l1 * (d_a - C) / (d_a * r)
-    r_l2 = C * l2 / (d_a * r)
-    denom = l1 * l2 / (d_a * r)
-    l1_dd = ((l2 / d_a) * w_r + r_l2 * vy) / denom
-    l2_dd = ((l1 / d_a) * w_r - r_l1 * vy) / denom
-    return psi_dd, l1_dd, l2_dd
+    # Rate terms: C_dot, r_dot, and C_dd, r_dd at zero rope accelerations.
+    l1_l1_dot, l1_dot_sq = l1 * l1_dot, l1_dot * l1_dot
+    C_dot = (l1_l1_dot - l2 * l2_dot) / d_a
+    r_dot = (l1_l1_dot - C * C_dot) / r
+    C_dd0 = (l1_dot_sq - l2_dot * l2_dot) / d_a
+    r_dd0 = (l1_dot_sq - C_dot * C_dot - C * C_dd0 - r_dot * r_dot) / r
+    # Force over rope length: a rope pulls along p - anchor, of length l.
+    # The external force goes last (see the module docstring).
+    f1, f2 = u[0] / l1, u[1] / l2
+    psi_dd = ((m * (c * gx + s * gz) + u[5] + c * u[2] + s * u[4]) / m - 2.0 * r_dot * w) / r
+    w_r = ((m * (s * gx - c * gz) + r * (f1 + f2) + s * u[2] - c * u[4]) / m
+           - r_dd0 + r * w * w)
+    v_y = (m * gy + C * f1 + (C - d_a) * f2 + u[3]) / m - C_dd0
+    return psi_dd, (r * w_r + C * v_y) / l1, (r * w_r - (d_a - C) * v_y) / l2
 
 
 def _components_first(a):
@@ -313,12 +323,20 @@ def _float_accelerations(x, u, scenario, d_a, m, gravity):
         return state_derivative_arrays(x, u, scenario)[3:].tolist()
 
 
+def _finite_point(p) -> np.ndarray:
+    """p as a float array; ValueError unless it is a finite 3-vector."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (3,) or not np.isfinite(p).all():
+        raise ValueError(f"position must be a finite 3-vector: {p}")
+    return p
+
+
 def inverse_kinematics(p, scenario: Scenario) -> tuple[float, float, float]:
     """Recover (psi, l1, l2) from a Cartesian position.
 
     psi = atan2(p_x, -p_z), consistent with p_x = r sin(psi), p_z = -r cos(psi).
     """
-    p = np.asarray(p, dtype=float)
+    p = _finite_point(p)
     l1 = float(np.linalg.norm(p - scenario.anchor_left))
     l2 = float(np.linalg.norm(p - scenario.anchor_right))
     r = float(np.hypot(p[0], p[2]))
@@ -350,8 +368,12 @@ def tangent_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def rope_axes(p, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Unit axes (anchor -> mass) of the left and right ropes at position p."""
+    p = _finite_point(p)
     a_l, a_r = p - scenario.anchor_left, p - scenario.anchor_right
-    return a_l / np.linalg.norm(a_l), a_r / np.linalg.norm(a_r)
+    n_l, n_r = np.linalg.norm(a_l), np.linalg.norm(a_r)
+    if n_l == 0.0 or n_r == 0.0:
+        raise KinematicsError(f"point {p} lies at an anchor, where its rope has no axis")
+    return a_l / n_l, a_r / n_r
 
 
 def static_rope_pull(p, scenario: Scenario) -> np.ndarray:

@@ -2,9 +2,14 @@
 direct-norm, finite-difference and closed-form ballistic oracles, and the
 rope geometry against hand-built rope axes."""
 
+import ast
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 
+from wallhopper import model
 from wallhopper.integrator import IntegratorConfig, rollout_arrays
 from wallhopper.model import (
     Ellipsoid,
@@ -275,6 +280,42 @@ class TestBatchedKernels:
         assert np.isfinite(out[1]).all()
 
 
+class TestRopeFrame:
+    """The kernel reads Newton's equation in the rope frame, so the rope
+    forces never reach psi_dd and the propeller never reaches l1_dd or
+    l2_dd, exactly, not only to round-off."""
+
+    @staticmethod
+    def complex_step(k):
+        """Imaginary parts of the accelerations under a complex step of
+        1e-20 along u[k], on random in-domain states and inputs."""
+        rng = np.random.default_rng(11)
+        x = random_states(rng, 200)
+        u = np.column_stack([rng.uniform(-90, 0, (200, 2)),
+                             rng.uniform(-50, 50, (200, 4))]).astype(complex)
+        u[:, k] += 1e-20j
+        return state_derivative_arrays(x, u, SCEN)[:, 3:].imag
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_ropes_never_enter_psi_dd(self, k):
+        imag = self.complex_step(k)
+        assert np.all(imag[:, 0] == 0.0)
+        assert np.all(imag[:, 1:] != 0.0)
+
+    def test_propeller_never_enters_rope_accelerations(self):
+        imag = self.complex_step(5)
+        assert np.all(imag[:, 1:] == 0.0)
+        assert np.all(imag[:, 0] != 0.0)
+
+    def test_body_has_no_calls_and_no_power(self):
+        # The two bindings agree bit for bit only while the body is + - * /
+        # alone: a call or ** could round differently on floats and arrays.
+        body = ast.parse(textwrap.dedent(inspect.getsource(model._accelerations)))
+        nodes = list(ast.walk(body.body[0]))
+        assert not [n for n in nodes if isinstance(n, ast.Call)]
+        assert not [n for n in nodes if isinstance(n, ast.Pow)]
+
+
 def mixed_states(rng, n):
     """Reachable states, then out-of-domain lengths (r^2 <= 0), NaN entries,
     +-inf psi and huge rates mixed in."""
@@ -379,6 +420,14 @@ class TestRopeGeometry:
         f = static_rope_pull(np.array([0.0, 2.5, -6.0]), SCEN.with_(f_r_max=1.0))
         np.testing.assert_array_equal(f, [-1.0, -1.0])
 
+    @pytest.mark.parametrize("anchor", ["anchor_left", "anchor_right"])
+    def test_anchor_rejected(self, anchor):
+        p = getattr(SCEN, anchor)
+        with pytest.raises(KinematicsError, match="at an anchor"):
+            rope_axes(p, SCEN)
+        with pytest.raises(KinematicsError, match="at an anchor"):
+            static_rope_pull(p, SCEN)
+
     def test_pull_off_the_plane_is_least_squares(self):
         p = np.array([0.5, 1.5, -4.0])
         A = np.column_stack(rope_axes(p, SCEN))
@@ -386,6 +435,15 @@ class TestRopeGeometry:
         assert np.all((-SCEN.f_r_max < f) & (f < 0.0))
         np.testing.assert_allclose(A.T @ (A @ f + SCEN.mass * SCEN.gravity), 0.0,
                                    atol=1e-12)
+
+
+@pytest.mark.parametrize("fn", [inverse_kinematics, rope_axes, static_rope_pull])
+@pytest.mark.parametrize("p", [[np.nan, 2.5, -6.0], [0.2, 2.5, np.inf],
+                               [0.2, 2.5], [0.2, 2.5, -6.0, 1.0]],
+                         ids=["nan", "inf", "2-vector", "4-vector"])
+def test_bad_position_rejected(fn, p):
+    with pytest.raises(ValueError, match="finite 3-vector"):
+        fn(p, SCEN)
 
 
 class TestScenarioValidation:
