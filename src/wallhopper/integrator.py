@@ -19,8 +19,8 @@ sub-step states, which their Jacobians start from.
 step_arrays and rollout_arrays choose between the two bindings of the
 model's dynamics kernel from the shapes and types of their inputs.  A
 batch of states runs on numpy arrays.  One real 6-vector state with real
-inputs and lengths (planner values, MPC predictions, the simulator's 1 ms
-steps) runs in one Python-float loop, _rollout_floats, over all the
+inputs and lengths (planner values, MPC predictions, the simulator's
+control ticks) runs in one Python-float loop, _rollout_floats, over all the
 sub-steps of the step or of the whole schedule, stage states in locals
 and the scenario's constants bound once per call: the IEEE operations of
 substep_arrays in the same order, so both agree bit for bit, NaN rows
@@ -124,10 +124,8 @@ def step_arrays(x, u, dt, cfg: IntegratorConfig, scenario: Scenario):
     stepped on Python floats; complex inputs stay arrays.
     """
     xs, us = np.asarray(x), np.asarray(u)
-    # A float, the simulator's step, is tested first: np.asarray(dt) costs
-    # about 2 % of a step.
     if xs.ndim == 1 and us.ndim == 1 and "c" not in (xs.dtype.kind, us.dtype.kind) \
-            and (isinstance(dt, float) or np.ndim(dt) == 0 and not np.iscomplexobj(dt)):
+            and np.ndim(dt) == 0 and not np.iscomplexobj(dt):
         return np.array(_rollout_floats(
             xs.astype(float, copy=False).tolist(), (us.astype(float, copy=False).tolist(),),
             (float(dt) / cfg.n_sub,), cfg.n_sub, scenario)[-1])

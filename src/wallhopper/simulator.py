@@ -18,12 +18,17 @@ machine, _episode, which walks the plan's step schedule from rest
   SETTLE_TIME and the wheels absorb lateral residuals; each row records
   the rates q_dot = A_d(q)^-1 n s_dot of that normal motion.
 
-The disturbance F, timed from lift-off, acts in the flight and the hold
-as the external force u[2:5] of the stepped input, and in the contact
-phase as n.F on the normal motion.  Each row is a tuple
-(t, x, u, force, phase): the state at t, the controller's input held from
-it, the force acting at t (None where none does) and the phase; the
-trace's inputs and disturbance keep the input and the force apart.
+Each stretch under one held input (the thrust, a control tick, a control
+period of the hold) is one rollout_arrays call, which steps one state on
+Python floats; the touch-down watch scans the new states on floats and
+drops the rest of the stretch after a touch-down.  The disturbance F,
+timed from lift-off, acts in the flight and the hold as a force added to
+the external force u[2:5] of the stepped input (zero in every flight and
+hold input), and in the contact phase as n.F on the normal motion.  Each
+row is a tuple (t, x, u, force, phase): the state at t, the controller's
+input held from it, the force acting at t (None where none does) and the
+phase; the trace's inputs and disturbance keep the input and the force
+apart.
 
 run_episode scores e_a, the target minus the CoM position, at
 t_th + t_f.  landing_episode arms the touch-down watch at lift-off and
@@ -38,8 +43,9 @@ its trace ends on the state that step started from and carries the event
 aborted.  A wall crossing is recorded, not aborted.  Every row's Cartesian velocity is
 A_d q_dot.  The meta of an MPC episode holds one entry per tick in the
 arrays tick_s, step_s, n_iter, status and degraded (MpcSolution.diagnostics).
-Rows keep references, not copies, to each step's state and to the input
-and disturbance held over a tick: nothing may mutate them later.
+Rows keep references, not copies: each step's state is a view of its
+stretch's states, and the input and disturbance held over a tick are
+shared by its rows; nothing may mutate them later.
 
 An episode without measurement noise can also start at a control tick of
 another flight, a _TickStart, instead of at rest: it copies that flight's
@@ -56,11 +62,15 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from numbers import Integral
 
 import numpy as np
 
-from .integrator import IntegratorConfig, step_arrays
+from .integrator import IntegratorConfig, rollout_arrays
+# No longer called here: the benchmark's tracer (perfbench/tracing.py)
+# still patches simulator.step_arrays by name.
+from .integrator import step_arrays  # noqa: F401
 from .mpc import MpcConfig, TrackingController
 from .model import (Scenario, _chord_and_radius, inverse_kinematics, jacobian_arrays,
                     position_arrays, rope_axes, static_rope_pull)
@@ -245,30 +255,43 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
             ctl.prev_solution = ticks[-1]
 
     def advance(u, n_steps, h, phase, watch=False, disturbed=True):
-        """n_steps steps of h under the held input u, its u[2:5] replaced by
-        the disturbance where disturbed and one acts; True at touch-down."""
+        """n_steps steps of h under the held input u, the disturbance added
+        to its u[2:5] on the steps that feel one (where disturbed), in one
+        rollout_arrays call; True at touch-down.  Rows reference views of
+        the returned states; a touch-down drops the rest of the stretch."""
         nonlocal x, t, armed
+        ts, ds = [t], []
         for _ in range(n_steps):
-            d = dist.force_at(t - t_lift) if disturbed else None
-            rows.append((t, x, u, d, phase))
-            x = step_arrays(x, u if d is None else np.concatenate((u[:2], d, u[5:])),
-                            h, cfg_sim, scenario)
-            xs = x.tolist()
-            if not all(map(math.isfinite, xs)):
-                msg = "simulation state became non-finite"
-                raise EpisodeAborted(msg, _trace(scenario, rows, ticks, {"aborted": np.nan},
-                                                 np.full(3, np.nan), {**meta, "error": msg}))
+            ds.append(dist.force_at(t - t_lift) if disturbed else None)
             t += h
-            if watch:
-                # n.p - d_w on floats, p as position_arrays gives it.
-                C, r2 = _chord_and_radius(xs[1], xs[2], scenario.d_a)
+            ts.append(t)
+        us = np.tile(u, (n_steps, 1))
+        felt = [i for i, d in enumerate(ds) if d is not None]
+        if felt:
+            us[felt, 2:5] += [ds[i] for i in felt]
+        states = rollout_arrays(x, us, h, cfg_sim, scenario)
+        bad = np.flatnonzero(~np.isfinite(states[1:]).all(axis=1))
+        flown = bad[0] if bad.size else n_steps     # steps to a finite state
+        down = False
+        if watch:
+            # n.p - d_w on floats, p as position_arrays gives it.
+            for i, (q0, q1, q2) in enumerate(states[1:flown + 1, :3].tolist(), 1):
+                C, r2 = _chord_and_radius(q1, q2, scenario.d_a)
                 r = math.sqrt(r2) if r2 > 0.0 else math.nan
-                gap = (r * math.sin(xs[0]) * n_x + C * n_y
-                       - r * math.cos(xs[0]) * n_z - scenario.d_w)
+                gap = r * math.sin(q0) * n_x + C * n_y - r * math.cos(q0) * n_z - scenario.d_w
                 armed = armed or gap > 0.02
                 if armed and gap <= 0.0:
-                    return True
-        return False
+                    flown, down = i, True
+                    break
+        if not down and bad.size:
+            # The trace ends on the state the failing step started from.
+            rows.extend(zip(ts, states[:flown + 1], repeat(u), ds, repeat(phase)))
+            msg = "simulation state became non-finite"
+            raise EpisodeAborted(msg, _trace(scenario, rows, ticks, {"aborted": np.nan},
+                                             np.full(3, np.nan), {**meta, "error": msg}))
+        rows.extend(zip(ts, states[:flown], repeat(u), ds, repeat(phase)))
+        x, t = states[flown], ts[flown]
+        return down
 
     def tick_input(k):
         if ctl is None:
@@ -304,7 +327,12 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
                 position_arrays(x[0], x[1], x[2], scenario.d_a), scenario)
             u = np.zeros(6)
             u[:2] = np.clip(u_plan[-1, :2] + pull, -scenario.f_r_max, 0.0)
-            touched = advance(u, round(MAX_HOLD / dt_sim), dt_sim, PHASE_HOLD, True)
+            # One control period a stretch: a touch-down drops the rest.
+            n_hold, n_period = round(MAX_HOLD / dt_sim), _substeps(dt_plan[-1], dt_sim)[0]
+            for done in range(0, n_hold, n_period):
+                touched = advance(u, min(n_period, n_hold - done), dt_sim, PHASE_HOLD, True)
+                if touched:
+                    break
             events["delayed_touch_down" if touched else "no_touch_down"] = t
 
     p = position_arrays(x[0], x[1], x[2], scenario.d_a)

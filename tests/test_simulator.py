@@ -1,17 +1,18 @@
 """Episode simulator: open-loop replay against the plan, the recorded
-trace, wall crossings, reproducibility and error handling of the
-robustness batch, its shared undisturbed flight against one run_episode
-per run, the landing episode's phases and events, the MPC ticks (one per
-plan knot, with the seconds of their steps) recorded in the trace, aborts
-at a non-finite state, measurement noise, the landing damping and the
-input checks."""
+trace, each recorded step against one integrator step, one stepping call
+per stretch under one held input, wall crossings, reproducibility and
+error handling of the robustness batch, its shared undisturbed flight
+against one run_episode per run, the landing episode's phases and events,
+the MPC ticks (one per plan knot, with the seconds of their steps)
+recorded in the trace, aborts at a non-finite state, measurement noise,
+the landing damping and the input checks."""
 
 import json
 
 import numpy as np
 import pytest
 
-from wallhopper import mpc, simulator, solvers
+from wallhopper import integrator, mpc, simulator, solvers
 from wallhopper.model import Scenario, jacobian_arrays
 from wallhopper.simulator import (
     DisturbanceSpec,
@@ -31,30 +32,37 @@ def cartesian_velocity(x):
     return jacobian_arrays(x[0], x[1], x[2], SCEN.d_a) @ x[3:]
 
 
-def nan_on_call(monkeypatch, n):
-    """Make simulator.step_arrays return a NaN state on its n-th call."""
-    real, calls = simulator.step_arrays, []
+def nan_on_step(monkeypatch, n):
+    """Make the simulator's n-th step, counted across its
+    simulator.rollout_arrays calls, end on a NaN state."""
+    real, steps = simulator.rollout_arrays, [0]
 
-    def stepped(*args, **kwargs):
-        calls.append(None)
-        x = real(*args, **kwargs)
-        return np.full_like(x, np.nan) if len(calls) == n else x
+    def stepped(x, us, *args, **kwargs):
+        states = real(x, us, *args, **kwargs)
+        first, steps[0] = steps[0], steps[0] + len(us)
+        if first < n <= steps[0]:
+            states[n - first] = np.nan
+        return states
 
-    monkeypatch.setattr(simulator, "step_arrays", stepped)
+    monkeypatch.setattr(simulator, "rollout_arrays", stepped)
 
 
 def nan_where(monkeypatch, hit):
-    """Make simulator.step_arrays return a NaN state on every step for
-    which hit(u) holds, whichever call it is.  u is the stepped input: its
-    external force u[2:5] is the plan's leg force on the thrust step, the
-    disturbance on a flight step that feels one, and zero otherwise."""
-    real = simulator.step_arrays
+    """Make every step of simulator.rollout_arrays for which hit(u) holds
+    end on a NaN state, whichever call it is in.  u is the step's row of
+    the stepped inputs: its external force u[2:5] is the plan's leg force
+    on the thrust step, the disturbance on a flight step that feels one,
+    and zero otherwise."""
+    real = simulator.rollout_arrays
 
-    def stepped(x, u, dt, cfg, scenario):
-        x = real(x, u, dt, cfg, scenario)
-        return np.full_like(x, np.nan) if hit(u) else x
+    def stepped(x, us, *args, **kwargs):
+        states = real(x, us, *args, **kwargs)
+        for i, u in enumerate(us):
+            if hit(u):
+                states[i + 1] = np.nan
+        return states
 
-    monkeypatch.setattr(simulator, "step_arrays", stepped)
+    monkeypatch.setattr(simulator, "rollout_arrays", stepped)
 
 
 def serial_draws(plan, n_runs, seed, n_intervals=10, noise=None):
@@ -153,6 +161,99 @@ class TestOpenLoopReplay:
                 np.testing.assert_allclose(trace.velocities[i], v, rtol=1e-12, atol=1e-12)
 
 
+def step_lengths(plan, n_rows, dt_sim=1e-3):
+    """The length of the step each of an episode's first n_rows rows starts:
+    the thrust's and each tick's steps divide its schedule step, and the
+    hold steps dt_sim."""
+    _, dt = plan.schedule(SCEN.t_th)
+    lengths = [[h] * n for n, h in (simulator._substeps(d, dt_sim) for d in dt.tolist())]
+    lengths.append([dt_sim] * round(simulator.MAX_HOLD / dt_sim))
+    return np.concatenate(lengths)[:n_rows]
+
+
+class TestStretches:
+    """Each stretch under one held input (the thrust, a tick, a control
+    period of the hold) is one simulator.rollout_arrays call; every step it
+    records is one plain integrator step."""
+
+    CONSTANT = DisturbanceSpec("constant", [0.0, 0.0, -20.0])
+
+    def assert_rows_are_steps(self, plan, trace):
+        # Row i + 1 of the flight and the hold is step_arrays from row i
+        # under row i's input with its force added, bit for bit.
+        stepped = trace.inputs.copy()
+        stepped[:, 2:5] += trace.disturbance
+        rows = np.flatnonzero(np.isin(trace.phase[1:],
+                                      [simulator.PHASE_FLIGHT, simulator.PHASE_HOLD]))
+        h = step_lengths(plan, rows[-1] + 1)
+        cfg = integrator.IntegratorConfig(n_sub=1)
+        expected = np.array([integrator.step_arrays(trace.states[i], stepped[i], h[i], cfg, SCEN)
+                             for i in rows])
+        np.testing.assert_array_equal(expected.view(np.uint64),
+                                      trace.states[rows + 1].view(np.uint64))
+
+    @pytest.mark.parametrize("controller", ["open_loop", "mpc"])
+    @pytest.mark.parametrize("disturbance", [None, CONSTANT])
+    def test_run_rows_are_steps(self, frozen_track_plan, controller, disturbance):
+        trace = run_episode(frozen_track_plan, SCEN, controller=controller,
+                            disturbance=disturbance)
+        self.assert_rows_are_steps(frozen_track_plan, trace)
+
+    def test_window_opening_inside_a_tick(self, frozen_track_plan):
+        plan = frozen_track_plan
+        pulse = DisturbanceSpec("impulsive", [10.0, -20.0, -30.0], t_start=2.5 * plan.dt,
+                                duration=0.1)
+        trace = run_episode(plan, SCEN, controller="open_loop", disturbance=pulse)
+        felt = np.any(trace.disturbance != 0.0, axis=1)
+        first = np.flatnonzero(felt)[0]
+        # The window opens and closes between two rows of one tick.
+        assert np.array_equal(trace.inputs[first - 1], trace.inputs[first])
+        last = np.flatnonzero(felt)[-1]
+        assert np.array_equal(trace.inputs[last], trace.inputs[last + 1])
+        self.assert_rows_are_steps(plan, trace)
+
+    @pytest.mark.parametrize("d_w, event", [(0.22, "early_touch_down"),
+                                            (0.4, "no_touch_down")])
+    def test_landing_rows_are_steps(self, frozen_track_plan, d_w, event):
+        trace = landing_episode(frozen_track_plan, SCEN.with_(d_w=d_w), controller="open_loop")
+        assert event in trace.events
+        self.assert_rows_are_steps(frozen_track_plan, trace)
+
+    def stretches(self, monkeypatch):
+        """The number of steps of each simulator.rollout_arrays call."""
+        real, calls = simulator.rollout_arrays, []
+
+        def counted(x, us, *args, **kwargs):
+            calls.append(len(us))
+            return real(x, us, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "rollout_arrays", counted)
+        return calls
+
+    def test_one_call_per_stretch(self, frozen_track_plan, monkeypatch):
+        plan = frozen_track_plan
+        _, dt = plan.schedule(SCEN.t_th)
+        per_step = [simulator._substeps(d, 1e-3)[0] for d in dt]
+        calls = self.stretches(monkeypatch)
+        run_episode(plan, SCEN, controller="open_loop")
+        assert calls == per_step
+        # No touch-down: the hold adds one call per control period, the last
+        # one short.
+        calls.clear()
+        trace = landing_episode(plan, SCEN.with_(d_w=0.4), controller="open_loop")
+        n_hold, period = round(simulator.MAX_HOLD / 1e-3), per_step[-1]
+        assert calls == per_step + [period] * (n_hold // period) + [n_hold % period]
+        assert np.count_nonzero(trace.phase == simulator.PHASE_HOLD) == n_hold + 1
+        # An early touch-down ends the flight in its tick's call, whose
+        # remaining steps are dropped.
+        calls.clear()
+        trace = landing_episode(plan, SCEN.with_(d_w=0.22), controller="open_loop")
+        assert calls == per_step[:len(calls)] and len(calls) < len(per_step)
+        flown = np.count_nonzero(np.isin(trace.phase, [simulator.PHASE_THRUST,
+                                                        simulator.PHASE_FLIGHT]))
+        assert sum(calls[:-1]) < flown < sum(calls)
+
+
 class TestWallCrossing:
     def test_recorded_as_event(self, benchmark_plan):
         # A push towards the wall takes the CoM through the wall plane; the
@@ -214,7 +315,7 @@ class TestBatchRobustness:
         def broken(*args, **kwargs):
             raise error("injected")
 
-        monkeypatch.setattr(simulator, "step_arrays", broken)
+        monkeypatch.setattr(simulator, "rollout_arrays", broken)
         with pytest.raises(error, match="injected"):
             self.run(benchmark_plan)
 
@@ -471,7 +572,7 @@ class TestLandingEpisode:
         np.testing.assert_allclose(gap, step, rtol=0.0, atol=3e-4)
 
     def test_non_finite_state_aborts(self, benchmark_plan, monkeypatch):
-        nan_on_call(monkeypatch, 100)
+        nan_on_step(monkeypatch, 100)
         with pytest.raises(EpisodeAborted) as err:
             self.land(benchmark_plan, 0.2)
         trace = err.value.trace
@@ -493,9 +594,9 @@ class TestTickMeta:
                                            controller="open_loop").meta
 
     def test_abort_keeps_the_ticks_flown(self, frozen_track_plan, monkeypatch):
-        # Call 100 is the 50th flight step: the rows before it and the
+        # Step 100 is the 50th flight step: the rows before it and the
         # ticks that started them stay in the trace.
-        nan_on_call(monkeypatch, 100)
+        nan_on_step(monkeypatch, 100)
         with pytest.raises(EpisodeAborted, match="non-finite") as err:
             run_episode(frozen_track_plan, SCEN, controller="mpc")
         trace = err.value.trace
