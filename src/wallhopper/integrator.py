@@ -21,11 +21,12 @@ model's dynamics kernel from the shapes and types of their inputs.  A
 batch of states runs on numpy arrays.  One real 6-vector state with real
 inputs and lengths (planner values, MPC predictions, the simulator's
 control ticks) runs in one Python-float loop, _rollout_floats, over all the
-sub-steps of the step or of the whole schedule, stage states in locals
-and the scenario's constants bound once per call: the IEEE operations of
-substep_arrays in the same order, so both agree bit for bit, NaN rows
-included, and neither raises on them.  Complex inputs always take the
-array binding, whatever their shape: the float path is real-only.
+sub-steps of the step or of the whole schedule: the float binding made
+once per call, each step's input unpacked once, the stage states in locals
+passed to it as scalars, and the IEEE operations of substep_arrays in the
+same order, so both agree bit for bit, NaN rows included, and neither
+raises on them.  Complex inputs always take the array binding, whatever
+their shape: the float path is real-only.
 
 step_jacobians differentiates steps by complex step (Squire & Trapp,
 SIAM Rev. 1998; Martins, Sturdza & Alonso, ACM TOMS 2003): the kernel is
@@ -89,30 +90,29 @@ def _rollout_floats(x, us, hs, n_sub, scenario: Scenario):
     step k holds us[k] over n_sub RK4 sub-steps of length hs[k], as
     substep_arrays computes them.  Returns x, then the state after each
     step."""
-    d_a, m, g = scenario.d_a, scenario.mass, scenario.gravity.tolist()
-    acc = _float_accelerations
+    acc = _float_accelerations(scenario)
+    q0, q1, q2, w0, w1, w2 = x
     out = [x]
-    for u, h in zip(us, hs):
+    for (u0, u1, u2, u3, u4, u5), h in zip(us, hs):
         half, sixth = 0.5 * h, h / 6.0
         for _ in range(n_sub):
-            q0, q1, q2, w0, w1, w2 = x
-            a0, a1, a2 = acc(x, u, scenario, d_a, m, g)
+            a0, a1, a2 = acc(q0, q1, q2, w0, w1, w2, u0, u1, u2, u3, u4, u5)
             y3, y4, y5 = w0 + half * a0, w1 + half * a1, w2 + half * a2
-            b0, b1, b2 = acc((q0 + half * w0, q1 + half * w1, q2 + half * w2, y3, y4, y5),
-                             u, scenario, d_a, m, g)
+            b0, b1, b2 = acc(q0 + half * w0, q1 + half * w1, q2 + half * w2, y3, y4, y5,
+                             u0, u1, u2, u3, u4, u5)
             z3, z4, z5 = w0 + half * b0, w1 + half * b1, w2 + half * b2
-            c0, c1, c2 = acc((q0 + half * y3, q1 + half * y4, q2 + half * y5, z3, z4, z5),
-                             u, scenario, d_a, m, g)
+            c0, c1, c2 = acc(q0 + half * y3, q1 + half * y4, q2 + half * y5, z3, z4, z5,
+                             u0, u1, u2, u3, u4, u5)
             v3, v4, v5 = w0 + h * c0, w1 + h * c1, w2 + h * c2
-            d0, d1, d2 = acc((q0 + h * z3, q1 + h * z4, q2 + h * z5, v3, v4, v5),
-                             u, scenario, d_a, m, g)
-            x = (q0 + sixth * (w0 + 2.0 * y3 + 2.0 * z3 + v3),
-                 q1 + sixth * (w1 + 2.0 * y4 + 2.0 * z4 + v4),
-                 q2 + sixth * (w2 + 2.0 * y5 + 2.0 * z5 + v5),
-                 w0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
-                 w1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-                 w2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2))
-        out.append(x)
+            d0, d1, d2 = acc(q0 + h * z3, q1 + h * z4, q2 + h * z5, v3, v4, v5,
+                             u0, u1, u2, u3, u4, u5)
+            q0, q1, q2, w0, w1, w2 = (q0 + sixth * (w0 + 2.0 * y3 + 2.0 * z3 + v3),
+                                      q1 + sixth * (w1 + 2.0 * y4 + 2.0 * z4 + v4),
+                                      q2 + sixth * (w2 + 2.0 * y5 + 2.0 * z5 + v5),
+                                      w0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+                                      w1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                                      w2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2))
+        out.append((q0, q1, q2, w0, w1, w2))
     return out
 
 

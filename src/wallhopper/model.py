@@ -51,14 +51,14 @@ a disturbance and the same step without one round alike up to that last
 addition.
 
 The state derivative has one kernel body, _accelerations, written in
-+ - * / alone and bound two ways: state_derivative_arrays on numpy arrays
-for batches, and _float_accelerations on Python floats for one state,
-where numpy's per-call cost would dominate.  Each binding computes r and
++ - * / alone on one scalar or array argument per component, and bound two
+ways: state_derivative_arrays on numpy arrays for batches, and
+_float_accelerations(scenario), a function of one state and input as
+twelve Python floats with the scenario's constants bound once, where
+numpy's per-call cost would dominate.  Each binding computes r and
 sin/cos(psi) and owns the domain handling; both return NaN accelerations
 when r^2 <= 0 or psi is not finite, never raise, and agree bit for bit:
-same IEEE operations, same order.  The integrator's one float loop binds
-the float binding's constants (d_a, mass, gravity) once per call, for one
-step or a whole schedule.
+same IEEE operations, same order.
 
 The kernel is analytic in x and u: + - * / in the body, sqrt, sin and cos
 in the array binding.  So state_derivative_arrays also takes complex
@@ -241,14 +241,15 @@ def bias_arrays(psi, l1, l2, psi_dot, l1_dot, l2_dot, d_a):
     return np.stack([bx, by, bz], axis=-1)
 
 
-def _accelerations(x, u, C, r, s, c, gravity, d_a, m):
+def _accelerations(l1, l2, w, l1_dot, l2_dot, u0, u1, u2, u3, u4, u5, C, r, s, c,
+                   gx, gy, gz, d_a, m):
     """(psi_dd, l1_dd, l2_dd): the one body of the dynamics kernel.
 
-    x and u hold their six components along the first index, as Python
-    floats or as arrays; C, r, s = sin(psi) and c = cos(psi) come from the
-    caller, which also owns the domain handling.
-    The body uses + - * / only, so both bindings perform the same IEEE
-    operations in the same order and agree bit for bit.
+    Each argument is one component, a Python float or an array; psi enters
+    as s = sin(psi) and c = cos(psi), which with C and r come from the
+    caller, which also owns the domain handling.  The body uses + - * /
+    only, so both bindings perform the same IEEE operations in the same
+    order and agree bit for bit.
 
     Newton's equation in the rope frame (see the module docstring): along
     t = (c, 0, s) it gives psi_dd, with no rope force in it; along
@@ -258,8 +259,6 @@ def _accelerations(x, u, C, r, s, c, gravity, d_a, m):
     rate terms of l1^2 = r^2 + C^2 differentiated twice cancel against
     r_dd0 and C_dd0: r r_dd0 + r_dot^2 + C C_dd0 + C_dot^2 = l1_dot^2.
     """
-    l1, l2, w, l1_dot, l2_dot = x[1], x[2], x[3], x[4], x[5]
-    gx, gy, gz = gravity
     # Rate terms: C_dot, r_dot, and C_dd, r_dd at zero rope accelerations.
     l1_l1_dot, l1_dot_sq = l1 * l1_dot, l1_dot * l1_dot
     C_dot = (l1_l1_dot - l2 * l2_dot) / d_a
@@ -268,11 +267,11 @@ def _accelerations(x, u, C, r, s, c, gravity, d_a, m):
     r_dd0 = (l1_dot_sq - C_dot * C_dot - C * C_dd0 - r_dot * r_dot) / r
     # Force over rope length: a rope pulls along p - anchor, of length l.
     # The external force goes last (see the module docstring).
-    f1, f2 = u[0] / l1, u[1] / l2
-    psi_dd = ((m * (c * gx + s * gz) + u[5] + c * u[2] + s * u[4]) / m - 2.0 * r_dot * w) / r
-    w_r = ((m * (s * gx - c * gz) + r * (f1 + f2) + s * u[2] - c * u[4]) / m
+    f1, f2 = u0 / l1, u1 / l2
+    psi_dd = ((m * (c * gx + s * gz) + u5 + c * u2 + s * u4) / m - 2.0 * r_dot * w) / r
+    w_r = ((m * (s * gx - c * gz) + r * (f1 + f2) + s * u2 - c * u4) / m
            - r_dd0 + r * w * w)
-    v_y = (m * gy + C * f1 + (C - d_a) * f2 + u[3]) / m - C_dd0
+    v_y = (m * gy + C * f1 + (C - d_a) * f2 + u3) / m - C_dd0
     return psi_dd, (r * w_r + C * v_y) / l1, (r * w_r - (d_a - C) * v_y) / l2
 
 
@@ -297,8 +296,8 @@ def state_derivative_arrays(x, u, scenario: Scenario):
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         C, r2 = _chord_and_radius(l1, l2, d_a)
         r = np.sqrt(np.where(r2 > 0.0, r2, np.nan))
-        acc = _accelerations(xs, _components_first(u), C, r, np.sin(psi), np.cos(psi),
-                             scenario.gravity, d_a, scenario.mass)
+        acc = _accelerations(*xs[1:], *_components_first(u), C, r, np.sin(psi),
+                             np.cos(psi), *scenario.gravity, d_a, scenario.mass)
     out = np.empty(np.shape(acc[0]) + (6,), dtype=np.result_type(xs, *acc))
     out[..., :3] = x[..., 3:]
     for i, a in enumerate(acc):
@@ -306,21 +305,24 @@ def state_derivative_arrays(x, u, scenario: Scenario):
     return out
 
 
-def _float_accelerations(x, u, scenario, d_a, m, gravity):
-    """Accelerations of one state, x and u six floats each, the caller
-    binding d_a, m and gravity (a list): bit for bit state_derivative_arrays'
-    row, NaN row included, and never raising where that binding returns."""
-    psi = x[0]
-    C, r2 = _chord_and_radius(x[1], x[2], d_a)
-    if not (r2 > 0.0 and math.isfinite(psi)):
-        return math.nan, math.nan, math.nan
-    try:
-        return _accelerations(x, u, C, math.sqrt(r2), math.sin(psi), math.cos(psi),
-                              gravity, d_a, m)
-    except ZeroDivisionError:
-        # A zero mass, or a divisor that underflowed: numpy gives inf/NaN.
-        x, u = np.array(x, dtype=float), np.array(u, dtype=float)
-        return state_derivative_arrays(x, u, scenario)[3:].tolist()
+def _float_accelerations(scenario):
+    """acc(psi, l1, l2, w, l1_dot, l2_dot, u0, ..., u5) on floats: bit for bit
+    state_derivative_arrays' row, NaN row included, never raising where it returns."""
+    (gx, gy, gz), d_a, m = scenario.gravity.tolist(), scenario.d_a, scenario.mass
+
+    def acc(psi, l1, l2, w, l1_dot, l2_dot, u0, u1, u2, u3, u4, u5):
+        C, r2 = _chord_and_radius(l1, l2, d_a)
+        if not (r2 > 0.0 and math.isfinite(psi)):
+            return math.nan, math.nan, math.nan
+        try:
+            return _accelerations(l1, l2, w, l1_dot, l2_dot, u0, u1, u2, u3, u4, u5, C,
+                                  math.sqrt(r2), math.sin(psi), math.cos(psi), gx, gy, gz, d_a, m)
+        except ZeroDivisionError:
+            # A zero mass, or a divisor that underflowed: numpy gives inf/NaN.
+            xu = np.array([psi, l1, l2, w, l1_dot, l2_dot, u0, u1, u2, u3, u4, u5], float)
+            return state_derivative_arrays(xu[:6], xu[6:], scenario)[3:].tolist()
+
+    return acc
 
 
 def _finite_point(p) -> np.ndarray:

@@ -24,11 +24,10 @@ Python floats; the touch-down watch scans the new states on floats and
 drops the rest of the stretch after a touch-down.  The disturbance F,
 timed from lift-off, acts in the flight and the hold as a force added to
 the external force u[2:5] of the stepped input (zero in every flight and
-hold input), and in the contact phase as n.F on the normal motion.  Each
-row is a tuple (t, x, u, force, phase): the state at t, the controller's
-input held from it, the force acting at t (None where none does) and the
-phase; the trace's inputs and disturbance keep the input and the force
-apart.
+hold input), and in the contact phase as n.F on the normal motion.  The
+episode records (times, states, u, felt, phase) per stretch, contact phase
+and last row: step times, states, held input, flags of the rows the force
+acts on, and phase, so the trace keeps the input and the force apart.
 
 run_episode scores e_a, the target minus the CoM position, at
 t_th + t_f.  landing_episode arms the touch-down watch at lift-off and
@@ -40,21 +39,20 @@ early_touch_down (touch-down during the flight), delayed_touch_down
 wall_crossing (first sample with the CoM behind the wall plane,
 n.p < 0).  A non-finite state raises EpisodeAborted at the failing step;
 its trace ends on the state that step started from and carries the event
-aborted.  A wall crossing is recorded, not aborted.  Every row's Cartesian velocity is
-A_d q_dot.  The meta of an MPC episode holds one entry per tick in the
-arrays tick_s, step_s, n_iter, status and degraded (MpcSolution.diagnostics).
-Rows keep references, not copies: each step's state is a view of its
-stretch's states, and the input and disturbance held over a tick are
-shared by its rows; nothing may mutate them later.
+aborted.  A wall crossing is recorded, not aborted.  Every row's
+Cartesian velocity is A_d q_dot.  The meta of an MPC episode holds one
+entry per tick in the arrays tick_s, step_s, n_iter, status and degraded
+(MpcSolution.diagnostics).  Records keep references, not copies, that
+nothing may mutate later; each trace is concatenated and owns its arrays.
 
 An episode without measurement noise can also start at a control tick of
 another flight, a _TickStart, instead of at rest: it copies that flight's
-rows and MPC solutions before the tick, resumes from the time and state of
-the tick's first row, and hands the last solution to its controller as the
-warm start.  Up to a tick at which neither flight has felt a disturbance,
-the two are the same flight step for step, so the episode is bit-identical
-to one flown from rest.  batch_robustness flies the undisturbed prefix
-that its runs share once this way.
+records and MPC solutions before the tick, resumes from the time and state
+of the first row of the tick's record, and hands the last solution to its
+controller as the warm start.  Up to a tick at which neither flight has
+felt a disturbance, the two are the same flight step for step, so the
+episode is bit-identical to one flown from rest.  batch_robustness flies
+the undisturbed prefix that its runs share once this way.
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 from numbers import Integral
 
 import numpy as np
@@ -152,18 +150,18 @@ class SimTrace:
         return float(np.linalg.norm(self.e_a))
 
 
-def _trace(scenario, rows, ticks, events, e_a, meta) -> SimTrace:
-    """The trace of an episode's rows, one per simulation step, and of its
-    MPC solutions (ticks, None for open loop): positions and velocities for
-    all rows at once, the first sample with the CoM behind the wall plane
-    as the wall_crossing event, and the ticks as the meta arrays tick_s,
-    step_s, n_iter, status and degraded."""
-    times = np.array([r[0] for r in rows])
-    states = np.array([r[1] for r in rows]).reshape(-1, 6)
-    inputs = np.array([r[2] for r in rows]).reshape(-1, 6)
-    zero = np.zeros(3)
-    dist = np.array([zero if r[3] is None else r[3] for r in rows]).reshape(-1, 3)
-    phase = np.array([r[4] for r in rows], dtype=int)
+def _trace(scenario, records, force, ticks, events, e_a, meta) -> SimTrace:
+    """The trace of an episode's records, each one's u and phase repeated
+    over its rows and force on its felt rows, and of its MPC solutions
+    (ticks, None for open loop): positions and velocities for all rows at
+    once, the first sample behind the wall plane as the wall_crossing
+    event, and the meta arrays tick_s, step_s, n_iter, status and degraded."""
+    times, states, u, felt, phase = zip(*records)
+    counts = [len(t) for t in times]
+    times, states = np.concatenate(times), np.concatenate(states)
+    inputs = np.repeat(u, counts, axis=0)
+    dist = np.where(np.concatenate(felt)[:, None], force, 0.0)
+    phase = np.repeat(np.array(phase, dtype=int), counts)
     psi, l1, l2 = states[:, 0], states[:, 1], states[:, 2]
     positions = position_arrays(psi, l1, l2, scenario.d_a)
     A = jacobian_arrays(psi, l1, l2, scenario.d_a)
@@ -186,15 +184,15 @@ def _trace(scenario, rows, ticks, events, e_a, meta) -> SimTrace:
 @dataclass(frozen=True)
 class _TickStart:
     """A run_episode flight without noise (no touch-down watch) at the
-    start of control tick k: its lists of rows and MPC solutions (None for
-    open loop), of which the first n_rows and k entries lie before the
-    tick, and its lift-off time.  Row n_rows is the tick's first, recorded
-    before its first step, so its (t, x) is the resume point.  The flight
-    only appends to those lists, so an episode starts here by copying their
-    heads."""
+    start of control tick k: its lists of records and MPC solutions (None
+    for open loop), whose first n_records (n_rows rows) and k entries lie
+    before the tick, and its lift-off time.  The first row of record
+    n_records is the resume point.  The flight only appends to those
+    lists, so an episode starts here by copying their heads."""
     k: int
+    n_records: int
     n_rows: int
-    rows: list
+    records: list
     solutions: list | None
     t_lift: float
 
@@ -244,12 +242,12 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
             "noise": noise is not None}
     armed = False
     if start is None:
-        rows, ticks = [], (None if ctl is None else [])
+        records, ticks = [], (None if ctl is None else [])
         x, t, events = plan.rest_state.copy(), 0.0, {}
     else:
-        rows = start.rows[:start.n_rows]
+        records = start.records[:start.n_records]
         ticks = None if ctl is None else start.solutions[:start.k]
-        t, x = start.rows[start.n_rows][:2]
+        t, x = (a[0] for a in start.records[start.n_records][:2])
         events = {"lift_off": start.t_lift}
         if ctl is not None and start.k:
             ctl.prev_solution = ticks[-1]
@@ -257,21 +255,17 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
     def advance(u, n_steps, h, phase, watch=False, disturbed=True):
         """n_steps steps of h under the held input u, the disturbance added
         to its u[2:5] on the steps that feel one (where disturbed), in one
-        rollout_arrays call; True at touch-down.  Rows reference views of
-        the returned states; a touch-down drops the rest of the stretch."""
+        rollout_arrays call, recorded as one stretch; True at touch-down.
+        A touch-down drops the rest of the stretch."""
         nonlocal x, t, armed
-        ts, ds = [t], []
-        for _ in range(n_steps):
-            ds.append(dist.force_at(t - t_lift) if disturbed else None)
-            t += h
-            ts.append(t)
+        times = list(accumulate(repeat(h, n_steps), initial=t))
+        felt = [disturbed and dist.force_at(t_i - t_lift) is not None for t_i in times[:-1]]
         us = np.tile(u, (n_steps, 1))
-        felt = [i for i, d in enumerate(ds) if d is not None]
-        if felt:
-            us[felt, 2:5] += [ds[i] for i in felt]
+        if any(felt):
+            us[felt, 2:5] += dist.vector
         states = rollout_arrays(x, us, h, cfg_sim, scenario)
-        bad = np.flatnonzero(~np.isfinite(states[1:]).all(axis=1))
-        flown = bad[0] if bad.size else n_steps     # steps to a finite state
+        finite = np.isfinite(states[1:]).all(axis=1)
+        flown = n_steps if finite.all() else int(finite.argmin())   # steps to a finite state
         down = False
         if watch:
             # n.p - d_w on floats, p as position_arrays gives it.
@@ -283,14 +277,15 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
                 if armed and gap <= 0.0:
                     flown, down = i, True
                     break
-        if not down and bad.size:
+        if not down and flown < n_steps:
             # The trace ends on the state the failing step started from.
-            rows.extend(zip(ts, states[:flown + 1], repeat(u), ds, repeat(phase)))
+            records.append((times[:flown + 1], states[:flown + 1], u, felt[:flown + 1], phase))
             msg = "simulation state became non-finite"
-            raise EpisodeAborted(msg, _trace(scenario, rows, ticks, {"aborted": np.nan},
-                                             np.full(3, np.nan), {**meta, "error": msg}))
-        rows.extend(zip(ts, states[:flown], repeat(u), ds, repeat(phase)))
-        x, t = states[flown], ts[flown]
+            raise EpisodeAborted(msg, _trace(scenario, records, dist.vector, ticks,
+                                             {"aborted": np.nan}, np.full(3, np.nan),
+                                             {**meta, "error": msg}))
+        records.append((times[:flown], states[:flown], u, felt[:flown], phase))
+        x, t = states[flown], times[flown]
         return down
 
     def tick_input(k):
@@ -312,7 +307,8 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
     t_lift = events["lift_off"]
     for k in range(0 if start is None else start.k, len(dt_plan) - 1):
         if marks is not None:
-            marks.append(_TickStart(k, len(rows), rows, ticks, t_lift))
+            marks.append(_TickStart(k, len(records), sum(len(r[0]) for r in records),
+                                    records, ticks, t_lift))
         u = tick_input(k)
         if advance(u, *_substeps(dt_plan[k + 1], dt_sim), PHASE_FLIGHT, landing):
             touched = True
@@ -340,8 +336,9 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
     if landing:
         meta["touch_down"] = touched
     if not touched:
-        rows.append((t, x, u, dist.force_at(t - t_lift), PHASE_HOLD if landing else PHASE_FLIGHT))
-        return _trace(scenario, rows, ticks, events, e_a, meta)
+        records.append(([t], x[None], u, [dist.force_at(t - t_lift) is not None],
+                        PHASE_HOLD if landing else PHASE_FLIGHT))
+        return _trace(scenario, records, dist.vector, ticks, events, e_a, meta)
 
     # Contact phase: plastic normal stop at the plane, then the landing
     # impedance settles the body against the wheels under the ropes, gravity
@@ -354,11 +351,11 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
     f_ext_n = float(n @ (scenario.mass * scenario.gravity
                          + a_l * u[0] + a_r * u[1]))
     s, s_dot = 0.0, 0.0                     # normal gap state after the stop
-    contact, forces = [], []
+    contact, felt = [], []
     for _ in range(round(SETTLE_TIME / dt_sim)):
         contact.append((t, *inverse_kinematics(p_td + s * n, scenario), s_dot))
         d = dist.force_at(t - t_lift)
-        forces.append(d)
+        felt.append(d is not None)
         f_c = -K * s - D * s_dot
         s_ddot = (f_c + (f_ext_n if d is None else f_ext_n + float(n @ d))) / scenario.mass
         s_dot += s_ddot * dt_sim
@@ -368,11 +365,10 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
     times, psi, l1, l2, s_dots = np.array(contact).reshape(-1, 5).T
     q_dot = np.linalg.solve(jacobian_arrays(psi, l1, l2, scenario.d_a),
                             s_dots[:, None, None] * n[:, None])[..., 0]
-    for t_row, x_row, d in zip(times.tolist(), np.column_stack([psi, l1, l2, q_dot]), forces):
-        rows.append((t_row, x_row, u, d, PHASE_CONTACT))
+    records.append((times, np.column_stack([psi, l1, l2, q_dot]), u, felt, PHASE_CONTACT))
     events["settled"] = t
     meta.update(stiffness=K, damping=D, early="early_touch_down" in events)
-    return _trace(scenario, rows, ticks, events, e_a, meta)
+    return _trace(scenario, records, dist.vector, ticks, events, e_a, meta)
 
 
 def run_episode(plan: JumpPlan, scenario: Scenario, controller: str = "mpc",
@@ -407,6 +403,7 @@ def _robustness_runs(plan, n_runs, scenario, seed, noise, controller, n_interval
     steps, ticks): an aborted run's trace is its EpisodeAborted's; steps and
     ticks count the simulator steps and MPC ticks flown for this run alone."""
     rng = np.random.default_rng(seed)
+    noise_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     window = plan.t_f / n_intervals
     runs = []
     for run in range(n_runs):
@@ -420,7 +417,7 @@ def _robustness_runs(plan, n_runs, scenario, seed, noise, controller, n_interval
             0.0, max(window - DisturbanceSpec.duration, 0.0))
         run_noise = None
         if noise is not None:
-            run_noise = NoiseSpec(noise.sigma, seed=int(rng.integers(2 ** 31)))
+            run_noise = NoiseSpec(noise.sigma, seed=int(noise_rng.integers(2 ** 31)))
         runs.append((interval, DisturbanceSpec("impulsive", vec, t_start=t_start),
                      run_noise))
 
@@ -450,7 +447,7 @@ def _robustness_runs(plan, n_runs, scenario, seed, noise, controller, n_interval
     shared = max(range(n_runs), key=lambda r: runs[r][1].t_start)
     marks = []
     shared_flown = fly(runs[shared][1], None, marks=marks)
-    opens = [m.rows[m.n_rows][0] - m.t_lift for m in marks]
+    opens = [m.records[m.n_records][0][0] - m.t_lift for m in marks]
     for run, (interval, spec, _) in enumerate(runs):
         if run == shared:
             yield (interval, *shared_flown)
@@ -479,8 +476,9 @@ def batch_robustness(plan: JumpPlan, n_runs: int, scenario: Scenario,
     control tick at or before the opening of the run's window (see
     _TickStart).  Each run stays bit-identical to its own run_episode.
     With noise every run flies from rest, since the runs' noise differs
-    from the first tick.  steps and ticks count the simulator steps and
-    MPC ticks the batch flew.
+    from the first tick; their noise seeds have a generator of their own,
+    so they fly the noise-free batch's disturbances.  steps and ticks
+    count the simulator steps and MPC ticks the batch flew.
     """
     if not (isinstance(n_runs, Integral) and n_runs >= 0):
         raise ValueError(f"n_runs must be an integer >= 0, got {n_runs!r}")

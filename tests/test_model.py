@@ -332,7 +332,7 @@ def mixed_states(rng, n):
 def float_accelerations(x, u, scen=SCEN):
     """The Python-float binding's accelerations of one state, with the
     scenario's constants bound as the integrator binds them."""
-    return _float_accelerations(x, u, scen, scen.d_a, scen.mass, scen.gravity.tolist())
+    return _float_accelerations(scen)(*x, *u)
 
 
 class TestKernelBindings:

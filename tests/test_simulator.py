@@ -2,10 +2,11 @@
 trace, each recorded step against one integrator step, one stepping call
 per stretch under one held input, wall crossings, reproducibility and
 error handling of the robustness batch, its shared undisturbed flight
-against one run_episode per run, the landing episode's phases and events,
-the MPC ticks (one per plan knot, with the seconds of their steps)
-recorded in the trace, aborts at a non-finite state, measurement noise,
-the landing damping and the input checks."""
+against one run_episode per run, the noisy batch's disturbances against
+the noise-free batch's, traces that own their memory, the landing
+episode's phases and events, the MPC ticks (one per plan knot, with the
+seconds of their steps) recorded in the trace, aborts at a non-finite
+state, measurement noise, the landing damping and the input checks."""
 
 import json
 
@@ -67,8 +68,10 @@ def nan_where(monkeypatch, hit):
 
 def serial_draws(plan, n_runs, seed, n_intervals=10, noise=None):
     """The robustness batch's draws, in its rng order: per run its interval,
-    DisturbanceSpec and NoiseSpec (None without noise)."""
+    DisturbanceSpec and NoiseSpec (None without noise), the noise seeds
+    from a generator of their own."""
     rng = np.random.default_rng(seed)
+    noise_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     window = plan.t_f / n_intervals
     draws = []
     for run in range(n_runs):
@@ -82,7 +85,7 @@ def serial_draws(plan, n_runs, seed, n_intervals=10, noise=None):
             0.0, max(window - DisturbanceSpec.duration, 0.0))
         run_noise = None
         if noise is not None:
-            run_noise = NoiseSpec(noise.sigma, seed=int(rng.integers(2 ** 31)))
+            run_noise = NoiseSpec(noise.sigma, seed=int(noise_rng.integers(2 ** 31)))
         draws.append((interval, DisturbanceSpec("impulsive", vec, t_start=t_start),
                       run_noise))
     return draws
@@ -444,6 +447,49 @@ class TestSharedPrefix:
         stats = compare(frozen_track_plan, 3, 7, controller="mpc", noise=NoiseSpec(),
                         mpc_cfg=mpc.MpcConfig(n_horizon=2))
         assert (stats["steps"], stats["ticks"]) == (3 * 1040, 3 * 30)
+
+    @pytest.mark.parametrize("controller", ["open_loop", "mpc"])
+    def test_zero_noise_flies_the_noise_free_disturbances(self, frozen_track_plan,
+                                                          controller):
+        # The noise seeds have a generator of their own, so a batch with
+        # zero noise draws the same disturbances as the batch without noise
+        # and, flown from rest, lands each run where that batch does.
+        kwargs = dict(seed=7, controller=controller, n_intervals=4,
+                      mpc_cfg=mpc.MpcConfig(n_horizon=2))
+        clean = batch_robustness(frozen_track_plan, 4, SCEN, **kwargs)
+        noisy = batch_robustness(frozen_track_plan, 4, SCEN,
+                                 noise=NoiseSpec(sigma=[0.0, 0.0, 0.0]), **kwargs)
+        assert all(iv["n"] == 1 for iv in clean["intervals"])
+        assert noisy["steps"] > clean["steps"]
+        for key in ("failures", "wall_crossings", "intervals"):
+            assert json.dumps(noisy[key]) == json.dumps(clean[key]), key
+
+    def test_resumed_traces_share_no_memory(self, frozen_track_plan):
+        # Two runs resumed from one _TickStart start from the same records,
+        # but each trace owns its arrays: writing into one changes neither
+        # the other nor a run resumed there later.
+        marks = []
+        simulator._episode(frozen_track_plan, SCEN, "open_loop", None, None, 1e-3, None,
+                           marks=marks)
+        a, b, c = (simulator._episode(
+            frozen_track_plan, SCEN, "open_loop",
+            DisturbanceSpec("impulsive", [0.0, 0.0, -30.0], t_start=t_start), None,
+            1e-3, None, start=marks[10]) for t_start in (0.5, 0.5, 0.6))
+        names = ("states", "inputs", "times", "disturbance", "phase")
+        for x, y in ((a, b), (a, c), (b, c)):
+            for name in names:
+                assert not np.shares_memory(getattr(x, name), getattr(y, name)), name
+        want = {name: getattr(b, name).copy() for name in names}
+        for name in names:
+            getattr(a, name)[:] = 0
+        for name in names:
+            np.testing.assert_array_equal(getattr(b, name), want[name], err_msg=name)
+        again = simulator._episode(
+            frozen_track_plan, SCEN, "open_loop",
+            DisturbanceSpec("impulsive", [0.0, 0.0, -30.0], t_start=0.5), None, 1e-3, None,
+            start=marks[10])
+        for name in names:
+            np.testing.assert_array_equal(getattr(again, name), want[name], err_msg=name)
 
     def test_shared_flight_aborts_undisturbed(self, frozen_track_plan, compare,
                                               monkeypatch):
