@@ -2,11 +2,12 @@
 
 Inputs are held constant over each knot interval (zero-order hold) and the
 interval is subdivided into n_sub equal sub-steps, so (dt, n_sub=k) is
-exactly equivalent to (dt/k, n_sub=1).  step_arrays advances one interval
-and rollout_arrays a step schedule (u, dt) from one start state, dt a
-scalar or one length per step; every caller steps the model through these
-two.  A jump's schedule is planner.jump_schedule, the thrust step and the
-knot steps from rest; the MPC's horizon is a window of its knot steps.
+exactly equivalent to (dt/k, n_sub=1).  rollout_arrays advances a step
+schedule (u, dt) from one start state, dt a scalar or one length per step,
+and step_arrays is its one-step case; every caller steps the model through
+rollout_arrays.  A jump's schedule is planner.jump_schedule, the thrust
+step and the knot steps from rest; the MPC's horizon is a window of its
+knot steps.
 
 substep_schedule writes a schedule at sub-step resolution, each step's
 input repeated n_sub times at dt / n_sub, to be stepped with n_sub = 1;
@@ -16,17 +17,18 @@ places a schedule is expanded to sub-steps.  The planner's value rollouts
 and the MPC's predictions roll out at sub-step resolution and keep the
 sub-step states, which their Jacobians start from.
 
-step_arrays and rollout_arrays choose between the two bindings of the
-model's dynamics kernel from the shapes and types of their inputs.  A
-batch of states runs on numpy arrays.  One real 6-vector state with real
-inputs and lengths (planner values, MPC predictions, the simulator's
-control ticks) runs in one Python-float loop, _rollout_floats, over all the
-sub-steps of the step or of the whole schedule: the float binding made
-once per call, each step's input unpacked once, the stage states in locals
-passed to it as scalars, and the IEEE operations of substep_arrays in the
-same order, so both agree bit for bit, NaN rows included, and neither
-raises on them.  Complex inputs always take the array binding, whatever
-their shape: the float path is real-only.
+rollout_arrays is the one gate between the two bindings of the model's
+dynamics kernel, chosen from the shapes and types of its inputs.  A batch
+of states runs on numpy arrays, substep_arrays once per sub-step.  One
+real 6-vector state with real inputs and lengths (planner values, MPC
+predictions, the simulator's stretches, a single step_arrays step) runs
+in one Python-float loop, _rollout_floats, over all the sub-steps of the
+schedule: the float binding made once per call, each step's input
+unpacked once, the stage states in locals passed to it as scalars, and
+the IEEE operations of substep_arrays in the same order, so both agree
+bit for bit, NaN rows included, and neither raises on them.  Complex
+inputs always take the array binding, whatever their shape: the float
+path is real-only.
 
 step_jacobians differentiates steps by complex step (Squire & Trapp,
 SIAM Rev. 1998; Martins, Sturdza & Alonso, ACM TOMS 2003): the kernel is
@@ -117,28 +119,17 @@ def _rollout_floats(x, us, hs, n_sub, scenario: Scenario):
 
 
 def step_arrays(x, u, dt, cfg: IntegratorConfig, scenario: Scenario):
-    """Advance one knot interval dt with cfg.n_sub equal sub-steps.
-
-    dt may carry batch dimensions matching x's leading dimensions.  A single
-    real state (x and u real 6-vectors, dt a real scalar of any type) is
-    stepped on Python floats; complex inputs stay arrays.
-    """
-    xs, us = np.asarray(x), np.asarray(u)
-    if xs.ndim == 1 and us.ndim == 1 and "c" not in (xs.dtype.kind, us.dtype.kind) \
-            and np.ndim(dt) == 0 and not np.iscomplexobj(dt):
-        return np.array(_rollout_floats(
-            xs.astype(float, copy=False).tolist(), (us.astype(float, copy=False).tolist(),),
-            (float(dt) / cfg.n_sub,), cfg.n_sub, scenario)[-1])
-    h = np.asarray(dt) / cfg.n_sub
-    if np.ndim(h) > 0:
-        h = h[..., None]
-    for _ in range(cfg.n_sub):
-        x = substep_arrays(x, u, h, scenario)
-    return x
+    """Advance one knot interval dt with cfg.n_sub equal sub-steps: the
+    one-step rollout_arrays, u broadcast to x's batch and dt to its
+    leading dimensions."""
+    u = np.asarray(u)
+    u = np.broadcast_to(u, np.broadcast_shapes(np.shape(x)[:-1], u.shape[:-1]) + (6,))
+    return rollout_arrays(x, u[..., None, :], np.expand_dims(dt, -1), cfg, scenario)[..., -1, :]
 
 
 def rollout_arrays(x0, u_schedule, dt, cfg: IntegratorConfig, scenario: Scenario):
-    """Propagate a step schedule from x0, each step as step_arrays takes it.
+    """Propagate a step schedule from x0, each step n_sub RK4 sub-steps of
+    dt / n_sub.
 
     x0: (..., 6), broadcast against u_schedule: (..., K, 6); dt: a scalar
     or one length per step, broadcast against the steps u_schedule.shape[:-1].
@@ -156,8 +147,10 @@ def rollout_arrays(x0, u_schedule, dt, cfg: IntegratorConfig, scenario: Scenario
     x = np.broadcast_to(xs, np.broadcast_shapes(xs.shape, u.shape[:-2] + (6,)))
     out = np.empty(x.shape[:-1] + (u.shape[-2] + 1, 6), dtype=np.result_type(x, u, dt, float))
     out[..., 0, :] = x
+    h = dt[..., None] / cfg.n_sub
     for k in range(u.shape[-2]):
-        x = step_arrays(x, u[..., k, :], dt[..., k], cfg, scenario)
+        for _ in range(cfg.n_sub):
+            x = substep_arrays(x, u[..., k, :], h[..., k, :], scenario)
         out[..., k + 1, :] = x
     return out
 

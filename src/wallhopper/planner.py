@@ -49,6 +49,7 @@ from .solvers import NlpProblem, solve_nlp
 
 HOIST_SMOOTHING_DELTA = 1e-4
 T_F_BOUNDS = (0.2, 10.0)
+T_F0 = 2.0                  # flight time of the initial guess (s)
 
 
 class PlanningError(RuntimeError):
@@ -331,10 +332,10 @@ class ShootingProblem:
         return (self._join(-(1.0 + mu), -1.0, -1.0, T_F_BOUNDS[0]),
                 self._join(1.0 + mu, 0.0, 0.0, T_F_BOUNDS[1]))
 
-    def initial_guess(self, t_f0: float = 2.0) -> np.ndarray:
+    def initial_guess(self) -> np.ndarray:
         pull = static_rope_pull(self.p0, self.scen)
         return self._join(0.3 * self.scen.f_leg_max * self.scen.wall_normal,
-                          pull[0], pull[1], t_f0) / self.scale
+                          pull[0], pull[1], T_F0) / self.scale
 
 
 def _check_target(p0, p_tg, scenario: Scenario, weights: PlannerWeights):

@@ -8,8 +8,8 @@ machine, _episode, which walks the plan's step schedule from rest
 - flight: controller tick k holds step k + 1 for its length: its planned
   input (open loop) or the MPC command (from the state with measurement
   noise added), while the true dynamics, disturbance force included,
-  integrates in steps of about dt_sim, sized so that they divide each
-  step exactly; the flight ends at t_th + t_f;
+  integrates in steps of about DT_SIM (1 ms), sized so that they divide
+  each step exactly; the flight ends at t_th + t_f;
 - hold (landing runs only): a run still short of the wheel plane at t_f
   holds the last step's rope forces plus gravity compensation, for at
   most MAX_HOLD;
@@ -20,11 +20,13 @@ machine, _episode, which walks the plan's step schedule from rest
 
 Each stretch under one held input (the thrust, a control tick, a control
 period of the hold) is one rollout_arrays call, which steps one state on
-Python floats; the touch-down watch scans the new states on floats and
-drops the rest of the stretch after a touch-down.  The disturbance F,
-timed from lift-off, acts in the flight and the hold as a force added to
-the external force u[2:5] of the stepped input (zero in every flight and
-hold input), and in the contact phase as n.F on the normal motion.  The
+Python floats.  The touch-down watch takes the wall gap n.p - d_w of the
+stretch's new states in one position_arrays call, arms at the first gap
+over 0.02 m and fires at the first gap <= 0 from there, and drops the
+rest of the stretch after a touch-down.  The disturbance F, timed from
+lift-off, acts in the flight and the hold as a force added to the
+external force u[2:5] of the stepped input (zero in every flight and hold
+input), and in the contact phase as n.F on the normal motion.  The
 episode records (times, states, u, felt, phase) per stretch, contact phase
 and last row: step times, states, held input, flags of the rows the force
 acts on, and phase, so the trace keeps the input and the force apart.
@@ -42,8 +44,10 @@ its trace ends on the state that step started from and carries the event
 aborted.  A wall crossing is recorded, not aborted.  Every row's
 Cartesian velocity is A_d q_dot.  The meta of an MPC episode holds one
 entry per tick in the arrays tick_s, step_s, n_iter, status and degraded
-(MpcSolution.diagnostics).  Records keep references, not copies, that
-nothing may mutate later; each trace is concatenated and owns its arrays.
+(MpcSolution.diagnostics).  Every meta holds steps and ticks, the model
+steps and MPC ticks that this episode flew itself.  Records keep
+references, not copies, that nothing may mutate later; each trace is
+concatenated and owns its arrays.
 
 An episode without measurement noise can also start at a control tick of
 another flight, a _TickStart, instead of at rest: it copies that flight's
@@ -52,7 +56,8 @@ of the first row of the tick's record, and hands the last solution to its
 controller as the warm start.  Up to a tick at which neither flight has
 felt a disturbance, the two are the same flight step for step, so the
 episode is bit-identical to one flown from rest.  batch_robustness flies
-the undisturbed prefix that its runs share once this way.
+the undisturbed prefix that its runs share once this way, its runs'
+disturbances drawn in N_INTERVALS windows of the flight.
 """
 
 from __future__ import annotations
@@ -70,8 +75,8 @@ from .integrator import IntegratorConfig, rollout_arrays
 # still patches simulator.step_arrays by name.
 from .integrator import step_arrays  # noqa: F401
 from .mpc import MpcConfig, TrackingController
-from .model import (Scenario, _chord_and_radius, inverse_kinematics, jacobian_arrays,
-                    position_arrays, rope_axes, static_rope_pull)
+from .model import (Scenario, inverse_kinematics, jacobian_arrays, position_arrays,
+                    rope_axes, static_rope_pull)
 from .planner import JumpPlan
 
 PHASE_THRUST = 0
@@ -82,6 +87,8 @@ PHASE_CONTACT = 3
 LANDING_STIFFNESS = 60.0    # K_L (N/m), critically damped for the mass
 SETTLE_TIME = 3.0           # contact phase recorded after touch-down (s)
 MAX_HOLD = 2.0              # cap on the delayed touch-down wait (s)
+DT_SIM = 0.001              # simulator step (s), shortened to divide each step
+N_INTERVALS = 10            # batch_robustness windows over the flight
 AMPLITUDE = (25.0, 50.0)    # range of batch_robustness impulses (N)
 
 
@@ -185,13 +192,12 @@ def _trace(scenario, records, force, ticks, events, e_a, meta) -> SimTrace:
 class _TickStart:
     """A run_episode flight without noise (no touch-down watch) at the
     start of control tick k: its lists of records and MPC solutions (None
-    for open loop), whose first n_records (n_rows rows) and k entries lie
-    before the tick, and its lift-off time.  The first row of record
-    n_records is the resume point.  The flight only appends to those
-    lists, so an episode starts here by copying their heads."""
+    for open loop), whose first n_records and k entries lie before the
+    tick, and its lift-off time.  The first row of record n_records is the
+    resume point.  The flight only appends to those lists, so an episode
+    starts here by copying their heads."""
     k: int
     n_records: int
-    n_rows: int
     records: list
     solutions: list | None
     t_lift: float
@@ -205,26 +211,20 @@ class EpisodeAborted(RuntimeError):
         self.trace = trace
 
 
-def _check_dt_sim(dt_sim: float) -> None:
-    if not (math.isfinite(dt_sim) and dt_sim > 0.0):
-        raise ValueError(f"dt_sim must be finite and positive, got {dt_sim!r}")
-
-
-def _substeps(interval: float, dt_sim: float) -> tuple[int, float]:
+def _substeps(interval: float) -> tuple[int, float]:
     """Steps covering interval exactly: their count and their length, the
-    nearest to dt_sim that divides the interval."""
-    n = max(1, round(interval / dt_sim))
+    nearest to DT_SIM that divides the interval."""
+    n = max(1, round(interval / DT_SIM))
     return n, interval / n
 
 
-def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
+def _episode(plan, scenario, controller, disturbance, noise, mpc_cfg,
              landing=False, start=None, marks=None) -> SimTrace:
     """The phase machine of the module docstring; landing arms the
     touch-down watch and the hold and contact phases.  Without noise, the
     episode may start at tick start.k of another flight (a _TickStart), and
     marks, a list, collects a _TickStart at each flight tick this one
     reaches."""
-    _check_dt_sim(dt_sim)
     if controller == "mpc":
         ctl = TrackingController(plan, scenario, mpc_cfg)
     elif controller == "open_loop":
@@ -237,9 +237,8 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
     dist = disturbance or DisturbanceSpec()
     cfg_sim = IntegratorConfig(n_sub=1)
     n = scenario.wall_normal
-    n_x, n_y, n_z = n.tolist()
-    meta = {"controller": controller, "dt_sim": dt_sim, "disturbance": dist.kind,
-            "noise": noise is not None}
+    meta = {"controller": controller, "dt_sim": DT_SIM, "disturbance": dist.kind,
+            "noise": noise is not None, "steps": 0, "ticks": 0}
     armed = False
     if start is None:
         records, ticks = [], (None if ctl is None else [])
@@ -268,22 +267,23 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
         flown = n_steps if finite.all() else int(finite.argmin())   # steps to a finite state
         down = False
         if watch:
-            # n.p - d_w on floats, p as position_arrays gives it.
-            for i, (q0, q1, q2) in enumerate(states[1:flown + 1, :3].tolist(), 1):
-                C, r2 = _chord_and_radius(q1, q2, scenario.d_a)
-                r = math.sqrt(r2) if r2 > 0.0 else math.nan
-                gap = r * math.sin(q0) * n_x + C * n_y - r * math.cos(q0) * n_z - scenario.d_w
-                armed = armed or gap > 0.02
-                if armed and gap <= 0.0:
-                    flown, down = i, True
-                    break
+            q = states[1:flown + 1].T
+            gap = position_arrays(q[0], q[1], q[2], scenario.d_a) @ n - scenario.d_w
+            arm = 0 if armed else next(iter(np.flatnonzero(gap > 0.02)), gap.size)
+            armed = armed or arm < gap.size
+            fire = np.flatnonzero(gap[arm:] <= 0.0)
+            if fire.size:
+                flown, down = arm + int(fire[0]) + 1, True
         if not down and flown < n_steps:
-            # The trace ends on the state the failing step started from.
+            # The trace ends on the state the failing step started from,
+            # and the failing step counts as flown.
+            meta["steps"] += flown + 1
             records.append((times[:flown + 1], states[:flown + 1], u, felt[:flown + 1], phase))
             msg = "simulation state became non-finite"
             raise EpisodeAborted(msg, _trace(scenario, records, dist.vector, ticks,
                                              {"aborted": np.nan}, np.full(3, np.nan),
                                              {**meta, "error": msg}))
+        meta["steps"] += flown
         records.append((times[:flown], states[:flown], u, felt[:flown], phase))
         x, t = states[flown], times[flown]
         return down
@@ -296,21 +296,21 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
             x_meas[3:] += rng.normal(0.0, noise.sigma)
         u, sol = ctl.command(x_meas, k)
         ticks.append(sol)
+        meta["ticks"] += 1
         return u
 
     touched = False
     if start is None:
         # Thrust: step 0, the leg force with the ropes slack; contact is
         # not watched while still at the wall.
-        advance(u_plan[0], *_substeps(dt_plan[0], dt_sim), PHASE_THRUST, disturbed=False)
+        advance(u_plan[0], *_substeps(dt_plan[0]), PHASE_THRUST, disturbed=False)
         events["lift_off"] = t
     t_lift = events["lift_off"]
     for k in range(0 if start is None else start.k, len(dt_plan) - 1):
         if marks is not None:
-            marks.append(_TickStart(k, len(records), sum(len(r[0]) for r in records),
-                                    records, ticks, t_lift))
+            marks.append(_TickStart(k, len(records), records, ticks, t_lift))
         u = tick_input(k)
-        if advance(u, *_substeps(dt_plan[k + 1], dt_sim), PHASE_FLIGHT, landing):
+        if advance(u, *_substeps(dt_plan[k + 1]), PHASE_FLIGHT, landing):
             touched = True
             events["early_touch_down"] = t
             break
@@ -324,9 +324,9 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
             u = np.zeros(6)
             u[:2] = np.clip(u_plan[-1, :2] + pull, -scenario.f_r_max, 0.0)
             # One control period a stretch: a touch-down drops the rest.
-            n_hold, n_period = round(MAX_HOLD / dt_sim), _substeps(dt_plan[-1], dt_sim)[0]
+            n_hold, n_period = round(MAX_HOLD / DT_SIM), _substeps(dt_plan[-1])[0]
             for done in range(0, n_hold, n_period):
-                touched = advance(u, min(n_period, n_hold - done), dt_sim, PHASE_HOLD, True)
+                touched = advance(u, min(n_period, n_hold - done), DT_SIM, PHASE_HOLD, True)
                 if touched:
                     break
             events["delayed_touch_down" if touched else "no_touch_down"] = t
@@ -352,15 +352,15 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
                          + a_l * u[0] + a_r * u[1]))
     s, s_dot = 0.0, 0.0                     # normal gap state after the stop
     contact, felt = [], []
-    for _ in range(round(SETTLE_TIME / dt_sim)):
+    for _ in range(round(SETTLE_TIME / DT_SIM)):
         contact.append((t, *inverse_kinematics(p_td + s * n, scenario), s_dot))
         d = dist.force_at(t - t_lift)
         felt.append(d is not None)
         f_c = -K * s - D * s_dot
         s_ddot = (f_c + (f_ext_n if d is None else f_ext_n + float(n @ d))) / scenario.mass
-        s_dot += s_ddot * dt_sim
-        s += s_dot * dt_sim
-        t += dt_sim
+        s_dot += s_ddot * DT_SIM
+        s += s_dot * DT_SIM
+        t += DT_SIM
     # The rates of the normal motion, q_dot = A_d(q)^-1 n s_dot, for all rows.
     times, psi, l1, l2, s_dots = np.array(contact).reshape(-1, 5).T
     q_dot = np.linalg.solve(jacobian_arrays(psi, l1, l2, scenario.d_a),
@@ -373,15 +373,15 @@ def _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
 
 def run_episode(plan: JumpPlan, scenario: Scenario, controller: str = "mpc",
                 disturbance: DisturbanceSpec | None = None,
-                noise: NoiseSpec | None = None, dt_sim: float = 0.001,
+                noise: NoiseSpec | None = None,
                 mpc_cfg: MpcConfig | None = None) -> SimTrace:
     """Simulate thrust + flight and score the landing error at t_th + t_f."""
-    return _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg)
+    return _episode(plan, scenario, controller, disturbance, noise, mpc_cfg)
 
 
 def landing_episode(plan: JumpPlan, scenario: Scenario, controller: str = "mpc",
                     disturbance: DisturbanceSpec | None = None,
-                    noise: NoiseSpec | None = None, dt_sim: float = 0.001,
+                    noise: NoiseSpec | None = None,
                     mpc_cfg: MpcConfig | None = None) -> SimTrace:
     """Episode with wheel-plane contact detection and the landing law.
 
@@ -393,21 +393,20 @@ def landing_episode(plan: JumpPlan, scenario: Scenario, controller: str = "mpc",
     touch-downs are flagged; in the delayed case the last step's rope forces
     plus gravity compensation are held until contact or for MAX_HOLD.
     """
-    return _episode(plan, scenario, controller, disturbance, noise, dt_sim, mpc_cfg,
-                    landing=True)
+    return _episode(plan, scenario, controller, disturbance, noise, mpc_cfg, landing=True)
 
 
-def _robustness_runs(plan, n_runs, scenario, seed, noise, controller, n_intervals,
-                     dt_sim, mpc_cfg):
+def _robustness_runs(plan, n_runs, scenario, seed, noise, controller, mpc_cfg):
     """batch_robustness's runs in run order, as (interval, trace, aborted,
     steps, ticks): an aborted run's trace is its EpisodeAborted's; steps and
     ticks count the simulator steps and MPC ticks flown for this run alone."""
     rng = np.random.default_rng(seed)
-    noise_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    window = plan.t_f / n_intervals
+    noise_rng = None if noise is None else np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(noise.seed,)))
+    window = plan.t_f / N_INTERVALS
     runs = []
     for run in range(n_runs):
-        interval = run % n_intervals
+        interval = run % N_INTERVALS
         amp = rng.uniform(*AMPLITUDE)
         vec = rng.normal(size=3)
         vec[2] = -abs(vec[2])            # downward hemisphere
@@ -423,17 +422,12 @@ def _robustness_runs(plan, n_runs, scenario, seed, noise, controller, n_interval
 
     def fly(spec, run_noise, start=None, marks=None):
         try:
-            trace = _episode(plan, scenario, controller, spec, run_noise, dt_sim,
-                             mpc_cfg, start=start, marks=marks)
+            trace = _episode(plan, scenario, controller, spec, run_noise, mpc_cfg,
+                             start=start, marks=marks)
             aborted = False
         except EpisodeAborted as exc:
             trace, aborted = exc.trace, True
-        # One row per step, and a finished run's last row on top; the rows
-        # and ticks before the start are the shared flight's.
-        rows0, k0 = (0, 0) if start is None else (start.n_rows, start.k)
-        steps = trace.times.size - (not aborted) - rows0
-        ticks = trace.meta["tick_s"].size - k0 if controller == "mpc" else 0
-        return trace, aborted, steps, ticks
+        return trace, aborted, trace.meta["steps"], trace.meta["ticks"]
 
     if noise is not None or not runs:
         for interval, spec, run_noise in runs:
@@ -458,11 +452,10 @@ def _robustness_runs(plan, n_runs, scenario, seed, noise, controller, n_interval
 
 def batch_robustness(plan: JumpPlan, n_runs: int, scenario: Scenario,
                      seed: int = 0, noise: NoiseSpec | None = None,
-                     controller: str = "mpc", n_intervals: int = 10,
-                     dt_sim: float = 0.001, mpc_cfg: MpcConfig | None = None) -> dict:
+                     controller: str = "mpc", mpc_cfg: MpcConfig | None = None) -> dict:
     """Random impulsive disturbances over the flight, per-interval statistics.
 
-    The flight is split into n_intervals (>= 1) equal windows; each run
+    The flight is split into N_INTERVALS equal windows; each run
     draws a disturbance amplitude in AMPLITUDE and a direction in the
     downward hemisphere, applied inside its window for DisturbanceSpec's
     default duration.  Aborted runs are counted as failures, not fatal;
@@ -477,18 +470,15 @@ def batch_robustness(plan: JumpPlan, n_runs: int, scenario: Scenario,
     _TickStart).  Each run stays bit-identical to its own run_episode.
     With noise every run flies from rest, since the runs' noise differs
     from the first tick; their noise seeds have a generator of their own,
-    so they fly the noise-free batch's disturbances.  steps and ticks
-    count the simulator steps and MPC ticks the batch flew.
+    keyed to noise.seed, so they fly the noise-free batch's disturbances.
+    steps and ticks count the simulator steps and MPC ticks the batch flew.
     """
     if not (isinstance(n_runs, Integral) and n_runs >= 0):
         raise ValueError(f"n_runs must be an integer >= 0, got {n_runs!r}")
-    if not (isinstance(n_intervals, Integral) and n_intervals >= 1):
-        raise ValueError(f"n_intervals must be an integer >= 1, got {n_intervals!r}")
-    _check_dt_sim(dt_sim)
-    per_interval: list[list[float]] = [[] for _ in range(n_intervals)]
+    per_interval: list[list[float]] = [[] for _ in range(N_INTERVALS)]
     failures = wall_crossings = steps = ticks = 0
     for interval, trace, aborted, run_steps, run_ticks in _robustness_runs(
-            plan, n_runs, scenario, seed, noise, controller, n_intervals, dt_sim, mpc_cfg):
+            plan, n_runs, scenario, seed, noise, controller, mpc_cfg):
         steps += run_steps
         ticks += run_ticks
         if aborted:

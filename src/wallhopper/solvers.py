@@ -41,6 +41,9 @@ STATUS_FAILED = "failed"
 # box_step's least reciprocal condition of its columns scaled to unit
 # norm: below it the step would keep fewer than half its digits.
 RCOND_MIN = np.sqrt(np.finfo(float).eps)
+# A bound or constraint is active within this distance, relative to
+# max(1, |x|) for bounds.
+TOL_ACT = 1e-6
 
 
 @dataclass
@@ -102,8 +105,7 @@ class NlpResult:
     message: str = ""
 
 
-def active_set_multipliers(problem: NlpProblem, x: np.ndarray, grad: np.ndarray,
-                           tol_act: float = 1e-6) -> float:
+def active_set_multipliers(problem: NlpProblem, x: np.ndarray, grad: np.ndarray) -> float:
     """KKT residual at x, where the objective's gradient is grad: the
     infinity norm of grad + A lam, with A's columns the outward normals of
     the active constraints and bounds and lam >= 0 their non-negative
@@ -111,11 +113,11 @@ def active_set_multipliers(problem: NlpProblem, x: np.ndarray, grad: np.ndarray,
     this name."""
     scale = np.maximum(1.0, np.abs(x))
     eye = np.eye(x.size)
-    cols = [-eye[:, x - problem.lower <= tol_act * scale],
-            eye[:, problem.upper - x <= tol_act * scale]]
+    cols = [-eye[:, x - problem.lower <= TOL_ACT * scale],
+            eye[:, problem.upper - x <= TOL_ACT * scale]]
     if problem.constraints is not None:
         g = np.atleast_1d(problem.constraints(x))
-        cols.append(np.atleast_2d(problem.constraints_jac(x))[g >= -tol_act].T)
+        cols.append(np.atleast_2d(problem.constraints_jac(x))[g >= -TOL_ACT].T)
     A = np.hstack(cols)
     lam = optimize.nnls(A, -grad)[0] if A.shape[1] else np.zeros(0)
     return float(np.max(np.abs(grad + A @ lam)))

@@ -39,10 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Scenario, cross, tangent_frame
-# directional_margin is re-exported as the hull-based reference for margin_at.
-from .polytopes import (DegeneracyError, HPolytope, MarginResult, VPolytope,
-                        convex_hull, directional_margin, v_to_h)
+from .model import Scenario, _finite_point, cross, tangent_frame
+from .polytopes import (DegeneracyError, HPolytope, MarginResult, VPolytope, convex_hull,
+                        v_to_h)
+# The hull-based reference for margin_at, re-exported for the benchmark's tracer.
+from .polytopes import directional_margin  # noqa: F401
 from .solvers import STATUS_INFEASIBLE, STATUS_OPTIMAL, solve_lp
 
 
@@ -71,9 +72,7 @@ class ContactSet:
 def contact_geometry(p, scenario: Scenario) -> ContactSet:
     """Wheel and rope-attachment placement for a CoM at p (anchor frame);
     ValueError unless p is a finite 3-vector."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (3,) or not np.all(np.isfinite(p)):
-        raise ValueError(f"CoM position must be a finite 3-vector, got {p!r}")
+    p = _finite_point(p)
     n_c = scenario.wall_normal
     t1, t2 = tangent_frame(n_c)
     half_b = 0.5 * scenario.d_b * t1

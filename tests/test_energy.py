@@ -14,7 +14,7 @@ SCEN = Scenario()
 
 @pytest.fixture(scope="module")
 def replay(benchmark_plan):
-    return run_episode(benchmark_plan, SCEN, controller="open_loop", dt_sim=1e-3)
+    return run_episode(benchmark_plan, SCEN, controller="open_loop")
 
 
 def test_plan_estimate_matches_replay(benchmark_plan, replay):
