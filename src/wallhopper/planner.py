@@ -43,8 +43,8 @@ import numpy as np
 
 from .integrator import (IntegratorConfig, knot_rows, rollout_arrays, rollout_jacobian,
                          substep_schedule)
-from .model import (Ellipsoid, Scenario, inverse_kinematics, position_arrays,
-                    static_rope_pull, tangent_frame)
+from .model import (Ellipsoid, Scenario, _finite_point, inverse_kinematics,
+                    position_arrays, static_rope_pull, tangent_frame)
 from .solvers import NlpProblem, solve_nlp
 
 HOIST_SMOOTHING_DELTA = 1e-4
@@ -340,8 +340,6 @@ class ShootingProblem:
 
 def _check_target(p0, p_tg, scenario: Scenario, weights: PlannerWeights):
     for name, p in (("start", p0), ("target", p_tg)):
-        if p.shape != (3,) or not np.all(np.isfinite(p)):
-            raise ValueError(f"{name} position must be a finite 3-vector, got {p}")
         gap = float(wall_gap(p, scenario, weights.clearance))
         if gap < -1e-12:
             raise PlanningError(f"{name} position {p} is {-gap:.3f} m inside the "
@@ -354,8 +352,7 @@ def plan_jump(p0, p_tg, scenario: Scenario,
     """Optimise a jump from rest at p0 to the target ball around p_tg,
     integrated with IntegratorConfig() as the tracking MPC predicts it."""
     weights = weights or PlannerWeights()
-    p0 = np.asarray(p0, dtype=float)
-    p_tg = np.asarray(p_tg, dtype=float)
+    p0, p_tg = _finite_point(p0), _finite_point(p_tg)
     _check_target(p0, p_tg, scenario, weights)
 
     prob = ShootingProblem(p0, p_tg, scenario, weights, IntegratorConfig())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .solvers import STATUS_OPTIMAL, STATUS_UNBOUNDED, solve_lp
+from .solvers import STATUS_OPTIMAL, solve_lp
 
 CONTAIN_TOL = 1e-8
 
@@ -137,33 +137,34 @@ def contains(H: HPolytope, w, tol: float = CONTAIN_TOL) -> bool:
 
 
 def directional_margin(H: HPolytope, w0, v_hat) -> MarginResult:
-    """max gamma >= 0 with w0 + gamma * v_hat inside H.
+    """max gamma >= 0 with w0 + gamma * v_hat inside H, by a ratio test.
 
-    Returns gamma = 0 with an infeasible-origin status when w0 itself
-    violates a row, and an unbounded status when no row limits the ray.
+    Row j limits the ray only if a_j . v_hat > 0, and then to
+    gamma <= (b_j - a_j . w0) / (a_j . v_hat); gamma is the least of these
+    limits, which makes this the closed form of the one-variable LP and
+    needs no solver.  Returns gamma = 0 with an infeasible-origin status
+    when w0 itself violates a row, and an unbounded status when no row
+    limits the ray.
     """
     w0 = np.asarray(w0, dtype=float)
     v_hat = np.asarray(v_hat, dtype=float)
     if not contains(H, w0):
         return MarginResult(0.0, "infeasible_origin")
     av = H.A @ v_hat
-    slack = H.b - H.A @ w0
-    res = solve_lp(np.array([-1.0]), A_ub=av[:, None], b_ub=slack, bounds=[(0.0, None)])
-    if res.status == STATUS_UNBOUNDED:
+    limiting = av > 0.0
+    if not limiting.any():
         return MarginResult(np.inf, "unbounded")
-    if res.status != STATUS_OPTIMAL:
-        # w0 passed the containment check, so the LP is feasible at gamma=0;
-        # any other failure is a numerical corner worth surfacing.
-        raise RuntimeError(f"margin LP unexpectedly {res.status}")
-    return MarginResult(float(res.x[0]), "ok")
+    slack = H.b[limiting] - H.A[limiting] @ w0
+    # contains() lets w0 lie up to CONTAIN_TOL outside a row.
+    return MarginResult(max(0.0, float(np.min(slack / av[limiting]))), "ok")
 
 
 def membership_distance(P: VPolytope, w) -> float:
     """Infinity-norm distance from w to the hull of P's vertices, via LP.
 
-    Minimises t subject to |V^T lambda - w| <= t componentwise, lambda >= 0,
-    sum lambda = 1.  Zero (up to LP tolerance) means w is a convex
-    combination of the vertices.
+    Minimises t subject to -t <= V^T lambda - w <= t componentwise,
+    lambda >= 0, sum lambda = 1.  Zero (up to LP tolerance) means w is a
+    convex combination of the vertices.
     """
     w = np.asarray(w, dtype=float)
     n, d = P.n_vertices, P.dim
@@ -171,12 +172,12 @@ def membership_distance(P: VPolytope, w) -> float:
     c = np.zeros(n + 1)
     c[-1] = 1.0
     V = P.vertices.T                                   # (d, n)
-    A_ub = np.block([[V, -np.ones((d, 1))],
-                     [-V, -np.ones((d, 1))]])
-    b_ub = np.concatenate([w, -w])
-    A_eq = np.concatenate([np.ones(n), [0.0]])[None, :]
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.array([1.0]),
-                   bounds=[(0.0, None)] * (n + 1))
+    A = np.block([[V, -np.ones((d, 1))],
+                  [V, np.ones((d, 1))],
+                  [np.ones((1, n)), np.zeros((1, 1))]])
+    row_lower = np.concatenate([np.full(d, -np.inf), w, [1.0]])
+    row_upper = np.concatenate([w, np.full(d, np.inf), [1.0]])
+    res = solve_lp(c, A, row_lower, row_upper, lower=0.0)
     if res.status != STATUS_OPTIMAL:
         raise RuntimeError(f"membership LP {res.status}")
     return float(res.value)

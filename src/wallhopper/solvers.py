@@ -14,10 +14,11 @@ active constraints and bounds by least squares, and the reported KKT
 residual is the largest entry of the Lagrangian gradient they leave.
 
 The LP path is one thin call to HiGHS through ``scipy.optimize.milp`` with
-no integer variables: ``solve_lp`` takes linprog's arguments, leaves
-variables free unless bounds are given, and maps HiGHS's ending to one of
-the status strings below (optimal, unbounded, infeasible, max_iters,
-failed).  milp runs the same HiGHS wrapper and status mapping as
+no integer variables: ``solve_lp`` takes the LP in HiGHS's own form, one
+constraint matrix (dense or sparse) with lower and upper bounds on its
+rows and on the variables, and maps HiGHS's ending to one of the status
+strings below (optimal, unbounded, infeasible, max_iters, failed).  milp
+runs the same HiGHS wrapper and status mapping as
 ``linprog(method="highs")`` but checks one HiGHS option instead of five,
 and those checks cost more than HiGHS itself on the margin LPs.
 """
@@ -270,32 +271,19 @@ class LpResult:
     status: str
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LpResult:
-    """Minimise c.x subject to A_ub x <= b_ub and A_eq x = b_eq.
+def solve_lp(c, A, row_lower, row_upper, lower=-np.inf, upper=np.inf) -> LpResult:
+    """Minimise c.x subject to row_lower <= A x <= row_upper and
+    lower <= x <= upper.
 
-    The arguments are linprog's own: bounds are (lower, upper) pairs with
-    None for no bound, and default to free variables (not linprog's
-    x >= 0).  HiGHS gets the rows in linprog's order, inequalities first,
-    so it returns linprog's answer to the last bit; only linprog's re-check
-    of an optimal point against the rows, at 3e-4, is not repeated.
+    A is dense or a scipy.sparse matrix, possibly with no rows; the bounds
+    broadcast to A's rows and columns, and an infinite one is no bound
+    (equal ones make an equality).  HiGHS gets exactly this model, rows in
+    A's order, so a linprog call whose inequality and equality rows stack
+    to A gets the same answer to the last bit; only linprog's re-check of
+    an optimal point against the rows, at 3e-4, is not repeated.
     """
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    lower, upper = -np.inf, np.inf
-    if bounds is not None:
-        lower, upper = np.array(bounds, dtype=float).T       # None -> nan
-        lower = np.where(np.isnan(lower), -np.inf, lower)
-        upper = np.where(np.isnan(upper), np.inf, upper)
-    blocks = []                                      # (rows, lower, upper)
-    if A_ub is not None:
-        b_ub = np.atleast_1d(np.asarray(b_ub, dtype=float))
-        blocks.append((A_ub, np.full(b_ub.size, -np.inf), b_ub))
-    if A_eq is not None:
-        blocks.append((A_eq, b_eq, b_eq))
-    constraints = None
-    if blocks:
-        A, row_lower, row_upper = (np.concatenate(part) for part in zip(*blocks))
-        constraints = optimize.LinearConstraint(A, row_lower, row_upper)
-    res = optimize.milp(c, bounds=optimize.Bounds(lower, upper), constraints=constraints)
+    res = optimize.milp(c, bounds=optimize.Bounds(lower, upper),
+                        constraints=optimize.LinearConstraint(A, row_lower, row_upper))
     if res.status == 0:
         return LpResult(res.x, float(res.fun), STATUS_OPTIMAL)
     if res.status == 3:

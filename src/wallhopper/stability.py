@@ -47,6 +47,11 @@ from .polytopes import directional_margin  # noqa: F401
 from .solvers import STATUS_INFEASIBLE, STATUS_OPTIMAL, solve_lp
 
 
+# The wall span of HeatmapGrid.regular (m, anchor frame).
+Y_RANGE = (0.0, 5.0)
+Z_RANGE = (-10.0, -2.0)
+
+
 class CellError(ValueError):
     """No answer at this CoM position: a rope attachment coincides with its
     anchor, or the margin LP ended neither optimal nor infeasible."""
@@ -189,8 +194,9 @@ def margin_at(p, v_hat, scenario: Scenario) -> MarginResult:
 
     G comes from one lift_to_wrench call and is written in place, twice,
     into the zeroed LP matrix below its 4 wheel-sum rows, so a cell makes
-    no np.cross, np.repeat or vstack call.  lp_s is the seconds spent in
-    solve_lp.
+    no np.cross, np.repeat or vstack call.  solve_lp gets that matrix
+    whole, with row bounds -inf..1 on the wheel sums and w..w on the
+    equalities.  lp_s is the seconds spent in solve_lp.
     """
     v_hat = _check_direction(v_hat)
     cs = contact_geometry(p, scenario)
@@ -207,10 +213,11 @@ def margin_at(p, v_hat, scenario: Scenario) -> MarginResult:
     A[4:10, :n] = A[10:, n:2 * n] = G
     A[10:, -1] = -v_hat
     w = load_wrench(scenario)
+    row_upper = np.concatenate([np.ones(4), w, w])
+    row_lower = np.concatenate([np.full(4, -np.inf), row_upper[4:]])
     t0 = time.perf_counter()
-    res = solve_lp(np.append(np.zeros(2 * n), -1.0), A_ub=A[:4], b_ub=np.ones(4),
-                   A_eq=A[4:], b_eq=np.concatenate([w, w]),
-                   bounds=[(0.0, 1.0)] * (2 * n) + [(0.0, None)])
+    res = solve_lp(np.append(np.zeros(2 * n), -1.0), A, row_lower, row_upper,
+                   0.0, np.append(np.ones(2 * n), np.inf))
     lp_s = time.perf_counter() - t0
     if res.status == STATUS_INFEASIBLE:
         return MarginResult(0.0, "infeasible_origin", lp_s)
@@ -229,9 +236,9 @@ class HeatmapGrid:
     x: float
 
     @classmethod
-    def regular(cls, y_range=(0.0, 5.0), z_range=(-10.0, -2.0), ny=20, nz=20,
-                x=1.5) -> "HeatmapGrid":
-        return cls(np.linspace(*y_range, ny), np.linspace(*z_range, nz), x)
+    def regular(cls, ny=20, nz=20, x=1.5) -> "HeatmapGrid":
+        """ny x nz evenly spaced positions over Y_RANGE x Z_RANGE."""
+        return cls(np.linspace(*Y_RANGE, ny), np.linspace(*Z_RANGE, nz), x)
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from wallhopper.polytopes import (
     CONTAIN_TOL,
@@ -170,6 +171,83 @@ class TestDirectionalMargin:
                 continue
             g_sub = directional_margin(v_to_h(Psub), w0, v).gamma
             assert g_sub <= g_full + 1e-9
+
+
+def linprog_margin(H, w0, v_hat):
+    """Oracle for directional_margin: its one-variable LP
+    max gamma >= 0 s.t. (A v_hat) gamma <= b - A w0, posed to linprog."""
+    return optimize.linprog([-1.0], A_ub=(H.A @ v_hat)[:, None], b_ub=H.b - H.A @ w0,
+                            bounds=[(0.0, None)], method="highs")
+
+
+def random_h_polytope(rng, d, m, recession=None):
+    """m random unit-normal rows holding the origin with room to spare; with
+    a recession direction u, every row is flipped to a . u < 0, so the
+    polytope holds the whole ray along u."""
+    A = rng.normal(size=(m, d))
+    A /= np.linalg.norm(A, axis=1, keepdims=True)
+    if recession is not None:
+        A *= -np.sign(A @ recession)[:, None]
+    return HPolytope(A, rng.uniform(0.5, 2.0, size=m))
+
+
+class TestRatioTest:
+    """directional_margin's closed form against the LP it replaces."""
+
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_matches_linprog(self, d):
+        rng = np.random.default_rng(41 + d)
+        for _ in range(20):
+            H = random_h_polytope(rng, d, 8 * d)
+            w0 = rng.uniform(-0.1, 0.1, size=d)
+            v = rng.normal(size=d)
+            v /= np.linalg.norm(v)
+            # About half the rows point away from the ray and limit nothing.
+            assert np.any(H.A @ v <= 0.0) and np.any(H.A @ v > 0.0)
+            ref = linprog_margin(H, w0, v)
+            res = directional_margin(H, w0, v)
+            assert ref.status == 0 and res.status == "ok"
+            assert res.gamma == pytest.approx(ref.x[0], rel=1e-10, abs=1e-12)
+
+    def test_origin_on_a_facet(self):
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            H = random_h_polytope(rng, 3, 24)
+            v = rng.normal(size=3)
+            v /= np.linalg.norm(v)
+            gamma = directional_margin(H, np.zeros(3), v).gamma
+            w0 = gamma * v                     # where the ray leaves H
+            j = np.argmin(H.b - H.A @ w0)
+            assert abs(H.b[j] - H.A[j] @ w0) <= 1e-12
+            res = directional_margin(H, w0, v)
+            assert res.status == "ok"
+            assert res.gamma == pytest.approx(0.0, abs=1e-12)
+            assert linprog_margin(H, w0, v).x[0] == pytest.approx(0.0, abs=1e-12)
+            # Just outside the facet but within CONTAIN_TOL, gamma is 0, not
+            # the negative ratio of that row.
+            res = directional_margin(H, w0 + 0.1 * CONTAIN_TOL * H.A[j], v)
+            assert res.status == "ok" and res.gamma == 0.0
+            # Back into H, the facet row no longer limits the ray.
+            res = directional_margin(H, w0, -v)
+            assert H.A[j] @ -v < 0.0
+            assert res.gamma == pytest.approx(linprog_margin(H, w0, -v).x[0], rel=1e-10)
+            assert res.gamma > 0.0
+
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_unbounded_ray(self, d):
+        rng = np.random.default_rng(53 + d)
+        for _ in range(10):
+            u = rng.normal(size=d)
+            u /= np.linalg.norm(u)
+            H = random_h_polytope(rng, d, 8 * d, recession=u)
+            w0 = rng.uniform(-0.1, 0.1, size=d)
+            assert linprog_margin(H, w0, u).status == 3
+            res = directional_margin(H, w0, u)
+            assert res.status == "unbounded" and res.gamma == np.inf
+            # The opposite ray is limited by every row.
+            ref = linprog_margin(H, w0, -u)
+            assert ref.status == 0
+            assert directional_margin(H, w0, -u).gamma == pytest.approx(ref.x[0], rel=1e-10)
 
 
 class TestMembership:

@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, sparse
 
 from wallhopper import solvers
 from wallhopper.solvers import (
@@ -373,15 +373,16 @@ def vertex_enumeration(c, A, b, lo, hi):
 class TestLp:
     def test_simple_maximum(self):
         # max gamma s.t. gamma <= 1, posed as min -gamma.
-        res = solve_lp([-1.0], A_ub=[[1.0]], b_ub=[1.0])
+        res = solve_lp([-1.0], [[1.0]], -np.inf, 1.0)
         assert res.status == STATUS_OPTIMAL
         assert res.x[0] == pytest.approx(1.0)
 
     def test_unbounded_detected(self):
-        assert solve_lp([-1.0]).status == STATUS_UNBOUNDED
+        # No rows at all, and a free variable.
+        assert solve_lp([-1.0], np.zeros((0, 1)), [], []).status == STATUS_UNBOUNDED
 
     def test_infeasible_detected(self):
-        assert solve_lp([1.0], A_ub=[[1.0], [-1.0]], b_ub=[-2.0, -2.0]).status == "infeasible"
+        assert solve_lp([1.0], [[1.0], [-1.0]], -np.inf, [-2.0, -2.0]).status == "infeasible"
 
     def test_random_lp_matches_vertex_enumeration(self):
         rng = np.random.default_rng(13)
@@ -391,7 +392,7 @@ class TestLp:
             A = rng.normal(size=(m, n))
             b = rng.uniform(0.2, 1.0, size=m)
             lo, hi = -np.ones(n), np.ones(n)
-            res = solve_lp(c, A_ub=A, b_ub=b, bounds=list(zip(lo, hi)))
+            res = solve_lp(c, A, -np.inf, b, lo, hi)
             assert res.status == STATUS_OPTIMAL
             _, val_ref = vertex_enumeration(c, A, b, lo, hi)
             assert res.value == pytest.approx(val_ref, abs=1e-7)
@@ -408,7 +409,11 @@ class TestLp:
             A_ub, b_ub = rng.normal(size=(5, n)), rng.uniform(0.2, 1.0, size=5)
             A_eq, b_eq = rng.normal(size=(2, n)), rng.normal(size=2)
             bounds = [(None, None), (0.0, None), (None, 1.0)] + [(-2.0, 2.0)] * 3
-            ours = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+            lower = [-np.inf, 0.0, -np.inf] + [-2.0] * 3
+            upper = [np.inf, np.inf, 1.0] + [2.0] * 3
+            ours = solve_lp(c, np.vstack([A_ub, A_eq]),
+                            np.concatenate([np.full(5, -np.inf), b_eq]),
+                            np.concatenate([b_ub, b_eq]), lower, upper)
             ref = optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                                    bounds=bounds, method="highs")
             assert ref.status == 0 and ours.status == STATUS_OPTIMAL
@@ -426,7 +431,7 @@ class TestLp:
                                            fun=-1.0 if solved else None)
 
         monkeypatch.setattr(solvers.optimize, "milp", stub)
-        res = solve_lp([-1.0], A_ub=[[1.0]], b_ub=[1.0])
+        res = solve_lp([-1.0], [[1.0]], -np.inf, 1.0)
         assert res.status == status
         assert (res.x is not None) == (status == STATUS_OPTIMAL)
 
@@ -435,7 +440,24 @@ class TestLp:
             raise AssertionError("solve_lp called optimize.linprog")
 
         monkeypatch.setattr(solvers.optimize, "linprog", forbidden)
-        assert solve_lp([-1.0], A_ub=[[1.0]], b_ub=[1.0]).status == STATUS_OPTIMAL
-        assert solve_lp([-1.0]).status == STATUS_UNBOUNDED
-        assert solve_lp([1.0, 1.0], A_eq=[[1.0, -1.0]], b_eq=[1.0],
-                        bounds=[(0.0, None)] * 2).value == pytest.approx(1.0)
+        assert solve_lp([-1.0], [[1.0]], -np.inf, 1.0).status == STATUS_OPTIMAL
+        assert solve_lp([-1.0], np.zeros((0, 1)), [], []).status == STATUS_UNBOUNDED
+        assert solve_lp([1.0, 1.0], [[1.0, -1.0]], 1.0, 1.0,
+                        lower=0.0).value == pytest.approx(1.0)
+
+    def test_sparse_matrix_matches_dense(self):
+        # A scipy.sparse matrix goes to HiGHS as it is and gives the dense
+        # call's answer to the last bit.
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            n = 8
+            c = rng.normal(size=n)
+            A = rng.normal(size=(7, n)) * (rng.uniform(size=(7, n)) < 0.4)
+            A[-1] = 1.0
+            row_lower = np.append(np.full(6, -np.inf), 1.0)
+            row_upper = np.append(rng.uniform(0.2, 1.0, size=6), 1.0)
+            dense = solve_lp(c, A, row_lower, row_upper, -2.0, 2.0)
+            sparse_ = solve_lp(c, sparse.csr_array(A), row_lower, row_upper, -2.0, 2.0)
+            assert dense.status == sparse_.status == STATUS_OPTIMAL
+            assert np.array_equal(sparse_.x, dense.x)
+            assert sparse_.value == dense.value
