@@ -21,14 +21,19 @@ rollout_arrays is the one gate between the two bindings of the model's
 dynamics kernel, chosen from the shapes and types of its inputs.  A batch
 of states runs on numpy arrays, substep_arrays once per sub-step.  One
 real 6-vector state with real inputs and lengths (planner values, MPC
-predictions, the simulator's stretches, a single step_arrays step) runs
-in one Python-float loop, _rollout_floats, over all the sub-steps of the
-schedule: the float binding made once per call, each step's input
-unpacked once, the stage states in locals passed to it as scalars, and
-the IEEE operations of substep_arrays in the same order, so both agree
-bit for bit, NaN rows included, and neither raises on them.  Complex
-inputs always take the array binding, whatever their shape: the float
-path is real-only.
+predictions, the simulator's flights, a single step_arrays step) runs in
+one Python-float loop, _rollout_floats, over all the sub-steps of the
+schedule: each step's input unpacked once, and each RK4 stage computing
+C and r^2 (model._chord_and_radius), testing the domain, and calling the
+kernel body model._accelerations on the stage state's scalars, with the
+IEEE operations of substep_arrays in the same order, so both agree bit
+for bit, NaN rows included.  A stage outside the domain (r^2 <= 0 or a
+non-finite psi) has NaN accelerations, as on arrays.  The loop's one exit
+to the array path is ZeroDivisionError, which Python raises where numpy
+gives inf or NaN (a zero mass): the whole call is then stepped on arrays.
+Any other exception propagates.  The loop's rows come back as one flat
+list of floats, made into an array at once.  Complex inputs always take
+the array binding, whatever their shape: the float path is real-only.
 
 step_jacobians differentiates steps by complex step (Squire & Trapp,
 SIAM Rev. 1998; Martins, Sturdza & Alonso, ACM TOMS 2003): the kernel is
@@ -61,12 +66,13 @@ through a whole schedule as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 
-from .model import Scenario, _float_accelerations, state_derivative_arrays
+from .model import Scenario, _accelerations, _chord_and_radius, state_derivative_arrays
 
 
 @dataclass(frozen=True)
@@ -91,30 +97,51 @@ def _rollout_floats(x, us, hs, n_sub, scenario: Scenario):
     """The states of a step schedule from one state held as Python floats:
     step k holds us[k] over n_sub RK4 sub-steps of length hs[k], as
     substep_arrays computes them.  Returns x, then the state after each
-    step."""
-    acc = _float_accelerations(scenario)
+    step, as one flat list of floats.
+
+    Each RK4 stage computes C and r^2, tests the domain (r^2 > 0 and a
+    finite psi) and calls the kernel body on scalars; a stage outside the
+    domain has NaN accelerations, as in the numpy binding.  A zero mass
+    raises ZeroDivisionError, where numpy gives inf or NaN: rollout_arrays
+    then steps the whole schedule on arrays.  Nothing else is caught."""
+    (gx, gy, gz), d_a, m = scenario.gravity.tolist(), scenario.d_a, scenario.mass
+    body, chord, sqrt, sin, cos, finite = (_accelerations, _chord_and_radius, math.sqrt,
+                                           math.sin, math.cos, math.isfinite)
+    nans = (math.nan,) * 3                # the accelerations outside the domain
     q0, q1, q2, w0, w1, w2 = x
-    out = [x]
+    out = list(x)
     for (u0, u1, u2, u3, u4, u5), h in zip(us, hs):
         half, sixth = 0.5 * h, h / 6.0
         for _ in range(n_sub):
-            a0, a1, a2 = acc(q0, q1, q2, w0, w1, w2, u0, u1, u2, u3, u4, u5)
+            C, r2 = chord(q1, q2, d_a)
+            a0, a1, a2 = (body(q1, q2, w0, w1, w2, u0, u1, u2, u3, u4, u5, C, sqrt(r2),
+                               sin(q0), cos(q0), gx, gy, gz, d_a, m)
+                          if r2 > 0.0 and finite(q0) else nans)
+            p0, p1, p2 = q0 + half * w0, q1 + half * w1, q2 + half * w2
             y3, y4, y5 = w0 + half * a0, w1 + half * a1, w2 + half * a2
-            b0, b1, b2 = acc(q0 + half * w0, q1 + half * w1, q2 + half * w2, y3, y4, y5,
-                             u0, u1, u2, u3, u4, u5)
+            C, r2 = chord(p1, p2, d_a)
+            b0, b1, b2 = (body(p1, p2, y3, y4, y5, u0, u1, u2, u3, u4, u5, C, sqrt(r2),
+                               sin(p0), cos(p0), gx, gy, gz, d_a, m)
+                          if r2 > 0.0 and finite(p0) else nans)
+            p0, p1, p2 = q0 + half * y3, q1 + half * y4, q2 + half * y5
             z3, z4, z5 = w0 + half * b0, w1 + half * b1, w2 + half * b2
-            c0, c1, c2 = acc(q0 + half * y3, q1 + half * y4, q2 + half * y5, z3, z4, z5,
-                             u0, u1, u2, u3, u4, u5)
+            C, r2 = chord(p1, p2, d_a)
+            c0, c1, c2 = (body(p1, p2, z3, z4, z5, u0, u1, u2, u3, u4, u5, C, sqrt(r2),
+                               sin(p0), cos(p0), gx, gy, gz, d_a, m)
+                          if r2 > 0.0 and finite(p0) else nans)
+            p0, p1, p2 = q0 + h * z3, q1 + h * z4, q2 + h * z5
             v3, v4, v5 = w0 + h * c0, w1 + h * c1, w2 + h * c2
-            d0, d1, d2 = acc(q0 + h * z3, q1 + h * z4, q2 + h * z5, v3, v4, v5,
-                             u0, u1, u2, u3, u4, u5)
+            C, r2 = chord(p1, p2, d_a)
+            d0, d1, d2 = (body(p1, p2, v3, v4, v5, u0, u1, u2, u3, u4, u5, C, sqrt(r2),
+                               sin(p0), cos(p0), gx, gy, gz, d_a, m)
+                          if r2 > 0.0 and finite(p0) else nans)
             q0, q1, q2, w0, w1, w2 = (q0 + sixth * (w0 + 2.0 * y3 + 2.0 * z3 + v3),
                                       q1 + sixth * (w1 + 2.0 * y4 + 2.0 * z4 + v4),
                                       q2 + sixth * (w2 + 2.0 * y5 + 2.0 * z5 + v5),
                                       w0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
                                       w1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
                                       w2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2))
-        out.append((q0, q1, q2, w0, w1, w2))
+        out += q0, q1, q2, w0, w1, w2
     return out
 
 
@@ -135,15 +162,19 @@ def rollout_arrays(x0, u_schedule, dt, cfg: IntegratorConfig, scenario: Scenario
     or one length per step, broadcast against the steps u_schedule.shape[:-1].
     Returns the states (..., K+1, 6), x0 first, real or complex as the
     inputs are; bad configurations yield NaN.  One real state runs the
-    whole schedule in one Python-float loop.
+    whole schedule in one Python-float loop, or on arrays if that loop
+    divides by zero.
     """
     u = np.asarray(u_schedule)
     dt = np.broadcast_to(dt, u.shape[:-1])
     xs = np.asarray(x0)
     if xs.ndim == 1 and u.ndim == 2 and not any(np.iscomplexobj(a) for a in (xs, u, dt)):
-        return np.array(_rollout_floats(
-            xs.astype(float, copy=False).tolist(), u.astype(float, copy=False).tolist(),
-            (dt / cfg.n_sub).tolist(), cfg.n_sub, scenario))
+        try:
+            return np.array(_rollout_floats(
+                xs.astype(float, copy=False).tolist(), u.astype(float, copy=False).tolist(),
+                (dt / cfg.n_sub).tolist(), cfg.n_sub, scenario)).reshape(-1, 6)
+        except ZeroDivisionError:
+            pass            # a zero mass: numpy's inf and NaN, on arrays below
     x = np.broadcast_to(xs, np.broadcast_shapes(xs.shape, u.shape[:-2] + (6,)))
     out = np.empty(x.shape[:-1] + (u.shape[-2] + 1, 6), dtype=np.result_type(x, u, dt, float))
     out[..., 0, :] = x

@@ -51,14 +51,14 @@ a disturbance and the same step without one round alike up to that last
 addition.
 
 The state derivative has one kernel body, _accelerations, written in
-+ - * / alone on one scalar or array argument per component, and bound two
-ways: state_derivative_arrays on numpy arrays for batches, and
-_float_accelerations(scenario), a function of one state and input as
-twelve Python floats with the scenario's constants bound once, where
-numpy's per-call cost would dominate.  Each binding computes r and
-sin/cos(psi) and owns the domain handling; both return NaN accelerations
-when r^2 <= 0 or psi is not finite, never raise, and agree bit for bit:
-same IEEE operations, same order.
++ - * / alone on one scalar or array argument per component.  Two callers
+bind it: state_derivative_arrays on numpy arrays for batches, and the
+integrator's Python-float RK4 loop (integrator._rollout_floats), which
+calls it on the scalars of one state where numpy's per-call cost would
+dominate.  Each computes C and r^2 with _chord_and_radius, r and
+sin/cos(psi) itself, and owns the domain handling: both give NaN
+accelerations when r^2 <= 0 or psi is not finite, and agree bit for bit,
+with the same IEEE operations in the same order.
 
 The kernel is analytic in x and u: + - * / in the body, sqrt, sin and cos
 in the array binding.  So state_derivative_arrays also takes complex
@@ -185,8 +185,8 @@ def _unit(v, name: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Array kernels.  All accept broadcastable leading dimensions, never raise
 # and mark bad configurations with NaN so optimiser line searches can probe
-# freely.  The dynamics kernel also has a Python-float binding for single
-# states (_float_accelerations).
+# freely.  The dynamics kernel body is also called on Python floats, by the
+# integrator's loop for single states.
 # ---------------------------------------------------------------------------
 
 def _chord_and_radius(l1, l2, d_a):
@@ -248,8 +248,8 @@ def _accelerations(l1, l2, w, l1_dot, l2_dot, u0, u1, u2, u3, u4, u5, C, r, s, c
     Each argument is one component, a Python float or an array; psi enters
     as s = sin(psi) and c = cos(psi), which with C and r come from the
     caller, which also owns the domain handling.  The body uses + - * /
-    only, so both bindings perform the same IEEE operations in the same
-    order and agree bit for bit.
+    only, so its numpy binding and the integrator's float loop perform the
+    same IEEE operations in the same order and agree bit for bit.
 
     Newton's equation in the rope frame (see the module docstring): along
     t = (c, 0, s) it gives psi_dd, with no rope force in it; along
@@ -303,26 +303,6 @@ def state_derivative_arrays(x, u, scenario: Scenario):
     for i, a in enumerate(acc):
         out[..., 3 + i] = a
     return out
-
-
-def _float_accelerations(scenario):
-    """acc(psi, l1, l2, w, l1_dot, l2_dot, u0, ..., u5) on floats: bit for bit
-    state_derivative_arrays' row, NaN row included, never raising where it returns."""
-    (gx, gy, gz), d_a, m = scenario.gravity.tolist(), scenario.d_a, scenario.mass
-
-    def acc(psi, l1, l2, w, l1_dot, l2_dot, u0, u1, u2, u3, u4, u5):
-        C, r2 = _chord_and_radius(l1, l2, d_a)
-        if not (r2 > 0.0 and math.isfinite(psi)):
-            return math.nan, math.nan, math.nan
-        try:
-            return _accelerations(l1, l2, w, l1_dot, l2_dot, u0, u1, u2, u3, u4, u5, C,
-                                  math.sqrt(r2), math.sin(psi), math.cos(psi), gx, gy, gz, d_a, m)
-        except ZeroDivisionError:
-            # A zero mass, or a divisor that underflowed: numpy gives inf/NaN.
-            xu = np.array([psi, l1, l2, w, l1_dot, l2_dot, u0, u1, u2, u3, u4, u5], float)
-            return state_derivative_arrays(xu[:6], xu[6:], scenario)[3:].tolist()
-
-    return acc
 
 
 def _finite_point(p) -> np.ndarray:

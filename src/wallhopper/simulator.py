@@ -18,18 +18,24 @@ machine, _episode, which walks the plan's step schedule from rest
   SETTLE_TIME and the wheels absorb lateral residuals; each row records
   the rates q_dot = A_d(q)^-1 n s_dot of that normal motion.
 
-Each stretch under one held input (the thrust, a control tick, a control
-period of the hold) is one rollout_arrays call, which steps one state on
-Python floats.  The touch-down watch takes the wall gap n.p - d_w of the
-stretch's new states in one position_arrays call, arms at the first gap
-over 0.02 m and fires at the first gap <= 0 from there, and drops the
-rest of the stretch after a touch-down.  The disturbance F, timed from
-lift-off, acts in the flight and the hold as a force added to the
+A stretch is every step whose input is known before it starts, and it
+is flown in one rollout_arrays call, which steps one state on Python
+floats: the thrust; the whole flight of an open-loop episode from its
+first tick; one MPC tick, whose command needs the state the tick starts
+from; one control period of the hold, so that a touch-down drops at most
+the rest of one period.  The touch-down watch takes the wall gap
+n.p - d_w of the call's new states in one position_arrays call, arms at
+the first gap over 0.02 m and fires at the first gap <= 0 from there, and
+drops the rest of the call after a touch-down.  The disturbance F, timed
+from lift-off, acts in the flight and the hold as a force added to the
 external force u[2:5] of the stepped input (zero in every flight and hold
-input), and in the contact phase as n.F on the normal motion.  The
-episode records (times, states, u, felt, phase) per stretch, contact phase
-and last row: step times, states, held input, flags of the rows the force
-acts on, and phase, so the trace keeps the input and the force apart.
+input), and in the contact phase as n.F on the normal motion;
+DisturbanceSpec.felt tests its window over the times of a whole call, of
+the contact phase and of the last row at once.  The episode records
+(times, states, u, felt, phase) per held input (the thrust, each tick,
+each hold period), for the contact phase and for the last row: step
+times, states, held input, flags of the rows the force acts on, and
+phase, so the trace keeps the input and the force apart.
 
 run_episode scores e_a, the target minus the CoM position, at
 t_th + t_f.  landing_episode arms the touch-down watch at lift-off and
@@ -108,12 +114,18 @@ class DisturbanceSpec:
         if not (self.duration >= 0.0 and self.t_start >= 0.0):
             raise ValueError("disturbance window must be non-negative")
 
+    def felt(self, t_flight):
+        """Whether the force acts at each time t_flight from lift-off: a bool
+        array of t_flight's shape, true over [t_start, t_start + duration)
+        when impulsive, always when constant, never for kind none."""
+        t = np.asarray(t_flight)
+        if self.kind == "impulsive":
+            return (self.t_start <= t) & (t < self.t_start + self.duration)
+        return np.full(t.shape, self.kind == "constant")
+
     def force_at(self, t_flight: float) -> np.ndarray | None:
         """Force at time t_flight measured from lift-off; None when none acts."""
-        if self.kind == "constant" or (self.kind == "impulsive" and
-                                       self.t_start <= t_flight < self.t_start + self.duration):
-            return self.vector
-        return None
+        return self.vector if self.felt(t_flight) else None
 
 
 @dataclass(frozen=True)
@@ -251,20 +263,24 @@ def _episode(plan, scenario, controller, disturbance, noise, mpc_cfg,
         if ctl is not None and start.k:
             ctl.prev_solution = ticks[-1]
 
-    def advance(u, n_steps, h, phase, watch=False, disturbed=True):
-        """n_steps steps of h under the held input u, the disturbance added
-        to its u[2:5] on the steps that feel one (where disturbed), in one
-        rollout_arrays call, recorded as one stretch; True at touch-down.
-        A touch-down drops the rest of the stretch."""
+    def advance(stretches, phase, watch=False, disturbed=True, tick=None):
+        """Fly stretches, a list of (u, n_steps, h) whose inputs are all known
+        before the first step, in one rollout_arrays call: n_steps steps of
+        h under each held u, the disturbance added to its u[2:5] on the
+        steps that feel one (where disturbed).  Records each stretch as one
+        record and, from flight tick `tick` on, marks each as a tick start.
+        True at touch-down, which drops the rest of the call."""
         nonlocal x, t, armed
-        times = list(accumulate(repeat(h, n_steps), initial=t))
-        felt = [disturbed and dist.force_at(t_i - t_lift) is not None for t_i in times[:-1]]
-        us = np.tile(u, (n_steps, 1))
-        if any(felt):
+        hs = [h for _, n_steps, h in stretches for _ in range(n_steps)]
+        times = list(accumulate(hs, initial=t))
+        felt = (dist.felt(np.array(times[:-1]) - t_lift) if disturbed
+                else np.zeros(len(hs), dtype=bool))
+        us = np.repeat([u for u, _, _ in stretches], [n for _, n, _ in stretches], axis=0)
+        if felt.any():
             us[felt, 2:5] += dist.vector
-        states = rollout_arrays(x, us, h, cfg_sim, scenario)
+        states = rollout_arrays(x, us, hs, cfg_sim, scenario)
         finite = np.isfinite(states[1:]).all(axis=1)
-        flown = n_steps if finite.all() else int(finite.argmin())   # steps to a finite state
+        flown = len(hs) if finite.all() else int(finite.argmin())   # steps to a finite state
         down = False
         if watch:
             q = states[1:flown + 1].T
@@ -273,18 +289,26 @@ def _episode(plan, scenario, controller, disturbance, noise, mpc_cfg,
             armed = armed or arm < gap.size
             fire = np.flatnonzero(gap[arm:] <= 0.0)
             if fire.size:
-                flown, down = arm + int(fire[0]) + 1, True
-        if not down and flown < n_steps:
-            # The trace ends on the state the failing step started from,
-            # and the failing step counts as flown.
-            meta["steps"] += flown + 1
-            records.append((times[:flown + 1], states[:flown + 1], u, felt[:flown + 1], phase))
+                flown, down = int(arm + fire[0]) + 1, True
+        # An aborted trace ends on the state the failing step started from,
+        # and the failing step counts as flown.
+        aborted = not down and flown < len(hs)
+        end = flown + 1 if aborted else flown
+        meta["steps"] += end
+        first = 0
+        for i, (u, n_steps, _) in enumerate(stretches):
+            if first >= end:
+                break
+            if tick is not None and marks is not None:
+                marks.append(_TickStart(tick + i, len(records), records, ticks, t_lift))
+            last = min(first + n_steps, end)
+            records.append((times[first:last], states[first:last], u, felt[first:last], phase))
+            first += n_steps
+        if aborted:
             msg = "simulation state became non-finite"
             raise EpisodeAborted(msg, _trace(scenario, records, dist.vector, ticks,
                                              {"aborted": np.nan}, np.full(3, np.nan),
                                              {**meta, "error": msg}))
-        meta["steps"] += flown
-        records.append((times[:flown], states[:flown], u, felt[:flown], phase))
         x, t = states[flown], times[flown]
         return down
 
@@ -303,17 +327,20 @@ def _episode(plan, scenario, controller, disturbance, noise, mpc_cfg,
     if start is None:
         # Thrust: step 0, the leg force with the ropes slack; contact is
         # not watched while still at the wall.
-        advance(u_plan[0], *_substeps(dt_plan[0]), PHASE_THRUST, disturbed=False)
+        advance([(u_plan[0], *_substeps(dt_plan[0]))], PHASE_THRUST, disturbed=False)
         events["lift_off"] = t
     t_lift = events["lift_off"]
-    for k in range(0 if start is None else start.k, len(dt_plan) - 1):
-        if marks is not None:
-            marks.append(_TickStart(k, len(records), records, ticks, t_lift))
-        u = tick_input(k)
-        if advance(u, *_substeps(dt_plan[k + 1]), PHASE_FLIGHT, landing):
+    k, n_ticks = (0 if start is None else start.k), len(dt_plan) - 1
+    while k < n_ticks:
+        # An MPC tick's input needs the state it starts from; open loop,
+        # every input is known, and the rest of the flight is one call.
+        stop = n_ticks if ctl is None else k + 1
+        if advance([(tick_input(j), *_substeps(dt_plan[j + 1])) for j in range(k, stop)],
+                   PHASE_FLIGHT, landing, tick=k):
             touched = True
             events["early_touch_down"] = t
             break
+        k = stop
     else:
         events["horizon_end"] = t
         if landing:
@@ -323,20 +350,22 @@ def _episode(plan, scenario, controller, disturbance, noise, mpc_cfg,
                 position_arrays(x[0], x[1], x[2], scenario.d_a), scenario)
             u = np.zeros(6)
             u[:2] = np.clip(u_plan[-1, :2] + pull, -scenario.f_r_max, 0.0)
-            # One control period a stretch: a touch-down drops the rest.
+            # One control period a call: a touch-down drops the rest.
             n_hold, n_period = round(MAX_HOLD / DT_SIM), _substeps(dt_plan[-1])[0]
             for done in range(0, n_hold, n_period):
-                touched = advance(u, min(n_period, n_hold - done), DT_SIM, PHASE_HOLD, True)
+                touched = advance([(u, min(n_period, n_hold - done), DT_SIM)], PHASE_HOLD,
+                                  True)
                 if touched:
                     break
             events["delayed_touch_down" if touched else "no_touch_down"] = t
+    u = records[-1][2]                  # the input of the last step flown
 
     p = position_arrays(x[0], x[1], x[2], scenario.d_a)
     e_a = plan.p_target - p
     if landing:
         meta["touch_down"] = touched
     if not touched:
-        records.append(([t], x[None], u, [dist.force_at(t - t_lift) is not None],
+        records.append(([t], x[None], u, [dist.felt(t - t_lift)],
                         PHASE_HOLD if landing else PHASE_FLIGHT))
         return _trace(scenario, records, dist.vector, ticks, events, e_a, meta)
 
@@ -350,17 +379,18 @@ def _episode(plan, scenario, controller, disturbance, noise, mpc_cfg,
     a_l, a_r = rope_axes(p_td, scenario)
     f_ext_n = float(n @ (scenario.mass * scenario.gravity
                          + a_l * u[0] + a_r * u[1]))
+    f_pushed = f_ext_n + float(n @ dist.vector)
     s, s_dot = 0.0, 0.0                     # normal gap state after the stop
-    contact, felt = [], []
-    for _ in range(round(SETTLE_TIME / DT_SIM)):
-        contact.append((t, *inverse_kinematics(p_td + s * n, scenario), s_dot))
-        d = dist.force_at(t - t_lift)
-        felt.append(d is not None)
+    times = list(accumulate(repeat(DT_SIM, round(SETTLE_TIME / DT_SIM)), initial=t))
+    felt = dist.felt(np.array(times[:-1]) - t_lift)
+    contact = []
+    for t_i, pushed in zip(times, felt.tolist()):
+        contact.append((t_i, *inverse_kinematics(p_td + s * n, scenario), s_dot))
         f_c = -K * s - D * s_dot
-        s_ddot = (f_c + (f_ext_n if d is None else f_ext_n + float(n @ d))) / scenario.mass
+        s_ddot = (f_c + (f_pushed if pushed else f_ext_n)) / scenario.mass
         s_dot += s_ddot * DT_SIM
         s += s_dot * DT_SIM
-        t += DT_SIM
+    t = times[-1]
     # The rates of the normal motion, q_dot = A_d(q)^-1 n s_dot, for all rows.
     times, psi, l1, l2, s_dots = np.array(contact).reshape(-1, 5).T
     q_dot = np.linalg.solve(jacobian_arrays(psi, l1, l2, scenario.d_a),

@@ -129,21 +129,54 @@ class TestSingleStatePath:
         assert np.isnan(stepped[0, 3:]).all()
 
     def test_zero_mass_falls_back_to_arrays(self, monkeypatch):
-        # The float kernel divides by the mass; on ZeroDivisionError it
-        # takes the numpy binding, which gives inf/NaN instead.
+        # The float loop divides by the mass; on ZeroDivisionError the
+        # whole call takes the numpy binding, which gives inf/NaN instead.
         calls = []
-        arrays = model.state_derivative_arrays
+        arrays = integrator.state_derivative_arrays
 
         def spy(*args, **kwargs):
             calls.append(1)
             return arrays(*args, **kwargs)
 
-        monkeypatch.setattr(model, "state_derivative_arrays", spy)
+        monkeypatch.setattr(integrator, "state_derivative_arrays", spy)
         rng = np.random.default_rng(13)
         x, u = random_states_and_inputs(rng, 5)
         batch = assert_rows_match_batch(x, u, 0.05, IntegratorConfig(n_sub=2),
                                         SCEN.with_(mass=0.0))
         assert calls and not np.isfinite(batch[1:, 3:]).any()
+
+    # Rolled out from each state: out of the domain (r^2 <= 0 or a
+    # non-finite psi) a stage's accelerations are NaN, and a zero mass
+    # raises ZeroDivisionError in the float loop.
+    @pytest.mark.parametrize("x, scen", [
+        ([0.3, 2.6, 2.6, 0.0, -5.0, -5.0], SCEN),       # r^2 reaches 0 mid-step
+        ([0.3, 2.0, 3.0, 0.1, 0.2, -0.2], SCEN),        # r^2 = 0 exactly: l1 + l2 = d_a
+        ([np.inf, 3.0, 4.0, 0.1, 0.2, -0.2], SCEN),
+        ([-np.inf, 3.0, 4.0, 0.1, 0.2, -0.2], SCEN),
+        ([np.nan, 3.0, 4.0, 0.1, 0.2, -0.2], SCEN),
+        ([0.3, 3.0, 4.0, 0.1, 0.2, -0.2], SCEN.with_(mass=0.0)),
+        ([0.3, 3.0, 4.0, 1e154, -1e154, 1e153], SCEN),  # squares near overflow
+    ], ids=["r2_reaches_0", "r2_exactly_0", "psi_inf", "psi_minus_inf", "psi_nan",
+            "mass_0", "rates_near_overflow"])
+    def test_domain_exit(self, x, scen, monkeypatch):
+        x = np.array(x)
+        u = np.tile([-20.0, -10.0, 1.0, -2.0, 3.0, 4.0], (4, 1))
+        cfg = IntegratorConfig(n_sub=3)
+        single = rollout_arrays(x, u, 0.02, cfg, scen)
+        np.testing.assert_array_equal(single, rollout_arrays(x[None], u[None], 0.02, cfg,
+                                                             scen)[0])
+        assert np.isnan(single[-1]).any()
+        # Only a ZeroDivisionError leaves the loop: a ValueError, say from
+        # a bug, propagates instead of falling back to the arrays.
+        chord = integrator._chord_and_radius
+
+        def raising(*args):
+            chord(*args)
+            raise ValueError("inside the loop")
+
+        monkeypatch.setattr(integrator, "_chord_and_radius", raising)
+        with pytest.raises(ValueError, match="inside the loop"):
+            rollout_arrays(x, u, 0.02, cfg, scen)
 
     def test_integer_state_is_stepped_as_floats(self):
         x = np.array([0, 3, 4, 1, 0, -1])

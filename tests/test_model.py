@@ -15,7 +15,6 @@ from wallhopper.model import (
     Ellipsoid,
     KinematicsError,
     Scenario,
-    _float_accelerations,
     bias_arrays,
     inverse_kinematics,
     jacobian_arrays,
@@ -329,21 +328,21 @@ def mixed_states(rng, n):
     return x
 
 
-def float_accelerations(x, u, scen=SCEN):
-    """The Python-float binding's accelerations of one state, with the
-    scenario's constants bound as the integrator binds them."""
-    return _float_accelerations(scen)(*x, *u)
+# One sub-step: the step the bindings are compared on.
+SUBSTEP, H = IntegratorConfig(n_sub=1), 0.01
 
 
 class TestKernelBindings:
-    """The numpy and Python-float bindings of the dynamics kernel agree bit
-    for bit, NaN rows included."""
+    """The numpy binding of the kernel and the integrator's Python-float
+    loop agree bit for bit, NaN rows included: one rollout_arrays sub-step
+    of each single state equals its row of the batched sub-step."""
 
     def check_rows(self, scen, x, u):
-        batch = state_derivative_arrays(x, u, scen)
+        batch = rollout_arrays(x, u[:, None, :], H, SUBSTEP, scen)[:, 1]
         for i in range(x.shape[0]):
-            single = float_accelerations(x[i].tolist(), u[i].tolist(), scen)
-            np.testing.assert_array_equal(np.array(single), batch[i, 3:])
+            single = rollout_arrays(x[i], u[i][None], H, SUBSTEP, scen)
+            np.testing.assert_array_equal(single[1], batch[i])
+        return batch
 
     def test_bit_identical_on_mixed_states(self):
         rng = np.random.default_rng(7)
@@ -359,7 +358,7 @@ class TestKernelBindings:
 
     def test_bit_identical_on_awkward_layouts(self):
         # The array binding copies each input component-major; every layout
-        # must still give the float binding's rows, NaN rows included.
+        # must still give the float loop's rows, NaN rows included.
         rng = np.random.default_rng(9)
         x = mixed_states(rng, 240)
         u_row = np.array([-40.0, -30.0, 5.0, -3.0, 2.0, 7.0])
@@ -374,14 +373,17 @@ class TestKernelBindings:
             for row in (u_row, add_force(u_row, force)):
                 u = np.broadcast_to(row, xs.shape)
                 assert not u.flags.writeable
-                batch = state_derivative_arrays(xs, u, SCEN)
-                assert batch.shape == xs.shape and batch.flags.c_contiguous
+                deriv = state_derivative_arrays(xs, u, SCEN)
+                assert deriv.shape == xs.shape and deriv.flags.c_contiguous
+                np.testing.assert_array_equal(deriv.reshape(-1, 6)[:, :3], rows[:, 3:],
+                                              err_msg=name)
+                batch = rollout_arrays(xs, u[..., None, :], H, SUBSTEP, SCEN)[..., 1, :]
+                assert batch.shape == xs.shape
                 batch = batch.reshape(-1, 6)
-                np.testing.assert_array_equal(batch[:, :3], rows[:, 3:], err_msg=name)
                 for i in range(len(rows)):
                     np.testing.assert_array_equal(
-                        float_accelerations(rows[i].tolist(), row.tolist()),
-                        batch[i, 3:], err_msg=name)
+                        rollout_arrays(rows[i], row[None], H, SUBSTEP, SCEN)[1],
+                        batch[i], err_msg=name)
         assert np.isnan(batch[:, 3]).sum() > 30
 
     def test_zero_mass_matches(self):
@@ -391,10 +393,9 @@ class TestKernelBindings:
         self.check_rows(SCEN.with_(mass=0.0), x, u)
 
     def test_out_of_domain_row(self):
-        x = [0.3, 1.0, 10.0, 0.1, 0.2, 0.3]
-        assert np.isnan(float_accelerations(x, [0.0] * 6)).all()
-        assert np.isnan(float_accelerations([np.inf, 6.0, 7.0, 0, 0, 0], [0.0] * 6)).all()
-        self.check_rows(SCEN, np.array([x, [np.inf, 6.0, 7.0, 0, 0, 0]]), np.zeros((2, 6)))
+        x = np.array([[0.3, 1.0, 10.0, 0.1, 0.2, 0.3], [np.inf, 6.0, 7.0, 0, 0, 0]])
+        stepped = self.check_rows(SCEN, x, np.zeros((2, 6)))
+        assert np.isnan(stepped[:, 3:]).all()
 
 
 class TestRopeGeometry:

@@ -179,9 +179,10 @@ def step_lengths(plan, n_rows):
 
 
 class TestStretches:
-    """Each stretch under one held input (the thrust, a tick, a control
-    period of the hold) is one simulator.rollout_arrays call; every step it
-    records is one plain integrator step."""
+    """Every step whose input is known before it starts flies in one
+    simulator.rollout_arrays call: the thrust, a whole open-loop flight, an
+    MPC tick, a control period of the hold.  Every step it records is one
+    plain integrator step."""
 
     CONSTANT = DisturbanceSpec("constant", [0.0, 0.0, -20.0])
 
@@ -241,24 +242,31 @@ class TestStretches:
         plan = frozen_track_plan
         _, dt = plan.schedule(SCEN.t_th)
         per_step = [simulator._substeps(d)[0] for d in dt]
+        thrust_and_flight = [per_step[0], sum(per_step[1:])]
         calls = self.stretches(monkeypatch)
-        run_episode(plan, SCEN, controller="open_loop")
+        trace = run_episode(plan, SCEN, controller="open_loop")
+        assert calls == thrust_and_flight
+        assert trace.meta["steps"] == sum(per_step)
+        # The MPC's input needs the state its tick starts from: one call a
+        # tick.
+        calls.clear()
+        run_episode(plan, SCEN, controller="mpc", mpc_cfg=mpc.MpcConfig(n_horizon=2))
         assert calls == per_step
         # No touch-down: the hold adds one call per control period, the last
         # one short.
         calls.clear()
         trace = landing_episode(plan, SCEN.with_(d_w=0.4), controller="open_loop")
         n_hold, period = round(simulator.MAX_HOLD / 1e-3), per_step[-1]
-        assert calls == per_step + [period] * (n_hold // period) + [n_hold % period]
+        assert calls == thrust_and_flight + [period] * (n_hold // period) + [n_hold % period]
         assert np.count_nonzero(trace.phase == simulator.PHASE_HOLD) == n_hold + 1
-        # An early touch-down ends the flight in its tick's call, whose
-        # remaining steps are dropped.
+        # An early touch-down ends the flight in its call, whose remaining
+        # steps are dropped.
         calls.clear()
         trace = landing_episode(plan, SCEN.with_(d_w=0.22), controller="open_loop")
-        assert calls == per_step[:len(calls)] and len(calls) < len(per_step)
+        assert calls == thrust_and_flight
         flown = np.count_nonzero(np.isin(trace.phase, [simulator.PHASE_THRUST,
                                                         simulator.PHASE_FLIGHT]))
-        assert sum(calls[:-1]) < flown < sum(calls)
+        assert calls[0] < flown < sum(calls)
 
 
 class TestWallCrossing:
@@ -813,6 +821,15 @@ class TestDisturbanceSpec:
         for spec in (DisturbanceSpec(), DisturbanceSpec("none", vector, t_start=0.25)):
             for t in (0.0, 0.25, 0.5):
                 assert spec.force_at(t) is None
+        # The same window over an array of times, as the simulator tests it:
+        # open at t_start, closed at t_start + duration, open one ulp below.
+        t = np.array([[0.0, 0.25, 0.5], [np.nextafter(0.75, 0.0), 0.75, 2.0]])
+        np.testing.assert_array_equal(pulse.felt(t), [[False, True, True],
+                                                      [True, False, False]])
+        np.testing.assert_array_equal(constant.felt(t), np.ones((2, 3), dtype=bool))
+        np.testing.assert_array_equal(DisturbanceSpec().felt(t), np.zeros((2, 3), dtype=bool))
+        for i, j in np.ndindex(t.shape):
+            assert (pulse.force_at(t[i, j]) is not None) == pulse.felt(t)[i, j]
 
     def test_rows_record_the_force_at_their_time(self, frozen_track_plan):
         # Every row after the thrust, the last one included, records
