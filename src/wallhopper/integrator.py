@@ -14,14 +14,14 @@ input repeated n_sub times at dt / n_sub, to be stepped with n_sub = 1;
 knot_rows picks every n_sub-th state of that rollout, which is the knot
 state of the knot-resolution rollout bit for bit.  These two are the only
 places a schedule is expanded to sub-steps.  The planner's value rollouts
-and the MPC's predictions roll out at sub-step resolution and keep the
-sub-step states, which their Jacobians start from.
+and the MPC's rollouts run at sub-step resolution and keep the sub-step
+states, which their Jacobians start from.
 
 rollout_arrays is the one gate between the two bindings of the model's
 dynamics kernel, chosen from the shapes and types of its inputs.  A batch
 of states runs on numpy arrays, substep_arrays once per sub-step.  One
 real 6-vector state with real inputs and lengths (planner values, MPC
-predictions, the simulator's flights, a single step_arrays step) runs in
+rollouts, the simulator's flights, a single step_arrays step) runs in
 one Python-float loop, _rollout_floats, over all the sub-steps of the
 schedule: each step's input unpacked once, and each RK4 stage computing
 C and r^2 (model._chord_and_radius), testing the domain, and calling the
@@ -31,37 +31,37 @@ for bit, NaN rows included.  A stage outside the domain (r^2 <= 0 or a
 non-finite psi) has NaN accelerations, as on arrays.  The loop's one exit
 to the array path is ZeroDivisionError, which Python raises where numpy
 gives inf or NaN (a zero mass): the whole call is then stepped on arrays.
-Any other exception propagates.  The loop's rows come back as one flat
-list of floats, made into an array at once.  Complex inputs always take
-the array binding, whatever their shape: the float path is real-only.
+Any other exception propagates.  Complex inputs always take the array
+binding, whatever their shape: the float path is real-only.
 
-step_jacobians differentiates steps by complex step (Squire & Trapp,
-SIAM Rev. 1998; Martins, Sturdza & Alonso, ACM TOMS 2003): the kernel is
-analytic, so the imaginary part of f(x + i h e), divided by h, is df/dx e
-to round-off, with no difference of nearby values to cancel.  It takes the sub-step states each step starts
-from, perturbs the 6 state entries of every sub-step and the m of the
-step's 7 inputs (u, dt) that the caller names, and runs all of them, every
-sub-step of every step in every direction, through one substep_arrays
-call: 4 kernel calls per Jacobian, whatever n_sub.  Each step's Jacobian
-is then the product of its n_sub sub-step Jacobians, n_sub - 1 batched
-matmuls.  dt stays complex in that call even where no step moves it:
-numpy computes the complex quotient dt / n_sub as dt * (1 / n_sub), whose
-real part may differ by one ulp from the real dt / n_sub the rollout
-steps with, so a real length where dt does not move would make a step's
-Jacobian depend on whether its dt column was asked for.
+step_jacobians differentiates steps by complex step (Squire & Trapp, SIAM
+Rev. 1998; Martins, Sturdza & Alonso, ACM TOMS 2003): the kernel is
+analytic, so Im f(x + i h e) / h is df/dx e to round-off, with no
+difference of nearby values to cancel.  From the sub-step states each step
+starts from, it perturbs the 6 state entries of every sub-step and the m of
+the step's 7 inputs (u, dt) the caller names, and runs every sub-step of
+every step in every direction through one substep_arrays call: 4 kernel
+calls per Jacobian, whatever n_sub.  Each step's Jacobian is the product of
+its n_sub sub-step Jacobians, n_sub - 1 batched matmuls.  dt stays complex
+in that call even where no step moves it: numpy computes the complex
+quotient dt / n_sub as dt * (1 / n_sub), whose real part may differ by one
+ulp from the real one the rollout steps with, so a real length would make a
+step's Jacobian depend on whether its dt column was asked for.
 
-rollout_jacobian is the one call that differentiates a rollout.  It chains
-the step Jacobians forward into the knot states' tangents.  It reads from
-the input tangents which inputs each step moves (the planner's thrust
-step moves the leg force, its knot steps the two rope forces and the
-length; the MPC's steps the rope forces and the propeller), so both step
-6 + 3 directions per step instead of 13.  It reads the Jacobian of any
-analytic function of the decision vector and its knot states off one
-complex evaluation of that function, the knot states moved along their
-tangents; the planner's gradient and constraint Jacobian and the MPC's
-residual Jacobian are all formed there.  rollout_arrays lets the dtype of
-its inputs flow through, so a complex decision vector can be stepped
-through a whole schedule as well.
+rollout_jacobian is the one call that differentiates a rollout: it chains
+the step Jacobians forward into the knot states' tangents and reads the
+Jacobian of any analytic function of the decision vector and its knot
+states off one complex evaluation of that function, the knot states moved
+along their tangents; the planner's gradient and constraint Jacobian and
+the MPC's residual Jacobian are all formed there.  Its input tangents
+(input_tangents) are built once per layout, the planner's per problem and
+the MPC's per horizon length, as both schedules are affine in the decision
+vector.  They name the inputs each step moves (the planner's thrust step
+the leg force, its knot steps the rope forces and the length; the MPC's
+steps the rope forces and the propeller), so both step 6 + 3 directions per
+step instead of 13.  rollout_arrays lets the dtype of its inputs flow
+through, so a complex decision vector can be stepped through a whole
+schedule as well.
 """
 
 from __future__ import annotations
@@ -253,41 +253,46 @@ def step_jacobians(x, u, dt, cols, cfg: IntegratorConfig, scenario: Scenario):
     return J
 
 
-def rollout_jacobian(value, z, states, step_inputs, cfg: IntegratorConfig,
+def input_tangents(step_inputs, n):
+    """The tangents w (K, 7, n), w_k = d(u_k, dt_k)/dz, of a schedule
+    step_inputs(Z) -> (u (..., K, 6), dt (..., K)) affine in z (n,), by one
+    complex step at z = 0, which gives them at every z; and cols (K, m), the
+    inputs each step moves, moving ones first, padded to the most any step
+    moves.  rollout_jacobian takes (w, cols)."""
+    h = COMPLEX_STEP
+    u_c, dt_c = step_inputs(1j * h * np.eye(n))      # one row per direction
+    w = np.moveaxis(np.concatenate([u_c.imag, dt_c.imag[..., None]], axis=-1), 0, -1) / h
+    moves = np.any(w != 0.0, axis=-1)                # (K, 7)
+    return w, np.argsort(~moves, axis=-1, kind="stable")[:, :moves.sum(-1).max(initial=0)]
+
+
+def rollout_jacobian(value, z, states, step_inputs, tangents, cfg: IntegratorConfig,
                      scenario: Scenario):
     """Jacobian (m, n) of value(z, knots) at one real point z (n,), where
     knots are z's knot states, exact to round-off.
 
     states (K n_sub + 1, 6) are z's rollout at sub-step resolution
-    (rollout_arrays over substep_schedule); the knot states are its
-    knot_rows.  step_inputs(Z) -> (u (..., K, 6), dt (..., K)) gives the
-    inputs and lengths of the K steps from states[0], which does not move
-    with z.  value(Z, knots) -> (..., m) must be analytic in both, real or
-    complex.  The input tangents w_k = d(u_k, dt_k)/dz come from one
-    complex step through step_inputs, the knot tangents S_k = dx_k/dz from
-    one step_jacobians call chained forward, S_0 = 0,
-    S_{k+1} = J_x S_k + J_(u,dt) w_k, and the result from one value call at
-    z + i h e_j with the knot states moved along S e_j.  step_jacobians
-    differentiates each step by the inputs its w_k moves, padded to the
-    most any step moves; the other columns of J_(u,dt) are zero, so
-    J_(u,dt) w_k sums the same non-zero terms as with all 7.  K may be 0.
+    (rollout_arrays over substep_schedule), whose knot_rows are the knot
+    states; step_inputs(Z) -> (u, dt) gives the K steps from states[0],
+    which does not move with z, and tangents = (w, cols) are
+    input_tangents(step_inputs, n).  value(Z, knots) -> (..., m) must be
+    analytic in both, real or complex.  The knot tangents S_k = dx_k/dz
+    come from one step_jacobians call chained forward, S_0 = 0,
+    S_{k+1} = J_x S_k + J_(u,dt) w_k, and the result from one value call
+    at z + i h e_j with the knot states moved along S e_j.  step_jacobians
+    differentiates each step by the inputs cols name; the other columns of
+    J_(u,dt) are zero, so J_(u,dt) w_k sums the same non-zero terms as
+    with all 7.  K may be 0.
     """
-    h = COMPLEX_STEP
-    dz = 1j * h * np.eye(z.size)                     # one row per direction
-    u, dt = step_inputs(z)
-    u_c, dt_c = step_inputs(z + dz)
-    w = np.moveaxis(np.concatenate([u_c.imag, dt_c.imag[..., None]], axis=-1), 0, -1) / h
-    moves = np.any(w != 0.0, axis=-1)                # (K, 7)
-    m = moves.sum(axis=-1).max(initial=0)
-    cols = np.argsort(~moves, axis=-1, kind="stable")[:, :m]   # moving inputs first
+    h, (w, cols), (u, dt) = COMPLEX_STEP, tangents, step_inputs(z)
     J = step_jacobians(states[:-1].reshape(len(u), cfg.n_sub, 6), u, dt, cols, cfg, scenario)
-    # Scatter the m input columns into their slots of a (K, 7, 6) array,
-    # transposed, so that the product runs in the layout of the full
-    # Jacobian's J[:, :, 6:].
+    # The m input columns scattered into their slots of a (K, 7, 6) array,
+    # transposed: the product runs in the layout of the full J[:, :, 6:].
     J_u = np.zeros((len(J), 7, 6))
     np.put_along_axis(J_u, cols[:, :, None], np.swapaxes(J[:, :, 6:], -1, -2), axis=-2)
     B = np.swapaxes(J_u, -1, -2) @ w
     S = np.zeros((len(J) + 1, 6, z.size))
     for k in range(len(J)):
         S[k + 1] = J[k, :, :6] @ S[k] + B[k]
-    return value(z + dz, knot_rows(states, cfg) + 1j * h * np.moveaxis(S, -1, 0)).imag.T / h
+    return value(z + 1j * h * np.eye(z.size),
+                 knot_rows(states, cfg) + 1j * h * np.moveaxis(S, -1, 0)).imag.T / h

@@ -12,30 +12,31 @@ by slicing the schedule.  Only the first optimised input is applied; the
 remainder seeds the next solve.
 
 The cost is a sum of squares under box bounds, so a tick is one real-time
-iteration (Diehl, Bock & Schloeder, SIAM J. Control Optim. 2005): roll out
-the clipped, shifted warm start; take the residual Jacobian from
-integrator.rollout_jacobian, which reads it off one complex evaluation of
-the residuals themselves (see the integrator); take one bounded
-Gauss-Newton step through solve_nlp (one QR factorisation and, when a
-rope bound is active, one nnls call: solvers.box_step); roll out once
-more at the accepted point for the predicted positions.  A non-finite or
-rank-deficient Jacobian degrades the tick, and a tick's diagnostics keep
-the seconds of its steps as step_s.  MpcConfig.max_iter allows more steps
-per tick.  A rollout is one rollout_arrays call on Python floats at
-sub-step resolution (integrator.substep_schedule), kept for the last
-point; the residuals and predictions read its knot_rows, and
-rollout_jacobian starts from its sub-step states.  The residuals are
-written once, as a function of the deviations and the knot states, so a
-change to them needs no derivative edit.  The input formula is written
-once too: a tick's step schedule, the window's feed-forward plus
-deviations for the window's lengths, is what rollout_arrays steps from
-the estimated state, what rollout_jacobian differentiates, and, at its
-first step, the input command applies.
+iteration (Diehl, Bock & Schloeder, SIAM J. Control Optim. 2005): the
+rollout of the clipped, shifted warm start from the estimated state, the
+residual Jacobian there (integrator.rollout_jacobian, read off one complex
+evaluation of the residuals themselves), and at most one bounded
+Gauss-Newton step through solve_nlp (one QR and, when a rope bound is
+active, one nnls call: solvers.box_step), applied without simulating it
+again.  Non-finite residuals or Jacobian, or a rank-deficient Jacobian,
+degrade the tick; its diagnostics keep the seconds of its steps as step_s.
+MpcConfig.max_iter allows more steps, each after a rollout at the point the
+last one reached.  A rollout is one rollout_arrays call on Python floats at
+sub-step resolution (integrator.substep_schedule), kept for the last point;
+the residuals read its knot_rows, and rollout_jacobian its sub-step states
+and the input tangents of the horizon length, built once per length
+(integrator.input_tangents).  The residuals are written once, as a function
+of the deviations and the knot states, so a change to them needs no
+derivative edit.  The input formula is written once too: a tick's step
+schedule, the window's feed-forward plus deviations for the window's
+lengths, is what rollout_arrays steps from the estimated state, what
+rollout_jacobian differentiates, and, at its first step, the input command
+applies.
 
 ``TrackingController`` holds that state across ticks: the plan's knot
-positions and schedule, and the previous tick's solution,
-which gives both the shifted warm start and the deviation applied last
-period (the first term of the input smoothing cost).
+positions and schedule, the input tangents of each horizon length, and the
+previous tick's solution, which gives both the shifted warm start and the
+deviation applied last period (the first term of the input smoothing cost).
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .integrator import (IntegratorConfig, knot_rows, rollout_arrays, rollout_jacobian,
-                         substep_schedule)
+from .integrator import (IntegratorConfig, input_tangents, knot_rows, rollout_arrays,
+                         rollout_jacobian, substep_schedule)
 from .model import Scenario, position_arrays
 from .planner import JumpPlan
 from .solvers import NlpProblem, solve_nlp
@@ -78,7 +79,6 @@ class MpcSolution:
     delta_left: np.ndarray         # (H,) rope-force deviations
     delta_right: np.ndarray        # (H,)
     f_prop: np.ndarray             # (H,)
-    predicted_positions: np.ndarray  # (H+1, 3)
     degraded: bool = False
     diagnostics: dict = field(default_factory=dict)
 
@@ -97,13 +97,13 @@ class TrackingController:
     reference, the plan's schedule gives the feed-forward and the step
     lengths; keeps the warm-start state across ticks."""
 
-    def __init__(self, plan: JumpPlan, scenario: Scenario,
-                 cfg: MpcConfig | None = None):
+    def __init__(self, plan: JumpPlan, scenario: Scenario, cfg: MpcConfig | None = None):
         self.scen = scenario
         self.cfg = cfg or MpcConfig.from_plan(plan)
         self.p_ref = plan.positions                        # (N+1, 3)
         self.schedule = plan.schedule(scenario.t_th)       # (N+1, 6), (N+1,)
         self.prev_solution: MpcSolution | None = None
+        self.tangents: dict[int, tuple] = {}               # H -> input_tangents
 
     @property
     def n_ticks(self) -> int:
@@ -123,9 +123,8 @@ class TrackingController:
         """One real-time iteration from the estimated state at tick k,
         warm-started from the previous tick's solution.
 
-        Returns the first step's input and the full horizon.  On solver
-        failure the clipped warm start is returned with the degraded flag
-        set.
+        Returns the first step's input and the full horizon; on solver
+        failure, the clipped warm start with the degraded flag set.
         """
         cfg, scenario = self.cfg, self.scen
         window = slice(k + 1, k + 1 + cfg.n_horizon)      # cut at the plan's end
@@ -173,7 +172,10 @@ class TrackingController:
             return residuals_at(z, knot_rows(states_at(z), icfg))
 
         def residuals_jac(z):
-            return rollout_jacobian(residuals_at, z, states_at(z), step_inputs, icfg, scenario)
+            if H not in self.tangents:
+                self.tangents[H] = input_tangents(step_inputs, z.size)
+            return rollout_jacobian(residuals_at, z, states_at(z), step_inputs,
+                                    self.tangents[H], icfg, scenario)
 
         # Rope bounds map to boxes on the deviations; propeller is bilateral.
         p_max = float(scenario.f_p_max > 0.0)
@@ -188,15 +190,11 @@ class TrackingController:
         try:
             res = solve_nlp(problem)
             z = res.x
-            diagnostics = {"status": res.status, "n_iter": res.n_iter,
-                           "objective": res.objective, "step_s": res.step_s}
+            diagnostics = {"status": res.status, "n_iter": res.n_iter, "step_s": res.step_s}
         except RuntimeError as exc:  # non-finite or rank-deficient, or nnls at its cap
             z, degraded = z0, True
             diagnostics = {"status": "failed", "n_iter": 0, "step_s": 0.0, "error": str(exc)}
         v = z.reshape(H, 3) * f_scale
-        s = knot_rows(states_at(z), icfg)
         sol = MpcSolution(delta_left=v[:, 0], delta_right=v[:, 1], f_prop=v[:, 2],
-                          predicted_positions=position_arrays(s[:, 0], s[:, 1], s[:, 2],
-                                                              scenario.d_a),
                           degraded=degraded, diagnostics=diagnostics)
         return step_inputs(z)[0][0], sol

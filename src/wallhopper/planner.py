@@ -21,13 +21,13 @@ a plan; the simulator flies it, and the MPC's control tick k is its step
 k + 1.  The problem rolls it out from rest by one rollout_arrays call at
 sub-step resolution (integrator.substep_schedule), on Python floats for
 one point; the knot states are its knot_rows.  The gradient and the
-constraint Jacobian are exact and are read off the value code: no term is
-differentiated by hand.  integrator.rollout_jacobian, the one call that
-differentiates a rollout, takes the sub-step states the value evaluation
-already holds and the same schedule, and evaluates cost_and_constraints
-once, batched, at a complex step of Z with the knot states moved along
-their tangents (see the integrator).  So a change to the cost or a
-constraint needs no derivative edit.
+constraint Jacobian are exact and read off the value code: no term is
+differentiated by hand.  integrator.rollout_jacobian takes the sub-step
+states the value evaluation holds, the schedule and its input tangents,
+built once per problem, and evaluates cost_and_constraints once, batched,
+at a complex step of Z with the knot states moved along their tangents
+(see the integrator).  So a change to the cost or a constraint needs no
+derivative edit.
 Every clearance row, flat wall or bump, reads one formula, wall_gap; the
 NLP, _check_target and audit_plan all call it.
 """
@@ -41,8 +41,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .integrator import (IntegratorConfig, knot_rows, rollout_arrays, rollout_jacobian,
-                         substep_schedule)
+from .integrator import (IntegratorConfig, input_tangents, knot_rows, rollout_arrays,
+                         rollout_jacobian, substep_schedule)
 from .model import (Ellipsoid, Scenario, _finite_point, inverse_kinematics,
                     position_arrays, static_rope_pull, tangent_frame)
 from .solvers import NlpProblem, solve_nlp
@@ -200,6 +200,7 @@ class ShootingProblem:
         self.leg_rows = np.stack([-n_c, n_c, t1 - mu * n_c, -t1 - mu * n_c,
                                   t2 - mu * n_c, -t2 - mu * n_c])
         self.leg_offsets = np.array([0.0, -scenario.f_leg_max, 0.0, 0.0, 0.0, 0.0])
+        self.tangents = input_tangents(self.step_inputs, self.n_var)
         self.counters = {"value_evals": 0, "gradient_evals": 0,
                          "value_s": 0.0, "gradient_s": 0.0, "rollout_rows": 0}
         self._last: tuple | None = None          # (Z, its values and Jacobians)
@@ -310,7 +311,7 @@ class ShootingProblem:
                 # Row 0 is the gradient, the rest the constraint Jacobian.
                 entry["jac"] = rollout_jacobian(
                     lambda Z, s: np.column_stack(self.cost_and_constraints(Z, s)), Z,
-                    entry["states"], self.step_inputs, self.cfg, self.scen)
+                    entry["states"], self.step_inputs, self.tangents, self.cfg, self.scen)
             self.counters["gradient_evals"] += 1
             self.counters["gradient_s"] += time.perf_counter() - t0
         return entry["jac"]

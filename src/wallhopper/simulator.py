@@ -111,8 +111,8 @@ class DisturbanceSpec:
             raise ValueError("kind must be none, constant or impulsive")
         if self.vector.shape != (3,) or not np.all(np.isfinite(self.vector)):
             raise ValueError(f"disturbance vector must be a finite 3-vector: {self.vector}")
-        if not (self.duration >= 0.0 and self.t_start >= 0.0):
-            raise ValueError("disturbance window must be non-negative")
+        if not (self.duration >= 0.0 and 0.0 <= self.t_start < math.inf):
+            raise ValueError("disturbance window must be non-negative, its start finite")
 
     def felt(self, t_flight):
         """Whether the force acts at each time t_flight from lift-off: a bool
@@ -138,8 +138,8 @@ class NoiseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
-        if self.sigma.shape != (3,) or not np.all(self.sigma >= 0.0):
-            raise ValueError(f"noise sigma must be three deviations >= 0: {self.sigma}")
+        if self.sigma.shape != (3,) or not np.all((self.sigma >= 0.0) & (self.sigma < math.inf)):
+            raise ValueError(f"noise sigma must be three finite deviations >= 0: {self.sigma}")
         if not (isinstance(self.seed, Integral) and self.seed >= 0):
             raise ValueError(f"noise seed must be an integer >= 0, got {self.seed!r}")
 

@@ -96,7 +96,7 @@ class NlpProblem:
 @dataclass
 class NlpResult:
     x: np.ndarray
-    objective: float
+    objective: float               # NaN, as kkt_residual, at a Gauss-Newton step cap
     kkt_residual: float
     status: str
     n_iter: int
@@ -230,19 +230,18 @@ def box_step(J: np.ndarray, r: np.ndarray, lower: np.ndarray,
 def _gauss_newton(problem: NlpProblem) -> NlpResult:
     """At most max_iter bounded Gauss-Newton steps from the clipped x0.
 
-    Each step evaluates the residual Jacobian once, stops if the point is
-    stationary to tol_stat, and otherwise moves to the minimiser of the
-    linearised residual in the box (box_step, undamped).  The last
-    residuals call is at the returned point.  After max_iter steps the
-    Jacobian at that point has not been evaluated, so kkt_residual is NaN.
-    Raises RuntimeError on non-finite residuals or Jacobian, and on a
+    Each step evaluates the residuals and their Jacobian once, stops if the
+    point is stationary to tol_stat, and otherwise moves to the minimiser of
+    the linearised residual in the box (box_step, undamped).  The last
+    allowed step is returned unevaluated, with objective and kkt_residual
+    NaN.  Raises RuntimeError on non-finite residuals or Jacobian, and on a
     rank-deficient Jacobian.
     """
     lo, hi = problem.lower, problem.upper
     x = np.clip(problem.x0, lo, hi)
-    r = _finite(problem.residuals(x), "residuals")
-    status, resid, kkt_s, step_s = STATUS_MAX_ITERS, np.nan, 0.0, 0.0
+    kkt_s = step_s = 0.0
     for n_iter in range(problem.max_iter):
+        r = _finite(problem.residuals(x), "residuals")
         J = _finite(problem.residuals_jac(x), "residual Jacobian")
         grad = J.T @ r
         t0 = time.perf_counter()
@@ -250,17 +249,14 @@ def _gauss_newton(problem: NlpProblem) -> NlpResult:
         t1 = time.perf_counter()
         kkt_s += t1 - t0
         if resid <= problem.tol_stat:
-            status = STATUS_OPTIMAL
-            break
+            return NlpResult(x=x, objective=0.5 * float(r @ r), kkt_residual=resid,
+                             status=STATUS_OPTIMAL, n_iter=n_iter, constraint_violation=0.0,
+                             kkt_s=kkt_s, step_s=step_s)
         step = box_step(J, r, lo - x, hi - x)
         step_s += time.perf_counter() - t1
         x = np.clip(x + step, lo, hi)
-        r = _finite(problem.residuals(x), "residuals")
-        resid = np.nan
-    else:
-        n_iter = problem.max_iter
-    return NlpResult(x=x, objective=0.5 * float(r @ r), kkt_residual=resid,
-                     status=status, n_iter=n_iter, constraint_violation=0.0,
+    return NlpResult(x=x, objective=np.nan, kkt_residual=np.nan, status=STATUS_MAX_ITERS,
+                     n_iter=problem.max_iter, constraint_violation=0.0,
                      kkt_s=kkt_s, step_s=step_s)
 
 

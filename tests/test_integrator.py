@@ -8,6 +8,7 @@ from wallhopper import integrator, model, mpc, planner, simulator
 from wallhopper.integrator import (
     COMPLEX_STEP,
     IntegratorConfig,
+    input_tangents,
     knot_rows,
     rollout_arrays,
     rollout_jacobian,
@@ -404,7 +405,8 @@ class TestRolloutTangents:
         step_inputs = self.linear_inputs(K, n, per_step)
         z = np.random.default_rng(42).normal(size=n)
         states = substep_rollout(X0, *step_inputs(z), cfg)
-        J = rollout_jacobian(self.value, z, states, step_inputs, cfg, SCEN)
+        J = rollout_jacobian(self.value, z, states, step_inputs, input_tangents(step_inputs, n),
+                             cfg, SCEN)
         assert J.shape == (n + 6 * (K + 1), n)
         np.testing.assert_array_equal(J[:n], np.eye(n))
         np.testing.assert_array_equal(J[n:n + 6], 0.0)         # the start state
@@ -414,8 +416,9 @@ class TestRolloutTangents:
     @pytest.mark.parametrize("per_step", [True, False])
     def test_no_steps(self, per_step):
         n = 4
-        J = rollout_jacobian(self.value, np.ones(n), X0[None], self.linear_inputs(0, n, per_step),
-                             IntegratorConfig(), SCEN)
+        step_inputs = self.linear_inputs(0, n, per_step)
+        J = rollout_jacobian(self.value, np.ones(n), X0[None], step_inputs,
+                             input_tangents(step_inputs, n), IntegratorConfig(), SCEN)
         np.testing.assert_array_equal(J, np.vstack([np.eye(n), np.zeros((6, n))]))
 
 
@@ -456,7 +459,7 @@ class TestTrimmedDirections:
             return np.column_stack(prob.cost_and_constraints(Z, s))
 
         states = prob.substep_rollout(z)
-        J = rollout_jacobian(value, z, states, prob.step_inputs, prob.cfg, SCEN)
+        J = rollout_jacobian(value, z, states, prob.step_inputs, prob.tangents, prob.cfg, SCEN)
         np.testing.assert_array_equal(
             J, full_direction_jacobian(value, z, states, prob.step_inputs, prob.cfg))
         np.testing.assert_array_equal(J[0], prob.gradient(z))
@@ -475,10 +478,10 @@ class TestTrimmedDirections:
         ctl = mpc.TrackingController(plan, SCEN, mpc.MpcConfig.from_plan(plan, max_iter=3))
         ctl.command(plan.states[3] + np.array([0, 0, 0, 0.05, 0.1, 0.0]), 3)
         assert calls
-        for value, z, states, step_inputs, cfg, scen in calls:
+        for value, z, states, step_inputs, tangents, cfg, scen in calls:
             assert np.all(step_inputs(z + 1j)[1].imag == 0.0)
             np.testing.assert_array_equal(
-                jacobian(value, z, states, step_inputs, cfg, scen),
+                jacobian(value, z, states, step_inputs, tangents, cfg, scen),
                 full_direction_jacobian(value, z, states, step_inputs, cfg))
 
     @pytest.mark.parametrize("per_step", [True, False])
@@ -495,11 +498,70 @@ class TestTrimmedDirections:
         z = np.random.default_rng(44).normal(size=n)
         states = substep_rollout(X0, *step_inputs(z), cfg)
         value = TestRolloutTangents.value
-        J = rollout_jacobian(value, z, states, step_inputs, cfg, SCEN)
+        J = rollout_jacobian(value, z, states, step_inputs, input_tangents(step_inputs, n), cfg,
+                             SCEN)
         np.testing.assert_array_equal(J, full_direction_jacobian(value, z, states, step_inputs,
                                                                  cfg))
         np.testing.assert_allclose(J[n:], TestRolloutTangents.oracle(step_inputs, z, cfg),
                                    rtol=1e-12, atol=1e-12 * np.max(np.abs(J[n:])))
+
+
+class TestTangentsOncePerLayout:
+    """Both callers build their input tangents once, the planner per
+    problem and the MPC per horizon length.  Their schedules are affine in
+    the decision vector, so the Jacobian with those tangents equals, bit
+    for bit, the one with tangents taken by a complex step through
+    step_inputs at the point itself."""
+
+    @staticmethod
+    def tangents_at(step_inputs, z):
+        h = COMPLEX_STEP
+        u_c, dt_c = step_inputs(z + 1j * h * np.eye(z.size))
+        w = np.moveaxis(np.concatenate([u_c.imag, dt_c.imag[..., None]], axis=-1), 0, -1) / h
+        moves = np.any(w != 0.0, axis=-1)
+        return w, np.argsort(~moves, axis=-1, kind="stable")[:, :moves.sum(axis=-1).max()]
+
+    def check(self, value, z, states, step_inputs, tangents, cfg):
+        here = self.tangents_at(step_inputs, z)
+        for cached, fresh in zip(tangents, here):
+            assert cached.tobytes() == fresh.tobytes()
+        J = rollout_jacobian(value, z, states, step_inputs, tangents, cfg, SCEN)
+        assert J.tobytes() == rollout_jacobian(value, z, states, step_inputs, here, cfg,
+                                               SCEN).tobytes()
+
+    def test_planner(self, frozen_track_plan):
+        plan = frozen_track_plan
+        prob = planner.ShootingProblem(plan.p0, plan.p_target, SCEN, planner.PlannerWeights(),
+                                       IntegratorConfig())
+        guess = prob.initial_guess()
+        for z in (guess, guess + 0.05 * np.random.default_rng(45).normal(size=guess.size)):
+            states = prob.substep_rollout(z)
+            assert np.all(np.isfinite(states))
+            self.check(lambda Z, s: np.column_stack(prob.cost_and_constraints(Z, s)), z,
+                       states, prob.step_inputs, prob.tangents, prob.cfg)
+
+    def test_mpc_every_horizon(self, frozen_track_plan, monkeypatch):
+        calls = []
+        jacobian = mpc.rollout_jacobian
+
+        def recorded(*args):
+            calls.append(args)
+            return jacobian(*args)
+
+        monkeypatch.setattr(mpc, "rollout_jacobian", recorded)
+        plan = frozen_track_plan
+        ctl = mpc.TrackingController(plan, SCEN)
+        assert ctl.cfg.n_horizon == 12
+        rates = np.array([0.0, 0.0, 0.0, 0.05, 0.1, 0.0])
+        for k in range(ctl.n_ticks):
+            ctl.command(plan.states[k] + rates, k)
+        horizons = set()
+        for value, z, states, step_inputs, tangents, cfg, scen in calls:
+            H = z.size // 3
+            horizons.add(H)
+            assert tangents is ctl.tangents[H]
+            self.check(value, z, states, step_inputs, tangents, cfg)
+        assert horizons == set(range(1, 13))
 
 
 class TestRollout:

@@ -27,8 +27,7 @@ DISTURBED = DisturbanceSpec("constant", [0.0, 0.0, -20.0])
 
 def solution(rows):
     rows = np.asarray(rows, dtype=float)
-    return MpcSolution(delta_left=rows[:, 0], delta_right=rows[:, 1],
-                       f_prop=rows[:, 2], predicted_positions=np.zeros((len(rows) + 1, 3)))
+    return MpcSolution(delta_left=rows[:, 0], delta_right=rows[:, 1], f_prop=rows[:, 2])
 
 
 ROWS = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
@@ -137,7 +136,6 @@ class TestSolverFailure:
         np.testing.assert_allclose(sol.delta_left, -ff[:, 0], rtol=1e-12)
         np.testing.assert_allclose(sol.delta_right, -ff[:, 1], rtol=1e-12)
         np.testing.assert_array_equal(sol.f_prop, np.full(H, SCEN.f_p_max))
-        assert np.all(np.isfinite(sol.predicted_positions))
 
     def test_code_error_propagates(self, benchmark_plan, monkeypatch):
         def broken(problem):
@@ -226,13 +224,20 @@ class TestRealTimeIteration:
 
         monkeypatch.setattr(mpc, "rollout_jacobian", counted_jacobians)
         monkeypatch.setattr(mpc, "rollout_arrays", single_rollout)
+        # The tick applies its step without simulating it: one rollout, at
+        # the warm start.
         _, sol = perturbed_tick(frozen_track_plan, monkeypatch)
-        assert (sol.diagnostics["n_iter"], calls) == (1, {"jacobians": 1, "rollouts": 2})
-        calls.update(jacobians=0, rollouts=0)
-        _, sol = perturbed_tick(frozen_track_plan, monkeypatch, max_iter=4)
-        d = sol.diagnostics
-        assert calls["jacobians"] == d["n_iter"] + (d["status"] == solvers.STATUS_OPTIMAL)
-        assert calls["rollouts"] == d["n_iter"] + 1
+        assert (sol.diagnostics["n_iter"], calls) == (1, {"jacobians": 1, "rollouts": 1})
+        # This tick is stationary after two steps: at a cap of 2 it returns
+        # the second step unsimulated, at a cap of 4 it rolls that point out
+        # and stops there.
+        for max_iter, ending in ((2, solvers.STATUS_MAX_ITERS), (4, solvers.STATUS_OPTIMAL)):
+            calls.update(jacobians=0, rollouts=0)
+            _, sol = perturbed_tick(frozen_track_plan, monkeypatch, max_iter=max_iter)
+            d = sol.diagnostics
+            assert (d["n_iter"], d["status"]) == (2, ending)
+            n_rollouts = 2 + (ending == solvers.STATUS_OPTIMAL)
+            assert calls == {"jacobians": n_rollouts, "rollouts": n_rollouts}
 
     def test_predictions_step_on_floats(self, frozen_track_plan, monkeypatch,
                                         substep_calls):
@@ -247,7 +252,7 @@ class TestRealTimeIteration:
 
         monkeypatch.setattr(mpc, "rollout_arrays", watched)
         perturbed_tick(frozen_track_plan, monkeypatch)
-        assert added == [0, 0]
+        assert added == [0]
         assert substep_calls            # the Jacobian's complex steps are arrays
 
     def test_jacobian_steps_nine_directions(self, frozen_track_plan, monkeypatch,
@@ -256,7 +261,7 @@ class TestRealTimeIteration:
         # propeller, not its length: 6 + 3 complex directions per step, not 13,
         # and all their sub-steps go through one array call per Jacobian.
         _, sol = perturbed_tick(frozen_track_plan, monkeypatch, max_iter=4)
-        H, d = len(sol.predicted_positions) - 1, sol.diagnostics
+        H, d = len(sol.delta_left), sol.diagnostics
         n_jacobians = d["n_iter"] + (d["status"] == solvers.STATUS_OPTIMAL)
         assert substep_calls == [(H, IntegratorConfig().n_sub, 9, 6)] * n_jacobians
 
@@ -288,7 +293,6 @@ class TestRealTimeIteration:
         assert sol.degraded
         assert sol.diagnostics["status"] == "failed"
         assert "non-finite" in sol.diagnostics["error"]
-        assert not np.all(np.isfinite(sol.predicted_positions))
 
     def test_rank_deficient_tick_degrades(self, frozen_track_plan, monkeypatch):
         # The first step's left rope column copied onto its right rope's:
@@ -307,12 +311,15 @@ class TestRealTimeIteration:
         assert "rank-deficient" in sol.diagnostics["error"]
 
     def test_step_never_raises_the_cost(self, frozen_track_plan, monkeypatch):
+        # The tick does not evaluate the residuals at its step's end; the
+        # check does.
         costs = []
 
         def checked(problem):
             r0 = problem.residuals(np.clip(problem.x0, problem.lower, problem.upper))
             res = solvers.solve_nlp(problem)
-            costs.append((res.objective, 0.5 * r0 @ r0))
+            r = problem.residuals(res.x)
+            costs.append((0.5 * r @ r, 0.5 * r0 @ r0))
             return res
 
         monkeypatch.setattr(mpc, "solve_nlp", checked)

@@ -867,17 +867,19 @@ class TestInputValidation:
         trace = run_episode(frozen_track_plan, SCEN, controller="open_loop")
         assert trace.times.size == 1041
 
-    # On the frozen plan a NaN sigma degraded 29 of 30 MPC ticks, a NaN
-    # t_start switched the disturbance off for good and a 2-vector raised
-    # IndexError inside the dynamics kernel.
+    # On the frozen plan a NaN or infinite sigma degraded 29 of 30 MPC
+    # ticks, a NaN or infinite t_start switched the disturbance off for
+    # good and a 2-vector raised IndexError inside the dynamics kernel.
     @pytest.mark.parametrize("sigma", [[np.nan, 0.2, 0.2], [0.01, -0.2, 0.2],
-                                       [0.01, 0.2], [[0.01, 0.2, 0.2]], 0.1])
+                                       [0.01, 0.2], [[0.01, 0.2, 0.2]], 0.1,
+                                       [np.inf, 0.2, 0.2]])
     def test_noise_sigma_rejected(self, sigma):
         with pytest.raises(ValueError, match="sigma"):
             NoiseSpec(sigma=sigma)
 
     @pytest.mark.parametrize("kwargs", [{"t_start": np.nan}, {"duration": np.nan},
-                                        {"t_start": -0.1}, {"duration": -0.1}])
+                                        {"t_start": -0.1}, {"duration": -0.1},
+                                        {"t_start": np.inf}])
     def test_disturbance_window_rejected(self, kwargs):
         with pytest.raises(ValueError, match="window"):
             DisturbanceSpec("impulsive", [0.0, 0.0, -20.0], **kwargs)
