@@ -13,26 +13,25 @@ substep_schedule writes a schedule at sub-step resolution, each step's
 input repeated n_sub times at dt / n_sub, to be stepped with n_sub = 1;
 knot_rows picks every n_sub-th state of that rollout, which is the knot
 state of the knot-resolution rollout bit for bit.  These two are the only
-places a schedule is expanded to sub-steps.  The planner's value rollouts
-and the MPC's rollouts run at sub-step resolution and keep the sub-step
-states, which their Jacobians start from.
+places a schedule is expanded to sub-steps: rollout_arrays itself steps
+substep_schedule's schedule and returns its knot_rows.  The planner's value
+rollouts and the MPC's rollouts run at sub-step resolution and keep the
+sub-step states, which their Jacobians start from.
 
 rollout_arrays is the one gate between the two bindings of the model's
 dynamics kernel, chosen from the shapes and types of its inputs.  A batch
-of states runs on numpy arrays, substep_arrays once per sub-step.  One
-real 6-vector state with real inputs and lengths (planner values, MPC
-rollouts, the simulator's flights, a single step_arrays step) runs in
-one Python-float loop, _rollout_floats, over all the sub-steps of the
-schedule: each step's input unpacked once, and each RK4 stage computing
-C and r^2 (model._chord_and_radius), testing the domain, and calling the
-kernel body model._accelerations on the stage state's scalars, with the
-IEEE operations of substep_arrays in the same order, so both agree bit
-for bit, NaN rows included.  A stage outside the domain (r^2 <= 0 or a
-non-finite psi) has NaN accelerations, as on arrays.  The loop's one exit
-to the array path is ZeroDivisionError, which Python raises where numpy
-gives inf or NaN (a zero mass): the whole call is then stepped on arrays.
-Any other exception propagates.  Complex inputs always take the array
-binding, whatever their shape: the float path is real-only.
+of states, or any complex input, runs on numpy arrays, substep_arrays
+once per sub-step.  One real 6-vector state with real inputs and lengths
+(planner values, MPC rollouts, the simulator's flights, a single
+step_arrays step) runs in one Python-float loop, _rollout_floats, over
+all the sub-steps of the schedule: each RK4 stage computing C and r^2
+(model._chord_and_radius), testing the domain, and calling the kernel
+body model._accelerations on the stage state's scalars, with the IEEE
+operations of substep_arrays in the same order, so both agree bit for
+bit, NaN rows included.  A stage outside the domain (r^2 <= 0, l2 = 0 or
+a non-finite psi) has NaN accelerations, as on arrays; inside it the
+loop divides only by nonzero numbers, as the Scenario's mass is positive.
+The float path is real-only.
 
 step_jacobians differentiates steps by complex step (Squire & Trapp, SIAM
 Rev. 1998; Martins, Sturdza & Alonso, ACM TOMS 2003): the kernel is
@@ -59,9 +58,11 @@ the MPC's per horizon length, as both schedules are affine in the decision
 vector.  They name the inputs each step moves (the planner's thrust step
 the leg force, its knot steps the rope forces and the length; the MPC's
 steps the rope forces and the propeller), so both step 6 + 3 directions per
-step instead of 13.  rollout_arrays lets the dtype of its inputs flow
-through, so a complex decision vector can be stepped through a whole
-schedule as well.
+step instead of 13, and hold those inputs' tangents alone, w (K, m, n)
+for m named inputs and n decision variables: the Jacobian's m input
+columns of step k times w_k are that step's part of the knot tangent.
+rollout_arrays lets the dtype of its inputs flow through, so a complex
+decision vector can be stepped through a whole schedule as well.
 """
 
 from __future__ import annotations
@@ -93,17 +94,15 @@ def substep_arrays(x, u, h, scenario: Scenario):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rollout_floats(x, us, hs, n_sub, scenario: Scenario):
+def _rollout_floats(x, us, hs, scenario: Scenario):
     """The states of a step schedule from one state held as Python floats:
-    step k holds us[k] over n_sub RK4 sub-steps of length hs[k], as
-    substep_arrays computes them.  Returns x, then the state after each
-    step, as one flat list of floats.
+    step k holds us[k] over one RK4 step of length hs[k], as substep_arrays
+    computes it.  Returns x, then the state after each step, as one flat
+    list of floats.
 
-    Each RK4 stage computes C and r^2, tests the domain (r^2 > 0 and a
-    finite psi) and calls the kernel body on scalars; a stage outside the
-    domain has NaN accelerations, as in the numpy binding.  A zero mass
-    raises ZeroDivisionError, where numpy gives inf or NaN: rollout_arrays
-    then steps the whole schedule on arrays.  Nothing else is caught."""
+    Each RK4 stage computes C and r^2, tests the domain (r^2 > 0, l2 != 0
+    and a finite psi) and calls the kernel body on scalars; a stage outside
+    the domain has NaN accelerations, as in the numpy binding."""
     (gx, gy, gz), d_a, m = scenario.gravity.tolist(), scenario.d_a, scenario.mass
     body, chord, sqrt, sin, cos, finite = (_accelerations, _chord_and_radius, math.sqrt,
                                            math.sin, math.cos, math.isfinite)
@@ -112,35 +111,34 @@ def _rollout_floats(x, us, hs, n_sub, scenario: Scenario):
     out = list(x)
     for (u0, u1, u2, u3, u4, u5), h in zip(us, hs):
         half, sixth = 0.5 * h, h / 6.0
-        for _ in range(n_sub):
-            C, r2 = chord(q1, q2, d_a)
-            a0, a1, a2 = (body(q1, q2, w0, w1, w2, u0, u1, u2, u3, u4, u5, C, sqrt(r2),
-                               sin(q0), cos(q0), gx, gy, gz, d_a, m)
-                          if r2 > 0.0 and finite(q0) else nans)
-            p0, p1, p2 = q0 + half * w0, q1 + half * w1, q2 + half * w2
-            y3, y4, y5 = w0 + half * a0, w1 + half * a1, w2 + half * a2
-            C, r2 = chord(p1, p2, d_a)
-            b0, b1, b2 = (body(p1, p2, y3, y4, y5, u0, u1, u2, u3, u4, u5, C, sqrt(r2),
-                               sin(p0), cos(p0), gx, gy, gz, d_a, m)
-                          if r2 > 0.0 and finite(p0) else nans)
-            p0, p1, p2 = q0 + half * y3, q1 + half * y4, q2 + half * y5
-            z3, z4, z5 = w0 + half * b0, w1 + half * b1, w2 + half * b2
-            C, r2 = chord(p1, p2, d_a)
-            c0, c1, c2 = (body(p1, p2, z3, z4, z5, u0, u1, u2, u3, u4, u5, C, sqrt(r2),
-                               sin(p0), cos(p0), gx, gy, gz, d_a, m)
-                          if r2 > 0.0 and finite(p0) else nans)
-            p0, p1, p2 = q0 + h * z3, q1 + h * z4, q2 + h * z5
-            v3, v4, v5 = w0 + h * c0, w1 + h * c1, w2 + h * c2
-            C, r2 = chord(p1, p2, d_a)
-            d0, d1, d2 = (body(p1, p2, v3, v4, v5, u0, u1, u2, u3, u4, u5, C, sqrt(r2),
-                               sin(p0), cos(p0), gx, gy, gz, d_a, m)
-                          if r2 > 0.0 and finite(p0) else nans)
-            q0, q1, q2, w0, w1, w2 = (q0 + sixth * (w0 + 2.0 * y3 + 2.0 * z3 + v3),
-                                      q1 + sixth * (w1 + 2.0 * y4 + 2.0 * z4 + v4),
-                                      q2 + sixth * (w2 + 2.0 * y5 + 2.0 * z5 + v5),
-                                      w0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
-                                      w1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-                                      w2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2))
+        C, r2 = chord(q1, q2, d_a)
+        a0, a1, a2 = (body(q1, q2, w0, w1, w2, u0, u1, u2, u3, u4, u5, C, sqrt(r2),
+                           sin(q0), cos(q0), gx, gy, gz, d_a, m)
+                      if r2 > 0.0 and q2 != 0.0 and finite(q0) else nans)
+        p0, p1, p2 = q0 + half * w0, q1 + half * w1, q2 + half * w2
+        y3, y4, y5 = w0 + half * a0, w1 + half * a1, w2 + half * a2
+        C, r2 = chord(p1, p2, d_a)
+        b0, b1, b2 = (body(p1, p2, y3, y4, y5, u0, u1, u2, u3, u4, u5, C, sqrt(r2),
+                           sin(p0), cos(p0), gx, gy, gz, d_a, m)
+                      if r2 > 0.0 and p2 != 0.0 and finite(p0) else nans)
+        p0, p1, p2 = q0 + half * y3, q1 + half * y4, q2 + half * y5
+        z3, z4, z5 = w0 + half * b0, w1 + half * b1, w2 + half * b2
+        C, r2 = chord(p1, p2, d_a)
+        c0, c1, c2 = (body(p1, p2, z3, z4, z5, u0, u1, u2, u3, u4, u5, C, sqrt(r2),
+                           sin(p0), cos(p0), gx, gy, gz, d_a, m)
+                      if r2 > 0.0 and p2 != 0.0 and finite(p0) else nans)
+        p0, p1, p2 = q0 + h * z3, q1 + h * z4, q2 + h * z5
+        v3, v4, v5 = w0 + h * c0, w1 + h * c1, w2 + h * c2
+        C, r2 = chord(p1, p2, d_a)
+        d0, d1, d2 = (body(p1, p2, v3, v4, v5, u0, u1, u2, u3, u4, u5, C, sqrt(r2),
+                           sin(p0), cos(p0), gx, gy, gz, d_a, m)
+                      if r2 > 0.0 and p2 != 0.0 and finite(p0) else nans)
+        q0, q1, q2, w0, w1, w2 = (q0 + sixth * (w0 + 2.0 * y3 + 2.0 * z3 + v3),
+                                  q1 + sixth * (w1 + 2.0 * y4 + 2.0 * z4 + v4),
+                                  q2 + sixth * (w2 + 2.0 * y5 + 2.0 * z5 + v5),
+                                  w0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+                                  w1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                                  w2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2))
         out += q0, q1, q2, w0, w1, w2
     return out
 
@@ -161,29 +159,22 @@ def rollout_arrays(x0, u_schedule, dt, cfg: IntegratorConfig, scenario: Scenario
     x0: (..., 6), broadcast against u_schedule: (..., K, 6); dt: a scalar
     or one length per step, broadcast against the steps u_schedule.shape[:-1].
     Returns the states (..., K+1, 6), x0 first, real or complex as the
-    inputs are; bad configurations yield NaN.  One real state runs the
-    whole schedule in one Python-float loop, or on arrays if that loop
-    divides by zero.
+    inputs are; bad configurations yield NaN.  The schedule is stepped at
+    sub-step resolution (substep_schedule) and its knot_rows returned: one
+    real state in one Python-float loop, anything else on arrays.
     """
-    u = np.asarray(u_schedule)
-    dt = np.broadcast_to(dt, u.shape[:-1])
+    u, h, _ = substep_schedule(u_schedule, dt, cfg)
     xs = np.asarray(x0)
-    if xs.ndim == 1 and u.ndim == 2 and not any(np.iscomplexobj(a) for a in (xs, u, dt)):
-        try:
-            return np.array(_rollout_floats(
-                xs.astype(float, copy=False).tolist(), u.astype(float, copy=False).tolist(),
-                (dt / cfg.n_sub).tolist(), cfg.n_sub, scenario)).reshape(-1, 6)
-        except ZeroDivisionError:
-            pass            # a zero mass: numpy's inf and NaN, on arrays below
+    if xs.ndim == 1 and u.ndim == 2 and not any(np.iscomplexobj(a) for a in (xs, u, h)):
+        return knot_rows(np.array(_rollout_floats(
+            xs.astype(float, copy=False).tolist(), u.astype(float, copy=False).tolist(),
+            h.tolist(), scenario)).reshape(-1, 6), cfg)
     x = np.broadcast_to(xs, np.broadcast_shapes(xs.shape, u.shape[:-2] + (6,)))
-    out = np.empty(x.shape[:-1] + (u.shape[-2] + 1, 6), dtype=np.result_type(x, u, dt, float))
+    out = np.empty(x.shape[:-1] + (u.shape[-2] + 1, 6), dtype=np.result_type(x, u, h, float))
     out[..., 0, :] = x
-    h = dt[..., None] / cfg.n_sub
     for k in range(u.shape[-2]):
-        for _ in range(cfg.n_sub):
-            x = substep_arrays(x, u[..., k, :], h[..., k, :], scenario)
-        out[..., k + 1, :] = x
-    return out
+        x = out[..., k + 1, :] = substep_arrays(x, u[..., k, :], h[..., k, None], scenario)
+    return knot_rows(out, cfg)
 
 
 # The steps of a sub-step schedule are single RK4 sub-steps.
@@ -254,16 +245,18 @@ def step_jacobians(x, u, dt, cols, cfg: IntegratorConfig, scenario: Scenario):
 
 
 def input_tangents(step_inputs, n):
-    """The tangents w (K, 7, n), w_k = d(u_k, dt_k)/dz, of a schedule
-    step_inputs(Z) -> (u (..., K, 6), dt (..., K)) affine in z (n,), by one
-    complex step at z = 0, which gives them at every z; and cols (K, m), the
-    inputs each step moves, moving ones first, padded to the most any step
-    moves.  rollout_jacobian takes (w, cols)."""
+    """The input tangents of a schedule step_inputs(Z) -> (u (..., K, 6),
+    dt (..., K)) affine in z (n,), by one complex step at z = 0, which gives
+    them at every z: cols (K, m), the inputs each step moves (0-5 for u's
+    entries, 6 for dt), moving ones first, padded to the most any step
+    moves; and w (K, m, n), w_k = d(u_k, dt_k)[cols_k]/dz, their tangents.
+    rollout_jacobian takes (w, cols)."""
     h = COMPLEX_STEP
     u_c, dt_c = step_inputs(1j * h * np.eye(n))      # one row per direction
     w = np.moveaxis(np.concatenate([u_c.imag, dt_c.imag[..., None]], axis=-1), 0, -1) / h
     moves = np.any(w != 0.0, axis=-1)                # (K, 7)
-    return w, np.argsort(~moves, axis=-1, kind="stable")[:, :moves.sum(-1).max(initial=0)]
+    cols = np.argsort(~moves, axis=-1, kind="stable")[:, :moves.sum(-1).max(initial=0)]
+    return np.take_along_axis(w, cols[:, :, None], axis=1), cols
 
 
 def rollout_jacobian(value, z, states, step_inputs, tangents, cfg: IntegratorConfig,
@@ -278,19 +271,14 @@ def rollout_jacobian(value, z, states, step_inputs, tangents, cfg: IntegratorCon
     input_tangents(step_inputs, n).  value(Z, knots) -> (..., m) must be
     analytic in both, real or complex.  The knot tangents S_k = dx_k/dz
     come from one step_jacobians call chained forward, S_0 = 0,
-    S_{k+1} = J_x S_k + J_(u,dt) w_k, and the result from one value call
-    at z + i h e_j with the knot states moved along S e_j.  step_jacobians
-    differentiates each step by the inputs cols name; the other columns of
-    J_(u,dt) are zero, so J_(u,dt) w_k sums the same non-zero terms as
-    with all 7.  K may be 0.
+    S_{k+1} = J_x S_k + J_cols w_k, J_cols the step's columns of the
+    inputs cols name (the other inputs do not move), and the result from
+    one value call at z + i h e_j with the knot states moved along S e_j.
+    K may be 0.
     """
     h, (w, cols), (u, dt) = COMPLEX_STEP, tangents, step_inputs(z)
     J = step_jacobians(states[:-1].reshape(len(u), cfg.n_sub, 6), u, dt, cols, cfg, scenario)
-    # The m input columns scattered into their slots of a (K, 7, 6) array,
-    # transposed: the product runs in the layout of the full J[:, :, 6:].
-    J_u = np.zeros((len(J), 7, 6))
-    np.put_along_axis(J_u, cols[:, :, None], np.swapaxes(J[:, :, 6:], -1, -2), axis=-2)
-    B = np.swapaxes(J_u, -1, -2) @ w
+    B = J[:, :, 6:] @ w
     S = np.zeros((len(J) + 1, 6, z.size))
     for k in range(len(J)):
         S[k + 1] = J[k, :, :6] @ S[k] + B[k]

@@ -57,8 +57,10 @@ integrator's Python-float RK4 loop (integrator._rollout_floats), which
 calls it on the scalars of one state where numpy's per-call cost would
 dominate.  Each computes C and r^2 with _chord_and_radius, r and
 sin/cos(psi) itself, and owns the domain handling: both give NaN
-accelerations when r^2 <= 0 or psi is not finite, and agree bit for bit,
-with the same IEEE operations in the same order.
+accelerations when r^2 <= 0, l2 = 0 or psi is not finite, and agree bit
+for bit, with the same IEEE operations in the same order.  (r^2 > 0
+implies l2 > 0 in exact arithmetic, but rounding lets a state at the right
+anchor pass it, where the float loop would divide by zero.)
 
 The kernel is analytic in x and u: + - * / in the body, sqrt, sin and cos
 in the array binding.  So state_derivative_arrays also takes complex
@@ -122,7 +124,7 @@ class Scenario:
     """
 
     d_a: float = 5.0                   # anchor distance (m)
-    mass: float = 5.0                  # kg
+    mass: float = 5.0                  # kg, positive: the kernel divides by it
     gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -9.81]))
     wall_normal: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
     wall_offset: float = 0.05          # wall kept at n.p >= wall_offset (m)
@@ -148,8 +150,8 @@ class Scenario:
                 raise ValueError(f"{name} must be finite")
         if not (self.d_a > 0.0):
             raise ValueError("anchor distance d_a must be positive")
-        if not (self.mass >= 0.0):
-            raise ValueError("mass must be non-negative")
+        if not (self.mass > 0.0):
+            raise ValueError("mass must be positive")
         if not (self.mu > 0.0):
             raise ValueError("friction coefficient mu must be positive")
         for name in ("f_leg_max", "f_r_max", "t_th"):
@@ -287,15 +289,15 @@ def state_derivative_arrays(x, u, scenario: Scenario):
     """Time derivative of the stacked state (psi, l1, l2, rates), batched.
 
     The numpy binding of the kernel: any leading dimensions, never raises,
-    never warns.  Out of domain (r^2 <= 0) or with a non-finite psi the
-    accelerations are NaN; overflow gives inf or NaN.
+    never warns.  Out of domain (r^2 <= 0 or l2 = 0) or with a non-finite
+    psi the accelerations are NaN; overflow gives inf or NaN.
     """
     d_a = scenario.d_a
     xs = _components_first(x)
     psi, l1, l2 = xs[0], xs[1], xs[2]
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         C, r2 = _chord_and_radius(l1, l2, d_a)
-        r = np.sqrt(np.where(r2 > 0.0, r2, np.nan))
+        r = np.sqrt(np.where((r2 > 0.0) & (l2 != 0.0), r2, np.nan))
         acc = _accelerations(*xs[1:], *_components_first(u), C, r, np.sin(psi),
                              np.cos(psi), *scenario.gravity, d_a, scenario.mass)
     out = np.empty(np.shape(acc[0]) + (6,), dtype=np.result_type(xs, *acc))

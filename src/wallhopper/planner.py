@@ -384,7 +384,7 @@ def plan_jump(p0, p_tg, scenario: Scenario,
     # Acceptance rests on the independent audit, not on the solver's verdict:
     # SLSQP may stop on its iteration cap or report an inconsistent QP
     # subproblem while sitting on a fully feasible, on-target plan.
-    if audit["max_violation"] > 1e-6:
+    if not audit["max_violation"] <= 1e-6:
         raise PlanningError(
             f"planner did not converge: status={res.status}, "
             f"kkt={res.kkt_residual:.2e}, violation={audit['max_violation']:.2e}, "
@@ -394,14 +394,14 @@ def plan_jump(p0, p_tg, scenario: Scenario,
 
 def audit_plan(plan: JumpPlan, scenario: Scenario,
                weights: PlannerWeights | None = None) -> dict:
-    """Independent re-check of every stated bound on a returned plan."""
+    """Independent re-check of every stated bound on a returned plan.
+    max_violation is inf when any entry is not finite, so a NaN in any
+    field the audit reads fails it."""
     weights = weights or PlannerWeights(n_knots=plan.n_knots)
     viol = {}
-    viol["rope_bounds"] = float(max(
-        np.max(plan.rope_left, initial=-np.inf),
-        np.max(plan.rope_right, initial=-np.inf),
-        np.max(-plan.rope_left - scenario.f_r_max, initial=-np.inf),
-        np.max(-plan.rope_right - scenario.f_r_max, initial=-np.inf), 0.0))
+    ropes = np.concatenate([plan.rope_left, plan.rope_right])
+    viol["rope_bounds"] = float(np.max(np.concatenate([ropes, -ropes - scenario.f_r_max]),
+                                       initial=0.0))
     n_c = scenario.wall_normal
     t1, t2 = tangent_frame(n_c)
     fn = float(plan.f_leg @ n_c)
@@ -413,6 +413,7 @@ def audit_plan(plan: JumpPlan, scenario: Scenario,
     viol["wall"] = float(max(np.max(-gap), 0.0))
     viol["terminal"] = float(max(plan.terminal_error - weights.slack, 0.0))
     viol["t_f"] = float(max(T_F_BOUNDS[0] - plan.t_f, plan.t_f - T_F_BOUNDS[1], 0.0))
-    viol["max_violation"] = max(viol.values())
+    finite = all(map(math.isfinite, viol.values()))
+    viol["max_violation"] = max(viol.values()) if finite else math.inf
     return viol
 

@@ -123,10 +123,6 @@ class DisturbanceSpec:
             return (self.t_start <= t) & (t < self.t_start + self.duration)
         return np.full(t.shape, self.kind == "constant")
 
-    def force_at(self, t_flight: float) -> np.ndarray | None:
-        """Force at time t_flight measured from lift-off; None when none acts."""
-        return self.vector if self.felt(t_flight) else None
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -204,12 +200,11 @@ def _trace(scenario, records, force, ticks, events, e_a, meta) -> SimTrace:
 class _TickStart:
     """A run_episode flight without noise (no touch-down watch) at the
     start of control tick k: its lists of records and MPC solutions (None
-    for open loop), whose first n_records and k entries lie before the
-    tick, and its lift-off time.  The first row of record n_records is the
-    resume point.  The flight only appends to those lists, so an episode
-    starts here by copying their heads."""
+    for open loop), whose first k + 1 and k entries lie before the tick (the
+    thrust record, then one record per tick), and its lift-off time.  The
+    first row of record k + 1 is the resume point.  The flight only appends
+    to those lists, so an episode starts here by copying their heads."""
     k: int
-    n_records: int
     records: list
     solutions: list | None
     t_lift: float
@@ -256,9 +251,9 @@ def _episode(plan, scenario, controller, disturbance, noise, mpc_cfg,
         records, ticks = [], (None if ctl is None else [])
         x, t, events = plan.rest_state.copy(), 0.0, {}
     else:
-        records = start.records[:start.n_records]
+        records = start.records[:start.k + 1]
         ticks = None if ctl is None else start.solutions[:start.k]
-        t, x = (a[0] for a in start.records[start.n_records][:2])
+        t, x = (a[0] for a in start.records[start.k + 1][:2])
         events = {"lift_off": start.t_lift}
         if ctl is not None and start.k:
             ctl.prev_solution = ticks[-1]
@@ -300,7 +295,7 @@ def _episode(plan, scenario, controller, disturbance, noise, mpc_cfg,
             if first >= end:
                 break
             if tick is not None and marks is not None:
-                marks.append(_TickStart(tick + i, len(records), records, ticks, t_lift))
+                marks.append(_TickStart(tick + i, records, ticks, t_lift))
             last = min(first + n_steps, end)
             records.append((times[first:last], states[first:last], u, felt[first:last], phase))
             first += n_steps
@@ -471,7 +466,7 @@ def _robustness_runs(plan, n_runs, scenario, seed, noise, controller, mpc_cfg):
     shared = max(range(n_runs), key=lambda r: runs[r][1].t_start)
     marks = []
     shared_flown = fly(runs[shared][1], None, marks=marks)
-    opens = [m.records[m.n_records][0][0] - m.t_lift for m in marks]
+    opens = [m.records[m.k + 1][0][0] - m.t_lift for m in marks]
     for run, (interval, spec, _) in enumerate(runs):
         if run == shared:
             yield (interval, *shared_flown)

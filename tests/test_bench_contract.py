@@ -1,6 +1,7 @@
 """The benchmark in perfbench/ hooks into the package by name.  Check that
-every name it patches or calls still exists, and that every keyword it
-passes is still a parameter of the callee, so removing one fails here and
+every name it patches or calls still exists, that every keyword it passes
+is still a parameter of the callee, and that the callee still takes as
+many positional arguments as it is passed, so removing one fails here and
 not only in the benchmark's own smoke tests."""
 
 import ast
@@ -28,15 +29,19 @@ def test_tracer_patches_and_restores_every_hook(monkeypatch):
 
 
 def wallhopper_uses():
-    """(names, calls) over perfbench/*.py.  names: (module, dotted path) for
-    each name imported with ``from wallhopper... import`` and each attribute
-    chain on an imported wallhopper module, e.g. stability.HeatmapGrid.regular.
-    calls: (module, dotted path, keyword) for each keyword argument passed
-    to such a name, e.g. mpc.MpcConfig.from_plan(n_horizon=...)."""
+    """(names, calls, arities) over perfbench/*.py.  names: (module, dotted
+    path) for each name imported with ``from wallhopper... import`` and each
+    attribute chain on an imported wallhopper module, e.g.
+    stability.HeatmapGrid.regular.  calls: (module, dotted path, keyword)
+    for each keyword argument passed to such a name, e.g.
+    mpc.MpcConfig.from_plan(n_horizon=...).  arities: (module, dotted path,
+    n) for each call of such a name with n positional arguments, e.g.
+    integrator.rollout_arrays with 5; a call that unpacks *args is left
+    out, as its count is unknown."""
     import wallhopper
 
     submodules = {m.name for m in pkgutil.iter_modules(wallhopper.__path__)}
-    names, calls = set(), set()
+    names, calls, arities = set(), set(), set()
     for path in sorted(PERFBENCH.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         local = {}                        # local name -> (wallhopper module, path prefix)
@@ -66,7 +71,9 @@ def wallhopper_uses():
                 names.add(target)
             if isinstance(node, ast.Call) and (target := resolve(node.func)):
                 calls.update((*target, kw.arg) for kw in node.keywords if kw.arg)
-    return sorted(names), sorted(calls)
+                if not any(isinstance(arg, ast.Starred) for arg in node.args):
+                    arities.add((*target, len(node.args)))
+    return sorted(names), sorted(calls), sorted(arities)
 
 
 def lookup(module, dotted):
@@ -77,7 +84,7 @@ def lookup(module, dotted):
 
 
 def test_workload_entry_points_exist():
-    names, _ = wallhopper_uses()
+    names, _, _ = wallhopper_uses()
     assert names
     missing = []
     for module, dotted in names:
@@ -102,8 +109,20 @@ def accepted_keywords(fn):
 
 
 def test_workload_keywords_accepted():
-    _, calls = wallhopper_uses()
+    _, calls, _ = wallhopper_uses()
     assert ("wallhopper.mpc", "MpcConfig.from_plan", "max_iter") in calls
     unknown = [f"{module}.{dotted}({kw}=)" for module, dotted, kw in calls
                if kw not in accepted_keywords(lookup(module, dotted))]
     assert not unknown, f"keywords perfbench/ passes are gone: {unknown}"
+
+
+def test_workload_positional_counts_accepted():
+    _, _, arities = wallhopper_uses()
+    assert ("wallhopper.integrator", "rollout_arrays", 5) in arities
+    refused = []
+    for module, dotted, n in arities:
+        try:
+            inspect.signature(lookup(module, dotted)).bind_partial(*range(n))
+        except TypeError:
+            refused.append(f"{module}.{dotted} with {n} positional arguments")
+    assert not refused, f"calls perfbench/ makes no longer bind: {refused}"

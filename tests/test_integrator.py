@@ -129,36 +129,20 @@ class TestSingleStatePath:
         stepped = assert_rows_match_batch(x, np.zeros((1, 6)), 0.05, cfg)
         assert np.isnan(stepped[0, 3:]).all()
 
-    def test_zero_mass_falls_back_to_arrays(self, monkeypatch):
-        # The float loop divides by the mass; on ZeroDivisionError the
-        # whole call takes the numpy binding, which gives inf/NaN instead.
-        calls = []
-        arrays = integrator.state_derivative_arrays
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return arrays(*args, **kwargs)
-
-        monkeypatch.setattr(integrator, "state_derivative_arrays", spy)
-        rng = np.random.default_rng(13)
-        x, u = random_states_and_inputs(rng, 5)
-        batch = assert_rows_match_batch(x, u, 0.05, IntegratorConfig(n_sub=2),
-                                        SCEN.with_(mass=0.0))
-        assert calls and not np.isfinite(batch[1:, 3:]).any()
-
-    # Rolled out from each state: out of the domain (r^2 <= 0 or a
-    # non-finite psi) a stage's accelerations are NaN, and a zero mass
-    # raises ZeroDivisionError in the float loop.
+    # Rolled out from each state: out of the domain (r^2 <= 0, l2 = 0 or a
+    # non-finite psi) a stage's accelerations are NaN.
     @pytest.mark.parametrize("x, scen", [
         ([0.3, 2.6, 2.6, 0.0, -5.0, -5.0], SCEN),       # r^2 reaches 0 mid-step
         ([0.3, 2.0, 3.0, 0.1, 0.2, -0.2], SCEN),        # r^2 = 0 exactly: l1 + l2 = d_a
         ([np.inf, 3.0, 4.0, 0.1, 0.2, -0.2], SCEN),
         ([-np.inf, 3.0, 4.0, 0.1, 0.2, -0.2], SCEN),
         ([np.nan, 3.0, 4.0, 0.1, 0.2, -0.2], SCEN),
-        ([0.3, 3.0, 4.0, 0.1, 0.2, -0.2], SCEN.with_(mass=0.0)),
         ([0.3, 3.0, 4.0, 1e154, -1e154, 1e153], SCEN),  # squares near overflow
+        # At the right anchor, where r^2 rounds to 1.8e-15 > 0 and the float
+        # loop would divide by l2 = 0.
+        ([0.3, 2.999999999999914, 0.0, 0.1, 0.2, -0.2], SCEN.with_(d_a=3.0)),
     ], ids=["r2_reaches_0", "r2_exactly_0", "psi_inf", "psi_minus_inf", "psi_nan",
-            "mass_0", "rates_near_overflow"])
+            "rates_near_overflow", "l2_exactly_0"])
     def test_domain_exit(self, x, scen, monkeypatch):
         x = np.array(x)
         u = np.tile([-20.0, -10.0, 1.0, -2.0, 3.0, 4.0], (4, 1))
@@ -167,8 +151,8 @@ class TestSingleStatePath:
         np.testing.assert_array_equal(single, rollout_arrays(x[None], u[None], 0.02, cfg,
                                                              scen)[0])
         assert np.isnan(single[-1]).any()
-        # Only a ZeroDivisionError leaves the loop: a ValueError, say from
-        # a bug, propagates instead of falling back to the arrays.
+        # The loop catches nothing: a ValueError, say from a bug,
+        # propagates instead of falling back to the arrays.
         chord = integrator._chord_and_radius
 
         def raising(*args):
@@ -519,9 +503,12 @@ class TestTangentsOncePerLayout:
         u_c, dt_c = step_inputs(z + 1j * h * np.eye(z.size))
         w = np.moveaxis(np.concatenate([u_c.imag, dt_c.imag[..., None]], axis=-1), 0, -1) / h
         moves = np.any(w != 0.0, axis=-1)
-        return w, np.argsort(~moves, axis=-1, kind="stable")[:, :moves.sum(axis=-1).max()]
+        cols = np.argsort(~moves, axis=-1, kind="stable")[:, :moves.sum(axis=-1).max()]
+        return np.take_along_axis(w, cols[:, :, None], axis=1), cols
 
     def check(self, value, z, states, step_inputs, tangents, cfg):
+        w, cols = tangents
+        assert w.shape == cols.shape + (z.size,)
         here = self.tangents_at(step_inputs, z)
         for cached, fresh in zip(tangents, here):
             assert cached.tobytes() == fresh.tobytes()

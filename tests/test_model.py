@@ -386,12 +386,6 @@ class TestKernelBindings:
                         batch[i], err_msg=name)
         assert np.isnan(batch[:, 3]).sum() > 30
 
-    def test_zero_mass_matches(self):
-        rng = np.random.default_rng(8)
-        x = random_states(rng, 20)
-        u = rng.uniform(-10.0, 0.0, (20, 6))
-        self.check_rows(SCEN.with_(mass=0.0), x, u)
-
     def test_out_of_domain_row(self):
         x = np.array([[0.3, 1.0, 10.0, 0.1, 0.2, 0.3], [np.inf, 6.0, 7.0, 0, 0, 0]])
         stepped = self.check_rows(SCEN, x, np.zeros((2, 6)))
@@ -458,6 +452,8 @@ class TestScenarioValidation:
             Scenario(mu=-1.0)
         with pytest.raises(ValueError):
             Scenario(mass=-5.0)
+        with pytest.raises(ValueError):
+            Scenario(mass=0.0)
         with pytest.raises(ValueError):
             Scenario(t_th=-0.1)
 

@@ -5,11 +5,14 @@ The obstacle plan is a module-scoped fixture and the benchmark plan a
 session-scoped one (conftest.py); planning takes a second or two each.
 """
 
+import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from wallhopper import planner
 from wallhopper.integrator import IntegratorConfig, rollout_arrays
 from wallhopper.model import Ellipsoid, Scenario, position_arrays
 from wallhopper.planner import (
@@ -233,6 +236,38 @@ class TestPlanJump:
     def test_bounds_satisfied_independently(self, benchmark_plan):
         audit = audit_plan(benchmark_plan, SCEN)
         assert audit["max_violation"] <= 1e-6
+
+    # A NaN once passed the audit wherever a number came before it: on the
+    # frozen plan, max_violation read 5.3e-14 with a NaN t_f, position or
+    # right rope force (hidden behind the left one's maximum) and 0.0 with
+    # a NaN leg force.
+    @pytest.mark.parametrize("corrupt", [
+        lambda plan: {"t_f": math.nan},
+        lambda plan: {"positions": np.where(np.arange(len(plan.positions))[:, None] == 5,
+                                            np.nan, plan.positions)},
+        lambda plan: {"f_leg": plan.f_leg + [0.0, np.nan, 0.0]},
+        lambda plan: {"rope_left": np.where(np.arange(plan.n_knots) == 3, np.nan,
+                                            plan.rope_left)},
+        lambda plan: {"rope_right": np.where(np.arange(plan.n_knots) == 3, np.nan,
+                                             plan.rope_right)},
+    ], ids=["t_f", "positions", "f_leg", "rope_left", "rope_right"])
+    def test_non_finite_plan_fails_the_audit(self, frozen_track_plan, corrupt):
+        plan = frozen_track_plan
+        assert audit_plan(plan, SCEN)["max_violation"] <= 1e-6
+        audit = audit_plan(dataclasses.replace(plan, **corrupt(plan)), SCEN)
+        assert audit["max_violation"] == math.inf
+
+    def test_non_finite_solver_point_rejected(self, monkeypatch):
+        # A solver that returns NaN must not yield a plan, whatever its status.
+        solve = planner.solve_nlp
+
+        def nan_point(nlp):
+            res = solve(dataclasses.replace(nlp, max_iter=1))
+            return dataclasses.replace(res, x=np.full_like(res.x, np.nan), status="optimal")
+
+        monkeypatch.setattr(planner, "solve_nlp", nan_point)
+        with pytest.raises(PlanningError, match="violation=inf"):
+            plan_jump(P0, P_TG, SCEN)
 
     def test_target_behind_wall_rejected(self):
         with pytest.raises(PlanningError):

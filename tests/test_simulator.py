@@ -808,19 +808,21 @@ class TestLandingDamping:
 class TestDisturbanceSpec:
     def test_force_at(self):
         # The force acts over [t_start, t_start + duration) from lift-off,
-        # always when constant, and never for kind none: None when none acts.
+        # always when constant, and never for kind none; one time gives a
+        # 0-d answer.
         vector = np.array([1.0, -2.0, 3.0])
         pulse = DisturbanceSpec("impulsive", vector, t_start=0.25, duration=0.5)
+        assert pulse.felt(0.5).shape == ()
         for t in (0.25, 0.5, np.nextafter(0.75, 0.0)):
-            assert pulse.force_at(t) is pulse.vector
+            assert pulse.felt(t)
         for t in (0.0, np.nextafter(0.25, 0.0), 0.75, 2.0):
-            assert pulse.force_at(t) is None
+            assert not pulse.felt(t)
         constant = DisturbanceSpec("constant", vector)
         for t in (0.0, 0.25, 10.0):
-            assert constant.force_at(t) is constant.vector
+            assert constant.felt(t)
         for spec in (DisturbanceSpec(), DisturbanceSpec("none", vector, t_start=0.25)):
             for t in (0.0, 0.25, 0.5):
-                assert spec.force_at(t) is None
+                assert not spec.felt(t)
         # The same window over an array of times, as the simulator tests it:
         # open at t_start, closed at t_start + duration, open one ulp below.
         t = np.array([[0.0, 0.25, 0.5], [np.nextafter(0.75, 0.0), 0.75, 2.0]])
@@ -829,18 +831,18 @@ class TestDisturbanceSpec:
         np.testing.assert_array_equal(constant.felt(t), np.ones((2, 3), dtype=bool))
         np.testing.assert_array_equal(DisturbanceSpec().felt(t), np.zeros((2, 3), dtype=bool))
         for i, j in np.ndindex(t.shape):
-            assert (pulse.force_at(t[i, j]) is not None) == pulse.felt(t)[i, j]
+            assert pulse.felt(t[i, j]) == pulse.felt(t)[i, j]
 
     def test_rows_record_the_force_at_their_time(self, frozen_track_plan):
-        # Every row after the thrust, the last one included, records
-        # force_at of its time from lift-off, although no step follows the
-        # last row.
+        # Every row after the thrust, the last one included, records the
+        # force felt at its time from lift-off, although no step follows
+        # the last row.
         vector = np.array([3.0, -4.0, -20.0])
         for spec in (DisturbanceSpec("constant", vector),
                      DisturbanceSpec("impulsive", vector, t_start=0.5, duration=1.0)):
             trace = run_episode(frozen_track_plan, SCEN, controller="open_loop",
                                 disturbance=spec)
-            felt = [phase != simulator.PHASE_THRUST and spec.force_at(t) is not None
+            felt = [phase != simulator.PHASE_THRUST and bool(spec.felt(t))
                     for t, phase in zip(trace.times - trace.events["lift_off"], trace.phase)]
             assert felt[-1]
             np.testing.assert_array_equal(trace.disturbance,

@@ -252,9 +252,6 @@ class TestGravitationalWrench:
     def test_paper_mass_value(self):
         np.testing.assert_allclose(load_wrench(LAND), [0.0, 0.0, 147.15, 0.0, 0.0, 0.0])
 
-    def test_zero_mass(self):
-        np.testing.assert_allclose(load_wrench(Scenario(mass=0.0)), 0.0)
-
     def test_moment_zero_in_com_frame(self):
         np.testing.assert_allclose(load_wrench(Scenario())[3:], 0.0)
 
