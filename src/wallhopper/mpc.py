@@ -21,10 +21,11 @@ active, one nnls call: solvers.box_step), applied without simulating it
 again.  Non-finite residuals or Jacobian, or a rank-deficient Jacobian,
 degrade the tick; its diagnostics keep the seconds of its steps as step_s.
 MpcConfig.max_iter allows more steps, each after a rollout at the point the
-last one reached.  A rollout is one rollout_arrays call on Python floats at
-sub-step resolution (integrator.substep_schedule), kept for the last point;
-the residuals read its knot_rows, and rollout_jacobian its sub-step states
-and the input tangents of the horizon length, built once per length
+last one reached.  Each iterate is one evaluation of the residuals and
+their Jacobian from one rollout_arrays call on Python floats at sub-step
+resolution (integrator.substep_schedule): the residuals read its
+knot_rows, and rollout_jacobian its sub-step states and the input tangents
+of the horizon length, built once per length
 (integrator.input_tangents).  The residuals are written once, as a function
 of the deviations and the knot states, so a change to them needs no
 derivative edit.  The input formula is written once too: a tick's step
@@ -76,20 +77,19 @@ class MpcConfig:
 
 @dataclass
 class MpcSolution:
-    delta_left: np.ndarray         # (H,) rope-force deviations
-    delta_right: np.ndarray        # (H,)
-    f_prop: np.ndarray             # (H,)
+    """A tick's horizon: its deviations in N, one row per step."""
+
+    deviations: np.ndarray         # (H, 3): left and right rope force, propeller
     degraded: bool = False
     diagnostics: dict = field(default_factory=dict)
 
 
 def warm_start_from(prev: MpcSolution | None, horizon: int) -> np.ndarray:
-    """Shift-by-one initial guess, last knot repeated; (H, 3) columns
-    (delta_left, delta_right, f_prop).  Cold start returns zeros."""
+    """Shift-by-one (H, 3) initial guess, last row repeated; zeros at a cold start."""
     if prev is None:
         return np.zeros((horizon, 3))
-    stacked = np.column_stack([prev.delta_left, prev.delta_right, prev.f_prop])
-    return stacked[np.minimum(np.arange(1, horizon + 1), len(stacked) - 1)]
+    dev = prev.deviations
+    return dev[np.minimum(np.arange(1, horizon + 1), len(dev) - 1)]
 
 
 class TrackingController:
@@ -110,11 +110,15 @@ class TrackingController:
         return len(self.schedule[1]) - 1
 
     def command(self, x_hat: np.ndarray, k: int) -> tuple[np.ndarray, MpcSolution]:
-        """Solve at tick k and return (input to apply as a (6,) array, solution)."""
+        """Solve at tick k from the estimated state x_hat, a 6-vector, and
+        return (input to apply as a (6,) array, solution)."""
         if not 0 <= k < self.n_ticks:
             raise ValueError(f"tick {k} outside [0, {self.n_ticks})")
+        x_hat = np.asarray(x_hat, dtype=float)
+        if x_hat.shape != (6,):
+            raise ValueError(f"x_hat must be a state 6-vector, got shape {x_hat.shape}")
         t0 = time.perf_counter()
-        u, sol = self._solve(np.asarray(x_hat, dtype=float), k)
+        u, sol = self._solve(x_hat, k)
         sol.diagnostics["tick_s"] = time.perf_counter() - t0
         self.prev_solution = sol
         return u, sol
@@ -134,13 +138,11 @@ class TrackingController:
         # The i-1 term of the smoothing cost: deviation applied at the
         # previous control period (cold start: the unmodified feed-forward).
         prev = self.prev_solution
-        prev_dev = [[0.0, 0.0] if prev is None
-                    else [prev.delta_left[0], prev.delta_right[0]]]
+        prev_dev = np.zeros((1, 2)) if prev is None else prev.deviations[:1, :2]
         icfg = IntegratorConfig()
         f_scale = np.array([scenario.f_r_max, scenario.f_r_max,
                             max(scenario.f_p_max, 1e-9)])
         sw = np.sqrt(W_SMOOTH)                             # residuals carry the root
-        last = [None, None]                                # latest (z, sub-step states)
 
         def step_inputs(z):
             v = z.reshape(z.shape[:-1] + (H, 3)) * f_scale
@@ -148,12 +150,6 @@ class TrackingController:
             u[..., :2] = ff + v[..., :2]
             u[..., 5] = v[..., 2]
             return u, np.broadcast_to(dt, u.shape[:-1])
-
-        def states_at(z):
-            if last[0] is None or not np.array_equal(last[0], z):
-                last[:] = z.copy(), rollout_arrays(
-                    x_hat, *substep_schedule(*step_inputs(z), icfg), scenario)
-            return last[1]
 
         def residuals_at(z, states):
             # Tracking at knots 0..H-1, then the first differences of each
@@ -168,14 +164,14 @@ class TrackingController:
                                    np.swapaxes(smooth, -1, -2).reshape(batch + (2 * H,))],
                                   axis=-1)
 
-        def residuals(z):
-            return residuals_at(z, knot_rows(states_at(z), icfg))
+        if H not in self.tangents:
+            self.tangents[H] = input_tangents(step_inputs, 3 * H)
 
-        def residuals_jac(z):
-            if H not in self.tangents:
-                self.tangents[H] = input_tangents(step_inputs, z.size)
-            return rollout_jacobian(residuals_at, z, states_at(z), step_inputs,
-                                    self.tangents[H], icfg, scenario)
+        def residuals(z):
+            states = rollout_arrays(x_hat, *substep_schedule(*step_inputs(z), icfg), scenario)
+            return (residuals_at(z, knot_rows(states, icfg)),
+                    rollout_jacobian(residuals_at, z, states, step_inputs, self.tangents[H],
+                                     icfg, scenario))
 
         # Rope bounds map to boxes on the deviations; propeller is bilateral.
         p_max = float(scenario.f_p_max > 0.0)
@@ -183,9 +179,8 @@ class TrackingController:
         hi = np.column_stack([-ff / f_scale[:2], np.full(H, p_max)])
         z0 = np.clip((warm_start_from(prev, H) / f_scale).ravel(), lo.ravel(), hi.ravel())
 
-        problem = NlpProblem(x0=z0, residuals=residuals, residuals_jac=residuals_jac,
-                             lower=lo.ravel(), upper=hi.ravel(), tol_stat=1e-5,
-                             max_iter=cfg.max_iter)
+        problem = NlpProblem(x0=z0, residuals=residuals, lower=lo.ravel(), upper=hi.ravel(),
+                             tol_stat=1e-5, max_iter=cfg.max_iter)
         degraded = False
         try:
             res = solve_nlp(problem)
@@ -194,7 +189,5 @@ class TrackingController:
         except RuntimeError as exc:  # non-finite or rank-deficient, or nnls at its cap
             z, degraded = z0, True
             diagnostics = {"status": "failed", "n_iter": 0, "step_s": 0.0, "error": str(exc)}
-        v = z.reshape(H, 3) * f_scale
-        sol = MpcSolution(delta_left=v[:, 0], delta_right=v[:, 1], f_prop=v[:, 2],
-                          degraded=degraded, diagnostics=diagnostics)
+        sol = MpcSolution(z.reshape(H, 3) * f_scale, degraded, diagnostics)
         return step_inputs(z)[0][0], sol

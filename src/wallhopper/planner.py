@@ -48,6 +48,8 @@ from .model import (Ellipsoid, Scenario, _finite_point, inverse_kinematics,
 from .solvers import NlpProblem, solve_nlp
 
 HOIST_SMOOTHING_DELTA = 1e-4
+W_S = 1.0                   # smoothing weight on force increments
+W_TERM = 1e4                # quadratic terminal-accuracy weight
 T_F_BOUNDS = (0.2, 10.0)
 T_F0 = 2.0                  # flight time of the initial guess (s)
 
@@ -59,16 +61,13 @@ class PlanningError(RuntimeError):
 @dataclass(frozen=True)
 class PlannerWeights:
     w_hw: float = 0.1          # hoist-work weight
-    w_s: float = 1.0           # smoothing weight on force increments
-    w_term: float = 1e4        # quadratic terminal-accuracy weight
     slack: float = 0.02        # terminal ball radius (m)
     clearance: float = 1.0     # obstacle clearance (m)
     n_knots: int = 30
 
     def __post_init__(self):
-        for name in ("w_hw", "w_s", "w_term"):
-            if not (0.0 <= getattr(self, name) < math.inf):
-                raise ValueError(f"weight {name} must be finite and non-negative")
+        if not (0.0 <= self.w_hw < math.inf):
+            raise ValueError("weight w_hw must be finite and non-negative")
         if not (isinstance(self.n_knots, Integral) and self.n_knots >= 10):
             raise ValueError(f"need an integer of at least 10 knots, got {self.n_knots!r}")
         if not (0.0 < self.slack < math.inf):
@@ -191,7 +190,7 @@ class ShootingProblem:
         # tolerance is meaningful: the smoothing term is O(N * f^2) and the
         # hoist term O(f_r_max * rope travel).
         self.cost_scale = 1.0 / max(1.0,
-                                    weights.w_s * scenario.f_r_max ** 2 / 10.0,
+                                    W_S * scenario.f_r_max ** 2 / 10.0,
                                     weights.w_hw * scenario.f_r_max)
         # Friction pyramid and actuation cap on the leg force, linear in it:
         # leg_rows @ f_leg + leg_offsets <= 0.
@@ -264,8 +263,8 @@ class ShootingProblem:
         # Terminal ball tightened by 10 um so solver tolerance slop cannot
         # leak past the audited slack.
         ball_sq = (self.w.slack - 1e-5) ** 2
-        cost = self.w.w_term * term_sq
-        cost = cost + self.w.w_s * (
+        cost = W_TERM * term_sq
+        cost = cost + W_S * (
             np.sum(np.diff(frl, axis=-1) ** 2, axis=-1)
             + np.sum(np.diff(frr, axis=-1) ** 2, axis=-1))
         # Smoothed |f * l_dot| summed over knots; rates at knot starts.

@@ -5,10 +5,10 @@ Problem sizes here are tiny (at most a few hundred variables).  An NLP is
 either a smooth objective under bounds and inequality constraints, solved
 by SLSQP with the caller's gradient and constraint Jacobian, or a sum of
 squares 0.5 |r(x)|^2 under bounds only, solved by bounded Gauss-Newton:
-each step minimises the linearised residual |r + J dx|^2 in the box
-exactly, by one QR factorisation and, when a bound is active, one
-``scipy.optimize.nnls`` call (box_step), so the caller's residual
-Jacobian is the only derivative needed.  Stationarity is measured a
+one callback gives the residuals r and their Jacobian J, once per
+iterate, and each step minimises the linearised residual |r + J dx|^2 in
+the box exactly, by one QR factorisation and, when a bound is active, one
+``scipy.optimize.nnls`` call (box_step).  Stationarity is measured a
 posteriori: active_set_multipliers fits non-negative multipliers to the
 active constraints and bounds by least squares, and the reported KKT
 residual is the largest entry of the Lagrangian gradient they leave.
@@ -49,15 +49,15 @@ TOL_ACT = 1e-6
 
 @dataclass
 class NlpProblem:
-    """Minimise objective(x), or 0.5 |residuals(x)|^2 when residuals are
-    given, subject to lower <= x <= upper and, for an objective only,
-    constraints(x) <= 0.  Each function comes with its derivative."""
+    """Minimise objective(x), or 0.5 |r|^2 when residuals(x) -> (r, J)
+    is given, subject to lower <= x <= upper and, for an objective only,
+    constraints(x) <= 0.  Each function comes with its derivative; the
+    residuals return theirs, J = dr/dx, with them."""
 
     x0: np.ndarray
     objective: Callable[[np.ndarray], float] | None = None
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
-    residuals: Callable[[np.ndarray], np.ndarray] | None = None      # r(x), (m,)
-    residuals_jac: Callable[[np.ndarray], np.ndarray] | None = None  # (m, n)
+    residuals: Callable[[np.ndarray], tuple] | None = None          # (r (m,), J (m, n))
     constraints: Callable[[np.ndarray], np.ndarray] | None = None   # g(x) <= 0
     constraints_jac: Callable[[np.ndarray], np.ndarray] | None = None
     lower: np.ndarray | None = None
@@ -86,8 +86,6 @@ class NlpProblem:
         if self.residuals is None:
             if self.objective is None or self.gradient is None:
                 raise ValueError("give residuals, or an objective with its gradient")
-        elif self.residuals_jac is None:
-            raise ValueError("residuals need residuals_jac")
         elif not (self.objective is None and self.gradient is None
                   and self.constraints is None):
             raise ValueError("residuals take bounds only: no objective or constraints")
@@ -103,7 +101,6 @@ class NlpResult:
     constraint_violation: float
     kkt_s: float                   # seconds in active_set_multipliers
     step_s: float                  # seconds in box_step
-    message: str = ""
 
 
 def active_set_multipliers(problem: NlpProblem, x: np.ndarray, grad: np.ndarray) -> float:
@@ -161,8 +158,7 @@ def solve_nlp(problem: NlpProblem) -> NlpResult:
         status = STATUS_MAX_ITERS
     return NlpResult(x=x, objective=float(problem.objective(x)), kkt_residual=resid,
                      status=status, n_iter=int(getattr(res, "nit", -1)),
-                     constraint_violation=violation, kkt_s=kkt_s, step_s=0.0,
-                     message=str(res.message))
+                     constraint_violation=violation, kkt_s=kkt_s, step_s=0.0)
 
 
 def _finite(values, what: str) -> np.ndarray:
@@ -230,19 +226,19 @@ def box_step(J: np.ndarray, r: np.ndarray, lower: np.ndarray,
 def _gauss_newton(problem: NlpProblem) -> NlpResult:
     """At most max_iter bounded Gauss-Newton steps from the clipped x0.
 
-    Each step evaluates the residuals and their Jacobian once, stops if the
-    point is stationary to tol_stat, and otherwise moves to the minimiser of
-    the linearised residual in the box (box_step, undamped).  The last
-    allowed step is returned unevaluated, with objective and kkt_residual
-    NaN.  Raises RuntimeError on non-finite residuals or Jacobian, and on a
-    rank-deficient Jacobian.
+    Each step evaluates the residuals and their Jacobian by one call, stops
+    if the point is stationary to tol_stat, and otherwise moves to the
+    minimiser of the linearised residual in the box (box_step, undamped).
+    The last allowed step is returned unevaluated, with objective and
+    kkt_residual NaN.  Raises RuntimeError on non-finite residuals or
+    Jacobian, and on a rank-deficient Jacobian.
     """
     lo, hi = problem.lower, problem.upper
     x = np.clip(problem.x0, lo, hi)
     kkt_s = step_s = 0.0
     for n_iter in range(problem.max_iter):
-        r = _finite(problem.residuals(x), "residuals")
-        J = _finite(problem.residuals_jac(x), "residual Jacobian")
+        r, J = problem.residuals(x)
+        r, J = _finite(r, "residuals"), _finite(J, "residual Jacobian")
         grad = J.T @ r
         t0 = time.perf_counter()
         resid = active_set_multipliers(problem, x, grad)

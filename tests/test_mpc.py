@@ -11,8 +11,8 @@ import pytest
 from scipy import optimize
 
 from wallhopper import mpc, planner, solvers
-from wallhopper.integrator import COMPLEX_STEP, IntegratorConfig
-from wallhopper.model import Scenario
+from wallhopper.integrator import COMPLEX_STEP, IntegratorConfig, rollout_arrays
+from wallhopper.model import Scenario, position_arrays
 from wallhopper.mpc import (
     MpcSolution,
     TrackingController,
@@ -26,8 +26,7 @@ DISTURBED = DisturbanceSpec("constant", [0.0, 0.0, -20.0])
 
 
 def solution(rows):
-    rows = np.asarray(rows, dtype=float)
-    return MpcSolution(delta_left=rows[:, 0], delta_right=rows[:, 1], f_prop=rows[:, 2])
+    return MpcSolution(np.asarray(rows, dtype=float))
 
 
 ROWS = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
@@ -76,6 +75,14 @@ def test_tick_outside_the_plan_rejected(k):
     ctl = TrackingController(KNOT_PLAN, SCEN)
     with pytest.raises(ValueError, match=rf"tick {k} outside \[0, {N_KNOTS}\)"):
         ctl.command(np.zeros(6), k)
+    assert ctl.prev_solution is None
+
+
+@pytest.mark.parametrize("shape", [(1, 6), (5,), (7,)])
+def test_malformed_state_rejected(frozen_track_plan, shape):
+    ctl = TrackingController(frozen_track_plan, SCEN)
+    with pytest.raises(ValueError, match=rf"6-vector, got shape \({shape[0]},"):
+        ctl.command(np.zeros(shape), 0)
     assert ctl.prev_solution is None
 
 
@@ -133,9 +140,9 @@ class TestSolverFailure:
         assert "iteration limit" in sol.diagnostics["error"]
         # Clipped to the upper bounds: rope force 0 and full propeller thrust.
         ff = ctl.schedule[0][1:H + 1]                    # tick 0: steps 1 .. H
-        np.testing.assert_allclose(sol.delta_left, -ff[:, 0], rtol=1e-12)
-        np.testing.assert_allclose(sol.delta_right, -ff[:, 1], rtol=1e-12)
-        np.testing.assert_array_equal(sol.f_prop, np.full(H, SCEN.f_p_max))
+        assert sol.deviations.shape == (H, 3)
+        np.testing.assert_allclose(sol.deviations[:, :2], -ff[:, :2], rtol=1e-12)
+        np.testing.assert_array_equal(sol.deviations[:, 2], np.full(H, SCEN.f_p_max))
 
     def test_code_error_propagates(self, benchmark_plan, monkeypatch):
         def broken(problem):
@@ -152,6 +159,10 @@ def test_undisturbed_mpc_no_worse_than_open_loop(benchmark_plan):
     assert closed.landing_error_norm <= open_loop.landing_error_norm + 1e-6
 
 
+def perturbed_state(plan, rates, k):
+    return plan.states[k] + np.concatenate([np.zeros(3), rates])
+
+
 def perturbed_tick(plan, monkeypatch, max_iter=1, rates=(0.05, 0.1, 0.0), k=3):
     """Tick k from the plan's knot state with its rates perturbed; returns
     (the NlpProblem the tick posed, the solution)."""
@@ -163,23 +174,54 @@ def perturbed_tick(plan, monkeypatch, max_iter=1, rates=(0.05, 0.1, 0.0), k=3):
 
     monkeypatch.setattr(mpc, "solve_nlp", capture)
     ctl = TrackingController(plan, SCEN, mpc.MpcConfig.from_plan(plan, max_iter=max_iter))
-    sol = ctl.command(plan.states[k] + np.concatenate([np.zeros(3), rates]), k)[1]
+    sol = ctl.command(perturbed_state(plan, rates, k), k)[1]
     return posed[0], sol
+
+
+def cold_tick_residuals(plan, rates=(0.05, 0.1, 0.0), k=3):
+    """Oracle: the residuals of perturbed_tick's tick at scaled deviations
+    z (..., 3H), real or complex, rebuilt from the plan: the schedule's
+    steps k+1 .. k+H plus the deviations (rope forces and propeller) flown
+    by one rollout_arrays call, the knot positions k .. k+H-1 tracked, and
+    the rope deviations' first differences, from zero, weighted by
+    sqrt(W_SMOOTH)."""
+    u_plan, dt = plan.schedule(SCEN.t_th)
+    f_scale = np.array([SCEN.f_r_max, SCEN.f_r_max, SCEN.f_p_max])
+
+    def residuals(z):
+        batch, H = z.shape[:-1], z.shape[-1] // 3
+        v = z.reshape(batch + (H, 3)) * f_scale
+        u = np.broadcast_to(u_plan[k + 1:k + 1 + H], batch + (H, 6)).astype(z.dtype)
+        u[..., [0, 1, 5]] += v
+        states = rollout_arrays(perturbed_state(plan, rates, k), u, dt[k + 1:k + 1 + H],
+                                IntegratorConfig(), SCEN)[..., :H, :]
+        pos = position_arrays(states[..., 0], states[..., 1], states[..., 2], SCEN.d_a)
+        smooth = np.sqrt(mpc.W_SMOOTH) * np.diff(v[..., :2], axis=-2, prepend=0.0)
+        return np.concatenate([(pos - plan.positions[k:k + H]).reshape(batch + (3 * H,)),
+                               np.swapaxes(smooth, -1, -2).reshape(batch + (2 * H,))], axis=-1)
+
+    return residuals
+
+
+def complex_step(residuals, z):
+    """The Jacobian of residuals at z, all directions in one call."""
+    h = COMPLEX_STEP
+    return residuals(z + 1j * h * np.eye(z.size)).imag.T / h
 
 
 class TestRealTimeIteration:
     def test_position_jacobian_matches_differences(self, frozen_track_plan, monkeypatch):
         problem, _ = perturbed_tick(frozen_track_plan, monkeypatch)
         z = problem.x0 + 0.01 * np.random.default_rng(3).normal(size=problem.x0.size)
-        J = problem.residuals_jac(z)
+        r_tick, J = problem.residuals(z)
+        r = cold_tick_residuals(frozen_track_plan)
+        np.testing.assert_array_equal(r_tick, r(z))
         n_pos = 3 * (z.size // 3)                    # position rows come first
-        r, h = problem.residuals, 1e-6
+        h = 1e-6
         central = np.column_stack([(r(z + h * e) - r(z - h * e)) / (2.0 * h)
                                    for e in np.eye(z.size)])
         np.testing.assert_allclose(J[:n_pos], central[:n_pos], rtol=0, atol=1e-6)
-        h = COMPLEX_STEP
-        complex_step = np.column_stack([r(z + 1j * h * e).imag / h for e in np.eye(z.size)])
-        np.testing.assert_allclose(J, complex_step, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(J, complex_step(r, z), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("horizon", [2, 1])
     def test_short_horizon_jacobian_matches_complex_step(self, frozen_track_plan,
@@ -189,20 +231,21 @@ class TestRealTimeIteration:
         k = TrackingController(frozen_track_plan, SCEN).n_ticks - horizon
         problem, _ = perturbed_tick(frozen_track_plan, monkeypatch, k=k)
         z = problem.x0 + 0.01 * np.random.default_rng(4).normal(size=problem.x0.size)
-        J = problem.residuals_jac(z)
+        r_tick, J = problem.residuals(z)
         assert J.shape == (5 * horizon, 3 * horizon)
-        h = COMPLEX_STEP
-        complex_step = np.column_stack([problem.residuals(z + 1j * h * e).imag / h
-                                        for e in np.eye(z.size)])
-        assert np.any(complex_step[3 * horizon:])
-        np.testing.assert_allclose(J, complex_step, rtol=0, atol=1e-12)
+        r = cold_tick_residuals(frozen_track_plan, k=k)
+        np.testing.assert_array_equal(r_tick, r(z))
+        oracle = complex_step(r, z)
+        assert np.any(oracle[3 * horizon:])
+        np.testing.assert_allclose(J, oracle, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("rates", [(0.05, 0.1, 0.0), (0.3, 1.0, -1.0)])
     def test_converged_steps_match_least_squares(self, frozen_track_plan, monkeypatch,
                                                  rates):
         problem, _ = perturbed_tick(frozen_track_plan, monkeypatch, rates=rates)
         res = solvers.solve_nlp(dataclasses.replace(problem, max_iter=50, tol_stat=1e-12))
-        ref = optimize.least_squares(problem.residuals, problem.x0, jac=problem.residuals_jac,
+        r = cold_tick_residuals(frozen_track_plan, rates=rates)
+        ref = optimize.least_squares(r, problem.x0, jac=lambda z: complex_step(r, z),
                                      bounds=(problem.lower, problem.upper), method="trf",
                                      xtol=1e-15, ftol=1e-15, gtol=1e-15)
         assert res.status == solvers.STATUS_OPTIMAL
@@ -224,20 +267,20 @@ class TestRealTimeIteration:
 
         monkeypatch.setattr(mpc, "rollout_jacobian", counted_jacobians)
         monkeypatch.setattr(mpc, "rollout_arrays", single_rollout)
-        # The tick applies its step without simulating it: one rollout, at
-        # the warm start.
-        _, sol = perturbed_tick(frozen_track_plan, monkeypatch)
-        assert (sol.diagnostics["n_iter"], calls) == (1, {"jacobians": 1, "rollouts": 1})
-        # This tick is stationary after two steps: at a cap of 2 it returns
-        # the second step unsimulated, at a cap of 4 it rolls that point out
-        # and stops there.
-        for max_iter, ending in ((2, solvers.STATUS_MAX_ITERS), (4, solvers.STATUS_OPTIMAL)):
+        # One rollout per Gauss-Newton iterate, and the tick applies its last
+        # step without simulating it: at a cap of 1 one rollout, at the warm
+        # start.  This tick is stationary after two steps: at a cap of 2 it
+        # returns the second step unsimulated, at a cap of 4 it rolls that
+        # point out and stops there.
+        for max_iter, n_iter, ending in ((1, 1, solvers.STATUS_MAX_ITERS),
+                                         (2, 2, solvers.STATUS_MAX_ITERS),
+                                         (4, 2, solvers.STATUS_OPTIMAL)):
             calls.update(jacobians=0, rollouts=0)
             _, sol = perturbed_tick(frozen_track_plan, monkeypatch, max_iter=max_iter)
             d = sol.diagnostics
-            assert (d["n_iter"], d["status"]) == (2, ending)
-            n_rollouts = 2 + (ending == solvers.STATUS_OPTIMAL)
-            assert calls == {"jacobians": n_rollouts, "rollouts": n_rollouts}
+            assert (d["n_iter"], d["status"]) == (n_iter, ending)
+            iterates = n_iter + (ending == solvers.STATUS_OPTIMAL)
+            assert calls == {"jacobians": iterates, "rollouts": iterates}
 
     def test_predictions_step_on_floats(self, frozen_track_plan, monkeypatch,
                                         substep_calls):
@@ -261,7 +304,7 @@ class TestRealTimeIteration:
         # propeller, not its length: 6 + 3 complex directions per step, not 13,
         # and all their sub-steps go through one array call per Jacobian.
         _, sol = perturbed_tick(frozen_track_plan, monkeypatch, max_iter=4)
-        H, d = len(sol.delta_left), sol.diagnostics
+        H, d = len(sol.deviations), sol.diagnostics
         n_jacobians = d["n_iter"] + (d["status"] == solvers.STATUS_OPTIMAL)
         assert substep_calls == [(H, IntegratorConfig().n_sub, 9, 6)] * n_jacobians
 
@@ -270,8 +313,8 @@ class TestRealTimeIteration:
         for k in (0, 5):
             u, sol = ctl.command(frozen_track_plan.states[k], k)
             expected = ctl.schedule[0][k + 1].copy()
-            expected[:2] += [sol.delta_left[0], sol.delta_right[0]]
-            expected[5] = sol.f_prop[0]
+            expected[:2] += sol.deviations[0, :2]
+            expected[5] = sol.deviations[0, 2]
             np.testing.assert_array_equal(u, expected)
 
     def test_out_of_domain_tick_degrades_before_the_box_step(self, frozen_track_plan,
@@ -316,9 +359,9 @@ class TestRealTimeIteration:
         costs = []
 
         def checked(problem):
-            r0 = problem.residuals(np.clip(problem.x0, problem.lower, problem.upper))
+            r0 = problem.residuals(np.clip(problem.x0, problem.lower, problem.upper))[0]
             res = solvers.solve_nlp(problem)
-            r = problem.residuals(res.x)
+            r = problem.residuals(res.x)[0]
             costs.append((0.5 * r @ r, 0.5 * r0 @ r0))
             return res
 

@@ -329,8 +329,8 @@ class TestWeights:
             PlannerWeights(slack=0.0)
 
     @pytest.mark.parametrize("name, value", [
-        ("w_hw", np.nan), ("w_s", np.inf), ("w_term", np.nan), ("slack", np.nan),
-        ("slack", np.inf), ("clearance", np.nan), ("n_knots", 30.0), ("n_knots", 30.5)])
+        ("w_hw", np.nan), ("slack", np.nan), ("slack", np.inf), ("clearance", np.nan),
+        ("n_knots", 30.0), ("n_knots", 30.5)])
     def test_non_finite_or_non_integer_rejected(self, name, value):
         with pytest.raises(ValueError, match=name.split("_")[-1]):
             PlannerWeights(**{name: value})

@@ -159,11 +159,20 @@ class TestNlp:
 
 
 def rosenbrock(x):
-    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+    """Rosenbrock's residuals and their Jacobian."""
+    return (np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
+            np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]))
 
 
-def rosenbrock_jac(x):
-    return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+def counted(residuals):
+    """residuals, and the list that gets one point per call."""
+    points = []
+
+    def wrapped(x):
+        points.append(x.copy())
+        return residuals(x)
+
+    return wrapped, points
 
 
 class TestGaussNewton:
@@ -173,8 +182,7 @@ class TestGaussNewton:
             A = rng.normal(size=(9, 6))
             b = rng.normal(size=9)
             lo, hi = -0.3 * np.ones(6), 0.3 * np.ones(6)
-            p = NlpProblem(residuals=lambda x, A=A, b=b: A @ x - b,
-                           residuals_jac=lambda x, A=A: A,
+            p = NlpProblem(residuals=lambda x, A=A, b=b: (A @ x - b, A),
                            x0=np.zeros(6), lower=lo, upper=hi, max_iter=1)
             res = solve_nlp(p)
             assert res.n_iter == 1
@@ -188,60 +196,67 @@ class TestGaussNewton:
 
     def test_bounded_rosenbrock_converges(self):
         # With x0 <= 0.5 the minimiser is on the bound, on the valley floor.
-        p = NlpProblem(residuals=rosenbrock, residuals_jac=rosenbrock_jac,
-                       x0=np.array([-1.2, 1.0]), upper=np.array([0.5, np.inf]),
-                       max_iter=20)
+        p = NlpProblem(residuals=rosenbrock, x0=np.array([-1.2, 1.0]),
+                       upper=np.array([0.5, np.inf]), max_iter=20)
         res = solve_nlp(p)
         assert res.status == STATUS_OPTIMAL
         assert res.n_iter < 20
         np.testing.assert_allclose(res.x, [0.5, 0.25], rtol=0, atol=1e-10)
         # The bound holds x_0 back: the cost still falls as x_0 grows.
-        assert (rosenbrock_jac(res.x).T @ rosenbrock(res.x))[0] < -0.1
+        r, J = rosenbrock(res.x)
+        assert (J.T @ r)[0] < -0.1
         assert res.kkt_residual <= p.tol_stat
 
     def test_step_cap_leaves_stationarity_unmeasured(self):
-        p = NlpProblem(residuals=rosenbrock, residuals_jac=rosenbrock_jac,
-                       x0=np.array([-1.2, 1.0]), max_iter=1)
+        p = NlpProblem(residuals=rosenbrock, x0=np.array([-1.2, 1.0]), max_iter=1)
         res = solve_nlp(p)
         assert (res.status, res.n_iter) == (STATUS_MAX_ITERS, 1)
         assert np.isnan(res.kkt_residual) and np.isnan(res.objective)
         # The undamped step solves 1 - x_0 = 0 and the linearised
         # x_1 = x_0^2 exactly, and overshoots the valley.
         np.testing.assert_allclose(res.x, [1.0, 1.44 - 2.4 * 2.2], rtol=0, atol=1e-12)
-        assert 0.5 * np.sum(rosenbrock(res.x) ** 2) == pytest.approx(0.5 * 48.4 ** 2)
+        assert 0.5 * np.sum(rosenbrock(res.x)[0] ** 2) == pytest.approx(0.5 * 48.4 ** 2)
 
     def test_step_seconds(self):
-        p = NlpProblem(residuals=rosenbrock, residuals_jac=rosenbrock_jac,
-                       x0=np.array([-1.2, 1.0]), max_iter=20)
+        p = NlpProblem(residuals=rosenbrock, x0=np.array([-1.2, 1.0]), max_iter=20)
         res = solve_nlp(p)
         assert res.n_iter > 0 and res.step_s > 0.0
-        at_optimum = solve_nlp(NlpProblem(residuals=rosenbrock, residuals_jac=rosenbrock_jac,
-                                          x0=np.ones(2)))
+        at_optimum = solve_nlp(NlpProblem(residuals=rosenbrock, x0=np.ones(2)))
         assert (at_optimum.n_iter, at_optimum.step_s) == (0, 0.0)
         slsqp = solve_nlp(NlpProblem(objective=lambda x: float(x @ x),
                                      gradient=lambda x: 2.0 * x, x0=np.ones(2)))
         assert slsqp.step_s == 0.0
 
     def test_fixed_variable_stays(self):
-        p = NlpProblem(residuals=rosenbrock, residuals_jac=rosenbrock_jac,
-                       x0=np.array([-1.2, 1.0]), lower=np.array([-1.2, -np.inf]),
-                       upper=np.array([-1.2, np.inf]), max_iter=5)
+        p = NlpProblem(residuals=rosenbrock, x0=np.array([-1.2, 1.0]),
+                       lower=np.array([-1.2, -np.inf]), upper=np.array([-1.2, np.inf]),
+                       max_iter=5)
         res = solve_nlp(p)
         assert res.status == STATUS_OPTIMAL
         np.testing.assert_allclose(res.x, [-1.2, 1.44], rtol=0, atol=1e-12)
 
     def test_non_finite_residuals_raise(self):
-        p = NlpProblem(residuals=lambda x: np.sqrt(x - 1.0),
-                       residuals_jac=lambda x: np.diag(0.5 / np.sqrt(x - 1.0)),
+        p = NlpProblem(residuals=lambda x: (np.sqrt(x - 1.0), np.diag(0.5 / np.sqrt(x - 1.0))),
                        x0=np.zeros(2))
         with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="non-finite"):
             solve_nlp(p)
 
+    def test_one_residual_call_per_iterate(self):
+        # From 0, Newton's iteration on e^x = (2, 3) is still off its root
+        # after 3 steps: three steps at a cap of 3, each after one call at
+        # its start point, and the capped end point never evaluated.
+        residuals, points = counted(lambda x: (np.exp(x) - [2.0, 3.0], np.diag(np.exp(x))))
+        res = solve_nlp(NlpProblem(residuals=residuals, x0=np.zeros(2), max_iter=3))
+        assert (res.status, res.n_iter, len(points)) == (STATUS_MAX_ITERS, 3, 3)
+        assert not any(np.array_equal(res.x, x) for x in points)
+        # Stationary at x0: one call, and no step.
+        residuals, points = counted(rosenbrock)
+        res = solve_nlp(NlpProblem(residuals=residuals, x0=np.ones(2), max_iter=3))
+        assert (res.status, res.n_iter, len(points)) == (STATUS_OPTIMAL, 0, 1)
+
     def test_malformed_problems_rejected(self):
-        with pytest.raises(ValueError, match="residuals_jac"):
-            NlpProblem(residuals=rosenbrock, x0=np.zeros(2))
         with pytest.raises(ValueError, match="bounds only"):
-            NlpProblem(residuals=rosenbrock, residuals_jac=rosenbrock_jac, x0=np.zeros(2),
+            NlpProblem(residuals=rosenbrock, x0=np.zeros(2),
                        constraints=lambda x: x, constraints_jac=lambda x: np.eye(2))
         with pytest.raises(ValueError, match="gradient"):
             NlpProblem(objective=lambda x: float(x @ x), x0=np.zeros(2))
@@ -259,10 +274,8 @@ class TestGaussNewton:
     @pytest.mark.parametrize("value", [np.nan, -1e-8, -np.inf])
     def test_bad_tolerance_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be a number >= 0"):
-            NlpProblem(residuals=rosenbrock, residuals_jac=rosenbrock_jac, x0=np.zeros(2),
-                       **{name: value})
-        NlpProblem(residuals=rosenbrock, residuals_jac=rosenbrock_jac, x0=np.zeros(2),
-                   **{name: 0.0})
+            NlpProblem(residuals=rosenbrock, x0=np.zeros(2), **{name: value})
+        NlpProblem(residuals=rosenbrock, x0=np.zeros(2), **{name: 0.0})
 
 
 def box_problem(rng, m=10, n=9):
@@ -325,8 +338,8 @@ class TestBoxStep:
         with pytest.raises(RuntimeError, match="rank-deficient"):
             box_step(J, r, lower, upper)
         # Through solve_nlp, from a linear residual with that Jacobian.
-        p = NlpProblem(residuals=lambda x: r + J @ x, residuals_jac=lambda x: J,
-                       x0=np.zeros(J.shape[1]), lower=lower, upper=upper)
+        p = NlpProblem(residuals=lambda x: (r + J @ x, J), x0=np.zeros(J.shape[1]),
+                       lower=lower, upper=upper)
         with pytest.raises(RuntimeError, match="rank-deficient"):
             solve_nlp(p)
 
