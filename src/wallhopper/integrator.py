@@ -38,29 +38,39 @@ Rev. 1998; Martins, Sturdza & Alonso, ACM TOMS 2003): the kernel is
 analytic, so Im f(x + i h e) / h is df/dx e to round-off, with no
 difference of nearby values to cancel.  From the sub-step states each step
 starts from, it perturbs the 6 state entries of every sub-step and the m of
-the step's 7 inputs (u, dt) the caller names, and runs every sub-step of
-every step in every direction through one substep_arrays call: 4 kernel
-calls per Jacobian, whatever n_sub.  Each step's Jacobian is the product of
-its n_sub sub-step Jacobians, n_sub - 1 batched matmuls.  dt stays complex
-in that call even where no step moves it: numpy computes the complex
-quotient dt / n_sub as dt * (1 / n_sub), whose real part may differ by one
-ulp from the real one the rollout steps with, so a real length would make a
-step's Jacobian depend on whether its dt column was asked for.
+the step's 7 inputs (u, dt) the caller names, along the perturbation block
+perturbations(cols) it is given, and runs every sub-step of every step in
+every direction through one substep_arrays call: 4 kernel calls per
+Jacobian, whatever n_sub.  Each step's Jacobian is the product of its n_sub
+sub-step Jacobians, n_sub - 1 batched matmuls.  dt stays complex in that
+call even where no step moves it: numpy computes the complex quotient
+dt / n_sub as dt * (1 / n_sub), whose real part may differ by one ulp from
+the real one the rollout steps with, so a real length would make a step's
+Jacobian depend on whether its dt column was asked for.
 
 rollout_jacobian is the one call that differentiates a rollout: it chains
 the step Jacobians forward into the knot states' tangents and reads the
 Jacobian of any analytic function of the decision vector and its knot
 states off one complex evaluation of that function, the knot states moved
 along their tangents; the planner's gradient and constraint Jacobian and
-the MPC's residual Jacobian are all formed there.  Its input tangents
-(input_tangents) are built once per layout, the planner's per problem and
-the MPC's per horizon length, as both schedules are affine in the decision
-vector.  They name the inputs each step moves (the planner's thrust step
-the leg force, its knot steps the rope forces and the length; the MPC's
-steps the rope forces and the propeller), so both step 6 + 3 directions per
-step instead of 13, and hold those inputs' tangents alone, w (K, m, n)
-for m named inputs and n decision variables: the Jacobian's m input
-columns of step k times w_k are that step's part of the knot tangent.
+the MPC's residual Jacobian are all formed there.  What it needs beyond
+the point is a Layout, built by input_tangents once per schedule layout
+(the planner's per problem, the MPC's per horizon length and force limits,
+see mpc.horizon_layout), as both schedules are affine in the decision
+vector, and only read on every call.  A layout holds four read-only
+arrays:
+
+- cols (K, m), the inputs each step moves (the planner's thrust step the
+  leg force, its knot steps the rope forces and the length; the MPC's
+  steps the rope forces and the propeller), so both step 6 + 3 directions
+  per step instead of 13;
+- w (K, m, n), those inputs' tangents for n decision variables: the
+  Jacobian's m input columns of step k times w_k are that step's part of
+  the knot tangent;
+- perturbations (K, 1, 6 + m, 13), the complex directions of each step's
+  start state and named inputs that step_jacobians steps along;
+- directions (n, n), 1j COMPLEX_STEP I_n, which steps the decision vector.
+
 rollout_arrays lets the dtype of its inputs flow through, so a complex
 decision vector can be stepped through a whole schedule as well.
 """
@@ -70,6 +80,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,9 +177,9 @@ def rollout_arrays(x0, u_schedule, dt, cfg: IntegratorConfig, scenario: Scenario
     u, h, _ = substep_schedule(u_schedule, dt, cfg)
     xs = np.asarray(x0)
     if xs.ndim == 1 and u.ndim == 2 and not any(np.iscomplexobj(a) for a in (xs, u, h)):
-        return knot_rows(np.array(_rollout_floats(
-            xs.astype(float, copy=False).tolist(), u.astype(float, copy=False).tolist(),
-            h.tolist(), scenario)).reshape(-1, 6), cfg)
+        flat = _rollout_floats(xs.astype(float, copy=False).tolist(),
+                               u.astype(float, copy=False).tolist(), h.tolist(), scenario)
+        return knot_rows(np.fromiter(flat, float, len(flat)).reshape(-1, 6), cfg)
     x = np.broadcast_to(xs, np.broadcast_shapes(xs.shape, u.shape[:-2] + (6,)))
     out = np.empty(x.shape[:-1] + (u.shape[-2] + 1, 6), dtype=np.result_type(x, u, h, float))
     out[..., 0, :] = x
@@ -205,16 +216,30 @@ def knot_rows(states, cfg: IntegratorConfig):
 COMPLEX_STEP = 1e-30
 
 
-def step_jacobians(x, u, dt, cols, cfg: IntegratorConfig, scenario: Scenario):
+def perturbations(cols):
+    """The complex directions step_jacobians steps along, for steps that
+    each move the inputs cols (..., m), distinct integers naming them (0-5
+    for u's entries, 6 for dt): (..., 1, 6 + m, 13), row j the direction
+    1j COMPLEX_STEP e_j of the step's 13 arguments (x, u, dt), j < 6 the
+    start state's entries and 6 + i the input cols[..., i]."""
+    cols = np.asarray(cols)
+    e = np.zeros(cols.shape[:-1] + (6 + cols.shape[-1], 13))
+    e[..., :6, :6] = np.eye(6)
+    e[..., 6:, 6:] = cols[..., None] == np.arange(7)
+    return 1j * COMPLEX_STEP * e[..., None, :, :]
+
+
+def step_jacobians(x, u, dt, e, cfg: IntegratorConfig, scenario: Scenario):
     """Jacobian of step_arrays with respect to the step's start state and m
     chosen inputs, exact to round-off.
 
     x: (..., n_sub, 6), the states each step starts its cfg.n_sub
     sub-steps from (a sub-step rollout's rows, see substep_schedule);
-    u: (..., 6); dt: scalar or (...,), all real; cols: (..., m) distinct
-    integers naming each step's inputs, 0-5 for u's entries and 6 for dt.
-    Returns d x_next / d(x_0, inputs) of shape (..., 6, 6 + m): columns
-    0-5 are the start state, column 6 + j the input cols[..., j].
+    u: (..., 6); dt: scalar or (...,), all real; e: perturbations(cols),
+    the directions of each step's start state and of the m inputs cols
+    (..., m) names, read, not built, here: rollout_jacobian passes its
+    layout's.  Returns d x_next / d(x_0, inputs) of shape (..., 6, 6 + m):
+    columns 0-5 are the start state, column 6 + j the input cols[..., j].
 
     Every sub-step of every step, and its 6 + m directions, is one
     complex-perturbed substep_arrays call; the sub-step Jacobians
@@ -227,11 +252,6 @@ def step_jacobians(x, u, dt, cols, cfg: IntegratorConfig, scenario: Scenario):
     x = np.asarray(x, dtype=float)
     if x.shape[-2:] != (cfg.n_sub, 6):
         raise ValueError(f"need (..., {cfg.n_sub}, 6) sub-step states, got {x.shape}")
-    cols = np.asarray(cols)
-    e = np.zeros(cols.shape[:-1] + (6 + cols.shape[-1], 13))
-    e[..., :6, :6] = np.eye(6)
-    e[..., 6:, 6:] = cols[..., None] == np.arange(7)
-    e = 1j * COMPLEX_STEP * e[..., None, :, :]       # (..., 1, 6 + m, 13)
     x_c = x[..., None, :] + e[..., 0:6]              # (..., n_sub, 6 + m, 6)
     u_c = np.asarray(u, dtype=float)[..., None, None, :] + e[..., 6:12]
     h_c = (np.asarray(dt, dtype=float)[..., None, None] + e[..., 12]) / cfg.n_sub
@@ -244,22 +264,40 @@ def step_jacobians(x, u, dt, cols, cfg: IntegratorConfig, scenario: Scenario):
     return J
 
 
-def input_tangents(step_inputs, n):
-    """The input tangents of a schedule step_inputs(Z) -> (u (..., K, 6),
-    dt (..., K)) affine in z (n,), by one complex step at z = 0, which gives
-    them at every z: cols (K, m), the inputs each step moves (0-5 for u's
+class Layout(NamedTuple):
+    """Everything a rollout Jacobian needs that depends on the schedule's
+    layout alone, not on the point: built once by input_tangents, read-only."""
+
+    w: np.ndarray                  # (K, m, n) the named inputs' tangents
+    cols: np.ndarray               # (K, m) the inputs each step moves
+    perturbations: np.ndarray      # (K, 1, 6 + m, 13) perturbations(cols)
+    directions: np.ndarray         # (n, n) 1j COMPLEX_STEP I_n
+
+
+def input_tangents(step_inputs, n) -> Layout:
+    """The layout of a schedule step_inputs(Z) -> (u (..., K, 6),
+    dt (..., K)) affine in z (n,), whose tangents one complex step at z = 0
+    gives at every z: cols (K, m), the inputs each step moves (0-5 for u's
     entries, 6 for dt), moving ones first, padded to the most any step
-    moves; and w (K, m, n), w_k = d(u_k, dt_k)[cols_k]/dz, their tangents.
-    rollout_jacobian takes (w, cols)."""
-    h = COMPLEX_STEP
-    u_c, dt_c = step_inputs(1j * h * np.eye(n))      # one row per direction
-    w = np.moveaxis(np.concatenate([u_c.imag, dt_c.imag[..., None]], axis=-1), 0, -1) / h
+    moves; w (K, m, n), w_k = d(u_k, dt_k)[cols_k]/dz, their tangents;
+    perturbations(cols), the block step_jacobians steps each step along;
+    and the direction block 1j COMPLEX_STEP I_n, which steps z.  A caller
+    builds it once per layout and rollout_jacobian only reads it; its
+    arrays are read-only, as callers may share one."""
+    directions = 1j * COMPLEX_STEP * np.eye(n)      # one row per direction
+    u_c, dt_c = step_inputs(directions)
+    w = (np.moveaxis(np.concatenate([u_c.imag, dt_c.imag[..., None]], axis=-1), 0, -1)
+         / COMPLEX_STEP)
     moves = np.any(w != 0.0, axis=-1)                # (K, 7)
     cols = np.argsort(~moves, axis=-1, kind="stable")[:, :moves.sum(-1).max(initial=0)]
-    return np.take_along_axis(w, cols[:, :, None], axis=1), cols
+    layout = Layout(np.take_along_axis(w, cols[:, :, None], axis=1), cols,
+                    perturbations(cols), directions)
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
-def rollout_jacobian(value, z, states, step_inputs, tangents, cfg: IntegratorConfig,
+def rollout_jacobian(value, z, states, step_inputs, layout: Layout, cfg: IntegratorConfig,
                      scenario: Scenario):
     """Jacobian (m, n) of value(z, knots) at one real point z (n,), where
     knots are z's knot states, exact to round-off.
@@ -267,20 +305,21 @@ def rollout_jacobian(value, z, states, step_inputs, tangents, cfg: IntegratorCon
     states (K n_sub + 1, 6) are z's rollout at sub-step resolution
     (rollout_arrays over substep_schedule), whose knot_rows are the knot
     states; step_inputs(Z) -> (u, dt) gives the K steps from states[0],
-    which does not move with z, and tangents = (w, cols) are
-    input_tangents(step_inputs, n).  value(Z, knots) -> (..., m) must be
-    analytic in both, real or complex.  The knot tangents S_k = dx_k/dz
-    come from one step_jacobians call chained forward, S_0 = 0,
-    S_{k+1} = J_x S_k + J_cols w_k, J_cols the step's columns of the
-    inputs cols name (the other inputs do not move), and the result from
-    one value call at z + i h e_j with the knot states moved along S e_j.
-    K may be 0.
+    which does not move with z, and layout is input_tangents(step_inputs,
+    n), built once by the caller and only read here.  value(Z, knots) ->
+    (..., m) must be analytic in both, real or complex.  The knot tangents
+    S_k = dx_k/dz come from one step_jacobians call along the layout's
+    perturbations, chained forward, S_0 = 0, S_{k+1} = J_x S_k + J_cols w_k,
+    J_cols the step's columns of the inputs cols name (the other inputs do
+    not move), and the result from one value call at z plus the layout's
+    directions, the knot states moved along S e_j.  K may be 0.
     """
-    h, (w, cols), (u, dt) = COMPLEX_STEP, tangents, step_inputs(z)
-    J = step_jacobians(states[:-1].reshape(len(u), cfg.n_sub, 6), u, dt, cols, cfg, scenario)
-    B = J[:, :, 6:] @ w
+    h, (u, dt) = COMPLEX_STEP, step_inputs(z)
+    J = step_jacobians(states[:-1].reshape(len(u), cfg.n_sub, 6), u, dt, layout.perturbations,
+                       cfg, scenario)
+    B = J[:, :, 6:] @ layout.w
     S = np.zeros((len(J) + 1, 6, z.size))
     for k in range(len(J)):
         S[k + 1] = J[k, :, :6] @ S[k] + B[k]
-    return value(z + 1j * h * np.eye(z.size),
+    return value(z + layout.directions,
                  knot_rows(states, cfg) + 1j * h * np.moveaxis(S, -1, 0)).imag.T / h

@@ -24,31 +24,46 @@ MpcConfig.max_iter allows more steps, each after a rollout at the point the
 last one reached.  Each iterate is one evaluation of the residuals and
 their Jacobian from one rollout_arrays call on Python floats at sub-step
 resolution (integrator.substep_schedule): the residuals read its
-knot_rows, and rollout_jacobian its sub-step states and the input tangents
-of the horizon length, built once per length
-(integrator.input_tangents).  The residuals are written once, as a function
-of the deviations and the knot states, so a change to them needs no
-derivative edit.  The input formula is written once too: a tick's step
+knot_rows, and rollout_jacobian its sub-step states and the layout of the
+horizon length (horizon_layout).  The residuals are written once, as a
+function of the deviations and the knot states, so a change to them needs
+no derivative edit.  The input formula is written once too: a tick's step
 schedule, the window's feed-forward plus deviations for the window's
 lengths, is what rollout_arrays steps from the estimated state, what
 rollout_jacobian differentiates, and, at its first step, the input command
 applies.
 
-``TrackingController`` holds that state across ticks: the plan's knot
-positions and schedule, the input tangents of each horizon length, and the
-previous tick's solution, which gives both the shifted warm start and the
-deviation applied last period (the first term of the input smoothing cost).
+A real-time iteration keeps off the tick what does not depend on the
+measurement, so each array is built where what it depends on changes:
+
+- per process, the layout of each horizon length H (horizon_layout,
+  memoised by H and the force limits f_r_max and f_p_max): the input
+  tangents, the perturbation block and the direction block
+  rollout_jacobian reads.  A window's schedule is affine in its
+  deviations with a linear part set by H and the force scales alone, so
+  every controller with the same limits shares them;
+- per controller (``TrackingController``): the plan's knot positions and
+  schedule, the force scales, the IntegratorConfig, and the box bounds of
+  the deviations of every knot step, which a tick slices to its window;
+- per tick: the window's feed-forward and lengths, the previous tick's
+  deviation, the warm start, and the rollouts, residuals and Jacobians of
+  its iterates.
+
+The controller also keeps the previous tick's solution, which gives both
+the shifted warm start and the deviation applied last period (the first
+term of the input smoothing cost).
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
 
-from .integrator import (IntegratorConfig, input_tangents, knot_rows, rollout_arrays,
+from .integrator import (IntegratorConfig, Layout, input_tangents, knot_rows, rollout_arrays,
                          rollout_jacobian, substep_schedule)
 from .model import Scenario, position_arrays
 from .planner import JumpPlan
@@ -92,6 +107,35 @@ def warm_start_from(prev: MpcSolution | None, horizon: int) -> np.ndarray:
     return dev[np.minimum(np.arange(1, horizon + 1), len(dev) - 1)]
 
 
+def _force_scale(f_r_max, f_p_max) -> np.ndarray:
+    """The newtons of one unit of the decision vector: left rope, right
+    rope, propeller."""
+    return np.array([f_r_max, f_r_max, max(f_p_max, 1e-9)])
+
+
+def _window_inputs(z, ff, dt, f_scale):
+    """The step schedule of a horizon window: the feed-forward rope forces
+    ff (H, 2) plus the deviations z (..., 3 H), scaled by f_scale, and
+    the propeller, for the lengths dt (H,); real or complex, as z is."""
+    v = z.reshape(z.shape[:-1] + (len(dt), 3)) * f_scale
+    u = np.zeros(v.shape[:-1] + (6,), dtype=v.dtype)
+    u[..., :2] = ff + v[..., :2]
+    u[..., 5] = v[..., 2]
+    return u, np.broadcast_to(dt, u.shape[:-1])
+
+
+@functools.lru_cache(maxsize=None)
+def horizon_layout(H: int, f_r_max: float, f_p_max: float) -> Layout:
+    """The layout (integrator.input_tangents) of every H-step window under
+    the force limits f_r_max and f_p_max, built once per process.  A
+    window's schedule is affine in its deviations, with a linear part set
+    by H and the force scales alone, so the window's feed-forward and
+    lengths (zero here) do not enter it."""
+    f_scale = _force_scale(f_r_max, f_p_max)
+    return input_tangents(lambda z: _window_inputs(z, np.zeros((H, 2)), np.zeros(H), f_scale),
+                          3 * H)
+
+
 class TrackingController:
     """Tracks the plan one knot per tick: the knot positions are the
     reference, the plan's schedule gives the feed-forward and the step
@@ -103,15 +147,24 @@ class TrackingController:
         self.p_ref = plan.positions                        # (N+1, 3)
         self.schedule = plan.schedule(scenario.t_th)       # (N+1, 6), (N+1,)
         self.prev_solution: MpcSolution | None = None
-        self.tangents: dict[int, tuple] = {}               # H -> input_tangents
+        self.icfg = IntegratorConfig()
+        self.f_scale = _force_scale(scenario.f_r_max, scenario.f_p_max)
+        # Rope bounds map to boxes on the deviations of each knot step
+        # 1..N, three per step; the propeller is bilateral.
+        ff, p_max = self.schedule[0][1:, :2], float(scenario.f_p_max > 0.0)
+        self.lower = np.column_stack([(-scenario.f_r_max - ff) / self.f_scale[:2],
+                                      np.full(len(ff), -p_max)]).ravel()
+        self.upper = np.column_stack([-ff / self.f_scale[:2], np.full(len(ff), p_max)]).ravel()
 
     @property
     def n_ticks(self) -> int:
         return len(self.schedule[1]) - 1
 
     def command(self, x_hat: np.ndarray, k: int) -> tuple[np.ndarray, MpcSolution]:
-        """Solve at tick k from the estimated state x_hat, a 6-vector, and
-        return (input to apply as a (6,) array, solution)."""
+        """Solve at tick k, an integer, from the estimated state x_hat, a
+        6-vector, and return (input to apply as a (6,) array, solution)."""
+        if not isinstance(k, Integral):
+            raise ValueError(f"tick {k} is not an integer")
         if not 0 <= k < self.n_ticks:
             raise ValueError(f"tick {k} outside [0, {self.n_ticks})")
         x_hat = np.asarray(x_hat, dtype=float)
@@ -130,7 +183,7 @@ class TrackingController:
         Returns the first step's input and the full horizon; on solver
         failure, the clipped warm start with the degraded flag set.
         """
-        cfg, scenario = self.cfg, self.scen
+        cfg, scenario, icfg, f_scale = self.cfg, self.scen, self.icfg, self.f_scale
         window = slice(k + 1, k + 1 + cfg.n_horizon)      # cut at the plan's end
         ff, dt = self.schedule[0][window, :2], self.schedule[1][window]
         H = len(dt)
@@ -139,17 +192,11 @@ class TrackingController:
         # previous control period (cold start: the unmodified feed-forward).
         prev = self.prev_solution
         prev_dev = np.zeros((1, 2)) if prev is None else prev.deviations[:1, :2]
-        icfg = IntegratorConfig()
-        f_scale = np.array([scenario.f_r_max, scenario.f_r_max,
-                            max(scenario.f_p_max, 1e-9)])
         sw = np.sqrt(W_SMOOTH)                             # residuals carry the root
+        layout = horizon_layout(H, scenario.f_r_max, scenario.f_p_max)
 
         def step_inputs(z):
-            v = z.reshape(z.shape[:-1] + (H, 3)) * f_scale
-            u = np.zeros(v.shape[:-1] + (6,), dtype=v.dtype)
-            u[..., :2] = ff + v[..., :2]
-            u[..., 5] = v[..., 2]
-            return u, np.broadcast_to(dt, u.shape[:-1])
+            return _window_inputs(z, ff, dt, f_scale)
 
         def residuals_at(z, states):
             # Tracking at knots 0..H-1, then the first differences of each
@@ -164,22 +211,16 @@ class TrackingController:
                                    np.swapaxes(smooth, -1, -2).reshape(batch + (2 * H,))],
                                   axis=-1)
 
-        if H not in self.tangents:
-            self.tangents[H] = input_tangents(step_inputs, 3 * H)
-
         def residuals(z):
             states = rollout_arrays(x_hat, *substep_schedule(*step_inputs(z), icfg), scenario)
             return (residuals_at(z, knot_rows(states, icfg)),
-                    rollout_jacobian(residuals_at, z, states, step_inputs, self.tangents[H],
-                                     icfg, scenario))
+                    rollout_jacobian(residuals_at, z, states, step_inputs, layout, icfg,
+                                     scenario))
 
-        # Rope bounds map to boxes on the deviations; propeller is bilateral.
-        p_max = float(scenario.f_p_max > 0.0)
-        lo = np.column_stack([(-scenario.f_r_max - ff) / f_scale[:2], np.full(H, -p_max)])
-        hi = np.column_stack([-ff / f_scale[:2], np.full(H, p_max)])
-        z0 = np.clip((warm_start_from(prev, H) / f_scale).ravel(), lo.ravel(), hi.ravel())
+        lo, hi = self.lower[3 * k:3 * (k + H)], self.upper[3 * k:3 * (k + H)]
+        z0 = np.clip((warm_start_from(prev, H) / f_scale).ravel(), lo, hi)
 
-        problem = NlpProblem(x0=z0, residuals=residuals, lower=lo.ravel(), upper=hi.ravel(),
+        problem = NlpProblem(x0=z0, residuals=residuals, lower=lo, upper=hi,
                              tol_stat=1e-5, max_iter=cfg.max_iter)
         degraded = False
         try:

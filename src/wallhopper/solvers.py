@@ -110,9 +110,11 @@ def active_set_multipliers(problem: NlpProblem, x: np.ndarray, grad: np.ndarray)
     least-squares fit to -grad.  perfbench/tracing.py times the fit under
     this name."""
     scale = np.maximum(1.0, np.abs(x))
-    eye = np.eye(x.size)
-    cols = [-eye[:, x - problem.lower <= TOL_ACT * scale],
-            eye[:, problem.upper - x <= TOL_ACT * scale]]
+    idx = np.arange(x.size)
+    # The outward normals of the active bounds: -e_i for a lower bound on
+    # x_i, e_i for an upper one.
+    cols = [-1.0 * (idx[:, None] == idx[x - problem.lower <= TOL_ACT * scale]),
+            1.0 * (idx[:, None] == idx[problem.upper - x <= TOL_ACT * scale])]
     if problem.constraints is not None:
         g = np.atleast_1d(problem.constraints(x))
         cols.append(np.atleast_2d(problem.constraints_jac(x))[g >= -TOL_ACT].T)

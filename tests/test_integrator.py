@@ -10,6 +10,7 @@ from wallhopper.integrator import (
     IntegratorConfig,
     input_tangents,
     knot_rows,
+    perturbations,
     rollout_arrays,
     rollout_jacobian,
     step_arrays,
@@ -240,8 +241,9 @@ def random_rows(rng, n):
     return x, u, rng.uniform(0.02, 0.1, n)
 
 
-# Every input of a step, u's six entries and dt: all 13 directions.
-ALL_INPUTS = np.arange(7)
+# The start state and every input of a step, u's six entries and dt: all
+# 13 directions.
+ALL_DIRECTIONS = perturbations(np.arange(7))
 
 
 def substep_starts(x, u, dt, cfg):
@@ -265,7 +267,7 @@ class TestStepJacobians:
         rng = np.random.default_rng(21)
         x, u, dt = random_rows(rng, 8)
         cfg = IntegratorConfig(n_sub=3)
-        J = step_jacobians(substep_starts(x, u, dt, cfg), u, dt, ALL_INPUTS, cfg, SCEN)
+        J = step_jacobians(substep_starts(x, u, dt, cfg), u, dt, ALL_DIRECTIONS, cfg, SCEN)
         assert J.shape == (8, 6, 13)
         base = np.column_stack([x, u, dt])
         for j in range(13):
@@ -287,9 +289,9 @@ class TestStepJacobians:
         cfg = IntegratorConfig(n_sub=3)
         cols = np.stack([rng.permutation(7)[:3] for _ in range(8)])
         starts = substep_starts(x, u, dt, cfg)
-        J = step_jacobians(starts, u, dt, cols, cfg, SCEN)
+        J = step_jacobians(starts, u, dt, perturbations(cols), cfg, SCEN)
         assert J.shape == (8, 6, 9)
-        full = step_jacobians(starts, u, dt, ALL_INPUTS, cfg, SCEN)
+        full = step_jacobians(starts, u, dt, ALL_DIRECTIONS, cfg, SCEN)
         np.testing.assert_array_equal(J[:, :, :6], full[:, :, :6])
         np.testing.assert_array_equal(J[:, :, 6:],
                                       np.take_along_axis(full[:, :, 6:], cols[:, None], -1))
@@ -333,14 +335,14 @@ class TestStepJacobians:
     def test_out_of_domain_row_is_nan(self):
         x = np.array([[0.1, 1.0, 10.0, 0.0, 0.0, 0.0]])      # l1 + d_a < l2
         u, cfg = np.zeros((1, 6)), IntegratorConfig()
-        J = step_jacobians(substep_starts(x, u, 0.05, cfg), u, 0.05, ALL_INPUTS, cfg, SCEN)
+        J = step_jacobians(substep_starts(x, u, 0.05, cfg), u, 0.05, ALL_DIRECTIONS, cfg, SCEN)
         assert np.isnan(J[0, 3:]).all()
 
     def test_knot_states_rejected(self):
         rng = np.random.default_rng(25)
         x, u, dt = random_rows(rng, 4)
         with pytest.raises(ValueError, match="sub-step states"):
-            step_jacobians(x, u, dt, ALL_INPUTS, IntegratorConfig(n_sub=5), SCEN)
+            step_jacobians(x, u, dt, ALL_DIRECTIONS, IntegratorConfig(n_sub=5), SCEN)
 
 
 class TestRolloutTangents:
@@ -415,7 +417,7 @@ def full_direction_jacobian(value, z, states, step_inputs, cfg):
     u, dt = step_inputs(z)
     u_c, dt_c = step_inputs(z + dz)
     w = np.moveaxis(np.concatenate([u_c.imag, dt_c.imag[..., None]], axis=-1), 0, -1) / h
-    J = step_jacobians(states[:-1].reshape(len(u), cfg.n_sub, 6), u, dt, ALL_INPUTS, cfg,
+    J = step_jacobians(states[:-1].reshape(len(u), cfg.n_sub, 6), u, dt, ALL_DIRECTIONS, cfg,
                        SCEN)
     B = J[:, :, 6:] @ w
     S = np.zeros((len(J) + 1, 6, z.size))
@@ -491,28 +493,42 @@ class TestTrimmedDirections:
 
 
 class TestTangentsOncePerLayout:
-    """Both callers build their input tangents once, the planner per
-    problem and the MPC per horizon length.  Their schedules are affine in
-    the decision vector, so the Jacobian with those tangents equals, bit
-    for bit, the one with tangents taken by a complex step through
-    step_inputs at the point itself."""
+    """Both callers build their layout once, the planner per problem and
+    the MPC per horizon length and force limits (mpc.horizon_layout).
+    Their schedules are affine in the decision vector, so every field of
+    that layout equals, byte for byte, one built afresh at the point
+    itself: the tangents by a complex step through step_inputs there, the
+    perturbation and direction blocks entry by entry.  So does the
+    Jacobian taken with it."""
 
     @staticmethod
-    def tangents_at(step_inputs, z):
-        h = COMPLEX_STEP
-        u_c, dt_c = step_inputs(z + 1j * h * np.eye(z.size))
+    def layout_at(step_inputs, z):
+        h, n = COMPLEX_STEP, z.size
+        u_c, dt_c = step_inputs(z + 1j * h * np.eye(n))
         w = np.moveaxis(np.concatenate([u_c.imag, dt_c.imag[..., None]], axis=-1), 0, -1) / h
         moves = np.any(w != 0.0, axis=-1)
         cols = np.argsort(~moves, axis=-1, kind="stable")[:, :moves.sum(axis=-1).max()]
-        return np.take_along_axis(w, cols[:, :, None], axis=1), cols
+        K, m = cols.shape
+        e = np.zeros((K, 1, 6 + m, 13), dtype=complex)
+        for k in range(K):
+            for j in range(6):
+                e[k, 0, j, j] = 1j * h
+            for i, c in enumerate(cols[k]):
+                e[k, 0, 6 + i, 6 + c] = 1j * h
+        directions = np.zeros((n, n), dtype=complex)
+        directions[np.arange(n), np.arange(n)] = 1j * h
+        return integrator.Layout(np.take_along_axis(w, cols[:, :, None], axis=1), cols, e,
+                                 directions)
 
-    def check(self, value, z, states, step_inputs, tangents, cfg):
-        w, cols = tangents
-        assert w.shape == cols.shape + (z.size,)
-        here = self.tangents_at(step_inputs, z)
-        for cached, fresh in zip(tangents, here):
+    def check(self, value, z, states, step_inputs, layout, cfg):
+        assert layout.w.shape == layout.cols.shape + (z.size,)
+        here = self.layout_at(step_inputs, z)
+        assert len(layout) == len(here) == 4
+        for cached, fresh in zip(layout, here):
+            assert (cached.shape, cached.dtype) == (fresh.shape, fresh.dtype)
             assert cached.tobytes() == fresh.tobytes()
-        J = rollout_jacobian(value, z, states, step_inputs, tangents, cfg, SCEN)
+            assert not cached.flags.writeable
+        J = rollout_jacobian(value, z, states, step_inputs, layout, cfg, SCEN)
         assert J.tobytes() == rollout_jacobian(value, z, states, step_inputs, here, cfg,
                                                SCEN).tobytes()
 
@@ -543,11 +559,11 @@ class TestTangentsOncePerLayout:
         for k in range(ctl.n_ticks):
             ctl.command(plan.states[k] + rates, k)
         horizons = set()
-        for value, z, states, step_inputs, tangents, cfg, scen in calls:
+        for value, z, states, step_inputs, layout, cfg, scen in calls:
             H = z.size // 3
             horizons.add(H)
-            assert tangents is ctl.tangents[H]
-            self.check(value, z, states, step_inputs, tangents, cfg)
+            assert layout is mpc.horizon_layout(H, SCEN.f_r_max, SCEN.f_p_max)
+            self.check(value, z, states, step_inputs, layout, cfg)
         assert horizons == set(range(1, 13))
 
 

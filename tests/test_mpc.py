@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from wallhopper import mpc, planner, solvers
+from wallhopper import integrator, mpc, planner, solvers
 from wallhopper.integrator import COMPLEX_STEP, IntegratorConfig, rollout_arrays
 from wallhopper.model import Scenario, position_arrays
 from wallhopper.mpc import (
@@ -76,6 +76,18 @@ def test_tick_outside_the_plan_rejected(k):
     with pytest.raises(ValueError, match=rf"tick {k} outside \[0, {N_KNOTS}\)"):
         ctl.command(np.zeros(6), k)
     assert ctl.prev_solution is None
+
+
+@pytest.mark.parametrize("k", [2.5, np.float64(3.0)])
+def test_non_integer_tick_rejected(k):
+    # Inside the tick range, a float once failed on a slice index deep in
+    # the solve; a numpy integer stays a tick.
+    ctl = TrackingController(KNOT_PLAN, SCEN)
+    with pytest.raises(ValueError, match=rf"tick {k} is not an integer"):
+        ctl.command(np.zeros(6), k)
+    assert ctl.prev_solution is None
+    ctl.command(np.zeros(6), np.int64(3))
+    assert ctl.prev_solution is not None
 
 
 @pytest.mark.parametrize("shape", [(1, 6), (5,), (7,)])
@@ -281,6 +293,42 @@ class TestRealTimeIteration:
             assert (d["n_iter"], d["status"]) == (n_iter, ending)
             iterates = n_iter + (ending == solvers.STATUS_OPTIMAL)
             assert calls == {"jacobians": iterates, "rollouts": iterates}
+
+    def test_layouts_built_once_per_process(self, frozen_track_plan, monkeypatch):
+        # Two episodes, each with its own controller, build each horizon
+        # length's layout once between them, and no tick builds a
+        # perturbation or direction block of its own: both blocks are made
+        # from identities, so every np.eye call of the integrator's falls
+        # inside a layout build.
+        built, eyes = [], {"all": 0, "in_builds": 0}
+        input_tangents = mpc.input_tangents
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def eye(*args, **kwargs):
+                eyes["all"] += 1
+                return np.eye(*args, **kwargs)
+
+        def counted_build(step_inputs, n):
+            before = eyes["all"]
+            layout = input_tangents(step_inputs, n)
+            eyes["in_builds"] += eyes["all"] - before
+            built.append(n // 3)
+            return layout
+
+        mpc.horizon_layout.cache_clear()
+        monkeypatch.setattr(integrator, "np", CountingNumpy())
+        monkeypatch.setattr(mpc, "input_tangents", counted_build)
+        for disturbance in (None, DISTURBED):
+            meta = run_episode(frozen_track_plan, SCEN, controller="mpc",
+                               disturbance=disturbance).meta
+            assert meta["ticks"] == 30
+        assert sorted(built) == list(range(1, 13))
+        assert mpc.horizon_layout.cache_info().currsize == 12
+        assert eyes["in_builds"] > 0 and eyes["all"] == eyes["in_builds"]
 
     def test_predictions_step_on_floats(self, frozen_track_plan, monkeypatch,
                                         substep_calls):
