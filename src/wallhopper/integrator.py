@@ -53,8 +53,10 @@ the step Jacobians forward into the knot states' tangents and reads the
 Jacobian of any analytic function of the decision vector and its knot
 states off one complex evaluation of that function, the knot states moved
 along their tangents; the planner's gradient and constraint Jacobian and
-the MPC's residual Jacobian are all formed there.  What it needs beyond
-the point is a Layout, built by input_tangents once per schedule layout
+the MPC's residual Jacobian are all formed there.  It takes the point with
+the schedule (u, dt) and the sub-step states its caller has just built
+there for the rollout, so nothing is built twice; what it needs beyond the
+point is a Layout, built by input_tangents once per schedule layout
 (the planner's per problem, the MPC's per horizon length and force limits,
 see mpc.horizon_layout), as both schedules are affine in the decision
 vector, and only read on every call.  A layout holds four read-only
@@ -297,16 +299,17 @@ def input_tangents(step_inputs, n) -> Layout:
     return layout
 
 
-def rollout_jacobian(value, z, states, step_inputs, layout: Layout, cfg: IntegratorConfig,
+def rollout_jacobian(value, z, states, u, dt, layout: Layout, cfg: IntegratorConfig,
                      scenario: Scenario):
     """Jacobian (m, n) of value(z, knots) at one real point z (n,), where
     knots are z's knot states, exact to round-off.
 
-    states (K n_sub + 1, 6) are z's rollout at sub-step resolution
-    (rollout_arrays over substep_schedule), whose knot_rows are the knot
-    states; step_inputs(Z) -> (u, dt) gives the K steps from states[0],
-    which does not move with z, and layout is input_tangents(step_inputs,
-    n), built once by the caller and only read here.  value(Z, knots) ->
+    u (K, 6) and dt (K,) are the schedule step_inputs(z) gives, the K steps
+    from states[0], which does not move with z; states (K n_sub + 1, 6) are
+    their rollout at sub-step resolution (rollout_arrays over
+    substep_schedule), whose knot_rows are the knot states, and layout is
+    input_tangents(step_inputs, n), built once by the caller and only read
+    here.  value(Z, knots) ->
     (..., m) must be analytic in both, real or complex.  The knot tangents
     S_k = dx_k/dz come from one step_jacobians call along the layout's
     perturbations, chained forward, S_0 = 0, S_{k+1} = J_x S_k + J_cols w_k,
@@ -314,7 +317,7 @@ def rollout_jacobian(value, z, states, step_inputs, layout: Layout, cfg: Integra
     not move), and the result from one value call at z plus the layout's
     directions, the knot states moved along S e_j.  K may be 0.
     """
-    h, (u, dt) = COMPLEX_STEP, step_inputs(z)
+    h = COMPLEX_STEP
     J = step_jacobians(states[:-1].reshape(len(u), cfg.n_sub, 6), u, dt, layout.perturbations,
                        cfg, scenario)
     B = J[:, :, 6:] @ layout.w

@@ -212,10 +212,10 @@ class TrackingController:
                                   axis=-1)
 
         def residuals(z):
-            states = rollout_arrays(x_hat, *substep_schedule(*step_inputs(z), icfg), scenario)
+            u, dt_z = step_inputs(z)
+            states = rollout_arrays(x_hat, *substep_schedule(u, dt_z, icfg), scenario)
             return (residuals_at(z, knot_rows(states, icfg)),
-                    rollout_jacobian(residuals_at, z, states, step_inputs, layout, icfg,
-                                     scenario))
+                    rollout_jacobian(residuals_at, z, states, u, dt_z, layout, icfg, scenario))
 
         lo, hi = self.lower[3 * k:3 * (k + H)], self.upper[3 * k:3 * (k + H)]
         z0 = np.clip((warm_start_from(prev, H) / f_scale).ravel(), lo, hi)

@@ -22,9 +22,9 @@ k + 1.  The problem rolls it out from rest by one rollout_arrays call at
 sub-step resolution (integrator.substep_schedule), on Python floats for
 one point; the knot states are its knot_rows.  The gradient and the
 constraint Jacobian are exact and read off the value code: no term is
-differentiated by hand.  integrator.rollout_jacobian takes the sub-step
-states the value evaluation holds, the schedule and its input tangents,
-built once per problem, and evaluates cost_and_constraints once, batched,
+differentiated by hand.  integrator.rollout_jacobian takes the schedule
+and the sub-step states the value evaluation holds, and the schedule's
+input tangents, built once per problem, and evaluates cost_and_constraints once, batched,
 at a complex step of Z with the knot states moved along their tangents
 (see the integrator).  So a change to the cost or a constraint needs no
 derivative edit.
@@ -286,14 +286,16 @@ class ShootingProblem:
     def _values(self, Z):
         if self._last is None or not np.array_equal(self._last[0], Z):
             t0 = time.perf_counter()
-            states = self.substep_rollout(Z)
+            schedule = self.step_inputs(Z)
+            states = rollout_arrays(self.x_rest, *substep_schedule(*schedule, self.cfg),
+                                    self.scen)
             cost, g = self.cost_and_constraints(Z, knot_rows(states, self.cfg))
             bad = not (np.isfinite(cost) and np.isfinite(g).all())
             if bad:
                 # Outside the model domain: a large cost and violated rows
                 # send the line search back; the Jacobians there are zero.
                 cost, g = 1e9 * self.cost_scale, np.full(g.shape, 1e3)
-            self._last = Z.copy(), {"cost": float(cost), "g": g,
+            self._last = Z.copy(), {"cost": float(cost), "g": g, "schedule": schedule,
                                     "states": None if bad else states}
             self.counters["value_evals"] += 1
             self.counters["rollout_rows"] += len(states) - 1
@@ -310,7 +312,7 @@ class ShootingProblem:
                 # Row 0 is the gradient, the rest the constraint Jacobian.
                 entry["jac"] = rollout_jacobian(
                     lambda Z, s: np.column_stack(self.cost_and_constraints(Z, s)), Z,
-                    entry["states"], self.step_inputs, self.tangents, self.cfg, self.scen)
+                    entry["states"], *entry["schedule"], self.tangents, self.cfg, self.scen)
             self.counters["gradient_evals"] += 1
             self.counters["gradient_s"] += time.perf_counter() - t0
         return entry["jac"]

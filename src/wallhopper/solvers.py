@@ -13,14 +13,17 @@ posteriori: active_set_multipliers fits non-negative multipliers to the
 active constraints and bounds by least squares, and the reported KKT
 residual is the largest entry of the Lagrangian gradient they leave.
 
-The LP path is one thin call to HiGHS through ``scipy.optimize.milp`` with
-no integer variables: ``solve_lp`` takes the LP in HiGHS's own form, one
-constraint matrix (dense or sparse) with lower and upper bounds on its
-rows and on the variables, and maps HiGHS's ending to one of the status
-strings below (optimal, unbounded, infeasible, max_iters, failed).  milp
-runs the same HiGHS wrapper and status mapping as
-``linprog(method="highs")`` but checks one HiGHS option instead of five,
-and those checks cost more than HiGHS itself on the margin LPs.
+The LP path hands HiGHS its model directly, through the binding scipy
+bundles (``scipy.optimize._highspy._core``, scipy >= 1.15), the HighsLp and
+_Highs pair that ``scipy.optimize.milp`` builds underneath: ``solve_lp``
+takes the LP in HiGHS's own form, one constraint matrix (dense or sparse)
+with lower and upper bounds on its rows and on the variables, checks it,
+stores the matrix column-wise, runs a fresh solver under milp's one option
+(no console log), and maps HiGHS's ending to one of the status strings
+below (optimal, unbounded, infeasible, max_iters, failed).  HiGHS gets the
+model and options milp would give it, so the answers are milp's to the last
+bit; milp's input checks, constraint objects, option manager and dual
+bookkeeping cost more than HiGHS itself on the margin LPs.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from numbers import Integral
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
+from scipy.optimize._highspy import _core as highs
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITERS = "max_iters"
@@ -265,25 +269,83 @@ class LpResult:
     status: str
 
 
+# milp's one HiGHS option; every other option keeps HiGHS's default.
+_HIGHS_OPTIONS = highs.HighsOptions()
+_HIGHS_OPTIONS.log_to_console = False
+# HiGHS's model status -> ours, as milp maps them; any other is "failed"
+# (numerical trouble, or no verdict between infeasible and unbounded).
+_ENDINGS = {
+    highs.HighsModelStatus.kOptimal: STATUS_OPTIMAL,
+    highs.HighsModelStatus.kIterationLimit: STATUS_MAX_ITERS,
+    highs.HighsModelStatus.kTimeLimit: STATUS_MAX_ITERS,
+    highs.HighsModelStatus.kInfeasible: STATUS_INFEASIBLE,
+    highs.HighsModelStatus.kUnbounded: STATUS_UNBOUNDED,
+}
+
+
+def _bounds(values, size: int, what: str) -> np.ndarray:
+    try:
+        values = np.broadcast_to(np.asarray(values, dtype=float), (size,))
+    except ValueError:
+        raise ValueError(f"{what} do not broadcast to ({size},)") from None
+    if np.isnan(values).any():
+        raise ValueError(f"NaN in {what}")
+    return values
+
+
 def solve_lp(c, A, row_lower, row_upper, lower=-np.inf, upper=np.inf) -> LpResult:
     """Minimise c.x subject to row_lower <= A x <= row_upper and
     lower <= x <= upper.
 
-    A is dense or a scipy.sparse matrix, possibly with no rows; the bounds
-    broadcast to A's rows and columns, and an infinite one is no bound
-    (equal ones make an equality).  HiGHS gets exactly this model, rows in
-    A's order, so a linprog call whose inequality and equality rows stack
-    to A gets the same answer to the last bit; only linprog's re-check of
-    an optimal point against the rows, at 3e-4, is not repeated.
+    A is dense or a scipy.sparse matrix of shape (m, c.size), possibly with
+    no rows; the bounds broadcast to A's rows and columns, and an infinite
+    one is no bound (equal ones make an equality).  HiGHS gets exactly this
+    model, rows in A's order and A column-wise as scipy.sparse.csc_array
+    stores it, under milp's options, so milp gets the same answer to the
+    last bit, and so does a linprog call whose inequality and equality rows
+    stack to A; only linprog's re-check of an optimal point against the
+    rows, at 3e-4, is not repeated.
+    Raises ValueError unless c is a non-empty 1-D array of finite numbers
+    and A has that shape with finite entries, or if a bound is NaN or does
+    not broadcast, or if HiGHS rejects the model (an entry of A too large
+    for it, a lower bound of +inf).
     """
-    res = optimize.milp(c, bounds=optimize.Bounds(lower, upper),
-                        constraints=optimize.LinearConstraint(A, row_lower, row_upper))
-    if res.status == 0:
-        return LpResult(res.x, float(res.fun), STATUS_OPTIMAL)
-    if res.status == 3:
-        return LpResult(None, -np.inf, STATUS_UNBOUNDED)
-    if res.status == 2:
-        return LpResult(None, np.nan, STATUS_INFEASIBLE)
-    # 1: iteration limit; 4: numerical trouble, or no verdict between
-    # infeasible and unbounded.
-    return LpResult(None, np.nan, STATUS_MAX_ITERS if res.status == 1 else STATUS_FAILED)
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 1 or c.size == 0 or not np.isfinite(c).all():
+        raise ValueError("c must be a non-empty 1-D array of finite numbers")
+    n = c.size
+    dense = not sparse.issparse(A)
+    A = np.asarray(A, dtype=float) if dense else sparse.csc_array(A)
+    if A.ndim != 2 or A.shape[1] != n:
+        raise ValueError(f"A must be (m, {n}), got {A.shape}")
+    if dense:
+        # csc_array's layout, without building one: each column's non-zeros
+        # in row order.
+        nonzero = A.T != 0.0
+        start = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
+        index, value = np.nonzero(nonzero)[1], A.T[nonzero]
+    else:
+        start, index, value = A.indptr, A.indices, A.data.astype(float)
+    if not np.isfinite(value).all():
+        raise ValueError("A must be finite")
+    m = A.shape[0]
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
+    lp.col_cost_ = c
+    lp.col_lower_ = _bounds(lower, n, "variable bounds")
+    lp.col_upper_ = _bounds(upper, n, "variable bounds")
+    lp.row_lower_ = _bounds(row_lower, m, "row bounds")
+    lp.row_upper_ = _bounds(row_upper, m, "row bounds")
+    solver = highs._Highs()                 # fresh: no state from an earlier LP
+    solver.passOptions(_HIGHS_OPTIONS)
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        raise ValueError("HiGHS rejected the LP")
+    solver.run()
+    status = _ENDINGS.get(solver.getModelStatus(), STATUS_FAILED)
+    if status == STATUS_OPTIMAL:
+        return LpResult(np.array(solver.getSolution().col_value),
+                        solver.getInfo().objective_function_value, status)
+    return LpResult(None, -np.inf if status == STATUS_UNBOUNDED else np.nan, status)

@@ -196,7 +196,8 @@ def margin_at(p, v_hat, scenario: Scenario) -> MarginResult:
     into the zeroed LP matrix below its 4 wheel-sum rows, so a cell makes
     no np.cross, np.repeat or vstack call.  solve_lp gets that matrix
     whole, with row bounds -inf..1 on the wheel sums and w..w on the
-    equalities.  lp_s is the seconds spent in solve_lp.
+    equalities, and hands it straight to HiGHS.  lp_s is the seconds
+    spent in solve_lp.
     """
     v_hat = _check_direction(v_hat)
     cs = contact_geometry(p, scenario)

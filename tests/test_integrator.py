@@ -391,8 +391,8 @@ class TestRolloutTangents:
         step_inputs = self.linear_inputs(K, n, per_step)
         z = np.random.default_rng(42).normal(size=n)
         states = substep_rollout(X0, *step_inputs(z), cfg)
-        J = rollout_jacobian(self.value, z, states, step_inputs, input_tangents(step_inputs, n),
-                             cfg, SCEN)
+        J = rollout_jacobian(self.value, z, states, *step_inputs(z),
+                             input_tangents(step_inputs, n), cfg, SCEN)
         assert J.shape == (n + 6 * (K + 1), n)
         np.testing.assert_array_equal(J[:n], np.eye(n))
         np.testing.assert_array_equal(J[n:n + 6], 0.0)         # the start state
@@ -403,7 +403,7 @@ class TestRolloutTangents:
     def test_no_steps(self, per_step):
         n = 4
         step_inputs = self.linear_inputs(0, n, per_step)
-        J = rollout_jacobian(self.value, np.ones(n), X0[None], step_inputs,
+        J = rollout_jacobian(self.value, np.ones(n), X0[None], *step_inputs(np.ones(n)),
                              input_tangents(step_inputs, n), IntegratorConfig(), SCEN)
         np.testing.assert_array_equal(J, np.vstack([np.eye(n), np.zeros((6, n))]))
 
@@ -426,6 +426,21 @@ def full_direction_jacobian(value, z, states, step_inputs, cfg):
     return value(z + dz, knot_rows(states, cfg) + 1j * h * np.moveaxis(S, -1, 0)).imag.T / h
 
 
+def window_inputs(ctl, k):
+    """The schedule of ctl's tick k as a function of its deviations, built
+    as mpc.TrackingController._solve builds it."""
+    window = slice(k + 1, k + 1 + ctl.cfg.n_horizon)
+    ff, dt = ctl.schedule[0][window, :2], ctl.schedule[1][window]
+    return lambda Z: mpc._window_inputs(Z, ff, dt, ctl.f_scale)
+
+
+def assert_schedule_at(step_inputs, z, u, dt):
+    """(u, dt), as a caller passed them to rollout_jacobian, are
+    step_inputs(z) to the bit."""
+    u_z, dt_z = step_inputs(z)
+    assert u.tobytes() == u_z.tobytes() and np.asarray(dt).tobytes() == dt_z.tobytes()
+
+
 class TestTrimmedDirections:
     """rollout_jacobian differentiates each step only by the inputs the
     schedule moves; its result equals, bit for bit, the chain over all 13
@@ -445,7 +460,8 @@ class TestTrimmedDirections:
             return np.column_stack(prob.cost_and_constraints(Z, s))
 
         states = prob.substep_rollout(z)
-        J = rollout_jacobian(value, z, states, prob.step_inputs, prob.tangents, prob.cfg, SCEN)
+        J = rollout_jacobian(value, z, states, *prob.step_inputs(z), prob.tangents, prob.cfg,
+                             SCEN)
         np.testing.assert_array_equal(
             J, full_direction_jacobian(value, z, states, prob.step_inputs, prob.cfg))
         np.testing.assert_array_equal(J[0], prob.gradient(z))
@@ -464,10 +480,12 @@ class TestTrimmedDirections:
         ctl = mpc.TrackingController(plan, SCEN, mpc.MpcConfig.from_plan(plan, max_iter=3))
         ctl.command(plan.states[3] + np.array([0, 0, 0, 0.05, 0.1, 0.0]), 3)
         assert calls
-        for value, z, states, step_inputs, tangents, cfg, scen in calls:
+        step_inputs = window_inputs(ctl, 3)
+        for value, z, states, u, dt, tangents, cfg, scen in calls:
+            assert_schedule_at(step_inputs, z, u, dt)
             assert np.all(step_inputs(z + 1j)[1].imag == 0.0)
             np.testing.assert_array_equal(
-                jacobian(value, z, states, step_inputs, tangents, cfg, scen),
+                jacobian(value, z, states, u, dt, tangents, cfg, scen),
                 full_direction_jacobian(value, z, states, step_inputs, cfg))
 
     @pytest.mark.parametrize("per_step", [True, False])
@@ -484,8 +502,8 @@ class TestTrimmedDirections:
         z = np.random.default_rng(44).normal(size=n)
         states = substep_rollout(X0, *step_inputs(z), cfg)
         value = TestRolloutTangents.value
-        J = rollout_jacobian(value, z, states, step_inputs, input_tangents(step_inputs, n), cfg,
-                             SCEN)
+        J = rollout_jacobian(value, z, states, *step_inputs(z), input_tangents(step_inputs, n),
+                             cfg, SCEN)
         np.testing.assert_array_equal(J, full_direction_jacobian(value, z, states, step_inputs,
                                                                  cfg))
         np.testing.assert_allclose(J[n:], TestRolloutTangents.oracle(step_inputs, z, cfg),
@@ -528,8 +546,9 @@ class TestTangentsOncePerLayout:
             assert (cached.shape, cached.dtype) == (fresh.shape, fresh.dtype)
             assert cached.tobytes() == fresh.tobytes()
             assert not cached.flags.writeable
-        J = rollout_jacobian(value, z, states, step_inputs, layout, cfg, SCEN)
-        assert J.tobytes() == rollout_jacobian(value, z, states, step_inputs, here, cfg,
+        u, dt = step_inputs(z)
+        J = rollout_jacobian(value, z, states, u, dt, layout, cfg, SCEN)
+        assert J.tobytes() == rollout_jacobian(value, z, states, u, dt, here, cfg,
                                                SCEN).tobytes()
 
     def test_planner(self, frozen_track_plan):
@@ -556,13 +575,18 @@ class TestTangentsOncePerLayout:
         ctl = mpc.TrackingController(plan, SCEN)
         assert ctl.cfg.n_horizon == 12
         rates = np.array([0.0, 0.0, 0.0, 0.05, 0.1, 0.0])
+        ticks = []
         for k in range(ctl.n_ticks):
+            before = len(calls)
             ctl.command(plan.states[k] + rates, k)
+            ticks += [k] * (len(calls) - before)
         horizons = set()
-        for value, z, states, step_inputs, layout, cfg, scen in calls:
+        for k, (value, z, states, u, dt, layout, cfg, scen) in zip(ticks, calls):
             H = z.size // 3
             horizons.add(H)
             assert layout is mpc.horizon_layout(H, SCEN.f_r_max, SCEN.f_p_max)
+            step_inputs = window_inputs(ctl, k)
+            assert_schedule_at(step_inputs, z, u, dt)
             self.check(value, z, states, step_inputs, layout, cfg)
         assert horizons == set(range(1, 13))
 

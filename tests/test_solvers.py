@@ -1,7 +1,7 @@
 """NLP and LP solver checks against enumeration-based brute-force oracles:
 SLSQP for objectives, bounded Gauss-Newton and its box step for residuals
-(scipy's BVLS as a second oracle), HiGHS for LPs (linprog as the oracle of
-the milp call)."""
+(scipy's BVLS as a second oracle), HiGHS for LPs (milp and linprog as the
+oracles of the direct HiGHS call)."""
 
 import itertools
 
@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy import optimize, sparse
 
-from wallhopper import solvers
+from wallhopper import solvers, stability
+from wallhopper.model import Scenario
 from wallhopper.solvers import (
     STATUS_FAILED,
     STATUS_INFEASIBLE,
@@ -389,6 +390,46 @@ def vertex_enumeration(c, A, b, lo, hi):
     return best, best_val
 
 
+MILP_STATUS = {0: STATUS_OPTIMAL, 1: STATUS_MAX_ITERS, 2: STATUS_INFEASIBLE,
+               3: STATUS_UNBOUNDED, 4: STATUS_FAILED}
+
+
+def milp_lp(c, A, row_lower, row_upper, lower=-np.inf, upper=np.inf):
+    """solve_lp's LP posed to scipy.optimize.milp, with no integer variables."""
+    return optimize.milp(c, bounds=optimize.Bounds(lower, upper),
+                         constraints=optimize.LinearConstraint(A, row_lower, row_upper))
+
+
+def random_lps(kind, count=40, seed=53):
+    """Seeded LPs with inequality and equality rows, free, one-sided and
+    boxed variables and, for kind "sparse", a scipy.sparse matrix with some
+    explicit zeros; some end infeasible or unbounded."""
+    rng = np.random.default_rng(seed)
+    lps = []
+    for _ in range(count):
+        m, n = rng.integers(1, 9), rng.integers(1, 9)
+        A = rng.normal(size=(m, n)) * (rng.uniform(size=(m, n)) < 0.6)
+        row_upper = rng.uniform(-0.5, 1.0, size=m)
+        row_lower = np.where(rng.uniform(size=m) < 0.3, row_upper, -np.inf)
+        lower = rng.choice([-np.inf, -1.0, 0.0], size=n)
+        upper = rng.choice([np.inf, 1.0, 2.0], size=n)
+        if kind == "sparse":
+            A = sparse.coo_array(A)
+            A = sparse.coo_array((np.append(A.data, 0.0),
+                                  (np.append(A.row, m - 1), np.append(A.col, 0))), (m, n))
+        lps.append((rng.normal(size=n), A, row_lower, row_upper, lower, upper))
+    return lps
+
+
+def stub_highs(model_status):
+    """solvers.highs._Highs, ending every run with model_status."""
+    class StubHighs(solvers.highs._Highs):
+        def getModelStatus(self):
+            return model_status
+
+    return StubHighs
+
+
 class TestLp:
     def test_simple_maximum(self):
         # max gamma s.t. gamma <= 1, posed as min -gamma.
@@ -439,30 +480,97 @@ class TestLp:
             assert np.array_equal(ours.x, ref.x)
             assert ours.value == ref.fun
 
-    @pytest.mark.parametrize("ending, status", [
-        (0, STATUS_OPTIMAL), (1, STATUS_MAX_ITERS), (2, STATUS_INFEASIBLE),
-        (3, STATUS_UNBOUNDED), (4, STATUS_FAILED)])
-    def test_highs_endings(self, monkeypatch, ending, status):
-        def stub(c, **kwargs):
-            solved = ending == 0
-            return optimize.OptimizeResult(status=ending, message="stub",
-                                           x=np.ones(1) if solved else None,
-                                           fun=-1.0 if solved else None)
-
-        monkeypatch.setattr(solvers.optimize, "milp", stub)
+    # The ids keep milp's status codes for these endings.
+    @pytest.mark.parametrize("model_status, status", [
+        pytest.param(solvers.highs.HighsModelStatus.kOptimal, STATUS_OPTIMAL, id="0-optimal"),
+        pytest.param(solvers.highs.HighsModelStatus.kIterationLimit, STATUS_MAX_ITERS,
+                     id="1-max_iters"),
+        pytest.param(solvers.highs.HighsModelStatus.kInfeasible, STATUS_INFEASIBLE,
+                     id="2-infeasible"),
+        pytest.param(solvers.highs.HighsModelStatus.kUnbounded, STATUS_UNBOUNDED,
+                     id="3-unbounded"),
+        pytest.param(solvers.highs.HighsModelStatus.kUnboundedOrInfeasible, STATUS_FAILED,
+                     id="4-failed")])
+    def test_highs_endings(self, monkeypatch, model_status, status):
+        monkeypatch.setattr(solvers.highs, "_Highs", stub_highs(model_status))
         res = solve_lp([-1.0], [[1.0]], -np.inf, 1.0)
         assert res.status == status
         assert (res.x is not None) == (status == STATUS_OPTIMAL)
 
     def test_never_calls_linprog(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("solve_lp called optimize.linprog")
+            raise AssertionError("solve_lp called optimize.linprog or optimize.milp")
 
         monkeypatch.setattr(solvers.optimize, "linprog", forbidden)
+        monkeypatch.setattr(solvers.optimize, "milp", forbidden)
         assert solve_lp([-1.0], [[1.0]], -np.inf, 1.0).status == STATUS_OPTIMAL
         assert solve_lp([-1.0], np.zeros((0, 1)), [], []).status == STATUS_UNBOUNDED
         assert solve_lp([1.0, 1.0], [[1.0, -1.0]], 1.0, 1.0,
                         lower=0.0).value == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("case", ["heatmap-mu0.8", "heatmap-mu0.3", "dense", "sparse",
+                                      "endings"])
+    def test_matches_milp(self, case, monkeypatch):
+        # HiGHS gets milp's model and options, so x, value and status are
+        # milp's to the last bit.
+        if case.startswith("heatmap"):
+            lps = []
+            solve = stability.solve_lp
+
+            def recorded(*args):
+                lps.append(args)
+                return solve(*args)
+
+            monkeypatch.setattr(stability, "solve_lp", recorded)
+            scen = Scenario(mass=15.0, f_leg_max=600.0, f_r_max=300.0,
+                            mu=float(case[len("heatmap-mu"):]))
+            hm = stability.margin_heatmap(stability.HeatmapGrid.regular(ny=6, nz=6),
+                                          np.array([-1.0, 0, 0, 0, 0, 0]), scen)
+            assert len(lps) == 36 and hm.endings["ok"] > 0
+        else:
+            lps = random_lps(case) if case in ("dense", "sparse") else [
+                ([1.0], [[1.0], [-1.0]], -np.inf, [-2.0, -2.0]),              # infeasible
+                ([1.0, -1.0], [[1.0, 1.0]], 1.0, 1.0, 0.0, [np.inf, 2.0]),   # optimal
+                ([-1.0, 0.5], [[1.0, -1.0]], -np.inf, 1.0),                 # unbounded
+                ([-1.0], np.zeros((0, 1)), [], []),                         # no rows, unbounded
+                ([1.0, -2.0], np.zeros((0, 2)), [], [], -1.0, 3.0),          # no rows, optimal
+                ([-1.0], sparse.csr_array((0, 1)), [], [], 0.0, 1.0)]
+        endings = set()
+        for lp in lps:
+            ours, ref = solve_lp(*lp), milp_lp(*lp)
+            endings.add(ours.status)
+            assert ours.status == MILP_STATUS[ref.status]
+            if ref.x is None:
+                assert ours.x is None
+            else:
+                assert ours.x.tobytes() == ref.x.tobytes() and ours.value == ref.fun
+        if case != "heatmap-mu0.8":
+            assert len(endings) > 1, endings
+
+    @pytest.mark.parametrize("args, match", [
+        (([np.nan], [[1.0]], -np.inf, 1.0), "c must"),
+        (([np.inf], [[1.0]], -np.inf, 1.0), "c must"),
+        (([[1.0]], [[1.0]], -np.inf, 1.0), "c must"),
+        (([], np.zeros((1, 0)), -np.inf, 1.0), "c must"),
+        (([1.0, 1.0], [[1.0]], -np.inf, 1.0), "A must"),
+        (([1.0], [1.0], -np.inf, 1.0), "A must"),
+        (([1.0, 1.0], sparse.csr_array(np.ones((1, 3))), -np.inf, 1.0), "A must"),
+        (([1.0], [[np.nan]], -np.inf, 1.0), "A must be finite"),
+        (([1.0], [[np.inf]], -np.inf, 1.0), "A must be finite"),
+        (([1.0], sparse.csr_array([[-np.inf]]), -np.inf, 1.0), "A must be finite"),
+        (([1.0], [[1.0]], np.nan, 1.0), "NaN in row bounds"),
+        (([1.0], [[1.0]], -np.inf, [1.0, np.nan]), "row bounds do not broadcast"),
+        (([1.0], [[1.0]], -np.inf, 1.0, np.nan), "NaN in variable bounds"),
+        (([1.0, 1.0], [[1.0, 1.0]], -np.inf, 1.0, 0.0, [1.0, 2.0, 3.0]),
+         "variable bounds do not broadcast"),
+        (([1.0], [[1e16]], -np.inf, 1.0), "HiGHS rejected"),
+        (([1.0], [[1.0]], -np.inf, 1.0, np.inf), "HiGHS rejected"),
+    ], ids=["c-nan", "c-inf", "c-2d", "c-empty", "A-columns", "A-1d", "A-sparse-columns",
+            "A-nan", "A-inf", "A-sparse-inf", "row-nan", "row-shape", "col-nan", "col-shape",
+            "A-huge", "col-lower-inf"])
+    def test_bad_input_rejected(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            solve_lp(*args)
 
     def test_sparse_matrix_matches_dense(self):
         # A scipy.sparse matrix goes to HiGHS as it is and gives the dense

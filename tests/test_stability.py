@@ -310,10 +310,11 @@ class TestMargins:
             margin_heatmap(HeatmapGrid.regular(ny=3, nz=3, x=1.5), v_hat, LAND)
 
     def test_lp_failure_raises_cell_error(self, monkeypatch):
-        def no_verdict(*args, **kwargs):
-            return optimize.OptimizeResult(status=4, message="numerical difficulties")
+        class NoVerdict(solvers.highs._Highs):
+            def getModelStatus(self):
+                return solvers.highs.HighsModelStatus.kSolveError
 
-        monkeypatch.setattr(solvers.optimize, "milp", no_verdict)
+        monkeypatch.setattr(solvers.highs, "_Highs", NoVerdict)
         with pytest.raises(CellError, match="failed"):
             margin_at(np.array([1.5, 2.5, -6.5]), PULL_OFF, LAND)
 
