@@ -309,13 +309,13 @@ def rollout_jacobian(value, z, states, u, dt, layout: Layout, cfg: IntegratorCon
     their rollout at sub-step resolution (rollout_arrays over
     substep_schedule), whose knot_rows are the knot states, and layout is
     input_tangents(step_inputs, n), built once by the caller and only read
-    here.  value(Z, knots) ->
-    (..., m) must be analytic in both, real or complex.  The knot tangents
-    S_k = dx_k/dz come from one step_jacobians call along the layout's
-    perturbations, chained forward, S_0 = 0, S_{k+1} = J_x S_k + J_cols w_k,
-    J_cols the step's columns of the inputs cols name (the other inputs do
-    not move), and the result from one value call at z plus the layout's
-    directions, the knot states moved along S e_j.  K may be 0.
+    here.  value(Z, knots) -> (..., m) must be analytic in both, real or
+    complex.  The knot tangents S_k = dx_k/dz come from one step_jacobians
+    call along the layout's perturbations, chained forward, S_0 = 0,
+    S_{k+1} = J_x S_k + J_cols w_k, J_cols the step's columns of the inputs
+    cols name (the other inputs do not move), and the result from one value
+    call at z plus the layout's directions, the knot states moved along
+    S e_j.  K may be 0.
     """
     h = COMPLEX_STEP
     J = step_jacobians(states[:-1].reshape(len(u), cfg.n_sub, 6), u, dt, layout.perturbations,

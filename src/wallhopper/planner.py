@@ -24,9 +24,9 @@ one point; the knot states are its knot_rows.  The gradient and the
 constraint Jacobian are exact and read off the value code: no term is
 differentiated by hand.  integrator.rollout_jacobian takes the schedule
 and the sub-step states the value evaluation holds, and the schedule's
-input tangents, built once per problem, and evaluates cost_and_constraints once, batched,
-at a complex step of Z with the knot states moved along their tangents
-(see the integrator).  So a change to the cost or a constraint needs no
+input tangents, built once per problem, and evaluates cost_and_constraints
+once, batched, at a complex step of Z with the knot states moved along
+their tangents (see the integrator).  So a change to the cost or a constraint needs no
 derivative edit.
 Every clearance row, flat wall or bump, reads one formula, wall_gap; the
 NLP, _check_target and audit_plan all call it.

@@ -460,8 +460,8 @@ class TestLp:
 
     def test_matches_linprog(self):
         # Equalities and inequalities together, free, one-sided and boxed
-        # variables: the milp call hands HiGHS what linprog(method="highs")
-        # hands it, so both give the same answer to the last bit.
+        # variables: solve_lp hands HiGHS what linprog(method="highs") hands
+        # it, so both give the same answer to the last bit.
         rng = np.random.default_rng(23)
         for _ in range(20):
             n = 6
