@@ -56,11 +56,11 @@ along their tangents; the planner's gradient and constraint Jacobian and
 the MPC's residual Jacobian are all formed there.  It takes the point with
 the schedule (u, dt) and the sub-step states its caller has just built
 there for the rollout, so nothing is built twice; what it needs beyond the
-point is a Layout, built by input_tangents once per schedule layout
-(the planner's per problem, the MPC's per horizon length and force limits,
-see mpc.horizon_layout), as both schedules are affine in the decision
-vector, and only read on every call.  A layout holds four read-only
-arrays:
+point is a Layout, built by input_tangents, as both schedules are affine
+in the decision vector, and only read on every call.  Each owner builds
+its layout once: per ShootingProblem and per TrackingController, whose
+ticks read slices of the layout of its longest window.  A layout holds
+four read-only arrays:
 
 - cols (K, m), the inputs each step moves (the planner's thrust step the
   leg force, its knot steps the rope forces and the length; the MPC's

@@ -142,6 +142,10 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "gravity", np.asarray(self.gravity, dtype=float))
         object.__setattr__(self, "wall_normal", _unit(self.wall_normal, "wall_normal"))
+        # The wall passes through both anchors, (0, 0, 0) and (0, d_a, 0).
+        if abs(self.wall_normal[1]) > 1e-12:
+            raise ValueError(f"wall_normal must have no y component, so that the wall "
+                             f"passes through both anchors: {self.wall_normal}")
         if self.gravity.shape != (3,) or not np.all(np.isfinite(self.gravity)):
             raise ValueError(f"gravity must be a finite 3-vector: {self.gravity}")
         for name in ("d_a", "mass", "wall_offset", "mu", "f_leg_max", "f_r_max",

@@ -25,26 +25,25 @@ last one reached.  Each iterate is one evaluation of the residuals and
 their Jacobian from one rollout_arrays call on Python floats at sub-step
 resolution (integrator.substep_schedule): the residuals read its
 knot_rows, and rollout_jacobian its sub-step states and the layout of the
-horizon length (horizon_layout).  The residuals are written once, as a
-function of the deviations and the knot states, so a change to them needs
-no derivative edit.  The input formula is written once too: a tick's step
-schedule, the window's feed-forward plus deviations for the window's
-lengths, is what rollout_arrays steps from the estimated state, what
-rollout_jacobian differentiates, and, at its first step, the input command
-applies.
+window.  The residuals are written once, as a function of the deviations
+and the knot states, so a change to them needs no derivative edit.  The
+input formula is written once too: a tick's step schedule, the window's
+feed-forward plus deviations for the window's lengths, is what
+rollout_arrays steps from the estimated state, what rollout_jacobian
+differentiates, and, at its first step, the input command applies.
 
 A real-time iteration keeps off the tick what does not depend on the
 measurement, so each array is built where what it depends on changes:
 
-- per process, the layout of each horizon length H (horizon_layout,
-  memoised by H and the force limits f_r_max and f_p_max): the input
-  tangents, the perturbation block and the direction block
-  rollout_jacobian reads.  A window's schedule is affine in its
-  deviations with a linear part set by H and the force scales alone, so
-  every controller with the same limits shares them;
 - per controller (``TrackingController``): the plan's knot positions and
-  schedule, the force scales, the IntegratorConfig, and the box bounds of
-  the deviations of every knot step, which a tick slices to its window;
+  schedule, the force scales, the IntegratorConfig, the box bounds of the
+  deviations of every knot step, and the layout
+  (integrator.input_tangents) of its longest window: the input tangents,
+  the perturbation block and the direction block rollout_jacobian reads.
+  A window's schedule is affine in its deviations with a linear part set
+  by its length and the force scales alone, and each step moves only its
+  own three deviations, so a shorter window's layout is a slice of the
+  longest one's.  A tick slices the bounds and the layout to its window;
 - per tick: the window's feed-forward and lengths, the previous tick's
   deviation, the warm start, and the rollouts, residuals and Jacobians of
   its iterates.
@@ -56,7 +55,6 @@ term of the input smoothing cost).
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -107,12 +105,6 @@ def warm_start_from(prev: MpcSolution | None, horizon: int) -> np.ndarray:
     return dev[np.minimum(np.arange(1, horizon + 1), len(dev) - 1)]
 
 
-def _force_scale(f_r_max, f_p_max) -> np.ndarray:
-    """The newtons of one unit of the decision vector: left rope, right
-    rope, propeller."""
-    return np.array([f_r_max, f_r_max, max(f_p_max, 1e-9)])
-
-
 def _window_inputs(z, ff, dt, f_scale):
     """The step schedule of a horizon window: the feed-forward rope forces
     ff (H, 2) plus the deviations z (..., 3 H), scaled by f_scale, and
@@ -124,22 +116,11 @@ def _window_inputs(z, ff, dt, f_scale):
     return u, np.broadcast_to(dt, u.shape[:-1])
 
 
-@functools.lru_cache(maxsize=None)
-def horizon_layout(H: int, f_r_max: float, f_p_max: float) -> Layout:
-    """The layout (integrator.input_tangents) of every H-step window under
-    the force limits f_r_max and f_p_max, built once per process.  A
-    window's schedule is affine in its deviations, with a linear part set
-    by H and the force scales alone, so the window's feed-forward and
-    lengths (zero here) do not enter it."""
-    f_scale = _force_scale(f_r_max, f_p_max)
-    return input_tangents(lambda z: _window_inputs(z, np.zeros((H, 2)), np.zeros(H), f_scale),
-                          3 * H)
-
-
 class TrackingController:
     """Tracks the plan one knot per tick: the knot positions are the
     reference, the plan's schedule gives the feed-forward and the step
-    lengths; keeps the warm-start state across ticks."""
+    lengths; keeps the warm-start state across ticks.  Builds the layout
+    of its longest window once, and each tick reads a slice of it."""
 
     def __init__(self, plan: JumpPlan, scenario: Scenario, cfg: MpcConfig | None = None):
         self.scen = scenario
@@ -148,13 +129,21 @@ class TrackingController:
         self.schedule = plan.schedule(scenario.t_th)       # (N+1, 6), (N+1,)
         self.prev_solution: MpcSolution | None = None
         self.icfg = IntegratorConfig()
-        self.f_scale = _force_scale(scenario.f_r_max, scenario.f_p_max)
+        # The newtons of one unit of the decision vector: left rope, right
+        # rope, propeller.
+        self.f_scale = np.array([scenario.f_r_max, scenario.f_r_max,
+                                 max(scenario.f_p_max, 1e-9)])
         # Rope bounds map to boxes on the deviations of each knot step
         # 1..N, three per step; the propeller is bilateral.
         ff, p_max = self.schedule[0][1:, :2], float(scenario.f_p_max > 0.0)
         self.lower = np.column_stack([(-scenario.f_r_max - ff) / self.f_scale[:2],
                                       np.full(len(ff), -p_max)]).ravel()
         self.upper = np.column_stack([-ff / self.f_scale[:2], np.full(len(ff), p_max)]).ravel()
+        # The layout of the longest window, min(n_horizon, N) steps; its
+        # feed-forward and lengths (zero here) do not enter it.
+        H = min(self.cfg.n_horizon, len(ff))
+        self.layout = input_tangents(
+            lambda z: _window_inputs(z, np.zeros((H, 2)), np.zeros(H), self.f_scale), 3 * H)
 
     @property
     def n_ticks(self) -> int:
@@ -193,7 +182,8 @@ class TrackingController:
         prev = self.prev_solution
         prev_dev = np.zeros((1, 2)) if prev is None else prev.deviations[:1, :2]
         sw = np.sqrt(W_SMOOTH)                             # residuals carry the root
-        layout = horizon_layout(H, scenario.f_r_max, scenario.f_p_max)
+        w, cols, e, directions = self.layout
+        layout = Layout(w[:H, :, :3 * H], cols[:H], e[:H], directions[:3 * H, :3 * H])
 
         def step_inputs(z):
             return _window_inputs(z, ff, dt, f_scale)

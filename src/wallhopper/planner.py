@@ -224,23 +224,13 @@ class ShootingProblem:
         (..., N+1, 6) and lengths (..., N+1); real or complex, as Z is."""
         return jump_schedule(*self._split(Z), self.scen.t_th)
 
-    def substep_rollout(self, Z):
-        """Z: (..., n_var) scaled decision vectors -> states
-        (..., (N+1) n_sub + 1, 6): the rest state, then the state after
-        every RK4 sub-step of the thrust and the N knot steps.
-
-        Real or complex, as Z is.
-        """
-        return rollout_arrays(self.x_rest, *substep_schedule(*self.step_inputs(Z), self.cfg),
-                              self.scen)
-
     def rollout(self, Z):
         """Z: (..., n_var) scaled decision vectors -> states (..., N+2, 6):
         the rest state, then the N+1 knot states from lift-off.
 
         Real or complex, as Z is.
         """
-        return knot_rows(self.substep_rollout(Z), self.cfg)
+        return rollout_arrays(self.x_rest, *self.step_inputs(Z), self.cfg, self.scen)
 
     def cost_and_constraints(self, Z, states=None):
         """Returns (cost (...,), g (..., m)) with g <= 0 feasible.

@@ -1,6 +1,7 @@
 """The A/B writer of tools/bench_ab.py on canned run.py output: every
 end-to-end metric BENCHMARK.json names is summarised for each workload,
-with medians, quartiles and pair wins.  No benchmark process runs."""
+with medians, quartiles and pair wins; and --out must name a new file.
+No benchmark process runs."""
 
 import importlib.util
 import json
@@ -81,3 +82,16 @@ def test_a_gain_and_a_regression(bench_ab):
 def test_too_few_lines_rejected(bench_ab):
     with pytest.raises(ValueError, match="fewer than two"):
         bench_ab.parse_run('{"correct": true}\n')
+
+
+@pytest.mark.parametrize("out", [[], ["--out", "BENCH_1.json"]], ids=["no-out", "existing-out"])
+def test_out_must_name_a_new_file(bench_ab, out, monkeypatch):
+    # Without --out, or with a committed record as --out, the tool stops at
+    # its argument checks: no git call and no benchmark run.
+    def no_run(*args, **kwargs):
+        raise AssertionError(f"subprocess.run called with {args}")
+
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(bench_ab.subprocess, "run", no_run)
+    with pytest.raises(SystemExit):
+        bench_ab.main(["--parent", ".", *out])

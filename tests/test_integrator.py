@@ -459,7 +459,7 @@ class TestTrimmedDirections:
         def value(Z, s):
             return np.column_stack(prob.cost_and_constraints(Z, s))
 
-        states = prob.substep_rollout(z)
+        states = substep_rollout(prob.x_rest, *prob.step_inputs(z), prob.cfg)
         J = rollout_jacobian(value, z, states, *prob.step_inputs(z), prob.tangents, prob.cfg,
                              SCEN)
         np.testing.assert_array_equal(
@@ -511,13 +511,13 @@ class TestTrimmedDirections:
 
 
 class TestTangentsOncePerLayout:
-    """Both callers build their layout once, the planner per problem and
-    the MPC per horizon length and force limits (mpc.horizon_layout).
-    Their schedules are affine in the decision vector, so every field of
-    that layout equals, byte for byte, one built afresh at the point
-    itself: the tangents by a complex step through step_inputs there, the
-    perturbation and direction blocks entry by entry.  So does the
-    Jacobian taken with it."""
+    """Each owner builds its layout once: per ShootingProblem and per
+    TrackingController, whose ticks read slices of the layout of its
+    longest window.  Their schedules are affine in the decision vector, so
+    every field of the layout a Jacobian reads equals, byte for byte, one
+    built afresh at the point itself: the tangents by a complex step
+    through step_inputs there, the perturbation and direction blocks entry
+    by entry.  So does the Jacobian taken with it."""
 
     @staticmethod
     def layout_at(step_inputs, z):
@@ -557,7 +557,7 @@ class TestTangentsOncePerLayout:
                                        IntegratorConfig())
         guess = prob.initial_guess()
         for z in (guess, guess + 0.05 * np.random.default_rng(45).normal(size=guess.size)):
-            states = prob.substep_rollout(z)
+            states = substep_rollout(prob.x_rest, *prob.step_inputs(z), prob.cfg)
             assert np.all(np.isfinite(states))
             self.check(lambda Z, s: np.column_stack(prob.cost_and_constraints(Z, s)), z,
                        states, prob.step_inputs, prob.tangents, prob.cfg)
@@ -584,11 +584,39 @@ class TestTangentsOncePerLayout:
         for k, (value, z, states, u, dt, layout, cfg, scen) in zip(ticks, calls):
             H = z.size // 3
             horizons.add(H)
-            assert layout is mpc.horizon_layout(H, SCEN.f_r_max, SCEN.f_p_max)
             step_inputs = window_inputs(ctl, k)
             assert_schedule_at(step_inputs, z, u, dt)
             self.check(value, z, states, step_inputs, layout, cfg)
         assert horizons == set(range(1, 13))
+
+    def test_mpc_force_limits_in_turn(self, frozen_track_plan, monkeypatch):
+        # Two controllers under different force limits, ticked in turn in
+        # one process: each tick's layout is its own controller's, equal to
+        # one built afresh for that controller's window.
+        layouts = []
+        jacobian = mpc.rollout_jacobian
+
+        def recorded(*args):
+            layouts.append(args[5])
+            return jacobian(*args)
+
+        monkeypatch.setattr(mpc, "rollout_jacobian", recorded)
+        plan = frozen_track_plan
+        controllers = [mpc.TrackingController(plan, scen)
+                       for scen in (SCEN, SCEN.with_(f_p_max=0.0))]
+        assert controllers[0].f_scale[2] != controllers[1].f_scale[2]
+        rates = np.array([0.0, 0.0, 0.0, 0.05, 0.1, 0.0])
+        for k in range(plan.n_knots):
+            for ctl in controllers:
+                del layouts[:]
+                ctl.command(plan.states[k] + rates, k)
+                assert layouts
+                H = min(ctl.cfg.n_horizon, plan.n_knots - k)
+                fresh = integrator.input_tangents(window_inputs(ctl, k), 3 * H)
+                for layout in layouts:
+                    for got, expected in zip(layout, fresh):
+                        assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+                        assert got.tobytes() == expected.tobytes()
 
 
 class TestRollout:

@@ -294,14 +294,14 @@ class TestRealTimeIteration:
             iterates = n_iter + (ending == solvers.STATUS_OPTIMAL)
             assert calls == {"jacobians": iterates, "rollouts": iterates}
 
-    def test_layouts_built_once_per_process(self, frozen_track_plan, monkeypatch):
-        # Two episodes, each with its own controller, build each horizon
-        # length's layout once between them, and no tick builds a
-        # perturbation or direction block of its own: both blocks are made
-        # from identities, so every np.eye call of the integrator's falls
-        # inside a layout build.
-        built, eyes = [], {"all": 0, "in_builds": 0}
-        input_tangents = mpc.input_tangents
+    def test_layouts_built_once_per_controller(self, frozen_track_plan, monkeypatch):
+        # Two episodes, each with its own controller, build one layout each,
+        # of the longest window, before that controller's first tick, and no
+        # tick builds a perturbation or direction block of its own: both
+        # blocks are made from identities, so every np.eye call of the
+        # integrator's falls inside a layout build.
+        events, eyes = [], {"all": 0, "in_builds": 0}
+        input_tangents, command = mpc.input_tangents, TrackingController.command
 
         class CountingNumpy:
             def __getattr__(self, name):
@@ -316,18 +316,22 @@ class TestRealTimeIteration:
             before = eyes["all"]
             layout = input_tangents(step_inputs, n)
             eyes["in_builds"] += eyes["all"] - before
-            built.append(n // 3)
+            events.append(n // 3)
             return layout
 
-        mpc.horizon_layout.cache_clear()
+        def counted_command(self, *args):
+            events.append("tick")
+            return command(self, *args)
+
         monkeypatch.setattr(integrator, "np", CountingNumpy())
         monkeypatch.setattr(mpc, "input_tangents", counted_build)
+        monkeypatch.setattr(TrackingController, "command", counted_command)
         for disturbance in (None, DISTURBED):
             meta = run_episode(frozen_track_plan, SCEN, controller="mpc",
                                disturbance=disturbance).meta
             assert meta["ticks"] == 30
-        assert sorted(built) == list(range(1, 13))
-        assert mpc.horizon_layout.cache_info().currsize == 12
+        assert [e for e in events if e != "tick"] == [12, 12]
+        assert events == ([12] + ["tick"] * 30) * 2
         assert eyes["in_builds"] > 0 and eyes["all"] == eyes["in_builds"]
 
     def test_predictions_step_on_floats(self, frozen_track_plan, monkeypatch,

@@ -1,19 +1,21 @@
 """A/B runs of the benchmark: a parent checkout against a change.
 
     python3 tools/bench_ab.py --parent PATH [--change PATH] \\
-        [--case WORKLOAD:SEED ...] [--pairs 10] [--seconds 20] [--out BENCH_1.json]
+        [--case WORKLOAD:SEED ...] [--pairs 10] [--seconds 20] --out BENCH_n.json
 
 PATH is the root of a checkout, for example a ``git worktree`` of the
 parent commit; --change defaults to the checkout this script sits in.  For
 each case (default: plan, track and stability at seed 7) the script runs
 each checkout's own, unchanged ``perfbench/run.py`` in alternating pairs,
 the parent first in even pairs and the change first in odd ones, and
-rewrites --out after every pair.  The file holds both commits, the command
-lines, every run's metrics and, for each end-to-end metric BENCHMARK.json
-names, each side's median and quartiles, the wins of each side over the
-pairs, and whether the change's median is within the metric's bound.  A
-win is a pair whose change run reads better than its parent run; equal
-readings are ties and count for neither.
+rewrites --out after every pair.  --out must name a file that does not
+exist yet, so a run never replaces an earlier record.  The file holds
+both commits, the command lines, every run's metrics and, for each
+end-to-end metric BENCHMARK.json names, each side's median and quartiles,
+the wins of each side over the pairs, and whether the change's median is
+within the metric's bound.  A win is a pair whose change run reads
+better than its parent run; equal readings are ties and count for
+neither.
 """
 
 from __future__ import annotations
@@ -128,8 +130,11 @@ def main(argv=None) -> int:
                         help="a workload and seed to run (repeatable)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_1.json")
+    parser.add_argument("--out", required=True, type=Path,
+                        help="the record to write; must not exist yet")
     args = parser.parse_args(argv)
+    if args.out.exists():
+        parser.error(f"--out {args.out} exists; name a new file")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     cases = []
