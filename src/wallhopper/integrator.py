@@ -60,17 +60,17 @@ point is a Layout, built by input_tangents, as both schedules are affine
 in the decision vector, and only read on every call.  Each owner builds
 its layout once: per ShootingProblem and per TrackingController, whose
 ticks read slices of the layout of its longest window.  A layout holds
-four read-only arrays:
+three read-only arrays, for steps that each move m of their 7 inputs (the
+planner's thrust step the leg force, its knot steps the rope forces and
+the length; the MPC's steps the rope forces and the propeller), so both
+step 6 + 3 directions per step instead of 13:
 
-- cols (K, m), the inputs each step moves (the planner's thrust step the
-  leg force, its knot steps the rope forces and the length; the MPC's
-  steps the rope forces and the propeller), so both step 6 + 3 directions
-  per step instead of 13;
 - w (K, m, n), those inputs' tangents for n decision variables: the
   Jacobian's m input columns of step k times w_k are that step's part of
   the knot tangent;
-- perturbations (K, 1, 6 + m, 13), the complex directions of each step's
-  start state and named inputs that step_jacobians steps along;
+- perturbations (K, 1, 6 + m, 13), perturbations(cols) of the inputs cols
+  (K, m) each step moves: the complex directions of each step's start
+  state and moving inputs that step_jacobians steps along;
 - directions (n, n), 1j COMPLEX_STEP I_n, which steps the decision vector.
 
 rollout_arrays lets the dtype of its inputs flow through, so a complex
@@ -268,10 +268,10 @@ def step_jacobians(x, u, dt, e, cfg: IntegratorConfig, scenario: Scenario):
 
 class Layout(NamedTuple):
     """Everything a rollout Jacobian needs that depends on the schedule's
-    layout alone, not on the point: built once by input_tangents, read-only."""
+    layout alone, not on the point, as three read-only arrays, built once
+    by input_tangents."""
 
-    w: np.ndarray                  # (K, m, n) the named inputs' tangents
-    cols: np.ndarray               # (K, m) the inputs each step moves
+    w: np.ndarray                  # (K, m, n) the moving inputs' tangents
     perturbations: np.ndarray      # (K, 1, 6 + m, 13) perturbations(cols)
     directions: np.ndarray         # (n, n) 1j COMPLEX_STEP I_n
 
@@ -279,21 +279,21 @@ class Layout(NamedTuple):
 def input_tangents(step_inputs, n) -> Layout:
     """The layout of a schedule step_inputs(Z) -> (u (..., K, 6),
     dt (..., K)) affine in z (n,), whose tangents one complex step at z = 0
-    gives at every z: cols (K, m), the inputs each step moves (0-5 for u's
+    gives at every z: w (K, m, n), w_k = d(u_k, dt_k)[cols_k]/dz, the
+    tangents of the inputs cols (K, m) each step moves (0-5 for u's
     entries, 6 for dt), moving ones first, padded to the most any step
-    moves; w (K, m, n), w_k = d(u_k, dt_k)[cols_k]/dz, their tangents;
-    perturbations(cols), the block step_jacobians steps each step along;
-    and the direction block 1j COMPLEX_STEP I_n, which steps z.  A caller
-    builds it once per layout and rollout_jacobian only reads it; its
-    arrays are read-only, as callers may share one."""
+    moves; perturbations(cols), the block step_jacobians steps each step
+    along; and the direction block 1j COMPLEX_STEP I_n, which steps z.  A
+    caller builds it once per layout and rollout_jacobian only reads it;
+    its arrays are read-only, as callers may share one."""
     directions = 1j * COMPLEX_STEP * np.eye(n)      # one row per direction
     u_c, dt_c = step_inputs(directions)
     w = (np.moveaxis(np.concatenate([u_c.imag, dt_c.imag[..., None]], axis=-1), 0, -1)
          / COMPLEX_STEP)
     moves = np.any(w != 0.0, axis=-1)                # (K, 7)
     cols = np.argsort(~moves, axis=-1, kind="stable")[:, :moves.sum(-1).max(initial=0)]
-    layout = Layout(np.take_along_axis(w, cols[:, :, None], axis=1), cols,
-                    perturbations(cols), directions)
+    layout = Layout(np.take_along_axis(w, cols[:, :, None], axis=1), perturbations(cols),
+                    directions)
     for a in layout:
         a.flags.writeable = False
     return layout
@@ -313,7 +313,7 @@ def rollout_jacobian(value, z, states, u, dt, layout: Layout, cfg: IntegratorCon
     complex.  The knot tangents S_k = dx_k/dz come from one step_jacobians
     call along the layout's perturbations, chained forward, S_0 = 0,
     S_{k+1} = J_x S_k + J_cols w_k, J_cols the step's columns of the inputs
-    cols name (the other inputs do not move), and the result from one value
+    it moves (the other inputs do not move), and the result from one value
     call at z plus the layout's directions, the knot states moved along
     S e_j.  K may be 0.
     """

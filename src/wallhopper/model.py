@@ -71,10 +71,9 @@ so the domain test r^2 > 0 reads the real part of such a step.
 A_d is invertible wherever the point lies off the anchor line: its
 determinant is -l1 l2 / d_a at every psi, so psi = 0 (the mass in the wall
 plane) is an ordinary configuration.  The dynamics kernel does not call
-jacobian_arrays or bias_arrays.  The simulator and energy map rates to
-Cartesian velocities with jacobian_arrays; the planner and the MPC get
-their position derivatives by complex step through position_arrays
-instead.
+jacobian_arrays or bias_arrays.  The simulator maps rates to Cartesian
+velocities with jacobian_arrays; the planner and the MPC get their
+position derivatives by complex step through position_arrays instead.
 
 Wall and rope geometry: the wall through the anchors has the one unit
 normal wall_normal, which is also the contact normal of the leg and the
@@ -161,8 +160,9 @@ class Scenario:
         for name in ("f_leg_max", "f_r_max", "t_th"):
             if not (getattr(self, name) > 0.0):
                 raise ValueError(f"{name} must be positive")
-        if not (self.f_p_max >= 0.0):
-            raise ValueError("f_p_max must be non-negative")
+        for name in ("f_p_max", "d_b", "d_w", "d_h"):
+            if not (getattr(self, name) >= 0.0):
+                raise ValueError(f"{name} must be non-negative")
         # The ellipsoid is axis-aligned with x normal to the wall, and the
         # planner bounds p_x instead of n.p when it is set.
         if self.obstacle is not None and np.any(self.wall_normal != (1.0, 0.0, 0.0)):

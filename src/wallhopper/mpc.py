@@ -182,8 +182,8 @@ class TrackingController:
         prev = self.prev_solution
         prev_dev = np.zeros((1, 2)) if prev is None else prev.deviations[:1, :2]
         sw = np.sqrt(W_SMOOTH)                             # residuals carry the root
-        w, cols, e, directions = self.layout
-        layout = Layout(w[:H, :, :3 * H], cols[:H], e[:H], directions[:3 * H, :3 * H])
+        w, e, directions = self.layout
+        layout = Layout(w[:H, :, :3 * H], e[:H], directions[:3 * H, :3 * H])
 
         def step_inputs(z):
             return _window_inputs(z, ff, dt, f_scale)

@@ -236,6 +236,15 @@ class HeatmapGrid:
     z_values: np.ndarray
     x: float
 
+    def __post_init__(self):
+        for name in ("y_values", "z_values"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if v.ndim != 1 or not np.all(np.isfinite(v)):
+                raise ValueError(f"HeatmapGrid {name} must be a finite 1-D array: {v}")
+            object.__setattr__(self, name, v)
+        if np.ndim(self.x) != 0 or not np.isfinite(self.x):
+            raise ValueError(f"HeatmapGrid x must be a finite number: {self.x!r}")
+
     @classmethod
     def regular(cls, ny=20, nz=20, x=1.5) -> "HeatmapGrid":
         """ny x nz evenly spaced positions over Y_RANGE x Z_RANGE."""
@@ -245,7 +254,6 @@ class HeatmapGrid:
 @dataclass
 class HeatmapResult:
     grid: HeatmapGrid
-    direction: np.ndarray
     gamma: np.ndarray              # (ny, nz); 0 where statically infeasible
     feasible: np.ndarray           # (ny, nz) bool
     errors: list
@@ -282,5 +290,4 @@ def margin_heatmap(grid: HeatmapGrid, v_hat, scenario: Scenario) -> HeatmapResul
             if status == "ok":
                 gamma[i, j] = res.gamma
                 feasible[i, j] = True
-    return HeatmapResult(grid, v_hat, gamma, feasible, errors, cell_s, lp_s,
-                         endings)
+    return HeatmapResult(grid, gamma, feasible, errors, cell_s, lp_s, endings)

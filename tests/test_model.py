@@ -462,7 +462,8 @@ class TestScenarioValidation:
         ("f_leg_max", np.nan), ("f_r_max", np.inf), ("f_p_max", np.nan), ("t_th", np.nan),
         ("d_b", np.nan), ("d_w", np.nan), ("d_h", np.inf), ("wheel_z_offset", np.nan),
         ("gravity", [0.0, np.nan, -9.81]), ("gravity", [0.0, -9.81]),
-        ("wall_normal", [0.6, 0.8, 0.0]), ("wall_normal", [0.0, 1.0, 0.0])])
+        ("wall_normal", [0.6, 0.8, 0.0]), ("wall_normal", [0.0, 1.0, 0.0]),
+        ("d_b", -0.8), ("d_w", -0.4), ("d_h", -0.4)])
     def test_non_finite_or_misshapen_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             Scenario(**{name: value})

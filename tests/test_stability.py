@@ -383,6 +383,21 @@ class TestHeatmap:
         direct = margin_at(np.array([1.5, 2.5, -6.5]), v, LAND)
         assert hm.gamma[0, 0] == pytest.approx(direct.gamma)
 
+    def test_grid_from_lists(self):
+        y, z = [2.5, 4.0], [-6.5, -2.0]
+        from_lists = margin_heatmap(HeatmapGrid(y, z, x=1.5), PULL_OFF, LAND)
+        from_arrays = margin_heatmap(HeatmapGrid(np.array(y), np.array(z), x=1.5), PULL_OFF,
+                                     LAND)
+        assert from_lists.gamma.tobytes() == from_arrays.gamma.tobytes()
+
+    @pytest.mark.parametrize("name, y, z, x", [
+        ("y_values", np.zeros((2, 2)), [-6.5], 1.5),
+        ("z_values", [2.5], [-6.5, np.nan], 1.5),
+        ("x", [2.5], [-6.5], np.inf)])
+    def test_bad_grid_rejected(self, name, y, z, x):
+        with pytest.raises(ValueError, match=f"HeatmapGrid {name} "):
+            HeatmapGrid(y, z, x=x)
+
     def test_two_valued_vertical_map(self):
         grid = HeatmapGrid.regular(ny=6, nz=6, x=1.5)
         hm = margin_heatmap(grid, np.array([0, 0, -1.0, 0, 0, 0]), LAND)
