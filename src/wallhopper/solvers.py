@@ -18,16 +18,20 @@ bundles (``scipy.optimize._highspy._core``, scipy >= 1.15), the HighsLp and
 _Highs pair that ``scipy.optimize.milp`` builds underneath: ``solve_lp``
 takes the LP in HiGHS's own form, one constraint matrix (dense or sparse)
 with lower and upper bounds on its rows and on the variables, checks it,
-stores the matrix column-wise, runs a fresh solver under milp's one option
-(no console log), and maps HiGHS's ending to one of the status strings
-below (optimal, unbounded, infeasible, max_iters, failed).  HiGHS gets the
-model and options milp would give it, so the answers are milp's to the last
-bit; milp's input checks, constraint objects, option manager and dual
-bookkeeping cost more than HiGHS itself on the margin LPs.
+stores the matrix column-wise, runs it on the calling thread's one solver
+under milp's one option (no console log), and maps HiGHS's ending to one of
+the status strings below (optimal, unbounded, infeasible, max_iters,
+failed).  HiGHS gets the model and options milp would give it, so the
+answers are milp's to the last bit: passModel replaces the model and clears
+the last basis and solution, so nothing of one LP, even a rejected one,
+reaches the next (tests/test_solvers.py checks this against milp in any
+order and across threads).  milp's input checks, constraint objects, option
+manager and dual bookkeeping cost more than HiGHS itself on the margin LPs.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from numbers import Integral
@@ -272,6 +276,8 @@ class LpResult:
 # milp's one HiGHS option; every other option keeps HiGHS's default.
 _HIGHS_OPTIONS = highs.HighsOptions()
 _HIGHS_OPTIONS.log_to_console = False
+# Each thread's one solver, built on its first solve_lp call.
+_THREAD = threading.local()
 # HiGHS's model status -> ours, as milp maps them; any other is "failed"
 # (numerical trouble, or no verdict between infeasible and unbounded).
 _ENDINGS = {
@@ -283,14 +289,16 @@ _ENDINGS = {
 }
 
 
-def _bounds(values, size: int, what: str) -> np.ndarray:
+def _bounds(values, size: int, what: str) -> list:
     try:
-        values = np.broadcast_to(np.asarray(values, dtype=float), (size,))
+        values = np.asarray(values, dtype=float)
+        if values.shape not in ((), (size,)):
+            values = np.broadcast_to(values, (size,))
     except ValueError:
         raise ValueError(f"{what} do not broadcast to ({size},)") from None
     if np.isnan(values).any():
         raise ValueError(f"NaN in {what}")
-    return values
+    return values.tolist() if values.ndim else [values.item()] * size
 
 
 def solve_lp(c, A, row_lower, row_upper, lower=-np.inf, upper=np.inf) -> LpResult:
@@ -301,8 +309,8 @@ def solve_lp(c, A, row_lower, row_upper, lower=-np.inf, upper=np.inf) -> LpResul
     no rows; the bounds broadcast to A's rows and columns, and an infinite
     one is no bound (equal ones make an equality).  HiGHS gets exactly this
     model, rows in A's order and A column-wise as scipy.sparse.csc_array
-    stores it, under milp's options, so milp gets the same answer to the
-    last bit, and so does a linprog call whose inequality and equality rows
+    stores it, under milp's options on the calling thread's one solver, so
+    milp gets the same answer to the last bit, and so does a linprog call whose inequality and equality rows
     stack to A; only linprog's re-check of an optimal point against the
     rows, at 3e-4, is not repeated.
     Raises ValueError unless c is a non-empty 1-D array of finite numbers
@@ -321,9 +329,8 @@ def solve_lp(c, A, row_lower, row_upper, lower=-np.inf, upper=np.inf) -> LpResul
     if dense:
         # csc_array's layout, without building one: each column's non-zeros
         # in row order.
-        nonzero = A.T != 0.0
-        start = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
-        index, value = np.nonzero(nonzero)[1], A.T[nonzero]
+        col, index = np.nonzero(A.T)
+        start, value = np.searchsorted(col, np.arange(n + 1)), A.T[col, index]
     else:
         start, index, value = A.indptr, A.indices, A.data.astype(float)
     if not np.isfinite(value).all():
@@ -333,14 +340,16 @@ def solve_lp(c, A, row_lower, row_upper, lower=-np.inf, upper=np.inf) -> LpResul
     lp.num_col_ = lp.a_matrix_.num_col_ = n
     lp.num_row_ = lp.a_matrix_.num_row_ = m
     lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
-    lp.col_cost_ = c
+    lp.a_matrix_.start_, lp.a_matrix_.index_ = start.tolist(), index.tolist()
+    lp.a_matrix_.value_, lp.col_cost_ = value.tolist(), c.tolist()
     lp.col_lower_ = _bounds(lower, n, "variable bounds")
     lp.col_upper_ = _bounds(upper, n, "variable bounds")
     lp.row_lower_ = _bounds(row_lower, m, "row bounds")
     lp.row_upper_ = _bounds(row_upper, m, "row bounds")
-    solver = highs._Highs()                 # fresh: no state from an earlier LP
-    solver.passOptions(_HIGHS_OPTIONS)
+    solver = getattr(_THREAD, "highs", None)
+    if solver is None:
+        solver = _THREAD.highs = highs._Highs()
+        solver.passOptions(_HIGHS_OPTIONS)
     if solver.passModel(lp) == highs.HighsStatus.kError:
         raise ValueError("HiGHS rejected the LP")
     solver.run()

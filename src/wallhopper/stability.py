@@ -216,9 +216,10 @@ def margin_at(p, v_hat, scenario: Scenario) -> MarginResult:
     w = load_wrench(scenario)
     row_upper = np.concatenate([np.ones(4), w, w])
     row_lower = np.concatenate([np.full(4, -np.inf), row_upper[4:]])
+    c, upper = np.zeros(2 * n + 1), np.ones(2 * n + 1)    # maximise gamma <= inf
+    c[-1], upper[-1] = -1.0, np.inf
     t0 = time.perf_counter()
-    res = solve_lp(np.append(np.zeros(2 * n), -1.0), A, row_lower, row_upper,
-                   0.0, np.append(np.ones(2 * n), np.inf))
+    res = solve_lp(c, A, row_lower, row_upper, 0.0, upper)
     lp_s = time.perf_counter() - t0
     if res.status == STATUS_INFEASIBLE:
         return MarginResult(0.0, "infeasible_origin", lp_s)

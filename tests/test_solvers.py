@@ -4,6 +4,8 @@ SLSQP for objectives, bounded Gauss-Newton and its box step for residuals
 oracles of the direct HiGHS call)."""
 
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -430,6 +432,78 @@ def stub_highs(model_status):
     return StubHighs
 
 
+MILP_CASES = ["heatmap-mu0.8", "heatmap-mu0.3", "dense", "sparse", "endings"]
+
+
+def milp_case_lps(case):
+    """The LPs of a test_matches_milp case: a 6 x 6 heatmap's margin LPs
+    at one friction coefficient, random_lps, or one LP per ending."""
+    if case.startswith("heatmap"):
+        lps = []
+        solve = stability.solve_lp
+
+        def recorded(*args):
+            lps.append(args)
+            return solve(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stability, "solve_lp", recorded)
+            scen = Scenario(mass=15.0, f_leg_max=600.0, f_r_max=300.0,
+                            mu=float(case[len("heatmap-mu"):]))
+            hm = stability.margin_heatmap(stability.HeatmapGrid.regular(ny=6, nz=6),
+                                          np.array([-1.0, 0, 0, 0, 0, 0]), scen)
+        assert len(lps) == 36 and hm.endings["ok"] > 0
+        return lps
+    if case in ("dense", "sparse"):
+        return random_lps(case)
+    return [([1.0], [[1.0], [-1.0]], -np.inf, [-2.0, -2.0]),              # infeasible
+            ([1.0, -1.0], [[1.0, 1.0]], 1.0, 1.0, 0.0, [np.inf, 2.0]),   # optimal
+            ([-1.0, 0.5], [[1.0, -1.0]], -np.inf, 1.0),                 # unbounded
+            ([-1.0], np.zeros((0, 1)), [], []),                         # no rows, unbounded
+            ([1.0, -2.0], np.zeros((0, 2)), [], [], -1.0, 3.0),          # no rows, optimal
+            ([-1.0], sparse.csr_array((0, 1)), [], [], 0.0, 1.0)]
+
+
+def answer(res):
+    """An LpResult as status, x's bytes and value; no x or value unless x is
+    returned."""
+    if res.x is None:
+        return res.status, None, None
+    return res.status, res.x.tobytes(), res.value
+
+
+def milp_answer(lp):
+    """milp's answer to solve_lp's LP, in answer's form."""
+    ref = milp_lp(*lp)
+    if ref.x is None:
+        return MILP_STATUS[ref.status], None, None
+    return MILP_STATUS[ref.status], ref.x.tobytes(), ref.fun
+
+
+BAD_INPUT = [
+    (([np.nan], [[1.0]], -np.inf, 1.0), "c must"),
+    (([np.inf], [[1.0]], -np.inf, 1.0), "c must"),
+    (([[1.0]], [[1.0]], -np.inf, 1.0), "c must"),
+    (([], np.zeros((1, 0)), -np.inf, 1.0), "c must"),
+    (([1.0, 1.0], [[1.0]], -np.inf, 1.0), "A must"),
+    (([1.0], [1.0], -np.inf, 1.0), "A must"),
+    (([1.0, 1.0], sparse.csr_array(np.ones((1, 3))), -np.inf, 1.0), "A must"),
+    (([1.0], [[np.nan]], -np.inf, 1.0), "A must be finite"),
+    (([1.0], [[np.inf]], -np.inf, 1.0), "A must be finite"),
+    (([1.0], sparse.csr_array([[-np.inf]]), -np.inf, 1.0), "A must be finite"),
+    (([1.0], [[1.0]], np.nan, 1.0), "NaN in row bounds"),
+    (([1.0], [[1.0]], -np.inf, [1.0, np.nan]), "row bounds do not broadcast"),
+    (([1.0], [[1.0]], -np.inf, 1.0, np.nan), "NaN in variable bounds"),
+    (([1.0, 1.0], [[1.0, 1.0]], -np.inf, 1.0, 0.0, [1.0, 2.0, 3.0]),
+     "variable bounds do not broadcast"),
+    (([1.0], [[1e16]], -np.inf, 1.0), "HiGHS rejected"),
+    (([1.0], [[1.0]], -np.inf, 1.0, np.inf), "HiGHS rejected"),
+]
+BAD_INPUT_IDS = ["c-nan", "c-inf", "c-2d", "c-empty", "A-columns", "A-1d", "A-sparse-columns",
+                 "A-nan", "A-inf", "A-sparse-inf", "row-nan", "row-shape", "col-nan",
+                 "col-shape", "A-huge", "col-lower-inf"]
+
+
 class TestLp:
     def test_simple_maximum(self):
         # max gamma s.t. gamma <= 1, posed as min -gamma.
@@ -492,6 +566,8 @@ class TestLp:
         pytest.param(solvers.highs.HighsModelStatus.kUnboundedOrInfeasible, STATUS_FAILED,
                      id="4-failed")])
     def test_highs_endings(self, monkeypatch, model_status, status):
+        # A fresh per-thread holder, so that solve_lp builds the stub.
+        monkeypatch.setattr(solvers, "_THREAD", threading.local())
         monkeypatch.setattr(solvers.highs, "_Highs", stub_highs(model_status))
         res = solve_lp([-1.0], [[1.0]], -np.inf, 1.0)
         assert res.status == status
@@ -508,66 +584,68 @@ class TestLp:
         assert solve_lp([1.0, 1.0], [[1.0, -1.0]], 1.0, 1.0,
                         lower=0.0).value == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("case", ["heatmap-mu0.8", "heatmap-mu0.3", "dense", "sparse",
-                                      "endings"])
-    def test_matches_milp(self, case, monkeypatch):
+    @pytest.mark.parametrize("case", MILP_CASES)
+    def test_matches_milp(self, case):
         # HiGHS gets milp's model and options, so x, value and status are
         # milp's to the last bit.
-        if case.startswith("heatmap"):
-            lps = []
-            solve = stability.solve_lp
-
-            def recorded(*args):
-                lps.append(args)
-                return solve(*args)
-
-            monkeypatch.setattr(stability, "solve_lp", recorded)
-            scen = Scenario(mass=15.0, f_leg_max=600.0, f_r_max=300.0,
-                            mu=float(case[len("heatmap-mu"):]))
-            hm = stability.margin_heatmap(stability.HeatmapGrid.regular(ny=6, nz=6),
-                                          np.array([-1.0, 0, 0, 0, 0, 0]), scen)
-            assert len(lps) == 36 and hm.endings["ok"] > 0
-        else:
-            lps = random_lps(case) if case in ("dense", "sparse") else [
-                ([1.0], [[1.0], [-1.0]], -np.inf, [-2.0, -2.0]),              # infeasible
-                ([1.0, -1.0], [[1.0, 1.0]], 1.0, 1.0, 0.0, [np.inf, 2.0]),   # optimal
-                ([-1.0, 0.5], [[1.0, -1.0]], -np.inf, 1.0),                 # unbounded
-                ([-1.0], np.zeros((0, 1)), [], []),                         # no rows, unbounded
-                ([1.0, -2.0], np.zeros((0, 2)), [], [], -1.0, 3.0),          # no rows, optimal
-                ([-1.0], sparse.csr_array((0, 1)), [], [], 0.0, 1.0)]
         endings = set()
-        for lp in lps:
-            ours, ref = solve_lp(*lp), milp_lp(*lp)
-            endings.add(ours.status)
-            assert ours.status == MILP_STATUS[ref.status]
-            if ref.x is None:
-                assert ours.x is None
-            else:
-                assert ours.x.tobytes() == ref.x.tobytes() and ours.value == ref.fun
+        for lp in milp_case_lps(case):
+            ours = answer(solve_lp(*lp))
+            endings.add(ours[0])
+            assert ours == milp_answer(lp)
         if case != "heatmap-mu0.8":
             assert len(endings) > 1, endings
 
-    @pytest.mark.parametrize("args, match", [
-        (([np.nan], [[1.0]], -np.inf, 1.0), "c must"),
-        (([np.inf], [[1.0]], -np.inf, 1.0), "c must"),
-        (([[1.0]], [[1.0]], -np.inf, 1.0), "c must"),
-        (([], np.zeros((1, 0)), -np.inf, 1.0), "c must"),
-        (([1.0, 1.0], [[1.0]], -np.inf, 1.0), "A must"),
-        (([1.0], [1.0], -np.inf, 1.0), "A must"),
-        (([1.0, 1.0], sparse.csr_array(np.ones((1, 3))), -np.inf, 1.0), "A must"),
-        (([1.0], [[np.nan]], -np.inf, 1.0), "A must be finite"),
-        (([1.0], [[np.inf]], -np.inf, 1.0), "A must be finite"),
-        (([1.0], sparse.csr_array([[-np.inf]]), -np.inf, 1.0), "A must be finite"),
-        (([1.0], [[1.0]], np.nan, 1.0), "NaN in row bounds"),
-        (([1.0], [[1.0]], -np.inf, [1.0, np.nan]), "row bounds do not broadcast"),
-        (([1.0], [[1.0]], -np.inf, 1.0, np.nan), "NaN in variable bounds"),
-        (([1.0, 1.0], [[1.0, 1.0]], -np.inf, 1.0, 0.0, [1.0, 2.0, 3.0]),
-         "variable bounds do not broadcast"),
-        (([1.0], [[1e16]], -np.inf, 1.0), "HiGHS rejected"),
-        (([1.0], [[1.0]], -np.inf, 1.0, np.inf), "HiGHS rejected"),
-    ], ids=["c-nan", "c-inf", "c-2d", "c-empty", "A-columns", "A-1d", "A-sparse-columns",
-            "A-nan", "A-inf", "A-sparse-inf", "row-nan", "row-shape", "col-nan", "col-shape",
-            "A-huge", "col-lower-inf"])
+    def test_reused_solver_matches_milp(self):
+        # The thread's one solver runs every LP of test_matches_milp, forward,
+        # reversed and after each model HiGHS rejects, and each answer is
+        # still milp's to the last bit: passModel replaces the model, and no
+        # basis or solution of an earlier LP reaches the next.
+        lps = [lp for case in MILP_CASES for lp in milp_case_lps(case)]
+        expected = [milp_answer(lp) for lp in lps]
+        rejected = [args for args, match in BAD_INPUT if match == "HiGHS rejected"]
+        assert len(rejected) == 2
+        solve_lp(*lps[0])
+        solver = solvers._THREAD.highs
+        assert [answer(solve_lp(*lp)) for lp in lps] == expected
+        assert [answer(solve_lp(*lp)) for lp in lps[::-1]] == expected[::-1]
+        for k, lp in enumerate(lps):
+            with pytest.raises(ValueError, match="HiGHS rejected"):
+                solve_lp(*rejected[k % 2])
+            assert answer(solve_lp(*lp)) == expected[k]
+        assert solvers._THREAD.highs is solver
+
+    def test_threads_keep_their_own_solver(self):
+        # Threads solving different LPs at once each get their one-thread
+        # answers, each from a solver of its own.
+        lists = [random_lps("dense"), random_lps("sparse")[::-1] + milp_case_lps(
+            "heatmap-mu0.3")]
+        expected = [[answer(solve_lp(*lp)) for lp in lps] for lps in lists]
+        results = {}
+
+        def work(k):
+            lps = lists[k % 2]
+            results[k] = [[answer(solve_lp(*lp)) for lp in lps] for _ in range(3)]
+            results[k].append(solvers._THREAD.highs)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        for k, runs in results.items():
+            assert runs[:-1] == [expected[k % 2]] * 3
+        solvers_used = [runs[-1] for runs in results.values()] + [solvers._THREAD.highs]
+        assert len({id(solver) for solver in solvers_used}) == 5
+
+    @pytest.mark.parametrize("args, match", BAD_INPUT, ids=BAD_INPUT_IDS)
     def test_bad_input_rejected(self, args, match):
         with pytest.raises(ValueError, match=match):
             solve_lp(*args)

@@ -2,6 +2,8 @@
 independent force-existence LP that works on raw contact force components
 rather than polytope vertices."""
 
+import threading
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -314,6 +316,8 @@ class TestMargins:
             def getModelStatus(self):
                 return solvers.highs.HighsModelStatus.kSolveError
 
+        # A fresh per-thread holder, so that solve_lp builds the stub.
+        monkeypatch.setattr(solvers, "_THREAD", threading.local())
         monkeypatch.setattr(solvers.highs, "_Highs", NoVerdict)
         with pytest.raises(CellError, match="failed"):
             margin_at(np.array([1.5, 2.5, -6.5]), PULL_OFF, LAND)
@@ -470,3 +474,31 @@ class TestHeatmap:
         monkeypatch.setattr(stability, "margin_at", bug)
         with pytest.raises(ValueError, match="broadcast"):
             margin_heatmap(HeatmapGrid.regular(ny=2, nz=2, x=1.5), PULL_OFF, LAND)
+
+    def test_reused_solver_gives_fresh_solver_gamma(self, monkeypatch):
+        # One HiGHS solver runs every cell; a fresh one per cell gives the
+        # same gamma to the last bit.
+        built = []
+
+        class Counted(solvers.highs._Highs):
+            def __init__(self):
+                built.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(solvers.highs, "_Highs", Counted)
+        monkeypatch.setattr(solvers, "_THREAD", threading.local())
+        grid, scen = HeatmapGrid.regular(ny=6, nz=6, x=1.5), LAND.with_(mu=0.3)
+        reused = margin_heatmap(grid, PULL_OFF, scen)
+        assert len(built) == 1
+        assert 0 < reused.endings["ok"] < reused.gamma.size
+        solve = stability.margin_at
+
+        def fresh(*args):
+            monkeypatch.setattr(solvers, "_THREAD", threading.local())
+            return solve(*args)
+
+        monkeypatch.setattr(stability, "margin_at", fresh)
+        hm = margin_heatmap(grid, PULL_OFF, scen)
+        assert len(built) == 1 + hm.gamma.size
+        assert hm.gamma.tobytes() == reused.gamma.tobytes()
+        assert hm.endings == reused.endings
