@@ -309,10 +309,10 @@ def solve_lp(c, A, row_lower, row_upper, lower=-np.inf, upper=np.inf) -> LpResul
     no rows; the bounds broadcast to A's rows and columns, and an infinite
     one is no bound (equal ones make an equality).  HiGHS gets exactly this
     model, rows in A's order and A column-wise as scipy.sparse.csc_array
-    stores it, under milp's options on the calling thread's one solver, so
-    milp gets the same answer to the last bit, and so does a linprog call whose inequality and equality rows
-    stack to A; only linprog's re-check of an optimal point against the
-    rows, at 3e-4, is not repeated.
+    stores it, on the thread's one solver under milp's options, so milp and
+    a linprog call whose inequality and equality rows stack to A get the
+    same answer to the last bit; only linprog's re-check of an optimal
+    point against the rows, at 3e-4, is not repeated.
     Raises ValueError unless c is a non-empty 1-D array of finite numbers
     and A has that shape with finite entries, or if a bound is NaN or does
     not broadcast, or if HiGHS rejects the model (an entry of A too large

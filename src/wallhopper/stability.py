@@ -216,7 +216,7 @@ def margin_at(p, v_hat, scenario: Scenario) -> MarginResult:
     w = load_wrench(scenario)
     row_upper = np.concatenate([np.ones(4), w, w])
     row_lower = np.concatenate([np.full(4, -np.inf), row_upper[4:]])
-    c, upper = np.zeros(2 * n + 1), np.ones(2 * n + 1)    # maximise gamma <= inf
+    c, upper = np.zeros(2 * n + 1), np.ones(2 * n + 1)    # maximise gamma; weights <= 1
     c[-1], upper[-1] = -1.0, np.inf
     t0 = time.perf_counter()
     res = solve_lp(c, A, row_lower, row_upper, 0.0, upper)

@@ -4,8 +4,9 @@ Every name that a module of src/wallhopper imports is used in it, listed
 in its __all__, or imported on a line marked ``# noqa: F401`` (a
 re-export that something outside the module looks up by name).
 
-Every module-level function, class and constant of src/wallhopper, and
-every method and property that is not a dunder, is read by program code:
+Every module-level function, class and constant of src/wallhopper, every
+method and property that is not a dunder, and every annotated field of a
+class body (a dataclass or NamedTuple field) is read by program code:
 some reference to its name in src/ outside the definition's own lines, or
 in perfbench/*.py or tools/*.py.  A reference is a Name or Attribute node
 that loads the name, an import alias, or a string constant spelling it
@@ -28,6 +29,9 @@ ORACLES = {
                          "against A_d and b_d in closed form",
     "polytopes.membership_distance": "test oracle: tests/test_polytopes.py checks hull "
                                      "membership against its LP distance",
+    "stability.FwpResult.h_polytope": "tracer-only hull chain; leaves src/ with item 4",
+    "stability.FwpResult.v_polytope": "tracer-only hull chain; leaves src/ with item 4",
+    "stability.FwpResult.raw_vertex_count": "tracer-only hull chain; leaves src/ with item 4",
 }
 
 
@@ -64,7 +68,8 @@ def _dunder(name):
 
 def definitions(tree):
     """(qualified name, name, first line, last line) of each module-level
-    function, class and constant, and each non-dunder method or property."""
+    function, class and constant, and each non-dunder method or property and
+    annotated field of a class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.name, node.lineno, node.end_lineno
@@ -73,6 +78,9 @@ def definitions(tree):
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not _dunder(item.name)):
                     yield f"{node.name}.{item.name}", item.name, item.lineno, item.end_lineno
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                    yield f"{node.name}.{name}", name, item.lineno, item.end_lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 for name in ast.walk(target):
@@ -169,3 +177,26 @@ def test_unread_definitions_found(tmp_path):
                     "print(mod.Box().side)\n")
     assert unread_definitions([mod], [tool]) == ["mod.Box.spare", "mod.UNUSED_LIMIT",
                                                  "mod.unused"]
+
+
+def test_unread_field_found(tmp_path):
+    mod, tool = tmp_path / "mod.py", tmp_path / "tool.py"
+    mod.write_text("from dataclasses import dataclass\n"
+                   "from typing import NamedTuple\n"
+                   "\n"
+                   "@dataclass\n"
+                   "class Result:\n"
+                   "    value: float\n"
+                   "    spare: int = 0\n"
+                   "\n"
+                   "class Pair(NamedTuple):\n"
+                   "    left: float\n"
+                   "    right: float\n"
+                   "\n"
+                   "def solve():\n"
+                   "    return Result(1.0, spare=2), Pair(0.0, 1.0)\n")
+    tool.write_text("import mod\n"
+                    "\n"
+                    "result, pair = mod.solve()\n"
+                    "print(result.value, pair.left, getattr(pair, 'right'))\n")
+    assert unread_definitions([mod], [tool]) == ["mod.Result.spare"]
