@@ -621,12 +621,12 @@ class TestLp:
         lists = [random_lps("dense"), random_lps("sparse")[::-1] + milp_case_lps(
             "heatmap-mu0.3")]
         expected = [[answer(solve_lp(*lp)) for lp in lps] for lps in lists]
-        results = {}
+        answers, used = {}, {}
 
         def work(k):
             lps = lists[k % 2]
-            results[k] = [[answer(solve_lp(*lp)) for lp in lps] for _ in range(3)]
-            results[k].append(solvers._THREAD.highs)
+            answers[k] = [[answer(solve_lp(*lp)) for lp in lps] for _ in range(3)]
+            used[k] = solvers._THREAD.highs
 
         threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
         interval = sys.getswitchinterval()
@@ -639,11 +639,10 @@ class TestLp:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert sorted(results) == [0, 1, 2, 3]
-        for k, runs in results.items():
-            assert runs[:-1] == [expected[k % 2]] * 3
-        solvers_used = [runs[-1] for runs in results.values()] + [solvers._THREAD.highs]
-        assert len({id(solver) for solver in solvers_used}) == 5
+        assert sorted(answers) == [0, 1, 2, 3]
+        for k, runs in answers.items():
+            assert runs == [expected[k % 2]] * 3
+        assert len({id(solver) for solver in [*used.values(), solvers._THREAD.highs]}) == 5
 
     @pytest.mark.parametrize("args, match", BAD_INPUT, ids=BAD_INPUT_IDS)
     def test_bad_input_rejected(self, args, match):
