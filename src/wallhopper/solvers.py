@@ -19,14 +19,18 @@ _Highs pair that ``scipy.optimize.milp`` builds underneath: ``solve_lp``
 takes the LP in HiGHS's own form, one constraint matrix (dense or sparse)
 with lower and upper bounds on its rows and on the variables, checks it,
 stores the matrix column-wise, runs it on the calling thread's one solver
-under milp's one option (no console log), and maps HiGHS's ending to one of
+with no console log and presolve off, and maps HiGHS's ending to one of
 the status strings below (optimal, unbounded, infeasible, max_iters,
-failed).  HiGHS gets the model and options milp would give it, so the
-answers are milp's to the last bit: passModel replaces the model and clears
-the last basis and solution, so nothing of one LP, even a rejected one,
-reaches the next (tests/test_solvers.py checks this against milp in any
-order and across threads).  milp's input checks, constraint objects, option
-manager and dual bookkeeping cost more than HiGHS itself on the margin LPs.
+failed).  HiGHS gets the model and options that milp with presolve off
+would give it, so the answers are that milp's to the last bit: passModel
+replaces the model and clears the last basis and solution, so nothing of
+one LP, even a rejected one, reaches the next (tests/test_solvers.py checks
+this against milp in any order and across threads).  Presolve is off
+because on LPs this small it costs more than the simplex: a 16 x 21 margin
+LP takes about a dozen dual simplex iterations, and presolve more than
+doubled HiGHS's run time on it.  milp's input checks, constraint objects,
+option manager and dual bookkeeping cost more than HiGHS itself on these
+LPs too.
 """
 
 from __future__ import annotations
@@ -273,9 +277,11 @@ class LpResult:
     status: str
 
 
-# milp's one HiGHS option; every other option keeps HiGHS's default.
+# No console log and no presolve (see solve_lp); every other option keeps
+# HiGHS's default.
 _HIGHS_OPTIONS = highs.HighsOptions()
 _HIGHS_OPTIONS.log_to_console = False
+_HIGHS_OPTIONS.presolve = "off"
 # Each thread's one solver, built on its first solve_lp call.
 _THREAD = threading.local()
 # HiGHS's model status -> ours, as milp maps them; any other is "failed"
@@ -309,10 +315,12 @@ def solve_lp(c, A, row_lower, row_upper, lower=-np.inf, upper=np.inf) -> LpResul
     no rows; the bounds broadcast to A's rows and columns, and an infinite
     one is no bound (equal ones make an equality).  HiGHS gets exactly this
     model, rows in A's order and A column-wise as scipy.sparse.csc_array
-    stores it, on the thread's one solver under milp's options, so milp and
-    a linprog call whose inequality and equality rows stack to A get the
-    same answer to the last bit; only linprog's re-check of an optimal
-    point against the rows, at 3e-4, is not repeated.
+    stores it, on the thread's one solver with presolve off, so
+    ``milp(..., options={"presolve": False})`` and a linprog call with that
+    option whose inequality and equality rows stack to A get the same
+    answer to the last bit; only linprog's re-check of an optimal point
+    against the rows, at 3e-4, is not repeated.  Presolve is off because on
+    LPs this small it costs more than the simplex it would shorten.
     Raises ValueError unless c is a non-empty 1-D array of finite numbers
     and A has that shape with finite entries, or if a bound is NaN or does
     not broadcast, or if HiGHS rejects the model (an entry of A too large
@@ -356,5 +364,5 @@ def solve_lp(c, A, row_lower, row_upper, lower=-np.inf, upper=np.inf) -> LpResul
     status = _ENDINGS.get(solver.getModelStatus(), STATUS_FAILED)
     if status == STATUS_OPTIMAL:
         return LpResult(np.array(solver.getSolution().col_value),
-                        solver.getInfo().objective_function_value, status)
+                        solver.getObjectiveValue(), status)
     return LpResult(None, -np.inf if status == STATUS_UNBOUNDED else np.nan, status)

@@ -192,30 +192,34 @@ def margin_at(p, v_hat, scenario: Scenario) -> MarginResult:
     w + gamma v_hat.  The LP is infeasible exactly when no admissible
     lambda balances w; the cell then reports "infeasible_origin".
 
-    G comes from one lift_to_wrench call and is written in place, twice,
-    into the zeroed LP matrix below its 4 wheel-sum rows, so a cell makes
-    no np.cross, np.repeat or vstack call.  solve_lp gets that matrix
-    whole, with row bounds -inf..1 on the wheel sums and w..w on the
-    equalities, and hands it straight to HiGHS.  lp_s is the seconds
-    spent in solve_lp.
+    The forces and their points fill preallocated arrays, and G's force
+    and moment rows (f, p x f, as lift_to_wrench lifts them) are written
+    in place, twice, into the zeroed LP matrix below its 4 wheel-sum rows,
+    so a cell makes no np.cross, concatenate or vstack call.  solve_lp
+    gets that matrix whole, with row bounds -inf..1 on the wheel sums and
+    w..w on the equalities, and HiGHS solves it without presolve, which on
+    an LP this small would cost more than its dozen simplex iterations.
+    lp_s is the seconds spent in solve_lp.
     """
     v_hat = _check_direction(v_hat)
     cs = contact_geometry(p, scenario)
-    corners = _pyramid_corners(*cs.tangents, cs.contact_normal, cs.mu, cs.f_leg_max)
-    forces = np.concatenate([corners, corners,
-                             -cs.f_r_max * np.array([cs.axis_left, cs.axis_right])])
-    points = np.array([cs.wheel_left] * 4 + [cs.wheel_right] * 4
-                      + [cs.hoist_left, cs.hoist_right])
-    G = lift_to_wrench(forces, points).T
-    n = G.shape[1]
+    n = 10                                 # 4 + 4 wheel corners, 2 ropes
+    forces, points = np.empty((n, 3)), np.empty((n, 3))
+    forces[:4] = forces[4:8] = _pyramid_corners(*cs.tangents, cs.contact_normal, cs.mu,
+                                                cs.f_leg_max)
+    forces[8], forces[9] = -cs.f_r_max * cs.axis_left, -cs.f_r_max * cs.axis_right
+    points[:4], points[4:8], points[8], points[9] = (cs.wheel_left, cs.wheel_right,
+                                                     cs.hoist_left, cs.hoist_right)
     A = np.zeros((16, 2 * n + 1))          # 4 wheel sums, then 12 equalities
     for row, first in enumerate((0, 4, n, n + 4)):
         A[row, first:first + 4] = 1.0
-    A[4:10, :n] = A[10:, n:2 * n] = G
+    A[4:7, :n] = forces.T
+    A[7:10, :n] = cross(points, forces).T
+    A[10:, n:2 * n] = A[4:10, :n]
     A[10:, -1] = -v_hat
     w = load_wrench(scenario)
-    row_upper = np.concatenate([np.ones(4), w, w])
-    row_lower = np.concatenate([np.full(4, -np.inf), row_upper[4:]])
+    row_lower, row_upper = np.full(16, -np.inf), np.ones(16)
+    row_lower[4:10] = row_lower[10:] = row_upper[4:10] = row_upper[10:] = w
     c, upper = np.zeros(2 * n + 1), np.ones(2 * n + 1)    # maximise gamma; weights <= 1
     c[-1], upper[-1] = -1.0, np.inf
     t0 = time.perf_counter()

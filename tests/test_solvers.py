@@ -396,10 +396,12 @@ MILP_STATUS = {0: STATUS_OPTIMAL, 1: STATUS_MAX_ITERS, 2: STATUS_INFEASIBLE,
                3: STATUS_UNBOUNDED, 4: STATUS_FAILED}
 
 
-def milp_lp(c, A, row_lower, row_upper, lower=-np.inf, upper=np.inf):
-    """solve_lp's LP posed to scipy.optimize.milp, with no integer variables."""
+def milp_lp(c, A, row_lower, row_upper, lower=-np.inf, upper=np.inf, presolve=False):
+    """solve_lp's LP posed to scipy.optimize.milp, with no integer variables;
+    HiGHS presolve is off, as solve_lp runs it, unless presolve is True."""
     return optimize.milp(c, bounds=optimize.Bounds(lower, upper),
-                         constraints=optimize.LinearConstraint(A, row_lower, row_upper))
+                         constraints=optimize.LinearConstraint(A, row_lower, row_upper),
+                         options={"presolve": presolve})
 
 
 def random_lps(kind, count=40, seed=53):
@@ -435,24 +437,31 @@ def stub_highs(model_status):
 MILP_CASES = ["heatmap-mu0.8", "heatmap-mu0.3", "dense", "sparse", "endings"]
 
 
+def heatmap_lps(mu, n):
+    """The margin LPs of an n x n heatmap at friction coefficient mu, and
+    the heatmap's count of cells ending "ok"."""
+    lps = []
+    solve = stability.solve_lp
+
+    def recorded(*args):
+        lps.append(args)
+        return solve(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stability, "solve_lp", recorded)
+        scen = Scenario(mass=15.0, f_leg_max=600.0, f_r_max=300.0, mu=mu)
+        hm = stability.margin_heatmap(stability.HeatmapGrid.regular(ny=n, nz=n),
+                                      np.array([-1.0, 0, 0, 0, 0, 0]), scen)
+    assert len(lps) == n * n
+    return lps, hm.endings["ok"]
+
+
 def milp_case_lps(case):
     """The LPs of a test_matches_milp case: a 6 x 6 heatmap's margin LPs
     at one friction coefficient, random_lps, or one LP per ending."""
     if case.startswith("heatmap"):
-        lps = []
-        solve = stability.solve_lp
-
-        def recorded(*args):
-            lps.append(args)
-            return solve(*args)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(stability, "solve_lp", recorded)
-            scen = Scenario(mass=15.0, f_leg_max=600.0, f_r_max=300.0,
-                            mu=float(case[len("heatmap-mu"):]))
-            hm = stability.margin_heatmap(stability.HeatmapGrid.regular(ny=6, nz=6),
-                                          np.array([-1.0, 0, 0, 0, 0, 0]), scen)
-        assert len(lps) == 36 and hm.endings["ok"] > 0
+        lps, ok = heatmap_lps(float(case[len("heatmap-mu"):]), 6)
+        assert ok > 0
         return lps
     if case in ("dense", "sparse"):
         return random_lps(case)
@@ -534,8 +543,8 @@ class TestLp:
 
     def test_matches_linprog(self):
         # Equalities and inequalities together, free, one-sided and boxed
-        # variables: solve_lp hands HiGHS what linprog(method="highs") hands
-        # it, so both give the same answer to the last bit.
+        # variables: solve_lp hands HiGHS what linprog(method="highs") with
+        # presolve off hands it, so both give the same answer to the last bit.
         rng = np.random.default_rng(23)
         for _ in range(20):
             n = 6
@@ -549,7 +558,8 @@ class TestLp:
                             np.concatenate([np.full(5, -np.inf), b_eq]),
                             np.concatenate([b_ub, b_eq]), lower, upper)
             ref = optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                                   bounds=bounds, method="highs")
+                                   bounds=bounds, method="highs",
+                                   options={"presolve": False})
             assert ref.status == 0 and ours.status == STATUS_OPTIMAL
             assert np.array_equal(ours.x, ref.x)
             assert ours.value == ref.fun
@@ -586,8 +596,8 @@ class TestLp:
 
     @pytest.mark.parametrize("case", MILP_CASES)
     def test_matches_milp(self, case):
-        # HiGHS gets milp's model and options, so x, value and status are
-        # milp's to the last bit.
+        # HiGHS gets the model and options of milp with presolve off, so x,
+        # value and status are that milp's to the last bit.
         endings = set()
         for lp in milp_case_lps(case):
             ours = answer(solve_lp(*lp))
@@ -595,6 +605,19 @@ class TestLp:
             assert ours == milp_answer(lp)
         if case != "heatmap-mu0.8":
             assert len(endings) > 1, endings
+
+    def test_presolve_moves_no_margin_verdict(self):
+        # Against milp with HiGHS's default presolve, every margin LP of the
+        # two 6 x 6 heatmaps and of the near-frictionless 8 x 8 grid (all
+        # infeasible) ends the same way, and gamma moves only by round-off.
+        grids = [heatmap_lps(mu, n) for mu, n in ((0.8, 6), (0.3, 6), (1e-9, 8))]
+        assert [ok > 0 for _, ok in grids] == [True, True, False]
+        for lps, _ in grids:
+            for lp in lps:
+                ours, ref = solve_lp(*lp), milp_lp(*lp, presolve=True)
+                assert ours.status == MILP_STATUS[ref.status]
+                if ref.x is not None:
+                    assert abs(ours.x[-1] - ref.x[-1]) <= 1e-12
 
     def test_reused_solver_matches_milp(self):
         # The thread's one solver runs every LP of test_matches_milp, forward,
