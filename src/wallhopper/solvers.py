@@ -320,7 +320,7 @@ def solve_lp(c, A, row_lower, row_upper, lower=-np.inf, upper=np.inf) -> LpResul
     option whose inequality and equality rows stack to A get the same
     answer to the last bit; only linprog's re-check of an optimal point
     against the rows, at 3e-4, is not repeated.  Presolve is off because on
-    LPs this small it costs more than the simplex it would shorten.
+    LPs this small it costs more than the simplex itself.
     Raises ValueError unless c is a non-empty 1-D array of finite numbers
     and A has that shape with finite entries, or if a bound is NaN or does
     not broadcast, or if HiGHS rejects the model (an entry of A too large
