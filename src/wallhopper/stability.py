@@ -11,7 +11,10 @@ spans the feasible wrench polytope (FWP) in the sense of Orsolino et al.
 (RA-L 2018).  ``margin_at`` answers both questions of a cell with one LP
 over lambda, so no cell builds the polytope itself: the LP is infeasible
 exactly when the contacts cannot balance the load (the cell is statically
-infeasible), and otherwise its optimum is the directional margin.
+infeasible), and otherwise its optimum is the directional margin.  Only its
+rope columns depend on the CoM position, so ``margin_heatmap`` builds the
+rest once per map (``MarginLp``); each cell is still one ``margin_at`` call,
+the name the benchmark's step timer and tracer wrap.
 
 ``build_fwp`` still forms the FWP explicitly (Minkowski sum plus Qhull) for
 its vertex and facet counts; the tests use it as an oracle for the LP.
@@ -74,28 +77,35 @@ class ContactSet:
     tangents: tuple                # (t1, t2) = tangent_frame(contact_normal)
 
 
-def contact_geometry(p, scenario: Scenario) -> ContactSet:
-    """Wheel and rope-attachment placement for a CoM at p (anchor frame);
-    ValueError unless p is a finite 3-vector."""
-    p = _finite_point(p)
+def _wall_contacts(scenario: Scenario):
+    """Contact normal, tangents (t1, t2), wheel and hoist points; none depends on p."""
     n_c = scenario.wall_normal
     t1, t2 = tangent_frame(n_c)
     half_b = 0.5 * scenario.d_b * t1
     z_off = scenario.wheel_z_offset * t2
-    wheel_l = -scenario.d_w * n_c - half_b + z_off
-    wheel_r = -scenario.d_w * n_c + half_b + z_off
-    hoist_l = -0.5 * scenario.d_h * t1
-    hoist_r = +0.5 * scenario.d_h * t1
-    anchors = (scenario.anchor_left - p, scenario.anchor_right - p)
+    wheels = (-scenario.d_w * n_c - half_b + z_off, -scenario.d_w * n_c + half_b + z_off)
+    return n_c, (t1, t2), wheels, (-0.5 * scenario.d_h * t1, +0.5 * scenario.d_h * t1)
+
+
+def _rope_axes(p, scenario: Scenario, hoists) -> list:
+    """The unit rope axes, anchor -> attachment, for a CoM at p; CellError
+    when an attachment coincides with its anchor."""
     axes = []
-    for anchor, hoist in zip(anchors, (hoist_l, hoist_r)):
+    for anchor, hoist in zip((scenario.anchor_left - p, scenario.anchor_right - p), hoists):
         v = hoist - anchor
         norm = np.linalg.norm(v)
         if norm < 1e-9:
             raise CellError("rope attachment coincides with its anchor")
         axes.append(v / norm)
-    return ContactSet(wheel_l, wheel_r, hoist_l, hoist_r, axes[0], axes[1],
-                      n_c, scenario.mu, scenario.f_leg_max, scenario.f_r_max, (t1, t2))
+    return axes
+
+
+def contact_geometry(p, scenario: Scenario) -> ContactSet:
+    """Wheel and rope-attachment placement for a CoM at p (anchor frame);
+    ValueError unless p is a finite 3-vector."""
+    n_c, tangents, wheels, hoists = _wall_contacts(scenario)
+    return ContactSet(*wheels, *hoists, *_rope_axes(_finite_point(p), scenario, hoists),
+                      n_c, scenario.mu, scenario.f_leg_max, scenario.f_r_max, tangents)
 
 
 def _pyramid_corners(t1, t2, n, mu: float, f_leg_max: float) -> np.ndarray:
@@ -179,9 +189,8 @@ def _check_direction(v_hat) -> np.ndarray:
     return v
 
 
-def margin_at(p, v_hat, scenario: Scenario) -> MarginResult:
-    """Directional feasibility margin of the load wrench w at CoM position p:
-    the largest gamma >= 0 with w + gamma * v_hat inside the FWP.
+class MarginLp:
+    """The margin LP of one scenario and direction, built once per map.
 
     G holds the wrench columns about the CoM: the 4 pyramid corners of each
     wheel, then the full pull of each rope.  The LP has two weight vectors
@@ -192,45 +201,68 @@ def margin_at(p, v_hat, scenario: Scenario) -> MarginResult:
     w + gamma v_hat.  The LP is infeasible exactly when no admissible
     lambda balances w; the cell then reports "infeasible_origin".
 
-    The forces and their points fill preallocated arrays, and G's force
-    and moment rows (f, p x f, as lift_to_wrench lifts them) are written
-    in place, twice, into the zeroed LP matrix below its 4 wheel-sum rows,
-    so a cell makes no np.cross, concatenate or vstack call.  solve_lp
-    gets that matrix whole, with row bounds -inf..1 on the wheel sums and
-    w..w on the equalities, and HiGHS solves it without presolve, which on
-    an LP this small would cost more than its dozen simplex iterations.
-    lp_s is the seconds spent in solve_lp.
+    Only the rope columns move with the CoM position p.  The read-only
+    template holds the 4 wheel-sum rows, both copies of the 8 wheel columns
+    (f, p x f as lift_to_wrench lifts them), the -v_hat column, c, the row
+    bounds (-inf..1 on the wheel sums, w..w on the equalities) and the
+    variable bounds.  ``solve(p)`` writes the 4 rope columns (2 ropes,
+    2 copies) into a copy of its matrix, so no caller holds an array that a
+    later cell changes.
     """
-    v_hat = _check_direction(v_hat)
-    cs = contact_geometry(p, scenario)
-    n = 10                                 # 4 + 4 wheel corners, 2 ropes
-    forces, points = np.empty((n, 3)), np.empty((n, 3))
-    forces[:4] = forces[4:8] = _pyramid_corners(*cs.tangents, cs.contact_normal, cs.mu,
-                                                cs.f_leg_max)
-    forces[8], forces[9] = -cs.f_r_max * cs.axis_left, -cs.f_r_max * cs.axis_right
-    points[:4], points[4:8], points[8], points[9] = (cs.wheel_left, cs.wheel_right,
-                                                     cs.hoist_left, cs.hoist_right)
-    A = np.zeros((16, 2 * n + 1))          # 4 wheel sums, then 12 equalities
-    for row, first in enumerate((0, 4, n, n + 4)):
-        A[row, first:first + 4] = 1.0
-    A[4:7, :n] = forces.T
-    A[7:10, :n] = cross(points, forces).T
-    A[10:, n:2 * n] = A[4:10, :n]
-    A[10:, -1] = -v_hat
-    w = load_wrench(scenario)
-    row_lower, row_upper = np.full(16, -np.inf), np.ones(16)
-    row_lower[4:10] = row_lower[10:] = row_upper[4:10] = row_upper[10:] = w
-    c, upper = np.zeros(2 * n + 1), np.ones(2 * n + 1)    # maximise gamma; weights <= 1
-    c[-1], upper[-1] = -1.0, np.inf
-    t0 = time.perf_counter()
-    res = solve_lp(c, A, row_lower, row_upper, 0.0, upper)
-    lp_s = time.perf_counter() - t0
-    if res.status == STATUS_INFEASIBLE:
-        return MarginResult(0.0, "infeasible_origin", lp_s)
-    if res.status != STATUS_OPTIMAL:
-        # The weights are bounded, so gamma is too: this is a solver failure.
-        raise CellError(f"margin LP ended {res.status}")
-    return MarginResult(float(res.x[-1]), "ok", lp_s)
+
+    def __init__(self, scenario: Scenario, v_hat):
+        self.scenario = scenario
+        self.v_hat = _check_direction(v_hat).copy()
+        n_c, tangents, wheels, self._hoists = _wall_contacts(scenario)
+        corners = _pyramid_corners(*tangents, n_c, scenario.mu, scenario.f_leg_max)
+        forces = np.vstack([corners, corners])
+        A = np.zeros((16, 21))             # 4 wheel sums, then 12 equalities
+        for row, first in enumerate((0, 4, 10, 14)):
+            A[row, first:first + 4] = 1.0
+        A[4:7, :8] = forces.T
+        A[7:10, :8] = cross(np.repeat(wheels, 4, axis=0), forces).T
+        A[10:, 10:18] = A[4:10, :8]
+        A[10:, -1] = -self.v_hat
+        w = load_wrench(scenario)
+        row_lower, row_upper = np.full(16, -np.inf), np.ones(16)
+        row_lower[4:10] = row_lower[10:] = row_upper[4:10] = row_upper[10:] = w
+        c, upper = np.zeros(21), np.ones(21)   # maximise gamma; weights <= 1
+        c[-1], upper[-1] = -1.0, np.inf
+        self._lp = (c, A, row_lower, row_upper, 0.0, upper)
+        for array in (self.v_hat, c, A, row_lower, row_upper, upper):
+            array.flags.writeable = False
+
+    def solve(self, p) -> MarginResult:
+        """The margin at CoM position p; lp_s is the seconds spent in
+        solve_lp.  ValueError unless p is a finite 3-vector."""
+        axes = _rope_axes(_finite_point(p), self.scenario, self._hoists)
+        c, A, *bounds = self._lp
+        A = A.copy()
+        forces = -self.scenario.f_r_max * np.array(axes)
+        A[4:7, 8:10] = A[10:13, 18:20] = forces.T
+        A[7:10, 8:10] = A[13:16, 18:20] = cross(self._hoists, forces).T
+        t0 = time.perf_counter()
+        res = solve_lp(c, A, *bounds)
+        lp_s = time.perf_counter() - t0
+        if res.status == STATUS_INFEASIBLE:
+            return MarginResult(0.0, "infeasible_origin", lp_s)
+        if res.status != STATUS_OPTIMAL:
+            # The weights are bounded, so gamma is too: this is a solver failure.
+            raise CellError(f"margin LP ended {res.status}")
+        return MarginResult(float(res.x[-1]), "ok", lp_s)
+
+
+def margin_at(p, v_hat, scenario: Scenario, lp: MarginLp | None = None) -> MarginResult:
+    """Directional feasibility margin of the load wrench w at CoM position p:
+    the largest gamma >= 0 with w + gamma * v_hat inside the FWP, from one
+    MarginLp.  With lp None it builds one for this point; otherwise
+    ValueError unless lp was built for this scenario object and an equal v_hat.
+    """
+    if lp is None:
+        lp = MarginLp(scenario, v_hat)
+    elif lp.scenario is not scenario or not np.array_equal(v_hat, lp.v_hat):
+        raise ValueError("lp was built for another scenario or v_hat")
+    return lp.solve(p)
 
 
 @dataclass(frozen=True)
@@ -270,9 +302,11 @@ class HeatmapResult:
 def margin_heatmap(grid: HeatmapGrid, v_hat, scenario: Scenario) -> HeatmapResult:
     """Directional margin over a wall grid; infeasible cells report zero.
 
+    One MarginLp is built per map and passed to every cell, which is still
+    one ``margin_at`` call, so a wrapper of that name sees each cell.
     Cells that raise CellError are listed in ``errors`` and left at zero.
     """
-    v_hat = _check_direction(v_hat)
+    lp = MarginLp(scenario, v_hat)
     ny, nz = grid.y_values.size, grid.z_values.size
     gamma = np.zeros((ny, nz))
     feasible = np.zeros((ny, nz), dtype=bool)
@@ -285,7 +319,7 @@ def margin_heatmap(grid: HeatmapGrid, v_hat, scenario: Scenario) -> HeatmapResul
             p = np.array([grid.x, y, z])
             t0 = time.perf_counter()
             try:
-                res = margin_at(p, v_hat, scenario)
+                res = margin_at(p, lp.v_hat, scenario, lp)
                 status, lp_s[i, j] = res.status, res.lp_s
             except CellError as exc:
                 errors.append((i, j, str(exc)))

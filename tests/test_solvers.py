@@ -439,12 +439,15 @@ MILP_CASES = ["heatmap-mu0.8", "heatmap-mu0.3", "dense", "sparse", "endings"]
 
 def heatmap_lps(mu, n):
     """The margin LPs of an n x n heatmap at friction coefficient mu, and
-    the heatmap's count of cells ending "ok"."""
-    lps = []
+    the heatmap's count of cells ending "ok".  Each LP is recorded as copies
+    of its arrays, so no later cell can change what an earlier one passed,
+    and every cell must pass a matrix of its own."""
+    lps, matrices = [], []
     solve = stability.solve_lp
 
     def recorded(*args):
-        lps.append(args)
+        lps.append(tuple(np.array(a) if isinstance(a, np.ndarray) else a for a in args))
+        matrices.append(args[1])
         return solve(*args)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -453,6 +456,7 @@ def heatmap_lps(mu, n):
         hm = stability.margin_heatmap(stability.HeatmapGrid.regular(ny=n, nz=n),
                                       np.array([-1.0, 0, 0, 0, 0, 0]), scen)
     assert len(lps) == n * n
+    assert len({id(A) for A in matrices}) == len({lp[1].tobytes() for lp in lps}) == n * n
     return lps, hm.endings["ok"]
 
 

@@ -14,6 +14,7 @@ from wallhopper.polytopes import contains, directional_margin
 from wallhopper.stability import (
     CellError,
     HeatmapGrid,
+    MarginLp,
     build_fwp,
     contact_geometry,
     lift_to_wrench,
@@ -36,6 +37,14 @@ OBLIQUE = np.array([0.3, 0.5, -0.8, 0.0, 0.0, 0.0]) / np.linalg.norm([0.3, 0.5, 
 def grid_positions(n):
     grid = HeatmapGrid.regular(ny=n, nz=n, x=1.5)
     return [np.array([grid.x, y, z]) for y in grid.y_values for z in grid.z_values]
+
+
+def anchor_grid():
+    """A 3 x 3 grid whose first cell puts the left rope attachment on its
+    anchor (CellError) and whose other cells end ok or infeasible."""
+    t1, _ = tangent_frame(LAND.wall_normal)
+    p = LAND.anchor_left + 0.5 * LAND.d_h * t1
+    return HeatmapGrid(np.array([p[1], 2.5, 4.0]), np.array([p[2], -2.0, -6.5]), x=p[0])
 
 
 def feasible(p, scen):
@@ -385,7 +394,8 @@ class TestHeatmap:
         v = np.array([0, 0, -1.0, 0, 0, 0])
         hm = margin_heatmap(grid, v, LAND)
         direct = margin_at(np.array([1.5, 2.5, -6.5]), v, LAND)
-        assert hm.gamma[0, 0] == pytest.approx(direct.gamma)
+        assert direct.status == "ok"
+        assert hm.gamma[0, 0] == direct.gamma
 
     def test_grid_from_lists(self):
         y, z = [2.5, 4.0], [-6.5, -2.0]
@@ -431,12 +441,7 @@ class TestHeatmap:
         assert "coincides" in hm.errors[0][2]
 
     def test_cell_telemetry(self):
-        # One cell on the rope anchor (CellError), the rest ok or infeasible.
-        t1, _ = tangent_frame(LAND.wall_normal)
-        p = LAND.anchor_left + 0.5 * LAND.d_h * t1
-        grid = HeatmapGrid(np.array([p[1], 2.5, 4.0]), np.array([p[2], -2.0, -6.5]),
-                           x=p[0])
-        hm = margin_heatmap(grid, PULL_OFF, LAND)
+        hm = margin_heatmap(anchor_grid(), PULL_OFF, LAND)
         assert hm.cell_s.shape == hm.gamma.shape == (3, 3)
         assert np.all(hm.cell_s > 0.0)
         assert sum(hm.endings.values()) == hm.gamma.size
@@ -467,8 +472,44 @@ class TestHeatmap:
                 assert hm.feasible[i, j] == (ending == 0)
                 assert hm.gamma[i, j] == pytest.approx(gamma or 0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("grid, scen, endings", [
+        (HeatmapGrid.regular(ny=6, nz=6, x=1.5), LAND.with_(mu=0.3), {"ok", "infeasible_origin"}),
+        (HeatmapGrid.regular(ny=6, nz=6, x=1.5), TILTED, {"ok", "infeasible_origin"}),
+        (HeatmapGrid.regular(ny=8, nz=8, x=1.5), LAND.with_(mu=1e-9), {"infeasible_origin"}),
+        (anchor_grid(), LAND, {"ok", "infeasible_origin", "CellError"})],
+        ids=["mu0.3", "tilted", "mu1e-9", "anchor-first"])
+    def test_template_equals_single_points(self, grid, scen, endings):
+        # The map's one MarginLp gives each cell the bits of a margin_at call
+        # that builds its own, so no cell's rope columns reach the next.
+        hm = margin_heatmap(grid, PULL_OFF, scen)
+        assert {ending for ending, count in hm.endings.items() if count} == endings
+        gamma, ok = np.zeros(hm.gamma.shape), np.zeros(hm.gamma.shape, dtype=bool)
+        counts, errors = dict.fromkeys(hm.endings, 0), []
+        for i, y in enumerate(grid.y_values):
+            for j, z in enumerate(grid.z_values):
+                try:
+                    res = margin_at(np.array([grid.x, y, z]), PULL_OFF, scen)
+                except CellError as exc:
+                    errors.append((i, j, str(exc)))
+                    counts["CellError"] += 1
+                    continue
+                counts[res.status] += 1
+                gamma[i, j], ok[i, j] = res.gamma, res.status == "ok"
+        assert hm.gamma.tobytes() == gamma.tobytes()
+        assert np.array_equal(hm.feasible, ok)
+        assert hm.endings == counts
+        assert hm.errors == errors
+
+    def test_template_of_another_map_rejected(self):
+        p = np.array([1.5, 2.5, -6.5])
+        lp = MarginLp(LAND, PULL_OFF)
+        assert margin_at(p, PULL_OFF.copy(), LAND, lp).gamma == margin_at(p, PULL_OFF, LAND).gamma
+        for v_hat, scen in ((PULL_OFF, LAND.with_()), (OBLIQUE, LAND), (PULL_OFF[:3], LAND)):
+            with pytest.raises(ValueError, match="another scenario or v_hat"):
+                margin_at(p, v_hat, scen, lp)
+
     def test_code_error_propagates(self, monkeypatch):
-        def bug(p, v_hat, scenario):
+        def bug(*args):
             raise ValueError("operands could not be broadcast together")
 
         monkeypatch.setattr(stability, "margin_at", bug)
