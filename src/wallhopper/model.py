@@ -163,6 +163,8 @@ class Scenario:
         for name in ("f_p_max", "d_b", "d_w", "d_h"):
             if not (getattr(self, name) >= 0.0):
                 raise ValueError(f"{name} must be non-negative")
+        if not (self.obstacle is None or isinstance(self.obstacle, Ellipsoid)):
+            raise ValueError(f"obstacle must be an Ellipsoid or None, got {self.obstacle!r}")
         # The ellipsoid is axis-aligned with x normal to the wall, and the
         # planner bounds p_x instead of n.p when it is set.
         if self.obstacle is not None and np.any(self.wall_normal != (1.0, 0.0, 0.0)):

@@ -55,15 +55,17 @@ steps and MPC ticks that this episode flew itself.  Records keep
 references, not copies, that nothing may mutate later; each trace is
 concatenated and owns its arrays.
 
-An episode without measurement noise can also start at a control tick of
-another flight, a _TickStart, instead of at rest: it copies that flight's
-records and MPC solutions before the tick, resumes from the time and state
-of the first row of the tick's record, and hands the last solution to its
-controller as the warm start.  Up to a tick at which neither flight has
-felt a disturbance, the two are the same flight step for step, so the
-episode is bit-identical to one flown from rest.  batch_robustness flies
-the undisturbed prefix that its runs share once this way, its runs'
-disturbances drawn in N_INTERVALS windows of the flight.
+A flight from rest without measurement noise can keep its flight record
+from lift-off: its lists of records and MPC solutions, which it only
+appends to, and its lift-off time.  Record k + 1 is tick k; the last is
+the end-of-flight row unless the flight aborted.  An episode without noise
+can resume at (that flight, tick k): it copies the first k + 1 records and
+k solutions, starts from the time and state of record k + 1's first row,
+and warm-starts its controller on solution k - 1.  Up to a tick at which
+neither flight has felt a disturbance, the two are the same flight step
+for step, so the episode is bit-identical to one flown from rest.
+batch_robustness flies the undisturbed prefix that its runs share once
+this way, its runs' disturbances drawn in N_INTERVALS windows of it.
 """
 
 from __future__ import annotations
@@ -196,20 +198,6 @@ def _trace(scenario, records, force, ticks, events, e_a, meta) -> SimTrace:
                     phase, events, np.asarray(e_a, dtype=float), meta)
 
 
-@dataclass(frozen=True)
-class _TickStart:
-    """A run_episode flight without noise (no touch-down watch) at the
-    start of control tick k: its lists of records and MPC solutions (None
-    for open loop), whose first k + 1 and k entries lie before the tick (the
-    thrust record, then one record per tick), and its lift-off time.  The
-    first row of record k + 1 is the resume point.  The flight only appends
-    to those lists, so an episode starts here by copying their heads."""
-    k: int
-    records: list
-    solutions: list | None
-    t_lift: float
-
-
 class EpisodeAborted(RuntimeError):
     """Simulation left the model domain; carries the diagnostic trace."""
 
@@ -226,12 +214,12 @@ def _substeps(interval: float) -> tuple[int, float]:
 
 
 def _episode(plan, scenario, controller, disturbance, noise, mpc_cfg,
-             landing=False, start=None, marks=None) -> SimTrace:
+             landing=False, flight=None, k=None) -> SimTrace:
     """The phase machine of the module docstring; landing arms the
-    touch-down watch and the hold and contact phases.  Without noise, the
-    episode may start at tick start.k of another flight (a _TickStart), and
-    marks, a list, collects a _TickStart at each flight tick this one
-    reaches."""
+    touch-down watch and the hold and contact phases.  Without noise, a dict
+    flight receives this episode's flight record at lift-off (records,
+    solutions, None for open loop, and t_lift) or, with a tick k, holds the
+    record of another flight to resume at tick k."""
     if controller == "mpc":
         ctl = TrackingController(plan, scenario, mpc_cfg)
     elif controller == "open_loop":
@@ -247,24 +235,23 @@ def _episode(plan, scenario, controller, disturbance, noise, mpc_cfg,
     meta = {"controller": controller, "dt_sim": DT_SIM, "disturbance": dist.kind,
             "noise": noise is not None, "steps": 0, "ticks": 0}
     armed = False
-    if start is None:
+    if k is None:
         records, ticks = [], (None if ctl is None else [])
         x, t, events = plan.rest_state.copy(), 0.0, {}
     else:
-        records = start.records[:start.k + 1]
-        ticks = None if ctl is None else start.solutions[:start.k]
-        t, x = (a[0] for a in start.records[start.k + 1][:2])
-        events = {"lift_off": start.t_lift}
-        if ctl is not None and start.k:
+        records = flight["records"][:k + 1]
+        ticks = None if ctl is None else flight["solutions"][:k]
+        t, x = (a[0] for a in flight["records"][k + 1][:2])
+        events = {"lift_off": flight["t_lift"]}
+        if ctl is not None and k:
             ctl.prev_solution = ticks[-1]
 
-    def advance(stretches, phase, watch=False, disturbed=True, tick=None):
+    def advance(stretches, phase, watch=False, disturbed=True):
         """Fly stretches, a list of (u, n_steps, h) whose inputs are all known
         before the first step, in one rollout_arrays call: n_steps steps of
         h under each held u, the disturbance added to its u[2:5] on the
         steps that feel one (where disturbed).  Records each stretch as one
-        record and, from flight tick `tick` on, marks each as a tick start.
-        True at touch-down, which drops the rest of the call."""
+        record.  True at touch-down, which drops the rest of the call."""
         nonlocal x, t, armed
         hs = [h for _, n_steps, h in stretches for _ in range(n_steps)]
         times = list(accumulate(hs, initial=t))
@@ -291,11 +278,9 @@ def _episode(plan, scenario, controller, disturbance, noise, mpc_cfg,
         end = flown + 1 if aborted else flown
         meta["steps"] += end
         first = 0
-        for i, (u, n_steps, _) in enumerate(stretches):
+        for u, n_steps, _ in stretches:
             if first >= end:
                 break
-            if tick is not None and marks is not None:
-                marks.append(_TickStart(tick + i, records, ticks, t_lift))
             last = min(first + n_steps, end)
             records.append((times[first:last], states[first:last], u, felt[first:last], phase))
             first += n_steps
@@ -319,19 +304,21 @@ def _episode(plan, scenario, controller, disturbance, noise, mpc_cfg,
         return u
 
     touched = False
-    if start is None:
+    if k is None:
         # Thrust: step 0, the leg force with the ropes slack; contact is
         # not watched while still at the wall.
         advance([(u_plan[0], *_substeps(dt_plan[0]))], PHASE_THRUST, disturbed=False)
         events["lift_off"] = t
+        if flight is not None:
+            flight.update(records=records, solutions=ticks, t_lift=t)
     t_lift = events["lift_off"]
-    k, n_ticks = (0 if start is None else start.k), len(dt_plan) - 1
+    k, n_ticks = k or 0, len(dt_plan) - 1
     while k < n_ticks:
         # An MPC tick's input needs the state it starts from; open loop,
         # every input is known, and the rest of the flight is one call.
         stop = n_ticks if ctl is None else k + 1
         if advance([(tick_input(j), *_substeps(dt_plan[j + 1])) for j in range(k, stop)],
-                   PHASE_FLIGHT, landing, tick=k):
+                   PHASE_FLIGHT, landing):
             touched = True
             events["early_touch_down"] = t
             break
@@ -422,9 +409,8 @@ def landing_episode(plan: JumpPlan, scenario: Scenario, controller: str = "mpc",
 
 
 def _robustness_runs(plan, n_runs, scenario, seed, noise, controller, mpc_cfg):
-    """batch_robustness's runs in run order, as (interval, trace, aborted,
-    steps, ticks): an aborted run's trace is its EpisodeAborted's; steps and
-    ticks count the simulator steps and MPC ticks flown for this run alone."""
+    """batch_robustness's runs in run order, as (interval, trace, aborted):
+    an aborted run's trace is its EpisodeAborted's."""
     rng = np.random.default_rng(seed)
     noise_rng = None if noise is None else np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(noise.seed,)))
@@ -445,34 +431,31 @@ def _robustness_runs(plan, n_runs, scenario, seed, noise, controller, mpc_cfg):
         runs.append((interval, DisturbanceSpec("impulsive", vec, t_start=t_start),
                      run_noise))
 
-    def fly(spec, run_noise, start=None, marks=None):
+    def fly(spec, run_noise, flight=None, k=None):
         try:
-            trace = _episode(plan, scenario, controller, spec, run_noise, mpc_cfg,
-                             start=start, marks=marks)
-            aborted = False
+            return _episode(plan, scenario, controller, spec, run_noise, mpc_cfg,
+                            flight=flight, k=k), False
         except EpisodeAborted as exc:
-            trace, aborted = exc.trace, True
-        return trace, aborted, trace.meta["steps"], trace.meta["ticks"]
+            return exc.trace, True
 
-    if noise is not None or not runs:
-        for interval, spec, run_noise in runs:
-            yield (interval, *fly(spec, run_noise))
-        return
     # Without noise every run flies the undisturbed flight until its window
-    # opens.  The run whose window opens last flies it from rest and marks
-    # every tick; each other run starts at the last tick whose flight time
-    # is at or before its t_start, so every step it copies felt no force
-    # (from rest if the shared flight aborted before its first tick).
-    shared = max(range(n_runs), key=lambda r: runs[r][1].t_start)
-    marks = []
-    shared_flown = fly(runs[shared][1], None, marks=marks)
-    opens = [m.records[m.k + 1][0][0] - m.t_lift for m in marks]
-    for run, (interval, spec, _) in enumerate(runs):
-        if run == shared:
-            yield (interval, *shared_flown)
-            continue
-        i = bisect.bisect_right(opens, spec.t_start) - 1
-        yield (interval, *fly(spec, None, start=marks[i] if i >= 0 else None))
+    # opens.  The run whose window opens last flies it from rest first and
+    # keeps its flight record; each other run resumes it at the last tick it
+    # started (a record after the thrust but the end-of-flight row) at or
+    # before its t_start, so every step it copies felt no force.  With noise,
+    # or with no record (an abort in the thrust), a run flies from rest.
+    flight, flown, opens = {}, {}, []
+    if noise is None and runs:
+        shared = max(range(n_runs), key=lambda r: runs[r][1].t_start)
+        flown[shared] = fly(runs[shared][1], None, flight)
+        records = flight.get("records", [])
+        opens = [r[0][0] - flight["t_lift"]
+                 for r in records[1:len(records) - (not flown[shared][1])]]
+    for run, (interval, spec, run_noise) in enumerate(runs):
+        if run not in flown:
+            k = bisect.bisect_right(opens, spec.t_start) - 1
+            flown[run] = fly(spec, run_noise, *((flight, k) if k >= 0 else ()))
+        yield (interval, *flown.pop(run))
 
 
 def batch_robustness(plan: JumpPlan, n_runs: int, scenario: Scenario,
@@ -490,22 +473,24 @@ def batch_robustness(plan: JumpPlan, n_runs: int, scenario: Scenario,
 
     With noise None the runs share the undisturbed flight up to their
     windows, and it is flown once: the run whose window opens last flies
-    from rest, and every other run starts from that flight at its last
-    control tick at or before the opening of the run's window (see
-    _TickStart).  Each run stays bit-identical to its own run_episode.
-    With noise every run flies from rest, since the runs' noise differs
-    from the first tick; their noise seeds have a generator of their own,
-    keyed to noise.seed, so they fly the noise-free batch's disturbances.
-    steps and ticks count the simulator steps and MPC ticks the batch flew.
+    from rest and keeps its flight record (see the module docstring), and
+    every other run resumes that flight at its last control tick at or
+    before the opening of the run's window.  Each run stays bit-identical
+    to its own run_episode.  With noise the runs differ from the first
+    tick, so there is no tick to resume at and every run flies from rest;
+    their noise seeds have a generator of their own, keyed to noise.seed,
+    so they fly the noise-free batch's disturbances.  steps and ticks sum
+    the meta steps and ticks of the runs' traces, the simulator steps and
+    MPC ticks the batch flew.
     """
     if not (isinstance(n_runs, Integral) and n_runs >= 0):
         raise ValueError(f"n_runs must be an integer >= 0, got {n_runs!r}")
     per_interval: list[list[float]] = [[] for _ in range(N_INTERVALS)]
     failures = wall_crossings = steps = ticks = 0
-    for interval, trace, aborted, run_steps, run_ticks in _robustness_runs(
-            plan, n_runs, scenario, seed, noise, controller, mpc_cfg):
-        steps += run_steps
-        ticks += run_ticks
+    for interval, trace, aborted in _robustness_runs(plan, n_runs, scenario, seed, noise,
+                                                     controller, mpc_cfg):
+        steps += trace.meta["steps"]
+        ticks += trace.meta["ticks"]
         if aborted:
             failures += 1
             continue

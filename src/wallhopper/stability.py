@@ -74,7 +74,6 @@ class ContactSet:
     mu: float
     f_leg_max: float
     f_r_max: float
-    tangents: tuple                # (t1, t2) = tangent_frame(contact_normal)
 
 
 def _wall_contacts(scenario: Scenario):
@@ -103,9 +102,9 @@ def _rope_axes(p, scenario: Scenario, hoists) -> list:
 def contact_geometry(p, scenario: Scenario) -> ContactSet:
     """Wheel and rope-attachment placement for a CoM at p (anchor frame);
     ValueError unless p is a finite 3-vector."""
-    n_c, tangents, wheels, hoists = _wall_contacts(scenario)
+    n_c, _, wheels, hoists = _wall_contacts(scenario)
     return ContactSet(*wheels, *hoists, *_rope_axes(_finite_point(p), scenario, hoists),
-                      n_c, scenario.mu, scenario.f_leg_max, scenario.f_r_max, tangents)
+                      n_c, scenario.mu, scenario.f_leg_max, scenario.f_r_max)
 
 
 def _pyramid_corners(t1, t2, n, mu: float, f_leg_max: float) -> np.ndarray:
@@ -256,10 +255,13 @@ def margin_at(p, v_hat, scenario: Scenario, lp: MarginLp | None = None) -> Margi
     """Directional feasibility margin of the load wrench w at CoM position p:
     the largest gamma >= 0 with w + gamma * v_hat inside the FWP, from one
     MarginLp.  With lp None it builds one for this point; otherwise
-    ValueError unless lp was built for this scenario object and an equal v_hat.
+    ValueError unless lp is a MarginLp built for this scenario object and an
+    equal v_hat.
     """
     if lp is None:
         lp = MarginLp(scenario, v_hat)
+    elif not isinstance(lp, MarginLp):
+        raise ValueError(f"lp must be a MarginLp or None, got {lp!r}")
     elif lp.scenario is not scenario or not np.array_equal(v_hat, lp.v_hat):
         raise ValueError("lp was built for another scenario or v_hat")
     return lp.solve(p)

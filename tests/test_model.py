@@ -492,3 +492,12 @@ class TestScenarioValidation:
         Scenario(wall_normal=tilted)
         Scenario(obstacle=bump)
         Scenario(wall_normal=np.array([2.0, 0.0, 0.0]), obstacle=bump)
+
+    def test_obstacle_must_be_an_ellipsoid(self):
+        # A (center, semi_axes) pair would otherwise fail later, inside the
+        # planner's wall gap.
+        for obstacle in (([0, 2, -5], [0.5, 0.5, 0.5]), "bump"):
+            with pytest.raises(ValueError, match="obstacle must be an Ellipsoid"):
+                Scenario(obstacle=obstacle)
+            with pytest.raises(ValueError, match="obstacle must be an Ellipsoid"):
+                Scenario().with_(obstacle=obstacle)

@@ -398,7 +398,7 @@ class TestSharedPrefix:
         return compare
 
     def check(self, shared, serial, stats, seed):
-        for (i, a, a_abort, _, _), (j, b, b_abort) in zip(shared, serial, strict=True):
+        for (i, a, a_abort), (j, b, b_abort) in zip(shared, serial, strict=True):
             assert (i, a_abort) == (j, b_abort)
             for name in ("times", "states", "positions", "velocities", "inputs",
                          "disturbance", "phase", "e_a"):
@@ -412,8 +412,8 @@ class TestSharedPrefix:
         counts = {"steps": stats.pop("steps"), "ticks": stats.pop("ticks")}
         expected = serial_stats(serial, seed)
         assert json.dumps(stats, sort_keys=True) == json.dumps(expected, sort_keys=True)
-        assert counts == {"steps": sum(s for _, _, _, s, _ in shared),
-                          "ticks": sum(k for _, _, _, _, k in shared)}
+        assert counts == {"steps": sum(t.meta["steps"] for _, t, _ in shared),
+                          "ticks": sum(t.meta["ticks"] for _, t, _ in shared)}
 
     # Seed 105 has runs that cross the wall plane.
     @pytest.mark.parametrize("seed", [1, 7, 105])
@@ -485,17 +485,44 @@ class TestSharedPrefix:
         for key in ("failures", "wall_crossings", "intervals"):
             assert json.dumps(noisy[key]) == json.dumps(clean[key]), key
 
+    @pytest.mark.parametrize("controller, ticks", [("open_loop", range(30)),
+                                                   ("mpc", range(0, 30, 3))])
+    def test_resume_at_every_tick(self, frozen_track_plan, controller, ticks):
+        # An undisturbed run resumed at tick k of the flight from rest is
+        # that flight bit for bit, from tick 0 (only the thrust copied, no
+        # warm start) to the last tick; it flies the steps and MPC ticks
+        # from tick k on.  The meta's timings are not compared.
+        cfg = mpc.MpcConfig(n_horizon=2)
+        flight = {}
+        ref = simulator._episode(frozen_track_plan, SCEN, controller, None, None, cfg,
+                                 flight=flight)
+        assert len(flight["records"]) == 32      # thrust, 30 ticks, end-of-flight row
+        for k in ticks:
+            trace = simulator._episode(frozen_track_plan, SCEN, controller, None, None, cfg,
+                                       flight=flight, k=k)
+            for name in ("times", "states", "positions", "velocities", "inputs",
+                         "disturbance", "phase", "e_a"):
+                np.testing.assert_array_equal(getattr(trace, name), getattr(ref, name),
+                                              err_msg=f"{name} at tick {k}")
+            assert trace.events == ref.events
+            assert set(trace.meta) == set(ref.meta)
+            for key in set(self.META) & set(ref.meta):
+                np.testing.assert_array_equal(trace.meta[key], ref.meta[key], err_msg=key)
+            copied = sum(len(record[0]) for record in flight["records"][:k + 1])
+            assert trace.meta["steps"] + copied == ref.meta["steps"]
+            assert trace.meta["ticks"] == (30 - k if controller == "mpc" else 0)
+
     def test_resumed_traces_share_no_memory(self, frozen_track_plan):
-        # Two runs resumed from one _TickStart start from the same records,
-        # but each trace owns its arrays: writing into one changes neither
-        # the other nor a run resumed there later.
-        marks = []
+        # Two runs resumed at one tick of a flight start from the same
+        # records, but each trace owns its arrays: writing into one changes
+        # neither the other nor a run resumed there later.
+        flight = {}
         simulator._episode(frozen_track_plan, SCEN, "open_loop", None, None, None,
-                           marks=marks)
+                           flight=flight)
         a, b, c = (simulator._episode(
             frozen_track_plan, SCEN, "open_loop",
             DisturbanceSpec("impulsive", [0.0, 0.0, -30.0], t_start=t_start), None,
-            None, start=marks[10]) for t_start in (0.5, 0.5, 0.6))
+            None, flight=flight, k=10) for t_start in (0.5, 0.5, 0.6))
         names = ("states", "inputs", "times", "disturbance", "phase")
         for x, y in ((a, b), (a, c), (b, c)):
             for name in names:
@@ -508,7 +535,7 @@ class TestSharedPrefix:
         again = simulator._episode(
             frozen_track_plan, SCEN, "open_loop",
             DisturbanceSpec("impulsive", [0.0, 0.0, -30.0], t_start=0.5), None, None,
-            start=marks[10])
+            flight=flight, k=10)
         for name in names:
             np.testing.assert_array_equal(getattr(again, name), want[name], err_msg=name)
 

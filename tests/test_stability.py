@@ -102,8 +102,8 @@ def linprog_margin(p, v_hat, scen):
     """margin_at's LP posed straight to linprog(method="highs"), with G built
     by np.cross, np.repeat and vstack: (HiGHS ending, gamma or None)."""
     cs = contact_geometry(p, scen)
-    corners = stability._pyramid_corners(*cs.tangents, cs.contact_normal, cs.mu,
-                                         cs.f_leg_max)
+    corners = stability._pyramid_corners(*tangent_frame(cs.contact_normal),
+                                         cs.contact_normal, cs.mu, cs.f_leg_max)
     forces = np.vstack([corners, corners, -cs.f_r_max * cs.axis_left,
                         -cs.f_r_max * cs.axis_right])
     points = np.repeat([cs.wheel_left, cs.wheel_right, cs.hoist_left, cs.hoist_right],
@@ -507,6 +507,8 @@ class TestHeatmap:
         for v_hat, scen in ((PULL_OFF, LAND.with_()), (OBLIQUE, LAND), (PULL_OFF[:3], LAND)):
             with pytest.raises(ValueError, match="another scenario or v_hat"):
                 margin_at(p, v_hat, scen, lp)
+        with pytest.raises(ValueError, match="lp must be a MarginLp"):
+            margin_at(p, PULL_OFF, LAND, lp=object())
 
     def test_code_error_propagates(self, monkeypatch):
         def bug(*args):
